@@ -553,13 +553,6 @@ class ClusterDriver:
                 transfer.wire = None
             tx.unregister_flow(transfer.flow_id)
             rx.unregister_flow(transfer.flow_id)
-            # No arena release here, deliberately: the fabric persists
-            # across waves, and an original message packet can still be
-            # sitting in a queue after its seq was acked via a clone.
-            # Recycling it would let a straggling delivery alias a live
-            # packet of a later wave.  Message packets are simply GC'd
-            # (the arena is an optimization, never required); transient
-            # ACK/filler recycling — the dominant churn — is unaffected.
         wave_end = sim.now
         for request in requests:
             request.wave_end_s = wave_end

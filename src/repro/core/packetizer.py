@@ -34,7 +34,6 @@ import numpy as np
 
 from ..obs.int_telemetry import INTExtension, int_capacity
 from ..obs.trace import get_tracer
-from ..packet import arena as _arena
 from ..packet.bitpack import pack_segments, packed_size, unpack_batch
 from ..packet.header import (
     FLAG_INT,
@@ -129,13 +128,8 @@ def packetize(
         seed=meta.seed,
         flags=FLAG_METADATA | int_flag,
     )
-    # Message-kind packets: the transport sender retains them for
-    # retransmission, so only the transfer owner (the channel/driver)
-    # may recycle them — network sinks refuse (see repro.packet.arena).
-    pool = _arena._ARENA
     packets.append(
-        pool.acquire(
-            _arena.KIND_MESSAGE,
+        Packet(
             src=src,
             dst=dst,
             payload=meta_header.to_bytes() + meta.to_bytes(),
@@ -198,8 +192,7 @@ def packetize(
         cursor += head_bytes
         buf[cursor : cursor + tail_bytes] = tails_buf[ts : ts + tail_bytes]
         packets.append(
-            pool.acquire(
-                _arena.KIND_MESSAGE,
+            Packet(
                 src=src,
                 dst=dst,
                 payload=views[pos : pos + payload_size],

@@ -1,6 +1,6 @@
 """The flow-aware rule families, built on :mod:`repro.lint.dataflow`.
 
-Five families, each protecting an invariant the per-line rules cannot
+Four families, each protecting an invariant the per-line rules cannot
 see because the violation is *propagated* rather than syntactic:
 
 * ``nondeterminism-taint`` — a value originating from bare randomness,
@@ -17,10 +17,6 @@ see because the violation is *propagated* rather than syntactic:
 * ``sim-callback-write`` — an event-loop callback writes module-level
   shared state: fine single-threaded today, a data race the moment the
   ROADMAP's multi-core workers land.
-* ``pooled-packet-retention`` — a network-sink module stores a packet
-  acquired from the packet arena instead of sending or releasing it;
-  once a sink recycles that packet the retained reference aliases a
-  live object of a later acquire.
 
 See ``docs/static_analysis.md`` for the full rationale and examples.
 """
@@ -47,7 +43,6 @@ __all__ = [
     "BitsBytesRule",
     "NondeterminismTaintRule",
     "PacketTypestateRule",
-    "PooledPacketRetentionRule",
     "SimCallbackWriteRule",
 ]
 
@@ -428,98 +423,10 @@ class SimCallbackWriteRule(Rule):
                             yield node, base.id
 
 
-class PooledPacketRetentionRule(Rule):
-    """Network sinks must not retain packets acquired from the arena."""
-
-    name = "pooled-packet-retention"
-    description = (
-        "a packet acquired from the packet arena inside a network-sink "
-        "module (net/, faults/, obs/) must be sent or released, never "
-        "stored on an object or in a container — a sink may recycle it, "
-        "turning the retained reference into a use-after-release alias"
-    )
-    hint = (
-        "send the packet and let the ownership protocol recycle it, or "
-        "copy the fields you need; only transports and the training "
-        "channel (transport/, core/, train/) may retain pooled packets "
-        "(see docs/performance.md#simulator-fast-path)"
-    )
-    # The owning modules — transport senders, the packetizer, the
-    # training channel — retain message-kind packets by design and are
-    # deliberately out of scope.
-    scope = ("net/", "faults/", "obs/")
-
-    _ACQUIRE_METHODS = ("acquire", "acquire_filler")
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        reported: Set[Tuple[int, int]] = set()
-        for scope in iter_flow_scopes(module.tree):
-            acquired = self._acquired_names(scope.node)
-            if not acquired and not self._has_acquire_call(scope.node):
-                continue
-            for node, detail in self._retentions(scope.node, acquired):
-                key = (getattr(node, "lineno", 0), getattr(node, "col_offset", 0))
-                if key in reported:
-                    continue
-                reported.add(key)
-                yield self.finding(module, node, detail)
-
-    def _is_acquire_call(self, node: ast.AST) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in self._ACQUIRE_METHODS
-        )
-
-    def _has_acquire_call(self, func: ast.AST) -> bool:
-        return any(self._is_acquire_call(node) for node in ast.walk(func))
-
-    def _acquired_names(self, func: ast.AST) -> Set[str]:
-        """Local names bound (directly) to an arena acquire result."""
-        names: Set[str] = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and self._is_acquire_call(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-        return names
-
-    def _retentions(
-        self, func: ast.AST, acquired: Set[str]
-    ) -> Iterator[Tuple[ast.AST, str]]:
-        def holds_packet(expr: ast.expr) -> bool:
-            return self._is_acquire_call(expr) or (
-                isinstance(expr, ast.Name) and expr.id in acquired
-            )
-
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign):
-                if not holds_packet(node.value):
-                    continue
-                for target in node.targets:
-                    # self.x = pkt / obj.x = pkt / container[k] = pkt
-                    if isinstance(target, (ast.Attribute, ast.Subscript)):
-                        yield (
-                            node,
-                            "pooled packet stored on an attribute/container in a "
-                            "network-sink module",
-                        )
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                if node.func.attr not in SimCallbackWriteRule._MUTATORS:
-                    continue
-                if any(holds_packet(arg) for arg in node.args):
-                    yield (
-                        node,
-                        f"pooled packet retained via .{node.func.attr}() in a "
-                        "network-sink module",
-                    )
-
-
 #: The flow-aware rule set, in documentation order.
 FLOW_RULES: Tuple[Rule, ...] = (
     NondeterminismTaintRule(),
     PacketTypestateRule(),
     BitsBytesRule(),
     SimCallbackWriteRule(),
-    PooledPacketRetentionRule(),
 )

@@ -16,7 +16,6 @@ import zlib
 from heapq import heappush
 from typing import Optional
 
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from ..transforms.prng import shared_generator
 from .host import Host
@@ -105,10 +104,8 @@ class OnOffFlow:
         if sim.now >= self._burst_until:
             sim.schedule(self._rng.exponential(self.idle_s), self._begin_burst)
             return
-        packet = _arena._ARENA.acquire_filler(
-            self.src.name, self.dst, self._payload, self.flow_id
-        )
-        accepted = self.src.send(packet)
+        packet = Packet(self.src.name, self.dst, self._payload, flow_id=self.flow_id)
+        self.src.send(packet)
         self.packets_emitted += 1
         gap = packet.wire_size * 8.0 / self.rate_bps
         # Unbound method + self: zero-allocation pacing tick, posted as
@@ -124,10 +121,6 @@ class OnOffFlow:
         else:
             heappush(sim._far, entry)
         sim._live += 1
-        if not accepted:
-            # The NIC queue rejected it; nothing downstream will ever
-            # see this object again.
-            _arena._ARENA.release_transient(packet)
 
 
 class IncastBurst:
@@ -175,9 +168,6 @@ class IncastBurst:
         while remaining > 0:
             size = min(self.packet_bytes, remaining + 42)
             payload = full if size == self.packet_bytes else b"\x00" * max(0, size - 42)
-            packet = _arena._ARENA.acquire_filler(src, self.dst, payload, flow_id)
-            accepted = sender.send(packet)
+            sender.send(Packet(src, self.dst, payload, flow_id=flow_id))
             self.packets_emitted += 1
             remaining -= size - 42
-            if not accepted:
-                _arena._ARENA.release_transient(packet)

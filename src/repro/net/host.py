@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from .link import Device, Link
 from .queues import PriorityQueue
@@ -81,8 +80,3 @@ class Host(Device):
         handler = self._handlers.get(packet.flow_id, self._default_handler)
         if handler is not None:
             handler(packet)
-        else:
-            # No consumer: the host is this packet's sink.  Pooled
-            # transient traffic (crosstraffic filler, stray controls)
-            # goes straight back to the arena.
-            _arena._ARENA.release_transient(packet)

@@ -17,17 +17,11 @@ import numpy as np
 from ..obs.int_telemetry import DECISION_TRIM, REASON_LINK_IMPAIRMENT, hop_id
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from .queues import ByteQueue, PriorityQueue
 from .simulator import Simulator
 
 __all__ = ["Device", "Link", "DeliveryHook"]
-
-#: Below this batch size the scalar cumulative-offset loop beats the
-#: numpy round trip; at or above it the vectorized path wins.  Both
-#: compute bit-identical offsets (sequential accumulation either way).
-_VECTOR_MIN_BURST = 16
 
 #: Fault-injection seam: maps a packet about to cross the wire to the
 #: list of ``(extra_delay_s, packet)`` deliveries that actually happen.
@@ -66,11 +60,8 @@ class Link:
             queued packets at once and schedules their deliveries at the
             exact per-packet cumulative serialization times — identical
             timing to the one-at-a-time path, ~half the simulator events.
-            Only exact on FIFO queues (host NICs): a priority queue could
-            admit an express packet mid-burst that the batch would
-            wrongly hold back, so switch egress defaults to ``burst=1``
-            (``Network(switch_burst=...)`` opts in, accepting a priority
-            inversion bounded by ``burst - 1`` data serializations).
+            Only exact on FIFO queues, so ``Network.connect`` applies it
+            to host uplinks alone; switch egress is always per-packet.
     """
 
     #: Batch size Network.connect applies to host uplinks.
@@ -234,11 +225,6 @@ class Link:
         clean (up, no hook, no impairment): the fault injector pins
         ``burst = 1`` on every link it touches so faults keep their
         per-packet semantics.
-
-        Large batches (>= 16) compute the cumulative serialization
-        offsets with numpy over the packet-size array; ``np.cumsum``
-        accumulates sequentially, so the offsets are bit-identical to
-        the scalar loop and the crossover is purely a speed choice.
         """
         packets: List[Packet] = []
         count = 0
@@ -310,24 +296,12 @@ class Link:
                 heappush(sim._far, entry)
             sim._live += 2
             return
-        if count >= _VECTOR_MIN_BURST:
-            sizes = np.empty(count, dtype=np.float64)
-            for i, packet in enumerate(packets):
-                sizes[i] = packet.wire_size
-            offsets = np.cumsum(sizes * 8.0 / rate)
-            last = float(offsets[-1])
-            items: List[Tuple[float, Callable, object]] = [
-                (float(offsets[i]) + delay, recv, packets[i])
-                for i in range(count)
-            ]
-        else:
-            offset = 0.0
-            items = []
-            for packet in packets:
-                offset += packet.wire_size * 8.0 / rate
-                items.append((offset + delay, recv, packet))
-            last = offset
-        items.append((last, self._finish_burst_cb, packets))
+        offset = 0.0
+        items: List[Tuple[float, Callable, object]] = []
+        for packet in packets:
+            offset += packet.wire_size * 8.0 / rate
+            items.append((offset + delay, recv, packet))
+        items.append((offset, self._finish_burst_cb, packets))
         self._sched_batch(items)
 
     def _finish_burst(self, packets: List[Packet]) -> None:
@@ -414,7 +388,6 @@ class Link:
                     flow_id=packet.flow_id,
                     seq=packet.seq,
                 )
-            _arena._ARENA.release_transient(packet)
             self._try_transmit()
             return
         delivered: Optional[Packet] = packet
@@ -432,7 +405,6 @@ class Link:
                         flow_id=packet.flow_id,
                         seq=packet.seq,
                     )
-                _arena._ARENA.release_transient(packet)
             elif (
                 self.trim_prob > 0.0
                 and packet.trimmable_bytes() is not None
@@ -457,16 +429,9 @@ class Link:
                         flow_id=packet.flow_id,
                         seq=packet.seq,
                     )
-                # The un-pooled trim twin travels on; a transient
-                # original (filler/control) is dead here.
-                _arena._ARENA.release_transient(packet)
         if delivered is not None:
             deliveries: List[Tuple[float, Packet]] = [(0.0, delivered)]
             if self.delivery_hook is not None:
-                # A hook may duplicate (deliver the same object twice),
-                # hold, or mutate the packet — detach it from any arena
-                # so no sink can recycle an object with pending aliases.
-                delivered._pool = None
                 deliveries = self.delivery_hook(delivered)
             for extra_delay, final in deliveries:
                 self._sched_call(

@@ -33,7 +33,6 @@ from ..obs.int_telemetry import (
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..obs import trace as _obs_trace
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from ..packet.trim import NeverTrim, TrimPolicy
 from .link import Device, Link
@@ -503,7 +502,6 @@ class Switch(Device):
                     band.ecn_marked += 1
                 if (
                     not link._busy
-                    and link.burst == 1
                     and not band._items
                     and (band is bands[0] or not bands[0]._items)
                 ):
@@ -582,10 +580,6 @@ class Switch(Device):
                 seq=packet.seq,
                 bytes=packet.wire_size,
             )
-        # The switch is a sink for whatever it drops: recycle pooled
-        # transient packets (crosstraffic filler, controls); message
-        # packets stay with their retaining sender.
-        _arena._ARENA.release_transient(packet)
 
     def forward(self, packet: Packet, link: Link, ecmp_aux: int = 0) -> None:
         """Enqueue on ``link``, trimming or dropping on overflow.
@@ -691,9 +685,6 @@ class Switch(Device):
                     remnant_bytes=remnant.wire_size,
                     fill_before=fill_before,
                 )
-            # The un-pooled remnant twin replaced the original on the
-            # wire; a transient original (filler/control) is now dead.
-            _arena._ARENA.release_transient(packet)
         else:
             self._drop(packet, "header-band-overflow")
 

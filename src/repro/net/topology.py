@@ -37,12 +37,7 @@ class Network:
         net.sim.run()
     """
 
-    def __init__(
-        self,
-        sim: Optional[Simulator] = None,
-        host_burst: int = 1,
-        switch_burst: int = 1,
-    ) -> None:
+    def __init__(self, sim: Optional[Simulator] = None, host_burst: int = 1) -> None:
         self.sim = sim or Simulator()
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
@@ -55,16 +50,6 @@ class Network:
         if host_burst < 1:
             raise ValueError(f"host_burst must be >= 1, got {host_burst}")
         self.host_burst = host_burst
-        # Same batch applied to switch egress, default off and strictly
-        # opt-in: switch queues have a priority express band, and a burst
-        # drained in one batch keeps serializing data packets even when
-        # an express-band arrival lands mid-burst — so control headers
-        # can be reordered behind data they would have preempted.  Only
-        # enable for throughput studies where that inversion (bounded by
-        # ``switch_burst - 1`` packets' serialization time) is acceptable.
-        if switch_burst < 1:
-            raise ValueError(f"switch_burst must be >= 1, got {switch_burst}")
-        self.switch_burst = switch_burst
 
     # -- construction ----------------------------------------------------------
 
@@ -128,12 +113,12 @@ class Network:
         link_ab = Link(
             self.sim, a, dev_b, rate_bps, delay_s, dev_a.make_queue(),
             drop_prob=drop_prob, trim_prob=trim_prob, seed=seed,
-            burst=self.host_burst if isinstance(dev_a, Host) else self.switch_burst,
+            burst=self.host_burst if isinstance(dev_a, Host) else 1,
         )
         link_ba = Link(
             self.sim, b, dev_a, rate_bps, delay_s, dev_b.make_queue(),
             drop_prob=drop_prob, trim_prob=trim_prob, seed=seed + 1,
-            burst=self.host_burst if isinstance(dev_b, Host) else self.switch_burst,
+            burst=self.host_burst if isinstance(dev_b, Host) else 1,
         )
         dev_a.attach(b, link_ab)
         dev_b.attach(a, link_ba)
@@ -254,7 +239,6 @@ def dumbbell(
     buffer_bytes: int = 60_000,
     ecn_threshold_bytes: Optional[int] = None,
     host_burst: int = 1,
-    switch_burst: int = 1,
 ) -> Network:
     """Classic dumbbell: senders -> S0 == S1 -> receivers.
 
@@ -262,7 +246,7 @@ def dumbbell(
     canonical setup for studying congestion at a single queue.  Senders
     are ``tx0..`` and receivers ``rx0..``.
     """
-    net = Network(host_burst=host_burst, switch_burst=switch_burst)
+    net = Network(host_burst=host_burst)
     for side in ("s0", "s1"):
         net.add_switch(
             side,
@@ -293,7 +277,6 @@ def leaf_spine(
     ecmp: bool = False,
     ecmp_seed: int = 0,
     host_burst: int = 1,
-    switch_burst: int = 1,
 ) -> Network:
     """Two-tier Clos: every leaf connects to every spine.
 
@@ -302,7 +285,7 @@ def leaf_spine(
     — the paper's motivating setting is an over-subscribed second-layer
     fabric between training clusters.
     """
-    net = Network(host_burst=host_burst, switch_burst=switch_burst)
+    net = Network(host_burst=host_burst)
     for s in range(spines):
         net.add_switch(
             f"spine{s}",
@@ -337,7 +320,6 @@ def fat_tree(
     ecmp: bool = False,
     ecmp_seed: int = 0,
     host_burst: int = 1,
-    switch_burst: int = 1,
 ) -> Network:
     """A k-ary fat-tree (k even): k pods, k²/4 cores, k²*k/4 hosts.
 
@@ -346,7 +328,7 @@ def fat_tree(
     """
     if k % 2 != 0 or k < 2:
         raise ValueError(f"fat-tree degree k must be even and >= 2, got {k}")
-    net = Network(host_burst=host_burst, switch_burst=switch_burst)
+    net = Network(host_burst=host_burst)
     half = k // 2
 
     def sw(name: str) -> None:

@@ -1,14 +1,5 @@
-"""Wire substrate: bit packing, headers, packets, trim policies, arenas."""
+"""Wire substrate: bit packing, headers, packets, trim policies."""
 
-from .arena import (
-    KIND_MESSAGE,
-    KIND_TRANSIENT,
-    PacketArena,
-    arena_enabled,
-    get_arena,
-    set_arena,
-    set_arena_enabled,
-)
 from .bitpack import (
     PackedSegments,
     pack_bits,
@@ -41,13 +32,6 @@ from .trim import (
 )
 
 __all__ = [
-    "KIND_MESSAGE",
-    "KIND_TRANSIENT",
-    "PacketArena",
-    "arena_enabled",
-    "get_arena",
-    "set_arena",
-    "set_arena_enabled",
     "PackedSegments",
     "pack_bits",
     "pack_segments",

@@ -96,14 +96,6 @@ class Packet:
     #: only goes stale on direct payload surgery — call
     #: :meth:`recompute_wire_size` after mutating ``payload`` in place.
     wire_size: int = field(init=False, compare=False, repr=False, default=0)
-    # Arena bookkeeping (see repro.packet.arena).  Deliberately
-    # init=False: ``dataclasses.replace`` twins — trimmed remnants,
-    # retransmit clones, corrupted fault copies — start un-pooled, so a
-    # release of the original can never free an object something else
-    # still aliases.
-    _pool: Optional[object] = field(init=False, compare=False, repr=False, default=None)
-    _pool_kind: int = field(init=False, compare=False, repr=False, default=0)
-    _pool_free: bool = field(init=False, compare=False, repr=False, default=False)
 
     def __post_init__(self) -> None:
         size = WIRE_HEADER_BYTES + len(self.payload)

@@ -16,7 +16,7 @@ channel additionally reports flow completion times per transfer.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from ..collectives.channel import GradientChannel
 from ..core.codec import GradientCodec, nmse
 from ..core.packetizer import decode_packets, packetize
 from ..net.topology import Network
-from ..packet import arena as _arena
 from ..obs.spans import get_span_tracer
 from ..obs.trace import get_tracer
+from ..packet.packet import Packet
 from ..transport.base import TransportSurrender
 from ..transport.congestion import CongestionControl, FixedWindow
 from ..transport.trimming import TrimmingReceiver, TrimmingSender
@@ -119,15 +119,18 @@ class NetworkChannel(GradientChannel):
             enc, src=self.src, dst=self.dst, mtu=self.mtu, flow_id=flow_id
         )
 
-        delivered: List[List] = []
+        # (completion time, wire): run(until=) below advances the clock
+        # to the deadline, so the FCT must be read when the message lands.
+        delivered: List[Tuple[float, List[Packet]]] = []
         surrendered: List[TransportSurrender] = []
-        sender = TrimmingSender(
-            net.hosts[self.src], flow_id=flow_id, cc=self.make_cc()
-        )
+        src_host, dst_host = net.hosts[self.src], net.hosts[self.dst]
+        sender = TrimmingSender(src_host, flow_id=flow_id, cc=self.make_cc())
         if self.max_retries is not None:
             sender.max_retries = self.max_retries
         TrimmingReceiver(
-            net.hosts[self.dst], flow_id=flow_id, on_message=delivered.append
+            dst_host,
+            flow_id=flow_id,
+            on_message=lambda wire: delivered.append((net.sim.now, wire)),
         )
         start = net.sim.now
         st = get_span_tracer()
@@ -139,40 +142,43 @@ class NetworkChannel(GradientChannel):
             worker=worker,
             packets=len(packets),
         )
-        with st.context(span):
-            sender.send_message(packets, on_failure=surrendered.append)
-        net.sim.run(until=start + self.deadline_s)
+        try:
+            with st.context(span):
+                sender.send_message(packets, on_failure=surrendered.append)
+            net.sim.run(until=start + self.deadline_s)
+        finally:
+            # A caller may keep ``net`` (to read its counters); its hosts
+            # must not keep this transfer's endpoints — and through them
+            # every packet of the message — alive once it is over.
+            src_host.unregister_flow(flow_id)
+            dst_host.unregister_flow(flow_id)
         if not delivered:
             self.stats.messages += 1
             self.stats.coordinates += flat.size
             if surrendered:
                 st.end(span, t=net.sim.now, outcome="surrendered")
                 if self.degraded_step:
-                    # Degraded step: this network never runs again, so
-                    # the transfer owner recycles its message packets.
-                    _arena._ARENA.release_all(packets)
                     return self._degrade(
                         flat, surrendered[0].reason, epoch, message_id, worker
                     )
                 raise surrendered[0]
             st.end(span, t=net.sim.now, outcome="deadline")
             if self.degraded_step:
-                _arena._ARENA.release_all(packets)
                 return self._degrade(flat, "deadline", epoch, message_id, worker)
             raise RuntimeError(
                 f"gradient transfer (epoch {epoch}, message {message_id}, "
                 f"worker {worker}) missed its {self.deadline_s}s deadline"
             )
-        wire = delivered[0]
+        done_at, wire = delivered[0]
         decoded = decode_packets(wire, self.codec)
 
         data_packets = [p for p in wire if p.grad_header and not p.grad_header.is_metadata]
         trimmed = sum(1 for p in data_packets if p.is_trimmed)
-        self.fcts.append(net.sim.now - start)
+        self.fcts.append(done_at - start)
         self.last_trim_fraction = trimmed / max(1, len(data_packets))
         st.end(
             span,
-            t=net.sim.now,
+            t=done_at,
             outcome="delivered",
             fct_s=self.fcts[-1],
             trim_fraction=self.last_trim_fraction,
@@ -185,7 +191,7 @@ class NetworkChannel(GradientChannel):
         if tracer.enabled:
             tracer.event(
                 "channel.transfer",
-                sim_time=net.sim.now,
+                sim_time=done_at,
                 epoch=epoch,
                 message_id=message_id,
                 worker=worker,
@@ -193,12 +199,6 @@ class NetworkChannel(GradientChannel):
                 trim_fraction=self.last_trim_fraction,
                 nmse=float(nmse(flat, decoded)),
             )
-        # Transfer decoded and accounted: the channel owns the transfer,
-        # so every message packet goes back to the arena.  The sender's
-        # retransmit list and the delivered wire list overlap (trim
-        # remnants are un-pooled twins) — release_all dedups by identity.
-        _arena._ARENA.release_all(packets)
-        _arena._ARENA.release_all(wire)
         return decoded
 
     @property

@@ -15,7 +15,6 @@ from ..net.simulator import Event
 from ..obs.metrics import get_registry
 from ..obs.spans import get_span_tracer
 from ..obs.trace import get_tracer
-from ..packet import arena as _arena
 from ..packet.packet import DEFAULT_MTU_BYTES, Packet
 from .congestion import CongestionControl, FixedWindow
 
@@ -55,20 +54,9 @@ def segment_bytes(
     payload_max = mtu - 42
     packets: List[Packet] = []
     remaining = num_bytes
-    pool = _arena._ARENA
     while remaining > 0:
         size = min(payload_max, remaining)
-        # Message-kind: the sender retains these for retransmission, so
-        # network sinks must never recycle them (see repro.packet.arena).
-        packets.append(
-            pool.acquire(
-                _arena.KIND_MESSAGE,
-                src=src,
-                dst=dst,
-                payload=b"\x00" * size,
-                flow_id=flow_id,
-            )
-        )
+        packets.append(Packet(src=src, dst=dst, payload=b"\x00" * size, flow_id=flow_id))
         remaining -= size
     for i, pkt in enumerate(packets):
         pkt.seq = i
@@ -269,10 +257,6 @@ class MessageSenderBase:
     def _dispatch(self, packet: Packet) -> None:
         if packet.is_ack and not self._done and self._failed is None:
             self._handle_control(packet)
-        # A control packet is dead once handled (or ignored): the sender
-        # only reads its fields.  Transient-kind only — a stray data
-        # packet is message-kind and passes through untouched.
-        _arena._ARENA.release_transient(packet)
 
     def _emit(self, seq: int, retransmission: bool = False) -> None:
         if self._failed is not None:

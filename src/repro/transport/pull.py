@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..net.host import Host
 from ..obs.int_telemetry import get_int_collector
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from .base import MessageSenderBase
 
@@ -152,8 +151,7 @@ class PullReceiver:
             return
         self._peer = packet.src
         self._total = packet.seq_total or self._total
-        # Transient-kind: recycled by the sender's dispatch once read.
-        control = _arena._ARENA.acquire(
+        control = Packet(
             src=self.host.name,
             dst=self._peer,
             is_ack=True,

@@ -20,7 +20,6 @@ from typing import Any, Callable, List, Optional
 from ..net.host import Host
 from ..obs.int_telemetry import get_int_collector
 from ..obs.metrics import get_registry
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from .base import MessageSenderBase
 
@@ -179,9 +178,7 @@ class GoBackNReceiver:
     def _send_cumulative_ack(self, ecn: bool) -> None:
         if self._peer is None:
             return
-        # Transient-kind: once the sender processes this ACK it is dead,
-        # and MessageSenderBase._dispatch recycles it.
-        ack = _arena._ARENA.acquire(
+        ack = Packet(
             src=self.host.name,
             dst=self._peer,
             is_ack=True,

@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, List, Optional
 from ..net.host import Host
 from ..obs.int_telemetry import get_int_collector
 from ..obs.metrics import get_registry
-from ..packet import arena as _arena
 from ..packet.packet import Packet
 from .base import MessageSenderBase
 
@@ -200,9 +199,8 @@ class TrimmingReceiver:
     ) -> None:
         if self._peer is None:
             return
-        # Transient-kind: recycled by the sender's dispatch once read.
         self.host.send(
-            _arena._ARENA.acquire(
+            Packet(
                 src=self.host.name,
                 dst=self._peer,
                 is_ack=True,

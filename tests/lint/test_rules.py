@@ -38,7 +38,6 @@ BAD_FIXTURES = [
     ("net/bad_taint.py", "nondeterminism-taint"),
     ("net/bad_simcb.py", "sim-callback-write"),
     ("packet/bad_typestate.py", "packet-typestate"),
-    ("net/bad_arena_retention.py", "pooled-packet-retention"),
 ]
 
 GOOD_FIXTURES = [
@@ -53,7 +52,6 @@ GOOD_FIXTURES = [
     "net/good_taint.py",
     "net/good_simcb.py",
     "packet/good_typestate.py",
-    "net/good_arena_retention.py",
 ]
 
 
@@ -187,16 +185,3 @@ def test_taint_covers_fast_path_scheduling_apis():
     assert "schedule() on the event loop" in sinks
     assert "schedule_call() on the event loop" in sinks
     assert "schedule_batch() on the event loop" in sinks
-
-
-def test_arena_retention_details():
-    findings = [
-        f for f in lint_fixture("net/bad_arena_retention.py")
-        if f.rule == "pooled-packet-retention"
-    ]
-    messages = " ".join(f.message for f in findings)
-    # Both retention shapes: attribute store and container append, for
-    # acquire_filler locals and direct acquire() results alike.
-    assert "stored on an attribute" in messages
-    assert ".append()" in messages
-    assert len(findings) >= 3

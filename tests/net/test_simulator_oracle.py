@@ -1,0 +1,126 @@
+"""Differential test: the calendar-queue Simulator against a plain heap.
+
+The reference scheduler below is the obvious implementation — one
+binary heap ordered by ``(time, sequence)``, eager cancel — and stays
+here as the oracle whichever scheduler ``repro.net.simulator`` ships.
+"""
+
+import heapq
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net.simulator import Simulator
+
+
+class HeapScheduler:
+    """Reference semantics of Simulator's public scheduling API."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._sequence = itertools.count()
+
+    def _post(self, delay, fn, args):
+        entry = (self.now + delay, next(self._sequence), fn, args)
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def schedule(self, delay, callback):
+        return self._post(delay, callback, ())
+
+    def schedule_call(self, delay, fn, arg):
+        self._post(delay, fn, (arg,))
+
+    def schedule_batch(self, items):
+        for delay, fn, arg in items:
+            self._post(delay, fn, (arg,))
+
+    def cancel(self, entry):
+        if entry in self._heap:  # already run or cancelled: no-op
+            self._heap.remove(entry)
+            heapq.heapify(self._heap)
+
+    def pending(self):
+        return len(self._heap)
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while max_events is None or executed < max_events:
+            if not self._heap or (until is not None and self._heap[0][0] > until):
+                if until is not None and until > self.now:
+                    self.now = until
+                break
+            self.now, _, fn, args = heapq.heappop(self._heap)
+            fn(*args)
+            executed += 1
+        return self.now
+
+
+# Same-instant, sub-bucket (< 1 us), in-ring (< 1.024 ms) and
+# beyond-ring delays; the fixed values make exact ties common.
+delays = st.one_of(
+    st.sampled_from([0.0, 1e-7, 5e-7, 1e-6, 3e-6, 1e-4, 1.0e-3, 1.024e-3, 1.5e-3, 4e-3]),
+    st.floats(0.0, 1e-6),
+    st.floats(1e-6, 1.024e-3),
+    st.floats(1.024e-3, 5e-3),
+)
+child = st.none() | delays
+index = st.integers(0, 1 << 16)
+ops = st.one_of(
+    st.tuples(st.just("schedule"), delays, child, st.none() | index),
+    st.tuples(st.just("call"), delays, child),
+    st.tuples(st.just("batch"), st.lists(delays, max_size=10)),
+    st.tuples(st.just("cancel"), index),
+    # Timer re-arm churn: enough dead entries to trigger compaction.
+    st.tuples(st.just("churn"), delays, st.integers(60, 90)),
+    st.tuples(st.just("run_until"), delays),
+    st.tuples(st.just("run_max"), st.integers(0, 12)),
+)
+
+
+def execute(program, sched, cancel):
+    """Drive ``sched`` through ``program``; return everything observable."""
+    fired, pendings, handles = [], [], []
+    tags = itertools.count()
+
+    def fire(spec):
+        tag, child_delay, cancel_idx = spec
+        fired.append((sched.now, tag))
+        if cancel_idx is not None and handles:
+            cancel(handles[cancel_idx % len(handles)])
+        if child_delay is not None:
+            sched.schedule_call(child_delay, fire, ((tag, "child"), None, None))
+
+    for op in program:
+        kind = op[0]
+        if kind == "schedule":
+            spec = (next(tags), op[2], op[3])
+            handles.append(sched.schedule(op[1], lambda spec=spec: fire(spec)))
+        elif kind == "call":
+            sched.schedule_call(op[1], fire, (next(tags), op[2], None))
+        elif kind == "batch":
+            sched.schedule_batch([(d, fire, (next(tags), None, None)) for d in op[1]])
+        elif kind == "cancel":
+            if handles:
+                cancel(handles[op[1] % len(handles)])
+        elif kind == "churn":
+            for _ in range(op[2]):
+                cancel(sched.schedule(op[1], lambda tag=next(tags): fired.append((sched.now, tag))))
+        elif kind == "run_until":
+            sched.run(until=sched.now + op[1])
+        else:
+            sched.run(max_events=op[1])
+        pendings.append((sched.pending(), sched.now))
+    sched.run()
+    return fired, pendings, sched.pending(), sched.now
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ops, max_size=40))
+def test_calendar_queue_matches_heap_oracle(program):
+    reference = HeapScheduler()
+    expected = execute(program, reference, reference.cancel)
+    actual = execute(program, Simulator(), lambda event: event.cancel())
+    assert actual == expected

@@ -1,5 +1,7 @@
 """End-to-end: DDP training whose gradients cross the packet simulator."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,18 @@ from repro.collectives import AllReduceHook
 from repro.core import RHTCodec, nmse
 from repro.net import IncastBurst, dumbbell
 from repro.nn import make_dataset
-from repro.packet import SingleLevelTrim
+from repro.packet import Packet, SingleLevelTrim
 from repro.train import DDPTrainer, NetworkChannel, TrainConfig
 
 
 def clean_network():
     return dumbbell(pairs=1)
+
+
+def dead_network():
+    net = dumbbell(pairs=1)
+    net.set_impairment("s0", "s1", drop_prob=1.0)  # nothing arrives
+    return net
 
 
 def congested_network():
@@ -56,12 +64,6 @@ class TestNetworkChannelTransfer:
 
     def test_deadline_enforced(self):
         codec = RHTCodec(root_seed=1, row_size=1024)
-
-        def dead_network():
-            net = dumbbell(pairs=1)
-            net.set_impairment("s0", "s1", drop_prob=1.0)  # nothing arrives
-            return net
-
         channel = NetworkChannel(dead_network, codec, "tx0", "rx0", deadline_s=0.01)
         with pytest.raises(RuntimeError, match="deadline"):
             channel.transfer(np.ones(5000))
@@ -73,7 +75,47 @@ class TestNetworkChannelTransfer:
             channel.transfer(np.random.default_rng(m).standard_normal(5000),
                              message_id=m)
         assert len(channel.fcts) == 3
-        assert channel.mean_fct > 0
+        # 100 Gb/s, three 1 us hops: ~25 packets land in microseconds,
+        # nowhere near the 30 s deadline the clock is advanced to.
+        assert all(0 < fct < 1e-3 for fct in channel.fcts)
+        assert channel.mean_fct < channel.deadline_s
+        channel.transfer(np.random.default_rng(9).standard_normal(50_000))
+        assert channel.fcts[-1] > 2 * max(channel.fcts[:3])
+
+    def test_finished_transfer_retains_nothing(self):
+        """A caller that keeps every built network (to read its counters)
+        must not thereby keep any transfer's packets: handlers are
+        unregistered on every exit and the packets die by refcount."""
+        kept = []
+
+        def recording(build):
+            def factory():
+                kept.append(build())
+                return kept[-1]
+            return factory
+
+        def live_packets():
+            return sum(1 for obj in gc.get_objects() if type(obj) is Packet)
+
+        codec = RHTCodec(root_seed=1, row_size=1024)
+        channel = NetworkChannel(recording(clean_network), codec, "tx0", "rx0")
+        lossy = NetworkChannel(
+            recording(dead_network), codec, "tx0", "rx0",
+            degraded_step=True, max_retries=2,
+        )
+        x = np.random.default_rng(0).standard_normal(5000)
+        gc.collect()
+        before = live_packets()
+        for m in range(4):
+            out = channel.transfer(x, message_id=m)
+        out = lossy.transfer(x, message_id=4)
+        assert lossy.stats.rounds_surrendered == 1
+        del out
+        assert live_packets() <= before  # no gc.collect(): refcount only
+        assert len(kept) == 5
+        for net in kept:
+            for host in net.hosts.values():
+                assert 77_000 not in host._handlers
 
 
 class TestTrainingOverSimulatedNetwork:
