@@ -2,22 +2,23 @@
 
 :class:`ClusterDriver` runs N :class:`~repro.train.ddp.DDPTrainer` jobs
 *concurrently* on a single simulated fat-tree (or leaf–spine) while
-background tenants load the same links.  Concurrency is wave-ordered and
-fully deterministic:
+background tenants load the same links.  Concurrency is simulated, not
+executed: one thread drives every job's resumable trainer
+(:meth:`~repro.train.ddp.DDPTrainer.rounds`) in waves —
 
-* each job trains on its own thread, but a thread only ever runs between
-  two barriers — it parks inside its :class:`FabricHook` the moment a
-  round's gradients are encoded and packetized;
-* the driver waits until **every** live job is parked, then launches all
-  parked transfers at the same simulation instant on the shared network
-  (per-flow ECMP spreads them across the fabric), runs the event loop
-  until they reach terminal state or the deadline, and releases the jobs
-  in fixed order.
+* advance each live job, in fixed job order, to the point where its
+  round's gradients are ready;
+* launch all of those gradient messages at the same simulation instant
+  on the shared network (per-flow ECMP spreads them across the fabric)
+  and run the event loop until every transfer has settled or the
+  deadline passes;
+* complete each job in the same order — decode what arrived, hand the
+  aggregate back to its trainer — which carries it to its next round.
 
-Because only the driver thread ever touches the simulator, and job
-threads compute on private state between barriers, a ``(scenario,
-seed)`` pair always produces byte-identical reports — the property the
-isolation regression tests pin down.
+Nothing runs beside anything else, so there is no schedule to vary: a
+``(scenario, seed)`` pair produces byte-identical reports by
+construction, and a job that raises leaves :meth:`ClusterDriver.run`
+with its own traceback.
 
 Attribution: every switch gets a ``flow_classifier`` that buckets trim
 and drop verdicts by flow-id range — jobs own blocks above
@@ -28,22 +29,24 @@ can say *whose* packets the fabric cut.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from ..collectives.channel import PerfectChannel
 from ..collectives.hooks import CommHook
 from ..core.codec import GradientCodec, codec_by_name
-from ..core.packetizer import decode_packets, packetize
 from ..net.crosstraffic import CROSS_TRAFFIC_FLOW_BASE
 from ..net.topology import Network, fat_tree, leaf_spine
-from ..packet.packet import Packet
+from ..nn.data import make_dataset
+from ..nn.models import MLP
+from ..obs.spans import get_span_tracer
 from ..packet.trim import SingleLevelTrim
-from ..transport.base import TransportSurrender
+from ..resilience.ef import EFChannel
+from ..train.ddp import DDPTrainer, TrainConfig
+from ..train.network_channel import _WireTransfer
 from ..transport.congestion import FixedWindow
-from ..transport.trimming import TrimmingReceiver, TrimmingSender
 from .scenario import ClusterScenario, JobSpec
 from .tenants import TENANT_FLOW_BLOCK, TenantWorkload, tenant_flow_base
 
@@ -141,48 +144,21 @@ def place_jobs(
     return placements
 
 
-# -- wave protocol -------------------------------------------------------------
-
-
-@dataclass
-class _Transfer:
-    """One worker's gradient message crossing the fabric this wave."""
-
-    worker: int
-    flow_id: int
-    src: str
-    dst: str
-    packets: List[Packet]
-    wire: Optional[List[Packet]] = None
-    failure: Optional[str] = None
-    fct_s: float = 0.0
-
-
-@dataclass
-class _WaveRequest:
-    """Everything a parked job hands the driver for one round."""
-
-    job_index: int
-    epoch: int
-    transfers: List[_Transfer]
-    wave_end_s: float = 0.0
+# -- one job on the fabric -----------------------------------------------------
 
 
 @dataclass
 class _JobRuntime:
-    """Driver-side state for one job thread."""
+    """Driver-side state for one job."""
 
     spec: JobSpec
     placement: JobPlacement
     trainer: Any
     hook: "FabricHook"
-    thread: Optional[threading.Thread] = None
-    request: Optional[_WaveRequest] = None
-    parked: threading.Event = field(default_factory=threading.Event)
-    released: threading.Event = field(default_factory=threading.Event)
-    finished: bool = False
-    error: Optional[BaseException] = None
-    fcts: List[float] = field(default_factory=list)
+    stepper: Optional[Generator] = None
+    #: The open round the trainer is suspended in — ``(grads, epoch,
+    #: train.round span id)`` — or None once it has finished training.
+    request: Optional[Tuple[List[np.ndarray], int, Optional[int]]] = None
 
 
 class FabricHook(CommHook):
@@ -195,6 +171,12 @@ class FabricHook(CommHook):
     surrenders or misses the wave deadline contributes a zero gradient
     (a degraded step), which is what keeps a job alive when a tenant
     storms the core.
+
+    The aggregation is split in two because other jobs share the wave:
+    :meth:`launch` puts the round's messages on the fabric, the driver
+    runs the event loop, :meth:`complete` returns the mean.  With
+    ``ef`` the channel is an :class:`~repro.resilience.ef.EFChannel`
+    and each half calls the matching half of its ``transfer``.
     """
 
     def __init__(
@@ -205,7 +187,10 @@ class FabricHook(CommHook):
         mtu: int = 1500,
         ef: bool = False,
     ) -> None:
-        super().__init__()
+        # The inner channel never carries anything (the fabric does); it
+        # is the ChannelStats holder the in-memory hooks have too.
+        label = driver.scenario.jobs[job_index].name
+        super().__init__(EFChannel(PerfectChannel(), label=label) if ef else None)
         self.driver = driver
         self.job_index = job_index
         self.codec = codec
@@ -215,11 +200,15 @@ class FabricHook(CommHook):
         #: (epoch, fabric time at wave end) per round — the driver's
         #: source for per-job time-to-accuracy on the shared clock.
         self.wave_log: List[Tuple[int, float]] = []
-        # DGC-style error feedback (see repro.resilience.ef for the
-        # channel-wrapper variant): per-worker residual carried into the
-        # next round, plus the running input/delivered sums the
-        # telescoping monitor checks against.
-        self._residuals: Dict[int, np.ndarray] = {}
+        #: Completion time of every delivered message.
+        self.fcts: List[float] = []
+        # The wave in flight: its (epoch, message id) and, per worker,
+        # the transfer and the (input, EF slot, carry) it was built from.
+        self._wave: Tuple[int, int] = (0, 0)
+        self._in_flight: List[_WireTransfer] = []
+        self._carried: List[Tuple[np.ndarray, int, np.ndarray]] = []
+        # Running per-worker sums the telescoping monitor checks the EF
+        # channel's residuals against.
         self._ef_input_sum: Dict[int, np.ndarray] = {}
         self._ef_delivered_sum: Dict[int, np.ndarray] = {}
 
@@ -230,88 +219,80 @@ class FabricHook(CommHook):
         workers = len(self.driver.runtimes[self.job_index].placement.workers)
         return base + (self.waves * workers + worker) % JOB_FLOW_BLOCK
 
-    def _aggregate(self, grads: List[np.ndarray], epoch: int) -> np.ndarray:
+    def launch(self, grads: List[np.ndarray], epoch: int) -> None:
+        """Put every worker's gradient message on the fabric, now."""
         message_id = self.next_message_id()
+        self._wave = (epoch, message_id)
         placement = self.driver.runtimes[self.job_index].placement
-        flats = [np.asarray(g, dtype=np.float64) for g in grads]
-        if self.ef:
+        for worker, grad in enumerate(grads):
+            flat = np.asarray(grad, dtype=np.float64)
             # Error feedback: what the fabric lost last round rides
             # along with this round's gradient.
-            carries = []
-            for worker, flat in enumerate(flats):
-                residual = self._residuals.get(worker)
-                carries.append(flat if residual is None else flat + residual)
-        else:
-            carries = flats
-        transfers: List[_Transfer] = []
-        for worker, flat in enumerate(carries):
-            enc = self.codec.encode(flat, epoch=epoch, message_id=message_id)
-            flow_id = self._flow_id(worker)
-            transfers.append(
-                _Transfer(
-                    worker=worker,
-                    flow_id=flow_id,
+            slot, carry = self.channel.carry(flat, worker) if self.ef else (0, flat)
+            self._carried.append((flat, slot, carry))
+            self._in_flight.append(
+                _WireTransfer(
+                    self.driver.net,
+                    self.codec,
+                    self.codec.encode(carry, epoch=epoch, message_id=message_id),
                     src=placement.workers[worker],
                     dst=placement.aggregator,
-                    packets=packetize(
-                        enc,
-                        src=placement.workers[worker],
-                        dst=placement.aggregator,
-                        mtu=self.mtu,
-                        flow_id=flow_id,
-                    ),
+                    flow_id=self._flow_id(worker),
+                    mtu=self.mtu,
+                    cc=FixedWindow(initial_window=128),
                 )
             )
-        request = _WaveRequest(
-            job_index=self.job_index, epoch=epoch, transfers=transfers
-        )
-        self.driver.submit(self.job_index, request)
-        self.waves += 1
-        self.wave_log.append((epoch, request.wave_end_s))
+        for transfer in self._in_flight:
+            transfer.start()
 
+    @property
+    def settled(self) -> bool:
+        """No transfer of the wave in flight is still waiting on the fabric."""
+        return all(transfer.settled for transfer in self._in_flight)
+
+    def complete(self) -> np.ndarray:
+        """Close the wave in flight; returns the mean of what arrived."""
+        epoch, message_id = self._wave
+        self.waves += 1
+        self.wave_log.append((epoch, self.driver.net.sim.now))
         received: List[np.ndarray] = []
-        for worker, (transfer, flat) in enumerate(zip(transfers, flats)):
-            self.stats.messages += 1
-            self.stats.coordinates += flat.size
-            if transfer.wire is None:
-                self.count_surrender()
+        for worker, (transfer, (flat, slot, carry)) in enumerate(
+            zip(self._in_flight, self._carried)
+        ):
+            delivered = transfer.finish(self.stats)
+            if delivered is None:
+                self.channel.count_surrender()
                 delivered = np.zeros_like(flat)
             else:
-                wire = transfer.wire
-                delivered = decode_packets(wire, self.codec)
-                data = [
-                    p for p in wire if p.grad_header and not p.grad_header.is_metadata
-                ]
-                trimmed = sum(1 for p in data if p.is_trimmed)
-                self.stats.packets_total += len(data)
-                self.stats.packets_trimmed += trimmed
-                self.stats.bytes_sent += sum(p.wire_size for p in wire)
+                self.fcts.append(transfer.fct_s)
             if self.ef:
-                delivered = np.asarray(delivered, dtype=np.float64)
-                # residual_t = carry_t - delivered_t, so the telescoping
-                # sum(delivered) + residual == sum(inputs) holds.
-                self._residuals[worker] = carries[worker] - delivered
-                if worker in self._ef_input_sum:
-                    self._ef_input_sum[worker] = self._ef_input_sum[worker] + flat
-                    self._ef_delivered_sum[worker] = (
-                        self._ef_delivered_sum[worker] + delivered
-                    )
-                else:
-                    self._ef_input_sum[worker] = flat.copy()
-                    self._ef_delivered_sum[worker] = delivered.copy()
+                self.channel.settle(
+                    slot,
+                    carry,
+                    delivered,
+                    epoch=epoch,
+                    message_id=message_id,
+                    worker=worker,
+                )
+                self._ef_input_sum[worker] = (
+                    self._ef_input_sum.get(worker, 0.0) + flat
+                )
+                self._ef_delivered_sum[worker] = (
+                    self._ef_delivered_sum.get(worker, 0.0) + delivered
+                )
             received.append(delivered)
+        self._in_flight, self._carried = [], []
+        if self.ef:
+            self.channel.end_round()
         return np.mean(received, axis=0)
-
-    def count_surrender(self) -> None:
-        self.channel.count_surrender()
 
     # -- error-feedback introspection -------------------------------------------
 
     def ef_residual_norms(self) -> Dict[int, float]:
         """Per-worker L2 norm of the current EF residual."""
         return {
-            worker: float(np.linalg.norm(residual))
-            for worker, residual in sorted(self._residuals.items())
+            worker: float(np.linalg.norm(self.channel.residual(worker)))
+            for worker in sorted(self._ef_input_sum)
         }
 
     def ef_telescoping_gap(self) -> float:
@@ -325,7 +306,9 @@ class FabricHook(CommHook):
         """
         worst = 0.0
         for worker, total_in in self._ef_input_sum.items():
-            reconstructed = self._ef_delivered_sum[worker] + self._residuals[worker]
+            reconstructed = self._ef_delivered_sum[worker] + self.channel.residual(
+                worker
+            )
             gap = float(np.max(np.abs(total_in - reconstructed)))
             scale = 1.0 + float(np.max(np.abs(total_in)))
             worst = max(worst, gap / scale)
@@ -414,11 +397,6 @@ class ClusterDriver:
     def _build_job(
         self, index: int, spec: JobSpec, placement: JobPlacement
     ) -> _JobRuntime:
-        # Deferred: repro.train pulls in the whole nn stack.
-        from ..nn.data import make_dataset
-        from ..nn.models import MLP
-        from ..train.ddp import DDPTrainer, TrainConfig
-
         offset = spec.seed_offset if spec.seed_offset is not None else index
         job_seed = self.seed + offset
         train_set, test_set = make_dataset(
@@ -499,67 +477,15 @@ class ClusterDriver:
 
     # -- wave engine ------------------------------------------------------------
 
-    def submit(self, job_index: int, request: _WaveRequest) -> None:
-        """Called from a job thread: park until the driver ran the wave."""
-        runtime = self.runtimes[job_index]
-        runtime.request = request
-        runtime.parked.set()
-        runtime.released.wait()
-        runtime.released.clear()
-
-    def _execute_wave(self, requests: List[_WaveRequest]) -> None:
+    def _run_wave(self, hooks: List[FabricHook]) -> None:
+        """Run the fabric until every launched hook settles, or the deadline."""
         sim = self.net.sim
         t0 = sim.now
-        live = []
-        for request in requests:  # fixed job order => deterministic
-            for transfer in request.transfers:
-                tx = self.net.hosts[transfer.src]
-                rx = self.net.hosts[transfer.dst]
-
-                def on_message(
-                    packets: List[Packet], t: _Transfer = transfer
-                ) -> None:
-                    if t.wire is None:
-                        t.wire = packets
-                        t.fct_s = sim.now - t0
-
-                def on_failure(
-                    error: TransportSurrender, t: _Transfer = transfer
-                ) -> None:
-                    t.failure = error.reason
-
-                TrimmingReceiver(
-                    rx, flow_id=transfer.flow_id, on_message=on_message
-                )
-                sender = TrimmingSender(
-                    tx,
-                    flow_id=transfer.flow_id,
-                    cc=FixedWindow(initial_window=128),
-                )
-                sender.send_message(transfer.packets, on_failure=on_failure)
-                live.append((transfer, sender, tx, rx))
         chunk = self.scenario.deadline_s / _DEADLINE_CHUNKS
         for step in range(_DEADLINE_CHUNKS):
             sim.run(until=t0 + (step + 1) * chunk)
-            if all(s.done or s.failed for _, s, _, _ in live):
+            if all(hook.settled for hook in hooks):
                 break
-        for transfer, sender, tx, rx in live:
-            if not (sender.done or sender.failed):
-                # Deadline miss: silence the timer so no retransmission
-                # event fires into a later wave.
-                sender._cancel_timer()
-                transfer.failure = transfer.failure or "deadline"
-            if transfer.failure is not None:
-                transfer.wire = None
-            tx.unregister_flow(transfer.flow_id)
-            rx.unregister_flow(transfer.flow_id)
-        wave_end = sim.now
-        for request in requests:
-            request.wave_end_s = wave_end
-            runtime = self.runtimes[request.job_index]
-            runtime.fcts.extend(
-                t.fct_s for t in request.transfers if t.wire is not None
-            )
         self.waves_run += 1
 
     def run(self) -> Dict[str, Any]:
@@ -569,47 +495,23 @@ class ClusterDriver:
         self._ran = True
         for tenant in self.tenants:
             tenant.install()
-
-        def job_body(runtime: _JobRuntime) -> None:
-            try:
-                runtime.trainer.train()
-            except BaseException as error:  # surfaced after join
-                runtime.error = error
-            finally:
-                runtime.finished = True
-                runtime.parked.set()
-
+        st = get_span_tracer()
         for runtime in self.runtimes:
-            runtime.thread = threading.Thread(
-                target=job_body, args=(runtime,), daemon=True
-            )
-            runtime.thread.start()
-
-        while True:
-            requests: List[_WaveRequest] = []
-            waiting: List[_JobRuntime] = []
-            for runtime in self.runtimes:
-                if runtime.finished and runtime.request is None:
-                    continue
-                runtime.parked.wait()
-                runtime.parked.clear()
-                if runtime.request is not None:
-                    requests.append(runtime.request)
-                    waiting.append(runtime)
-            if not requests:
-                break
-            self._execute_wave(requests)
-            for runtime in waiting:
-                runtime.request = None
-                runtime.released.set()
-        for runtime in self.runtimes:
-            assert runtime.thread is not None
-            runtime.thread.join()
+            runtime.stepper = runtime.trainer.rounds()
+            runtime.request = next(runtime.stepper, None)
+        while live := [r for r in self.runtimes if r.request is not None]:
+            for runtime in live:  # fixed job order => deterministic
+                grads, epoch, round_span = runtime.request
+                with st.context(round_span):
+                    runtime.hook.launch(grads, epoch)
+            self._run_wave([runtime.hook for runtime in live])
+            for runtime in live:
+                try:
+                    runtime.request = runtime.stepper.send(runtime.hook.complete())
+                except StopIteration:
+                    runtime.request = None
         for tenant in self.tenants:
             tenant.stop()
-        for runtime in self.runtimes:
-            if runtime.error is not None:
-                raise runtime.error
         return self.report()
 
     # -- reporting --------------------------------------------------------------
@@ -640,7 +542,7 @@ class ClusterDriver:
             "bytes_delivered": stats.bytes_sent,
             "rounds_surrendered": stats.rounds_surrendered,
             "mean_fct_s": (
-                float(np.mean(runtime.fcts)) if runtime.fcts else 0.0
+                float(np.mean(runtime.hook.fcts)) if runtime.hook.fcts else 0.0
             ),
             "time_to_accuracy_s": tta,
             "epoch_fabric_end_s": [
@@ -657,7 +559,7 @@ class ClusterDriver:
     def _fairness(self) -> Dict[str, float]:
         goodputs = []
         for runtime in self.runtimes:
-            active = sum(runtime.fcts)
+            active = sum(runtime.hook.fcts)
             if active > 0:
                 goodputs.append(runtime.hook.stats.bytes_sent / active)
         if not goodputs:

@@ -64,17 +64,43 @@ class EFChannel(GradientChannel):
     def transfer(
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0, worker: int = 0
     ) -> np.ndarray:
-        flat = np.asarray(flat, dtype=np.float64)
-        slot = self._slots.get(worker, 0)
-        self._slots[worker] = slot + 1
-        key = (worker, slot)
-        residual = self._residuals.get(key)
-        carry = flat if residual is None else flat + residual
+        slot, carry = self.carry(flat, worker)
         delivered = self.inner.transfer(
             carry, epoch=epoch, message_id=message_id, worker=worker
         )
-        self._residuals[key] = carry - delivered
-        norm = float(np.linalg.norm(self._residuals[key]))
+        self.settle(
+            slot, carry, delivered, epoch=epoch, message_id=message_id, worker=worker
+        )
+        return delivered
+
+    def carry(self, flat: np.ndarray, worker: int) -> Tuple[int, np.ndarray]:
+        """Claim ``worker``'s next slot; returns it with input + residual.
+
+        :meth:`transfer` is ``carry`` → inner channel → :meth:`settle`.
+        The halves are public for a carrier that cannot deliver inside
+        one call: the cluster launches every worker's carry on the
+        shared fabric first and settles them once the wave has run.
+        """
+        flat = np.asarray(flat, dtype=np.float64)
+        slot = self._slots.get(worker, 0)
+        self._slots[worker] = slot + 1
+        residual = self._residuals.get((worker, slot))
+        return slot, flat if residual is None else flat + residual
+
+    def settle(
+        self,
+        slot: int,
+        carry: np.ndarray,
+        delivered: np.ndarray,
+        *,
+        epoch: int = 0,
+        message_id: int = 0,
+        worker: int = 0,
+    ) -> None:
+        """Keep what the carrier lost of ``carry`` as the slot's residual."""
+        residual = carry - delivered
+        self._residuals[(worker, slot)] = residual
+        norm = float(np.linalg.norm(residual))
         self._m_residual_norm.set(norm, run=self.label, worker=worker)
         tracer = get_tracer()
         if tracer.enabled:
@@ -87,7 +113,6 @@ class EFChannel(GradientChannel):
                 slot=slot,
                 residual_norm=norm,
             )
-        return delivered
 
     def end_round(self) -> None:
         """Close the round: the next transfer starts again at slot 0."""

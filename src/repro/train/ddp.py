@@ -19,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,9 @@ from ..resilience import (
 from .timing import RoundTime, RoundTimeModel
 
 __all__ = ["TrainConfig", "EpochRecord", "TrainingHistory", "DDPTrainer", "shard_dataset"]
+
+#: What one round yields: per-worker gradients, epoch, ``train.round`` span id.
+_RoundRequest = Tuple[List[np.ndarray], int, Optional[int]]
 
 
 @dataclass
@@ -378,8 +381,13 @@ class DDPTrainer:
             membership.readmit(rank)
             self._epoch_rejoins += 1
 
-    def _round(self, batches, epoch: int, now_s: float = 0.0) -> float:
-        """Forward/backward per worker, aggregate, step.  Returns loss."""
+    def _round(
+        self, batches, epoch: int, now_s: float
+    ) -> Generator[_RoundRequest, np.ndarray, float]:
+        """Forward/backward per worker, yield for the aggregate, step.
+
+        Yields once (see :meth:`rounds`); returns the round's mean loss.
+        """
         round_start = time.perf_counter()
         times: Optional[Dict[int, float]] = None
         if self.resilience is not None:
@@ -416,8 +424,7 @@ class DDPTrainer:
             epoch=epoch,
             round=self._rounds_run + 1,
         )
-        with st.context(round_span):
-            aggregated = self.hook.aggregate(grads, epoch=epoch)
+        aggregated = yield grads, epoch, round_span
         if round_span is not None:
             st.end(
                 round_span,
@@ -498,6 +505,35 @@ class DDPTrainer:
         :meth:`train` again (or restoring a checkpoint first) continues
         exactly where the run stopped.
         """
+        stepper = self.rounds(epochs, max_rounds)
+        st = get_span_tracer()
+        request = next(stepper, None)
+        while request is not None:
+            grads, epoch, round_span = request
+            with st.context(round_span):
+                aggregated = self.hook.aggregate(grads, epoch=epoch)
+            try:
+                request = stepper.send(aggregated)
+            except StopIteration:
+                request = None
+        return self.history
+
+    def rounds(
+        self, epochs: Optional[int] = None, max_rounds: Optional[int] = None
+    ) -> Generator[_RoundRequest, np.ndarray, None]:
+        """:meth:`train`, suspended at every aggregation point.
+
+        Each synchronous round yields ``(grads, epoch, round_span)`` —
+        the per-worker flat gradients, the epoch they belong to and the
+        id of the open ``train.round`` span (None when span tracing is
+        off) — and expects the aggregated gradient to be sent back.
+        Whoever drives the generator decides how aggregation happens:
+        :meth:`train` calls ``hook.aggregate`` on the spot; the cluster
+        driver advances many trainers from one thread and lets their
+        gradients cross the shared fabric together.  All state lives on
+        the trainer, so ``max_rounds``, :meth:`checkpoint` and
+        :meth:`restore` mean exactly what they do for :meth:`train`.
+        """
         epochs = epochs if epochs is not None else self.config.epochs
         round_time = self._epoch_round_time()
         epoch = self._cur_epoch
@@ -526,13 +562,13 @@ class DDPTrainer:
                     self._epoch_start_wall
                     + len(self._epoch_losses) * round_time.total_s
                 )
-                loss = self._round(batches, epoch=epoch, now_s=now_s)
+                loss = yield from self._round(batches, epoch=epoch, now_s=now_s)
                 self._epoch_losses.append(loss)
                 if not np.isfinite(loss) or loss > self.divergence_loss:
                     diverged = True
                     break
                 if max_rounds is not None and self._rounds_run >= max_rounds:
-                    return self.history
+                    return
             rounds_this_epoch = len(self._epoch_losses)
             self._wall_clock = (
                 self._epoch_start_wall + rounds_this_epoch * round_time.total_s
@@ -582,7 +618,6 @@ class DDPTrainer:
                 break
             self.scheduler.step()
             epoch += 1
-        return self.history
 
     # -- checkpoint / resume ---------------------------------------------------
 

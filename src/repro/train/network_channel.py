@@ -16,22 +16,104 @@ channel additionally reports flow completion times per transfer.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from ..collectives.channel import GradientChannel
-from ..core.codec import GradientCodec, nmse
+from ..collectives.channel import ChannelStats, GradientChannel
+from ..core.codec import EncodedGradient, GradientCodec, nmse
 from ..core.packetizer import decode_packets, packetize
 from ..net.topology import Network
 from ..obs.spans import get_span_tracer
 from ..obs.trace import get_tracer
 from ..packet.packet import Packet
-from ..transport.base import TransportSurrender
 from ..transport.congestion import CongestionControl, FixedWindow
 from ..transport.trimming import TrimmingReceiver, TrimmingSender
 
 __all__ = ["NetworkChannel"]
+
+
+class _WireTransfer:
+    """One gradient message crossing ``net`` packet by packet.
+
+    The only place a gradient message meets a transport: both carriers —
+    :class:`NetworkChannel` (a private network, run to its deadline) and
+    the cluster wave (one shared network, every job launched at the same
+    instant) — build one of these per message, :meth:`start` it, run the
+    event loop themselves, and :meth:`finish` it.
+    """
+
+    def __init__(
+        self,
+        net: Network,
+        codec: GradientCodec,
+        enc: EncodedGradient,
+        *,
+        src: str,
+        dst: str,
+        flow_id: int,
+        mtu: int,
+        cc: CongestionControl,
+        max_retries: Optional[int] = None,
+    ) -> None:
+        self.codec = codec
+        self.coords = enc.metadata.original_length
+        self.flow_id = flow_id
+        self.dst_host = net.hosts[dst]
+        self.packets = packetize(enc, src=src, dst=dst, mtu=mtu, flow_id=flow_id)
+        self.sender = TrimmingSender(net.hosts[src], flow_id=flow_id, cc=cc)
+        if max_retries is not None:
+            self.sender.max_retries = max_retries
+        TrimmingReceiver(self.dst_host, flow_id=flow_id, on_message=self._landed)
+        self.start_s = 0.0
+        #: Set when the message lands: the event loop usually runs on
+        #: past that instant, so the completion time is read here.
+        self.done_s = 0.0
+        self.wire: Optional[List[Packet]] = None
+        self.trim_fraction = 0.0
+
+    def _landed(self, wire: List[Packet]) -> None:
+        if self.wire is None:
+            self.wire = wire
+            self.done_s = self.sender.sim.now
+
+    def start(self) -> None:
+        self.start_s = self.sender.sim.now
+        self.sender.send_message(self.packets)
+
+    @property
+    def settled(self) -> bool:
+        """The sender has finished or surrendered (no deadline needed)."""
+        return self.sender.done or self.sender.failed
+
+    @property
+    def fct_s(self) -> float:
+        return self.done_s - self.start_s
+
+    def finish(self, stats: ChannelStats) -> Optional[np.ndarray]:
+        """Tear the flow down and account for it in ``stats``.
+
+        Returns the decoded vector, or None when nothing was delivered:
+        ``sender.failure`` then holds the surrender, or is None for a
+        missed deadline.  Either way the retransmit timer is silenced
+        and both hosts forget the flow, so no event of this message
+        fires later and a kept network does not keep its packets alive.
+        """
+        self.sender.close()
+        self.dst_host.unregister_flow(self.flow_id)
+        stats.messages += 1
+        stats.coordinates += self.coords
+        if self.wire is None:
+            return None
+        data = [
+            p for p in self.wire if p.grad_header and not p.grad_header.is_metadata
+        ]
+        trimmed = sum(1 for p in data if p.is_trimmed)
+        self.trim_fraction = trimmed / max(1, len(data))
+        stats.packets_total += len(data)
+        stats.packets_trimmed += trimmed
+        stats.bytes_sent += sum(p.wire_size for p in self.wire)
+        return decode_packets(self.wire, self.codec)
 
 
 class NetworkChannel(GradientChannel):
@@ -114,23 +196,16 @@ class NetworkChannel(GradientChannel):
         ):
             enc = self.codec.encode(flat, epoch=epoch, message_id=message_id)
         net = self.network_factory()
-        flow_id = 77_000 + worker
-        packets = packetize(
-            enc, src=self.src, dst=self.dst, mtu=self.mtu, flow_id=flow_id
-        )
-
-        # (completion time, wire): run(until=) below advances the clock
-        # to the deadline, so the FCT must be read when the message lands.
-        delivered: List[Tuple[float, List[Packet]]] = []
-        surrendered: List[TransportSurrender] = []
-        src_host, dst_host = net.hosts[self.src], net.hosts[self.dst]
-        sender = TrimmingSender(src_host, flow_id=flow_id, cc=self.make_cc())
-        if self.max_retries is not None:
-            sender.max_retries = self.max_retries
-        TrimmingReceiver(
-            dst_host,
-            flow_id=flow_id,
-            on_message=lambda wire: delivered.append((net.sim.now, wire)),
+        message = _WireTransfer(
+            net,
+            self.codec,
+            enc,
+            src=self.src,
+            dst=self.dst,
+            flow_id=77_000 + worker,
+            mtu=self.mtu,
+            cc=self.make_cc(),
+            max_retries=self.max_retries,
         )
         start = net.sim.now
         st = get_span_tracer()
@@ -140,28 +215,23 @@ class NetworkChannel(GradientChannel):
             epoch=epoch,
             message_id=message_id,
             worker=worker,
-            packets=len(packets),
+            packets=len(message.packets),
         )
         try:
             with st.context(span):
-                sender.send_message(packets, on_failure=surrendered.append)
+                message.start()
             net.sim.run(until=start + self.deadline_s)
         finally:
-            # A caller may keep ``net`` (to read its counters); its hosts
-            # must not keep this transfer's endpoints — and through them
-            # every packet of the message — alive once it is over.
-            src_host.unregister_flow(flow_id)
-            dst_host.unregister_flow(flow_id)
-        if not delivered:
-            self.stats.messages += 1
-            self.stats.coordinates += flat.size
-            if surrendered:
+            decoded = message.finish(self.stats)
+        if decoded is None:
+            surrender = message.sender.failure
+            if surrender is not None:
                 st.end(span, t=net.sim.now, outcome="surrendered")
                 if self.degraded_step:
                     return self._degrade(
-                        flat, surrendered[0].reason, epoch, message_id, worker
+                        flat, surrender.reason, epoch, message_id, worker
                     )
-                raise surrendered[0]
+                raise surrender
             st.end(span, t=net.sim.now, outcome="deadline")
             if self.degraded_step:
                 return self._degrade(flat, "deadline", epoch, message_id, worker)
@@ -169,29 +239,19 @@ class NetworkChannel(GradientChannel):
                 f"gradient transfer (epoch {epoch}, message {message_id}, "
                 f"worker {worker}) missed its {self.deadline_s}s deadline"
             )
-        done_at, wire = delivered[0]
-        decoded = decode_packets(wire, self.codec)
-
-        data_packets = [p for p in wire if p.grad_header and not p.grad_header.is_metadata]
-        trimmed = sum(1 for p in data_packets if p.is_trimmed)
-        self.fcts.append(done_at - start)
-        self.last_trim_fraction = trimmed / max(1, len(data_packets))
+        self.fcts.append(message.fct_s)
+        self.last_trim_fraction = message.trim_fraction
         st.end(
             span,
-            t=done_at,
+            t=message.done_s,
             outcome="delivered",
             fct_s=self.fcts[-1],
             trim_fraction=self.last_trim_fraction,
         )
-        self.stats.messages += 1
-        self.stats.coordinates += flat.size
-        self.stats.packets_total += len(data_packets)
-        self.stats.packets_trimmed += trimmed
-        self.stats.bytes_sent += sum(p.wire_size for p in wire)
         if tracer.enabled:
             tracer.event(
                 "channel.transfer",
-                sim_time=done_at,
+                sim_time=message.done_s,
                 epoch=epoch,
                 message_id=message_id,
                 worker=worker,

@@ -223,6 +223,16 @@ class MessageSenderBase:
             )
         self._pump()
 
+    def close(self) -> None:
+        """Stop for good: no retransmit timer left armed, flow unregistered.
+
+        A carrier calls this when a message is over on its side —
+        delivered, surrendered, or out of time — so nothing of this
+        sender fires into whatever the network carries next.
+        """
+        self._cancel_timer()
+        self.host.unregister_flow(self.flow_id)
+
     @property
     def done(self) -> bool:
         """True once every packet has been acknowledged."""

@@ -9,14 +9,18 @@ Two anchors:
   trim fractions within a tolerance band, both finishing training.
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterDriver, ClusterScenario, JobSpec, TenantSpec
 from repro.collectives.hooks import AllReduceHook
 from repro.core.codec import codec_by_name
+from repro.net import dumbbell
 from repro.nn.data import make_dataset
 from repro.nn.models import MLP
+from repro.resilience import EFChannel
 from repro.train.ddp import DDPTrainer, TrainConfig
+from repro.train.network_channel import NetworkChannel
 from repro.train.trim_channel import TrimChannel
 
 SEED = 5
@@ -26,8 +30,9 @@ SEED = 5
 FAIRNESS_BAND = 0.05
 
 
-def _baseline_history(job_seed: int, label: str, workers: int, epochs: int):
-    """The PR-1-era in-memory recipe the fabric must reproduce exactly."""
+def _baseline(job_seed: int, label: str, workers: int, epochs: int, ef: bool):
+    """The PR-1-era in-memory recipe the fabric must reproduce exactly
+    (trained; returned as the trainer so EF residuals can be read)."""
     train_set, test_set = make_dataset(
         num_classes=8,
         train_per_class=16,
@@ -38,7 +43,8 @@ def _baseline_history(job_seed: int, label: str, workers: int, epochs: int):
     )
     model = MLP(192, [16], 8, seed=job_seed + 3)
     codec = codec_by_name("rht", root_seed=job_seed + 1, row_size=1024)
-    hook = AllReduceHook(TrimChannel(codec, 0.0, seed=job_seed + 2))
+    channel = TrimChannel(codec, 0.0, seed=job_seed + 2)
+    hook = AllReduceHook(EFChannel(channel) if ef else channel)
     trainer = DDPTrainer(
         model,
         train_set,
@@ -50,22 +56,33 @@ def _baseline_history(job_seed: int, label: str, workers: int, epochs: int):
         ),
         label=label,
     )
-    return trainer.train()
+    trainer.train()
+    return trainer
 
 
 class TestIdleFabricParity:
-    def test_single_job_matches_in_memory_baseline(self):
+    @pytest.mark.parametrize("ef", [False, True])
+    def test_single_job_matches_in_memory_baseline(self, ef):
         scenario = ClusterScenario(
             name="idle-parity",
             description="one job, empty fabric",
-            jobs=(JobSpec(name="job0", workers=2, epochs=2),),
+            jobs=(JobSpec(name="job0", workers=2, epochs=2, ef=ef),),
         )
         driver = ClusterDriver(scenario, seed=SEED)
         report = driver.run()
         fabric_history = driver.runtimes[0].trainer.history
 
-        baseline = _baseline_history(SEED, "job0", workers=2, epochs=2)
-        assert fabric_history.to_json() == baseline.to_json()
+        baseline = _baseline(SEED, "job0", workers=2, epochs=2, ef=ef)
+        assert fabric_history.to_json() == baseline.history.to_json()
+        if ef:
+            # One EFChannel on both sides: a wave that forgot end_round()
+            # would file round 2's residuals under slot 1.
+            fabric_ef = driver.runtimes[0].hook.channel
+            for worker in range(2):
+                assert np.array_equal(
+                    fabric_ef.residual(worker),
+                    baseline.hook.channel.residual(worker),
+                )
 
         job = report["jobs"]["job0"]
         assert job["trim_fraction"] == 0.0
@@ -74,6 +91,34 @@ class TestIdleFabricParity:
         assert report["fabric"]["dropped"] == 0
         assert report["fabric"]["trimmed"] == 0
         assert report["attribution"] == {}
+
+    def test_one_job_wave_is_a_network_channel_transfer(self):
+        """The same vector through the fabric's wave and through a
+        NetworkChannel: one wire path, so equal bytes out and equal
+        accounting."""
+        scenario = ClusterScenario(
+            name="idle-wave",
+            description="one worker, empty fabric",
+            jobs=(JobSpec(name="job0", workers=1, epochs=1),),
+        )
+        driver = ClusterDriver(scenario, seed=SEED)
+        hook = driver.runtimes[0].hook
+        flat = np.random.default_rng(SEED).standard_normal(5000)
+
+        hook.launch([flat], epoch=1)
+        driver._run_wave([hook])
+        over_fabric = hook.complete()
+
+        channel = NetworkChannel(
+            lambda: dumbbell(pairs=1), hook.codec, "tx0", "rx0", mtu=scenario.mtu
+        )
+        over_channel = channel.transfer(flat, epoch=1, message_id=1)
+
+        assert over_fabric.tobytes() == over_channel.tobytes()
+        assert hook.stats.coordinates == flat.size
+        assert hook.stats.packets_total > 0
+        assert hook.stats == channel.stats
+        assert hook.fcts and channel.fcts
 
 
 def _contended_scenario() -> ClusterScenario:

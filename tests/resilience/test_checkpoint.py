@@ -35,6 +35,19 @@ def small_trainer(seed=0, epochs=3, resilience=None, label="ckpt"):
     )
 
 
+def drive_by_hand(trainer, max_rounds=None):
+    """What ``train()`` does, spelled out on the public stepper."""
+    stepper = trainer.rounds(max_rounds=max_rounds)
+    request = next(stepper, None)
+    while request is not None:
+        grads, epoch, _round_span = request
+        try:
+            request = stepper.send(trainer.hook.aggregate(grads, epoch=epoch))
+        except StopIteration:
+            request = None
+    return trainer.history
+
+
 class TestCheckpointObject:
     def test_json_round_trip(self):
         trainer = small_trainer()
@@ -56,19 +69,21 @@ class TestCheckpointObject:
 
 
 class TestByteIdenticalResume:
+    @pytest.mark.parametrize("run", [DDPTrainer.train, drive_by_hand])
     @pytest.mark.parametrize("crash_round", [1, 5, 6, 11])
-    def test_plain_training(self, crash_round):
+    def test_plain_training(self, crash_round, run):
         # crash_round 6 is an exact epoch boundary (3 rounds/epoch here);
-        # 11 is one short of the full 12-round run.
+        # 11 is one short of the full 12-round run.  The hand-driven
+        # stepper must stop, checkpoint and continue exactly as train().
         reference = small_trainer().train().to_json()
 
         crashed = small_trainer()
-        crashed.train(max_rounds=crash_round)
+        run(crashed, max_rounds=crash_round)
         blob = crashed.checkpoint().to_json()
 
         resumed = small_trainer()
         resumed.restore(TrainingCheckpoint.from_json(blob))
-        assert resumed.train().to_json() == reference
+        assert run(resumed).to_json() == reference
 
     def test_under_worker_faults_with_ef(self):
         scenario = scenario_by_name("worker-crash")

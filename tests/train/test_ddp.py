@@ -51,8 +51,14 @@ class TestDDPEquivalence:
 
         ddp_model = MLP(192, [16], 8, seed=3)
         trainer = DDPTrainer(ddp_model, train, test, world_size=2, config=cfg)
-        batches = [next(iter(loader)) for loader in trainer.loaders]
-        trainer._round(batches, epoch=1)
+        # An identically seeded trainer shows which batches round 1 draws.
+        twin = DDPTrainer(MLP(192, [16], 8, seed=3), train, test, world_size=2, config=cfg)
+        batches = [next(iter(loader)) for loader in twin.loaders]
+        stepper = trainer.rounds()
+        grads, epoch, _span = next(stepper)
+        # The send applies round 1's step, then suspends inside round 2.
+        stepper.send(trainer.hook.aggregate(grads, epoch=epoch))
+        stepper.close()
 
         solo_model = MLP(192, [16], 8, seed=3)
         opt = SGD(solo_model.parameters(), lr=0.1, momentum=cfg.momentum)
