@@ -72,8 +72,8 @@ class NondeterminismTaintRule(Rule):
     exempt = ("transforms/prng.py",)
 
     #: Event-loop entry points (method names on any simulator handle),
-    #: including the fire-and-forget fast-path APIs.
-    _SCHEDULE_METHODS = ("schedule", "schedule_at", "schedule_call", "schedule_batch")
+    #: including the fire-and-forget fast-path API.
+    _SCHEDULE_METHODS = ("schedule", "schedule_at", "schedule_call")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         tracker = ImportTracker(module.tree)
@@ -355,14 +355,6 @@ class SimCallbackWriteRule(Rule):
                         callback = keyword.value
                 if callback is not None:
                     yield node, callback
-            elif node.func.attr == "schedule_batch" and node.args:
-                # schedule_batch([(delay, fn, arg), ...]): inspect each
-                # literal item's callable when the list is syntactic.
-                items = node.args[0]
-                if isinstance(items, (ast.List, ast.Tuple)):
-                    for item in items.elts:
-                        if isinstance(item, ast.Tuple) and len(item.elts) >= 2:
-                            yield node, item.elts[1]
 
     def _callback_body(
         self, tree: ast.Module, call: ast.Call, callback: ast.expr

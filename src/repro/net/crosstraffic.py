@@ -13,7 +13,6 @@ The paper's setting is a *shared* fabric: training flows collide with
 from __future__ import annotations
 
 import zlib
-from heapq import heappush
 from typing import Optional
 
 from ..packet.packet import Packet
@@ -107,20 +106,10 @@ class OnOffFlow:
         packet = Packet(self.src.name, self.dst, self._payload, flow_id=self.flow_id)
         self.src.send(packet)
         self.packets_emitted += 1
-        gap = packet.wire_size * 8.0 / self.rate_bps
-        # Unbound method + self: zero-allocation pacing tick, posted as
-        # Simulator.schedule_call inlined (keep in sync with simulator.py).
-        when = sim.now + gap
-        entry = (when, next(sim._sequence), OnOffFlow._emit, self)
-        idx = int(when * sim._inv)
-        offset = idx - sim._cur
-        if offset <= 0:
-            heappush(sim._curb, entry)
-        elif offset < sim._nb:
-            heappush(sim._buckets[idx & sim._mask], entry)
-        else:
-            heappush(sim._far, entry)
-        sim._live += 1
+        # Unbound method + self: a pacing tick that allocates no closure.
+        sim.schedule_call(
+            packet.wire_size * 8.0 / self.rate_bps, OnOffFlow._emit, self
+        )
 
 
 class IncastBurst:

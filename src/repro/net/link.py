@@ -9,7 +9,6 @@ cables are simply two Links.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -149,15 +148,10 @@ class Link:
         # intercept every delivery.
         self._finish_cb = self._finish
         self._finish_burst_cb = self._finish_burst
-        # Bound scheduler entry points, cached once per link: the
+        # Bound scheduler entry point, cached once per link: the
         # profiler times events at the dispatch level (run_profiled),
-        # so caching these cannot hide anything from it.
+        # so caching it cannot hide anything from it.
         self._sched_call = sim.schedule_call
-        self._sched_batch = sim.schedule_batch
-        # Priority bands for the inline refill probe in _finish (None
-        # for plain FIFO queues, which use queue.pop()).  The queue is
-        # fixed at construction, so this never goes stale.
-        self._pq_bands = queue.bands if isinstance(queue, PriorityQueue) else None
 
     def _flush_metrics(self) -> None:
         """Publish deferred per-packet counters into the registry."""
@@ -187,12 +181,6 @@ class Link:
     def kick(self) -> None:
         """Restart transmission after the caller enqueued directly."""
         self._try_transmit()
-
-    def _deliver(self, packet: Packet) -> None:
-        # Kept for introspection/tests; the transmit paths schedule
-        # ``dst.receive`` directly (looked up when the delivery is
-        # posted, so instance-attribute wrappers still intercept).
-        self.dst.receive(packet, self)
 
     def _try_transmit(self) -> None:
         if self._busy:
@@ -227,82 +215,24 @@ class Link:
         per-packet semantics.
         """
         packets: List[Packet] = []
-        count = 0
-        burst = self.burst
-        bands = self._pq_bands
-        if bands is not None:
-            # Inline PriorityQueue.pop: the loop runs once per queued
-            # packet plus one all-empty probe, and both bands are short.
-            while count < burst:
-                for band in bands:
-                    items = band._items
-                    if items:
-                        packet = items.popleft()
-                        band._bytes -= packet.wire_size
-                        band.dequeued += 1
-                        packets.append(packet)
-                        count += 1
-                        break
-                else:
-                    break
-        else:
-            queue = self.queue
-            while count < burst:
-                packet = queue.pop()
-                if packet is None:
-                    break
-                packets.append(packet)
-                count += 1
+        queue = self.queue
+        while len(packets) < self.burst:
+            packet = queue.pop()
+            if packet is None:
+                break
+            packets.append(packet)
         if not packets:
             return
         self._busy = True
         rate = self.rate_bps
         delay = self.delay_s
         recv = self.dst.receive
-        if count == 1:
-            # Paced senders usually find the serializer idle with one
-            # packet queued; post the same two entries the batch below
-            # would (same order, consecutive sequence numbers, same
-            # times) without building the items list.  Both posts are
-            # Simulator.schedule_call inlined (keep in sync with
-            # simulator.py).
-            packet = packets[0]
-            tx = packet.wire_size * 8.0 / rate
-            sim = self.sim
-            now = sim.now
-            sequence = sim._sequence
-            inv = sim._inv
-            cur = sim._cur
-            nb = sim._nb
-            when = now + (tx + delay)
-            entry = (when, next(sequence), recv, packet)
-            idx = int(when * inv)
-            offset = idx - cur
-            if offset <= 0:
-                heappush(sim._curb, entry)
-            elif offset < nb:
-                heappush(sim._buckets[idx & sim._mask], entry)
-            else:
-                heappush(sim._far, entry)
-            when = now + tx
-            entry = (when, next(sequence), self._finish_burst_cb, packets)
-            idx = int(when * inv)
-            offset = idx - cur
-            if offset <= 0:
-                heappush(sim._curb, entry)
-            elif offset < nb:
-                heappush(sim._buckets[idx & sim._mask], entry)
-            else:
-                heappush(sim._far, entry)
-            sim._live += 2
-            return
+        sched = self._sched_call
         offset = 0.0
-        items: List[Tuple[float, Callable, object]] = []
         for packet in packets:
             offset += packet.wire_size * 8.0 / rate
-            items.append((offset + delay, recv, packet))
-        items.append((offset, self._finish_burst_cb, packets))
-        self._sched_batch(items)
+            sched(offset + delay, recv, packet)
+        sched(offset, self._finish_burst_cb, packets)
 
     def _finish_burst(self, packets: List[Packet]) -> None:
         self._busy = False
@@ -323,53 +253,20 @@ class Link:
         ):
             # Clean wire: deliver after propagation and immediately refill
             # the serializer.  Identical event structure to the general
-            # path below, minus allocations and impairment draws.  The
-            # delivery post is Simulator.schedule_call inlined (same
-            # entry tuple, sequence stream, and bucket placement — keep
-            # in sync with simulator.py): it runs once per packet on
-            # every clean link.
-            sim = self.sim
-            when = sim.now + self.delay_s
-            entry = (when, next(sim._sequence), self.dst.receive, packet)
-            idx = int(when * sim._inv)
-            offset = idx - sim._cur
-            if offset <= 0:
-                heappush(sim._curb, entry)
-            elif offset < sim._nb:
-                heappush(sim._buckets[idx & sim._mask], entry)
-            else:
-                heappush(sim._far, entry)
-            sim._live += 1
+            # path below, minus allocations and impairment draws.
             sched = self._sched_call
+            sched(self.delay_s, self.dst.receive, packet)
             if self.burst == 1:
-                # Inline refill: probe the priority bands (or pop a FIFO)
-                # here instead of round-tripping through _try_transmit;
-                # _busy stays True across the probe (nothing reentrant
-                # runs inside it).  The band walk is PriorityQueue.pop
-                # verbatim — both bands empty is the common case.
-                bands = self._pq_bands
-                if bands is not None:
-                    for band in bands:
-                        items = band._items
-                        if items:
-                            nxt = items.popleft()
-                            band._bytes -= nxt.wire_size
-                            band.dequeued += 1
-                            sched(
-                                nxt.wire_size * 8.0 / self.rate_bps,
-                                self._finish_cb,
-                                nxt,
-                            )
-                            return
-                    self._busy = False
-                    return
+                # Refill here instead of round-tripping through
+                # _try_transmit; _busy stays True across the pop (nothing
+                # reentrant runs inside it).
                 nxt = self.queue.pop()
-                if nxt is not None:
+                if nxt is None:
+                    self._busy = False
+                else:
                     sched(
                         nxt.wire_size * 8.0 / self.rate_bps, self._finish_cb, nxt
                     )
-                    return
-                self._busy = False
                 return
             self._busy = False
             self._try_transmit()

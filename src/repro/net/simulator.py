@@ -1,35 +1,31 @@
 """Discrete-event simulation engine.
 
-A minimal but complete event loop in the style of ns-2/htsim.  Events
-are ``(time, sequence, ...)`` tuples ordered by ``(time, sequence)``;
-``sequence`` breaks ties so same-time events run in schedule order,
-which keeps runs deterministic.  Everything in :mod:`repro.net` and
-:mod:`repro.transport` is driven by one :class:`Simulator`.
+A minimal but complete event loop in the style of ns-2/htsim: one binary
+heap of ``(time, sequence, ...)`` tuples.  ``sequence`` comes from one
+counter shared by every posting API and breaks ties, so same-time events
+run in schedule order and runs are deterministic.  Everything in
+:mod:`repro.net` and :mod:`repro.transport` is driven by one
+:class:`Simulator`.
 
-The scheduler is a **calendar queue** (Brown 1988), not a single binary
-heap: near-future events land in a ring of per-bucket heaps indexed by
-``int(time / bucket_width)``, and events beyond the ring's horizon wait
-in an overflow heap.  Pushes into the current bucket — the common case
-on the packet hot path, where a link schedules a delivery a few
-microseconds out — are O(log bucket) on a bucket holding only a few
-events, and the pop fast path is one tuple compare plus a ``heappop``
-on that same small bucket.  Ordering stays exact because the mapping
-``time -> int(time * inv_width)`` is monotone (equal times share a
-bucket, earlier buckets hold strictly earlier times) and because the
-pop path merges the overflow heap head into the current bucket whenever
-it would be due first, comparing full ``(time, sequence)`` tuples.
+Two entry shapes share the heap: ``(time, sequence, fn, arg)`` for
+fire-and-forget :meth:`Simulator.schedule_call` posts and
+``(time, sequence, event)`` for cancellable :meth:`Simulator.schedule`
+handles.  Sequences are unique, so a comparison never reaches the third
+element.
 
-Cancelled events are skipped lazily at pop; when more than half the
-queued entries are dead the structure compacts in place, so timer-heavy
-workloads (flap/blackout fault churn, transport RTO re-arming) keep
-bounded memory.
+Cancelled events are skipped lazily at pop; when dead entries outnumber
+live ones the heap is rebuilt in place, so timer-heavy workloads
+(flap/blackout fault churn, transport RTO re-arming) keep bounded memory.
+
+This module is the only one that knows how the queue is stored: every
+other module posts through the public scheduling methods.
 """
 
 from __future__ import annotations
 
 import itertools
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Optional
 
 __all__ = ["Simulator", "Event"]
 
@@ -38,12 +34,7 @@ _COMPACT_MIN_DEAD = 64
 
 
 class Event:
-    """One scheduled callback.  Ordered by (time, sequence).
-
-    The scheduler stores ``(time, sequence, event)`` tuples so ordering
-    compares plain floats/ints at C speed and never falls back to this
-    class's ``__lt__`` (kept for API compatibility).
-    """
+    """Handle for one cancellable scheduled callback."""
 
     __slots__ = ("time", "sequence", "callback", "cancelled", "_scheduler", "_done")
 
@@ -60,9 +51,6 @@ class Event:
         self.cancelled = False
         self._scheduler = _scheduler
         self._done = False
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else ("done" if self._done else "pending")
@@ -82,7 +70,7 @@ class Event:
             scheduler._live -= 1
             scheduler._dead += 1
             # Lazy-cancel compaction: once dead entries outnumber live
-            # ones the structure is mostly garbage — rebuild it so heavy
+            # ones the heap is mostly garbage — rebuild it so heavy
             # cancel churn (timer re-arming every packet) cannot grow
             # the queue without bound.
             if (
@@ -93,42 +81,17 @@ class Event:
 
 
 class Simulator:
-    """A deterministic discrete-event scheduler (calendar queue).
+    """A deterministic discrete-event scheduler.
 
     Typical use::
 
         sim = Simulator()
         sim.schedule(1e-6, lambda: print("one microsecond in"))
         sim.run()
-
-    Args:
-        bucket_width: seconds of simulated time per calendar bucket.
-            The default (1 µs) keeps packet-scale events — serialization
-            times of ~1 µs on 10 Gb/s links — in the current or next
-            bucket.
-        num_buckets: ring size (rounded up to a power of two).  Events
-            beyond ``bucket_width * num_buckets`` in the future wait in
-            the overflow heap until the calendar advances.
     """
 
-    def __init__(self, bucket_width: float = 1e-6, num_buckets: int = 1024) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-        if num_buckets < 1:
-            raise ValueError(f"num_buckets must be >= 1, got {num_buckets}")
-        nb = 1
-        while nb < num_buckets:
-            nb *= 2
-        self._inv = 1.0 / bucket_width
-        self._nb = nb
-        self._mask = nb - 1
-        self._buckets: list[list] = [[] for _ in range(nb)]
-        # Absolute (unwrapped) index of the bucket currently being
-        # drained; ``_curb`` aliases ``_buckets[_cur & _mask]``.
-        self._cur = 0
-        self._curb: list = self._buckets[0]
-        # Overflow heap for events past the ring horizon.
-        self._far: list = []
+    def __init__(self) -> None:
+        self._heap: list[tuple[Any, ...]] = []
         self._sequence = itertools.count()
         #: Current simulation time in seconds.  A plain attribute (not a
         #: property): hot callbacks read it once or more per packet.
@@ -139,7 +102,7 @@ class Simulator:
         # timers poll it per packet, and an O(n) scan there turns the
         # event loop quadratic.
         self._live = 0
-        # Cancelled entries still occupying the structure.
+        # Cancelled entries still in the heap.
         self._dead = 0
 
     @property
@@ -148,17 +111,6 @@ class Simulator:
         return self._processed
 
     # -- scheduling ---------------------------------------------------------
-
-    def _push(self, entry: tuple) -> None:
-        """File ``entry`` into the bucket owning its timestamp."""
-        idx = int(entry[0] * self._inv)
-        offset = idx - self._cur
-        if offset <= 0:
-            heappush(self._curb, entry)
-        elif offset < self._nb:
-            heappush(self._buckets[idx & self._mask], entry)
-        else:
-            heappush(self._far, entry)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` ``delay`` seconds from now; returns a handle.
@@ -170,7 +122,7 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         when = self.now + delay
         event = Event(when, next(self._sequence), callback, self)
-        self._push((when, event.sequence, event))
+        heappush(self._heap, (when, event.sequence, event))
         self._live += 1
         return event
 
@@ -178,7 +130,7 @@ class Simulator:
         """Run ``callback`` at absolute time ``when``."""
         return self.schedule(when - self.now, callback)
 
-    def schedule_call(self, delay: float, fn: Callable, arg) -> None:
+    def schedule_call(self, delay: float, fn: Callable[[Any], Any], arg: Any) -> None:
         """Fire-and-forget: run ``fn(arg)`` ``delay`` seconds from now.
 
         The hot-path sibling of :meth:`schedule`: no :class:`Event`
@@ -190,103 +142,13 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        when = self.now + delay
-        entry = (when, next(self._sequence), fn, arg)
-        idx = int(when * self._inv)
-        offset = idx - self._cur
-        if offset <= 0:
-            heappush(self._curb, entry)
-        elif offset < self._nb:
-            heappush(self._buckets[idx & self._mask], entry)
-        else:
-            heappush(self._far, entry)
+        heappush(self._heap, (self.now + delay, next(self._sequence), fn, arg))
         self._live += 1
-
-    def schedule_batch(self, items: Iterable[Tuple[float, Callable, object]]) -> None:
-        """Post many ``(delay, fn, arg)`` calls in one pass.
-
-        Equivalent to ``schedule_call`` per item (same sequence-number
-        stream, same ordering), but hoists the scheduler state lookups
-        out of the loop — a link posting a burst of N deliveries pays
-        for one method call, not N.
-        """
-        now = self.now
-        inv = self._inv
-        cur = self._cur
-        nb = self._nb
-        mask = self._mask
-        sequence = self._sequence
-        buckets = self._buckets
-        curb = self._curb
-        far = self._far
-        posted = 0
-        for delay, fn, arg in items:
-            if delay < 0:
-                raise ValueError(f"cannot schedule in the past (delay={delay})")
-            when = now + delay
-            entry = (when, next(sequence), fn, arg)
-            idx = int(when * inv)
-            offset = idx - cur
-            if offset <= 0:
-                heappush(curb, entry)
-            elif offset < nb:
-                heappush(buckets[idx & mask], entry)
-            else:
-                heappush(far, entry)
-            posted += 1
-        self._live += posted
 
     # -- draining -----------------------------------------------------------
 
-    def _pop_slow(self) -> Optional[tuple]:
-        """Pop the globally minimal entry when the fast path cannot.
-
-        Handles the three non-trivial cases: the overflow head precedes
-        (or ties, by sequence, with) the current bucket head; the
-        current bucket is drained and the calendar must advance; the
-        queue is empty.
-        """
-        far = self._far
-        b = self._curb
-        inv = self._inv
-        while True:
-            if b:
-                if far and far[0] < b[0]:
-                    # The overflow head is due first (full tuple
-                    # compare, so same-time entries keep sequence
-                    # order): merge it and re-check.
-                    heappush(b, heappop(far))
-                    continue
-                return heappop(b)
-            if not far and self._live == 0 and self._dead == 0:
-                return None
-            if far and int(far[0][0] * inv) <= self._cur:
-                heappush(b, heappop(far))
-                continue
-            # Advance to the next non-empty bucket (or jump to the
-            # overflow head when the whole ring is idle).
-            cur = self._cur
-            buckets = self._buckets
-            mask = self._mask
-            nxt = None
-            for step in range(1, self._nb):
-                if buckets[(cur + step) & mask]:
-                    nxt = cur + step
-                    break
-            if far:
-                fidx = int(far[0][0] * inv)
-                if nxt is None or fidx < nxt:
-                    nxt = fidx
-            if nxt is None:
-                return None
-            self._cur = nxt
-            b = self._curb = buckets[nxt & mask]
-            # Pull overflow entries now due into the active bucket.
-            while far and int(far[0][0] * inv) <= nxt:
-                heappush(b, heappop(far))
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Drain the event calendar.
+        """Drain the event queue.
 
         Args:
             until: stop once simulated time would pass this instant
@@ -297,45 +159,31 @@ class Simulator:
             The simulation time when the run stopped.
         """
         # Sentinels instead of per-iteration None checks: comparing
-        # against +inf costs one float compare on the hot path.  The
-        # current bucket and the processed counter live in locals while
-        # the loop spins (callbacks push into the same list object, and
-        # ``_curb`` is only rebound by ``_pop_slow``), which makes
-        # ``run`` non-reentrant: a callback must not call ``run`` or
-        # ``peek_time`` on its own simulator.
+        # against +inf costs one float compare on the hot path.
         inf = float("inf")
         limit = inf if until is None else until
         budget = inf if max_events is None else max_events
-        # ``int(t * inv)`` is the bucket mapping used everywhere; with
-        # +inf it overflows, so an unlimited run gets a None sentinel.
-        inv = self._inv
-        limit_idx = None if limit == inf else int(limit * inv)
-        unbudgeted = max_events is None
-        far = self._far
-        b = self._curb
+        # Callbacks push into, and _compact rebuilds, this same list
+        # object, so the local alias never goes stale.
+        heap = self._heap
         pop = heappop
-        tuplen = len
         processed = 0
         try:
             while budget > 0:
-                if b and (not far or b[0] < far[0]):
-                    entry = pop(b)
-                else:
-                    entry = self._pop_slow()
-                    b = self._curb
-                    if entry is None:
-                        if until is not None and until > self.now:
-                            self.now = until
-                        break
+                if not heap:
+                    if until is not None and until > self.now:
+                        self.now = until
+                    break
+                entry = pop(heap)
                 when = entry[0]
                 if when > limit:
                     # Past the horizon: put it back and stop.  (A cancelled
                     # head past the horizon is ≥ every live entry, so
                     # stopping on one is equally correct.)
-                    self._push(entry)
-                    self.now = until
+                    heappush(heap, entry)
+                    self.now = limit
                     break
-                if tuplen(entry) == 4:
+                if len(entry) == 4:
                     self.now = when
                     self._live -= 1
                     entry[2](entry[3])
@@ -350,50 +198,13 @@ class Simulator:
                     event.callback()
                 processed += 1
                 budget -= 1
-                # Bucket-grain fast path.  Every entry in the current
-                # bucket maps to index ``_cur`` exactly (pushes beyond
-                # the ring go to the overflow heap; merged overflow
-                # entries land in their own bucket), so two integer
-                # gates decide for the *whole bucket* what the loop
-                # above re-checks per event:
-                #  * the overflow head maps past ``_cur`` → nothing in
-                #    ``far`` can precede any in-bucket entry (same-time
-                #    overflow ties were merged by _pop_slow already, and
-                #    callbacks can only add entries beyond the horizon);
-                #  * the horizon maps past ``_cur`` → no in-bucket entry
-                #    can exceed ``limit`` (the mapping is monotone).
-                # When both hold (and no event budget needs counting
-                # down), drain the bucket with nothing but pop+dispatch.
-                if (
-                    not unbudgeted
-                    or (far and int(far[0][0] * inv) <= self._cur)
-                    or (limit_idx is not None and limit_idx <= self._cur)
-                ):
-                    continue
-                while b:
-                    entry = pop(b)
-                    if tuplen(entry) == 4:
-                        when, _seq, fn, arg = entry
-                        self.now = when
-                        self._live -= 1
-                        fn(arg)
-                    else:
-                        event = entry[2]
-                        if event.cancelled:
-                            self._dead -= 1
-                            continue
-                        self.now = entry[0]
-                        event._done = True
-                        self._live -= 1
-                        event.callback()
-                    processed += 1
         finally:
             self._processed += processed
         return self.now
 
     def run_profiled(
         self,
-        observer: Callable[[Callable, float, float], None],
+        observer: Callable[[Callable[..., Any], float, float], None],
         clock: Callable[[], float],
         until: Optional[float] = None,
         max_events: Optional[int] = None,
@@ -415,23 +226,19 @@ class Simulator:
         inf = float("inf")
         limit = inf if until is None else until
         budget = inf if max_events is None else max_events
+        heap = self._heap
         processed = 0
         try:
             while budget > 0:
-                far = self._far
-                b = self._curb
-                if b and (not far or b[0] < far[0]):
-                    entry = heappop(b)
-                else:
-                    entry = self._pop_slow()
-                    if entry is None:
-                        if until is not None and until > self.now:
-                            self.now = until
-                        break
+                if not heap:
+                    if until is not None and until > self.now:
+                        self.now = until
+                    break
+                entry = heappop(heap)
                 when = entry[0]
                 if when > limit:
-                    self._push(entry)
-                    self.now = until
+                    heappush(heap, entry)
+                    self.now = limit
                     break
                 if len(entry) == 4:
                     fn = entry[2]
@@ -458,54 +265,21 @@ class Simulator:
             self._processed += processed
         return self.now
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or None when idle."""
-        far = self._far
-        while True:
-            b = self._curb
-            if b and (not far or b[0] < far[0]):
-                entry = heappop(b)
-            else:
-                entry = self._pop_slow()
-                if entry is None:
-                    return None
-            if len(entry) == 3 and entry[2].cancelled:
-                self._dead -= 1
-                continue
-            self._push(entry)
-            return entry[0]
-
     def pending(self) -> int:
         """Number of live events still queued (O(1) — see ``_live``)."""
         return self._live
 
     # -- maintenance --------------------------------------------------------
 
-    def _entries(self) -> Iterator[tuple]:
-        """Every queued entry (live and dead), in no particular order."""
-        for bucket in self._buckets:
-            yield from bucket
-        yield from self._far
-
     def _compact(self) -> None:
-        """Rebuild every bucket without its cancelled entries.
+        """Rebuild the heap without its cancelled entries.
 
-        Called from :meth:`Event.cancel` once dead entries exceed half
-        the structure; O(total entries), amortized O(1) per cancel.
+        Called from :meth:`Event.cancel` once dead entries outnumber
+        live ones; O(total entries), amortized O(1) per cancel.  The
+        list is rewritten in place because a running :meth:`run` holds
+        a reference to it.
         """
-        removed = 0
-        for bucket in self._buckets:
-            if not bucket:
-                continue
-            kept = [e for e in bucket if len(e) == 4 or not e[2].cancelled]
-            if len(kept) != len(bucket):
-                removed += len(bucket) - len(kept)
-                bucket[:] = kept
-                heapify(bucket)
-        far = self._far
-        kept = [e for e in far if len(e) == 4 or not e[2].cancelled]
-        if len(kept) != len(far):
-            removed += len(far) - len(kept)
-            far[:] = kept
-            heapify(far)
-        self._dead -= removed
+        heap = self._heap
+        heap[:] = [e for e in heap if len(e) == 4 or not e[2].cancelled]
+        heapify(heap)
+        self._dead = 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from heapq import heappush
 from typing import Callable, Dict, Optional, Tuple
 
 from ..obs.int_telemetry import (
@@ -514,22 +513,9 @@ class Switch(Device):
                     if new_bytes > band.peak_bytes:
                         band.peak_bytes = new_bytes
                     link._busy = True
-                    # Inlined Simulator.schedule_call (same entry tuple,
-                    # same sequence stream, same bucket placement — keep
-                    # in sync with simulator.py): the serializer-finish
-                    # post runs once per forwarded packet.
-                    sim = self.sim
-                    when = sim.now + wire * 8.0 / link.rate_bps
-                    entry = (when, next(sim._sequence), link._finish_cb, packet)
-                    idx = int(when * sim._inv)
-                    offset = idx - sim._cur
-                    if offset <= 0:
-                        heappush(sim._curb, entry)
-                    elif offset < sim._nb:
-                        heappush(sim._buckets[idx & sim._mask], entry)
-                    else:
-                        heappush(sim._far, entry)
-                    sim._live += 1
+                    link._sched_call(
+                        wire * 8.0 / link.rate_bps, link._finish_cb, packet
+                    )
                 else:
                     band._items.append(packet)
                     band._bytes = new_bytes

@@ -22,10 +22,10 @@ Number = Union[int, float]
 class _GradMode(threading.local):
     """Per-thread tape-recording switch.
 
-    Thread-local, not a module global: the cluster driver trains
-    concurrent jobs on their own threads, and one job evaluating under
-    :class:`no_grad` must not stop another job's forward pass from
-    recording its tape.
+    Thread-local, not a module global: a caller that trains models on
+    several threads must not have one thread evaluating under
+    :class:`no_grad` stop another thread's forward pass from recording
+    its tape.  (The cluster driver itself runs every job on one thread.)
     """
 
     enabled = True

@@ -13,9 +13,8 @@ times every callback as the event loop dispatches it:
 
 Timing at the dispatch level (rather than wrapping the scheduling APIs)
 means every event is covered no matter how it was posted — ``schedule``
-closures, fire-and-forget ``schedule_call`` tuples, and ``schedule_batch``
-bursts alike — and the fabric's hot paths stay free to cache bound
-scheduler methods.  Stages are classified from the callback's defining
+closures and fire-and-forget ``schedule_call`` tuples alike — and the
+fabric's hot paths stay free to cache bound scheduler methods.  Stages are classified from the callback's defining
 module, so the instrumentation needs no cooperation from the
 instrumented code.  This module lives in ``repro.obs`` (not
 ``repro.net``) deliberately: the wall-clock-in-sim lint rule bans

@@ -15,7 +15,3 @@ class BackgroundFlow:
     def tick(self):
         delay = self._rng.exponential(1e-3)
         self.sim.schedule_call(delay, BackgroundFlow.tick, self)
-
-    def burst(self):
-        delay = self._rng.exponential(1e-3)
-        self.sim.schedule_batch([(delay, BackgroundFlow.burst, self)])

@@ -44,6 +44,32 @@ class TestLink:
         assert sim.now == pytest.approx(24e-6)  # 3 x 8 us, serialized FIFO
         assert len(sink.inbox) == 3
 
+    def test_burst_posts_n_deliveries_then_one_completion(self):
+        sim = Simulator()
+        sink = Sink("rx", sim)
+        link = Link(
+            sim, "tx", sink, rate_bps=1e9, delay_s=0.0, queue=sink.make_queue(), burst=4
+        )
+        seen = []
+        sink.set_default_handler(
+            lambda p: seen.append((p.seq, sim.now, link.busy, link.packets_sent))
+        )
+        for seq in range(5):
+            link.enqueue(Packet(src="tx", dst="rx", payload=b"\x00" * 958, seq=seq))
+        sim.run()
+        # Packet 0 found the serializer idle and went as a burst of one;
+        # the four queued behind it went as one burst of four.
+        assert [seq for seq, _, _, _ in seen] == [0, 1, 2, 3, 4]
+        assert [now for _, now, _, _ in seen] == pytest.approx(
+            [8e-6, 16e-6, 24e-6, 32e-6, 40e-6]
+        )
+        # With no propagation delay a burst's last delivery shares its
+        # instant with the burst's completion; the delivery was posted
+        # first, so it runs first: still busy, the burst not yet counted.
+        assert [state for _, _, *state in seen] == [[True, 0]] + [[True, 1]] * 4
+        assert link.packets_sent == 5 and not link.busy
+        assert sim.events_processed == (1 + 1) + (4 + 1)
+
     def test_drop_probability(self):
         sim = Simulator()
         sink = Sink("rx", sim)

@@ -1,7 +1,13 @@
 """Tests for the discrete-event engine."""
 
+import ast
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.net import Simulator
 
 
@@ -116,16 +122,6 @@ class TestCancellation:
         keep.cancel()
         assert sim.pending() == 0
 
-    def test_peek_time_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek_time() == 2.0
-
-    def test_peek_time_empty(self):
-        assert Simulator().peek_time() is None
-
 
 class TestPendingCounter:
     """pending() is a live counter (O(1)), not a heap scan — it must stay
@@ -182,19 +178,21 @@ class TestPendingCounter:
         assert sim.pending() == 0
 
     def test_counter_matches_queue_truth(self):
+        # The truth is what the queue goes on to run.
         sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(20)]
+        fired = []
+        events = [sim.schedule(float(i + 1), lambda i=i: fired.append(i)) for i in range(20)]
         for event in events[::3]:
             event.cancel()
-        live_truth = sum(
-            1 for entry in sim._entries() if not entry[2].cancelled
-        )
-        assert sim.pending() == live_truth
+        survivors = [i for i in range(20) if i % 3]
+        assert sim.pending() == len(survivors)
+        sim.run()
+        assert fired == survivors
 
 
 class TestFastPathScheduling:
-    """schedule_call / schedule_batch share the (time, sequence) stream
-    with schedule(), so mixing the APIs must stay deterministic."""
+    """schedule_call shares the (time, sequence) stream with schedule(),
+    so mixing the APIs must stay deterministic."""
 
     def test_schedule_call_runs_with_argument(self):
         sim = Simulator()
@@ -214,38 +212,22 @@ class TestFastPathScheduling:
         order = []
         sim.schedule(1.0, lambda: order.append("a"))
         sim.schedule_call(1.0, order.append, "b")
-        sim.schedule_batch([(1.0, order.append, "c")])
-        sim.schedule(1.0, lambda: order.append("d"))
+        sim.schedule(1.0, lambda: order.append("c"))
+        sim.schedule_call(1.0, order.append, "d")
         sim.run()
         assert order == ["a", "b", "c", "d"]
 
-    def test_schedule_batch_matches_per_call_posting(self):
-        posted = [(0.5, 2), (2.5, 0), (0.5, 1), (3.0, 3)]
-        batched, looped = Simulator(), Simulator()
-        got_b, got_l = [], []
-        batched.schedule_batch((d, got_b.append, tag) for d, tag in posted)
-        for delay, tag in posted:
-            looped.schedule_call(delay, got_l.append, tag)
-        batched.run()
-        looped.run()
-        assert got_b == got_l == [2, 1, 0, 3]
-
-    def test_schedule_batch_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError, match="in the past"):
-            sim.schedule_batch([(1.0, lambda _: None, None), (-0.5, lambda _: None, None)])
-
     def test_fast_entries_count_as_pending(self):
         sim = Simulator()
-        sim.schedule_call(1.0, lambda _: None, None)
-        sim.schedule_batch([(2.0, lambda _: None, None)] * 3)
+        for delay in (1.0, 2.0, 2.0, 2.0):
+            sim.schedule_call(delay, lambda _: None, None)
         assert sim.pending() == 4
         sim.run()
         assert sim.pending() == 0
 
-    def test_far_future_calls_cross_the_ring_horizon(self):
-        # Default ring covers 1024 us; one second is deep overflow-heap
-        # territory, and the calendar must still drain in time order.
+    def test_far_future_calls_run_in_time_order(self):
+        # Six orders of magnitude between the delays: a packet-scale
+        # tick, a mid-run timer and a deadline one second out.
         sim = Simulator()
         order = []
         sim.schedule_call(1.0, order.append, "far")
@@ -257,11 +239,11 @@ class TestFastPathScheduling:
 
 class TestLazyCancelCompaction:
     """Cancel-heavy workloads (per-packet timer re-arming) must not grow
-    the calendar without bound: dead entries are compacted away once
-    they outnumber live ones."""
+    the queue without bound: dead entries are compacted away once they
+    outnumber live ones."""
 
     def _structure_size(self, sim):
-        return sum(1 for _ in sim._entries())
+        return len(sim._heap)
 
     def test_cancel_churn_keeps_structure_bounded(self):
         sim = Simulator()
@@ -278,18 +260,20 @@ class TestLazyCancelCompaction:
         assert sim.pending() == len(keepers)
         assert self._structure_size(sim) < 100
 
-    def test_compaction_spans_ring_and_overflow(self):
+    def test_compaction_drops_the_dead_and_keeps_the_live(self):
         sim = Simulator()
-        survivor = sim.schedule(2000e-6, lambda: None)  # past the 1024-bucket horizon
-        victims = [sim.schedule(1e-6 * (i % 2000 + 1), lambda: None) for i in range(300)]
+        hits = []
+        sim.schedule(2000e-6, lambda: hits.append("survivor"))
+        sim.schedule_call(1000e-6, hits.append, "call")  # not cancellable: always kept
+        victims = [sim.schedule(1e-6 * (i % 2000 + 1), lambda: hits.append("dead")) for i in range(300)]
         for event in victims:
             event.cancel()
-        # All dead ring + overflow entries are gone; the survivor remains.
-        entries = list(sim._entries())
-        live = [e for e in entries if not e[2].cancelled]
-        assert len(live) == 1 and live[0][2] is survivor
-        assert len(entries) < 100
-        assert sim.pending() == 1
+        # Near and far victims alike are gone; the two live entries remain.
+        assert self._structure_size(sim) < 100
+        assert sim.pending() == 2
+        sim.run()
+        assert hits == ["call", "survivor"]
+        assert self._structure_size(sim) == 0
 
     def test_compaction_preserves_ordering(self):
         sim = Simulator()
@@ -307,12 +291,45 @@ class TestLazyCancelCompaction:
         events = [sim.schedule(float(i % 7 + 1), lambda: None) for i in range(400)]
         for event in events[::2]:
             event.cancel()
-        live_truth = sum(
-            1
-            for entry in sim._entries()
-            if len(entry) == 3 and not entry[2].cancelled
-        )
-        assert sim.pending() == live_truth == 200
+        assert sim.pending() == 200
+        assert self._structure_size(sim) == 400  # 200 dead == 200 live: no compaction yet
         sim.run()
         assert sim.pending() == 0
         assert sim.events_processed == 200
+        assert self._structure_size(sim) == 0
+
+
+class TestOneModuleKnowsTheQueue:
+    """How the event queue is stored is simulator.py's business alone:
+    everything else posts through the public scheduling methods."""
+
+    SRC = Path(repro.__file__).parent
+    SIMULATOR = SRC / "net" / "simulator.py"
+
+    def test_nothing_outside_reaches_into_simulator_privates(self):
+        private = re.compile(r"\bsim\._[a-z]")  # also matches self.sim._x
+        offenders = [
+            f"{path.relative_to(self.SRC)}:{number}: {line.strip()}"
+            for path in sorted(self.SRC.rglob("*.py"))
+            if path != self.SIMULATOR
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if private.search(line)
+        ]
+        assert offenders == []
+
+    def test_only_simulator_imports_heapq(self):
+        importers = []
+        for path in sorted((self.SRC / "net").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                else:
+                    continue
+                if "heapq" in names:
+                    importers.append(path.name)
+        assert importers == ["simulator.py"]
+
+    def test_constructor_takes_no_arguments(self):
+        assert list(inspect.signature(Simulator).parameters) == []

@@ -1,8 +1,11 @@
-"""Differential test: the calendar-queue Simulator against a plain heap.
+"""Differential test: Simulator against the obvious scheduler.
 
-The reference scheduler below is the obvious implementation — one
-binary heap ordered by ``(time, sequence)``, eager cancel — and stays
-here as the oracle whichever scheduler ``repro.net.simulator`` ships.
+The reference below is one binary heap ordered by ``(time, sequence)``
+with *eager* cancel (remove + re-heapify); ``Simulator`` is the same
+heap with lazy cancel, live/dead counters and in-place compaction, and
+two copies of the drain loop (``run`` and ``run_profiled``).  The
+reference stays here as the oracle whichever scheduler
+``repro.net.simulator`` ships.
 """
 
 import heapq
@@ -30,12 +33,11 @@ class HeapScheduler:
     def schedule(self, delay, callback):
         return self._post(delay, callback, ())
 
+    def schedule_at(self, when, callback):
+        return self.schedule(when - self.now, callback)
+
     def schedule_call(self, delay, fn, arg):
         self._post(delay, fn, (arg,))
-
-    def schedule_batch(self, items):
-        for delay, fn, arg in items:
-            self._post(delay, fn, (arg,))
 
     def cancel(self, entry):
         if entry in self._heap:  # already run or cancelled: no-op
@@ -58,8 +60,8 @@ class HeapScheduler:
         return self.now
 
 
-# Same-instant, sub-bucket (< 1 us), in-ring (< 1.024 ms) and
-# beyond-ring delays; the fixed values make exact ties common.
+# Same-instant, packet-scale (< 1 us), timer-scale (~1 ms) and longer
+# delays; the fixed values make exact ties common.
 delays = st.one_of(
     st.sampled_from([0.0, 1e-7, 5e-7, 1e-6, 3e-6, 1e-4, 1.0e-3, 1.024e-3, 1.5e-3, 4e-3]),
     st.floats(0.0, 1e-6),
@@ -71,7 +73,8 @@ index = st.integers(0, 1 << 16)
 ops = st.one_of(
     st.tuples(st.just("schedule"), delays, child, st.none() | index),
     st.tuples(st.just("call"), delays, child),
-    st.tuples(st.just("batch"), st.lists(delays, max_size=10)),
+    st.tuples(st.just("calls"), st.lists(delays, max_size=10)),
+    st.tuples(st.just("at"), delays, child),
     st.tuples(st.just("cancel"), index),
     # Timer re-arm churn: enough dead entries to trigger compaction.
     st.tuples(st.just("churn"), delays, st.integers(60, 90)),
@@ -80,8 +83,9 @@ ops = st.one_of(
 )
 
 
-def execute(program, sched, cancel):
+def execute(program, sched, cancel, run=None):
     """Drive ``sched`` through ``program``; return everything observable."""
+    run = run or sched.run
     fired, pendings, handles = [], [], []
     tags = itertools.count()
 
@@ -100,8 +104,12 @@ def execute(program, sched, cancel):
             handles.append(sched.schedule(op[1], lambda spec=spec: fire(spec)))
         elif kind == "call":
             sched.schedule_call(op[1], fire, (next(tags), op[2], None))
-        elif kind == "batch":
-            sched.schedule_batch([(d, fire, (next(tags), None, None)) for d in op[1]])
+        elif kind == "calls":
+            for delay in op[1]:
+                sched.schedule_call(delay, fire, (next(tags), None, None))
+        elif kind == "at":
+            spec = (next(tags), op[2], None)
+            handles.append(sched.schedule_at(sched.now + op[1], lambda spec=spec: fire(spec)))
         elif kind == "cancel":
             if handles:
                 cancel(handles[op[1] % len(handles)])
@@ -109,18 +117,37 @@ def execute(program, sched, cancel):
             for _ in range(op[2]):
                 cancel(sched.schedule(op[1], lambda tag=next(tags): fired.append((sched.now, tag))))
         elif kind == "run_until":
-            sched.run(until=sched.now + op[1])
+            run(until=sched.now + op[1])
         else:
-            sched.run(max_events=op[1])
+            run(max_events=op[1])
         pendings.append((sched.pending(), sched.now))
-    sched.run()
+    run()
     return fired, pendings, sched.pending(), sched.now
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(ops, max_size=40))
-def test_calendar_queue_matches_heap_oracle(program):
+def test_simulator_matches_heap_oracle(program):
     reference = HeapScheduler()
     expected = execute(program, reference, reference.cancel)
     actual = execute(program, Simulator(), lambda event: event.cancel())
     assert actual == expected
+
+    # run_profiled is a second copy of run's loop: same order, same
+    # times, same counters, and one observer call per executed event.
+    profiled = Simulator()
+    observed = []
+    ticks = itertools.count()
+
+    def run_profiled(until=None, max_events=None):
+        return profiled.run_profiled(
+            lambda fn, when, wall_s: observed.append((when, wall_s)),
+            lambda: next(ticks),
+            until=until,
+            max_events=max_events,
+        )
+
+    assert execute(program, profiled, lambda event: event.cancel(), run_profiled) == expected
+    assert [when for when, _ in observed] == [when for when, _ in expected[0]]
+    assert all(wall_s == 1 for _, wall_s in observed)
+    assert profiled.events_processed == len(expected[0])

@@ -163,8 +163,8 @@ class TestHostBurst:
                 lambda p, sim=net.sim: deliveries.append((sim.now, p.src, p.seq))
             )
         # Each host floods its own uplink: the first send finds the
-        # serializer idle (the count == 1 inline path), the other 39
-        # drain as four batches of 8 and one of 7.
+        # serializer idle (a burst of one), the other 39 drain as four
+        # batches of 8 and one of 7.
         for i in range(2):
             for seq in range(40):
                 net.hosts[f"tx{i}"].send(
