@@ -23,6 +23,24 @@ from repro.core import MultiLevelCodec, codec_by_name, depacketize, packetize
 NUM_COORDS = 2**16
 
 
+@pytest.fixture(scope="module", autouse=True)
+def steady_allocator():
+    """Time every stage with glibc's malloc in one regime.
+
+    glibc lifts its mmap threshold to the size of the largest mmapped
+    block freed so far and keeps twice that much free heap untrimmed, so
+    whether the codecs' 256-512 kB temporaries are recycled or mapped and
+    page-faulted afresh on every call (3x on ``decode`` alone) depends on
+    what ran *earlier* in the process.  Until PR 17 it was depacketize's
+    2 MB bit-slot matrix that happened to lift it for the stages timed
+    after it.  Freeing one 16 MB block up front puts every stage, on any
+    commit, in the recycled regime -- what the perf ledger's
+    ``FIXED_ENV`` does with ``MALLOC_*`` variables.
+    """
+    block = np.empty(16 << 20, dtype=np.uint8)
+    del block
+
+
 @pytest.fixture(scope="module")
 def gradient():
     return np.random.default_rng(0).standard_normal(NUM_COORDS)

@@ -21,7 +21,8 @@ step), so they are whole-message vectorized (see docs/performance.md):
 * ``depacketize`` parses each gradient header exactly once, groups the
   arrived packets by geometry, and inverts every group's packed planes
   with one batched :func:`~repro.packet.bitpack.unpack_batch` call
-  instead of two ``unpack_bits`` calls per packet.
+  instead of two ``unpack_bits`` calls per packet, and stores a group
+  that lies on its own ``coord_count`` grid as whole rows.
 """
 
 from __future__ import annotations
@@ -275,38 +276,53 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
     # planes in one batched call; a message's packets share one geometry
     # (plus a possibly-smaller final chunk and the trimmed variants), so
     # this collapses the per-packet unpack loop into a handful of calls.
-    groups: dict[tuple[int, int, int, bool], tuple[list[int], list[memoryview]]] = {}
+    # A group is (head plane bytes, body bytes, coord offsets, bodies).
+    groups: dict[tuple[int, int, int, bool], tuple[int, int, list[int], list[memoryview]]] = {}
     for hdr, pkt in data_packets:
         lo, hi = hdr.coord_offset, hdr.coord_offset + hdr.coord_count
         if hi > length:
             raise ValueError(f"packet covers coords [{lo},{hi}) beyond length {length}")
+        key = (hdr.coord_count, hdr.head_bits, hdr.tail_bits, hdr.trimmed)
+        group = groups.get(key)
+        if group is None:
+            head_need = packed_size(hdr.coord_count, hdr.head_bits)
+            tail_need = 0 if hdr.trimmed else packed_size(hdr.coord_count, hdr.tail_bits)
+            group = groups[key] = (head_need, head_need + tail_need, [], [])
+        _, need, los, bodies = group
         body = memoryview(pkt.payload)[GRADIENT_HEADER_BYTES:]
-        need = packed_size(hdr.coord_count, hdr.head_bits)
-        if not hdr.trimmed:
-            need += packed_size(hdr.coord_count, hdr.tail_bits)
         if len(body) < need:
             raise ValueError(
                 f"need {need} payload bytes for {hdr.coord_count} coords "
                 f"({hdr.head_bits}+{0 if hdr.trimmed else hdr.tail_bits} bits), "
                 f"got {len(body)}"
             )
-        key = (hdr.coord_count, hdr.head_bits, hdr.tail_bits, hdr.trimmed)
-        offsets, bodies = groups.setdefault(key, ([], []))
-        offsets.append(lo)
+        los.append(lo)
         bodies.append(body[:need])
 
-    for (count, head_bits, tail_bits, was_trimmed), (offsets, bodies) in groups.items():
-        span = np.asarray(offsets, dtype=np.int64)[:, None] + np.arange(count)
-        head_need = packed_size(count, head_bits)
+    for (count, head_bits, tail_bits, was_trimmed), (head_need, _, los, bodies) in groups.items():
+        offsets = np.asarray(los, dtype=np.int64)
+        if count and not (offsets % count).any():
+            # Every packet sits on the group's own coord_count grid (all
+            # that packetize emits, bar the short final chunk): view the
+            # planes as rows of `count` coordinates and store whole rows.
+            width = count
+            index = offsets // count
+        else:
+            # Misaligned or hand-built packets: one index per coordinate.
+            width = 1
+            index = (offsets[:, None] + np.arange(count)).reshape(-1)
+        grid = length - length % width
+        head_rows, tail_rows, trimmed_rows, covered_rows = (
+            plane[:grid].reshape(-1, width) for plane in (heads, tails, trimmed, covered)
+        )
         head_vals = unpack_batch([b[:head_need] for b in bodies], count, head_bits)
-        flat = span.reshape(-1)
-        heads[flat] = head_vals.reshape(-1)
-        covered[flat] = True
+        head_rows[index] = head_vals.reshape(-1, width)
+        covered_rows[index] = True
         if was_trimmed:
-            trimmed[flat] = True
+            trimmed_rows[index] = True
         else:
             tail_vals = unpack_batch([b[head_need:] for b in bodies], count, tail_bits)
-            tails[flat] = tail_vals.reshape(-1)
+            tail_rows[index] = tail_vals.reshape(-1, width)
 
     return GradientMessage(
         heads=heads,

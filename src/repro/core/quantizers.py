@@ -76,15 +76,16 @@ class ScalarCodec(GradientCodec):
         self.root_seed = root_seed
 
     def _metadata(
-        self, flat: np.ndarray, epoch: int, message_id: int, scale: float
+        self, flat: np.ndarray, epoch: int, message_id: int, scale: float, sigma: float
     ) -> GradientMetadata:
+        """Side-channel record; ``sigma`` is the caller's one ``float(np.std(flat))``."""
         return GradientMetadata(
             message_id=message_id,
             epoch=epoch,
             original_length=flat.size,
             row_size=0,
             seed=self.root_seed,
-            sigma=float(np.std(flat)),
+            sigma=sigma,
             scale=scale,
         )
 
@@ -141,7 +142,9 @@ class SignMagnitudeCodec(ScalarCodec):
             length=flat.size,
             heads=heads,
             tails=tails,
-            metadata=self._metadata(flat, epoch, message_id, scale=0.0),
+            metadata=self._metadata(
+                flat, epoch, message_id, scale=0.0, sigma=float(np.std(flat))
+            ),
         )
 
     def decode(
@@ -197,7 +200,7 @@ class StochasticQuantizationCodec(ScalarCodec):
             length=flat.size,
             heads=heads,
             tails=tails,
-            metadata=self._metadata(flat, epoch, message_id, scale=scale),
+            metadata=self._metadata(flat, epoch, message_id, scale=scale, sigma=sigma),
         )
         return enc
 
@@ -259,7 +262,7 @@ class SubtractiveDitheringCodec(ScalarCodec):
             length=flat.size,
             heads=heads,
             tails=tails,
-            metadata=self._metadata(flat, epoch, message_id, scale=scale),
+            metadata=self._metadata(flat, epoch, message_id, scale=scale, sigma=sigma),
         )
 
     def decode(

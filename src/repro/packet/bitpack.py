@@ -8,10 +8,11 @@ each byte (network order), for any ``1 <= bits <= 32``.
 Two layers are exposed:
 
 * the scalar-plane API (:func:`pack_bits` / :func:`unpack_bits`) packs one
-  flat array.  Widths ``1``, ``8``, ``16`` and ``32`` take dedicated fast
-  paths (``np.packbits`` on the raw values, or big-endian byte/word views)
-  instead of the generic per-bit expansion, which costs an 8–64×
-  intermediate blowup.
+  flat array.  Widths ``1``, ``8``, ``16`` and ``32`` are ``np.packbits``
+  on the raw values or big-endian byte/word views; every other width —
+  the paper's ``Q = 31`` tail plane first of all — goes through a
+  word-level kernel that assembles each block of 8 values (exactly
+  ``bits`` bytes) in ``uint64`` words with one or two shifts per value.
 * the whole-message API (:func:`pack_segments` / :func:`unpack_batch`)
   packs or unpacks *every packet of a message in one numpy call*.
   :func:`pack_segments` splits a plane into byte-aligned per-packet
@@ -19,10 +20,9 @@ Two layers are exposed:
   zero-copy payload views; :func:`unpack_batch` inverts a batch of
   same-geometry packet bodies at once.
 
-The generic per-bit path is kept (``_pack_bits_generic`` /
-``_unpack_bits_generic``) both as the fallback for odd widths and as the
-reference implementation the property tests compare the fast paths
-against, byte for byte.
+No width expands values to one slot per bit.  The per-bit formulation
+lives in ``tests/packet/bitpack_oracle.py`` as the reference every width
+is compared against, byte for byte.
 """
 
 from __future__ import annotations
@@ -91,16 +91,43 @@ def _pack_rows(values: np.ndarray, bits: int) -> np.ndarray:
         return np.ascontiguousarray(values.astype(">u2")).view(np.uint8).reshape(rows, 2 * count)
     if bits == 32:
         return np.ascontiguousarray(values.astype(">u4")).view(np.uint8).reshape(rows, 4 * count)
-    # Generic width: stay in the byte domain.  View each value as 4
-    # big-endian bytes, explode to a (rows, count, 32) bit matrix with one
-    # C-level unpackbits, keep each value's low `bits` bits (MSB-first),
-    # and re-pack the concatenated stream.  Peak intermediate is 32 bits
-    # per value — the uint64 shift-and-mask formulation costs 8x more and
-    # falls out of cache for whole-message inputs.
-    be = np.ascontiguousarray(values.astype(">u4")).view(np.uint8).reshape(rows, count, 4)
-    slots = np.unpackbits(be, axis=2)
-    stream = np.ascontiguousarray(slots[:, :, 32 - bits :])
-    return np.packbits(stream.reshape(rows, count * bits), axis=1)
+    return _pack_blocks(values, bits)
+
+
+def _pack_blocks(values: np.ndarray, bits: int) -> np.ndarray:
+    """:func:`_pack_rows` for the widths without a byte/word view.
+
+    Eight ``bits``-wide values fill exactly ``bits`` bytes, so a row is a
+    sequence of such blocks.  Each block is assembled in
+    ``ceil(bits / 8)`` big-endian ``uint64`` words: value ``i`` of every
+    block (the column slice ``values[:, i::8]``) ends at bit
+    ``(i + 1) * bits`` of the block and is shifted into the word holding
+    that bit, plus the word before when it straddles a boundary.  The
+    loop runs 8 times whatever the message size, and a short final block
+    needs no padding — its missing columns simply contribute nothing.
+    """
+    rows, count = values.shape
+    blocks = -(-count // 8)
+    words_per_block = -(-bits // 8)
+    block_bytes = packed_size(8, bits)  # 8 values x `bits` bits: exactly `bits` bytes
+    words = np.zeros((words_per_block, rows, blocks), dtype=np.uint64)
+    scratch = np.empty((rows, blocks), dtype=np.uint64)
+    for i in range(min(8, count)):
+        column = values[:, i::8]
+        filled = column.shape[1]  # `blocks`, or one fewer past a short final block
+        shifted = scratch[:, :filled]
+        end = (i + 1) * bits
+        last = (end - 1) // 64
+        np.left_shift(column, np.uint64(64 * (last + 1) - end), out=shifted)
+        words[last, :, :filled] |= shifted
+        if i * bits < 64 * last:  # the value's high bits sit in the previous word
+            np.right_shift(column, np.uint64(end - 64 * last), out=shifted)
+            words[last - 1, :, :filled] |= shifted
+    wire = np.empty((rows, blocks, words_per_block), dtype=">u8")
+    wire[...] = words.transpose(1, 2, 0)  # one byte swap for the whole plane
+    octets = wire.view(np.uint8).reshape(rows, blocks, 8 * words_per_block)
+    packed = octets[:, :, :block_bytes].reshape(rows, blocks * block_bytes)
+    return packed[:, : packed_size(count, bits)]
 
 
 def _unpack_rows(data: np.ndarray, count: int, bits: int) -> np.ndarray:
@@ -122,14 +149,39 @@ def _unpack_rows(data: np.ndarray, count: int, bits: int) -> np.ndarray:
     if bits == 32:
         raw = np.ascontiguousarray(data[:, : 4 * count])
         return raw.view(">u4").reshape(rows, count).astype(np.uint32)
-    # Generic width, inverse of the byte-domain packer: left-pad each
-    # value's bit run into a 32-bit slot, re-pack to 4 big-endian bytes
-    # per value, and view as uint32 — no per-bit integer arithmetic.
-    bitstream = np.unpackbits(np.ascontiguousarray(data[:, : packed_size(count, bits)]), axis=1)
-    slots = np.zeros((rows, count, 32), dtype=np.uint8)
-    slots[:, :, 32 - bits :] = bitstream[:, : count * bits].reshape(rows, count, bits)
-    by = np.packbits(slots.reshape(rows, count * 32), axis=1)
-    return by.view(">u4").reshape(rows, count).astype(np.uint32)
+    return _unpack_blocks(data, count, bits)
+
+
+def _unpack_blocks(data: np.ndarray, count: int, bits: int) -> np.ndarray:
+    """Inverse of :func:`_pack_blocks`: one or two shifts and a mask per value."""
+    rows = data.shape[0]
+    blocks = -(-count // 8)
+    words_per_block = -(-bits // 8)
+    block_bytes = packed_size(8, bits)  # 8 values x `bits` bits: exactly `bits` bytes
+    need = packed_size(count, bits)
+    whole = need // block_bytes
+    octets = np.zeros((rows, blocks, 8 * words_per_block), dtype=np.uint8)
+    octets[:, :whole, :block_bytes] = data[:, : whole * block_bytes].reshape(
+        rows, whole, block_bytes
+    )
+    if whole < blocks:  # short final block
+        octets[:, whole, : need - whole * block_bytes] = data[:, whole * block_bytes : need]
+    words = np.empty((words_per_block, rows, blocks), dtype=np.uint64)
+    words[...] = octets.view(">u8").transpose(2, 0, 1)  # one byte swap for the whole plane
+    # Whole blocks out, so every pass below runs over full (rows, blocks)
+    # arrays; the caller gets the first `count` columns of each row.
+    out = np.empty((rows, blocks, 8), dtype=np.uint32)
+    mask = np.uint64((1 << bits) - 1)
+    value, high = np.empty((2, rows, blocks), dtype=np.uint64)
+    for i in range(8):
+        end = (i + 1) * bits
+        last = (end - 1) // 64
+        np.right_shift(words[last], np.uint64(64 * (last + 1) - end), out=value)
+        if i * bits < 64 * last:  # the value's high bits sit in the previous word
+            np.left_shift(words[last - 1], np.uint64(end - 64 * last), out=high)
+            value |= high
+        np.bitwise_and(value, mask, out=out[:, :, i])
+    return out.reshape(rows, 8 * blocks)[:, :count]
 
 
 # -- scalar-plane API ---------------------------------------------------------
@@ -158,33 +210,6 @@ def unpack_bits(data: ByteLike, count: int, bits: int) -> np.ndarray:
         return np.zeros(0, dtype=np.uint32)
     raw = np.frombuffer(data, dtype=np.uint8, count=need).reshape(1, need)
     return _unpack_rows(raw, count, bits)[0]
-
-
-def _pack_bits_generic(values: np.ndarray, bits: int) -> bytes:
-    """Reference per-bit-expansion packer (any width; slow but simple)."""
-    _check_bits(bits)
-    values = np.asarray(values, dtype=np.uint64).reshape(-1)
-    _check_range(values, bits)
-    if values.size == 0:
-        return b""
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-    bitstream = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bitstream.reshape(-1)).tobytes()
-
-
-def _unpack_bits_generic(data: ByteLike, count: int, bits: int) -> np.ndarray:
-    """Reference per-bit-expansion unpacker (inverse of the generic packer)."""
-    _check_bits(bits)
-    need = packed_size(count, bits)
-    if len(data) < need:
-        raise ValueError(f"need {need} bytes to unpack {count}x{bits}-bit, got {len(data)}")
-    if count == 0:
-        return np.zeros(0, dtype=np.uint32)
-    bitstream = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=need))
-    stream = bitstream[: count * bits].reshape(count, bits).astype(np.uint64)
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
-    values = (stream << shifts).sum(axis=1)
-    return values.astype(np.uint32)
 
 
 # -- whole-message API --------------------------------------------------------
@@ -243,14 +268,19 @@ def pack_segments(values: np.ndarray, bits: int, segment_len: int) -> PackedSegm
     _check_bits(bits)
     if segment_len <= 0:
         raise ValueError(f"segment_len must be positive, got {segment_len}")
-    values = np.asarray(values, dtype=np.uint64).reshape(-1)
+    # An unsigned plane is packed in its own dtype (the codecs emit uint32:
+    # no 8-byte-per-value copy); anything else goes through uint64, which is
+    # where a negative value turns into one that fails the range check.
+    if not (isinstance(values, np.ndarray) and values.dtype.kind == "u"):
+        values = np.asarray(values, dtype=np.uint64)
+    values = values.reshape(-1)
     _check_range(values, bits)
     total = values.size
     if total == 0:
         return PackedSegments(buffer=b"", bits=bits, segment_len=segment_len, total=0)
     num_segments = -(-total // segment_len)
     if total < num_segments * segment_len:
-        padded = np.zeros(num_segments * segment_len, dtype=np.uint64)
+        padded = np.zeros(num_segments * segment_len, dtype=values.dtype)
         padded[:total] = values
         values = padded
     packed = _pack_rows(values.reshape(num_segments, segment_len), bits)

@@ -31,7 +31,7 @@ offset bytes field
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "ETHERNET_HEADER_BYTES",
@@ -99,7 +99,19 @@ class GradientHeader:
 
     def with_flags(self, flags: int) -> "GradientHeader":
         """Copy of this header with ``flags`` OR-ed in."""
-        return replace(self, flags=self.flags | flags)
+        return GradientHeader(
+            codec_id=self.codec_id,
+            head_bits=self.head_bits,
+            tail_bits=self.tail_bits,
+            message_id=self.message_id,
+            epoch=self.epoch,
+            chunk_index=self.chunk_index,
+            coord_offset=self.coord_offset,
+            coord_count=self.coord_count,
+            seed=self.seed,
+            version=self.version,
+            flags=self.flags | flags,
+        )
 
     def to_bytes(self) -> bytes:
         """Serialize (big-endian, 32 bytes)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..obs.int_telemetry import INTExtension
@@ -165,13 +165,14 @@ class Packet:
         new_payload = b"".join(
             (new_header.to_bytes(), self.payload[GRADIENT_HEADER_BYTES:keep])
         )
-        return replace(
-            self,
+        return self._twin(
             payload=new_payload,
             grad_header=new_header,
             priority=max(self.priority, 1),
+            packet_id=self.packet_id,
             trimmed_from=self.wire_size,
             checksum=zlib.crc32(new_payload) if self.checksum is not None else None,
+            int_ext=self.int_ext,
         )
 
     def clone(self) -> "Packet":
@@ -181,5 +182,51 @@ class Packet:
         records describe the clone's own journey, not the lost
         original's.
         """
-        fresh_ext = self.int_ext.fresh() if self.int_ext is not None else None
-        return replace(self, packet_id=next(_packet_ids), int_ext=fresh_ext)
+        return self._twin(
+            payload=self.payload,
+            grad_header=self.grad_header,
+            priority=self.priority,
+            packet_id=next(_packet_ids),
+            trimmed_from=self.trimmed_from,
+            checksum=self.checksum,
+            int_ext=self.int_ext.fresh() if self.int_ext is not None else None,
+        )
+
+    def _twin(
+        self,
+        payload: "bytes | memoryview",
+        grad_header: Optional[GradientHeader],
+        priority: int,
+        packet_id: int,
+        trimmed_from: Optional[int],
+        checksum: Optional[int],
+        int_ext: Optional[INTExtension],
+    ) -> "Packet":
+        """Copy of this packet with the fields ``trim`` / ``clone`` change.
+
+        Spelled out rather than ``dataclasses.replace()``: the switch trims
+        every other gradient packet under congestion, and ``replace`` spent
+        most of a trim walking the field list.  ``test_packet.py`` compares
+        both copies with the ``replace``-based ones over ``fields(Packet)``,
+        so a field added later cannot be forgotten here.
+        """
+        return Packet(
+            src=self.src,
+            dst=self.dst,
+            payload=payload,
+            grad_header=grad_header,
+            priority=priority,
+            flow_id=self.flow_id,
+            seq=self.seq,
+            seq_total=self.seq_total,
+            is_ack=self.is_ack,
+            nack=self.nack,
+            pull=self.pull,
+            trimmed_echo=self.trimmed_echo,
+            ecn=self.ecn,
+            created_at=self.created_at,
+            packet_id=packet_id,
+            trimmed_from=trimmed_from,
+            checksum=checksum,
+            int_ext=int_ext,
+        )

@@ -25,9 +25,10 @@ from repro.packet import (
     Packet,
     pack_bits,
     packed_size,
+    unpack_batch,
     unpack_bits,
 )
-from repro.packet.header import FLAG_METADATA
+from repro.packet.header import FLAG_METADATA, FLAG_TRIMMED
 
 
 def reference_packetize(
@@ -290,3 +291,140 @@ class TestZeroCopyInvariants:
             depacketize(received, length=enc.length),
             reference_depacketize(received, length=enc.length),
         )
+
+
+def flat_scatter(packets: Iterable[Packet], length: int):
+    """PR 4–16's store: group by geometry, then one index per coordinate.
+
+    ``depacketize`` now stores a group that lies on its own ``coord_count``
+    grid as whole rows and only falls back to this for the rest; both must
+    fill ``(heads, tails, trimmed, missing)`` identically, duplicates and
+    overlaps included (groups in first-seen order, last writer wins).
+    """
+    heads = np.zeros(length, dtype=np.uint32)
+    tails = np.zeros(length, dtype=np.uint32)
+    trimmed = np.zeros(length, dtype=bool)
+    covered = np.zeros(length, dtype=bool)
+    groups: dict = {}
+    for pkt in packets:
+        hdr = pkt.grad_header
+        if not hdr.is_metadata:
+            key = (hdr.coord_count, hdr.head_bits, hdr.tail_bits, hdr.trimmed)
+            body = memoryview(pkt.payload)[GRADIENT_HEADER_BYTES:]
+            groups.setdefault(key, []).append((hdr.coord_offset, body))
+    for (count, head_bits, tail_bits, was_trimmed), members in groups.items():
+        offsets = np.array([lo for lo, _ in members], dtype=np.int64)
+        flat = (offsets[:, None] + np.arange(count)).reshape(-1)
+        cut = packed_size(count, head_bits)
+        end = cut + packed_size(count, tail_bits)
+        heads[flat] = unpack_batch([b[:cut] for _, b in members], count, head_bits).reshape(-1)
+        covered[flat] = True
+        if was_trimmed:
+            trimmed[flat] = True
+        else:
+            tails[flat] = unpack_batch(
+                [b[cut:end] for _, b in members], count, tail_bits
+            ).reshape(-1)
+    return heads, tails, trimmed, ~covered
+
+
+def hand_packet(
+    offset: int, count: int, rng, head_bits: int = 1, tail_bits: int = 31, trim: bool = False
+) -> Packet:
+    """A data packet at an arbitrary coordinate offset (no packetizer grid)."""
+    header = GradientHeader(
+        codec_id=1,
+        head_bits=head_bits,
+        tail_bits=tail_bits,
+        message_id=7,
+        epoch=3,
+        chunk_index=1,
+        coord_offset=offset,
+        coord_count=count,
+        seed=0,
+        flags=FLAG_TRIMMED if trim else 0,
+    )
+    heads = rng.integers(0, 1 << head_bits, size=count, dtype=np.uint32)
+    tails = rng.integers(0, 1 << tail_bits, size=count, dtype=np.uint32)
+    payload = header.to_bytes() + pack_bits(heads, head_bits)
+    if not trim:
+        payload += pack_bits(tails, tail_bits)
+    return Packet(src="s", dst="d", payload=payload, grad_header=header)
+
+
+def assert_same_store(packets: List[Packet], length: int) -> GradientMessage:
+    msg = depacketize(packets, length=length)
+    heads, tails, trimmed, missing = flat_scatter(packets, length)
+    assert np.array_equal(msg.heads, heads)
+    assert np.array_equal(msg.tails, tails)
+    assert np.array_equal(msg.trimmed, trimmed)
+    assert np.array_equal(msg.missing, missing)
+    return msg
+
+
+class TestRowScatterMatchesFlatScatter:
+    @given(geometries, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_packetizer_output_trimmed_dropped_duplicated_shuffled(self, geom, data):
+        length, head_bits, tail_bits, seed = geom
+        enc = make_encoded(length, head_bits, tail_bits, seed)
+        packets = packetize(enc, "s", "d", mtu=256)
+        received = [packets[0]]
+        for pkt in packets[1:]:
+            fate = data.draw(st.sampled_from(["keep", "trim", "drop", "both"]))
+            if fate in ("keep", "both"):
+                received.append(pkt)
+            if fate in ("trim", "both"):
+                received.append(pkt.trim())
+        order = data.draw(st.permutations(range(len(received))))
+        assert_same_store([received[i] for i in order], enc.length)
+
+    @pytest.mark.parametrize("shift", [0, 1, 5, 39])
+    def test_hand_built_packets_on_and_off_the_grid(self, shift):
+        """Same packets, slid off their coord_count grid by ``shift``."""
+        rng = np.random.default_rng(shift)
+        count, length = 40, 40 * 9 + 17
+        slots = [0, 2, 3, 3, 7, 5]  # a hole at 1, 4, 6; slot 3 twice
+        packets = [
+            hand_packet(slot * count + shift, count, rng, trim=(i % 3 == 1))
+            for i, slot in enumerate(slots)
+        ]
+        msg = assert_same_store(packets, length)
+        assert msg.missing[count + shift : 2 * count + shift].all()
+        assert not msg.missing[shift:count].any()
+
+    def test_one_group_on_the_grid_one_off_it(self):
+        rng = np.random.default_rng(11)
+        packets = [hand_packet(k * 32, 32, rng) for k in (0, 1, 4)]
+        packets += [hand_packet(70 + k * 24, 24, rng, trim=True) for k in range(3)]
+        packets += [hand_packet(64, 32, rng)]  # overlaps the misaligned group
+        assert_same_store(packets, 200)
+        assert_same_store(packets[::-1], 200)
+
+    def test_overlapping_misaligned_packets_last_writer_wins(self):
+        rng = np.random.default_rng(12)
+        packets = [hand_packet(lo, 16, rng, head_bits=3, tail_bits=13) for lo in (0, 8, 8, 20, 3)]
+        assert_same_store(packets, 40)
+
+    def test_length_not_a_multiple_of_the_grid(self):
+        """The last whole grid row ends before ``length``; the rest is missing."""
+        rng = np.random.default_rng(13)
+        packets = [hand_packet(k * 50, 50, rng) for k in (1, 0, 3)]
+        msg = assert_same_store(packets, 237)
+        assert msg.missing[200:].all() and msg.missing[100:150].all()
+
+    def test_empty_data_packet_is_harmless(self):
+        rng = np.random.default_rng(14)
+        packets = [hand_packet(0, 8, rng), hand_packet(5, 0, rng), hand_packet(8, 0, rng)]
+        msg = assert_same_store(packets, 16)
+        assert msg.missing[8:].all() and not msg.missing[:8].any()
+
+    def test_errors_are_unchanged(self):
+        rng = np.random.default_rng(15)
+        good = hand_packet(0, 32, rng)
+        with pytest.raises(ValueError, match="beyond length"):
+            depacketize([good, hand_packet(32, 32, rng)], length=63)
+        short = hand_packet(32, 32, rng)
+        short.payload = short.payload[:-1]
+        with pytest.raises(ValueError, match="payload bytes for 32 coords"):
+            depacketize([good, short], length=64)

@@ -1,12 +1,15 @@
-"""Fast-path vs. reference equivalence for the vectorized bit packing.
+"""Every bit-packing kernel vs. the per-bit reference, byte for byte.
 
-The PR-4 fast paths (``np.packbits`` / big-endian views / byte-domain
-generic kernel) must be *byte-identical* to the original per-bit
-expansion implementation, which is kept in the module as
-``_pack_bits_generic`` / ``_unpack_bits_generic`` precisely so these
-tests can compare against it.  Hypothesis sweeps every width 1–32,
-including each dedicated fast width, plus the whole-message
-``pack_segments`` / ``unpack_batch`` layer.
+``repro.packet.bitpack`` has a dedicated path per width class
+(``np.packbits`` for 1, byte/word views for 8 / 16 / 32, the block-of-8
+``uint64`` word kernel for everything else, the paper's Q = 31 included).
+All of them must be *byte-identical* to the original per-bit expansion,
+which lives next to this file as ``bitpack_oracle`` precisely so these
+tests can compare against it.  Hypothesis sweeps every width 1–32 through
+the public API and the whole-message ``pack_segments`` / ``unpack_batch``
+layer; a deterministic sweep drives the two row kernels directly over the
+shapes where the word kernel changes behaviour (short final block, one
+block, many rows).
 """
 
 import numpy as np
@@ -21,11 +24,9 @@ from repro.packet import (
     unpack_batch,
     unpack_bits,
 )
-from repro.packet.bitpack import (
-    FAST_WIDTHS,
-    _pack_bits_generic,
-    _unpack_bits_generic,
-)
+from repro.packet.bitpack import FAST_WIDTHS, _pack_rows, _unpack_rows
+
+from .bitpack_oracle import _pack_bits_generic, _unpack_bits_generic
 
 
 @st.composite
@@ -78,6 +79,78 @@ class TestFastPathMatchesReference:
         assert pack_bits(values, bits) == _pack_bits_generic(values, bits)
         packed = pack_bits(values, bits)
         assert np.array_equal(unpack_bits(packed, values.size, bits), values)
+
+
+def _patterns(rows: int, count: int, bits: int):
+    """Value matrices worth packing: random, all ones, alternating."""
+    top = (1 << bits) - 1
+    rng = np.random.default_rng(1000 * bits + 10 * count + rows)
+    yield rng.integers(0, top + 1, size=(rows, count), dtype=np.uint64).astype(np.uint32)
+    yield np.full((rows, count), top, dtype=np.uint32)
+    alternating = np.zeros((rows, count), dtype=np.uint32)
+    alternating[:, ::2] = top
+    yield alternating
+    yield top - alternating
+
+
+class TestRowKernelsMatchReference:
+    """`_pack_rows` / `_unpack_rows` over the block-boundary shapes."""
+
+    COUNTS = (0, 1, 7, 8, 9, 63, 64, 65, 355, 356, 357)
+
+    @pytest.mark.parametrize("bits", range(1, 33))
+    def test_both_directions_every_width(self, bits):
+        for count in self.COUNTS:
+            need = packed_size(count, bits)
+            for rows in (1, 2, 5):
+                for values in _patterns(rows, count, bits):
+                    packed = _pack_rows(values, bits)
+                    assert packed.dtype == np.uint8 and packed.shape == (rows, need)
+                    for row, row_values in zip(packed, values):
+                        assert row.tobytes() == _pack_bits_generic(row_values, bits)
+                    unpacked = _unpack_rows(np.ascontiguousarray(packed), count, bits)
+                    assert unpacked.dtype == np.uint32 and unpacked.shape == (rows, count)
+                    assert np.array_equal(unpacked, values)
+                    for row, row_values in zip(packed, values):
+                        assert np.array_equal(
+                            _unpack_bits_generic(row.tobytes(), count, bits), row_values
+                        )
+
+    @pytest.mark.parametrize("bits", range(1, 33))
+    def test_unpack_ignores_trailing_bytes(self, bits):
+        for count in (1, 9, 356):
+            values = next(_patterns(3, count, bits))
+            packed = _pack_rows(values, bits)
+            padded = np.concatenate([packed, np.full((3, 5), 0xFF, dtype=np.uint8)], axis=1)
+            assert np.array_equal(_unpack_rows(padded, count, bits), values)
+
+    @pytest.mark.parametrize("bits", [1, 3, 7, 8, 13, 16, 31, 32])
+    def test_pack_segments_bytes_do_not_depend_on_input_dtype(self, bits):
+        values = next(_patterns(1, 357, bits)).reshape(-1)
+        want = pack_segments(values.astype(np.uint64), bits, 100).buffer
+        assert want == b"".join(
+            _pack_bits_generic(values[lo : lo + 100], bits).ljust(packed_size(100, bits), b"\0")
+            for lo in range(0, 357, 100)
+        )
+        for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+            if np.iinfo(dtype).max >= (1 << bits) - 1:
+                assert pack_segments(values.astype(dtype), bits, 100).buffer == want
+        assert pack_segments(values.tolist(), bits, 100).buffer == want
+
+    @pytest.mark.parametrize("bits", [1, 5, 8, 16, 31])
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.int64])
+    def test_pack_segments_still_rejects_out_of_range(self, bits, dtype):
+        values = np.zeros(20, dtype=dtype)
+        values[13] = 1 << bits
+        with pytest.raises(ValueError, match="does not fit"):
+            pack_segments(values, bits, 8)
+
+    @pytest.mark.parametrize("bits", [1, 7, 31, 32])
+    def test_pack_segments_still_rejects_negative(self, bits):
+        values = np.zeros(20, dtype=np.int64)
+        values[4] = -1
+        with pytest.raises(ValueError, match="does not fit"):
+            pack_segments(values, bits, 8)
 
 
 class TestPackSegmentsEquivalence:

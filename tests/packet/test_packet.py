@@ -1,10 +1,15 @@
 """Tests for the Packet object and the trim operation."""
 
+import dataclasses
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.packet import (
+    FLAG_INT,
     FLAG_METADATA,
+    FLAG_TRIMMED,
     GRADIENT_HEADER_BYTES,
     WIRE_HEADER_BYTES,
     GradientHeader,
@@ -112,3 +117,89 @@ class TestIdentity:
     def test_is_gradient(self):
         assert gradient_packet().is_gradient
         assert not Packet(src="a", dst="b").is_gradient
+
+
+class TestCopiesCarryEveryField:
+    """``trim`` / ``clone`` / ``with_flags`` spell their copies out field by
+    field (``dataclasses.replace`` was most of a trim's cost), so compare them
+    with the ``replace``-based copy over ``fields(...)``: a field added to
+    either dataclass later cannot be silently dropped from the hot path."""
+
+    @staticmethod
+    def busy_packet(sealed: bool) -> Packet:
+        """A gradient packet with every field away from its default."""
+        from repro.obs.int_telemetry import INTExtension
+
+        base = gradient_packet(coord_count=356, flags=FLAG_INT)
+        pkt = Packet(
+            src="w3",
+            dst="ps",
+            payload=memoryview(base.payload).toreadonly(),
+            grad_header=dataclasses.replace(base.grad_header, version=2, seed=99),
+            priority=2,
+            flow_id=17,
+            seq=5,
+            seq_total=12,
+            is_ack=False,
+            nack=True,
+            pull=True,
+            trimmed_echo=True,
+            ecn=True,
+            created_at=1.25e-3,
+            trimmed_from=None,
+            int_ext=INTExtension(4),
+        )
+        return pkt.seal() if sealed else pkt
+
+    @staticmethod
+    def assert_same_fields(got, want, but=()):
+        for f in dataclasses.fields(want):
+            if f.name not in but:
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    def test_with_flags_matches_replace(self):
+        header = self.busy_packet(sealed=False).grad_header
+        got = header.with_flags(FLAG_TRIMMED)
+        assert got == dataclasses.replace(header, flags=header.flags | FLAG_TRIMMED)
+        self.assert_same_fields(got, header, but={"flags"})
+        assert got.flags == FLAG_INT | FLAG_TRIMMED
+
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_trim_matches_replace(self, sealed):
+        pkt = self.busy_packet(sealed)
+        got = pkt.trim()
+        keep = pkt.trimmable_bytes()
+        header = dataclasses.replace(pkt.grad_header, flags=pkt.grad_header.flags | FLAG_TRIMMED)
+        payload = header.to_bytes() + bytes(pkt.payload[GRADIENT_HEADER_BYTES:keep])
+        want = dataclasses.replace(
+            pkt,
+            payload=payload,
+            grad_header=header,
+            trimmed_from=pkt.wire_size,
+            checksum=zlib.crc32(payload) if sealed else None,
+        )
+        self.assert_same_fields(got, want)
+        assert got.packet_id == pkt.packet_id and got.int_ext is pkt.int_ext
+        assert isinstance(got.payload, bytes) and got.verify()
+        assert got.wire_size == want.wire_size < pkt.wire_size
+
+    def test_trim_raises_priority_only_up_to_one(self):
+        pkt = self.busy_packet(sealed=False)
+        assert pkt.trim().priority == 2
+        pkt.priority = 0
+        assert pkt.trim().priority == 1
+
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_clone_matches_replace(self, sealed):
+        pkt = self.busy_packet(sealed).trim()  # so trimmed_from is set too
+        pkt.int_ext.stamp(hop=1, decision=0, reason=0, sim_time=0.0)
+        got = pkt.clone()
+        want = dataclasses.replace(pkt, packet_id=got.packet_id, int_ext=got.int_ext)
+        self.assert_same_fields(got, want)
+        assert got.packet_id > pkt.packet_id
+        assert got.int_ext is not pkt.int_ext and len(got.int_ext.records) == 0
+        assert got.wire_size == pkt.wire_size
+
+    def test_clone_without_int_band(self):
+        pkt = gradient_packet()
+        assert pkt.clone().int_ext is None

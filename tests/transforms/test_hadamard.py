@@ -87,6 +87,76 @@ class TestFwht:
             hadamard_matrix(12)
 
 
+def reference_fwht_inplace(x: np.ndarray) -> np.ndarray:
+    """The textbook butterfly ``fwht_inplace`` was until PR 17: one sweep
+    over the whole array per stage, three fresh temporaries each.  The
+    tiled kernel does the same adds and subtracts on the same operands, so
+    it is held to ``np.array_equal``, not ``allclose``."""
+    d = x.shape[-1]
+    h = 1
+    while h < d:
+        shaped = x.reshape(*x.shape[:-1], d // (2 * h), 2, h)
+        a = shaped[..., 0, :].copy()
+        b = shaped[..., 1, :]
+        shaped[..., 0, :] = a + b
+        shaped[..., 1, :] = a - b
+        h *= 2
+    x *= 1.0 / np.sqrt(d)
+    return x
+
+
+class TestTiledKernelIsBitExact:
+    """Shapes on both sides of the tile: rows shorter and longer than it,
+    row counts that do not divide into whole groups, extra leading axes."""
+
+    SHAPES = [(1, 1 << k) for k in range(0, 21, 4)] + [
+        (33, 1024),
+        (3, 5, 64),
+        (2, 1 << 17),
+        (4096,),
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_unblocked_butterfly(self, shape, dtype):
+        x = np.random.default_rng(len(shape) + shape[-1]).standard_normal(shape).astype(dtype)
+        want = reference_fwht_inplace(x.copy())
+        got = fwht_inplace(x)
+        assert got is x and got.dtype == dtype
+        assert np.array_equal(got, want)
+
+    def test_fortran_ordered_array_is_transformed_in_place(self):
+        x = np.asfortranarray(np.random.default_rng(5).standard_normal((33, 256)))
+        want = reference_fwht_inplace(np.ascontiguousarray(x))
+        assert fwht_inplace(x) is x and x.flags.f_contiguous
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize("shape", [(9, 512), (2, 1 << 17), (3, 4, 128)], ids=str)
+    def test_strided_view_is_transformed_in_place(self, shape):
+        """``a[..., ::2]``: the view changes, the skipped elements do not."""
+        base = np.random.default_rng(6).standard_normal(shape)
+        before = base.copy()
+        view = base[..., ::2]
+        want = reference_fwht_inplace(view.copy())
+        assert fwht_inplace(view) is view
+        assert np.array_equal(base[..., ::2], want)
+        assert np.array_equal(base[..., 1::2], before[..., 1::2])
+
+    def test_non_contiguous_leading_axes_are_not_copied(self):
+        """Merging strided leading axes would copy and drop the result."""
+        base = np.random.default_rng(7).standard_normal((4, 6, 5, 32))
+        view = base[::2, ::3, 1:4]
+        want = reference_fwht_inplace(view.copy())
+        fwht_inplace(view)
+        assert np.array_equal(base[::2, ::3, 1:4], want)
+
+    def test_fwht_leaves_its_argument_alone(self):
+        x = np.random.default_rng(8).standard_normal((3, 64))
+        before = x.copy()
+        assert np.array_equal(fwht(x), reference_fwht_inplace(x.copy()))
+        assert np.array_equal(x, before)
+
+
 @settings(max_examples=40)
 @given(
     log_d=st.integers(min_value=0, max_value=9),
