@@ -67,7 +67,6 @@ class Event:
         self.cancelled = True
         scheduler = self._scheduler
         if scheduler is not None:
-            scheduler._live -= 1
             scheduler._dead += 1
             # Lazy-cancel compaction: once dead entries outnumber live
             # ones the heap is mostly garbage — rebuild it so heavy
@@ -75,7 +74,7 @@ class Event:
             # the queue without bound.
             if (
                 scheduler._dead > _COMPACT_MIN_DEAD
-                and scheduler._dead > scheduler._live
+                and 2 * scheduler._dead > len(scheduler._heap)
             ):
                 scheduler._compact()
 
@@ -97,12 +96,8 @@ class Simulator:
         #: property): hot callbacks read it once or more per packet.
         self.now = 0.0
         self._processed = 0
-        # Live (scheduled, not yet run or cancelled) event count, kept
-        # in sync on push/pop/cancel so pending() is O(1) — transport
-        # timers poll it per packet, and an O(n) scan there turns the
-        # event loop quadratic.
-        self._live = 0
-        # Cancelled entries still in the heap.
+        # Cancelled entries still in the heap: the live (scheduled, not
+        # yet run or cancelled) count is len(_heap) - _dead.
         self._dead = 0
 
     @property
@@ -123,7 +118,6 @@ class Simulator:
         when = self.now + delay
         event = Event(when, next(self._sequence), callback, self)
         heappush(self._heap, (when, event.sequence, event))
-        self._live += 1
         return event
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
@@ -143,7 +137,6 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         heappush(self._heap, (self.now + delay, next(self._sequence), fn, arg))
-        self._live += 1
 
     # -- draining -----------------------------------------------------------
 
@@ -169,12 +162,13 @@ class Simulator:
         pop = heappop
         processed = 0
         try:
-            while budget > 0:
-                if not heap:
+            while processed < budget:
+                try:
+                    entry = pop(heap)
+                except IndexError:  # drained
                     if until is not None and until > self.now:
                         self.now = until
                     break
-                entry = pop(heap)
                 when = entry[0]
                 if when > limit:
                     # Past the horizon: put it back and stop.  (A cancelled
@@ -185,7 +179,6 @@ class Simulator:
                     break
                 if len(entry) == 4:
                     self.now = when
-                    self._live -= 1
                     entry[2](entry[3])
                 else:
                     event = entry[2]
@@ -194,10 +187,8 @@ class Simulator:
                         continue
                     self.now = when
                     event._done = True
-                    self._live -= 1
                     event.callback()
                 processed += 1
-                budget -= 1
         finally:
             self._processed += processed
         return self.now
@@ -229,12 +220,13 @@ class Simulator:
         heap = self._heap
         processed = 0
         try:
-            while budget > 0:
-                if not heap:
+            while processed < budget:
+                try:
+                    entry = heappop(heap)
+                except IndexError:  # drained
                     if until is not None and until > self.now:
                         self.now = until
                     break
-                entry = heappop(heap)
                 when = entry[0]
                 if when > limit:
                     heappush(heap, entry)
@@ -243,7 +235,6 @@ class Simulator:
                 if len(entry) == 4:
                     fn = entry[2]
                     self.now = when
-                    self._live -= 1
                     start = clock()
                     fn(entry[3])
                     observer(fn, when, clock() - start)
@@ -254,20 +245,18 @@ class Simulator:
                         continue
                     self.now = when
                     event._done = True
-                    self._live -= 1
                     callback = event.callback
                     start = clock()
                     callback()
                     observer(callback, when, clock() - start)
                 processed += 1
-                budget -= 1
         finally:
             self._processed += processed
         return self.now
 
     def pending(self) -> int:
-        """Number of live events still queued (O(1) — see ``_live``)."""
-        return self._live
+        """Number of live events still queued (O(1))."""
+        return len(self._heap) - self._dead
 
     # -- maintenance --------------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..obs.int_telemetry import (
     AUX_PATH_CHANGED,
@@ -198,6 +198,9 @@ class Switch(Device):
         self._m_dropped = registry.counter(
             "repro_switch_dropped_total", "packets dropped", ("switch", "kind")
         )
+        # kind -> bound series, bound at the first drop of that kind
+        # (binding creates no series, so an undropped kind exports none).
+        self._m_dropped_by_kind: Dict[str, Any] = {}
         self._m_ecmp_collisions = registry.counter(
             "repro_switch_ecmp_collisions_total",
             "new flows hashed onto an equal-cost port already carrying flows",
@@ -551,7 +554,11 @@ class Switch(Device):
                 self.sim.now,
             )
         self.stats.note_drop(kind)
-        self._m_dropped.inc(switch=self.name, kind=kind)
+        dropped = self._m_dropped_by_kind.get(kind)
+        if dropped is None:
+            dropped = self._m_dropped.bind(switch=self.name, kind=kind)
+            self._m_dropped_by_kind[kind] = dropped
+        dropped.inc()
         if self.flow_classifier is not None:
             self.flow_classifier(packet.flow_id, "drop", kind)
         tracer = get_tracer()

@@ -1,7 +1,8 @@
 """Network construction: devices + cables + routing.
 
-:class:`Network` wraps a :class:`~repro.net.simulator.Simulator`, a
-networkx graph describing connectivity, and shortest-path static routes.
+:class:`Network` wraps a :class:`~repro.net.simulator.Simulator`, the
+devices and their cables, and shortest-path static routes found by a
+breadth-first walk over the cabling itself (switch ports, host uplinks).
 Builders for the standard data-center shapes are provided: a dumbbell
 (the classic shared-bottleneck microbenchmark), a two-tier leaf–spine,
 and a k-ary fat-tree.
@@ -9,9 +10,7 @@ and a k-ary fat-tree.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import networkx as nx
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..obs.int_telemetry import is_reserved_hop_name
 from ..packet.trim import TrimPolicy
@@ -41,7 +40,6 @@ class Network:
         self.sim = sim or Simulator()
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
-        self.graph = nx.Graph()
         # Serializer batch applied to host uplinks by connect().  Kept at
         # 1 by default: burst batching preserves delivery *times* but not
         # event ordering at tied instants, so enabling it can flip
@@ -70,7 +68,6 @@ class Network:
         self._check_name(name)
         host = Host(name, self.sim, **kwargs)
         self.hosts[name] = host
-        self.graph.add_node(name, kind="host")
         return host
 
     def add_switch(self, name: str, **kwargs) -> Switch:
@@ -78,7 +75,6 @@ class Network:
         self._check_name(name)
         switch = Switch(name, self.sim, **kwargs)
         self.switches[name] = switch
-        self.graph.add_node(name, kind="switch")
         return switch
 
     def device(self, name: str) -> Device:
@@ -122,7 +118,6 @@ class Network:
         )
         dev_a.attach(b, link_ab)
         dev_b.attach(a, link_ba)
-        self.graph.add_edge(a, b, rate_bps=rate_bps, delay_s=delay_s)
 
     def set_impairment(
         self, a: str, b: str, drop_prob: float = 0.0, trim_prob: float = 0.0
@@ -143,31 +138,50 @@ class Network:
         the same (topology, seed) place every flow identically while
         different seeds explore different collision patterns.
         """
-        if not ecmp:
-            for dst in self.hosts:
-                paths = nx.shortest_path(self.graph, target=dst)
-                for name, switch in self.switches.items():
-                    path = paths.get(name)
-                    if path is None or len(path) < 2:
-                        continue
-                    switch.set_route(dst, path[1])
-            return
-        salt = derive_seed(ecmp_seed, purpose="ecmp") & 0xFFFFFFFF
-        for switch in self.switches.values():
-            switch.ecmp_salt = salt
+        if ecmp:
+            salt = derive_seed(ecmp_seed, purpose="ecmp") & 0xFFFFFFFF
+            for switch in self.switches.values():
+                switch.ecmp_salt = salt
         for dst in self.hosts:
-            lengths = nx.shortest_path_length(self.graph, target=dst)
+            hops, toward = self._walk_from(dst)
             for name, switch in self.switches.items():
-                if name not in lengths:
-                    continue
-                my_distance = lengths[name]
-                next_hops = sorted(
-                    neighbor
-                    for neighbor in self.graph.neighbors(name)
-                    if lengths.get(neighbor, float("inf")) == my_distance - 1
-                )
-                if next_hops:
-                    switch.set_route(dst, next_hops)
+                if name not in toward:
+                    continue  # no cable path to dst
+                if ecmp:
+                    closer = hops[name] - 1
+                    switch.set_route(
+                        dst, sorted(n for n in switch.ports if hops.get(n) == closer)
+                    )
+                else:
+                    switch.set_route(dst, toward[name])
+
+    def _walk_from(self, dst: str) -> Tuple[Dict[str, int], Dict[str, str]]:
+        """Breadth-first walk of the cabling outward from host ``dst``.
+
+        Returns ``{device: hops to dst}`` and ``{device: the neighbor it
+        was first reached from}`` for every device with a path to
+        ``dst``.  Devices are expanded in discovery order and their
+        neighbors in ``connect`` order (``Switch.ports`` is filled by
+        ``connect``; a host has one port, its uplink), which makes the
+        single-path choice among equal-length paths a function of the
+        build order alone.
+        """
+        hops = {dst: 0}
+        toward: Dict[str, str] = {}
+        reached = [dst]
+        for node in reached:  # grows while walked: a FIFO frontier
+            switch = self.switches.get(node)
+            if switch is not None:
+                neighbors: Iterable[str] = switch.ports
+            else:
+                uplink = self.hosts[node].uplink
+                neighbors = () if uplink is None else (uplink.dst.name,)
+            for neighbor in neighbors:
+                if neighbor not in hops:
+                    hops[neighbor] = hops[node] + 1
+                    toward[neighbor] = node
+                    reached.append(neighbor)
+        return hops, toward
 
     # -- convenience -------------------------------------------------------------
 

@@ -34,6 +34,9 @@ class TrimmingSender(MessageSenderBase):
         super().__init__(*args, **kwargs)
         self._acked: set[int] = set()
         self._next = 0
+        # |{s in _acked : s < _next}|, kept as both sides move so the
+        # window check does not rescan the ack set on every ACK.
+        self._acked_below_next = 0
         self.trims_reported = 0
         self._m_trims_reported = get_registry().counter(
             "repro_transport_trims_reported_total",
@@ -44,16 +47,21 @@ class TrimmingSender(MessageSenderBase):
     def _reset_state(self) -> None:
         self._acked = set()
         self._next = 0
+        self._acked_below_next = 0
         self.trims_reported = 0
         self._send_times.clear()
 
     def _inflight(self) -> int:
-        return self._next - len([s for s in self._acked if s < self._next])
+        return self._next - self._acked_below_next
 
     def _pump(self) -> None:
         total = len(self._packets)
         while self._next < total and self._inflight() < self.cc.window:
             self._emit(self._next)
+            # A stale ACK (of the previous message) may have acked this
+            # seq before it was sent; it counts once _next is past it.
+            if self._next in self._acked:
+                self._acked_below_next += 1
             self._next += 1
         if len(self._acked) < total and self._timer is None:
             self._arm_timer()
@@ -70,6 +78,8 @@ class TrimmingSender(MessageSenderBase):
         if seq in self._acked:
             return
         self._acked.add(seq)
+        if seq < self._next:
+            self._acked_below_next += 1
         self._sample_rtt(seq)
         if packet.trimmed_echo:
             self.trims_reported += 1

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.net import Switch, SwitchStats
+from repro.net import Simulator, Switch, SwitchStats
+from repro.obs.export import prometheus_text
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.packet import Packet
 
 
 class TestFractions:
@@ -33,8 +36,59 @@ class TestFractions:
         assert stats.drops_by_kind == {"buffer-overflow": 2, "no-route": 1}
 
     def test_live_switch_exposes_fractions(self):
-        from repro.net import Simulator
-
         switch = Switch("sw", Simulator())
         assert switch.stats.trim_fraction == 0.0
         assert switch.stats.drop_fraction == 0.0
+
+
+class TestDropCounterBinding:
+    """``_drop`` binds its series per kind; the unbound call is the oracle."""
+
+    KINDS = (
+        "no-route", "port-blackout", "header-band-overflow",
+        "buffer-overflow", "blackhole", "switch-down",
+    )
+
+    @staticmethod
+    def drop_all(registry, kinds):
+        previous = set_registry(registry)
+        try:
+            switch = Switch("sw", Simulator())
+        finally:
+            set_registry(previous)
+        for repeats, kind in enumerate(kinds, start=1):
+            for _ in range(repeats):
+                switch._drop(Packet(src="a", dst="b"), kind)
+        return switch
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_same_series_as_the_unbound_call(self, enabled):
+        bound, unbound = MetricsRegistry(enabled=enabled), MetricsRegistry(enabled=enabled)
+        switch = self.drop_all(bound, self.KINDS)
+        oracle = unbound.counter(
+            "repro_switch_dropped_total", "packets dropped", ("switch", "kind")
+        )
+        for repeats, kind in enumerate(self.KINDS, start=1):
+            for _ in range(repeats):
+                oracle.inc(switch="sw", kind=kind)
+        got = bound.get("repro_switch_dropped_total")
+        assert got.series() == oracle.series()
+        assert len(got.series()) == (len(self.KINDS) if enabled else 0)
+        assert switch.stats.drops_by_kind == {k: i for i, k in enumerate(self.KINDS, start=1)}
+
+        def dropped_lines(registry):
+            return [
+                line for line in prometheus_text(registry).splitlines()
+                if "repro_switch_dropped_total" in line
+            ]
+
+        assert dropped_lines(bound) == dropped_lines(unbound)
+
+    def test_no_series_until_a_kind_is_dropped(self):
+        registry = MetricsRegistry(enabled=True)
+        self.drop_all(registry, ())
+        assert registry.get("repro_switch_dropped_total").series() == []
+        self.drop_all(registry, ("buffer-overflow",))
+        assert registry.get("repro_switch_dropped_total").series() == [
+            (("sw", "buffer-overflow"), 1.0)
+        ]

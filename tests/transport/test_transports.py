@@ -1,11 +1,13 @@
 """Integration tests: transports over the simulated dumbbell network."""
 
+import random
+
 import numpy as np
 import pytest
 
 from repro.core import RHTCodec, decode_packets, nmse, packetize
 from repro.net import FlowLog, dumbbell
-from repro.packet import SingleLevelTrim
+from repro.packet import Packet, SingleLevelTrim
 from repro.transport import (
     AIMD,
     FixedWindow,
@@ -225,3 +227,75 @@ class TestTrimmingTransport:
         assert sender.done
         assert log.total_retransmissions() > 0
         assert nmse(x, decode_packets(messages[0], codec)) < 1e-12
+
+
+class TestTrimmingInflightCount:
+    """``_inflight`` keeps a running count; the rescan it replaced is the oracle."""
+
+    @staticmethod
+    def rescan(sender):
+        return sender._next - len([s for s in sender._acked if s < sender._next])
+
+    @staticmethod
+    def control(seq, **flags):
+        return Packet(src="rx0", dst="tx0", is_ack=True, seq=seq, flow_id=5, **flags)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_rescan_under_random_interleavings(self, seed):
+        rng = random.Random(seed)
+        net = dumbbell(pairs=1)
+        sender = TrimmingSender(net.hosts["tx0"], flow_id=5, cc=AIMD(initial_window=4))
+
+        def check():
+            assert sender._inflight() == self.rescan(sender)
+            assert sender._acked_below_next == sender._next - sender._inflight()
+
+        for message in range(3):
+            # send_message -> _reset_state; from the second message on,
+            # ACKs of the previous one arrive "late", ahead of _next.
+            sender.send_message(segment_bytes("tx0", "rx0", 80_000, flow_id=5))
+            check()
+            steps = 0
+            while not sender.done:
+                steps += 1
+                assert steps < 5000
+                roll = rng.random()
+                if roll < 0.55 and sender._next:
+                    seq = rng.randrange(sender._next)  # fresh or duplicate ACK
+                    sender._dispatch(self.control(seq, trimmed_echo=rng.random() < 0.3))
+                elif roll < 0.70:
+                    # Stale / out-of-range: not yet sent, past the end, negative.
+                    seq = rng.choice(
+                        [rng.randrange(len(sender._packets)), len(sender._packets) + 3, -2]
+                    )
+                    sender._dispatch(self.control(seq))
+                elif roll < 0.80 and sender._next:
+                    sender._dispatch(self.control(rng.randrange(sender._next), nack=True))
+                elif roll < 0.90:
+                    sender._timer_fired()
+                else:
+                    sender._pump()
+                check()
+        assert sender.done
+
+    def test_ddp_sized_transfer_is_unchanged(self):
+        """FCT and trim count of a congested DDP-sized transfer, pinned."""
+        net = dumbbell(
+            pairs=1, bottleneck_rate_bps=5e9, buffer_bytes=20_000,
+            trim_policy=SingleLevelTrim(),
+        )
+        x = np.random.default_rng(0).standard_normal(111_332)
+        codec = RHTCodec(root_seed=1, row_size=4096)
+        log = FlowLog()
+        sender = TrimmingSender(net.hosts["tx0"], flow_id=5, cc=FixedWindow(64), log=log)
+        messages = []
+        TrimmingReceiver(net.hosts["rx0"], flow_id=5, on_message=messages.append)
+        packets = packetize(codec.encode(x), "tx0", "rx0", flow_id=5)
+        sender.send_message(packets)
+        net.sim.run(until=5.0)
+        assert sender.done and len(packets) == 324
+        record = log.get(5)
+        # Values of the commit that still rescanned the ack set per ACK.
+        assert record.fct == pytest.approx(9.918511999999965e-05, rel=1e-12)
+        assert (record.packets_trimmed, record.retransmissions) == (308, 0)
+        assert net.sim.events_processed == 3888
