@@ -3,38 +3,18 @@
 pytest captures stdout at the file-descriptor level, so the result
 tables the benchmarks emit would never reach the terminal.  This hook
 replays everything recorded through :func:`repro.bench.emit` in the
-terminal summary and archives it twice: the human-readable blocks to
-``benchmarks/results_latest.txt`` and the machine-readable records
-(every rendered :class:`repro.bench.ExperimentResult` plus any
-``record_result`` call) to ``benchmarks/results_latest.json``.
-
-``benchmarks/BENCH_results.json`` is the *committed baseline* that
-``repro-bench --compare`` (and the CI ``perf-smoke`` job) checks the
-latest run against — it is only rewritten deliberately, via
-``repro-bench --compare --update-baseline``.
+terminal summary.  Nothing is archived: these are print-only
+experiments, and the perf ledger (``benchmarks/ledger/``) is the only
+gate.
 """
 
-import json
-from pathlib import Path
-
-from repro.bench.harness import EMITTED, RESULTS
+from repro.bench.harness import EMITTED
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not EMITTED and not RESULTS:
+    if not EMITTED:
         return
-    here = Path(__file__).parent
-    if EMITTED:
-        terminalreporter.section("paper figure/table reproductions")
-        for block in EMITTED:
-            for line in block.splitlines():
-                terminalreporter.write_line(line)
-        archive = here / "results_latest.txt"
-        archive.write_text("\n".join(EMITTED) + "\n")
-        terminalreporter.write_line(f"\n(archived to {archive})")
-    if RESULTS:
-        json_archive = here / "results_latest.json"
-        json_archive.write_text(
-            json.dumps(RESULTS, indent=2, sort_keys=True) + "\n"
-        )
-        terminalreporter.write_line(f"(machine-readable: {json_archive})")
+    terminalreporter.section("paper figure/table reproductions")
+    for block in EMITTED:
+        for line in block.splitlines():
+            terminalreporter.write_line(line)

@@ -20,26 +20,9 @@ from .harness import (
     bench_scale,
     emit,
     format_table,
-    record_result,
-)
-from .regression import (
-    DEFAULT_THRESHOLD,
-    MetricComparison,
-    compare_files,
-    compare_results,
-    format_comparisons,
-    load_results,
-    update_baseline,
 )
 
 __all__ = [
-    "DEFAULT_THRESHOLD",
-    "MetricComparison",
-    "compare_files",
-    "compare_results",
-    "format_comparisons",
-    "load_results",
-    "update_baseline",
     "CODEC_NAMES",
     "f2_layout",
     "fig3_tta",
@@ -57,5 +40,4 @@ __all__ = [
     "bench_scale",
     "emit",
     "format_table",
-    "record_result",
 ]

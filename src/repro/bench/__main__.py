@@ -12,22 +12,6 @@ Regenerates any paper figure/table without pytest::
 
 Pass ``--trace run.jsonl`` (or set ``REPRO_OBS_TRACE``) to record the
 gradient-path trace and append the observability report.
-
-``--compare`` switches to benchmark-regression mode: the latest archived
-results (``benchmarks/results_latest.json``, written by any benchmarks
-pytest run) are checked against the committed baseline
-(``benchmarks/BENCH_results.json``); any throughput metric more than
-``--threshold`` (default 30 %) below baseline fails with exit code 1::
-
-    python -m repro.bench --compare
-    python -m repro.bench --compare --threshold 0.5
-    python -m repro.bench --compare --update-baseline   # bless current run
-
-``--profile-sim`` runs the k=4 fat-tree cluster benchmark under
-:class:`~repro.obs.profile.SimProfiler` and prints the per-stage
-wall/modeled time table — the first stop when the simulator gets slow::
-
-    python -m repro.bench --profile-sim
 """
 
 from __future__ import annotations
@@ -38,13 +22,6 @@ import os
 import sys
 
 from .harness import ascii_chart, emit_obs_report, format_table, obs_from_env
-from .regression import (
-    DEFAULT_THRESHOLD,
-    compare_results,
-    format_comparisons,
-    load_results,
-    update_baseline,
-)
 
 _log = logging.getLogger("repro.bench.cli")
 
@@ -63,105 +40,6 @@ def _print_fig3(scale: str) -> None:
         _log.info("%s", format_table(["codec", "end time (s)", "final top-1"], rows))
 
 
-def _run_compare(args: argparse.Namespace) -> int:
-    """--compare mode: gate the latest benchmark run against the baseline."""
-    from .. import configure_logging
-
-    configure_logging()
-    try:
-        current = load_results(args.current)
-        baseline = load_results(args.baseline)
-        comparisons = compare_results(current, baseline, threshold=args.threshold)
-    except (OSError, ValueError) as exc:
-        _log.error("benchmark comparison failed: %s", exc)
-        return 2
-    _log.info("\n%s", format_comparisons(comparisons))
-    regressions = [comp for comp in comparisons if comp.regressed]
-    if args.update_baseline:
-        update_baseline(args.baseline, current)
-        _log.info("baseline %s updated with %d record(s)", args.baseline, len(current))
-        return 0
-    if regressions:
-        _log.error(
-            "%d metric(s) regressed more than %.0f%% below baseline",
-            len(regressions),
-            args.threshold * 100,
-        )
-        return 1
-    _log.info(
-        "all %d throughput metric(s) within %.0f%% of baseline",
-        len(comparisons),
-        args.threshold * 100,
-    )
-    return 0
-
-
-def _run_profile_sim(args: argparse.Namespace) -> int:
-    """--profile-sim: the fat-tree benchmark fabric under SimProfiler."""
-    from time import perf_counter
-
-    from .. import configure_logging
-    from ..net.crosstraffic import CROSS_TRAFFIC_FLOW_BASE, OnOffFlow
-    from ..net.topology import fat_tree
-    from ..obs.profile import SimProfiler
-
-    configure_logging()
-    # Mirrors benchmarks/test_fattree_sim.py: a k=4 fat-tree with eight
-    # on/off tenants crossing pods, drained for a fixed simulated window.
-    pairs = [
-        ("h0_0_0", "h2_1_1"), ("h0_0_1", "h3_0_0"),
-        ("h0_1_0", "h2_0_1"), ("h1_0_0", "h3_1_1"),
-        ("h1_1_1", "h2_0_0"), ("h2_1_0", "h0_0_1"),
-        ("h3_0_1", "h1_1_0"), ("h3_1_0", "h0_1_1"),
-    ]
-    net = fat_tree(k=4, rate_bps=10e9, ecmp=True, ecmp_seed=3, host_burst=8)
-    for index, (src, dst) in enumerate(pairs):
-        OnOffFlow(
-            net.sim,
-            net.hosts[src],
-            dst,
-            rate_bps=2.5e9,
-            burst_s=200e-6,
-            idle_s=50e-6,
-            seed=index,
-            flow_id=CROSS_TRAFFIC_FLOW_BASE + 900_000 + index,
-            stop_at=args.window_s,
-        ).start()
-    profiler = SimProfiler()
-    profiler.install(net.sim)
-    start = perf_counter()
-    net.sim.run(until=args.window_s)
-    wall_s = perf_counter() - start
-    profiler.uninstall(net.sim)
-    rows = [
-        [
-            row["stage"],
-            f"{row['events']:,}",
-            f"{row['wall_s'] * 1e3:.2f}",
-            f"{row['wall_share'] * 100:.1f}%",
-            f"{row['modeled_s'] * 1e6:.1f}",
-            f"{row['modeled_share'] * 100:.1f}%",
-        ]
-        for row in profiler.report()
-    ]
-    _log.info(
-        "\nfat-tree k=4 (ecmp, host_burst=8, 8 tenants): %d events in "
-        "%.4fs wall (%.3fms simulated, %.0f events/s)",
-        net.sim.events_processed,
-        wall_s,
-        net.sim.now * 1e3,
-        net.sim.events_processed / wall_s if wall_s else 0.0,
-    )
-    _log.info(
-        "%s",
-        format_table(
-            ["stage", "events", "wall (ms)", "wall %", "modeled (us)", "modeled %"],
-            rows,
-        ),
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -169,7 +47,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "experiment",
-        nargs="?",
         choices=["f2", "t2", "fig5", "t1", "fig3", "fig4", "all"],
         help="which paper artifact to regenerate",
     )
@@ -185,54 +62,7 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="write a gradient-path JSONL trace here and append the run report",
     )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="compare benchmarks/results_latest.json against the checked-in baseline",
-    )
-    parser.add_argument(
-        "--baseline",
-        default="benchmarks/BENCH_results.json",
-        metavar="PATH",
-        help="baseline results file (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--current",
-        default="benchmarks/results_latest.json",
-        metavar="PATH",
-        help="current results file to compare (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        metavar="FRACTION",
-        help="tolerated throughput drop before failing (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="with --compare: merge the current results into the baseline file",
-    )
-    parser.add_argument(
-        "--profile-sim",
-        action="store_true",
-        help="profile the fat-tree cluster benchmark per pipeline stage",
-    )
-    parser.add_argument(
-        "--window-s",
-        type=float,
-        default=5e-3,
-        metavar="SECONDS",
-        help="with --profile-sim: simulated window to drain (default: %(default)s)",
-    )
     args = parser.parse_args(argv)
-    if args.compare:
-        return _run_compare(args)
-    if args.profile_sim:
-        return _run_profile_sim(args)
-    if args.experiment is None:
-        parser.error("an experiment is required unless --compare or --profile-sim is given")
     if args.scale:
         os.environ["REPRO_BENCH_SCALE"] = args.scale
     scale = args.scale or os.environ.get("REPRO_BENCH_SCALE", "quick")

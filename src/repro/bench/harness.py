@@ -27,7 +27,6 @@ __all__ = [
     "ExperimentResult",
     "obs_from_env",
     "emit_obs_report",
-    "record_result",
 ]
 
 
@@ -43,35 +42,6 @@ def bench_scale() -> str:
 #: buffer in the terminal summary (pytest captures stdout at the fd
 #: level, so direct writes from inside a test would be swallowed).
 EMITTED: List[str] = []
-
-
-#: Machine-readable companion to EMITTED: every rendered
-#: :class:`ExperimentResult` plus any ad-hoc :func:`record_result` call,
-#: archived by the benchmarks conftest as ``BENCH_results.json`` next to
-#: ``results_latest.txt``.
-RESULTS: List[Dict] = []
-
-
-def record_result(experiment_id: str, metrics: Dict) -> None:
-    """Record one machine-readable result record for ``BENCH_results.json``.
-
-    ``metrics`` is any JSON-able mapping (numpy scalars are coerced).
-    :meth:`ExperimentResult.render` calls this automatically, so
-    table-based benchmarks need no extra plumbing; free-form benchmarks
-    can call it directly alongside :func:`emit`.
-    """
-    record = {"experiment_id": experiment_id}
-    for key, value in metrics.items():
-        record[str(key)] = _json_safe_tree(value)
-    RESULTS.append(record)
-
-
-def _json_safe_tree(value):
-    if isinstance(value, dict):
-        return {str(k): _json_safe_tree(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe_tree(v) for v in value]
-    return _json_safe(value)
 
 
 def emit(text: str) -> None:
@@ -181,10 +151,6 @@ class ExperimentResult:
     notes: str = ""
 
     def render(self) -> str:
-        record_result(
-            self.experiment_id,
-            {"headers": list(self.headers), "rows": self.rows, "notes": self.notes},
-        )
         table = format_table(self.headers, self.rows, title=f"[{self.experiment_id}]")
         return table + (f"\n{self.notes}" if self.notes else "")
 

@@ -12,27 +12,16 @@ deliberate violation with ``# repro-lint: disable=<rule>`` on the
 offending line (or ``disable-file=<rule>`` anywhere in the file).
 """
 
-from .baseline import Baseline, BaselineEntry, discover_baseline, finding_fingerprint
-from .cache import LintCache, file_digest, rules_signature
 from .engine import Finding, LintEngine, Rule, SourceModule, collect_files, package_relative
 from .rules import ALL_RULES, rules_by_name
-from .sarif import to_sarif
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
-    "LintCache",
     "LintEngine",
     "Rule",
     "SourceModule",
     "collect_files",
-    "discover_baseline",
-    "file_digest",
-    "finding_fingerprint",
     "package_relative",
     "rules_by_name",
-    "rules_signature",
-    "to_sarif",
 ]

@@ -6,37 +6,22 @@ Usage::
     repro-lint src/repro tests     # explicit paths
     repro-lint --select float-eq,print-call path/to/file.py
     repro-lint --format json       # machine-readable findings
-    repro-lint --format sarif      # SARIF 2.1.0 for code scanning
-    repro-lint --changed-only      # only files touched per git
-    repro-lint --jobs 4            # lint files in parallel
-    repro-lint --cache .repro-lint-cache.json   # incremental re-runs
     repro-lint --list-rules        # what is checked, and why
 
-A committed ``.repro-lint-baseline.json`` (auto-discovered by walking up
-from the linted paths; override with ``--baseline``, disable with
-``--no-baseline``) subtracts accepted findings before the exit status is
-decided.  ``--write-baseline`` records the current findings as accepted.
-
-Exit status: 0 when clean (ignoring baselined findings), 1 when any new
-finding survives suppression, 2 on usage errors.  Findings go to stdout,
-one per line; bookkeeping (baseline/cache statistics) goes to stderr.
+Exit status: 0 when clean, 1 when any finding survives suppression, 2 on
+usage errors.  Findings go to stdout, one per line.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
-from .baseline import Baseline, BaselineEntry, discover_baseline
-from .cache import LintCache, file_digest, rules_signature
-from .engine import Finding, LintEngine, Rule, collect_files
+from .engine import LintEngine, Rule
 from .rules import ALL_RULES, rules_by_name
-from .sarif import to_sarif
 
 
 def _default_paths() -> List[Path]:
@@ -57,88 +42,6 @@ def _parse_rule_list(text: str, parser: argparse.ArgumentParser) -> List[Rule]:
             parser.error(f"unknown rule {name!r}; known: {', '.join(sorted(known))}")
         chosen.append(known[name])
     return chosen
-
-
-def _git_changed_files(diff_base: Optional[str]) -> Optional[Set[Path]]:
-    """Resolved paths of files git considers changed, or None outside a repo.
-
-    With ``diff_base`` the set is ``git diff --name-only <base>`` plus
-    untracked files; without it, anything the working tree has touched
-    relative to HEAD (staged, unstaged, or untracked).
-    """
-
-    def run(*argv: str) -> Optional[List[str]]:
-        try:
-            proc = subprocess.run(
-                ["git", *argv], capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError):
-            return None
-        return [line for line in proc.stdout.splitlines() if line]
-
-    top = run("rev-parse", "--show-toplevel")
-    if not top:
-        return None
-    root = Path(top[0])
-    changed = run("diff", "--name-only", diff_base or "HEAD", "--")
-    untracked = run("ls-files", "--others", "--exclude-standard")
-    if changed is None or untracked is None:
-        return None
-    return {(root / name).resolve() for name in [*changed, *untracked]}
-
-
-def _lint_worker(payload: Tuple[str, Tuple[str, ...]]) -> List[Finding]:
-    """Module-level worker so ``--jobs`` can pickle it into subprocesses.
-
-    Rules carry compiled state that does not pickle; the worker rebuilds
-    the engine from rule *names* instead.
-    """
-    path_str, rule_names = payload
-    known = rules_by_name()
-    engine = LintEngine([known[name] for name in rule_names])
-    return engine.lint_file(Path(path_str))
-
-
-def _lint_files(files: Sequence[Path], rules: Sequence[Rule], jobs: int) -> List[Finding]:
-    """Lint ``files``, fanning out over ``jobs`` worker processes when > 1."""
-    if jobs <= 1 or len(files) <= 1:
-        engine = LintEngine(list(rules))
-        findings: List[Finding] = []
-        for path in files:
-            findings.extend(engine.lint_file(path))
-        return findings
-    rule_names = tuple(rule.name for rule in rules)
-    payloads = [(str(path), rule_names) for path in files]
-    findings = []
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for per_file in pool.map(_lint_worker, payloads):
-            findings.extend(per_file)
-    return findings
-
-
-def _load_baseline(
-    args: argparse.Namespace, paths: Sequence[Path], parser: argparse.ArgumentParser
-) -> Optional[Baseline]:
-    """The baseline to apply, honoring --no-baseline/--baseline/auto-discovery."""
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        if not args.baseline.is_file() and not args.write_baseline:
-            parser.error(f"no such baseline file: {args.baseline}")
-        if not args.baseline.is_file():
-            return None
-        try:
-            return Baseline.load(args.baseline)
-        except ValueError as exc:
-            parser.error(str(exc))
-    discovered = discover_baseline(list(paths))
-    if discovered is None:
-        return None
-    try:
-        return Baseline.load(discovered)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return None  # unreachable; parser.error raises
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -164,49 +67,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="finding output format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        metavar="PATH",
-        help="baseline file of accepted findings "
-        "(default: auto-discover .repro-lint-baseline.json upward from the lint paths)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report every finding, ignoring any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        metavar="PATH",
-        help="incremental-analysis cache file; unchanged files reuse cached findings",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only files git reports as changed (see --diff-base)",
-    )
-    parser.add_argument(
-        "--diff-base",
-        metavar="REF",
-        help="git ref to diff against for --changed-only (default: working tree vs HEAD)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint files in N parallel processes (default: 1)",
     )
     parser.add_argument(
         "--list-rules",
@@ -222,9 +85,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(f"    {rule.description}\n")
         return 0
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-
     rules: List[Rule] = list(ALL_RULES)
     if args.select:
         rules = _parse_rule_list(args.select, parser)
@@ -239,86 +99,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not path.exists():
             parser.error(f"no such file or directory: {path}")
 
-    files = collect_files(paths)
-
-    if args.changed_only:
-        changed = _git_changed_files(args.diff_base)
-        if changed is None:
-            parser.error("--changed-only requires running inside a git repository")
-        files = [path for path in files if path.resolve() in changed]
-
-    cache: Optional[LintCache] = None
-    cached_findings: List[Finding] = []
-    to_lint: List[Path] = files
-    if args.cache is not None:
-        signature = rules_signature(rules)
-        cache = LintCache.load(args.cache, signature)
-        digests: Dict[Path, Optional[str]] = {path: file_digest(path) for path in files}
-        to_lint = []
-        for path in files:
-            digest = digests[path]
-            hit = cache.get(path, digest) if digest is not None else None
-            if hit is None:
-                to_lint.append(path)
-            else:
-                cached_findings.extend(hit)
-
-    fresh_findings = _lint_files(to_lint, rules, args.jobs)
-
-    if cache is not None:
-        by_file: Dict[str, List[Finding]] = {str(path): [] for path in to_lint}
-        for finding in fresh_findings:
-            by_file.setdefault(finding.path, []).append(finding)
-        for path in to_lint:
-            digest = file_digest(path)
-            if digest is not None:
-                cache.put(path, digest, by_file.get(str(path), []))
-        cache.prune(files)
-        cache.save()
-        sys.stderr.write(
-            f"repro-lint: cache {cache.hits} hit(s), {cache.misses} miss(es)\n"
-        )
-
     findings = sorted(
-        [*cached_findings, *fresh_findings],
+        LintEngine(rules).lint_paths(paths),
         key=lambda f: (f.path, f.line, f.col, f.rule),
     )
 
-    baseline = _load_baseline(args, paths, parser)
-
-    if args.write_baseline:
-        target = args.baseline or (baseline.path if baseline else None)
-        if target is None:
-            target = Path.cwd() / ".repro-lint-baseline.json"
-        merged: Dict[str, BaselineEntry] = dict(baseline.entries) if baseline else {}
-        for entry in Baseline.from_findings(findings).entries.values():
-            merged.setdefault(entry.fingerprint, entry)
-        Baseline(list(merged.values()), path=Path(target)).save()
-        sys.stderr.write(
-            f"repro-lint: wrote {len(merged)} accepted finding(s) to {target}\n"
-        )
-        return 0
-
-    accepted: List[Finding] = []
-    stale: List[BaselineEntry] = []
-    if baseline is not None:
-        findings, accepted, stale = baseline.apply(findings)
-        if accepted:
-            sys.stderr.write(
-                f"repro-lint: {len(accepted)} baselined finding(s) suppressed"
-                f" ({baseline.path})\n"
-            )
-        for entry in stale:
-            sys.stderr.write(
-                f"repro-lint: stale baseline entry {entry.fingerprint}"
-                f" ({entry.rule} in {entry.path}) matched nothing\n"
-            )
-
     if args.format == "json":
         sys.stdout.write(json.dumps([f.to_json() for f in findings], indent=2) + "\n")
-    elif args.format == "sarif":
-        document = to_sarif(findings, rules)
-        sys.stdout.write(json.dumps(document, indent=2) + "\n")
     else:
         for finding in findings:
             sys.stdout.write(finding.format() + "\n")

@@ -163,10 +163,6 @@ class Rule:
     hint: str = ""
     scope: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
-    #: Bumped whenever the rule's behaviour changes; part of the
-    #: incremental-cache signature so stale cached findings never survive
-    #: a rule upgrade (see :mod:`repro.lint.cache`).
-    version: int = 1
 
     def applies_to(self, rel: str) -> bool:
         """Whether this rule runs on the module at package-relative ``rel``."""

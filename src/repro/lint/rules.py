@@ -214,7 +214,6 @@ class FloatEqRule(Rule):
     """Exact ``==``/``!=``/``is``/``is not`` against float literals."""
 
     name = "float-eq"
-    version = 2  # v2: also flags `is` / `is not` on float literals
     description = "no ==/!=/is/is not comparison against float literals in numeric modules"
     hint = (
         "use np.isclose/math.isclose with an explicit tolerance, or an "

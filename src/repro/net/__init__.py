@@ -9,7 +9,6 @@ from .simulator import Event, Simulator
 from .switch import Switch, SwitchStats
 from .telemetry import QueueMonitor, QueueSample, fabric_health, impairment_summary
 from .topology import GBPS, Network, dumbbell, fat_tree, leaf_spine
-from .trace import PacketTracer, TraceEvent
 
 __all__ = [
     "CROSS_TRAFFIC_FLOW_BASE",
@@ -31,8 +30,6 @@ __all__ = [
     "QueueSample",
     "fabric_health",
     "impairment_summary",
-    "PacketTracer",
-    "TraceEvent",
     "GBPS",
     "Network",
     "dumbbell",

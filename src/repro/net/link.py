@@ -142,10 +142,7 @@ class Link:
         self._int_hop = hop_id(label)
         # Prebuilt bound methods for Simulator.schedule_call: the hot
         # path posts (delay, fn, packet) tuples instead of allocating a
-        # closure + Event per packet.  Deliveries post ``dst.receive``
-        # looked up per schedule, so per-instance wrappers (PacketTracer
-        # attaches before the run, when nothing is in flight) still
-        # intercept every delivery.
+        # closure + Event per packet.
         self._finish_cb = self._finish
         self._finish_burst_cb = self._finish_burst
         # Bound scheduler entry point, cached once per link: the

@@ -167,11 +167,6 @@ class Switch(Device):
         # feeds INT aux, and the resolved Link rides along so the
         # forwarding path skips the ports lookup.
         self._ecmp_cache: Dict[Tuple[str, str, int], Tuple[str, int, Link]] = {}
-        # True while ``forward`` is the plain class method.  PacketTracer
-        # clears this when it wraps ``forward`` as an instance attribute,
-        # so the fused fast path below can gate on one attribute load
-        # instead of probing ``self.__dict__`` per packet.
-        self._forward_plain = True
         # Port -> number of distinct ECMP flows hashed onto it (collision
         # accounting for the fairness reports).
         self._ecmp_load: Dict[str, int] = {}
@@ -209,11 +204,6 @@ class Switch(Device):
         self._m_reroutes = registry.counter(
             "repro_switch_reroutes_total",
             "flows rehomed onto a surviving equal-cost leg after a port died",
-            ("switch",),
-        ).bind(switch=name)
-        self._m_blackhole = registry.counter(
-            "repro_switch_blackhole_drops_total",
-            "packets lost to a stale FIB during reroute convergence",
             ("switch",),
         ).bind(switch=name)
         self._m_ports_down = registry.gauge(
@@ -478,7 +468,6 @@ class Switch(Device):
             else:
                 # Stale-FIB window: the port is dead but the flow table
                 # still points at it, so the packet silently vanishes.
-                self._m_blackhole.inc()
                 self._drop(packet, "blackhole")
             return
         if self._path_changed and key in self._path_changed:
@@ -486,10 +475,10 @@ class Switch(Device):
             if packet.int_ext is not None:
                 ecmp_aux = ecmp_aux | AUX_PATH_CHANGED
         # Fused fast path: replicate forward -> enqueue -> push inline
-        # for the common case (no INT band to stamp, forward not wrapped
-        # by a PacketTracer).  Counter and ECN side effects are exactly
-        # ByteQueue.push's; any overflow falls back to the full method.
-        if packet.int_ext is None and self._forward_plain:
+        # for the common case (no INT band to stamp).  Counter and ECN
+        # side effects are exactly ByteQueue.push's; any overflow falls
+        # back to the full method.
+        if packet.int_ext is None:
             queue = link.queue
             bands = queue.bands
             last = queue._last_band
@@ -577,35 +566,16 @@ class Switch(Device):
     def forward(self, packet: Packet, link: Link, ecmp_aux: int = 0) -> None:
         """Enqueue on ``link``, trimming or dropping on overflow.
 
+        :meth:`receive` lands here when its fused fast path does not
+        apply: the packet carries an INT band, or the push would overflow.
         ``ecmp_aux`` (path index + 1 when the route had equal-cost
         alternatives) is stamped into the INT forward record so traces
         show which leg of an ECMP group the packet rode.
         """
         queue: PriorityQueue = link.queue  # type: ignore[assignment]
-        if packet.int_ext is None:
-            # Hot path: no INT band to stamp, so the pre-push fill is
-            # only needed if the push is rejected — and a rejected push
-            # leaves the band's occupancy untouched, so computing it
-            # after the attempt reads the same value.
-            if link.enqueue(packet):
-                self.stats.forwarded += 1
-                tracer = _obs_trace._TRACER
-                if tracer.enabled:
-                    tracer.event(
-                        "switch.forward",
-                        sim_time=self.sim.now,
-                        switch=self.name,
-                        dst=packet.dst,
-                        flow_id=packet.flow_id,
-                        seq=packet.seq,
-                        bytes=packet.wire_size,
-                        queue_bytes=queue.bytes_queued,
-                    )
-                return
-            fill_before = queue.data_band().fill
-        else:
-            fill_before = queue.data_band().fill
-            if link.enqueue(packet):
+        fill_before = queue.data_band().fill
+        if link.enqueue(packet):
+            if packet.int_ext is not None:
                 packet.int_ext.stamp(
                     self._int_hop,
                     DECISION_FORWARD,
@@ -615,20 +585,20 @@ class Switch(Device):
                     fill_permille=int(fill_before * 1000),
                     aux=ecmp_aux,
                 )
-                self.stats.forwarded += 1
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "switch.forward",
-                        sim_time=self.sim.now,
-                        switch=self.name,
-                        dst=packet.dst,
-                        flow_id=packet.flow_id,
-                        seq=packet.seq,
-                        bytes=packet.wire_size,
-                        queue_bytes=queue.bytes_queued,
-                    )
-                return
+            self.stats.forwarded += 1
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.event(
+                    "switch.forward",
+                    sim_time=self.sim.now,
+                    switch=self.name,
+                    dst=packet.dst,
+                    flow_id=packet.flow_id,
+                    seq=packet.seq,
+                    bytes=packet.wire_size,
+                    queue_bytes=queue.bytes_queued,
+                )
+            return
         # Overflow.  Express-band packets (already tiny) are just dropped;
         # data packets go through the trim policy.
         if queue.band_for(packet) != len(queue.bands) - 1:

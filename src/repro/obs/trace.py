@@ -23,7 +23,6 @@ add their own without touching this module.
 from __future__ import annotations
 
 import json
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -75,13 +74,6 @@ class Tracer:
             report generation; cap with ``max_events``.
         max_events: in-memory cap — the JSONL sink keeps receiving
             events after the cap, the list just stops growing.
-        jsonl_max_bytes: rotate the JSONL sink once it grows past this
-            many bytes (None = never; rotation keeps long chaos runs
-            from growing unbounded trace files).
-        jsonl_max_events: rotate after this many events per file.
-        jsonl_backups: rotated generations kept as ``path.1`` …
-            ``path.N``; events in a generation pushed past N are gone
-            and counted in ``jsonl_dropped_events``.
     """
 
     def __init__(
@@ -90,37 +82,15 @@ class Tracer:
         jsonl_path: Optional[str] = None,
         keep_events: bool = True,
         max_events: int = 1_000_000,
-        jsonl_max_bytes: Optional[int] = None,
-        jsonl_max_events: Optional[int] = None,
-        jsonl_backups: int = 1,
     ) -> None:
-        if jsonl_max_bytes is not None and jsonl_max_bytes <= 0:
-            raise ValueError(f"jsonl_max_bytes must be positive, got {jsonl_max_bytes}")
-        if jsonl_max_events is not None and jsonl_max_events <= 0:
-            raise ValueError(f"jsonl_max_events must be positive, got {jsonl_max_events}")
-        if jsonl_backups < 1:
-            raise ValueError(f"jsonl_backups must be >= 1, got {jsonl_backups}")
         self.enabled = enabled
         self.jsonl_path = jsonl_path
         self.keep_events = keep_events
         self.max_events = max_events
-        self.jsonl_max_bytes = jsonl_max_bytes
-        self.jsonl_max_events = jsonl_max_events
-        self.jsonl_backups = jsonl_backups
         self.events: List[TraceEvent] = []
         self.dropped_events = 0
-        #: Completed rotations (path -> path.1 -> … -> discarded).
-        self.jsonl_rotations = 0
-        #: Events whose JSONL lines were discarded when a rotated
-        #: generation fell off the end of the backup chain.
-        self.jsonl_dropped_events = 0
         self._seq = 0
         self._sink: Optional[IO[str]] = None
-        self._sink_bytes = 0
-        self._sink_events = 0
-        # Event counts of path.1 … path.N, newest first, so the tracer
-        # knows exactly how many events each discarded generation held.
-        self._backup_events: List[int] = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -171,46 +141,8 @@ class Tracer:
                 # Truncate: each tracer owns its file, and a rerun to the
                 # same path must not double-count the previous run.
                 self._sink = open(self.jsonl_path, "w", encoding="utf-8")
-                self._sink_bytes = 0
-                self._sink_events = 0
-            line = json.dumps(ev.to_json()) + "\n"
-            self._sink.write(line)
-            self._sink_bytes += len(line)
-            self._sink_events += 1
-            if (
-                self.jsonl_max_bytes is not None
-                and self._sink_bytes >= self.jsonl_max_bytes
-            ) or (
-                self.jsonl_max_events is not None
-                and self._sink_events >= self.jsonl_max_events
-            ):
-                self._rotate()
+            self._sink.write(json.dumps(ev.to_json()) + "\n")
         return ev
-
-    def _rotate(self) -> None:
-        """Shift the active JSONL file into the backup chain.
-
-        ``path`` becomes ``path.1``, pushing older generations down;
-        the generation past ``jsonl_backups`` is deleted and its events
-        are added to ``jsonl_dropped_events``.
-        """
-        assert self.jsonl_path is not None and self._sink is not None
-        self._sink.close()
-        self._sink = None
-        # Drop the oldest generation if the chain is full.
-        oldest = f"{self.jsonl_path}.{self.jsonl_backups}"
-        if len(self._backup_events) >= self.jsonl_backups:
-            if os.path.exists(oldest):
-                os.remove(oldest)
-            self.jsonl_dropped_events += self._backup_events.pop()
-        # Shift the survivors down: path.N-1 -> path.N, ...
-        for gen in range(len(self._backup_events), 0, -1):
-            os.replace(f"{self.jsonl_path}.{gen}", f"{self.jsonl_path}.{gen + 1}")
-        os.replace(self.jsonl_path, f"{self.jsonl_path}.1")
-        self._backup_events.insert(0, self._sink_events)
-        self._sink_bytes = 0
-        self._sink_events = 0
-        self.jsonl_rotations += 1
 
     @contextmanager
     def span(self, name: str, sim_time: Optional[float] = None, **fields: Any):
@@ -262,21 +194,8 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def trace_to(
-    path: Optional[str],
-    keep_events: bool = True,
-    jsonl_max_bytes: Optional[int] = None,
-    jsonl_max_events: Optional[int] = None,
-    jsonl_backups: int = 1,
-) -> Tracer:
+def trace_to(path: Optional[str], keep_events: bool = True) -> Tracer:
     """Enable process-wide tracing, streaming to ``path`` (None = memory only)."""
-    tracer = Tracer(
-        enabled=True,
-        jsonl_path=path,
-        keep_events=keep_events,
-        jsonl_max_bytes=jsonl_max_bytes,
-        jsonl_max_events=jsonl_max_events,
-        jsonl_backups=jsonl_backups,
-    )
+    tracer = Tracer(enabled=True, jsonl_path=path, keep_events=keep_events)
     set_tracer(tracer)
     return tracer

@@ -100,6 +100,47 @@ def test_list_rules(capsys):
         assert name in out
 
 
+def test_list_rules_includes_flow_families(capsys):
+    assert main(["--list-rules"]) == 0
+    out = capsys.readouterr().out
+    for name in (
+        "nondeterminism-taint",
+        "packet-typestate",
+        "bits-bytes",
+        "sim-callback-write",
+    ):
+        assert name in out
+    assert "sim-callback-write (warning" in out
+
+
+def write_module(root: Path, rel: str, text: str) -> Path:
+    target = root / "repro" / rel
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(text, encoding="utf-8")
+    return target
+
+
+def test_comma_separated_suppression(tmp_path):
+    source = (
+        "def f(v):\n"
+        "    ok = v == 0.5; print(v)  # repro-lint: disable=float-eq,print-call\n"
+        "    return ok\n"
+    )
+    target = write_module(tmp_path, "core/both.py", source)
+    assert main([str(target)]) == 0
+
+
+def test_comma_separated_suppression_is_not_a_wildcard(tmp_path, capsys):
+    source = (
+        "def f(v):\n"
+        "    ok = v == 0.5; print(v)  # repro-lint: disable=float-eq\n"
+        "    return ok\n"
+    )
+    target = write_module(tmp_path, "core/partial.py", source)
+    assert main([str(target)]) == 1
+    assert "print-call" in capsys.readouterr().out
+
+
 def test_repo_source_tree_is_clean(capsys):
     """Meta-check: ``repro-lint src/repro`` must pass on the repo itself."""
     package = REPO_ROOT / "src" / "repro"

@@ -162,6 +162,12 @@ def test_package_relative():
     assert package_relative(Path("standalone.py")) == "standalone.py"
 
 
+def test_lint_results_are_reproducible():
+    """Same bytes → identical findings, twice from one engine."""
+    first = lint_fixture("core/bad_print.py")
+    assert first and first == lint_fixture("core/bad_print.py")
+
+
 def test_parse_error_becomes_finding(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def broken(:\n", encoding="utf-8")

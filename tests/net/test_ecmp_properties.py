@@ -8,14 +8,13 @@ seeds with hypothesis:
 * per-flow hashing never reorders packets within a flow.
 """
 
-import dataclasses
 import json
 
 from hypothesis import given, settings, strategies as st
 
 from repro.net.crosstraffic import OnOffFlow
 from repro.net.topology import fat_tree, leaf_spine
-from repro.net.trace import PacketTracer
+from repro.obs.trace import Tracer, set_tracer
 from repro.packet.packet import Packet
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
@@ -80,8 +79,8 @@ def test_flows_spread_across_all_equal_cost_paths(seed):
 def test_no_intra_flow_reordering(seed, flow_id):
     """A flow's packets arrive in send order despite multipath."""
     net = fat_tree(k=4, ecmp=True, ecmp_seed=seed)
-    tracer = PacketTracer(net.sim)
-    tracer.attach_host(net.hosts["h3_1_1"])
+    delivered = []
+    net.hosts["h3_1_1"].set_default_handler(delivered.append)
     for seq in range(50):
         net.hosts["h0_0_0"].send(
             Packet(
@@ -93,38 +92,44 @@ def test_no_intra_flow_reordering(seed, flow_id):
             )
         )
     net.sim.run()
-    seqs = [e.seq for e in tracer.of_kind("deliver") if e.flow_id == flow_id]
-    assert seqs == list(range(50))
+    assert [(p.flow_id, p.seq) for p in delivered] == [
+        (flow_id, seq) for seq in range(50)
+    ]
 
 
 def _run_traced(seed: int) -> str:
-    """One short cross-traffic run, serialized as a JSONL trace."""
-    net = leaf_spine(leaves=2, spines=2, hosts_per_leaf=2, ecmp=True, ecmp_seed=seed)
-    tracer = PacketTracer(net.sim)
-    for switch in net.switches.values():
-        tracer.attach_switch(switch)
-    for host in net.hosts.values():
-        tracer.attach_host(host)
-    flow = OnOffFlow(
-        net.sim,
-        net.hosts["h0_0"],
-        "h1_1",
-        rate_bps=5e9,
-        burst_s=50e-6,
-        idle_s=20e-6,
-        seed=seed,
-        stop_at=1e-3,
-    )
-    flow.start()
-    net.sim.run(until=1.2e-3)
+    """One short cross-traffic run, serialized as a JSONL trace.
+
+    Recorded by the shipping :class:`repro.obs.trace.Tracer` (in memory):
+    every ``switch.forward`` / ``switch.trim`` / ``switch.drop`` event,
+    minus the host clock.
+    """
+    tracer = Tracer(enabled=True)
+    previous = set_tracer(tracer)
+    try:
+        net = leaf_spine(
+            leaves=2, spines=2, hosts_per_leaf=2, ecmp=True, ecmp_seed=seed
+        )
+        flow = OnOffFlow(
+            net.sim,
+            net.hosts["h0_0"],
+            "h1_1",
+            rate_bps=5e9,
+            burst_s=50e-6,
+            idle_s=20e-6,
+            seed=seed,
+            stop_at=1e-3,
+        )
+        flow.start()
+        net.sim.run(until=1.2e-3)
+    finally:
+        set_tracer(previous)
     lines = []
-    for e in tracer.events:
-        record = dataclasses.asdict(e)
-        # packet_id is a process-global allocation counter (it numbers
-        # every Packet ever built, like id()); behavioral determinism is
-        # about what happened to which flow/seq and when.
-        record.pop("packet_id")
-        lines.append(json.dumps(record, sort_keys=True))
+    for event in tracer.events:
+        if event.name.startswith("switch."):
+            record = event.to_json()
+            del record["wall_time"]
+            lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines)
 
 

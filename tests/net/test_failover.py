@@ -15,7 +15,6 @@ The self-healing contract from the fabric's point of view:
 """
 
 from repro.net.topology import leaf_spine
-from repro.net.trace import PacketTracer
 from repro.obs.int_telemetry import (
     AUX_PATH_CHANGED,
     DECISION_FORWARD,
@@ -125,8 +124,8 @@ class TestFailoverReroute:
         net = _build()
         leaf0 = net.switches["leaf0"]
         flow = _flow_via(net, "spine0")
-        tracer = PacketTracer(net.sim)
-        tracer.attach_host(net.hosts["h1_0"])
+        delivered = []
+        net.hosts["h1_0"].set_default_handler(delivered.append)
 
         _send(net, flow, seq=0)
         net.sim.run()
@@ -140,7 +139,7 @@ class TestFailoverReroute:
 
         assert leaf0.stats.blackhole >= 1
         assert leaf0.stats.drops_by_kind.get("blackhole", 0) >= 1
-        assert leaf0._m_blackhole.value >= 1.0
+        assert leaf0._m_dropped_by_kind["blackhole"].value >= 1.0
         assert leaf0.stats.drops_by_kind.get("port-blackout", 0) == 0
 
         _send(net, flow, seq=2)  # post-convergence: rehomes
@@ -150,8 +149,7 @@ class TestFailoverReroute:
         assert leaf0._m_reroutes.value == 1.0
         new_leg = leaf0._ecmp_cache[("h0_0", "h1_0", flow)][0]
         assert new_leg in SPINES and new_leg != "spine0"
-        delivered = [e.seq for e in tracer.of_kind("deliver") if e.flow_id == flow]
-        assert delivered == [0, 2]
+        assert [(p.flow_id, p.seq) for p in delivered] == [(flow, 0), (flow, 2)]
 
     def test_flow_path_prediction_matches_rerouted_cache(self):
         net = _build()
@@ -244,8 +242,8 @@ class TestSwitchDown:
         _send(net, flow)
         net.sim.run()
         spine.set_failed(False)
-        tracer = PacketTracer(net.sim)
-        tracer.attach_host(net.hosts["h1_0"])
+        delivered = []
+        net.hosts["h1_0"].set_default_handler(delivered.append)
         _send(net, flow, seq=1)
         net.sim.run()
-        assert [e.seq for e in tracer.of_kind("deliver") if e.flow_id == flow] == [1]
+        assert [(p.flow_id, p.seq) for p in delivered] == [(flow, 1)]

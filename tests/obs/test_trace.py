@@ -55,6 +55,15 @@ class TestTracer:
         assert lines[0]["fields"] == {"n": 1}
         assert "duration_s" in lines[1]
 
+    def test_jsonl_sink_truncates_a_previous_run(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        for run in range(2):
+            tracer = Tracer(enabled=True, jsonl_path=str(path))
+            tracer.event("a", run=run)
+            tracer.close()
+        (line,) = path.read_text().splitlines()
+        assert json.loads(line)["fields"] == {"run": 1}
+
     def test_to_jsonl_dump(self, tmp_path):
         tracer = Tracer(enabled=True)
         tracer.event("a")
@@ -78,79 +87,3 @@ class TestGlobals:
             set_tracer(previous)
         assert get_tracer() is previous
 
-
-class TestJsonlRotation:
-    def events(self, tracer, n):
-        for i in range(n):
-            tracer.event("e", i=i)
-
-    def test_rotate_by_event_count(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        tracer = Tracer(
-            enabled=True, jsonl_path=str(path), jsonl_max_events=3, jsonl_backups=2
-        )
-        self.events(tracer, 10)
-        tracer.close()
-        # Events 1-3 rotated off the end of the chain; 4-6 and 7-9 are
-        # the backups; event 10 is in the active file.
-        assert tracer.jsonl_rotations == 3
-        assert tracer.jsonl_dropped_events == 3
-        active = path.read_text().splitlines()
-        newest = (tmp_path / "t.jsonl.1").read_text().splitlines()
-        oldest = (tmp_path / "t.jsonl.2").read_text().splitlines()
-        assert len(active) == 1
-        assert len(newest) == 3
-        assert len(oldest) == 3
-        assert json.loads(active[0])["fields"] == {"i": 9}
-        assert json.loads(oldest[0])["fields"] == {"i": 3}
-        assert not (tmp_path / "t.jsonl.3").exists()
-
-    def test_rotate_by_bytes(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        tracer = Tracer(enabled=True, jsonl_path=str(path), jsonl_max_bytes=1)
-        self.events(tracer, 3)  # every event overflows the 1-byte cap
-        tracer.close()
-        assert tracer.jsonl_rotations == 3
-        # Chain depth 1: each rotation past the first discards one event.
-        assert tracer.jsonl_dropped_events == 2
-        # The last event rotated the file away; a new active file only
-        # appears on the next event.
-        assert not path.exists()
-        assert len((tmp_path / "t.jsonl.1").read_text().splitlines()) == 1
-
-    def test_no_rotation_below_thresholds(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        tracer = Tracer(
-            enabled=True, jsonl_path=str(path), jsonl_max_events=100
-        )
-        self.events(tracer, 5)
-        tracer.close()
-        assert tracer.jsonl_rotations == 0
-        assert tracer.jsonl_dropped_events == 0
-        assert len(path.read_text().splitlines()) == 5
-        assert not (tmp_path / "t.jsonl.1").exists()
-
-    def test_invalid_rotation_config_rejected(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        for kwargs in (
-            {"jsonl_max_bytes": 0},
-            {"jsonl_max_events": -1},
-            {"jsonl_backups": 0},
-        ):
-            try:
-                Tracer(enabled=True, jsonl_path=path, **kwargs)
-            except ValueError:
-                continue
-            raise AssertionError(f"{kwargs} accepted")
-
-    def test_trace_to_forwards_rotation_config(self, tmp_path):
-        previous = get_tracer()
-        tracer = trace_to(
-            str(tmp_path / "t.jsonl"), jsonl_max_events=2, jsonl_backups=3
-        )
-        try:
-            assert tracer.jsonl_max_events == 2
-            assert tracer.jsonl_backups == 3
-        finally:
-            tracer.close()
-            set_tracer(previous)
