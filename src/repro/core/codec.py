@@ -152,6 +152,34 @@ class GradientCodec:
             raise ValueError(f"missing mask shape {missing.shape} != ({enc.length},)")
         return missing
 
+    def _select(
+        self, enc: EncodedGradient, mask: np.ndarray, lost: np.ndarray, exact: np.ndarray
+    ) -> np.ndarray:
+        """Shared decode tail of the 1-bit-head codecs.
+
+        ``exact`` (a fresh array, returned as is for a whole message) where
+        the tail arrived, :meth:`_head_only` where ``mask`` says it was
+        trimmed, 0 where ``lost``.  Each select runs only when its mask
+        selects something: ``np.where`` is the one pass here numpy does not
+        vectorize, and most messages arrive whole.
+        """
+        if mask.any():
+            signs = enc.heads.astype(np.float64)
+            signs *= 2.0
+            signs -= 1.0
+            exact = np.where(mask, self._head_only(enc, signs), exact)
+        if lost.any():
+            exact = np.where(lost, 0.0, exact)
+        return exact
+
+    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
+        """Estimate of every coordinate from its head alone.
+
+        ``signs`` is the head plane as float64 ``±1``, a scratch array the
+        codec may scale in place and return.
+        """
+        raise NotImplementedError
+
 
 # -- registry ---------------------------------------------------------------
 
@@ -193,9 +221,13 @@ def available_codecs() -> list[str]:
 
 
 def float32_sign_bits(values: np.ndarray) -> np.ndarray:
-    """Sign bit of each float32 (1 = negative), as uint32."""
+    """Sign bit of each float32 (1 = negative), as uint32.
+
+    A float32 input is viewed, not converted: an encoder that needs sign
+    and rest makes one ``astype(np.float32)`` image and passes it to both.
+    """
     bits = np.asarray(values, dtype=np.float32).view(np.uint32)
-    return (bits >> np.uint32(31)) & np.uint32(1)
+    return bits >> np.uint32(31)
 
 
 def float32_rest_bits(values: np.ndarray) -> np.ndarray:
@@ -205,8 +237,13 @@ def float32_rest_bits(values: np.ndarray) -> np.ndarray:
 
 
 def compose_float32(sign_bits: np.ndarray, rest_bits: np.ndarray) -> np.ndarray:
-    """Rebuild float32 values from sign and exponent+mantissa bits."""
-    sign = (np.asarray(sign_bits, dtype=np.uint32) & np.uint32(1)) << np.uint32(31)
+    """Rebuild float32 values from sign and exponent+mantissa bits.
+
+    Only bit 0 of ``sign_bits`` and bits 0-30 of ``rest_bits`` are read
+    (the shift and the mask drop the rest), so hostile wire values cannot
+    leak into the other field.
+    """
+    sign = np.asarray(sign_bits, dtype=np.uint32) << np.uint32(31)
     rest = np.asarray(rest_bits, dtype=np.uint32) & np.uint32(0x7FFFFFFF)
     return (sign | rest).view(np.float32).astype(np.float64)
 

@@ -39,6 +39,7 @@ from ..packet.bitpack import pack_segments, packed_size, unpack_batch
 from ..packet.header import (
     FLAG_INT,
     FLAG_METADATA,
+    FLAG_TRIMMED,
     GRADIENT_HEADER_BYTES,
     GradientHeader,
 )
@@ -108,7 +109,8 @@ def packetize(
     """
     meta = enc.metadata
     n_per_packet = coords_per_packet(mtu, enc.head_bits, enc.tail_bits)
-    packets: list[Packet] = []
+    num_chunks = -(-enc.length // n_per_packet)
+    full_chunks = max(num_chunks - 1, 0)  # the final chunk may be short
 
     # When INT is enabled, every packet of this message carries a
     # fixed-size telemetry band.  The FLAG_INT bit is baked into the
@@ -117,19 +119,17 @@ def packetize(
     capacity = int_capacity()
     int_flag = FLAG_INT if capacity is not None else 0
 
-    meta_header = GradientHeader(
-        codec_id=enc.codec_id,
-        head_bits=enc.head_bits,
-        tail_bits=enc.tail_bits,
-        message_id=meta.message_id,
-        epoch=meta.epoch,
-        chunk_index=0,
-        coord_offset=0,
-        coord_count=0,
-        seed=meta.seed,
-        flags=FLAG_METADATA | int_flag,
-    )
-    packets.append(
+    common = (enc.codec_id, enc.head_bits, enc.tail_bits, meta.message_id, meta.epoch)
+
+    def header(chunk_index: int, coord_offset: int, coord_count: int, flags: int) -> GradientHeader:
+        return GradientHeader(*common, chunk_index, coord_offset, coord_count, meta.seed, 1, flags)
+
+    # The largest values any header of this message carries: a message too
+    # big for the wire format fails here, typed, before anything is packed.
+    header(num_chunks, full_chunks * n_per_packet, n_per_packet, int_flag).check_fits()
+
+    meta_header = header(0, 0, 0, FLAG_METADATA | int_flag)
+    packets = [
         Packet(
             src=src,
             dst=dst,
@@ -139,7 +139,7 @@ def packetize(
             flow_id=flow_id,
             int_ext=INTExtension(capacity) if capacity is not None else None,
         )
-    )
+    ]
 
     # Pack the whole head and tail planes in one batched call each, with
     # byte-aligned per-packet segments, then lay every payload out in a
@@ -148,62 +148,49 @@ def packetize(
     # again when a switch trims — see Packet.trim).
     heads_plane = pack_segments(enc.heads, enc.head_bits, n_per_packet)
     tails_plane = pack_segments(enc.tails, enc.tail_bits, n_per_packet)
-    num_chunks = heads_plane.num_segments
-    # Every segment but the last has identical geometry; hoist the size
-    # arithmetic out of the per-packet loop (packed_size per packet shows
-    # up in profiles at this call rate).
-    full_head_bytes = packed_size(n_per_packet, enc.head_bits)
-    full_tail_bytes = packed_size(n_per_packet, enc.tail_bits)
+    head_bytes = heads_plane.seg_bytes
+    tail_bytes = tails_plane.seg_bytes
     last_count = heads_plane.segment_count(num_chunks - 1)
     last_head_bytes = packed_size(last_count, enc.head_bits)
     last_tail_bytes = packed_size(last_count, enc.tail_bits)
-    full_payload = GRADIENT_HEADER_BYTES + full_head_bytes + full_tail_bytes
+    full_payload = GRADIENT_HEADER_BYTES + head_bytes + tail_bytes
     last_payload = GRADIENT_HEADER_BYTES + last_head_bytes + last_tail_bytes
-    buf = bytearray(full_payload * (num_chunks - 1) + last_payload)
-    heads_buf = memoryview(heads_plane.buffer)
-    tails_buf = memoryview(tails_plane.buffer)
-    views = memoryview(buf).toreadonly()
-    head_seg_bytes = heads_plane.seg_bytes
-    tail_seg_bytes = tails_plane.seg_bytes
+    last_pos = full_payload * full_chunks
+    buf = bytearray(last_pos + last_payload)
 
-    pos = 0
+    # Every chunk but the last has the same geometry, so their payloads are
+    # the rows of a matrix over ``buf``: the header block and both packed
+    # planes go in as three strided stores (plus two header columns).
+    rows = np.frombuffer(buf, dtype=np.uint8)[:last_pos].reshape(full_chunks, full_payload)
+    head_rows = np.frombuffer(heads_plane.buffer, dtype=np.uint8).reshape(num_chunks, head_bytes)
+    tail_rows = np.frombuffer(tails_plane.buffer, dtype=np.uint8).reshape(num_chunks, tail_bytes)
+    tails_at = GRADIENT_HEADER_BYTES + head_bytes
+    header(1, 0, n_per_packet, int_flag).pack_run(rows[:, :GRADIENT_HEADER_BYTES], n_per_packet)
+    rows[:, GRADIENT_HEADER_BYTES:tails_at] = head_rows[:-1]
+    rows[:, tails_at:] = tail_rows[:-1]
+    # The last chunk may be short, so it is written on its own.
+    header(num_chunks, full_chunks * n_per_packet, last_count, int_flag).pack_into(buf, last_pos)
+    last_tails_at = last_pos + GRADIENT_HEADER_BYTES + last_head_bytes
+    buf[last_pos + GRADIENT_HEADER_BYTES : last_tails_at] = head_rows[-1, :last_head_bytes].data
+    buf[last_tails_at:] = tail_rows[-1, :last_tail_bytes].data
+
+    views = memoryview(buf).toreadonly()
     for chunk in range(num_chunks):
-        last = chunk == num_chunks - 1
-        count = last_count if last else n_per_packet
-        head_bytes = last_head_bytes if last else full_head_bytes
-        tail_bytes = last_tail_bytes if last else full_tail_bytes
-        payload_size = last_payload if last else full_payload
-        header = GradientHeader(
-            codec_id=enc.codec_id,
-            head_bits=enc.head_bits,
-            tail_bits=enc.tail_bits,
-            message_id=meta.message_id,
-            epoch=meta.epoch,
-            chunk_index=chunk + 1,
-            coord_offset=chunk * n_per_packet,
-            coord_count=count,
-            seed=meta.seed,
-            flags=int_flag,
-        )
-        header.pack_into(buf, pos)
-        cursor = pos + GRADIENT_HEADER_BYTES
-        hs = chunk * head_seg_bytes
-        ts = chunk * tail_seg_bytes
-        buf[cursor : cursor + head_bytes] = heads_buf[hs : hs + head_bytes]
-        cursor += head_bytes
-        buf[cursor : cursor + tail_bytes] = tails_buf[ts : ts + tail_bytes]
+        pos = chunk * full_payload
+        offset = chunk * n_per_packet
         packets.append(
             Packet(
                 src=src,
                 dst=dst,
-                payload=views[pos : pos + payload_size],
-                grad_header=header,
+                payload=views[pos : pos + full_payload],  # the last chunk's slice ends with buf
+                grad_header=header(
+                    chunk + 1, offset, min(n_per_packet, enc.length - offset), int_flag
+                ),
                 flow_id=flow_id,
                 seq=chunk + 1,
                 int_ext=INTExtension(capacity) if capacity is not None else None,
             )
         )
-        pos += payload_size
     tracer = get_tracer()
     if tracer.enabled:
         tracer.event(
@@ -228,22 +215,22 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
     ``length`` overrides the total coordinate count (otherwise inferred
     from the highest coordinate range seen plus the metadata packet).
     """
-    # Parse every gradient header exactly once up front (satellite of the
-    # fast-path rework: the old code re-parsed headers up to three times
-    # per packet during length inference).
+    # Parse every gradient header exactly once up front, and read its
+    # flags word directly: the ``trimmed`` / ``is_metadata`` properties
+    # cost a call each, several times a packet.
     data_packets: list[tuple[GradientHeader, Packet]] = []
     metadata: Optional[GradientMetadata] = None
     geometry: Optional[GradientHeader] = None
 
     for pkt in packets:
         header = pkt.grad_header or GradientHeader.from_bytes(pkt.payload)
-        if header.is_metadata:
+        if header.flags & FLAG_METADATA:
             metadata = GradientMetadata.from_bytes(pkt.payload[GRADIENT_HEADER_BYTES:])
             geometry = geometry or header
         else:
             data_packets.append((header, pkt))
-            geometry = header if geometry is None or geometry.is_metadata else geometry
-
+    if data_packets:
+        geometry = data_packets[0][0]
     if geometry is None:
         raise ValueError("no gradient packets to depacketize")
 
@@ -252,20 +239,6 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
             (hdr.coord_offset + hdr.coord_count for hdr, _ in data_packets),
             default=0,
         )
-
-    # Geometry fields for the *untrimmed* encoding come from any data
-    # packet: a trimmed packet reports its post-trim head_bits, so derive
-    # the full split from head_bits + tail_bits which trim preserves.
-    full_head_bits = None
-    full_tail_bits = None
-    for hdr, _ in data_packets:
-        if not hdr.trimmed:
-            full_head_bits, full_tail_bits = hdr.head_bits, hdr.tail_bits
-            break
-    if full_head_bits is None or full_tail_bits is None:
-        # All packets trimmed: the head plane width is whatever survived.
-        full_head_bits = geometry.head_bits
-        full_tail_bits = geometry.tail_bits
 
     heads = np.zeros(length, dtype=np.uint32)
     tails = np.zeros(length, dtype=np.uint32)
@@ -276,30 +249,44 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
     # planes in one batched call; a message's packets share one geometry
     # (plus a possibly-smaller final chunk and the trimmed variants), so
     # this collapses the per-packet unpack loop into a handful of calls.
-    # A group is (head plane bytes, body bytes, coord offsets, bodies).
-    groups: dict[tuple[int, int, int, bool], tuple[int, int, list[int], list[memoryview]]] = {}
+    # A group is (payload offset of the tail plane, of the payload's end,
+    # coord offsets, head planes, tail planes).
+    groups: dict[
+        tuple[int, int, int, bool],
+        tuple[int, int, list[int], list[memoryview], list[memoryview]],
+    ] = {}
+    # Geometry of the *untrimmed* encoding comes from the first untrimmed
+    # data packet; with every packet trimmed, the head plane width is
+    # whatever survived.
+    full_bits: Optional[tuple[int, int]] = None
     for hdr, pkt in data_packets:
         lo, hi = hdr.coord_offset, hdr.coord_offset + hdr.coord_count
         if hi > length:
             raise ValueError(f"packet covers coords [{lo},{hi}) beyond length {length}")
-        key = (hdr.coord_count, hdr.head_bits, hdr.tail_bits, hdr.trimmed)
+        was_trimmed = bool(hdr.flags & FLAG_TRIMMED)
+        if full_bits is None and not was_trimmed:
+            full_bits = (hdr.head_bits, hdr.tail_bits)
+        key = (hdr.coord_count, hdr.head_bits, hdr.tail_bits, was_trimmed)
         group = groups.get(key)
         if group is None:
-            head_need = packed_size(hdr.coord_count, hdr.head_bits)
-            tail_need = 0 if hdr.trimmed else packed_size(hdr.coord_count, hdr.tail_bits)
-            group = groups[key] = (head_need, head_need + tail_need, [], [])
-        _, need, los, bodies = group
-        body = memoryview(pkt.payload)[GRADIENT_HEADER_BYTES:]
-        if len(body) < need:
+            tails_at = GRADIENT_HEADER_BYTES + packed_size(hdr.coord_count, hdr.head_bits)
+            end = tails_at + (0 if was_trimmed else packed_size(hdr.coord_count, hdr.tail_bits))
+            group = groups[key] = (tails_at, end, [], [], [])
+        tails_at, end, los, head_planes, tail_planes = group
+        payload = memoryview(pkt.payload)
+        if len(payload) < end:
             raise ValueError(
-                f"need {need} payload bytes for {hdr.coord_count} coords "
-                f"({hdr.head_bits}+{0 if hdr.trimmed else hdr.tail_bits} bits), "
-                f"got {len(body)}"
+                f"need {end - GRADIENT_HEADER_BYTES} payload bytes for {hdr.coord_count} coords "
+                f"({hdr.head_bits}+{0 if was_trimmed else hdr.tail_bits} bits), "
+                f"got {max(len(payload) - GRADIENT_HEADER_BYTES, 0)}"
             )
         los.append(lo)
-        bodies.append(body[:need])
+        head_planes.append(payload[GRADIENT_HEADER_BYTES:tails_at])
+        if not was_trimmed:
+            tail_planes.append(payload[tails_at:end])
 
-    for (count, head_bits, tail_bits, was_trimmed), (head_need, _, los, bodies) in groups.items():
+    for (count, head_bits, tail_bits, was_trimmed), group in groups.items():
+        _, _, los, head_planes, tail_planes = group
         offsets = np.asarray(los, dtype=np.int64)
         if count and not (offsets % count).any():
             # Every packet sits on the group's own coord_count grid (all
@@ -315,15 +302,14 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
         head_rows, tail_rows, trimmed_rows, covered_rows = (
             plane[:grid].reshape(-1, width) for plane in (heads, tails, trimmed, covered)
         )
-        head_vals = unpack_batch([b[:head_need] for b in bodies], count, head_bits)
-        head_rows[index] = head_vals.reshape(-1, width)
+        head_rows[index] = unpack_batch(head_planes, count, head_bits).reshape(-1, width)
         covered_rows[index] = True
         if was_trimmed:
             trimmed_rows[index] = True
         else:
-            tail_vals = unpack_batch([b[head_need:] for b in bodies], count, tail_bits)
-            tail_rows[index] = tail_vals.reshape(-1, width)
+            tail_rows[index] = unpack_batch(tail_planes, count, tail_bits).reshape(-1, width)
 
+    full_head_bits, full_tail_bits = full_bits or (geometry.head_bits, geometry.tail_bits)
     return GradientMessage(
         heads=heads,
         tails=tails,

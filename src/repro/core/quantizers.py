@@ -21,7 +21,6 @@ reduced tail loses original precision (footnote 1).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -48,24 +47,6 @@ __all__ = [
 CLIP_SIGMA_MULTIPLIER = 2.5
 
 
-@lru_cache(maxsize=8)
-def _cached_dither(
-    root_seed: int, epoch: int, message_id: int, scale: float, n: int
-) -> np.ndarray:
-    """Frozen dither stream for one ``(seed, message)`` key.
-
-    The SD codec regenerates the identical ``U(-L, L)`` stream on encode
-    and again on decode of the same message; caching the (read-only)
-    array means each stream is drawn once per round trip.  The cache is
-    deliberately tiny — streams are gradient-sized, and only the few
-    in-flight messages of the current step can hit.
-    """
-    gen = shared_generator(root_seed, epoch, message_id, purpose="dither")
-    dither = gen.uniform(-scale, scale, size=n)
-    dither.setflags(write=False)
-    return dither
-
-
 class ScalarCodec(GradientCodec):
     """Shared machinery for the per-coordinate (non-rotating) codecs."""
 
@@ -90,31 +71,31 @@ class ScalarCodec(GradientCodec):
         )
 
     @staticmethod
-    def _plus_head(values: np.ndarray) -> np.ndarray:
-        """Head bit 1 for non-negative values (matches pack_signs)."""
-        return (1 - float32_sign_bits(values)).astype(np.uint32)
-
-    @staticmethod
-    def _exact_tail(head: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """31-bit tail = exponent+mantissa; exact with a true-sign head."""
-        del head  # the sign head needs no correction bit
-        return float32_rest_bits(values)
-
-    @staticmethod
     def _corrected_tail(head: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """31-bit tail = correction bit + top-30 exponent/mantissa bits."""
-        s_plus = (1 - float32_sign_bits(values)).astype(np.uint32)
-        correction = (head ^ s_plus) & np.uint32(1)
-        rest30 = float32_rest_bits(values) >> np.uint32(1)
-        return (correction << np.uint32(30)) | rest30
+        """31-bit tail = correction bit + top-30 exponent/mantissa bits.
+
+        ``(head ^ 1) << 31`` XOR the float32 word leaves ``head XOR
+        true-sign`` (head bit 1 = non-negative) in bit 31 above the 31
+        exponent+mantissa bits; one shift then drops the lowest mantissa
+        bit and puts the correction at bit 30.
+        """
+        tails = head ^ np.uint32(1)
+        tails <<= np.uint32(31)
+        tails ^= values.astype(np.float32).view(np.uint32)
+        tails >>= np.uint32(1)
+        return tails
 
     @staticmethod
     def _decode_corrected(head: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Invert :meth:`_corrected_tail` (lowest mantissa bit lost)."""
-        correction = (tails >> np.uint32(30)) & np.uint32(1)
-        rest31 = (tails & np.uint32(0x3FFFFFFF)) << np.uint32(1)
-        s_plus = (head ^ correction) & np.uint32(1)
-        return compose_float32(1 - s_plus, rest31)
+        """Invert :meth:`_corrected_tail` (lowest mantissa bit lost).
+
+        ``tails << 1`` has the correction in bit 31 and shifts a hostile
+        bit 31 out; XOR ``(head ^ 1) << 31`` turns it back into the sign.
+        """
+        word = np.asarray(head, dtype=np.uint32) ^ np.uint32(1)
+        word <<= np.uint32(31)
+        word ^= np.asarray(tails, dtype=np.uint32) << np.uint32(1)
+        return word.view(np.float32).astype(np.float64)
 
 
 @register_codec
@@ -133,8 +114,10 @@ class SignMagnitudeCodec(ScalarCodec):
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0
     ) -> EncodedGradient:
         flat = self._check_finite(flat)
-        heads = self._plus_head(flat)
-        tails = self._exact_tail(heads, flat)
+        image = flat.astype(np.float32)
+        heads = float32_sign_bits(image)
+        heads ^= np.uint32(1)  # head bit 1 for non-negative values (matches pack_signs)
+        tails = float32_rest_bits(image)  # exact: a true-sign head needs no correction bit
         return EncodedGradient(
             codec_id=self.codec_id,
             head_bits=self.head_bits,
@@ -157,10 +140,11 @@ class SignMagnitudeCodec(ScalarCodec):
         mask = self._trimmed_mask(enc, trimmed)
         lost = self._missing_mask(enc, missing)
         exact = compose_float32(1 - enc.heads, enc.tails)
-        sigma = enc.metadata.sigma
-        signs = enc.heads.astype(np.float64) * 2.0 - 1.0
-        decoded = np.where(mask, signs * sigma, exact)
-        return np.where(lost, 0.0, decoded)
+        return self._select(enc, mask, lost, exact)
+
+    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
+        signs *= enc.metadata.sigma  # ±σ
+        return signs
 
 
 @register_codec
@@ -186,8 +170,9 @@ class StochasticQuantizationCodec(ScalarCodec):
         sigma = float(np.std(flat))
         scale = self.clip_multiplier * sigma
         if scale > 0:
-            clipped = np.clip(flat, -scale, scale)
-            p_plus = (scale + clipped) / (2.0 * scale)
+            p_plus = np.clip(flat, -scale, scale)
+            p_plus += scale
+            p_plus /= 2.0 * scale
         else:
             p_plus = np.full(flat.size, 0.5)
         gen = shared_generator(self.root_seed, epoch, message_id, purpose="quantize")
@@ -214,9 +199,11 @@ class StochasticQuantizationCodec(ScalarCodec):
         mask = self._trimmed_mask(enc, trimmed)
         lost = self._missing_mask(enc, missing)
         exact = self._decode_corrected(enc.heads, enc.tails)
-        signs = enc.heads.astype(np.float64) * 2.0 - 1.0
-        decoded = np.where(mask, signs * enc.metadata.scale, exact)
-        return np.where(lost, 0.0, decoded)
+        return self._select(enc, mask, lost, exact)
+
+    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
+        signs *= enc.metadata.scale  # ±L
+        return signs
 
 
 @register_codec
@@ -242,8 +229,11 @@ class SubtractiveDitheringCodec(ScalarCodec):
         # Full-width dither: levels are ±scale, so U(-scale, scale) is
         # the unique width making E[scale·sign(v+ε) − ε] = v on the
         # whole clip range (a half-width dither doubles small values).
-        # Cached read-only per (seed, message): decode reuses encode's draw.
-        return _cached_dither(self.root_seed, epoch, message_id, scale, n)
+        # Not memoized: the stream is gradient-sized, and redrawing it for a
+        # decode with trimmed coordinates costs no resolvable ``unit_s``
+        # (docs/performance.md, "Trial record: shared-randomness caches").
+        gen = shared_generator(self.root_seed, epoch, message_id, purpose="dither")
+        return gen.uniform(-scale, scale, size=n)
 
     def encode(
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0
@@ -252,8 +242,12 @@ class SubtractiveDitheringCodec(ScalarCodec):
         sigma = float(np.std(flat))
         scale = self.clip_multiplier * sigma
         dither = self._dither(flat.size, scale, epoch, message_id)
-        clipped = np.clip(flat, -scale, scale) if scale > 0 else flat
-        heads = (clipped + dither >= 0).astype(np.uint32)
+        if scale > 0:
+            shifted = np.clip(flat, -scale, scale)
+            shifted += dither
+        else:
+            shifted = flat + dither
+        heads = (shifted >= 0).astype(np.uint32)
         tails = self._corrected_tail(heads, flat)
         return EncodedGradient(
             codec_id=self.codec_id,
@@ -275,8 +269,10 @@ class SubtractiveDitheringCodec(ScalarCodec):
         mask = self._trimmed_mask(enc, trimmed)
         lost = self._missing_mask(enc, missing)
         exact = self._decode_corrected(enc.heads, enc.tails)
+        return self._select(enc, mask, lost, exact)
+
+    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
         meta = enc.metadata
-        dither = self._dither(enc.length, meta.scale, meta.epoch, meta.message_id)
-        signs = enc.heads.astype(np.float64) * 2.0 - 1.0
-        decoded = np.where(mask, signs * meta.scale - dither, exact)
-        return np.where(lost, 0.0, decoded)
+        signs *= meta.scale
+        signs -= self._dither(enc.length, meta.scale, meta.epoch, meta.message_id)  # ±L − ε
+        return signs

@@ -22,8 +22,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..transforms.hadamard import fwht_inplace
 from ..transforms.prng import derive_seed
-from ..transforms.rotation import RotatedRows, rotate_rows, unrotate_rows
+from ..transforms.rotation import random_signs, rotate_rows
 from .codec import (
     EncodedGradient,
     GradientCodec,
@@ -46,8 +47,9 @@ def unbiased_row_scales(rows: np.ndarray) -> np.ndarray:
     Because the RHT is orthonormal, ``‖R_s(V)‖₂ = ‖V‖₂``, so computing the
     numerator on the rotated row equals the paper's ``‖V‖₂²``.
     """
-    l2sq = np.sum(rows * rows, axis=1)
-    l1 = np.sum(np.abs(rows), axis=1)
+    scratch = rows * rows
+    l2sq = np.sum(scratch, axis=1)
+    l1 = np.sum(np.abs(rows, out=scratch), axis=1)
     return np.divide(l2sq, l1, out=np.zeros_like(l2sq), where=l1 > 0)
 
 
@@ -73,8 +75,10 @@ class RHTCodec(GradientCodec):
         rows = rotated.rows
         scales = unbiased_row_scales(rows)
         coords = rows.reshape(-1)
-        heads = (1 - float32_sign_bits(coords)).astype(np.uint32)
-        tails = float32_rest_bits(coords)
+        image = coords.astype(np.float32)
+        heads = float32_sign_bits(image)
+        heads ^= np.uint32(1)
+        tails = float32_rest_bits(image)
         metadata = GradientMetadata(
             message_id=message_id,
             epoch=epoch,
@@ -108,23 +112,24 @@ class RHTCodec(GradientCodec):
         width = meta.row_size
         if width <= 0 or enc.length % width != 0:
             raise ValueError(f"encoded length {enc.length} not a multiple of row {width}")
-        exact = compose_float32(1 - enc.heads, enc.tails)
-        signs = enc.heads.astype(np.float64) * 2.0 - 1.0
+        scales = np.asarray(meta.row_scales, dtype=np.float64)
         num_rows = enc.length // width
-        scales = np.repeat(np.asarray(meta.row_scales, dtype=np.float64), width)
-        if scales.size != enc.length:
+        if scales.size != num_rows:
             raise ValueError(
-                f"{meta.row_scales.size} row scales cannot cover "
-                f"{num_rows} rows of {width}"
+                f"{scales.size} row scales cannot cover {num_rows} rows of {width}"
             )
-        r_hat = np.where(mask, signs * scales, exact)
+        exact = compose_float32(1 - enc.heads, enc.tails)
         # Dropped coordinates carry no information: their best estimate in
         # the rotated domain is the (zero) mean, applied before the IRHT.
-        r_hat = np.where(lost, 0.0, r_hat).reshape(num_rows, width)
-        rotated = RotatedRows(
-            rows=r_hat,
-            original_length=meta.original_length,
-            row_size=width,
-            seed=meta.seed,
-        )
-        return unrotate_rows(rotated)
+        # r_hat is this call's own array, so the inverse rotation (irht's
+        # two steps) runs on it in place.
+        r_hat = self._select(enc, mask, lost, exact).reshape(num_rows, width)
+        fwht_inplace(r_hat)
+        r_hat *= random_signs(width, meta.seed)
+        return r_hat.reshape(-1)[: meta.original_length]
+
+    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
+        scales = np.asarray(enc.metadata.row_scales, dtype=np.float64)
+        rows = signs.reshape(scales.size, -1)
+        rows *= scales.reshape(-1, 1)  # ±f of the coordinate's row
+        return signs

@@ -29,14 +29,16 @@ from .prng import shared_generator
 __all__ = ["random_signs", "rht", "irht", "RotatedRows", "rotate_rows", "unrotate_rows"]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _cached_signs(d: int, seed: int) -> np.ndarray:
     """Frozen ±1 diagonal for ``(d, seed)``.
 
-    Encode and decode of the same message rebuild the identical diagonal
-    from the shared seed; caching it (read-only, so a hit can be used
-    in-place safely) halves the PRNG work per round trip and serves
-    repeated decodes (e.g. an all-reduce fan-in) for free.
+    Every worker's encode and decode of one collective message rebuild
+    the identical diagonal from the shared seed; caching it (read-only,
+    so a hit can be used in-place safely) leaves one PRNG draw per
+    message.  Sized to the messages in flight at once — one per
+    concurrent job, four in the largest cluster preset — since a seed is
+    never derived again once its wave has been decoded.
     """
     gen = shared_generator(seed, purpose="rotation")
     signs = gen.integers(0, 2, size=d).astype(np.float64) * 2.0 - 1.0
@@ -111,20 +113,19 @@ def rotate_rows(flat: np.ndarray, row_size: int, seed: int) -> RotatedRows:
     if n == 0:
         raise ValueError("cannot rotate an empty vector")
     width, num_rows = _row_plan(n, row_size)
-    padded = np.zeros(num_rows * width, dtype=np.float64)
-    padded[:n] = flat
-    rows = padded.reshape(num_rows, width)
-    rotated = rht(rows, seed)
+    if n < num_rows * width:
+        padded = np.zeros(num_rows * width, dtype=np.float64)
+        padded[:n] = flat
+        flat = padded
+    rotated = rht(flat.reshape(num_rows, width), seed)
     return RotatedRows(rows=rotated, original_length=n, row_size=width, seed=seed)
 
 
-@lru_cache(maxsize=256)
 def _row_plan(n: int, row_size: int) -> tuple[int, int]:
-    """Cached (row width, row count) plan for an ``n``-coordinate blob.
+    """(row width, row count) plan for an ``n``-coordinate blob.
 
     Short blobs use a single row padded to the next power of two, so tiny
-    layers do not pay for a full ``row_size`` transform.  The plan is
-    recomputed every step for every layer of the model, hence the cache.
+    layers do not pay for a full ``row_size`` transform.
     """
     if not is_power_of_two(row_size):
         raise ValueError(f"row_size must be a power of two, got {row_size}")

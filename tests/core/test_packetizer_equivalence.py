@@ -19,16 +19,18 @@ from repro.core import EncodedGradient, codec_by_name, depacketize, packetize
 from repro.core.layout import coords_per_packet
 from repro.core.metadata import GradientMetadata
 from repro.core.packetizer import GradientMessage
+from repro.obs.int_telemetry import INTExtension, disable_int, enable_int, int_capacity
 from repro.packet import (
     GRADIENT_HEADER_BYTES,
     GradientHeader,
     Packet,
     pack_bits,
+    pack_segments,
     packed_size,
     unpack_batch,
     unpack_bits,
 )
-from repro.packet.header import FLAG_METADATA, FLAG_TRIMMED
+from repro.packet.header import FLAG_INT, FLAG_METADATA, FLAG_TRIMMED
 
 
 def reference_packetize(
@@ -428,3 +430,218 @@ class TestRowScatterMatchesFlatScatter:
         short.payload = short.payload[:-1]
         with pytest.raises(ValueError, match="payload bytes for 32 coords"):
             depacketize([good, short], length=64)
+
+
+def loop_packetize(
+    enc: EncodedGradient, src: str = "", dst: str = "", mtu: int = 1500, flow_id: int = 0
+) -> List[Packet]:
+    """PR 4–19's ``packetize``: one ``pack_into`` and two slice copies a packet.
+
+    ``packetize`` now writes the header block and both packed planes of
+    every full chunk as strided stores into the same ``bytearray`` and
+    only the short last chunk this way; both must emit the same packets.
+    """
+    meta = enc.metadata
+    n_per_packet = coords_per_packet(mtu, enc.head_bits, enc.tail_bits)
+    capacity = int_capacity()
+    int_flag = FLAG_INT if capacity is not None else 0
+
+    def band():
+        return INTExtension(capacity) if capacity is not None else None
+
+    def header(chunk_index, coord_offset, coord_count, flags):
+        return GradientHeader(
+            codec_id=enc.codec_id,
+            head_bits=enc.head_bits,
+            tail_bits=enc.tail_bits,
+            message_id=meta.message_id,
+            epoch=meta.epoch,
+            chunk_index=chunk_index,
+            coord_offset=coord_offset,
+            coord_count=coord_count,
+            seed=meta.seed,
+            flags=flags,
+        )
+
+    meta_header = header(0, 0, 0, FLAG_METADATA | int_flag)
+    packets = [
+        Packet(
+            src=src,
+            dst=dst,
+            payload=meta_header.to_bytes() + meta.to_bytes(),
+            grad_header=meta_header,
+            priority=1,
+            flow_id=flow_id,
+            int_ext=band(),
+        )
+    ]
+    heads_plane = pack_segments(enc.heads, enc.head_bits, n_per_packet)
+    tails_plane = pack_segments(enc.tails, enc.tail_bits, n_per_packet)
+    sizes = [
+        (count, packed_size(count, enc.head_bits), packed_size(count, enc.tail_bits))
+        for count in map(heads_plane.segment_count, range(heads_plane.num_segments))
+    ]
+    buf = bytearray(sum(GRADIENT_HEADER_BYTES + h + t for _, h, t in sizes))
+    views = memoryview(buf).toreadonly()
+    pos = 0
+    for chunk, (count, head_bytes, tail_bytes) in enumerate(sizes):
+        chunk_header = header(chunk + 1, chunk * n_per_packet, count, int_flag)
+        chunk_header.pack_into(buf, pos)
+        cursor = pos + GRADIENT_HEADER_BYTES
+        hs = chunk * heads_plane.seg_bytes
+        buf[cursor : cursor + head_bytes] = heads_plane.buffer[hs : hs + head_bytes]
+        cursor += head_bytes
+        ts = chunk * tails_plane.seg_bytes
+        buf[cursor : cursor + tail_bytes] = tails_plane.buffer[ts : ts + tail_bytes]
+        cursor += tail_bytes
+        packets.append(
+            Packet(
+                src=src,
+                dst=dst,
+                payload=views[pos:cursor],
+                grad_header=chunk_header,
+                flow_id=flow_id,
+                seq=chunk + 1,
+                int_ext=band(),
+            )
+        )
+        pos = cursor
+    return packets
+
+
+def assert_same_packets(new: List[Packet], old: List[Packet]) -> None:
+    assert len(new) == len(old)
+    for new_pkt, old_pkt in zip(new, old):
+        assert bytes(new_pkt.payload) == bytes(old_pkt.payload)
+        assert new_pkt.grad_header == old_pkt.grad_header
+        assert GradientHeader.from_bytes(new_pkt.payload) == new_pkt.grad_header
+        for field in ("src", "dst", "seq", "priority", "wire_size", "flow_id", "seq_total"):
+            assert getattr(new_pkt, field) == getattr(old_pkt, field), field
+        assert (new_pkt.int_ext is None) == (old_pkt.int_ext is None)
+        if new_pkt.int_ext is not None:
+            assert new_pkt.int_ext.capacity == old_pkt.int_ext.capacity
+            assert new_pkt.grad_header.has_int
+
+
+@pytest.fixture
+def int_enabled():
+    enable_int(capacity=4)
+    try:
+        yield
+    finally:
+        disable_int()
+
+
+class TestStridedStoresMatchThePerPacketLoop:
+    """The seams the stores introduce: no full chunk at all, no short
+    tail, a one-coordinate tail, planes that are not 1 + 31 bits wide
+    (the multi-level splits, P + Q != 32), the INT flag in every header,
+    and each MTU's row stride."""
+
+    WIDTHS = [(1, 31), (1, 7), (2, 14), (8, 24), (3, 13), (4, 28)]
+
+    @pytest.mark.parametrize("mtu", [100, 1500, 9000])
+    @pytest.mark.parametrize("head_bits, tail_bits", WIDTHS)
+    def test_chunk_count_seams(self, mtu, head_bits, tail_bits):
+        n = coords_per_packet(mtu, head_bits, tail_bits)
+        for length in (1, n - 1, n, n + 1, 3 * n, 3 * n + 1, 4 * n - 1):
+            enc = make_encoded(length, head_bits, tail_bits, seed=length)
+            new = packetize(enc, "tx", "rx", mtu=mtu, flow_id=9)
+            assert_same_packets(new, loop_packetize(enc, "tx", "rx", mtu=mtu, flow_id=9))
+            assert len(new) == 1 + -(-length // n)
+            assert new[-1].grad_header.coord_count == length - (len(new) - 2) * n
+            assert sum(p.grad_header.coord_count for p in new) == length
+
+    @pytest.mark.parametrize("mtu", [100, 1500])
+    def test_int_flag_in_every_header_and_band_attached(self, mtu, int_enabled):
+        n = coords_per_packet(mtu, 1, 31)
+        for length in (1, n, 2 * n + 1):
+            enc = make_encoded(length, 1, 31, seed=3)
+            new = packetize(enc, "tx", "rx", mtu=mtu)
+            assert_same_packets(new, loop_packetize(enc, "tx", "rx", mtu=mtu))
+            for pkt in new:
+                assert pkt.grad_header.has_int and pkt.int_ext is not None
+                assert pkt.payload[3] & FLAG_INT
+                assert pkt.wire_size == 42 + len(pkt.payload) + pkt.int_ext.wire_bytes
+
+    def test_real_codecs(self):
+        grad = np.random.default_rng(8).standard_normal(5000)
+        for name in ("sign", "sq", "sd", "rht", "eden"):  # eden: 4 + 28 bits
+            enc = codec_by_name(name, root_seed=2).encode(grad, epoch=1, message_id=4)
+            for mtu in (100, 1500, 9000):
+                assert_same_packets(
+                    packetize(enc, "a", "b", mtu=mtu), loop_packetize(enc, "a", "b", mtu=mtu)
+                )
+
+    @pytest.mark.parametrize("mtu", [100, 1500, 9000])
+    def test_payloads_are_readonly_views_of_one_buffer(self, mtu):
+        n = coords_per_packet(mtu, 1, 31)
+        packets = packetize(make_encoded(2 * n + 1, 1, 31), mtu=mtu)
+        buffer = packets[1].payload.obj
+        assert isinstance(buffer, bytearray)
+        for pkt in packets[1:]:
+            assert isinstance(pkt.payload, memoryview) and pkt.payload.readonly
+            assert pkt.payload.obj is buffer
+            with pytest.raises(TypeError):
+                pkt.payload[0] = 0
+        # Back to back, in order, nothing between or after them.
+        assert b"".join(p.payload for p in packets[1:]) == bytes(buffer)
+        trimmed = packets[1].trim()
+        assert isinstance(trimmed.payload, bytes)
+        assert trimmed.payload[32:] == bytes(packets[1].payload[32 : 32 + packed_size(n, 1)])
+        assert packets[1].payload.readonly and not packets[1].is_trimmed
+
+    def test_hypothesis_geometries_against_the_loop(self):
+        @given(geometries, st.sampled_from([100, 256, 1500]))
+        @settings(max_examples=60, deadline=None)
+        def check(geom, mtu):
+            length, head_bits, tail_bits, seed = geom
+            enc = make_encoded(length, head_bits, tail_bits, seed)
+            assert_same_packets(packetize(enc, "s", "d", mtu=mtu), loop_packetize(enc, "s", "d", mtu=mtu))
+
+        check()
+
+
+class TestMessageTooLargeForItsHeader:
+    """A header field that does not fit its wire width used to surface as
+    ``struct.error`` from the 65,536th ``pack_into``; now it is a
+    ``ValueError`` naming the field before anything is packed."""
+
+    def test_too_many_chunks(self):
+        n = coords_per_packet(100, 1, 31)  # 6 coordinates a packet
+        fits = make_encoded(0xFFFF * n, 1, 31)
+        packets = packetize(fits, mtu=100)
+        assert len(packets) == 0xFFFF + 1
+        assert packets[-1].grad_header.chunk_index == 0xFFFF
+        assert GradientHeader.from_bytes(packets[-1].payload) == packets[-1].grad_header
+        too_long = make_encoded(0xFFFF * n + 1, 1, 31)
+        with pytest.raises(ValueError, match=r"chunk_index=65536 .*limit 65535"):
+            packetize(too_long, mtu=100)
+
+    @pytest.mark.parametrize(
+        "field, value, limit",
+        [
+            ("epoch", 70_000, 0xFFFF),
+            ("epoch", -1, 0xFFFF),
+            ("message_id", 2**32, 0xFFFFFFFF),
+            ("seed", 2**64, 2**64 - 1),
+            ("seed", -5, 2**64 - 1),
+        ],
+    )
+    def test_metadata_fields(self, field, value, limit):
+        enc = make_encoded(50, 1, 31)
+        setattr(enc.metadata, field, value)
+        with pytest.raises(ValueError, match=rf"{field}={value} .*limit {limit}\b"):
+            packetize(enc)
+
+    def test_fails_before_packing(self, monkeypatch):
+        import repro.core.packetizer as packetizer_module
+
+        def boom(*args, **kwargs):
+            raise AssertionError("pack_segments ran before the header check")
+
+        monkeypatch.setattr(packetizer_module, "pack_segments", boom)
+        enc = make_encoded(50, 1, 31)
+        enc.metadata.epoch = 70_000
+        with pytest.raises(ValueError, match="epoch=70000"):
+            packetize(enc)

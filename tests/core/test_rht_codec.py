@@ -124,6 +124,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="mask shape"):
             codec.decode(enc, trimmed=np.zeros(3, dtype=bool))
 
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_decode_rejects_wrong_scale_count(self, as_list):
+        """The error formats the converted array: scales that arrived as a
+        list used to die on ``list.size`` before the message was built."""
+        codec = RHTCodec(row_size=64)
+        x = gradient(256)
+        enc = codec.encode(x)
+        whole = codec.decode(enc)
+        short = enc.metadata.row_scales[:3]
+        enc.metadata.row_scales = list(short) if as_list else short
+        for trimmed in (None, np.ones(256, dtype=bool)):
+            with pytest.raises(ValueError, match="3 row scales cannot cover 4 rows of 64"):
+                codec.decode(enc, trimmed=trimmed)
+        enc.metadata.row_scales = list(codec.encode(x).metadata.row_scales)
+        assert np.array_equal(codec.decode(enc), whole)
+        assert np.isfinite(codec.decode(enc, trimmed=np.ones(256, dtype=bool))).all()
+
+    def test_decode_rejects_row_size_that_is_no_power_of_two(self):
+        codec = RHTCodec(row_size=64)
+        enc = codec.encode(gradient(192))
+        enc.metadata.row_size = 48  # 4 rows of 48: passes the multiple check
+        enc.metadata.row_scales = np.ones(4)
+        with pytest.raises(ValueError, match="power of two"):
+            codec.decode(enc)
+
     def test_epoch_message_change_rotation(self):
         codec = RHTCodec(root_seed=0, row_size=256)
         x = gradient(256)
