@@ -43,7 +43,7 @@ def main() -> None:
 
     # Install a fresh registry BEFORE building the network: devices bind
     # their metric series at construction time.
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     tracer = Tracer(enabled=True, jsonl_path=trace_path)
     prev_registry = set_registry(registry)
     prev_tracer = set_tracer(tracer)

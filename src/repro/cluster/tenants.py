@@ -79,10 +79,6 @@ class TenantWorkload:
         for flow in self._onoff:
             flow.stop()
 
-    def owns_flow(self, flow_id: int) -> bool:
-        """Does ``flow_id`` fall in this tenant's private block?"""
-        return self.flow_base <= flow_id < self.flow_base + TENANT_FLOW_BLOCK
-
     @property
     def packets_emitted(self) -> int:
         """Total packets this tenant has injected so far."""

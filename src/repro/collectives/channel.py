@@ -12,8 +12,11 @@ discrete-event network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+
 import numpy as np
+
+from ..obs.metrics import get_registry
 
 __all__ = ["ChannelStats", "GradientChannel", "PerfectChannel"]
 
@@ -42,84 +45,39 @@ class ChannelStats:
             return 0.0
         return self.packets_trimmed / self.packets_total
 
-    def merge(self, other: "ChannelStats") -> None:
-        self.messages += other.messages
-        self.coordinates += other.coordinates
-        self.packets_total += other.packets_total
-        self.packets_trimmed += other.packets_trimmed
-        self.packets_dropped += other.packets_dropped
-        self.bytes_sent += other.bytes_sent
-        self.bytes_saved_by_trim += other.bytes_saved_by_trim
-        self.encode_seconds += other.encode_seconds
-        self.decode_seconds += other.decode_seconds
-        self.rounds_surrendered += other.rounds_surrendered
-
     def as_dict(self) -> dict:
-        return {
-            "messages": self.messages,
-            "coordinates": self.coordinates,
-            "packets_total": self.packets_total,
-            "packets_trimmed": self.packets_trimmed,
-            "packets_dropped": self.packets_dropped,
-            "bytes_sent": self.bytes_sent,
-            "bytes_saved_by_trim": self.bytes_saved_by_trim,
-            "encode_seconds": self.encode_seconds,
-            "decode_seconds": self.decode_seconds,
-            "rounds_surrendered": self.rounds_surrendered,
-            "trim_fraction": self.trim_fraction,
-        }
-
-    def publish(self, label: str) -> None:
-        """Mirror the current totals into the metrics registry as gauges.
-
-        Channels mutate these fields directly on the hot path, so the
-        registry copy is refreshed on demand (e.g. once per epoch by the
-        trainer) instead of per message.
-        """
-        from ..obs.metrics import get_registry
-
-        registry = get_registry()
-        for name, value in self.as_dict().items():
-            registry.gauge(
-                f"repro_channel_{name}",
-                f"ChannelStats.{name}, refreshed by publish()",
-                ("channel",),
-            ).set(float(value), channel=label)
+        return {**asdict(self), "trim_fraction": self.trim_fraction}
 
 
 class GradientChannel:
     """Interface: transfer one flat vector from a worker to its peer."""
 
     def __init__(self) -> None:
+        # One object for the channel's whole life (reset_stats zeroes it
+        # in place), so the registry and a trainer can hold on to it.
         self.stats = ChannelStats()
-        # Live counters: surrender/drop events are rare but operationally
-        # critical, so they stream to the registry as they happen instead
-        # of waiting for the per-epoch publish().
-        from ..obs.metrics import get_registry
-
         registry = get_registry()
         label = type(self).__name__
-        self._m_surrendered = registry.counter(
-            "repro_channel_rounds_surrendered_total",
-            "rounds the channel gave up on (zero-gradient degraded step)",
-            ("channel",),
-        ).bind(channel=label)
-        self._m_dropped = registry.counter(
-            "repro_channel_packets_dropped_total",
-            "data packets lost outright on the channel",
-            ("channel",),
-        ).bind(channel=label)
+        self._publish_metrics = registry.publish_tally(self, self.stats, {
+            "rounds_surrendered": registry.counter(
+                "repro_channel_rounds_surrendered_total",
+                "rounds the channel gave up on (zero-gradient degraded step)",
+                ("channel",),
+            ).bind(channel=label),
+            "packets_dropped": registry.counter(
+                "repro_channel_packets_dropped_total",
+                "data packets lost outright on the channel",
+                ("channel",),
+            ).bind(channel=label),
+        })
 
     def count_surrender(self) -> None:
-        """Record one surrendered round (stats + live counter)."""
+        """Record one surrendered round."""
         self.stats.rounds_surrendered += 1
-        self._m_surrendered.inc()
 
     def count_dropped(self, packets: int) -> None:
-        """Record ``packets`` lost data packets (stats + live counter)."""
-        if packets:
-            self.stats.packets_dropped += packets
-            self._m_dropped.inc(packets)
+        """Record ``packets`` lost data packets."""
+        self.stats.packets_dropped += packets
 
     def transfer(
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0, worker: int = 0
@@ -133,7 +91,11 @@ class GradientChannel:
         raise NotImplementedError
 
     def reset_stats(self) -> None:
-        self.stats = ChannelStats()
+        """Zero ``stats`` in place; the registry keeps its running totals."""
+        self._publish_metrics()
+        for spec in fields(self.stats):
+            setattr(self.stats, spec.name, spec.default)
+        self._publish_metrics()  # a counter back at zero only moves the mark
 
 
 class PerfectChannel(GradientChannel):

@@ -66,9 +66,9 @@ class FaultInjector:
     Attributes:
         events: append-only, JSON-ready fault log.  Every record carries
             the simulation time (never wall-clock time) plus enough
-            identity (flow, seq) to line up with transport traces.
-        counts: per fault-kind totals, mirrored into the metrics
-            registry as ``repro_faults_injected_total``.
+            identity (flow, seq) to line up with transport traces; the
+            registry counts it into ``repro_faults_injected_total``.
+        counts: per fault-kind totals.
     """
 
     def __init__(
@@ -85,12 +85,23 @@ class FaultInjector:
         self.events: List[Dict] = []
         self.counts: Dict[str, int] = {}
         self._hooked_links: Dict[str, List] = {}
-        self._m_injected = get_registry().counter(
+        self._installed = False
+        events = self.events  # the hook below must not hold the injector
+        injected = get_registry().counter(
             "repro_faults_injected_total",
             "faults injected by kind and target",
             ("fault", "target"),
         )
-        self._installed = False
+        published = 0
+
+        def _publish_metrics() -> None:
+            """Count the fault-log entries the registry has not seen yet."""
+            nonlocal published
+            for event in events[published:]:
+                injected.inc(fault=event["fault"], target=event["target"])
+            published = len(events)
+
+        get_registry().add_flush_hook(_publish_metrics, self)
 
     # -- public API -------------------------------------------------------------
 
@@ -134,7 +145,6 @@ class FaultInjector:
 
     def _record(self, fault: str, target: str, **detail: Any) -> None:
         self.counts[fault] = self.counts.get(fault, 0) + 1
-        self._m_injected.inc(fault=fault, target=target)
         event = {"t": self.network.sim.now, "fault": fault, "target": target}
         event.update(detail)
         self.events.append(event)

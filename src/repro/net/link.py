@@ -9,6 +9,8 @@ cables are simply two Links.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -43,6 +45,16 @@ class Device:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
+
+
+@dataclass(slots=True)
+class _LinkTally:
+    """What one link counted; outlives the link until the registry has it."""
+
+    packets_sent: int = 0
+    bytes_sent: int = 0
+    packets_dropped: int = 0  # lost to probabilistic impairment
+    packets_trimmed: int = 0  # trimmed by probabilistic impairment
 
 
 class Link:
@@ -109,33 +121,30 @@ class Link:
         self.up = True
         self.delivery_hook: Optional[DeliveryHook] = None
         self.packets_lost_down = 0
-        # Telemetry: plain attributes stay the public API; the registry
-        # carries the same counts under a per-link label.
-        self.packets_sent = 0
-        self.bytes_sent = 0
-        self.packets_dropped = 0
-        self.packets_trimmed = 0
+        # The serializer writes the tally and nothing else; the link's
+        # public counters read it, and so does the registry when it is
+        # flushed (see MetricsRegistry.add_flush_hook).
+        self._tally = _LinkTally()
         label = f"{src}->{dst.name}"
         registry = get_registry()
-        self._m_packets = registry.counter(
-            "repro_link_packets_sent_total", "packets serialized onto the wire", ("link",)
-        ).bind(link=label)
-        self._m_bytes = registry.counter(
-            "repro_link_bytes_sent_total", "bytes serialized onto the wire", ("link",)
-        ).bind(link=label)
-        self._m_dropped = registry.counter(
-            "repro_link_packets_dropped_total",
-            "packets lost to probabilistic impairment",
-            ("link",),
-        ).bind(link=label)
-        self._m_trimmed = registry.counter(
-            "repro_link_packets_trimmed_total",
-            "packets trimmed by probabilistic impairment",
-            ("link",),
-        ).bind(link=label)
-        # The per-packet sent/bytes twins are deferred: _finish keeps
-        # the plain attributes and the registry pulls them on read.
-        registry.add_flush_hook(self._flush_metrics)
+        registry.publish_tally(self, self._tally, {
+            "packets_sent": registry.counter(
+                "repro_link_packets_sent_total", "packets serialized onto the wire", ("link",)
+            ).bind(link=label),
+            "bytes_sent": registry.counter(
+                "repro_link_bytes_sent_total", "bytes serialized onto the wire", ("link",)
+            ).bind(link=label),
+            "packets_dropped": registry.counter(
+                "repro_link_packets_dropped_total",
+                "packets lost to probabilistic impairment",
+                ("link",),
+            ).bind(link=label),
+            "packets_trimmed": registry.counter(
+                "repro_link_packets_trimmed_total",
+                "packets trimmed by probabilistic impairment",
+                ("link",),
+            ).bind(link=label),
+        })
         self._label = label
         # Stable small-integer id this link stamps into INT records when
         # probabilistic impairment trims a packet in flight.
@@ -150,19 +159,16 @@ class Link:
         # so caching it cannot hide anything from it.
         self._sched_call = sim.schedule_call
 
-    def _flush_metrics(self) -> None:
-        """Publish deferred per-packet counters into the registry."""
-        self._m_packets.set(self.packets_sent)
-        self._m_bytes.set(self.bytes_sent)
+    # The public counters are read-only views of the tally.
+    packets_sent = property(attrgetter("_tally.packets_sent"))
+    bytes_sent = property(attrgetter("_tally.bytes_sent"))
+    packets_dropped = property(attrgetter("_tally.packets_dropped"))
+    packets_trimmed = property(attrgetter("_tally.packets_trimmed"))
 
     @property
     def busy(self) -> bool:
         """True while a packet is being serialized."""
         return self._busy
-
-    def transmission_time(self, packet: Packet) -> float:
-        """Seconds to serialize ``packet`` at line rate."""
-        return packet.wire_size * 8.0 / self.rate_bps
 
     def enqueue(self, packet: Packet) -> bool:
         """Push into the egress queue and kick the serializer.
@@ -174,10 +180,6 @@ class Link:
         if accepted and not self._busy:
             self._try_transmit()
         return accepted
-
-    def kick(self) -> None:
-        """Restart transmission after the caller enqueued directly."""
-        self._try_transmit()
 
     def _try_transmit(self) -> None:
         if self._busy:
@@ -236,13 +238,15 @@ class Link:
         size = 0
         for packet in packets:
             size += packet.wire_size
-        self.packets_sent += len(packets)
-        self.bytes_sent += size
+        tally = self._tally
+        tally.packets_sent += len(packets)
+        tally.bytes_sent += size
         self._try_transmit()
 
     def _finish(self, packet: Packet) -> None:
-        self.packets_sent += 1
-        self.bytes_sent += packet.wire_size
+        tally = self._tally
+        tally.packets_sent += 1
+        tally.bytes_sent += packet.wire_size
         if (
             self.up
             and self.delivery_hook is None
@@ -288,8 +292,7 @@ class Link:
         if not packet.is_ack:
             if self.drop_prob > 0.0 and self._rng.random() < self.drop_prob:
                 delivered = None
-                self.packets_dropped += 1
-                self._m_dropped.inc()
+                tally.packets_dropped += 1
                 tracer = get_tracer()
                 if tracer.enabled:
                     tracer.event(
@@ -312,8 +315,7 @@ class Link:
                         REASON_LINK_IMPAIRMENT,
                         self.sim.now,
                     )
-                self.packets_trimmed += 1
-                self._m_trimmed.inc()
+                tally.packets_trimmed += 1
                 tracer = get_tracer()
                 if tracer.enabled:
                     tracer.event(

@@ -58,10 +58,6 @@ class ByteQueue:
         """Occupancy as a fraction of capacity, in [0, 1]."""
         return self._bytes / self.capacity_bytes
 
-    def fits(self, packet: Packet) -> bool:
-        """Would ``packet`` fit without overflowing?"""
-        return self._bytes + packet.wire_size <= self.capacity_bytes
-
     def push(self, packet: Packet) -> bool:
         """Enqueue; returns False (and counts a rejection) on overflow."""
         new_bytes = self._bytes + packet.wire_size

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..obs.int_telemetry import (
     AUX_PATH_CHANGED,
@@ -173,39 +173,49 @@ class Switch(Device):
         # Cluster seam: maps a flow id to a tenant/job label on the cold
         # paths (trim/drop) so multi-tenant runs can attribute damage.
         self.flow_classifier: Optional[Callable[[int, str, str], None]] = None
-        self.stats = SwitchStats()
+        self.stats = stats = SwitchStats()
         # Stable small-integer id this switch stamps into INT records.
         self._int_hop = hop_id(name)
-        # Registry-backed twins of the SwitchStats counters (bound once:
-        # the forwarding path runs per packet).
+        # SwitchStats is the only thing the forwarding path writes; the
+        # registry reads it when it is flushed, the switch dead or alive
+        # (see MetricsRegistry.add_flush_hook).
         registry = get_registry()
-        self._m_forwarded = registry.counter(
-            "repro_switch_forwarded_total", "packets forwarded intact", ("switch",)
-        ).bind(switch=name)
-        self._m_trimmed = registry.counter(
-            "repro_switch_trimmed_total", "packets trimmed on overflow", ("switch",)
-        ).bind(switch=name)
-        self._m_bytes_saved = registry.counter(
-            "repro_switch_trim_bytes_saved_total",
-            "wire bytes removed by trimming",
-            ("switch",),
-        ).bind(switch=name)
-        self._m_dropped = registry.counter(
+        registry.publish_tally(self, stats, {
+            "forwarded": registry.counter(
+                "repro_switch_forwarded_total", "packets forwarded intact", ("switch",)
+            ).bind(switch=name),
+            "trimmed": registry.counter(
+                "repro_switch_trimmed_total", "packets trimmed on overflow", ("switch",)
+            ).bind(switch=name),
+            "trimmed_bytes_saved": registry.counter(
+                "repro_switch_trim_bytes_saved_total",
+                "wire bytes removed by trimming",
+                ("switch",),
+            ).bind(switch=name),
+            "ecmp_collisions": registry.counter(
+                "repro_switch_ecmp_collisions_total",
+                "new flows hashed onto an equal-cost port already carrying flows",
+                ("switch",),
+            ).bind(switch=name),
+            "reroutes": registry.counter(
+                "repro_switch_reroutes_total",
+                "flows rehomed onto a surviving equal-cost leg after a port died",
+                ("switch",),
+            ).bind(switch=name),
+        })
+        dropped = registry.counter(
             "repro_switch_dropped_total", "packets dropped", ("switch", "kind")
         )
-        # kind -> bound series, bound at the first drop of that kind
-        # (binding creates no series, so an undropped kind exports none).
-        self._m_dropped_by_kind: Dict[str, Any] = {}
-        self._m_ecmp_collisions = registry.counter(
-            "repro_switch_ecmp_collisions_total",
-            "new flows hashed onto an equal-cost port already carrying flows",
-            ("switch",),
-        ).bind(switch=name)
-        self._m_reroutes = registry.counter(
-            "repro_switch_reroutes_total",
-            "flows rehomed onto a surviving equal-cost leg after a port died",
-            ("switch",),
-        ).bind(switch=name)
+        dropped_seen: Dict[str, int] = {}
+
+        def _publish_metrics() -> None:
+            for kind, count in stats.drops_by_kind.items():
+                gained = count - dropped_seen.get(kind, 0)
+                if gained:
+                    dropped_seen[kind] = count
+                    dropped.inc(gained, switch=name, kind=kind)
+
+        registry.add_flush_hook(_publish_metrics, self)
         self._m_ports_down = registry.gauge(
             "repro_switch_ports_down",
             "egress ports currently down on this switch",
@@ -214,13 +224,6 @@ class Switch(Device):
         # A live gauge publishes its state from birth (and a fresh
         # switch reusing a prior run's name must not inherit its value).
         self._m_ports_down.set(0.0)
-        # The per-packet forwarded twin is deferred: the forwarding path
-        # keeps stats.forwarded and the registry pulls it on read.
-        registry.add_flush_hook(self._flush_metrics)
-
-    def _flush_metrics(self) -> None:
-        """Publish deferred per-packet counters into the registry."""
-        self._m_forwarded.set(self.stats.forwarded)
 
     # -- wiring -------------------------------------------------------------
 
@@ -323,10 +326,6 @@ class Switch(Device):
         for link in self.ports.values():
             link.up = not failed
 
-    def _pick_next_hop(self, packet: Packet) -> Optional[str]:
-        hop_and_index = self._pick_ecmp(packet)
-        return hop_and_index[0] if hop_and_index is not None else None
-
     def route_lookup(self, src: str, dst: str, flow_id: int) -> Optional[Tuple[str, int]]:
         """Pure ECMP resolution: (next hop, INT aux code), or None.
 
@@ -361,28 +360,28 @@ class Switch(Device):
             if live:
                 if len(live) == 1:
                     return live[0], hops.index(live[0]) + 1
-                digest = zlib.crc32(f"{self.name}|{src}|{dst}|{flow_id}".encode())
-                x = (digest | (self.ecmp_salt << 32)) & 0xFFFFFFFFFFFFFFFF
-                x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-                x ^= x >> 31
-                hop = live[x % len(live)]
+                hop = live[self._flow_hash(src, dst, flow_id) % len(live)]
                 return hop, hops.index(hop) + 1
-        # CRC32 alone is linear over GF(2): two salts hashed into the
-        # digest differ by a constant XOR per message length, which mod
-        # a small hop count collapses to a handful of parity bits — a
-        # polarization that both correlates the choice across tiers
-        # (every switch resolving a flow the same way) and makes many
-        # salts placement-equivalent.  The multiply/xor-shift avalanche
-        # below breaks that linearity, so distinct salts give
-        # uncorrelated placements.
+        index = self._flow_hash(src, dst, flow_id) % len(hops)
+        return hops[index], index + 1
+
+    def _flow_hash(self, src: str, dst: str, flow_id: int) -> int:
+        """crc32 of the flow's identity, salted and avalanched to 64 bits.
+
+        CRC32 alone is linear over GF(2): two salts hashed into the
+        digest differ by a constant XOR per message length, which mod
+        a small hop count collapses to a handful of parity bits — a
+        polarization that both correlates the choice across tiers
+        (every switch resolving a flow the same way) and makes many
+        salts placement-equivalent.  The splitmix64-style multiply /
+        xor-shift finalizer breaks that linearity, so distinct salts
+        give uncorrelated placements.
+        """
         digest = zlib.crc32(f"{self.name}|{src}|{dst}|{flow_id}".encode())
         x = (digest | (self.ecmp_salt << 32)) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        x ^= x >> 31
-        index = x % len(hops)
-        return hops[index], index + 1
+        return x ^ (x >> 31)
 
     def _pick_ecmp(self, packet: Packet) -> Optional[Tuple[str, int, Link]]:
         """:meth:`route_lookup` plus the per-flow cache and accounting.
@@ -418,7 +417,6 @@ class Switch(Device):
                     # as "port-blackout" until the port comes back.
                     return entry
                 self.stats.reroutes += 1
-                self._m_reroutes.inc()
                 self._path_changed.add(key)
                 tracer = get_tracer()
                 if tracer.enabled:
@@ -436,7 +434,6 @@ class Switch(Device):
         self.stats.ecmp_flows += 1
         if carried:
             self.stats.ecmp_collisions += 1
-            self._m_ecmp_collisions.inc()
         self._ecmp_load[hop] = carried + 1
         return entry
 
@@ -543,11 +540,6 @@ class Switch(Device):
                 self.sim.now,
             )
         self.stats.note_drop(kind)
-        dropped = self._m_dropped_by_kind.get(kind)
-        if dropped is None:
-            dropped = self._m_dropped.bind(switch=self.name, kind=kind)
-            self._m_dropped_by_kind[kind] = dropped
-        dropped.inc()
         if self.flow_classifier is not None:
             self.flow_classifier(packet.flow_id, "drop", kind)
         tracer = get_tracer()
@@ -631,8 +623,6 @@ class Switch(Device):
                 )
             self.stats.trimmed += 1
             self.stats.trimmed_bytes_saved += saved
-            self._m_trimmed.inc()
-            self._m_bytes_saved.inc(saved)
             if self.flow_classifier is not None:
                 self.flow_classifier(packet.flow_id, "trim", "buffer-overflow")
             tracer = get_tracer()

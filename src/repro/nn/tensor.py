@@ -9,7 +9,6 @@ gradient of a broadcast operand is summed back to its shape).
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -19,35 +18,28 @@ __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 Number = Union[int, float]
 
 
-class _GradMode(threading.local):
-    """Per-thread tape-recording switch.
-
-    Thread-local, not a module global: a caller that trains models on
-    several threads must not have one thread evaluating under
-    :class:`no_grad` stop another thread's forward pass from recording
-    its tape.  (The cluster driver itself runs every job on one thread.)
-    """
-
-    enabled = True
-
-
-_GRAD_MODE = _GradMode()
+#: Whether new ops are recorded on the tape.  One flag for the process:
+#: nothing in the repo trains on a second thread (the cluster driver
+#: steps every job from one), so a caller that does must not share it.
+_grad_enabled = True
 
 
 class no_grad:
     """Context manager disabling tape recording (inference mode)."""
 
     def __enter__(self) -> None:
-        self._prev = _GRAD_MODE.enabled
-        _GRAD_MODE.enabled = False
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
 
     def __exit__(self, *exc) -> None:
-        _GRAD_MODE.enabled = self._prev
+        global _grad_enabled
+        _grad_enabled = self._prev
 
 
 def is_grad_enabled() -> bool:
-    """Whether new ops are recorded on the tape (in this thread)."""
-    return _GRAD_MODE.enabled
+    """Whether new ops are recorded on the tape."""
+    return _grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -84,7 +76,7 @@ class Tensor:
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad and _GRAD_MODE.enabled
+        self.requires_grad = requires_grad and _grad_enabled
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward
 
@@ -132,7 +124,7 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
+        requires = _grad_enabled and any(p.requires_grad for p in parents)
         return Tensor(data, requires_grad=requires, _parents=parents, _backward=backward)
 
     def _accumulate(self, grad: np.ndarray) -> None:

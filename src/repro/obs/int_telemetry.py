@@ -414,11 +414,12 @@ class INTCollector:
         #: (flow_id, message_id, hop_id) -> samples in delivery order.
         self.series: Dict[Tuple[int, int, int], List[INTSample]] = {}
         self.packets_collected = 0
-        self.records_collected = 0
+        #: decision code -> delivered records; the one record counter.
+        self.records_by_decision: Dict[int, int] = {}
         self.overflowed_packets = 0
         self._sink: Optional[IO[str]] = None
         registry = get_registry()
-        self._m_records = registry.counter(
+        records = registry.counter(
             "repro_int_records_total",
             "INT hop records delivered to the collector",
             ("decision",),
@@ -431,6 +432,22 @@ class INTCollector:
             factor=4.0,
             num_buckets=20,
         )
+        by_decision = self.records_by_decision  # the hook must not hold the collector
+        published: Dict[int, int] = {}
+
+        def _publish_metrics() -> None:
+            """Hand the per-decision growth to the registry (runs on flush)."""
+            for decision, count in by_decision.items():
+                gained = count - published.get(decision, 0)
+                if gained:
+                    published[decision] = count
+                    records.inc(gained, decision=decision_name(decision))
+
+        registry.add_flush_hook(_publish_metrics, self)
+
+    @property
+    def records_collected(self) -> int:
+        return sum(self.records_by_decision.values())
 
     def collect(self, packet: "Packet") -> int:
         """Sink one delivered packet's band; returns records collected."""
@@ -445,14 +462,14 @@ class INTCollector:
         self.packets_collected += 1
         if ext.overflowed:
             self.overflowed_packets += 1
+        by_decision = self.records_by_decision
         for record in ext.records:
             key = (flow_id, message_id, record.hop)
             if self.keep_records:
                 self.series.setdefault(key, []).append(
                     INTSample(seq=packet.seq, packet_id=packet.packet_id, record=record)
                 )
-            self.records_collected += 1
-            self._m_records.inc(decision=decision_name(record.decision))
+            by_decision[record.decision] = by_decision.get(record.decision, 0) + 1
             self._m_depth.observe(record.queue_depth_bytes, hop=hop_name(record.hop))
             if self.jsonl_path is not None:
                 if self._sink is None:
@@ -495,12 +512,9 @@ class INTCollector:
 
     def decision_counts(self) -> Dict[str, int]:
         """Delivered records per decision, over every series."""
-        counts: Dict[str, int] = {}
-        for samples in self.series.values():
-            for sample in samples:
-                name = decision_name(sample.record.decision)
-                counts[name] = counts.get(name, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(
+            sorted((decision_name(d), n) for d, n in self.records_by_decision.items())
+        )
 
     def summary(self) -> Dict[str, object]:
         """Deterministic JSON-ready digest."""
@@ -520,12 +534,6 @@ class INTCollector:
         if self._sink is not None:
             self._sink.close()
             self._sink = None
-
-    def clear(self) -> None:
-        self.series.clear()
-        self.packets_collected = 0
-        self.records_collected = 0
-        self.overflowed_packets = 0
 
 
 _COLLECTOR = INTCollector(enabled=False)

@@ -9,26 +9,30 @@ there, ``ChannelStats`` somewhere else).
 
 Design constraints, in order:
 
-1. **Always-on must be cheap.**  A metric update on the packet hot path
-   is one ``enabled`` check, one tuple key, one dict write.  Hot callers
-   bind their label set once (:meth:`Counter.bind`) so per-packet cost
-   is a bound-method call and a dict ``get``/``set``.
-2. **Disabled must be a no-op.**  Every mutator checks
-   ``registry.enabled`` first and returns immediately; reads still work
-   (they just see zeros).
+1. **One writer per counter.**  Instrumented objects count in a tally
+   of plain numbers (``SwitchStats``, ``ChannelStats``, a sender's
+   ``tally``) and write nothing here while they run.  Each registers a
+   publication function over that tally
+   (:meth:`MetricsRegistry.publish_tally`, or a hand-written
+   :meth:`MetricsRegistry.add_flush_hook`) that adds what the counters
+   gained since it last ran; the registry runs them when it is read,
+   and once more after the object is gone, so a counter family always
+   equals the sum of the plain counters behind it and no packet pays
+   for a series update.
+2. **Gauges and histograms are written directly** — they have no plain
+   twin — at the point where the value changes or the sample is taken,
+   none of which is per forwarded packet.
 3. **No dependencies.**  The registry imports nothing from the rest of
    :mod:`repro`, so any layer may import it without cycles.
 
-The process-wide default registry is reachable via :func:`get_registry`
-and honours ``REPRO_OBS_METRICS=0`` to start disabled.  Tests that need
-isolation install a fresh registry with :func:`set_registry` (and should
-restore the previous one afterwards).
+The process-wide default registry is reachable via :func:`get_registry`.
+Tests that need isolation install a fresh registry with
+:func:`set_registry` (and should restore the previous one afterwards).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -77,97 +81,99 @@ class Metric:
         self._registry.flush()
         return sorted(self._series.items())
 
-    def labels_of(self, key: Tuple[str, ...]) -> Dict[str, str]:
-        return dict(zip(self.label_names, key))
-
     def clear(self) -> None:
         self._series.clear()
 
 
 class _BoundScalar:
-    """A (metric, label-key) pair pre-resolved for hot paths."""
+    """One source's handle on one series: a (metric, label-key) pair.
 
-    __slots__ = ("_metric", "_key", "_registry", "_series")
+    Each instrumented object binds its own, so :meth:`publish` can
+    remember how much of *that object's* plain counter the series
+    already holds while same-named objects add into the same series.
+    """
+
+    __slots__ = ("_metric", "_key", "_series", "_seen")
 
     def __init__(self, metric: Metric, key: Tuple[str, ...]) -> None:
         self._metric = metric
         self._key = key
-        # Aliased here because inc() runs per packet: the registry object
-        # persists for the metric's lifetime and Metric.clear() empties
-        # the series dict in place, so both references stay valid.
-        self._registry = metric._registry
+        # Aliased: Metric.clear() empties the series dict in place, so
+        # the reference stays valid.
         self._series = metric._series
+        self._seen = 0.0
+
+    def publish(self, total: float) -> None:
+        """Add what the source's plain counter gained since the last call.
+
+        ``total`` is the counter as it reads now.  A counter that went
+        backwards (``reset_stats()``, a restored checkpoint) only moves
+        the mark: series never go down, and a counter at zero creates no
+        series.
+        """
+        gained = total - self._seen
+        if gained:
+            self._seen = total
+            if gained > 0:
+                series = self._series
+                series[self._key] = series.get(self._key, 0.0) + gained
 
     def inc(self, amount: float = 1.0) -> None:
-        if not self._registry.enabled:
-            return
         series = self._series
         key = self._key
         series[key] = series.get(key, 0.0) + amount
 
     def set(self, value: float) -> None:
-        if not self._registry.enabled:
-            return
         self._series[self._key] = float(value)
 
     @property
     def value(self) -> float:
-        self._registry.flush()
+        self._metric._registry.flush()
         return float(self._series.get(self._key, 0.0))
 
 
-class Counter(Metric):
-    """Monotonically increasing count (packets, bytes, rounds)."""
-
-    kind = "counter"
+class _ScalarMetric(Metric):
+    """What counters and gauges share: float series, ``value``, ``bind``."""
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
-        if amount < 0:
-            raise ValueError(f"{self.name}: counters only go up (got {amount})")
         key = self._key(labels)
         self._series[key] = self._series.get(key, 0.0) + amount
 
     def value(self, **labels: object) -> float:
         self._registry.flush()
         return float(self._series.get(self._key(labels), 0.0))
+
+    def bind(self, **labels: object) -> _BoundScalar:
+        """One source's handle on the series with these labels."""
+        return _BoundScalar(self, self._key(labels))
+
+
+class Counter(_ScalarMetric):
+    """Monotonically increasing count (packets, bytes, rounds)."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        if amount < 0:
+            raise ValueError(f"{self.name}: counters only go up (got {amount})")
+        super().inc(amount, **labels)
 
     def total(self) -> float:
         """Sum across every label combination."""
         self._registry.flush()
         return float(sum(self._series.values()))
 
-    def bind(self, **labels: object) -> _BoundScalar:
-        """Pre-resolve a label set for per-packet use."""
-        return _BoundScalar(self, self._key(labels))
 
-
-class Gauge(Metric):
+class Gauge(_ScalarMetric):
     """Point-in-time value (queue depth, epoch, loss)."""
 
     kind = "gauge"
 
     def set(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
         self._series[self._key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> float:
-        self._registry.flush()
-        return float(self._series.get(self._key(labels), 0.0))
-
-    def bind(self, **labels: object) -> _BoundScalar:
-        return _BoundScalar(self, self._key(labels))
 
 
 class _HistogramSeries:
@@ -189,10 +195,7 @@ class _BoundHistogram:
         self._key = key
 
     def observe(self, value: float) -> None:
-        metric = self._metric
-        if not metric._registry.enabled:
-            return
-        metric._observe(self._key, value)
+        self._metric._observe(self._key, value)
 
 
 class Histogram(Metric):
@@ -245,8 +248,6 @@ class Histogram(Metric):
         series.sum += value
 
     def observe(self, value: float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
         self._observe(self._key(labels), value)
 
     def bind(self, **labels: object) -> _BoundHistogram:
@@ -292,68 +293,81 @@ class Histogram(Metric):
 
 
 class MetricsRegistry:
-    """Name -> metric family; one per process by default.
+    """Name -> metric family; one per process by default."""
 
-    Args:
-        enabled: start collecting immediately (default: yes, unless
-            ``REPRO_OBS_METRICS=0`` is set in the environment).
-    """
-
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        if enabled is None:
-            enabled = os.environ.get("REPRO_OBS_METRICS", "1") != "0"
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
-        # Deferred hot-path counters (see add_flush_hook).
-        self._flush_hooks: List[object] = []
+        # (weak owner, publication closure): see add_flush_hook.
+        self._flush_hooks: List[Tuple[weakref.ref, Callable[[], None]]] = []
         self._flushing = False
+        self._sweep_at = 1024
 
     # -- lifecycle ----------------------------------------------------------
 
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
-        """Zero every series; metric families stay registered."""
+        """Zero every series; metric families stay registered.
+
+        Flushes first: what the sources counted before the reset is
+        published and then zeroed with everything else, not carried over.
+        """
+        self.flush()
         for metric in self._metrics.values():
             metric.clear()
 
-    # -- deferred counters --------------------------------------------------
+    # -- publication --------------------------------------------------------
 
-    def add_flush_hook(self, fn: Callable[[], None]) -> None:
-        """Register a hook that publishes deferred counters on read.
+    def add_flush_hook(self, publish: Callable[[], None], owner: object) -> None:
+        """Register the one way a plain counter reaches the registry.
 
-        Per-packet call sites (link serializers, switch forwarding) keep
-        plain integer attributes on their own objects and publish them
-        into the registry only when something *reads* it — every read
-        API calls :meth:`flush` first, so observers still see exact
-        values.  Hooks must be idempotent (``set``, not ``inc``).  Bound
-        methods are held weakly: a dead owner silently unregisters, so
-        the process-wide registry never pins networks alive.
+        Instrumented objects count in a *tally* — a small object of
+        plain numbers (``SwitchStats``, ``ChannelStats``, a sender's
+        tally) — and write nothing here while they run.  ``publish``
+        closes over that tally, never over ``owner``, and adds what its
+        counters gained since it last ran (:meth:`_BoundScalar.publish`,
+        or ``inc`` of a remembered difference).  It runs on every
+        :meth:`flush` — which every read API calls first, so a reader
+        sees exact values — and never from the garbage collector.
+
+        ``owner`` is held weakly and only tells the registry when to let
+        go: the hook is kept until the first flush after the owner is
+        gone, so an object's last counts arrive whatever the collector
+        does, whoever dropped it, and the registry pins no network.
+        Registration itself flushes once the list has doubled, so what
+        unread owners leave behind stays bounded without anyone reading.
         """
-        if hasattr(fn, "__self__"):
-            self._flush_hooks.append(weakref.WeakMethod(fn))
-        else:
-            self._flush_hooks.append(weakref.ref(fn))
+        if len(self._flush_hooks) >= self._sweep_at:
+            self.flush()
+            self._sweep_at = 2 * len(self._flush_hooks) + 1024
+        self._flush_hooks.append((weakref.ref(owner), publish))
+
+    def publish_tally(
+        self, owner: object, tally: object, series: Mapping[str, _BoundScalar]
+    ) -> Callable[[], None]:
+        """Publish ``tally.<field>`` into ``series[field]`` on every flush.
+
+        The common case of :meth:`add_flush_hook`, written once.  Returns
+        the registered hook, for an owner that must publish before it
+        zeroes its own tally.
+        """
+        pairs = list(series.items())
+
+        def _publish_metrics() -> None:
+            for field, bound in pairs:
+                bound.publish(getattr(tally, field))
+
+        self.add_flush_hook(_publish_metrics, owner)
+        return _publish_metrics
 
     def flush(self) -> None:
-        """Run every live flush hook (reentrancy-safe, prunes dead)."""
+        """Run every hook once (reentrancy-safe); drop those whose owner died."""
         if self._flushing or not self._flush_hooks:
             return
         self._flushing = True
         try:
-            dead = False
-            for ref in self._flush_hooks:
-                fn = ref()
-                if fn is None:
-                    dead = True
-                else:
-                    fn()
-            if dead:
-                self._flush_hooks = [r for r in self._flush_hooks if r() is not None]
+            hooks = self._flush_hooks
+            self._flush_hooks = [hook for hook in hooks if hook[0]() is not None]
+            for _, publish in hooks:
+                publish()
         finally:
             self._flushing = False
 

@@ -254,7 +254,8 @@ class PackedSegments:
     def segment(self, i: int) -> memoryview:
         """Zero-copy view of segment ``i``'s packed bytes."""
         start = i * self.seg_bytes
-        return memoryview(self.buffer)[start : start + packed_size(self.segment_count(i), self.bits)]
+        end = start + packed_size(self.segment_count(i), self.bits)
+        return memoryview(self.buffer)[start:end]
 
 
 def pack_segments(values: np.ndarray, bits: int, segment_len: int) -> PackedSegments:

@@ -92,9 +92,9 @@ class Packet:
     int_ext: Optional[INTExtension] = None
     #: Total bytes this packet occupies on a link / in a queue.  Cached
     #: at construction (queues and links read it several times per hop);
-    #: the payload and INT band are fixed-size once built, so the cache
-    #: only goes stale on direct payload surgery — call
-    #: :meth:`recompute_wire_size` after mutating ``payload`` in place.
+    #: the payload and INT band are fixed-size once built (everything
+    #: that changes a payload — trim, corruption — builds a new packet),
+    #: so the cache never goes stale.
     wire_size: int = field(init=False, compare=False, repr=False, default=0)
 
     def __post_init__(self) -> None:
@@ -102,11 +102,6 @@ class Packet:
         if self.int_ext is not None:
             size += self.int_ext.wire_bytes
         self.wire_size = size
-
-    def recompute_wire_size(self) -> int:
-        """Refresh the cached ``wire_size`` after in-place payload surgery."""
-        self.__post_init__()
-        return self.wire_size
 
     @property
     def is_trimmed(self) -> bool:

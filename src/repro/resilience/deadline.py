@@ -18,6 +18,8 @@ filters it (no double counting).
 
 from __future__ import annotations
 
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from ..obs.metrics import get_registry
@@ -41,15 +43,21 @@ class RoundDeadline:
         self.deadline_s = deadline_s
         self.label = label
         self.rounds = 0
-        self.total_stragglers = 0
+        # Outlives the deadline until the registry has what it counted.
+        self._tally = SimpleNamespace(total_stragglers=0)
         self.last_times: Dict[int, float] = {}
         self.last_responders: Tuple[int, ...] = ()
         self.last_stragglers: Tuple[int, ...] = ()
-        self._m_stragglers = get_registry().counter(
-            "repro_resilience_stragglers_total",
-            "workers excluded from a round for exceeding the deadline",
-            ("run",),
-        ).bind(run=label)
+        registry = get_registry()
+        registry.publish_tally(self, self._tally, {
+            "total_stragglers": registry.counter(
+                "repro_resilience_stragglers_total",
+                "workers excluded from a round for exceeding the deadline",
+                ("run",),
+            ).bind(run=label),
+        })
+
+    total_stragglers = property(attrgetter("_tally.total_stragglers"))
 
     @classmethod
     def from_time_model(
@@ -85,8 +93,7 @@ class RoundDeadline:
         self.last_responders = tuple(responders)
         self.last_stragglers = tuple(stragglers)
         if stragglers:
-            self.total_stragglers += len(stragglers)
-            self._m_stragglers.inc(len(stragglers))
+            self._tally.total_stragglers += len(stragglers)
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(
@@ -125,7 +132,7 @@ class RoundDeadline:
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         """Inverse of :meth:`state_dict` (deadline_s is checked, not set)."""
         self.rounds = int(state["rounds"])
-        self.total_stragglers = int(state["total_stragglers"])
+        self._tally.total_stragglers = int(state["total_stragglers"])
         self.last_times = {int(k): float(v) for k, v in state["last_times"].items()}
         self.last_responders = tuple(int(r) for r in state["last_responders"])
         self.last_stragglers = tuple(int(r) for r in state["last_stragglers"])

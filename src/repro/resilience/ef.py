@@ -49,10 +49,11 @@ class EFChannel(GradientChannel):
     """
 
     def __init__(self, inner: GradientChannel, label: str = "train") -> None:
-        super().__init__()
+        # No super().__init__(): the accounting, and its publication, are
+        # the inner channel's.
         self.inner = inner
         self.label = label
-        self.stats = inner.stats  # shared accounting
+        self.stats = inner.stats
         self._residuals: Dict[Tuple[int, int], np.ndarray] = {}
         self._slots: Dict[int, int] = {}
         self._m_residual_norm = get_registry().gauge(
@@ -142,8 +143,7 @@ class EFChannel(GradientChannel):
         self._slots.pop(worker, None)
 
     def reset_stats(self) -> None:
-        self.inner.reset_stats()
-        self.stats = self.inner.stats
+        self.inner.reset_stats()  # zeroes the shared stats in place
 
     # -- checkpointing ----------------------------------------------------------
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from enum import Enum
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Deque, Dict, List, Mapping
 
 from ..obs.metrics import get_registry
@@ -80,28 +82,33 @@ class Membership:
             rank: WorkerState.ALIVE for rank in range(world_size)
         }
         self.missed: Dict[int, int] = {rank: 0 for rank in range(world_size)}
-        self.evictions = 0
-        self.rejoins = 0
+        # Outlives the membership until the registry has what it counted.
+        self._tally = SimpleNamespace(evictions=0, rejoins=0)
         self._times: Dict[int, Deque[float]] = {
             rank: deque(maxlen=window) for rank in range(world_size)
         }
         registry = get_registry()
-        self._m_evictions = registry.counter(
-            "repro_resilience_evictions_total",
-            "workers evicted after consecutive missed deadlines",
-            ("run",),
-        ).bind(run=label)
-        self._m_rejoins = registry.counter(
-            "repro_resilience_rejoins_total",
-            "evicted workers re-admitted via model broadcast",
-            ("run",),
-        ).bind(run=label)
+        registry.publish_tally(self, self._tally, {
+            "evictions": registry.counter(
+                "repro_resilience_evictions_total",
+                "workers evicted after consecutive missed deadlines",
+                ("run",),
+            ).bind(run=label),
+            "rejoins": registry.counter(
+                "repro_resilience_rejoins_total",
+                "evicted workers re-admitted via model broadcast",
+                ("run",),
+            ).bind(run=label),
+        })
         self._m_alive = registry.gauge(
             "repro_resilience_alive_workers",
             "workers currently in the alive or suspect state",
             ("run",),
         ).bind(run=label)
         self._m_alive.set(float(world_size))
+
+    evictions = property(attrgetter("_tally.evictions"))
+    rejoins = property(attrgetter("_tally.rejoins"))
 
     # -- detector ---------------------------------------------------------------
 
@@ -143,8 +150,7 @@ class Membership:
         self.missed[rank] += 1
         if self.missed[rank] >= self.evict_after:
             self.states[rank] = WorkerState.DEAD
-            self.evictions += 1
-            self._m_evictions.inc()
+            self._tally.evictions += 1
             self._m_alive.set(float(len(self.participants())))
             tracer = get_tracer()
             if tracer.enabled:
@@ -166,8 +172,7 @@ class Membership:
         self.states[rank] = WorkerState.ALIVE
         self.missed[rank] = 0
         self._times[rank].clear()  # stale history would bias the detector
-        self.rejoins += 1
-        self._m_rejoins.inc()
+        self._tally.rejoins += 1
         self._m_alive.set(float(len(self.participants())))
         tracer = get_tracer()
         if tracer.enabled:
@@ -213,8 +218,8 @@ class Membership:
             int(r): WorkerState(v) for r, v in dict(state["states"]).items()
         }
         self.missed = {int(r): int(m) for r, m in dict(state["missed"]).items()}
-        self.evictions = int(state["evictions"])
-        self.rejoins = int(state["rejoins"])
+        self._tally.evictions = int(state["evictions"])
+        self._tally.rejoins = int(state["rejoins"])
         self._times = {
             int(r): deque((float(x) for x in ts), maxlen=self.window)
             for r, ts in dict(state["times"]).items()

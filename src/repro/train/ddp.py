@@ -19,6 +19,8 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -276,7 +278,8 @@ class DDPTrainer:
         ]
         self.num_coords = model.num_parameters()
         self.history = TrainingHistory(self.label)
-        self._rounds_run = 0
+        # Rounds completed; outlives the trainer until the registry has it.
+        self._rounds = SimpleNamespace(run=0)
         # Per-run mutable state (all checkpointable).
         self._wall_clock = 0.0
         self._cur_epoch = 1
@@ -313,9 +316,11 @@ class DDPTrainer:
             ):
                 self.hook.channel = EFChannel(self.hook.channel, label=self.label)
         registry = get_registry()
-        self._m_rounds = registry.counter(
-            "repro_train_rounds_total", "synchronous rounds completed", ("run",)
-        ).bind(run=self.label)
+        registry.publish_tally(self, self._rounds, {
+            "run": registry.counter(
+                "repro_train_rounds_total", "synchronous rounds completed", ("run",)
+            ).bind(run=self.label),
+        })
         self._m_round_seconds = registry.histogram(
             "repro_train_round_seconds",
             "wall time of one synchronous round (compute + aggregate)",
@@ -330,6 +335,25 @@ class DDPTrainer:
         self._m_top1 = registry.gauge(
             "repro_train_top1", "test top-1 after the last epoch", ("run",)
         ).bind(run=self.label)
+        # The channel's accounting under the run's label, refreshed on
+        # every flush.  The hook holds the stats object (one for the
+        # channel's whole life), not the comm hook, which may know the
+        # trainer.
+        stats = self.hook.stats
+        gauges = {
+            name: registry.gauge(
+                f"repro_channel_{name}", f"ChannelStats.{name} of the run", ("channel",)
+            ).bind(channel=self.label)
+            for name in stats.as_dict()
+        }
+
+        def _publish_metrics() -> None:
+            for name, value in stats.as_dict().items():
+                gauges[name].set(value)
+
+        registry.add_flush_hook(_publish_metrics, self)
+
+    _rounds_run = property(attrgetter("_rounds.run"))
 
     # -- one synchronous round -------------------------------------------------
 
@@ -452,8 +476,7 @@ class DDPTrainer:
             self.optimizer.step()
         if times is not None:
             self._update_membership(times)
-        self._rounds_run += 1
-        self._m_rounds.inc()
+        self._rounds.run += 1
         round_seconds = time.perf_counter() - round_start
         self._m_round_seconds.observe(round_seconds)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
@@ -597,7 +620,6 @@ class DDPTrainer:
             self._m_epoch.set(epoch)
             self._m_loss.set(mean_loss)
             self._m_top1.set(accuracy[1])
-            self.hook.stats.publish(label=self.label)
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(
@@ -700,7 +722,7 @@ class DDPTrainer:
         self.history = TrainingHistory(self.label)
         for record in ckpt.history:
             self.history.append(EpochRecord.from_dict(record))
-        self._rounds_run = ckpt.rounds_run
+        self._rounds.run = ckpt.rounds_run
         self._cur_epoch = ckpt.epoch
         self._epoch_losses = list(ckpt.epoch_losses)
         self._epoch_start_wall = ckpt.wall_clock_s

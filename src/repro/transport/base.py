@@ -7,6 +7,7 @@ receivers acknowledge, and a retransmission timer backstops losses.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from ..net.flow import FlowLog, FlowRecord
@@ -98,6 +99,18 @@ class RttEstimator:
         return min(self.rto_max, max(self.rto_min, base) * self._backoff)
 
 
+@dataclass(slots=True)
+class SenderTally:
+    """What one sender counted; outlives it until the registry has it."""
+
+    messages_delivered: int = 0
+    packets_emitted: int = 0  # retransmissions included
+    retransmissions: int = 0
+    timeouts: int = 0
+    surrenders: int = 0
+    trims_reported: int = 0  # trimmed-echo ACKs (trimming senders only)
+
+
 class MessageSenderBase:
     """Common sender state: framing, window pacing, timer, flow log.
 
@@ -138,7 +151,11 @@ class MessageSenderBase:
         self._done = False
         self._failed: Optional[TransportSurrender] = None
         self._message_start = 0.0
-        self._retransmissions = 0
+        # What the sender counted over its whole life (it may carry many
+        # messages): the only thing the send path writes, and what the
+        # registry reads when it is flushed.
+        self.tally = SenderTally()
+        self._retransmissions_before = 0
         # Causal spans: one per in-flight message, one per packet
         # emission (keyed by seq; a retransmission closes the stale span
         # before opening its own).
@@ -146,31 +163,29 @@ class MessageSenderBase:
         self._packet_spans: dict[int, int] = {}
         transport = type(self).__name__
         registry = get_registry()
-        self._m_messages = registry.counter(
-            "repro_transport_messages_total",
-            "messages fully delivered",
-            ("transport",),
-        ).bind(transport=transport)
-        self._m_packets_emitted = registry.counter(
-            "repro_transport_packets_emitted_total",
-            "data packets handed to the host (including retransmissions)",
-            ("transport",),
-        ).bind(transport=transport)
-        self._m_retx = registry.counter(
-            "repro_transport_retransmissions_total",
-            "packets re-sent after a loss signal or timeout",
-            ("transport",),
-        ).bind(transport=transport)
-        self._m_timeouts = registry.counter(
-            "repro_transport_timeouts_total",
-            "retransmission-timer expiries",
-            ("transport",),
-        ).bind(transport=transport)
-        self._m_surrenders = registry.counter(
-            "repro_transport_surrenders_total",
-            "messages abandoned after exhausting the per-packet retry budget",
-            ("transport",),
-        ).bind(transport=transport)
+        registry.publish_tally(self, self.tally, {
+            "messages_delivered": registry.counter(
+                "repro_transport_messages_total", "messages fully delivered", ("transport",)
+            ).bind(transport=transport),
+            "packets_emitted": registry.counter(
+                "repro_transport_packets_emitted_total",
+                "data packets handed to the host (including retransmissions)",
+                ("transport",),
+            ).bind(transport=transport),
+            "retransmissions": registry.counter(
+                "repro_transport_retransmissions_total",
+                "packets re-sent after a loss signal or timeout",
+                ("transport",),
+            ).bind(transport=transport),
+            "timeouts": registry.counter(
+                "repro_transport_timeouts_total", "retransmission-timer expiries", ("transport",)
+            ).bind(transport=transport),
+            "surrenders": registry.counter(
+                "repro_transport_surrenders_total",
+                "messages abandoned after exhausting the per-packet retry budget",
+                ("transport",),
+            ).bind(transport=transport),
+        })
         host.register_flow(flow_id, self._dispatch)
 
     # -- public API ----------------------------------------------------------
@@ -203,7 +218,7 @@ class MessageSenderBase:
         self._done = False
         self._failed = None
         self._message_start = self.sim.now
-        self._retransmissions = 0
+        self._retransmissions_before = self.tally.retransmissions
         self._retries_by_seq.clear()
         st = get_span_tracer()
         if st.enabled:
@@ -281,8 +296,7 @@ class MessageSenderBase:
                     f"packet seq={seq} exceeded max_retries={self.max_retries}"
                 )
                 return
-            self._retransmissions += 1
-            self._m_retx.inc()
+            self.tally.retransmissions += 1
             if self.record is not None:
                 self.record.retransmissions += 1
             tracer = get_tracer()
@@ -310,7 +324,7 @@ class MessageSenderBase:
             if span is not None:
                 self._packet_spans[seq] = span
         self._send_times[seq] = self.sim.now
-        self._m_packets_emitted.inc()
+        self.tally.packets_emitted += 1
         if self.record is not None:
             self.record.packets_sent += 1
         self.host.send(packet)
@@ -340,7 +354,7 @@ class MessageSenderBase:
             return
         self.rtt.backoff()
         self.cc.on_loss()
-        self._m_timeouts.inc()
+        self.tally.timeouts += 1
         self._on_timeout()
 
     def _close_spans(self, outcome: str, reason: Optional[str] = None) -> None:
@@ -361,7 +375,7 @@ class MessageSenderBase:
         if self._message_span is not None:
             attrs: dict[str, Any] = {
                 "outcome": outcome,
-                "retransmissions": self._retransmissions,
+                "retransmissions": self.tally.retransmissions - self._retransmissions_before,
             }
             if reason is not None:
                 attrs["reason"] = reason
@@ -375,7 +389,7 @@ class MessageSenderBase:
         error = TransportSurrender(self.flow_id, reason)
         self._failed = error
         self._cancel_timer()
-        self._m_surrenders.inc()
+        self.tally.surrenders += 1
         self._close_spans(outcome="surrendered", reason=reason)
         tracer = get_tracer()
         if tracer.enabled:
@@ -385,7 +399,7 @@ class MessageSenderBase:
                 transport=type(self).__name__,
                 flow_id=self.flow_id,
                 reason=reason,
-                retransmissions=self._retransmissions,
+                retransmissions=self.tally.retransmissions - self._retransmissions_before,
             )
         # The FlowLog record stays open: a surrendered flow never
         # completed, so it must not contribute a bogus FCT sample.
@@ -397,7 +411,7 @@ class MessageSenderBase:
             return
         self._done = True
         self._cancel_timer()
-        self._m_messages.inc()
+        self.tally.messages_delivered += 1
         self._close_spans(outcome="delivered")
         tracer = get_tracer()
         if tracer.enabled:
@@ -407,7 +421,7 @@ class MessageSenderBase:
                 transport=type(self).__name__,
                 flow_id=self.flow_id,
                 packets=len(self._packets),
-                retransmissions=self._retransmissions,
+                retransmissions=self.tally.retransmissions - self._retransmissions_before,
                 # Flow completion time is *simulated* seconds, so it lives
                 # in fields rather than duration_s (wall-clock spans).
                 fct_s=self.sim.now - self._message_start,

@@ -15,6 +15,8 @@ loss, exactly like NCCL dropping a corrupted frame.
 
 from __future__ import annotations
 
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Callable, List, Optional
 
 from ..net.host import Host
@@ -116,26 +118,34 @@ class GoBackNReceiver:
         self._delivered: List[Packet] = []
         self._total: Optional[int] = None
         self._peer: Optional[str] = None
-        self.trimmed_rejected = 0
-        self.out_of_order_discarded = 0
-        self.corrupt_rejected = 0
+        # What the receiver counted; outlives it until the registry has it.
+        self._tally = SimpleNamespace(
+            trimmed_rejected=0, out_of_order_discarded=0, corrupt_rejected=0
+        )
+        transport = type(self).__name__
         registry = get_registry()
-        self._m_trimmed_rejected = registry.counter(
-            "repro_transport_trimmed_rejected_total",
-            "trimmed packets the trim-oblivious baseline treated as losses",
-            ("transport",),
-        ).bind(transport=type(self).__name__)
-        self._m_corrupt_rejected = registry.counter(
-            "repro_transport_corrupt_rejected_total",
-            "packets failing checksum verification, treated as losses",
-            ("transport",),
-        ).bind(transport=type(self).__name__)
-        self._m_ooo_discarded = registry.counter(
-            "repro_transport_out_of_order_discarded_total",
-            "out-of-order packets discarded by the in-order receiver",
-            ("transport",),
-        ).bind(transport=type(self).__name__)
+        registry.publish_tally(self, self._tally, {
+            "trimmed_rejected": registry.counter(
+                "repro_transport_trimmed_rejected_total",
+                "trimmed packets the trim-oblivious baseline treated as losses",
+                ("transport",),
+            ).bind(transport=transport),
+            "corrupt_rejected": registry.counter(
+                "repro_transport_corrupt_rejected_total",
+                "packets failing checksum verification, treated as losses",
+                ("transport",),
+            ).bind(transport=transport),
+            "out_of_order_discarded": registry.counter(
+                "repro_transport_out_of_order_discarded_total",
+                "out-of-order packets discarded by the in-order receiver",
+                ("transport",),
+            ).bind(transport=transport),
+        })
         host.register_flow(flow_id, self._on_packet)
+
+    trimmed_rejected = property(attrgetter("_tally.trimmed_rejected"))
+    out_of_order_discarded = property(attrgetter("_tally.out_of_order_discarded"))
+    corrupt_rejected = property(attrgetter("_tally.corrupt_rejected"))
 
     @property
     def complete(self) -> bool:
@@ -151,14 +161,12 @@ class GoBackNReceiver:
             # Checksum mismatch: the payload was corrupted in flight.  A
             # reliable transport never delivers garbage — treat it as a
             # loss and let the cumulative ACK drive a retransmission.
-            self.corrupt_rejected += 1
-            self._m_corrupt_rejected.inc()
+            self._tally.corrupt_rejected += 1
             self._send_cumulative_ack(ecn=packet.ecn)
             return
         if packet.is_trimmed:
             # The baseline cannot use a trimmed payload: count it as lost.
-            self.trimmed_rejected += 1
-            self._m_trimmed_rejected.inc()
+            self._tally.trimmed_rejected += 1
             self._send_cumulative_ack(ecn=packet.ecn)
             return
         if packet.seq == self._expected:
@@ -167,8 +175,7 @@ class GoBackNReceiver:
             if packet.int_ext is not None:
                 get_int_collector().collect(packet)
         elif packet.seq > self._expected:
-            self.out_of_order_discarded += 1
-            self._m_ooo_discarded.inc()
+            self._tally.out_of_order_discarded += 1
         # seq < expected: retransmitted duplicate of old data; just re-ACK.
         self._send_cumulative_ack(ecn=packet.ecn)
         if self.complete and self.on_message is not None:

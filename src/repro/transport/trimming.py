@@ -16,6 +16,8 @@ NDP-style selective transport that understands trimmable gradients:
 
 from __future__ import annotations
 
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, Optional
 
 from ..net.host import Host
@@ -37,18 +39,19 @@ class TrimmingSender(MessageSenderBase):
         # |{s in _acked : s < _next}|, kept as both sides move so the
         # window check does not rescan the ack set on every ACK.
         self._acked_below_next = 0
-        self.trims_reported = 0
-        self._m_trims_reported = get_registry().counter(
-            "repro_transport_trims_reported_total",
-            "trimmed-echo ACKs seen by the sender",
-            ("transport",),
-        ).bind(transport=type(self).__name__)
+        registry = get_registry()
+        registry.publish_tally(self, self.tally, {
+            "trims_reported": registry.counter(
+                "repro_transport_trims_reported_total",
+                "trimmed-echo ACKs seen by the sender",
+                ("transport",),
+            ).bind(transport=type(self).__name__),
+        })
 
     def _reset_state(self) -> None:
         self._acked = set()
         self._next = 0
         self._acked_below_next = 0
-        self.trims_reported = 0
         self._send_times.clear()
 
     def _inflight(self) -> int:
@@ -82,8 +85,7 @@ class TrimmingSender(MessageSenderBase):
             self._acked_below_next += 1
         self._sample_rtt(seq)
         if packet.trimmed_echo:
-            self.trims_reported += 1
-            self._m_trims_reported.inc()
+            self.tally.trims_reported += 1
             if self.record is not None:
                 self.record.packets_trimmed += 1
             self.cc.on_trim()
@@ -132,26 +134,32 @@ class TrimmingReceiver:
         self._received: Dict[int, Packet] = {}
         self._total: Optional[int] = None
         self._peer: Optional[str] = None
-        self.trimmed_accepted = 0
-        self.nacks_sent = 0
-        self.corrupt_rejected = 0
+        # What the receiver counted; outlives it until the registry has it.
+        self._tally = SimpleNamespace(trimmed_accepted=0, nacks_sent=0, corrupt_rejected=0)
+        transport = type(self).__name__
         registry = get_registry()
-        self._m_trimmed_accepted = registry.counter(
-            "repro_transport_trimmed_accepted_total",
-            "trimmed gradient packets accepted as deliveries",
-            ("transport",),
-        ).bind(transport=type(self).__name__)
-        self._m_corrupt_rejected = registry.counter(
-            "repro_transport_corrupt_rejected_total",
-            "packets failing checksum verification, treated as losses",
-            ("transport",),
-        ).bind(transport=type(self).__name__)
-        self._m_nacks = registry.counter(
-            "repro_transport_nacks_total",
-            "NDP-style NACKs sent for unusable trimmed packets",
-            ("transport",),
-        ).bind(transport=type(self).__name__)
+        registry.publish_tally(self, self._tally, {
+            "trimmed_accepted": registry.counter(
+                "repro_transport_trimmed_accepted_total",
+                "trimmed gradient packets accepted as deliveries",
+                ("transport",),
+            ).bind(transport=transport),
+            "corrupt_rejected": registry.counter(
+                "repro_transport_corrupt_rejected_total",
+                "packets failing checksum verification, treated as losses",
+                ("transport",),
+            ).bind(transport=transport),
+            "nacks_sent": registry.counter(
+                "repro_transport_nacks_total",
+                "NDP-style NACKs sent for unusable trimmed packets",
+                ("transport",),
+            ).bind(transport=transport),
+        })
         host.register_flow(flow_id, self._on_packet)
+
+    trimmed_accepted = property(attrgetter("_tally.trimmed_accepted"))
+    nacks_sent = property(attrgetter("_tally.nacks_sent"))
+    corrupt_rejected = property(attrgetter("_tally.corrupt_rejected"))
 
     @property
     def complete(self) -> bool:
@@ -172,22 +180,18 @@ class TrimmingReceiver:
             # scale packet every decode depends on) was corrupted in
             # flight.  Decoding garbage would silently poison the round —
             # re-request instead, exactly like an NDP NACK.
-            self.corrupt_rejected += 1
-            self._m_corrupt_rejected.inc()
+            self._tally.corrupt_rejected += 1
             self._send_control(packet.seq, nack=True)
-            self.nacks_sent += 1
-            self._m_nacks.inc()
+            self._tally.nacks_sent += 1
             return
         if packet.is_trimmed:
             usable = self.accept_trimmed and packet.is_gradient
             if not usable:
                 self._send_control(packet.seq, nack=True)
-                self.nacks_sent += 1
-                self._m_nacks.inc()
+                self._tally.nacks_sent += 1
                 return
             if packet.seq not in self._received:
-                self.trimmed_accepted += 1
-                self._m_trimmed_accepted.inc()
+                self._tally.trimmed_accepted += 1
                 self._received[packet.seq] = packet
                 if packet.int_ext is not None:
                     get_int_collector().collect(packet)

@@ -15,6 +15,7 @@ The self-healing contract from the fabric's point of view:
 """
 
 from repro.net.topology import leaf_spine
+from repro.obs.metrics import get_registry
 from repro.obs.int_telemetry import (
     AUX_PATH_CHANGED,
     DECISION_FORWARD,
@@ -123,6 +124,11 @@ class TestFailoverReroute:
     def test_blackhole_window_then_reroute(self):
         net = _build()
         leaf0 = net.switches["leaf0"]
+        # The registry is process-cumulative per switch name: compare growth.
+        dropped = get_registry().get("repro_switch_dropped_total")
+        reroutes = get_registry().get("repro_switch_reroutes_total")
+        dropped_before = dropped.value(switch="leaf0", kind="blackhole")
+        reroutes_before = reroutes.value(switch="leaf0")
         flow = _flow_via(net, "spine0")
         delivered = []
         net.hosts["h1_0"].set_default_handler(delivered.append)
@@ -139,14 +145,17 @@ class TestFailoverReroute:
 
         assert leaf0.stats.blackhole >= 1
         assert leaf0.stats.drops_by_kind.get("blackhole", 0) >= 1
-        assert leaf0._m_dropped_by_kind["blackhole"].value >= 1.0
+        assert (
+            dropped.value(switch="leaf0", kind="blackhole") - dropped_before
+            == leaf0.stats.blackhole
+        )
         assert leaf0.stats.drops_by_kind.get("port-blackout", 0) == 0
 
         _send(net, flow, seq=2)  # post-convergence: rehomes
         net.sim.run()
 
         assert leaf0.stats.reroutes == 1
-        assert leaf0._m_reroutes.value == 1.0
+        assert reroutes.value(switch="leaf0") - reroutes_before == 1.0
         new_leg = leaf0._ecmp_cache[("h0_0", "h1_0", flow)][0]
         assert new_leg in SPINES and new_leg != "spine0"
         assert [(p.flow_id, p.seq) for p in delivered] == [(flow, 0), (flow, 2)]

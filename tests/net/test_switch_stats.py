@@ -42,7 +42,7 @@ class TestFractions:
 
 
 class TestDropCounterBinding:
-    """``_drop`` binds its series per kind; the unbound call is the oracle."""
+    """Drops are published per kind; the unbound ``inc`` call is the oracle."""
 
     KINDS = (
         "no-route", "port-blackout", "header-band-overflow",
@@ -61,9 +61,8 @@ class TestDropCounterBinding:
                 switch._drop(Packet(src="a", dst="b"), kind)
         return switch
 
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_same_series_as_the_unbound_call(self, enabled):
-        bound, unbound = MetricsRegistry(enabled=enabled), MetricsRegistry(enabled=enabled)
+    def test_same_series_as_the_unbound_call(self):
+        bound, unbound = MetricsRegistry(), MetricsRegistry()
         switch = self.drop_all(bound, self.KINDS)
         oracle = unbound.counter(
             "repro_switch_dropped_total", "packets dropped", ("switch", "kind")
@@ -73,7 +72,7 @@ class TestDropCounterBinding:
                 oracle.inc(switch="sw", kind=kind)
         got = bound.get("repro_switch_dropped_total")
         assert got.series() == oracle.series()
-        assert len(got.series()) == (len(self.KINDS) if enabled else 0)
+        assert len(got.series()) == len(self.KINDS)
         assert switch.stats.drops_by_kind == {k: i for i, k in enumerate(self.KINDS, start=1)}
 
         def dropped_lines(registry):
@@ -85,7 +84,7 @@ class TestDropCounterBinding:
         assert dropped_lines(bound) == dropped_lines(unbound)
 
     def test_no_series_until_a_kind_is_dropped(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         self.drop_all(registry, ())
         assert registry.get("repro_switch_dropped_total").series() == []
         self.drop_all(registry, ("buffer-overflow",))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, no_grad
+from repro.nn import Tensor, is_grad_enabled, no_grad
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -181,6 +181,23 @@ class TestGraphMechanics:
         with no_grad():
             out = a * 2.0
         assert not out.requires_grad
+
+    def test_nested_no_grad_restores_each_level(self):
+        a = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not is_grad_enabled()
+            assert not is_grad_enabled()  # the inner exit restores "off"
+            assert not (a * 2.0).requires_grad
+        assert is_grad_enabled()
+        assert (a * 2.0).requires_grad
+
+    def test_no_grad_restores_on_exception(self):
+        with pytest.raises(ZeroDivisionError):
+            with no_grad():
+                1 / 0
+        assert is_grad_enabled()
+        assert (Tensor([1.0], requires_grad=True) * 2.0).requires_grad
 
     def test_detach(self):
         a = Tensor([1.0], requires_grad=True)

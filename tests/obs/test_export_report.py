@@ -9,7 +9,7 @@ from repro.obs.report import main as report_main
 
 class TestPrometheusText:
     def test_counter_and_gauge_lines(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("pkts_total", "packets seen", ("switch",)).inc(3, switch="s0")
         registry.gauge("depth_bytes").set(120.5)
         text = prometheus_text(registry)
@@ -20,7 +20,7 @@ class TestPrometheusText:
         assert "depth_bytes 120.5" in text
 
     def test_histogram_exposition(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         h = registry.histogram("lat", "latency", start=1e-3, factor=10, num_buckets=3)
         h.observe(5e-3)
         h.observe(500.0)  # overflow
@@ -32,7 +32,7 @@ class TestPrometheusText:
         assert 'lat_bucket{le="0.01"} 1' in text
 
     def test_empty_registry(self):
-        assert prometheus_text(MetricsRegistry(enabled=True)) == ""
+        assert prometheus_text(MetricsRegistry()) == ""
 
 
 def _events():
@@ -136,7 +136,7 @@ class TestBuildReport:
         assert "buffer-overflow" not in report.split("-- fabric")[1].split("--")[0]
 
     def test_metrics_snapshot_section(self):
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         registry.counter("c", labels=("l",)).inc(9, l="x")
         report = build_report([], registry=registry)
         assert "-- metrics snapshot --" in report

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, log-scale histograms, no-op mode."""
+"""Metrics registry: counters, gauges, log-scale histograms."""
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.obs.metrics import (
 
 @pytest.fixture
 def registry():
-    return MetricsRegistry(enabled=True)
+    return MetricsRegistry()
 
 
 class TestCounter:
@@ -105,24 +105,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.counter("c", labels=("b",))
 
-    def test_disabled_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        c = registry.counter("c")
-        g = registry.gauge("g")
-        h = registry.histogram("h")
-        c.inc()
-        g.set(5)
-        h.observe(1.0)
-        assert c.value() == 0
-        assert g.value() == 0
-        assert h.count() == 0
-
-    def test_disabled_bound_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        bound = registry.counter("c", labels=("l",)).bind(l="x")
-        bound.inc()
-        assert bound.value == 0
-
     def test_reset_zeroes_but_keeps_families(self, registry):
         c = registry.counter("c")
         c.inc(7)
@@ -138,7 +120,7 @@ class TestRegistry:
         assert snap["h"][""]["count"] == 1
 
     def test_set_registry_swaps_default(self):
-        fresh = MetricsRegistry(enabled=True)
+        fresh = MetricsRegistry()
         previous = set_registry(fresh)
         try:
             assert get_registry() is fresh

@@ -25,7 +25,7 @@ from repro.transport import FixedWindow, TrimmingReceiver, TrimmingSender
 
 @pytest.fixture
 def fresh_obs():
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     tracer = Tracer(enabled=True)
     prev_registry = set_registry(registry)
     prev_tracer = set_tracer(tracer)
