@@ -10,8 +10,8 @@ executed: one thread drives every job's resumable trainer
   round's gradients are ready;
 * launch all of those gradient messages at the same simulation instant
   on the shared network (per-flow ECMP spreads them across the fabric)
-  and run the event loop until every transfer has settled or the
-  deadline passes;
+  and run the event loop to the instant the last of them is delivered
+  or surrendered — or to the deadline, whichever comes first;
 * complete each job in the same order — decode what arrived, hand the
   aggregate back to its trainer — which carries it to its next round.
 
@@ -30,6 +30,7 @@ can say *whose* packets the fabric cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -56,10 +57,6 @@ __all__ = ["JOB_FLOW_BASE", "JOB_FLOW_BLOCK", "FabricHook", "ClusterDriver"]
 #: test range and below the cross-traffic space.
 JOB_FLOW_BASE = 200_000
 JOB_FLOW_BLOCK = 10_000
-
-#: Wave execution slices the deadline into this many chunks so the event
-#: loop can stop early once every transfer is terminal.
-_DEADLINE_CHUNKS = 20
 
 
 # -- placement -----------------------------------------------------------------
@@ -242,13 +239,9 @@ class FabricHook(CommHook):
                     cc=FixedWindow(initial_window=128),
                 )
             )
+        settled = partial(self.driver._transfer_settled, self.driver.waves_run)
         for transfer in self._in_flight:
-            transfer.start()
-
-    @property
-    def settled(self) -> bool:
-        """No transfer of the wave in flight is still waiting on the fabric."""
-        return all(transfer.settled for transfer in self._in_flight)
+            transfer.start(settled)
 
     def complete(self) -> np.ndarray:
         """Close the wave in flight; returns the mean of what arrived."""
@@ -352,6 +345,9 @@ class ClusterDriver:
         for switch in self.net.switches.values():
             switch.flow_classifier = self._classify
         self.waves_run = 0
+        # Transfers of the wave being run that are neither delivered nor
+        # surrendered yet.
+        self._unsettled = 0
         self._ran = False
 
     # -- construction ----------------------------------------------------------
@@ -478,15 +474,23 @@ class ClusterDriver:
     # -- wave engine ------------------------------------------------------------
 
     def _run_wave(self, hooks: List[FabricHook]) -> None:
-        """Run the fabric until every launched hook settles, or the deadline."""
+        """Run the fabric to the instant the last transfer ``hooks``
+        launched is terminal, or to the deadline."""
         sim = self.net.sim
-        t0 = sim.now
-        chunk = self.scenario.deadline_s / _DEADLINE_CHUNKS
-        for step in range(_DEADLINE_CHUNKS):
-            sim.run(until=t0 + (step + 1) * chunk)
-            if all(hook.settled for hook in hooks):
-                break
+        # Nothing settles before the loop runs: a sender hears of its
+        # message's fate from an ACK or a timer, both events.
+        self._unsettled = sum(len(hook._in_flight) for hook in hooks)
+        if self._unsettled:
+            sim.run(until=sim.now + self.scenario.deadline_s)
         self.waves_run += 1
+
+    def _transfer_settled(self, wave: int, _surrender: object = None) -> None:
+        """A sender launched in ``wave`` delivered its message or gave up."""
+        # A sender the deadline cut off belongs to no count any more.
+        if wave == self.waves_run:
+            self._unsettled -= 1
+            if not self._unsettled:
+                self.net.sim.stop()
 
     def run(self) -> Dict[str, Any]:
         """Train every job to completion; returns the JSON-ready report."""

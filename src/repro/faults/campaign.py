@@ -98,9 +98,9 @@ class CampaignConfig:
     seed: int = 0
     faults: int = 3
     kinds: Tuple[str, ...] = CAMPAIGN_KINDS
-    window_s: float = 2e-3
-    down_min_s: float = 0.2e-3
-    down_max_s: float = 1.5e-3
+    window_s: float = 0.5e-3
+    down_min_s: float = 0.05e-3
+    down_max_s: float = 0.4e-3
     rate_min: float = 0.01
     rate_max: float = 0.2
     ef: bool = True

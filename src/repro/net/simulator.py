@@ -17,6 +17,11 @@ Cancelled events are skipped lazily at pop; when dead entries outnumber
 live ones the heap is rebuilt in place, so timer-heavy workloads
 (flap/blackout fault churn, transport RTO re-arming) keep bounded memory.
 
+A callback ends the run in progress with :meth:`Simulator.stop`.  The
+loop does not poll a flag for it: ``stop`` posts a sentinel that sorts
+ahead of everything queued, and popping it raises out of the loop, so a
+run nobody stops pays nothing per event.
+
 This module is the only one that knows how the queue is stored: every
 other module posts through the public scheduling methods.
 """
@@ -31,6 +36,10 @@ __all__ = ["Simulator", "Event"]
 
 #: Dead entries tolerated before cancellation triggers compaction.
 _COMPACT_MIN_DEAD = 64
+
+
+class _Halt(Exception):
+    """Raised by the :meth:`Simulator.stop` sentinel to leave the loop."""
 
 
 class Event:
@@ -99,6 +108,9 @@ class Simulator:
         # Cancelled entries still in the heap: the live (scheduled, not
         # yet run or cancelled) count is len(_heap) - _dead.
         self._dead = 0
+        self._running = False
+        # A stop() sentinel is in the heap (at most one at a time).
+        self._halting = False
 
     @property
     def events_processed(self) -> int:
@@ -138,6 +150,37 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         heappush(self._heap, (self.now + delay, next(self._sequence), fn, arg))
 
+    def stop(self) -> None:
+        """End the :meth:`run` in progress when the calling callback returns.
+
+        ``now`` stays at the calling event and everything queued —
+        events for this same instant included, whether posted before or
+        after the call — stays queued for the next :meth:`run`, which
+        runs it in posting order.  Calling it again before the run has
+        returned changes nothing.  With no run in progress it is a
+        no-op: it does not make the next :meth:`run` return early.
+        """
+        if self._running and not self._halting:
+            self._halting = True
+            # Sequence -1 sorts ahead of every posted event of this
+            # instant, and nothing queued is earlier than ``now``.
+            heappush(self._heap, (self.now, -1, self._halt, None))
+
+    def _halt(self, _: None) -> None:
+        """The :meth:`stop` sentinel, popped: leave the loop."""
+        self._halting = False
+        raise _Halt
+
+    def _run_ended(self, processed: int) -> None:
+        self._processed += processed
+        self._running = False
+        if self._halting:
+            # stop() was called but the loop left another way (event
+            # budget spent, or the callback raised): the sentinel is
+            # the head of the heap, and must not end the next run.
+            heappop(self._heap)
+            self._halting = False
+
     # -- draining -----------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
@@ -161,6 +204,7 @@ class Simulator:
         heap = self._heap
         pop = heappop
         processed = 0
+        self._running = True
         try:
             while processed < budget:
                 try:
@@ -189,8 +233,10 @@ class Simulator:
                     event._done = True
                     event.callback()
                 processed += 1
+        except _Halt:  # stop(): the sentinel is not an event of the program
+            pass
         finally:
-            self._processed += processed
+            self._run_ended(processed)
         return self.now
 
     def run_profiled(
@@ -219,6 +265,7 @@ class Simulator:
         budget = inf if max_events is None else max_events
         heap = self._heap
         processed = 0
+        self._running = True
         try:
             while processed < budget:
                 try:
@@ -250,13 +297,15 @@ class Simulator:
                     callback()
                     observer(callback, when, clock() - start)
                 processed += 1
+        except _Halt:  # stop(): the sentinel is not an event of the program
+            pass
         finally:
-            self._processed += processed
+            self._run_ended(processed)
         return self.now
 
     def pending(self) -> int:
         """Number of live events still queued (O(1))."""
-        return len(self._heap) - self._dead
+        return len(self._heap) - self._dead - self._halting
 
     # -- maintenance --------------------------------------------------------
 

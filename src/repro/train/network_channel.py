@@ -77,14 +77,17 @@ class _WireTransfer:
             self.wire = wire
             self.done_s = self.sender.sim.now
 
-    def start(self) -> None:
-        self.start_s = self.sender.sim.now
-        self.sender.send_message(self.packets)
+    def start(self, on_settled: Optional[Callable[..., None]] = None) -> None:
+        """Put the message on the wire.
 
-    @property
-    def settled(self) -> bool:
-        """The sender has finished or surrendered (no deadline needed)."""
-        return self.sender.done or self.sender.failed
+        ``on_settled`` is the sender's ``on_complete`` and ``on_failure``
+        in one: called at the instant the message is delivered (no
+        argument) or surrendered (with the ``TransportSurrender``).
+        """
+        self.start_s = self.sender.sim.now
+        self.sender.send_message(
+            self.packets, on_complete=on_settled, on_failure=on_settled
+        )
 
     @property
     def fct_s(self) -> float:

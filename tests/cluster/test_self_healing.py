@@ -22,11 +22,12 @@ from repro.obs.int_telemetry import (
 
 SEED = 5
 
-#: Wave 1 of the seed-5 idle-1job run starts at 2.5 ms (waves are
-#: deadline-chunk aligned); +5 us lands the kill while that wave's
-#: gradient packets — which hash through core1 — are in flight.
-KILL_AT_S = 2.5e-3 + 5e-6
-KILL_FOR_S = 1e-3
+#: The kill lands this long after wave 1 starts — while that wave's
+#: gradient packets, which hash through core1, are in flight.
+KILL_INTO_WAVE_S = 5e-6
+#: Dark for about a quarter of the fault-free run (~0.75 ms of fabric
+#: time), so the switch is back well before training ends.
+KILL_FOR_S = 0.2e-3
 
 #: A healed fabric must not cost accuracy: retransmissions recover every
 #: blackholed packet, so the band is slack against seed jitter only.
@@ -40,20 +41,22 @@ def _ef_scenario():
     )
 
 
-def _run_with_kill(seed=SEED):
+def _run(seed, kill_at_s=None):
+    """One INT-stamped run of the EF scenario, core1 killed at
+    ``kill_at_s`` if given."""
     driver = ClusterDriver(_ef_scenario(), seed=seed)
-    fault = Scenario(
-        name="core-kill",
-        description="whole core switch dies mid-wave",
-        faults=(
-            FaultSpec(
-                "switch-down", "switch:core1", start_s=KILL_AT_S, down_s=KILL_FOR_S
+    if kill_at_s is not None:
+        fault = Scenario(
+            name="core-kill",
+            description="whole core switch dies mid-wave",
+            faults=(
+                FaultSpec(
+                    "switch-down", "switch:core1", start_s=kill_at_s, down_s=KILL_FOR_S
+                ),
             ),
-        ),
-        duration_s=1.0,
-    )
-    injector = FaultInjector(driver.net, fault, root_seed=seed)
-    injector.install()
+            duration_s=1.0,
+        )
+        FaultInjector(driver.net, fault, root_seed=seed).install()
     collector = INTCollector(enabled=True)
     previous = set_int_collector(collector)
     enable_int()
@@ -63,6 +66,14 @@ def _run_with_kill(seed=SEED):
         set_int_collector(previous)
         disable_int()
     return driver, report, collector
+
+
+def _run_with_kill(seed=SEED):
+    # Wave 1 starts where wave 0 ended: read that instant off a
+    # fault-free run of the same (scenario, seed), INT bands and all.
+    calm, _, _ = _run(seed)
+    _, wave0_end_s = calm.runtimes[0].hook.wave_log[0]
+    return _run(seed, kill_at_s=wave0_end_s + KILL_INTO_WAVE_S)
 
 
 class TestCoreSwitchKillMidTraining:

@@ -26,6 +26,12 @@ from repro.faults.campaign import (
     shrink_plan,
 )
 from repro.faults.cli import main as faults_main
+from repro.obs.int_telemetry import (
+    INTCollector,
+    disable_int,
+    enable_int,
+    set_int_collector,
+)
 
 
 class TestConfig:
@@ -184,6 +190,44 @@ class TestRunCampaign:
         )
         result = run_campaign(plan)
         assert "determinism" not in result.violated_monitors
+
+
+def _fault_free_s(config: CampaignConfig) -> float:
+    """Fabric time the campaign's cluster run takes with no fault armed
+    (error feedback on and INT bands stamped, as a campaign runs it)."""
+    scenario = cluster_scenario_by_name(config.cluster)
+    scenario = replace(
+        scenario, jobs=tuple(replace(job, ef=True) for job in scenario.jobs)
+    )
+    previous = set_int_collector(INTCollector(enabled=True))
+    enable_int()
+    try:
+        return ClusterDriver(scenario, seed=config.seed).run()["sim_time_s"]
+    finally:
+        set_int_collector(previous)
+        disable_int()
+
+
+class TestDefaultsFitTheFabricClock:
+    """Faults are drawn on the fabric clock, which advances only while
+    gradients are in flight (a preset run is ~0.8-1.2 ms of it): the
+    default window and dark times must land inside that, not after."""
+
+    @pytest.mark.parametrize("cluster", ["idle-1job", "elephant-2job", "incast-4job"])
+    def test_every_default_fault_starts_inside_the_run_and_is_survived(self, cluster):
+        blackholed = []
+        for seed in range(10):
+            config = CampaignConfig(cluster=cluster, seed=seed)
+            plan = draw_plan(config)
+            run_s = _fault_free_s(config)
+            assert all(spec.start_s < run_s for spec in plan.faults), (seed, run_s)
+            result = run_campaign(plan)
+            assert result.ok, (seed, [v.to_dict() for v in result.violations])
+            if result.report["fabric"]["blackhole_drops"]:
+                blackholed.append(seed)
+        # Not just armed: some campaigns hit live gradient traffic even
+        # on the fabric with no tenant to hit instead.
+        assert blackholed, cluster
 
 
 class TestCampaignCLI:

@@ -104,6 +104,168 @@ class TestRunControls:
         assert sim.now == 5.0
 
 
+def _plain_run(sim, **kwargs):
+    return sim.run(**kwargs)
+
+
+def _profiled_run(sim, **kwargs):
+    return sim.run_profiled(lambda fn, when, wall_s: None, lambda: 0.0, **kwargs)
+
+
+@pytest.mark.parametrize("run", [_plain_run, _profiled_run], ids=["run", "run_profiled"])
+class TestStop:
+    """``stop()`` ends the run in progress at the calling event and
+    leaves the queue — this instant's events included — for the next."""
+
+    @pytest.mark.parametrize("post", ["schedule", "schedule_at", "schedule_call"])
+    def test_run_returns_when_the_stopping_callback_returns(self, run, post):
+        sim = Simulator()
+        hits = []
+
+        def stopper(*_):
+            sim.stop()
+            hits.append("stopper")  # the callback itself runs to its end
+
+        sim.schedule(1.0, lambda: hits.append("before"))
+        if post == "schedule":
+            sim.schedule(2.0, stopper)
+        elif post == "schedule_at":
+            sim.schedule_at(2.0, stopper)
+        else:
+            sim.schedule_call(2.0, stopper, None)
+        sim.schedule(3.0, lambda: hits.append("after"))
+        assert run(sim, until=10.0) == 2.0
+        assert hits == ["before", "stopper"]
+        assert sim.now == 2.0  # not advanced to ``until``
+        assert sim.pending() == 1
+        assert sim.events_processed == 2  # the stop itself is not an event
+        assert run(sim) == 3.0
+        assert hits == ["before", "stopper", "after"]
+        assert sim.events_processed == 3
+
+    def test_same_instant_events_wait_for_the_next_run_in_posting_order(self, run):
+        sim = Simulator()
+        order = []
+
+        def stopper():
+            sim.schedule(0.0, lambda: order.append("d"))
+            sim.stop()
+            sim.schedule_call(0.0, order.append, "e")
+
+        sim.schedule(1.0, lambda: order.append("a"))
+        sim.schedule(1.0, stopper)
+        sim.schedule(1.0, lambda: order.append("b"))
+        sim.schedule_call(1.0, order.append, "c")
+        run(sim)
+        assert order == ["a"]
+        assert sim.now == 1.0
+        assert sim.pending() == 4
+        run(sim)
+        assert order == ["a", "b", "c", "d", "e"]
+        assert sim.now == 1.0
+
+    def test_two_stops_at_one_instant_end_one_run(self, run):
+        sim = Simulator()
+        hits = []
+
+        def stopper():
+            sim.stop()
+            sim.stop()
+            assert sim.pending() == 2  # the two real events, nothing else
+
+        sim.schedule(1.0, stopper)
+        sim.schedule(1.0, lambda: hits.append("same instant"))
+        sim.schedule(2.0, lambda: hits.append("later"))
+        run(sim)
+        assert hits == []
+        run(sim)  # the second stop() did not leak into this run
+        assert hits == ["same instant", "later"]
+        assert sim.events_processed == 3
+
+    def test_each_run_can_be_stopped(self, run):
+        sim = Simulator()
+        stops = []
+
+        def stopper():
+            stops.append(sim.now)
+            sim.stop()
+
+        for when in (1.0, 1.0, 2.0):
+            sim.schedule(when, stopper)
+        assert [run(sim), run(sim), run(sim)] == [1.0, 1.0, 2.0]
+        assert stops == [1.0, 1.0, 2.0]
+        assert sim.pending() == 0
+
+    def test_stop_with_no_run_in_progress_is_a_noop(self, run):
+        sim = Simulator()
+        hits = []
+        sim.schedule(1.0, lambda: hits.append(1))
+        sim.stop()
+        assert sim.pending() == 1
+        assert run(sim, until=5.0) == 5.0
+        assert hits == [1]
+        sim.stop()  # after a run, too
+        sim.schedule(1.0, lambda: hits.append(2))
+        run(sim)
+        assert hits == [1, 2]
+        assert sim.events_processed == 2
+
+    def test_stop_on_the_last_budgeted_event_does_not_leak(self, run):
+        sim = Simulator()
+        hits = []
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: hits.append(2))
+        run(sim, max_events=1)  # the budget ends the run before the stop does
+        assert sim.pending() == 1
+        run(sim)
+        assert hits == [2]
+
+    def test_stop_then_raise_does_not_leak(self, run):
+        sim = Simulator()
+        hits = []
+
+        def stop_and_raise():
+            sim.stop()
+            raise RuntimeError("boom")
+
+        sim.schedule(1.0, stop_and_raise)
+        sim.schedule(2.0, lambda: hits.append(2))
+        with pytest.raises(RuntimeError, match="boom"):
+            run(sim)
+        assert sim.pending() == 1
+        run(sim)
+        assert hits == [2]
+
+    def test_stop_survives_compaction(self, run):
+        sim = Simulator()
+        hits = []
+
+        def stopper():
+            sim.stop()
+            for _ in range(200):  # enough dead timers to rebuild the heap
+                sim.schedule(1.0, lambda: hits.append("dead")).cancel()
+
+        sim.schedule(1.0, stopper)
+        sim.schedule(1.0, lambda: hits.append("live"))
+        run(sim)
+        assert hits == []
+        assert sim.pending() == 1
+        run(sim)
+        assert hits == ["live"]
+
+    def test_unstopped_run_keeps_until_and_max_events_semantics(self, run):
+        sim = Simulator()
+        hits = []
+        for when in (1.0, 2.0, 3.0, 4.0):
+            sim.schedule(when, lambda when=when: hits.append(when))
+        assert run(sim, until=2.5, max_events=10) == 2.5
+        assert hits == [1.0, 2.0]
+        assert run(sim, until=10.0, max_events=1) == 3.0
+        assert hits == [1.0, 2.0, 3.0]
+        assert run(sim, until=10.0) == 10.0
+        assert sim.events_processed == 4
+
+
 class TestCancellation:
     def test_cancelled_event_skipped(self):
         sim = Simulator()

@@ -3,8 +3,10 @@
 The reference below is one binary heap ordered by ``(time, sequence)``
 with *eager* cancel (remove + re-heapify); ``Simulator`` is the same
 heap with lazy cancel, live/dead counters and in-place compaction, and
-two copies of the drain loop (``run`` and ``run_profiled``).  The
-reference stays here as the oracle whichever scheduler
+two copies of the drain loop (``run`` and ``run_profiled``).  ``stop``
+is a flag the reference's loop reads after every callback; ``Simulator``
+posts a sentinel instead so its loop reads nothing.  The reference
+stays here as the oracle whichever scheduler
 ``repro.net.simulator`` ships.
 """
 
@@ -24,6 +26,8 @@ class HeapScheduler:
         self.now = 0.0
         self._heap = []
         self._sequence = itertools.count()
+        self._running = False
+        self._stopped = False
 
     def _post(self, delay, fn, args):
         entry = (self.now + delay, next(self._sequence), fn, args)
@@ -47,8 +51,12 @@ class HeapScheduler:
     def pending(self):
         return len(self._heap)
 
+    def stop(self):
+        self._stopped = self._running  # no run in progress: nothing to stop
+
     def run(self, until=None, max_events=None):
         executed = 0
+        self._running = True
         while max_events is None or executed < max_events:
             if not self._heap or (until is not None and self._heap[0][0] > until):
                 if until is not None and until > self.now:
@@ -57,6 +65,9 @@ class HeapScheduler:
             self.now, _, fn, args = heapq.heappop(self._heap)
             fn(*args)
             executed += 1
+            if self._stopped:
+                break
+        self._running = self._stopped = False
         return self.now
 
 
@@ -70,9 +81,12 @@ delays = st.one_of(
 )
 child = st.none() | delays
 index = st.integers(0, 1 << 16)
+# How many times the callback calls stop(): mostly never, sometimes twice.
+stops = st.sampled_from([0, 0, 0, 0, 1, 2])
 ops = st.one_of(
-    st.tuples(st.just("schedule"), delays, child, st.none() | index),
-    st.tuples(st.just("call"), delays, child),
+    st.tuples(st.just("schedule"), delays, child, st.none() | index, stops),
+    st.tuples(st.just("call"), delays, child, stops),
+    st.tuples(st.just("stop_outside_run")),
     st.tuples(st.just("calls"), st.lists(delays, max_size=10)),
     st.tuples(st.just("at"), delays, child),
     st.tuples(st.just("cancel"), index),
@@ -90,25 +104,30 @@ def execute(program, sched, cancel, run=None):
     tags = itertools.count()
 
     def fire(spec):
-        tag, child_delay, cancel_idx = spec
+        tag, child_delay, cancel_idx, stop_calls = spec
         fired.append((sched.now, tag))
+        for _ in range(stop_calls):
+            sched.stop()
+        # Cancels and posts after the stop() still take effect.
         if cancel_idx is not None and handles:
             cancel(handles[cancel_idx % len(handles)])
         if child_delay is not None:
-            sched.schedule_call(child_delay, fire, ((tag, "child"), None, None))
+            sched.schedule_call(child_delay, fire, ((tag, "child"), None, None, 0))
 
     for op in program:
         kind = op[0]
         if kind == "schedule":
-            spec = (next(tags), op[2], op[3])
+            spec = (next(tags), op[2], op[3], op[4])
             handles.append(sched.schedule(op[1], lambda spec=spec: fire(spec)))
         elif kind == "call":
-            sched.schedule_call(op[1], fire, (next(tags), op[2], None))
+            sched.schedule_call(op[1], fire, (next(tags), op[2], None, op[3]))
+        elif kind == "stop_outside_run":
+            sched.stop()
         elif kind == "calls":
             for delay in op[1]:
-                sched.schedule_call(delay, fire, (next(tags), None, None))
+                sched.schedule_call(delay, fire, (next(tags), None, None, 0))
         elif kind == "at":
-            spec = (next(tags), op[2], None)
+            spec = (next(tags), op[2], None, 0)
             handles.append(sched.schedule_at(sched.now + op[1], lambda spec=spec: fire(spec)))
         elif kind == "cancel":
             if handles:
@@ -121,7 +140,8 @@ def execute(program, sched, cancel, run=None):
         else:
             run(max_events=op[1])
         pendings.append((sched.pending(), sched.now))
-    run()
+    while sched.pending():  # each stop() ends one run
+        run()
     return fired, pendings, sched.pending(), sched.now
 
 
@@ -130,8 +150,9 @@ def execute(program, sched, cancel, run=None):
 def test_simulator_matches_heap_oracle(program):
     reference = HeapScheduler()
     expected = execute(program, reference, reference.cancel)
-    actual = execute(program, Simulator(), lambda event: event.cancel())
-    assert actual == expected
+    plain = Simulator()
+    assert execute(program, plain, lambda event: event.cancel()) == expected
+    assert plain.events_processed == len(expected[0])
 
     # run_profiled is a second copy of run's loop: same order, same
     # times, same counters, and one observer call per executed event.

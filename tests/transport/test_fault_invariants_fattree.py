@@ -6,8 +6,8 @@ now runs on an ECMP-routed k=4 fat-tree while one background tenant
 (pod 2 -> pod 1) loads the fabric.  Faults land on the remapped targets
 along the ECMP path pair 0 actually hashes to.
 
-Marked ``cluster``: tier-1 skips this file (see pyproject addopts); the
-CI chaos job runs it with ``-m cluster``.
+Marked ``cluster``: tier-1 runs this file with everything else, the CI
+chaos job runs it alone with ``-m cluster``.
 """
 
 import pytest
