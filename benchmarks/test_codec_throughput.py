@@ -11,6 +11,12 @@ coordinates-per-second numbers.  They are for reading, not gating: on a
 shared box they move 1.2-1.9x run to run (docs/performance.md, "Trial
 record: the ``_per_s`` gate"); the ledger's ``wire-1m`` ``core.*_s`` rows
 are the gated form of the same stages.
+
+``test_streaming_kernel_cost`` prints the two numpy kernels under those
+stages on their own, in ns per coordinate: the FWHT at the three shapes
+the ledger's workloads transform and the 31-bit plane packed / unpacked
+for a 12-, 315- and 2,947-packet message (docs/performance.md, "FWHT"
+and "Whole-message bit packing").
 """
 
 import time
@@ -20,6 +26,10 @@ import pytest
 
 from repro.bench import emit, format_table
 from repro.core import MultiLevelCodec, codec_by_name, depacketize, packetize
+from repro.core.layout import coords_per_packet
+from repro.packet import pack_segments, unpack_batch
+from repro.packet.bitpack import ROW_GROUP
+from repro.transforms import fwht_inplace
 
 NUM_COORDS = 2**16
 
@@ -105,6 +115,37 @@ def test_pipeline_stage_throughput(gradient):
     ]
     _emit_coords_per_s("perf codec pipeline (P=1/Q=31, sign)", stages)
     assert depacketize(packets).length == NUM_COORDS
+
+
+def test_streaming_kernel_cost():
+    """ns per coordinate of the FWHT and of the 31-bit plane packer, alone."""
+    rng = np.random.default_rng(1)
+    rows = []
+    for shape in [(1, 4096), (28, 4096), (32, 2**15)]:
+        x = rng.standard_normal(shape)
+        seconds = _best_seconds(lambda: fwht_inplace(x), repeats=7)
+        rows.append([f"fwht_inplace {shape}", f"{seconds * 1e9 / x.size:.2f}"])
+    n = coords_per_packet(1500, 1, 31)
+    for packets in (12, 315, 2947):
+        tails = rng.integers(0, 2**31, size=packets * n - 100, dtype=np.uint64).astype(np.uint32)
+        plane = pack_segments(tails, 31, n)
+        chunks = [plane.segment(i) for i in range(plane.num_segments - 1)]
+
+        def unpack():  # a row group a call, as depacketize hands them over
+            for start in range(0, len(chunks), ROW_GROUP):
+                unpack_batch(chunks[start : start + ROW_GROUP], n, 31)
+
+        pack_s = _best_seconds(lambda: pack_segments(tails, 31, n), repeats=7)
+        unpack_s = _best_seconds(unpack, repeats=7)
+        rows.append([f"31-bit pack, {packets} packets", f"{pack_s * 1e9 / tails.size:.2f}"])
+        rows.append([f"31-bit unpack, {packets} packets", f"{unpack_s * 1e9 / (len(chunks) * n):.2f}"])
+        assert np.array_equal(unpack_batch(chunks, n, 31).reshape(-1), tails[: len(chunks) * n])
+    emit(
+        "\n"
+        + format_table(
+            ["kernel", "ns/coord"], rows, title=f"[perf streaming kernels, numpy {np.__version__}]"
+        )
+    )
 
 
 def test_rht_pipeline_throughput(gradient):

@@ -13,16 +13,17 @@ tail arrays plus masks, ready for the codec's decoder.
 Both directions run on the training hot path (once per gradient per
 step), so they are whole-message vectorized (see docs/performance.md):
 
-* ``packetize`` packs every packet's heads and tails in one batched
-  :func:`~repro.packet.bitpack.pack_segments` call each, writes all
-  payloads (headers included, via the precompiled struct template) into
-  one contiguous message buffer, and hands each packet a read-only
-  zero-copy ``memoryview`` slice of that buffer.
+* ``packetize`` lays all payloads (headers included, via the precompiled
+  struct template) out in one contiguous message buffer, has
+  :func:`~repro.packet.bitpack.pack_segments` pack the head and the tail
+  plane straight into their columns of that buffer's rows, and hands
+  each packet a read-only zero-copy ``memoryview`` slice of it.
 * ``depacketize`` parses each gradient header exactly once, groups the
   arrived packets by geometry, and inverts every group's packed planes
-  with one batched :func:`~repro.packet.bitpack.unpack_batch` call
-  instead of two ``unpack_bits`` calls per packet, and stores a group
-  that lies on its own ``coord_count`` grid as whole rows.
+  with batched :func:`~repro.packet.bitpack.unpack_batch` calls, a row
+  group of packets each, instead of two ``unpack_bits`` calls per
+  packet, and stores a group that lies on its own ``coord_count`` grid
+  as whole rows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from ..obs.int_telemetry import INTExtension, int_capacity
 from ..obs.trace import get_tracer
-from ..packet.bitpack import pack_segments, packed_size, unpack_batch
+from ..packet.bitpack import ROW_GROUP, pack_segments, packed_size, unpack_batch
 from ..packet.header import (
     FLAG_INT,
     FLAG_METADATA,
@@ -141,16 +142,12 @@ def packetize(
         )
     ]
 
-    # Pack the whole head and tail planes in one batched call each, with
-    # byte-aligned per-packet segments, then lay every payload out in a
-    # single contiguous message buffer.  Each packet's payload is a
-    # read-only zero-copy view into that buffer (owned bytes only appear
-    # again when a switch trims — see Packet.trim).
-    heads_plane = pack_segments(enc.heads, enc.head_bits, n_per_packet)
-    tails_plane = pack_segments(enc.tails, enc.tail_bits, n_per_packet)
-    head_bytes = heads_plane.seg_bytes
-    tail_bytes = tails_plane.seg_bytes
-    last_count = heads_plane.segment_count(num_chunks - 1)
+    # Lay every payload out in a single contiguous message buffer; each
+    # packet's payload is a read-only zero-copy view into it (owned bytes
+    # only appear again when a switch trims — see Packet.trim).
+    head_bytes = packed_size(n_per_packet, enc.head_bits)
+    tail_bytes = packed_size(n_per_packet, enc.tail_bits)
+    last_count = enc.length - full_chunks * n_per_packet
     last_head_bytes = packed_size(last_count, enc.head_bits)
     last_tail_bytes = packed_size(last_count, enc.tail_bits)
     full_payload = GRADIENT_HEADER_BYTES + head_bytes + tail_bytes
@@ -159,20 +156,20 @@ def packetize(
     buf = bytearray(last_pos + last_payload)
 
     # Every chunk but the last has the same geometry, so their payloads are
-    # the rows of a matrix over ``buf``: the header block and both packed
-    # planes go in as three strided stores (plus two header columns).
-    rows = np.frombuffer(buf, dtype=np.uint8)[:last_pos].reshape(full_chunks, full_payload)
-    head_rows = np.frombuffer(heads_plane.buffer, dtype=np.uint8).reshape(num_chunks, head_bytes)
-    tail_rows = np.frombuffer(tails_plane.buffer, dtype=np.uint8).reshape(num_chunks, tail_bytes)
+    # the rows of a matrix over ``buf``; the last chunk may be short, so it
+    # is a row of its own.  The header block is one strided store (plus two
+    # header columns) and each plane is packed, a row group at a time,
+    # straight into its columns of those rows.
+    octets = np.frombuffer(buf, dtype=np.uint8)
+    rows = octets[:last_pos].reshape(full_chunks, full_payload)
+    last_row = octets[last_pos + GRADIENT_HEADER_BYTES :]
     tails_at = GRADIENT_HEADER_BYTES + head_bytes
     header(1, 0, n_per_packet, int_flag).pack_run(rows[:, :GRADIENT_HEADER_BYTES], n_per_packet)
-    rows[:, GRADIENT_HEADER_BYTES:tails_at] = head_rows[:-1]
-    rows[:, tails_at:] = tail_rows[:-1]
-    # The last chunk may be short, so it is written on its own.
     header(num_chunks, full_chunks * n_per_packet, last_count, int_flag).pack_into(buf, last_pos)
-    last_tails_at = last_pos + GRADIENT_HEADER_BYTES + last_head_bytes
-    buf[last_pos + GRADIENT_HEADER_BYTES : last_tails_at] = head_rows[-1, :last_head_bytes].data
-    buf[last_tails_at:] = tail_rows[-1, :last_tail_bytes].data
+    heads_out = rows[:, GRADIENT_HEADER_BYTES:tails_at], last_row[:last_head_bytes]
+    tails_out = rows[:, tails_at:], last_row[last_head_bytes:]
+    pack_segments(enc.heads, enc.head_bits, n_per_packet, out=heads_out)
+    pack_segments(enc.tails, enc.tail_bits, n_per_packet, out=tails_out)
 
     views = memoryview(buf).toreadonly()
     for chunk in range(num_chunks):
@@ -293,21 +290,27 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
             # that packetize emits, bar the short final chunk): view the
             # planes as rows of `count` coordinates and store whole rows.
             width = count
-            index = offsets // count
+            index = (offsets // count)[:, None]
         else:
             # Misaligned or hand-built packets: one index per coordinate.
             width = 1
-            index = (offsets[:, None] + np.arange(count)).reshape(-1)
+            index = offsets[:, None] + np.arange(count)
         grid = length - length % width
         head_rows, tail_rows, trimmed_rows, covered_rows = (
             plane[:grid].reshape(-1, width) for plane in (heads, tails, trimmed, covered)
         )
-        head_rows[index] = unpack_batch(head_planes, count, head_bits).reshape(-1, width)
         covered_rows[index] = True
         if was_trimmed:
             trimmed_rows[index] = True
-        else:
-            tail_rows[index] = unpack_batch(tail_planes, count, tail_bits).reshape(-1, width)
+        # Unpack a row group of packets at a time, so that what is scattered
+        # into the planes is still in cache and no whole-plane copy exists.
+        for start in range(0, len(los), ROW_GROUP):
+            some = slice(start, start + ROW_GROUP)
+            into = index[some].reshape(-1)
+            head_rows[into] = unpack_batch(head_planes[some], count, head_bits).reshape(-1, width)
+            if not was_trimmed:
+                unpacked = unpack_batch(tail_planes[some], count, tail_bits)
+                tail_rows[into] = unpacked.reshape(-1, width)
 
     full_head_bits, full_tail_bits = full_bits or (geometry.head_bits, geometry.tail_bits)
     return GradientMessage(

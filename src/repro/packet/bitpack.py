@@ -14,11 +14,12 @@ Two layers are exposed:
   word-level kernel that assembles each block of 8 values (exactly
   ``bits`` bytes) in ``uint64`` words with one or two shifts per value.
 * the whole-message API (:func:`pack_segments` / :func:`unpack_batch`)
-  packs or unpacks *every packet of a message in one numpy call*.
-  :func:`pack_segments` splits a plane into byte-aligned per-packet
-  segments inside one contiguous buffer so the packetizer can slice
-  zero-copy payload views; :func:`unpack_batch` inverts a batch of
-  same-geometry packet bodies at once.
+  packs or unpacks *the packets of a message as the rows of a matrix*,
+  a row group (``ROW_GROUP`` packets) per numpy call so the kernel's
+  temporaries stay in cache.  :func:`pack_segments` splits a plane into
+  byte-aligned per-packet segments, in one contiguous buffer or straight
+  into the rows of the packetizer's message buffer; :func:`unpack_batch`
+  inverts a batch of same-geometry packet bodies at once.
 
 No width expands values to one slot per bit.  The per-bit formulation
 lives in ``tests/packet/bitpack_oracle.py`` as the reference every width
@@ -28,7 +29,7 @@ is compared against, byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -73,61 +74,93 @@ def _check_range(values: np.ndarray, bits: int) -> None:
 # matrix where every row is packed independently to a byte boundary.  A
 # single flat array is the rows=1 case; a message's packets are the rows.
 
+#: Rows (packets) packed or unpacked at a time.  A group's temporaries —
+#: for 356 x 31-bit rows about 370 kB of lanes and 180 kB each of words
+#: and wire bytes — stay in cache between the kernel's passes, where a
+#: whole 2,947-packet plane (20 MB of them) streams from memory on every
+#: pass.  Measured on that plane (numpy 2.4.6, 4 MB L2): pack 7.4 ms whole,
+#: 4.2 / 3.4 / 3.1 / 3.4 / 3.6 / 3.8 ms at 32 / 64 / 128 / 256 / 512 /
+#: 1024 rows; unpack 5.8 ms whole, 4.2 / 3.0 / 2.9 / 3.1 / 3.7 / 4.7 ms.
+ROW_GROUP = 128
 
-def _pack_rows(values: np.ndarray, bits: int) -> np.ndarray:
+
+def _pack_rows(values: np.ndarray, bits: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Pack a ``(rows, count)`` uint matrix row-by-row into packed bytes.
 
-    Returns a ``(rows, packed_size(count, bits))`` uint8 matrix; each row
-    is byte-aligned independently (trailing pad bits are zero).
+    Fills (and returns) ``out``, a ``(rows, packed_size(count, bits))``
+    uint8 matrix of any strides — a fresh one when omitted — ``ROW_GROUP``
+    rows at a time; each row is byte-aligned independently (trailing pad
+    bits are zero).
     """
     rows, count = values.shape
+    if out is None:
+        out = np.empty((rows, packed_size(count, bits)), dtype=np.uint8)
     if count == 0:
-        return np.zeros((rows, 0), dtype=np.uint8)
-    if bits == 1:
-        return np.packbits(values.astype(np.uint8), axis=1)
-    if bits == 8:
-        return values.astype(np.uint8)
-    if bits == 16:
-        return np.ascontiguousarray(values.astype(">u2")).view(np.uint8).reshape(rows, 2 * count)
-    if bits == 32:
-        return np.ascontiguousarray(values.astype(">u4")).view(np.uint8).reshape(rows, 4 * count)
-    return _pack_blocks(values, bits)
+        return out
+    for start in range(0, rows, ROW_GROUP):
+        group = values[start : start + ROW_GROUP]
+        packed = out[start : start + ROW_GROUP]
+        if bits == 1:
+            packed[...] = np.packbits(group.astype(np.uint8), axis=1)
+        elif bits == 8:
+            packed[...] = group
+        elif bits in (16, 32):
+            wide = np.ascontiguousarray(group.astype(f">u{bits // 8}"))
+            packed[...] = wide.view(np.uint8).reshape(packed.shape)
+        else:
+            _pack_blocks(group, bits, packed)
+    return out
 
 
-def _pack_blocks(values: np.ndarray, bits: int) -> np.ndarray:
-    """:func:`_pack_rows` for the widths without a byte/word view.
+def _pack_blocks(values: np.ndarray, bits: int, out: np.ndarray) -> None:
+    """One row group of :func:`_pack_rows` for the widths without a byte/word view.
 
     Eight ``bits``-wide values fill exactly ``bits`` bytes, so a row is a
-    sequence of such blocks.  Each block is assembled in
-    ``ceil(bits / 8)`` big-endian ``uint64`` words: value ``i`` of every
-    block (the column slice ``values[:, i::8]``) ends at bit
-    ``(i + 1) * bits`` of the block and is shifted into the word holding
-    that bit, plus the word before when it straddles a boundary.  The
-    loop runs 8 times whatever the message size, and a short final block
-    needs no padding — its missing columns simply contribute nothing.
+    sequence of such blocks.  The group is first dealt into eight
+    contiguous ``uint64`` lanes — lane ``i`` holds value ``i`` of every
+    block, zero where a short final block has none — so every pass below
+    is a flat array.  Each block is assembled in ``ceil(bits / 8)``
+    big-endian ``uint64`` words: lane ``i`` ends at bit ``(i + 1) * bits``
+    of the block and is shifted into the word holding that bit (stored,
+    for the first lane to reach a word, OR-ed after), plus the word
+    before when it straddles a boundary.  The loop runs 8 times whatever
+    the group size; the blocks are byte-swapped once and stored straight
+    into ``out``.
     """
     rows, count = values.shape
     blocks = -(-count // 8)
     words_per_block = -(-bits // 8)
     block_bytes = packed_size(8, bits)  # 8 values x `bits` bits: exactly `bits` bytes
-    words = np.zeros((words_per_block, rows, blocks), dtype=np.uint64)
-    scratch = np.empty((rows, blocks), dtype=np.uint64)
-    for i in range(min(8, count)):
-        column = values[:, i::8]
-        filled = column.shape[1]  # `blocks`, or one fewer past a short final block
-        shifted = scratch[:, :filled]
+    lanes = np.empty((8, rows, blocks), dtype=np.uint64)
+    dealt = lanes.transpose(1, 2, 0)  # (rows, blocks, 8): the values' own order
+    full, short = divmod(count, 8)
+    dealt[:, :full] = values[:, : 8 * full].reshape(rows, full, 8)
+    if short:
+        dealt[:, full, :short] = values[:, 8 * full :]
+        dealt[:, full, short:] = 0
+    words = np.empty((words_per_block, rows, blocks), dtype=np.uint64)
+    shifted = np.empty((rows, blocks), dtype=np.uint64)
+    for i, lane in enumerate(lanes):
         end = (i + 1) * bits
         last = (end - 1) // 64
-        np.left_shift(column, np.uint64(64 * (last + 1) - end), out=shifted)
-        words[last, :, :filled] |= shifted
+        if 64 * last >= i * bits:  # the first lane to reach this word
+            np.left_shift(lane, np.uint64(64 * (last + 1) - end), out=words[last])
+        else:
+            np.left_shift(lane, np.uint64(64 * (last + 1) - end), out=shifted)
+            words[last] |= shifted
         if i * bits < 64 * last:  # the value's high bits sit in the previous word
-            np.right_shift(column, np.uint64(end - 64 * last), out=shifted)
-            words[last - 1, :, :filled] |= shifted
+            np.right_shift(lane, np.uint64(end - 64 * last), out=shifted)
+            words[last - 1] |= shifted
     wire = np.empty((rows, blocks, words_per_block), dtype=">u8")
-    wire[...] = words.transpose(1, 2, 0)  # one byte swap for the whole plane
+    wire[...] = words.transpose(1, 2, 0)  # one byte swap for the whole group
     octets = wire.view(np.uint8).reshape(rows, blocks, 8 * words_per_block)
-    packed = octets[:, :, :block_bytes].reshape(rows, blocks * block_bytes)
-    return packed[:, : packed_size(count, bits)]
+    need = packed_size(count, bits)
+    whole = need // block_bytes
+    # Splitting the last axis of a slice is a view, whatever ``out``'s strides.
+    whole_blocks = out[:, : whole * block_bytes].reshape(rows, whole, block_bytes)
+    whole_blocks[...] = octets[:, :whole, :block_bytes]
+    if whole < blocks:  # short final block
+        out[:, whole * block_bytes :] = octets[:, whole, : need - whole * block_bytes]
 
 
 def _unpack_rows(data: np.ndarray, count: int, bits: int) -> np.ndarray:
@@ -258,13 +291,26 @@ class PackedSegments:
         return memoryview(self.buffer)[start:end]
 
 
-def pack_segments(values: np.ndarray, bits: int, segment_len: int) -> PackedSegments:
+def pack_segments(
+    values: np.ndarray,
+    bits: int,
+    segment_len: int,
+    out: Optional[tuple[np.ndarray, np.ndarray]] = None,
+) -> PackedSegments:
     """Pack a whole plane into byte-aligned per-packet segments at once.
 
     Equivalent to calling :func:`pack_bits` on every ``segment_len`` slice
-    of ``values`` but performed in a single batched numpy call: the values
-    are padded to a whole number of segments (zero pad bits are invisible
-    in the per-segment views) and packed as a matrix.
+    of ``values`` but performed as batched numpy calls over row groups of
+    segments: the full segments are the rows of one matrix and the final
+    (possibly partial) one is a row of its own, so nothing is padded.
+
+    ``out`` names where the segments go instead of a new buffer, as the
+    pair ``(full, last)`` of writable uint8 arrays (any strides): row ``i``
+    of ``full`` receives segment ``i`` and the 1-D ``last`` receives the
+    final segment's ``packed_size(segment_count(-1), bits)`` bytes —
+    ``packetize`` passes the columns of its message buffer.  The returned
+    ``buffer`` is then empty.  Nothing is written if a value is out of
+    range or a destination has the wrong shape.
     """
     _check_bits(bits)
     if segment_len <= 0:
@@ -277,17 +323,22 @@ def pack_segments(values: np.ndarray, bits: int, segment_len: int) -> PackedSegm
     values = values.reshape(-1)
     _check_range(values, bits)
     total = values.size
-    if total == 0:
-        return PackedSegments(buffer=b"", bits=bits, segment_len=segment_len, total=0)
-    num_segments = -(-total // segment_len)
-    if total < num_segments * segment_len:
-        padded = np.zeros(num_segments * segment_len, dtype=values.dtype)
-        padded[:total] = values
-        values = padded
-    packed = _pack_rows(values.reshape(num_segments, segment_len), bits)
-    return PackedSegments(
-        buffer=packed.tobytes(), bits=bits, segment_len=segment_len, total=total
-    )
+    packed = None
+    if total:
+        full_segments = (total - 1) // segment_len  # the final segment may be short
+        split = full_segments * segment_len
+        seg_bytes = packed_size(segment_len, bits)
+        shapes = ((full_segments, seg_bytes), (packed_size(total - split, bits),))
+        if out is None:
+            packed = np.zeros((full_segments + 1, seg_bytes), dtype=np.uint8)
+            out = packed[:-1], packed[-1, : shapes[1][0]]
+        full, last = out
+        if (full.shape, last.shape) != shapes:
+            raise ValueError(f"out must have shapes {shapes}, got {(full.shape, last.shape)}")
+        _pack_rows(values[:split].reshape(-1, segment_len), bits, full)
+        _pack_rows(values[split:].reshape(1, -1), bits, last.reshape(1, -1))
+    buffer = b"" if packed is None else packed.tobytes()
+    return PackedSegments(buffer=buffer, bits=bits, segment_len=segment_len, total=total)
 
 
 def unpack_batch(chunks: Sequence[ByteLike], count: int, bits: int) -> np.ndarray:
@@ -297,7 +348,8 @@ def unpack_batch(chunks: Sequence[ByteLike], count: int, bits: int) -> np.ndarra
     packed plane of one packet).  Returns a ``(len(chunks), count)``
     uint32 matrix.  This is the receive-side twin of
     :func:`pack_segments`: ``depacketize`` groups arrived packets by
-    geometry and inverts each group here instead of per packet.
+    geometry and inverts each group here, ``ROW_GROUP`` packets a call,
+    instead of per packet.
     """
     _check_bits(bits)
     need = packed_size(count, bits)

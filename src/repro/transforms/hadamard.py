@@ -2,10 +2,11 @@
 
 The paper's RHT codec (Section 3.2) uses the ``fast-hadamard-transform``
 CUDA kernel; this module is the numpy substitute.  The transform is the
-classic in-place butterfly: for a vector of length ``d = 2**k`` it runs in
-``O(d log d)`` and is fully vectorized over a batch of rows, which plays
-the role of GPU parallelism (each row fits the GPU L1 working set in the
-paper; here each row is one numpy slice).
+classic butterfly in its constant-geometry form (every stage is the same
+two flat passes, see :func:`fwht_inplace`): for a vector of length
+``d = 2**k`` it runs in ``O(d log d)`` and is fully vectorized over a
+batch of rows, which plays the role of GPU parallelism (each row fits the
+GPU L1 working set in the paper; here a cache-sized tile of rows does).
 
 We use the *orthonormal* convention ``H_d = H / sqrt(d)`` where ``H`` is
 the {+1,-1} Hadamard matrix, so the transform is an involution:
@@ -39,50 +40,50 @@ def next_power_of_two(n: int) -> int:
 
 #: Elements one butterfly tile holds (2^15 float64 = 256 kB).  §3.2 picks
 #: 2^15-coordinate rows so that a row stays in fast memory for all of its
-#: ``log2 d`` stages; the tile is the same idea for the CPU cache.  Measured
-#: flat from 2^14 to 2^16, a third slower at 2^13 and at 2^18.
+#: ``log2 d`` stages; the tile is the same idea for the CPU cache (the two
+#: ping/pong buffers are 512 kB).  Measured flat from 2^13 to 2^15; 2^16 /
+#: 2^17 / 2^18 are 1.1x / 1.8x / 3x slower (numpy 2.4.6, 4 MB L2).
 _TILE = 1 << 15
 
-#: Below this half-width a stage is done as ``h`` strided passes, one per
-#: offset inside the half-block: numpy's inner loop would otherwise be only
-#: ``h`` elements long (measured on a 2^15 tile: h=2 327 -> 41 us, h=4
-#: 159 -> 69 us, h=8 92 -> 102 us).
-_SHORT_RUN = 8
 
+def _shuffle(tile: np.ndarray, steps: int, ping: np.ndarray, pong: np.ndarray) -> np.ndarray:
+    """Butterfly the ``steps`` lowest index bits of ``tile``'s rows; returns a flat buffer.
 
-def _butterfly_stages(tile: np.ndarray, first: int, stop: int, scratch: np.ndarray) -> None:
-    """Run the stages with half-width ``first <= h < stop`` on a 2-D view, in place.
-
-    One add and one subtract per output element; ``scratch`` (at least
-    half of ``tile``'s elements) holds the only copy a stage needs.
+    Constant geometry: ``tile`` (any strides) is copied into a flat buffer
+    and every step writes the neighbour sums ``x[2j] + x[2j+1]`` to the
+    first half and the differences ``x[2j] - x[2j+1]`` to the second half
+    of the other buffer.  A step butterflies the lowest index bit and
+    rotates the index right, so step ``s`` pairs exactly the operands the
+    textbook stage ``h = 2**s`` does, and after ``log2 d`` steps element
+    ``(q, c)`` of an ``r x d`` tile sits at flat position ``c * r + q``.
+    Every pass is 1-D (numpy's trivial-loop path whatever the stage).
     """
-    rows, d = tile.shape
-    h = first
-    while h < stop:
-        if h < _SHORT_RUN:
-            lanes = [(tile[:, j :: 2 * h], tile[:, h + j :: 2 * h]) for j in range(h)]
-        else:
-            # Splitting the last axis is always a view, whatever the strides.
-            pairs = tile.reshape(rows, d // (2 * h), 2, h)
-            lanes = [(pairs[:, :, 0, :], pairs[:, :, 1, :])]
-        for a, b in lanes:
-            kept = scratch[: a.size].reshape(a.shape)
-            np.copyto(kept, a)
-            np.add(a, b, out=a)
-            np.subtract(kept, b, out=b)
-        h *= 2
+    n = tile.size
+    half = n // 2
+    src, dst = ping[:n], pong[:n]
+    np.copyto(src.reshape(tile.shape), tile)
+    step = (src[0::2], src[1::2], dst[:half], dst[half:])
+    back = (dst[0::2], dst[1::2], src[:half], src[half:])
+    for _ in range(steps):
+        even, odd, sums, differences = step
+        np.add(even, odd, out=sums)
+        np.subtract(even, odd, out=differences)
+        step, back = back, step
+    return dst if steps % 2 else src
 
 
 def fwht_inplace(x: np.ndarray) -> np.ndarray:
     """In-place orthonormal FWHT along the last axis.
 
     The butterfly is run tile by tile — a group of whole rows of at most
-    ``_TILE`` elements goes through *all* its stages before the next
-    group is touched — instead of sweeping the whole array once per
-    stage.  A row longer than a tile does its short stages per tile and
-    only the remaining ``log2(d / _TILE)`` stages across the full row.
-    Same adds and subtracts on the same operands as the textbook loop
-    (kept in ``tests/transforms/test_hadamard.py``), so the output is
+    ``_TILE`` elements goes through *all* its stages (:func:`_shuffle`)
+    in two flat ping/pong buffers before the next group is touched, and
+    is scaled on the way back.  A row longer than a tile shuffles each
+    ``_TILE`` sub-block through its ``log2 _TILE`` steps, which returns
+    it to natural order, and runs only the remaining ``log2(d / _TILE)``
+    stages across the row itself.  Same adds and subtracts on the same
+    operands in the same stage order as the textbook loop (kept in
+    ``tests/transforms/test_hadamard.py``), so the output is
     bit-identical to it.
 
     Args:
@@ -91,40 +92,57 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
 
     Returns:
         The same array, transformed.
+
+    Raises:
+        TypeError: ``x`` is not of a floating dtype (nothing is written;
+            :func:`fwht` promotes integers).
     """
     d = x.shape[-1]
     if not is_power_of_two(d):
         raise ValueError(f"last dimension must be a power of two, got {d}")
+    if not np.issubdtype(x.dtype, np.inexact):
+        raise TypeError(f"fwht_inplace needs a floating dtype, got {x.dtype}; fwht() promotes")
     if x.ndim > 2:
         # Merging leading axes could copy a strided array; walk them instead.
         for sub in x:
             fwht_inplace(sub)
         return x
     matrix = x.reshape(1, d) if x.ndim == 1 else x
-    scratch = np.empty(min(matrix.size, _TILE) // 2, dtype=x.dtype)
+    ping, pong = np.empty((2, min(matrix.size, _TILE)), dtype=x.dtype)
     scale = 1.0 / np.sqrt(d)
     if d <= _TILE:
         group = _TILE // d
         for start in range(0, len(matrix), group):
             tile = matrix[start : start + group]
-            _butterfly_stages(tile, 1, d, scratch)
-            tile *= scale
-    else:
-        for row in matrix:
-            for tile in row.reshape(d // _TILE, 1, _TILE):
-                _butterfly_stages(tile, 1, _TILE, scratch)
-        _butterfly_stages(matrix, _TILE, d, np.empty(matrix.size // 2, dtype=x.dtype))
-        x *= scale
+            out = _shuffle(tile, d.bit_length() - 1, ping, pong)
+            np.multiply(out.reshape(d, len(tile)).T, scale, out=tile)
+        return x
+    kept = np.empty(d // 2, dtype=x.dtype)
+    for row in matrix:
+        for tile in row.reshape(d // _TILE, _TILE):
+            np.copyto(tile, _shuffle(tile, _TILE.bit_length() - 1, ping, pong))
+        h = _TILE
+        while h < d:  # runs of h >= _TILE contiguous elements: numpy's fast path already
+            pairs = row.reshape(d // (2 * h), 2, h)
+            a, b = pairs[:, 0], pairs[:, 1]
+            held = kept.reshape(a.shape)
+            np.copyto(held, a)
+            np.add(a, b, out=a)
+            np.subtract(held, b, out=b)
+            h *= 2
+        row *= scale
     return x
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
     """Orthonormal FWHT along the last axis (returns a new array).
 
-    Works on any float dtype; integer inputs are promoted to float64.
+    Works on any float dtype (half precision is widened to float32);
+    integer inputs are promoted to float64.
     """
-    out = np.array(x, dtype=np.result_type(x.dtype, np.float32), copy=True)
-    return fwht_inplace(out)
+    floating = np.issubdtype(x.dtype, np.inexact)
+    dtype = np.result_type(x.dtype, np.float32) if floating else np.float64
+    return fwht_inplace(np.array(x, dtype=dtype, copy=True))
 
 
 def hadamard_matrix(d: int) -> np.ndarray:

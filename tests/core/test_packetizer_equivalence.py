@@ -30,6 +30,7 @@ from repro.packet import (
     unpack_batch,
     unpack_bits,
 )
+from repro.packet.bitpack import ROW_GROUP
 from repro.packet.header import FLAG_INT, FLAG_METADATA, FLAG_TRIMMED
 
 
@@ -600,6 +601,47 @@ class TestStridedStoresMatchThePerPacketLoop:
             assert_same_packets(packetize(enc, "s", "d", mtu=mtu), loop_packetize(enc, "s", "d", mtu=mtu))
 
         check()
+
+
+class TestRowGroupSeams:
+    """Messages of G − 1, G, G + 1 and 2G + 3 data packets (``ROW_GROUP``
+    packets are packed and unpacked a call): the payloads equal the
+    per-packet loop's, and a trimmed, dropped, duplicated, shuffled
+    arrival stores what the flat per-coordinate scatter stores."""
+
+    COUNTS = (ROW_GROUP - 1, ROW_GROUP, ROW_GROUP + 1, 2 * ROW_GROUP + 3)
+
+    @pytest.mark.parametrize("head_bits, tail_bits", [(1, 31), (3, 13), (8, 24)])
+    @pytest.mark.parametrize("chunks", COUNTS)
+    def test_packetize_and_depacketize_across_the_boundary(self, chunks, head_bits, tail_bits):
+        n = coords_per_packet(100, head_bits, tail_bits)
+        for last in (1, n // 2, n):
+            enc = make_encoded((chunks - 1) * n + last, head_bits, tail_bits, seed=chunks)
+            packets = packetize(enc, "tx", "rx", mtu=100, flow_id=2)
+            assert len(packets) == chunks + 1
+            assert_same_packets(packets, loop_packetize(enc, "tx", "rx", mtu=100, flow_id=2))
+            assert_messages_equal(depacketize(packets), reference_depacketize(packets))
+            rng = np.random.default_rng(chunks + last)
+            received = [packets[0]]
+            for pkt, fate in zip(packets[1:], rng.integers(0, 4, size=chunks)):
+                if fate in (0, 3):
+                    received.append(pkt)
+                if fate in (1, 3):
+                    received.append(pkt.trim())
+            received = [received[i] for i in rng.permutation(len(received))]
+            assert_same_store(received, enc.length)
+            assert_messages_equal(
+                depacketize(received, length=enc.length),
+                reference_depacketize(received, length=enc.length),
+            )
+
+    def test_misaligned_packets_across_the_boundary(self):
+        """Hand-built packets off the ``coord_count`` grid take the
+        one-index-per-coordinate store, group by group as well."""
+        rng = np.random.default_rng(12)
+        count, packets = 8, 2 * ROW_GROUP + 3
+        received = [hand_packet(3 + i * count, count, rng, trim=i % 5 == 0) for i in range(packets)]
+        assert_same_store(received, 3 + packets * count + 2)
 
 
 class TestMessageTooLargeForItsHeader:

@@ -9,7 +9,9 @@ tests can compare against it.  Hypothesis sweeps every width 1–32 through
 the public API and the whole-message ``pack_segments`` / ``unpack_batch``
 layer; a deterministic sweep drives the two row kernels directly over the
 shapes where the word kernel changes behaviour (short final block, one
-block, many rows).
+block, many rows), and a grid walks the whole-message layer across the
+row-group boundary (``ROW_GROUP`` packets are packed a call), into a fresh
+buffer and straight into the strided rows of a caller's.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from repro.packet import (
     unpack_batch,
     unpack_bits,
 )
-from repro.packet.bitpack import FAST_WIDTHS, _pack_rows, _unpack_rows
+from repro.packet.bitpack import FAST_WIDTHS, ROW_GROUP, _pack_rows, _unpack_rows
 
 from .bitpack_oracle import _pack_bits_generic, _unpack_bits_generic
 
@@ -219,3 +221,123 @@ class TestPackSegmentsEquivalence:
         plane = pack_segments(values, bits, 8)
         last = plane.num_segments - 1
         assert bytes(plane.segment(last)) == pack_bits(values[last * 8 :], bits)
+
+
+def _oracle_plane(values: np.ndarray, bits: int, segment_len: int) -> list[bytes]:
+    """Every segment's packed bytes, one oracle call a segment."""
+    return [
+        _pack_bits_generic(values[lo : lo + segment_len], bits)
+        for lo in range(0, values.size, segment_len)
+    ]
+
+
+def _caller_rows(segments: int, seg_bytes: int, last_bytes: int):
+    """A caller's buffer shaped like ``packetize``'s: the segments are columns
+    ``3 : 3 + seg_bytes`` of wider rows, the final one follows the matrix;
+    every other byte is a sentinel that must survive."""
+    width = seg_bytes + 8
+    buf = np.full((segments - 1) * width + 5 + last_bytes + 2, 0xA5, dtype=np.uint8)
+    rows = buf[: (segments - 1) * width].reshape(segments - 1, width)
+    last = buf[(segments - 1) * width + 5 :][:last_bytes]
+    return buf, (rows[:, 3 : 3 + seg_bytes], last)
+
+
+class TestRowGroupOracleGrid:
+    """Every width x every ``count % 8`` x segment counts around the row
+    group x a short final segment x both input dtypes, bytes equal to the
+    per-bit oracle's — for the returned buffer and for ``out=``."""
+
+    SEGMENTS = (1, ROW_GROUP - 1, ROW_GROUP, ROW_GROUP + 1, 2 * ROW_GROUP + 3)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    @pytest.mark.parametrize("bits", range(1, 33))
+    def test_pack_and_unpack_across_the_group_boundary(self, bits, dtype):
+        rng = np.random.default_rng(bits)
+        for remainder in range(8):
+            segment_len = 16 + remainder
+            seg_bytes = packed_size(segment_len, bits)
+            for segments in self.SEGMENTS:
+                last_count = (3 * segments + remainder) % segment_len + 1  # 1 .. segment_len
+                total = (segments - 1) * segment_len + last_count
+                values = rng.integers(0, 1 << bits, size=total, dtype=np.uint64).astype(dtype)
+                values[:: max(total // 7, 1)] = (1 << bits) - 1
+                want = _oracle_plane(values, bits, segment_len)
+
+                plane = pack_segments(values, bits, segment_len)
+                assert plane.num_segments == segments and len(plane.buffer) == segments * seg_bytes
+                assert [bytes(plane.segment(i)) for i in range(segments)] == want
+                tail = plane.buffer[(segments - 1) * seg_bytes + len(want[-1]) :]
+                assert not any(tail)  # the zero padding past a short final segment
+
+                buf, out = _caller_rows(segments, seg_bytes, len(want[-1]))
+                untouched = buf.copy()
+                direct = pack_segments(values, bits, segment_len, out=out)
+                assert (direct.buffer, direct.total, direct.num_segments) == (b"", total, segments)
+                assert [row.tobytes() for row in out[0]] + [out[1].tobytes()] == want
+                out[0][...] = out[1][...] = 0xA5
+                assert np.array_equal(buf, untouched)  # nothing outside the destinations
+
+                full = [plane.segment(i) for i in range(segments - 1)]
+                matrix = unpack_batch(full, segment_len, bits)
+                assert matrix.dtype == np.uint32 and matrix.shape == (segments - 1, segment_len)
+                assert np.array_equal(matrix.reshape(-1), values[: (segments - 1) * segment_len])
+                got_last = unpack_batch([plane.segment(segments - 1)], last_count, bits)
+                assert np.array_equal(got_last[0], values[(segments - 1) * segment_len :])
+                for i in (0, segments // 2, segments - 2):
+                    if 0 <= i < segments - 1:
+                        oracle = _unpack_bits_generic(bytes(full[i]), segment_len, bits)
+                        assert np.array_equal(matrix[i], oracle)
+
+    @pytest.mark.parametrize("bits", [1, 5, 8, 16, 31])
+    def test_bad_input_raises_before_out_is_written(self, bits):
+        segment_len, segments = 21, ROW_GROUP + 2
+        total = (segments - 1) * segment_len + 4
+        values = np.zeros(total, dtype=np.uint64)
+        seg_bytes, last_bytes = packed_size(segment_len, bits), packed_size(4, bits)
+
+        def destinations():
+            buf, out = _caller_rows(segments, seg_bytes, last_bytes)
+            return buf, buf.copy(), out
+
+        # a value one past the width, in the last row group
+        values[-2] = 1 << bits
+        buf, before, out = destinations()
+        with pytest.raises(ValueError, match=f"does not fit in {bits} bits"):
+            pack_segments(values, bits, segment_len, out=out)
+        assert np.array_equal(buf, before)
+        with pytest.raises(ValueError, match="does not fit"):
+            pack_segments(values.astype(np.int64) * -1, bits, segment_len, out=out)
+        assert np.array_equal(buf, before)
+        values[-2] = 0
+        # destinations of the wrong shape: a row short, a byte narrow, a long tail
+        for wrong in (
+            (out[0][:-1], out[1]),
+            (out[0][:, :-1], out[1]),
+            (out[0], np.zeros(last_bytes + 1, dtype=np.uint8)),
+        ):
+            with pytest.raises(ValueError, match="out must have shapes"):
+                pack_segments(values, bits, segment_len, out=wrong)
+            assert np.array_equal(buf, before)
+
+    @pytest.mark.parametrize("bits", [1, 7, 31, 32])
+    def test_a_wrong_length_chunk_raises_whichever_group_it_is_in(self, bits):
+        count = 19
+        good = bytes(packed_size(count, bits))
+        for where in (0, ROW_GROUP - 1, ROW_GROUP, 2 * ROW_GROUP + 2):
+            chunks = [good] * (2 * ROW_GROUP + 3)
+            chunks[where] = good + b"\0"
+            with pytest.raises(ValueError, match=f"need exactly {len(good)} bytes per chunk"):
+                unpack_batch(chunks, count, bits)
+
+    def test_row_kernel_fills_a_strided_out_group_by_group(self):
+        """``_pack_rows(out=)``: reversed rows, every other column of a wider matrix."""
+        rows, count, bits = 2 * ROW_GROUP + 3, 43, 31
+        values = np.random.default_rng(7).integers(0, 1 << bits, size=(rows, count), dtype=np.uint64)
+        need = packed_size(count, bits)
+        backing = np.full((rows, 2 * need + 1), 0x5A, dtype=np.uint8)
+        out = backing[::-1, 1::2][:, :need]
+        assert _pack_rows(values.astype(np.uint32), bits, out) is out
+        assert np.array_equal(out, _pack_rows(values, bits))
+        for row, row_values in zip(out[:: ROW_GROUP // 2], values[:: ROW_GROUP // 2]):
+            assert row.tobytes() == _pack_bits_generic(row_values, bits)
+        assert (backing[:, 0::2] == 0x5A).all()
