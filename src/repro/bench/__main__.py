@@ -10,8 +10,8 @@ Regenerates any paper figure/table without pytest::
     python -m repro.bench fig4
     python -m repro.bench all           # everything (slow)
 
-Pass ``--trace run.jsonl`` (or set ``REPRO_OBS_TRACE``) to record the
-gradient-path trace and append the observability report.
+Pass ``--trace run.jsonl`` to record the gradient-path trace and
+append the observability report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ import logging
 import os
 import sys
 
-from .harness import ascii_chart, emit_obs_report, format_table, obs_from_env
+from ..obs.trace import trace_to
+from .harness import ascii_chart, emit_obs_report, format_table
 
 _log = logging.getLogger("repro.bench.cli")
 
@@ -70,9 +71,7 @@ def main(argv=None) -> int:
     from .. import configure_logging
 
     configure_logging()
-    if args.trace:
-        os.environ["REPRO_OBS_TRACE"] = args.trace
-    tracer = obs_from_env()
+    tracer = trace_to(args.trace) if args.trace else None
 
     from .experiments import (
         f2_layout,

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.export import build_report
 from ..obs.metrics import get_registry
-from ..obs.trace import Tracer, get_tracer, trace_to
+from ..obs.trace import Tracer, get_tracer
 
 __all__ = [
     "bench_scale",
@@ -25,7 +25,6 @@ __all__ = [
     "format_table",
     "ascii_chart",
     "ExperimentResult",
-    "obs_from_env",
     "emit_obs_report",
 ]
 
@@ -69,18 +68,6 @@ def format_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def obs_from_env() -> Optional[Tracer]:
-    """Enable gradient-path tracing when ``REPRO_OBS_TRACE`` names a file.
-
-    Benchmarks call this once at startup; it returns the tracer (so the
-    caller can close/report it) or None when the variable is unset.
-    """
-    path = os.environ.get("REPRO_OBS_TRACE")
-    if not path:
-        return None
-    return trace_to(path)
 
 
 def emit_obs_report(tracer: Optional[Tracer] = None, title: str = "bench run") -> None:

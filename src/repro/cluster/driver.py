@@ -42,7 +42,7 @@ from ..net.crosstraffic import CROSS_TRAFFIC_FLOW_BASE
 from ..net.topology import Network, fat_tree, leaf_spine
 from ..nn.data import make_dataset
 from ..nn.models import MLP
-from ..obs.spans import get_span_tracer
+from ..obs.trace import get_tracer
 from ..packet.trim import SingleLevelTrim
 from ..resilience.ef import EFChannel
 from ..train.ddp import DDPTrainer, TrainConfig
@@ -499,14 +499,14 @@ class ClusterDriver:
         self._ran = True
         for tenant in self.tenants:
             tenant.install()
-        st = get_span_tracer()
+        tracer = get_tracer()
         for runtime in self.runtimes:
             runtime.stepper = runtime.trainer.rounds()
             runtime.request = next(runtime.stepper, None)
         while live := [r for r in self.runtimes if r.request is not None]:
             for runtime in live:  # fixed job order => deterministic
                 grads, epoch, round_span = runtime.request
-                with st.context(round_span):
+                with tracer.context(round_span):
                     runtime.hook.launch(grads, epoch)
             self._run_wave([runtime.hook for runtime in live])
             for runtime in live:

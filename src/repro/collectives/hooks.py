@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from ..obs.metrics import get_registry
-from ..obs.spans import get_span_tracer
 from ..obs.trace import get_tracer
 from .channel import ChannelStats, GradientChannel, PerfectChannel
 from .ring import allreduce_mean, ring_allreduce
@@ -90,16 +89,16 @@ class CommHook:
         # The hook has no modeled clock of its own (each transfer builds
         # a fresh network), so the span carries no times — it exists to
         # parent the channel.transfer spans begun inside _aggregate.
-        st = get_span_tracer()
-        span = st.begin(
+        tracer = get_tracer()
+        span = tracer.begin(
             "collective.aggregate",
             hook=type(self).__name__,
             epoch=epoch,
             workers=len(grads),
         )
-        with st.context(span):
+        with tracer.context(span):
             out = self._aggregate(grads, epoch)
-        st.end(span)
+        tracer.end(span)
         # Error-feedback channels key residuals by in-round slot; tell
         # them the round is over so the next one starts back at slot 0.
         end_round = getattr(self.channel, "end_round", None)
@@ -107,7 +106,6 @@ class CommHook:
             end_round()
         duration = time.perf_counter() - start
         self._m_agg_seconds.observe(duration)
-        tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
                 "collective.aggregate",

@@ -1,19 +1,19 @@
-"""Unified observability: metrics, tracing, INT telemetry, spans, exporters.
+"""Unified observability: metrics, tracing, INT telemetry, exporters.
 
 The paper's claims are rate claims — trim fraction, bytes saved, NMSE,
 per-stage time — and this package is where the pipeline reports them:
 
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/log-scale
   histograms, always-on by default and a no-op when disabled;
-* :mod:`repro.obs.trace` — span events along the gradient path
-  (encode → packetize → switch enqueue/trim/drop → transport delivery →
-  decode) with sim-time and wall-time, streamed to JSONL;
+* :mod:`repro.obs.trace` — the one recorder: point events along the
+  gradient path (encode → packetize → switch enqueue/trim/drop →
+  transport delivery → decode) with sim-time and wall-time, and causal
+  spans of the round → message → packet lifecycle on the modeled clock
+  (byte-identical per seed), each streamed to its own JSONL sink;
 * :mod:`repro.obs.int_telemetry` — in-band network telemetry: switches
   stamp per-hop congestion records into a trim-survivable metadata band
   of every gradient packet; receivers sink them into per-(job, layer,
   hop) series;
-* :mod:`repro.obs.spans` — causal span tracing of the round → message →
-  packet lifecycle on the modeled clock (byte-identical per seed);
 * :mod:`repro.obs.profile` — event-loop profiler attributing modeled
   and wall time to pipeline stages;
 * :mod:`repro.obs.export` — Prometheus text dump, JSONL IO, the
@@ -26,7 +26,7 @@ Typical use::
 
     from repro.obs import trace_to, get_registry, build_report
 
-    tracer = trace_to("trace.jsonl")      # enable span tracing
+    tracer = trace_to("trace.jsonl", spans_path="spans.jsonl")
     ...run a congested simulation...
     print(build_report([e.to_json() for e in tracer.events],
                        registry=get_registry()))
@@ -53,8 +53,7 @@ from .metrics import (
     set_registry,
 )
 from .profile import SimProfiler
-from .spans import Span, SpanTracer, get_span_tracer, set_span_tracer, spans_to
-from .trace import TraceEvent, Tracer, get_tracer, set_tracer, trace_to
+from .trace import Span, TraceEvent, Tracer, get_tracer, set_tracer, trace_to
 
 __all__ = [
     "Counter",
@@ -66,7 +65,6 @@ __all__ = [
     "MetricsRegistry",
     "SimProfiler",
     "Span",
-    "SpanTracer",
     "TraceEvent",
     "Tracer",
     "build_report",
@@ -74,7 +72,6 @@ __all__ = [
     "enable_int",
     "get_int_collector",
     "get_registry",
-    "get_span_tracer",
     "get_tracer",
     "int_capacity",
     "int_to",
@@ -82,9 +79,7 @@ __all__ = [
     "read_jsonl",
     "set_int_collector",
     "set_registry",
-    "set_span_tracer",
     "set_tracer",
-    "spans_to",
     "timeline_html",
     "trace_to",
 ]

@@ -18,14 +18,15 @@ time-binned picture of one run:
 Subcommands:
 
 * ``repro-timeline record <scenario>`` — run a fault preset with full
-  telemetry armed (Tracer, SpanTracer, INT collector, QueueMonitor) and
-  render the timeline from the recorded run.  Artifacts land in
-  ``--out-dir``: ``trace.jsonl``, ``spans.jsonl``, ``int.jsonl``,
-  ``int_summary.json``, ``timeline.txt`` and (with ``--html``)
-  ``timeline.html``.  Same (scenario, transport, seed) → byte-identical
+  telemetry armed (one Tracer for events and spans, INT collector,
+  QueueMonitor) and render the timeline from the recorded run.
+  Artifacts land in ``--out-dir``: ``trace.jsonl``, ``spans.jsonl``,
+  ``int.jsonl``, ``int_summary.json``, ``timeline.txt`` and (with
+  ``--html``) ``timeline.html``.  Same (scenario, transport, seed) → byte-identical
   span/INT JSONL.
 * ``repro-timeline render <trace.jsonl>`` — rebuild the timeline from a
-  previously recorded trace.
+  previously recorded trace; a missing or malformed file, or one with
+  no ``sim_time`` event, is logged and exits 1.
 
 ``--profile`` (record only) attaches the
 :class:`~repro.obs.profile.SimProfiler` event-loop profiler and reports
@@ -52,8 +53,7 @@ from .int_telemetry import (
     set_int_collector,
 )
 from .profile import SimProfiler
-from .spans import SpanTracer, get_span_tracer, set_span_tracer
-from .trace import Tracer, get_tracer, set_tracer
+from .trace import Tracer, set_tracer
 
 logger = logging.getLogger("repro.obs.timeline")
 
@@ -258,8 +258,19 @@ def render_timeline(tl: Timeline) -> List[str]:
 
 
 def _cmd_render(ns: argparse.Namespace) -> int:
-    events = read_jsonl(ns.trace)
-    tl = build_timeline(events, bins=ns.bins)
+    try:
+        events = read_jsonl(ns.trace)
+    except OSError as exc:
+        logger.error("cannot read trace %s: %s", ns.trace, exc)
+        return 1
+    except ValueError as exc:  # malformed JSON line
+        logger.error("trace %s is not valid JSONL: %s", ns.trace, exc)
+        return 1
+    try:
+        tl = build_timeline(events, bins=ns.bins)
+    except ValueError as exc:
+        logger.error("cannot render %s: %s", ns.trace, exc)
+        return 1
     for line in render_timeline(tl):
         logger.info("%s", line)
     if ns.html is not None:
@@ -290,10 +301,12 @@ def _cmd_record(ns: argparse.Namespace) -> int:
     # activity, not by the scenario's (much longer) nominal duration.
     period = ns.sample_period if ns.sample_period is not None else 2e-5
 
-    prev_tracer = set_tracer(Tracer(enabled=True, jsonl_path=str(out / "trace.jsonl")))
-    prev_spans = set_span_tracer(
-        SpanTracer(enabled=True, jsonl_path=str(out / "spans.jsonl"))
+    tracer = Tracer(
+        enabled=True,
+        jsonl_path=str(out / "trace.jsonl"),
+        spans_path=str(out / "spans.jsonl"),
     )
+    prev_tracer = set_tracer(tracer)
     prev_collector = set_int_collector(
         INTCollector(enabled=True, jsonl_path=str(out / "int.jsonl"))
     )
@@ -315,7 +328,6 @@ def _cmd_record(ns: argparse.Namespace) -> int:
         )
         if profiler is not None:
             profiler.uninstall(run.network.sim)
-        tracer = get_tracer()
         events = [e.to_json() for e in tracer.events]
         tl = build_timeline(events, bins=ns.bins)
         lines = render_timeline(tl)
@@ -370,11 +382,9 @@ def _cmd_record(ns: argparse.Namespace) -> int:
         logger.info("artifacts in %s", out)
         return 0
     finally:
-        get_tracer().close()
-        get_span_tracer().close()
+        tracer.close()
         get_int_collector().close()
         set_tracer(prev_tracer)
-        set_span_tracer(prev_spans)
         set_int_collector(prev_collector)
         disable_int()
 

@@ -34,7 +34,6 @@ from ..nn.metrics import evaluate
 from ..nn.optim import SGD, StepLR
 from ..nn.tensor import Tensor
 from ..obs.metrics import get_registry
-from ..obs.spans import get_span_tracer
 from ..obs.trace import get_tracer
 from ..resilience import (
     EFChannel,
@@ -440,8 +439,8 @@ class DDPTrainer:
         surrendered_before = self.hook.stats.rounds_surrendered
         # Root of the causal span tree; timed on the *modeled* clock so
         # span JSONL is byte-identical across same-seed runs.
-        st = get_span_tracer()
-        round_span = st.begin(
+        tracer = get_tracer()
+        round_span = tracer.begin(
             "train.round",
             t=now_s,
             run=self.label,
@@ -450,7 +449,7 @@ class DDPTrainer:
         )
         aggregated = yield grads, epoch, round_span
         if round_span is not None:
-            st.end(
+            tracer.end(
                 round_span,
                 t=now_s + self._epoch_round_time().total_s,
                 surrendered=self.hook.stats.rounds_surrendered - surrendered_before,
@@ -463,7 +462,6 @@ class DDPTrainer:
         ):
             # The whole round was lost: freeze parameters AND momentum
             # instead of letting a zero gradient decay the velocity.
-            tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(
                     "train.momentum_frozen",
@@ -480,7 +478,6 @@ class DDPTrainer:
         round_seconds = time.perf_counter() - round_start
         self._m_round_seconds.observe(round_seconds)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
-        tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
                 "train.round",
@@ -529,11 +526,11 @@ class DDPTrainer:
         exactly where the run stopped.
         """
         stepper = self.rounds(epochs, max_rounds)
-        st = get_span_tracer()
+        tracer = get_tracer()
         request = next(stepper, None)
         while request is not None:
             grads, epoch, round_span = request
-            with st.context(round_span):
+            with tracer.context(round_span):
                 aggregated = self.hook.aggregate(grads, epoch=epoch)
             try:
                 request = stepper.send(aggregated)
@@ -548,8 +545,8 @@ class DDPTrainer:
 
         Each synchronous round yields ``(grads, epoch, round_span)`` —
         the per-worker flat gradients, the epoch they belong to and the
-        id of the open ``train.round`` span (None when span tracing is
-        off) — and expects the aggregated gradient to be sent back.
+        id of the open ``train.round`` span (None when tracing is off) —
+        and expects the aggregated gradient to be sent back.
         Whoever drives the generator decides how aggregation happens:
         :meth:`train` calls ``hook.aggregate`` on the spot; the cluster
         driver advances many trainers from one thread and lets their

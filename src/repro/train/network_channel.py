@@ -24,7 +24,6 @@ from ..collectives.channel import ChannelStats, GradientChannel
 from ..core.codec import EncodedGradient, GradientCodec, nmse
 from ..core.packetizer import decode_packets, packetize
 from ..net.topology import Network
-from ..obs.spans import get_span_tracer
 from ..obs.trace import get_tracer
 from ..packet.packet import Packet
 from ..transport.congestion import CongestionControl, FixedWindow
@@ -211,8 +210,7 @@ class NetworkChannel(GradientChannel):
             max_retries=self.max_retries,
         )
         start = net.sim.now
-        st = get_span_tracer()
-        span = st.begin(
+        span = tracer.begin(
             "channel.transfer",
             t=start,
             epoch=epoch,
@@ -221,7 +219,7 @@ class NetworkChannel(GradientChannel):
             packets=len(message.packets),
         )
         try:
-            with st.context(span):
+            with tracer.context(span):
                 message.start()
             net.sim.run(until=start + self.deadline_s)
         finally:
@@ -229,13 +227,13 @@ class NetworkChannel(GradientChannel):
         if decoded is None:
             surrender = message.sender.failure
             if surrender is not None:
-                st.end(span, t=net.sim.now, outcome="surrendered")
+                tracer.end(span, t=net.sim.now, outcome="surrendered")
                 if self.degraded_step:
                     return self._degrade(
                         flat, surrender.reason, epoch, message_id, worker
                     )
                 raise surrender
-            st.end(span, t=net.sim.now, outcome="deadline")
+            tracer.end(span, t=net.sim.now, outcome="deadline")
             if self.degraded_step:
                 return self._degrade(flat, "deadline", epoch, message_id, worker)
             raise RuntimeError(
@@ -244,7 +242,7 @@ class NetworkChannel(GradientChannel):
             )
         self.fcts.append(message.fct_s)
         self.last_trim_fraction = message.trim_fraction
-        st.end(
+        tracer.end(
             span,
             t=message.done_s,
             outcome="delivered",

@@ -14,7 +14,6 @@ from ..net.flow import FlowLog, FlowRecord
 from ..net.host import Host
 from ..net.simulator import Event
 from ..obs.metrics import get_registry
-from ..obs.spans import get_span_tracer
 from ..obs.trace import get_tracer
 from ..packet.packet import DEFAULT_MTU_BYTES, Packet
 from .congestion import CongestionControl, FixedWindow
@@ -220,9 +219,9 @@ class MessageSenderBase:
         self._message_start = self.sim.now
         self._retransmissions_before = self.tally.retransmissions
         self._retries_by_seq.clear()
-        st = get_span_tracer()
-        if st.enabled:
-            self._message_span = st.begin(
+        tracer = get_tracer()
+        if tracer.enabled:
+            self._message_span = tracer.begin(
                 "transport.message",
                 t=self.sim.now,
                 transport=type(self).__name__,
@@ -288,6 +287,7 @@ class MessageSenderBase:
             return
         original = self._packets[seq]
         packet = original.clone() if retransmission else original
+        tracer = get_tracer()
         if retransmission:
             retries = self._retries_by_seq.get(seq, 0) + 1
             self._retries_by_seq[seq] = retries
@@ -299,7 +299,6 @@ class MessageSenderBase:
             self.tally.retransmissions += 1
             if self.record is not None:
                 self.record.retransmissions += 1
-            tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(
                     "transport.retransmit",
@@ -309,12 +308,11 @@ class MessageSenderBase:
                     seq=seq,
                     attempt=retries,
                 )
-        st = get_span_tracer()
-        if st.enabled:
+        if tracer.enabled:
             stale = self._packet_spans.pop(seq, None)
             if stale is not None:
-                st.end(stale, t=self.sim.now, acked=False, superseded=True)
-            span = st.begin(
+                tracer.end(stale, t=self.sim.now, acked=False, superseded=True)
+            span = tracer.begin(
                 "transport.packet",
                 t=self.sim.now,
                 parent_id=self._message_span,
@@ -333,11 +331,11 @@ class MessageSenderBase:
         sent = self._send_times.pop(seq, None)
         if sent is not None:
             self.rtt.sample(self.sim.now - sent)
-        st = get_span_tracer()
-        if st.enabled:
+        tracer = get_tracer()
+        if tracer.enabled:
             span = self._packet_spans.pop(seq, None)
             if span is not None:
-                st.end(span, t=self.sim.now, acked=True)
+                tracer.end(span, t=self.sim.now, acked=True)
 
     def _arm_timer(self) -> None:
         self._cancel_timer()
@@ -365,12 +363,12 @@ class MessageSenderBase:
         of the whole message acknowledges them); on surrender they close
         unacknowledged.
         """
-        st = get_span_tracer()
-        if not st.enabled:
+        tracer = get_tracer()
+        if not tracer.enabled:
             return
         acked = outcome == "delivered"
         for seq in sorted(self._packet_spans):
-            st.end(self._packet_spans[seq], t=self.sim.now, acked=acked)
+            tracer.end(self._packet_spans[seq], t=self.sim.now, acked=acked)
         self._packet_spans.clear()
         if self._message_span is not None:
             attrs: dict[str, Any] = {
@@ -379,7 +377,7 @@ class MessageSenderBase:
             }
             if reason is not None:
                 attrs["reason"] = reason
-            st.end(self._message_span, t=self.sim.now, **attrs)
+            tracer.end(self._message_span, t=self.sim.now, **attrs)
             self._message_span = None
 
     def _surrender(self, reason: str) -> None:

@@ -1,7 +1,7 @@
 """The cluster driver is one thread driving resumable trainers.
 
 Regressions for what the thread-per-job driver got wrong: span
-parentage across jobs (the span tracer's context stack is process
+parentage across jobs (the tracer's span context stack is process
 global) and a job failure leaving the other jobs parked forever.
 """
 
@@ -17,7 +17,7 @@ from repro.cluster import (
     ClusterScenario,
     JobSpec,
 )
-from repro.obs.spans import SpanTracer, set_span_tracer
+from repro.obs.trace import Tracer, set_tracer
 
 SEED = 5
 
@@ -33,13 +33,13 @@ def _two_jobs() -> ClusterScenario:
     )
 
 
-def _traced_run() -> SpanTracer:
-    tracer = SpanTracer(enabled=True)
-    previous = set_span_tracer(tracer)
+def _traced_run() -> Tracer:
+    tracer = Tracer(enabled=True)
+    previous = set_tracer(tracer)
     try:
         ClusterDriver(_two_jobs(), seed=SEED).run()
     finally:
-        set_span_tracer(previous)
+        set_tracer(previous)
     return tracer
 
 
@@ -47,7 +47,7 @@ class TestSpanParentage:
     def test_every_message_descends_from_its_own_jobs_round(self):
         tracer = _traced_run()
         by_id = {span.span_id: span for span in tracer.spans}
-        messages = tracer.by_name("transport.message")
+        messages = [span for span in tracer.spans if span.name == "transport.message"]
         assert messages
         owners = set()
         for span in messages:

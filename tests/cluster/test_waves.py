@@ -19,7 +19,7 @@ from repro.obs.int_telemetry import (
     enable_int,
     set_int_collector,
 )
-from repro.obs.spans import SpanTracer, set_span_tracer
+from repro.obs.trace import Tracer, set_tracer
 
 SEED = 7
 
@@ -177,8 +177,8 @@ class TestTheDeadlineStillBinds:
 class TestSameSeedSameBytes:
     @staticmethod
     def _recorded_run(path):
-        spans = SpanTracer(enabled=True)
-        previous_spans = set_span_tracer(spans)
+        spans = Tracer(enabled=True)
+        previous_spans = set_tracer(spans)
         collector = INTCollector(enabled=True, jsonl_path=str(path))
         previous_int = set_int_collector(collector)
         enable_int()
@@ -190,7 +190,7 @@ class TestSameSeedSameBytes:
             collector.close()
             set_int_collector(previous_int)
             disable_int()
-            set_span_tracer(previous_spans)
+            set_tracer(previous_spans)
         span_json = json.dumps([span.to_json() for span in spans.spans], sort_keys=True)
         return json.dumps(report, sort_keys=True), span_json, path.read_bytes()
 

@@ -19,7 +19,7 @@ from repro.obs.int_telemetry import (
     enable_int,
     set_int_collector,
 )
-from repro.obs.spans import SpanTracer, set_span_tracer
+from repro.obs.trace import Tracer, set_tracer
 
 STEP_BOUND = 400_000
 
@@ -32,7 +32,7 @@ def run_with_int(preset, transport="trimming", seed=7, int_path=None, spans_path
     prev_collector = set_int_collector(collector)
     prev_spans = None
     if spans_path is not None:
-        prev_spans = set_span_tracer(SpanTracer(enabled=True, jsonl_path=spans_path))
+        prev_spans = set_tracer(Tracer(enabled=True, spans_path=spans_path))
     enable_int()
     try:
         run = run_scenario(
@@ -42,7 +42,7 @@ def run_with_int(preset, transport="trimming", seed=7, int_path=None, spans_path
         collector.close()
         set_int_collector(prev_collector)
         if prev_spans is not None:
-            tracer = set_span_tracer(prev_spans)
+            tracer = set_tracer(prev_spans)
             tracer.close()
         disable_int()
     return run, collector

@@ -114,10 +114,11 @@ class TestPipelineAgreement:
         from repro.obs import read_jsonl
 
         registry, tracer = fresh_obs
-        run_congested(tmp_path)
         path = str(tmp_path / "trace.jsonl")
-        n = tracer.to_jsonl(path)
-        assert n == len(tracer.events)
+        tracer.jsonl_path = path  # the live sink, as `trace_to(path)` arms it
+        run_congested(tmp_path)
+        tracer.close()
+        assert len(read_jsonl(path)) == len(tracer.events)
         live = build_report([e.to_json() for e in tracer.events])
         replayed = build_report(read_jsonl(path))
         assert live == replayed

@@ -175,11 +175,31 @@ class TestCli:
 
     def test_record_restores_global_telemetry(self, tmp_path):
         from repro.obs.int_telemetry import get_int_collector, int_capacity
-        from repro.obs.spans import get_span_tracer
         from repro.obs.trace import get_tracer
 
+        before = get_tracer()
         main(["record", "flaky-link", "--out-dir", str(tmp_path / "o")])
         assert int_capacity() is None
         assert not get_int_collector().enabled
-        assert not get_span_tracer().enabled
+        assert get_tracer() is before
         assert not get_tracer().enabled
+
+
+class TestRenderRejectsBadInput:
+    """A bad trace is logged and exits 1, as ``repro-report`` does."""
+
+    def test_missing_file(self, tmp_path, caplog):
+        assert main(["render", str(tmp_path / "absent.jsonl")]) == 1
+        assert "cannot read trace" in caplog.text
+
+    def test_malformed_jsonl(self, tmp_path, caplog):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"name": "switch.forward", "sim_time": 0.1}\n{not json\n')
+        assert main(["render", str(path)]) == 1
+        assert "not valid JSONL" in caplog.text
+
+    def test_no_sim_time_event(self, tmp_path, caplog):
+        path = tmp_path / "wall_only.jsonl"
+        path.write_text(json.dumps(ev("encode", None)) + "\n")
+        assert main(["render", str(path)]) == 1
+        assert "no events with sim_time" in caplog.text

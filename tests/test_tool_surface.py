@@ -81,6 +81,7 @@ def test_repro_lint_modules_are_exactly_these():
         "repro.lint.baseline",
         "repro.bench.regression",
         "repro.net.trace",
+        "repro.obs.spans",
     ],
 )
 def test_deleted_modules_stay_deleted(module):
@@ -88,9 +89,11 @@ def test_deleted_modules_stay_deleted(module):
 
 
 def test_tracer_has_no_rotation_parameters():
-    for fn in (Tracer.__init__, trace_to):
-        names = set(inspect.signature(fn).parameters)
-        assert not {n for n in names if n.startswith(("jsonl_max", "jsonl_backups"))}
+    # One recorder, one switch, two sinks: no rotation, no keep flags, no caps.
+    assert list(inspect.signature(Tracer.__init__).parameters) == [
+        "self", "enabled", "jsonl_path", "spans_path",
+    ]
+    assert list(inspect.signature(trace_to).parameters) == ["path", "spans_path"]
 
 
 def test_src_spawns_no_processes():
