@@ -63,7 +63,12 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _load_scenario(args)
+    try:
+        scenario = _load_scenario(args)
+    except (OSError, TypeError, ValueError) as exc:
+        # A missing file, bad JSON or a wrong key: one line, no traceback.
+        logger.error("repro-cluster: %s: %s", args.scenario or args.preset, exc)
+        return 2
     driver = ClusterDriver(
         scenario, seed=args.seed, target_top1=args.target_top1
     )

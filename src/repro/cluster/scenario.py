@@ -16,8 +16,10 @@ derive from the run seed through :mod:`repro.transforms.prng`, so one
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
+
+from ..faults.scenarios import checked_fields
 
 __all__ = [
     "TENANT_PATTERNS",
@@ -185,19 +187,18 @@ class ClusterScenario:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ClusterScenario":
-        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {f.name for f in fields(cls)}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown cluster scenario keys: {sorted(extra)}")
-        payload = dict(data)
+        """Inverse of :meth:`to_dict`; unknown keys are rejected, jobs' and
+        tenants' too."""
+        payload = checked_fields(cls, data, "cluster scenario")
         payload["jobs"] = tuple(
-            job if isinstance(job, JobSpec) else JobSpec(**job)
-            for job in payload.get("jobs", ())
+            job if isinstance(job, JobSpec) else JobSpec(**checked_fields(JobSpec, job, "job"))
+            for job in payload["jobs"]
         )
         payload["tenants"] = tuple(
-            t if isinstance(t, TenantSpec) else TenantSpec(**t)
-            for t in payload.get("tenants", ())
+            tenant
+            if isinstance(tenant, TenantSpec)
+            else TenantSpec(**checked_fields(TenantSpec, tenant, "tenant"))
+            for tenant in payload.get("tenants", ())
         )
         return cls(**payload)
 

@@ -108,6 +108,14 @@ class GradientMetadata:
         )
 
     @property
+    def encoded_length(self) -> int:
+        """Coordinates the message carries: ``original_length``, padded to
+        whole rows for the rotating codecs (``row_size`` > 0)."""
+        if self.row_size <= 0:
+            return self.original_length
+        return -(-self.original_length // self.row_size) * self.row_size
+
+    @property
     def wire_bytes(self) -> int:
         """Size of the serialized metadata payload."""
         return (

@@ -31,11 +31,19 @@ from typing import Iterable, Optional
 import numpy as np
 
 from ..packet.bitpack import pack_bits, packed_size, unpack_bits
-from ..packet.header import FLAG_METADATA, GRADIENT_HEADER_BYTES, GradientHeader
+from ..packet.header import (
+    FLAG_METADATA,
+    FLAG_TRIMMED,
+    GRADIENT_HEADER_BYTES,
+    HEADER_VIEW,
+    MAGIC,
+    GradientHeader,
+)
 from ..packet.packet import DEFAULT_MTU_BYTES, Packet
 from ..transforms.prng import derive_seed
 from ..transforms.rotation import RotatedRows, rotate_rows, unrotate_rows
 from .metadata import GradientMetadata
+from .packetizer import Groups, check_grid
 from .rht import DEFAULT_ROW_SIZE, unbiased_row_scales
 
 __all__ = [
@@ -54,6 +62,9 @@ LEVEL_BITS = (1, 8, 32)
 
 _MAG_STEPS = 128  # 7-bit magnitude plane resolution
 _RES_LEVELS = (1 << 24) - 1  # 24-bit residual plane resolution
+#: What every packet of one message shares; a trim moves bits from the
+#: tail to the head, so it is their sum that is shared.
+_IDENTITY = ("version", "codec_id", "code bits", "message_id", "epoch", "seed")
 
 
 @dataclass
@@ -188,59 +199,49 @@ class MultiLevelCodec:
         meta = enc.metadata
         payload_bits = (mtu - 42 - GRADIENT_HEADER_BYTES) * 8
         n_per_packet = payload_bits // sum(PLANE_BITS)
-        packets: list[Packet] = []
+        num_chunks = -(-enc.length // n_per_packet)
 
-        meta_header = GradientHeader(
-            codec_id=self.codec_id,
-            head_bits=PLANE_BITS[0],
-            tail_bits=sum(PLANE_BITS) - PLANE_BITS[0],
-            message_id=meta.message_id,
-            epoch=meta.epoch,
-            chunk_index=0,
-            coord_offset=0,
-            coord_count=0,
-            seed=meta.seed,
-            flags=FLAG_METADATA,
-        )
-        packets.append(
-            Packet(
-                src=src,
-                dst=dst,
-                payload=meta_header.to_bytes() + meta.to_bytes(),
-                grad_header=meta_header,
-                priority=1,
-                flow_id=flow_id,
-            )
-        )
-        for chunk, offset in enumerate(range(0, enc.length, n_per_packet)):
-            end = min(offset + n_per_packet, enc.length)
-            count = end - offset
-            header = GradientHeader(
+        def header(
+            chunk_index: int, coord_offset: int, coord_count: int, flags: int = 0
+        ) -> GradientHeader:
+            return GradientHeader(
                 codec_id=self.codec_id,
                 head_bits=PLANE_BITS[0],
                 tail_bits=sum(PLANE_BITS) - PLANE_BITS[0],
                 message_id=meta.message_id,
                 epoch=meta.epoch,
-                chunk_index=chunk + 1,
-                coord_offset=offset,
-                coord_count=count,
+                chunk_index=chunk_index,
+                coord_offset=coord_offset,
+                coord_count=coord_count,
                 seed=meta.seed,
+                flags=flags,
             )
+
+        packets = [
+            Packet(
+                src=src,
+                dst=dst,
+                payload=header(0, 0, 0, FLAG_METADATA).to_bytes() + meta.to_bytes(),
+                priority=1,
+                flow_id=flow_id,
+            )
+        ]
+        # Every data packet's header, a row each: the run of full chunks,
+        # then the final chunk with its own count.
+        headers = np.empty((num_chunks, GRADIENT_HEADER_BYTES), dtype=np.uint8)
+        header(1, 0, n_per_packet).pack_run(headers, n_per_packet)
+        last = (num_chunks - 1) * n_per_packet
+        header(num_chunks, last, enc.length - last).pack_into(headers[-1])
+        for chunk, offset in enumerate(range(0, enc.length, n_per_packet)):
+            end = min(offset + n_per_packet, enc.length)
             payload = (
-                header.to_bytes()
+                headers[chunk].tobytes()
                 + pack_bits(enc.signs[offset:end], PLANE_BITS[0])
                 + pack_bits(enc.magnitudes[offset:end], PLANE_BITS[1])
                 + pack_bits(enc.residuals[offset:end], PLANE_BITS[2])
             )
             packets.append(
-                Packet(
-                    src=src,
-                    dst=dst,
-                    payload=payload,
-                    grad_header=header,
-                    flow_id=flow_id,
-                    seq=chunk + 1,
-                )
+                Packet(src=src, dst=dst, payload=payload, flow_id=flow_id, seq=chunk + 1)
             )
         return packets
 
@@ -251,40 +252,72 @@ class MultiLevelCodec:
 
         A packet trimmed with :func:`~repro.packet.trim.trim_to_bits` to 8
         or 1 bits contributes the corresponding prefix planes; coordinates
-        never seen get level 0.
+        never seen get level 0.  Headers are read from the payload bytes
+        and checked as :func:`~repro.core.packetizer.depacketize` checks
+        them, except that the head / tail split may differ by trim depth.
         """
-        metadata: Optional[GradientMetadata] = None
-        data: list[tuple[GradientHeader, Packet]] = []
+        meta_payload: Optional[bytes | memoryview] = None
+        identity: Optional[tuple[int, ...]] = None
+        groups: Groups = {}  # the kind is the arrived depth
         for pkt in packets:
-            header = pkt.grad_header or GradientHeader.from_bytes(pkt.payload)
-            if header.is_metadata:
-                metadata = GradientMetadata.from_bytes(pkt.payload[GRADIENT_HEADER_BYTES:])
-            else:
-                data.append((header, pkt))
-        if metadata is None:
+            payload = pkt.payload
+            if len(payload) < GRADIENT_HEADER_BYTES:
+                raise ValueError(
+                    f"gradient header needs {GRADIENT_HEADER_BYTES} bytes, got {len(payload)}"
+                )
+            fields = HEADER_VIEW.unpack_from(payload)
+            magic, version, flags, codec_id, head_bits, tail_bits, message_id, epoch = fields[:8]
+            chunk, lo, count, seed = fields[8:]
+            if magic != MAGIC:
+                raise ValueError(f"bad magic 0x{magic:04x}; not a gradient packet")
+            its = (version, codec_id, head_bits + tail_bits, message_id, epoch, seed)
+            if identity is None:
+                identity = its
+            elif its != identity:
+                name, ours, theirs = next(d for d in zip(_IDENTITY, identity, its) if d[1] != d[2])
+                raise ValueError(f"packets of two messages in one set: {name} {ours} != {theirs}")
+            if flags & FLAG_METADATA:
+                if meta_payload is not None and meta_payload != payload:
+                    raise ValueError("two different metadata packets in one message")
+                meta_payload = payload
+                continue
+            arrived_bits = head_bits if flags & FLAG_TRIMMED else head_bits + tail_bits
+            if arrived_bits not in LEVEL_BITS:
+                raise ValueError(f"packet trimmed to unsupported depth {arrived_bits}")
+            key = (count, arrived_bits, lo == (chunk - 1) * count)
+            groups.setdefault(key, []).append((lo, chunk, payload))
+        if meta_payload is None:
             raise ValueError("metadata packet missing; multilevel decode needs row scales")
-        width = metadata.row_size
-        length = -(-metadata.original_length // width) * width
+        metadata = GradientMetadata.from_bytes(meta_payload[GRADIENT_HEADER_BYTES:])
+        length = metadata.encoded_length
+        check_grid(groups, length)
 
         signs = np.zeros(length, dtype=np.uint32)
         mags = np.zeros(length, dtype=np.uint32)
         residuals = np.zeros(length, dtype=np.uint32)
         levels = np.zeros(length, dtype=np.int64)
 
-        for hdr, pkt in data:
-            body = pkt.payload[GRADIENT_HEADER_BYTES:]
-            lo, hi = hdr.coord_offset, hdr.coord_offset + hdr.coord_count
-            arrived_bits = hdr.head_bits if hdr.trimmed else hdr.head_bits + hdr.tail_bits
-            if arrived_bits not in LEVEL_BITS:
-                raise ValueError(f"packet trimmed to unsupported depth {arrived_bits}")
-            signs[lo:hi] = unpack_bits(body, hdr.coord_count, PLANE_BITS[0])
-            cursor = packed_size(hdr.coord_count, PLANE_BITS[0])
-            if arrived_bits >= 8:
-                mags[lo:hi] = unpack_bits(body[cursor:], hdr.coord_count, PLANE_BITS[1])
-                cursor += packed_size(hdr.coord_count, PLANE_BITS[1])
-            if arrived_bits >= 32:
-                residuals[lo:hi] = unpack_bits(body[cursor:], hdr.coord_count, PLANE_BITS[2])
-            levels[lo:hi] = arrived_bits
+        for (count, arrived_bits, _), members in groups.items():
+            # The planes that arrived: as many as the arrived depth spans.
+            arrived = PLANE_BITS[: LEVEL_BITS.index(arrived_bits) + 1]
+            sizes = [packed_size(count, bits) for bits in arrived]
+            for lo, _, payload in members:
+                if lo + count > length:
+                    raise ValueError(
+                        f"packet covers coords [{lo},{lo + count}) beyond length {length}"
+                    )
+                if len(payload) != GRADIENT_HEADER_BYTES + sum(sizes):
+                    raise ValueError(
+                        f"need {sum(sizes)} payload bytes for {count} coords at {arrived_bits} "
+                        f"bits, got {len(payload) - GRADIENT_HEADER_BYTES}"
+                    )
+                cursor = GRADIENT_HEADER_BYTES
+                for plane, bits, size in zip((signs, mags, residuals), arrived, sizes):
+                    plane[lo : lo + count] = unpack_bits(
+                        payload[cursor : cursor + size], count, bits
+                    )
+                    cursor += size
+                levels[lo : lo + count] = arrived_bits
 
         enc = MultiLevelEncoded(
             signs=signs,

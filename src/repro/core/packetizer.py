@@ -17,20 +17,23 @@ step), so they are whole-message vectorized (see docs/performance.md):
   struct template) out in one contiguous message buffer, has
   :func:`~repro.packet.bitpack.pack_segments` pack the head and the tail
   plane straight into their columns of that buffer's rows, and hands
-  each packet a read-only zero-copy ``memoryview`` slice of it.
-* ``depacketize`` parses each gradient header exactly once, groups the
-  arrived packets by geometry, and inverts every group's packed planes
-  with batched :func:`~repro.packet.bitpack.unpack_batch` calls, a row
-  group of packets each, instead of two ``unpack_bits`` calls per
-  packet, and stores a group that lies on its own ``coord_count`` grid
-  as whole rows.
+  each packet a read-only zero-copy ``memoryview`` slice of it.  The
+  header bytes in the buffer are the only header: a packet is one object.
+* ``depacketize`` reads each header from its payload's bytes with one
+  struct call, checks that the set is one message, groups the arrived
+  packets by geometry, and inverts every group's packed planes with
+  batched :func:`~repro.packet.bitpack.unpack_batch` calls over the
+  joined payloads of a row group of packets, instead of two
+  ``unpack_bits`` calls per packet, and stores a group that lies on its
+  own ``coord_count`` grid as whole rows.
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +45,7 @@ from ..packet.header import (
     FLAG_METADATA,
     FLAG_TRIMMED,
     GRADIENT_HEADER_BYTES,
+    SET_VIEW,
     GradientHeader,
 )
 from ..packet.packet import DEFAULT_MTU_BYTES, Packet
@@ -114,9 +118,8 @@ def packetize(
     full_chunks = max(num_chunks - 1, 0)  # the final chunk may be short
 
     # When INT is enabled, every packet of this message carries a
-    # fixed-size telemetry band.  The FLAG_INT bit is baked into the
-    # headers *now*, before they are serialized into the shared read-only
-    # buffer — the payload bytes and the parsed header must agree.
+    # fixed-size telemetry band, and FLAG_INT is baked into the headers
+    # before they are serialized into the shared read-only buffer.
     capacity = int_capacity()
     int_flag = FLAG_INT if capacity is not None else 0
 
@@ -129,13 +132,11 @@ def packetize(
     # big for the wire format fails here, typed, before anything is packed.
     header(num_chunks, full_chunks * n_per_packet, n_per_packet, int_flag).check_fits()
 
-    meta_header = header(0, 0, 0, FLAG_METADATA | int_flag)
     packets = [
         Packet(
             src=src,
             dst=dst,
-            payload=meta_header.to_bytes() + meta.to_bytes(),
-            grad_header=meta_header,
+            payload=header(0, 0, 0, FLAG_METADATA | int_flag).to_bytes() + meta.to_bytes(),
             priority=1,
             flow_id=flow_id,
             int_ext=INTExtension(capacity) if capacity is not None else None,
@@ -174,15 +175,11 @@ def packetize(
     views = memoryview(buf).toreadonly()
     for chunk in range(num_chunks):
         pos = chunk * full_payload
-        offset = chunk * n_per_packet
         packets.append(
             Packet(
                 src=src,
                 dst=dst,
                 payload=views[pos : pos + full_payload],  # the last chunk's slice ends with buf
-                grad_header=header(
-                    chunk + 1, offset, min(n_per_packet, enc.length - offset), int_flag
-                ),
                 flow_id=flow_id,
                 seq=chunk + 1,
                 int_ext=INTExtension(capacity) if capacity is not None else None,
@@ -207,92 +204,105 @@ def packetize(
 def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> GradientMessage:
     """Reassemble received packets into a :class:`GradientMessage`.
 
-    Packets may arrive in any order; trimmed packets contribute heads
-    only; coordinates not covered by any packet are flagged missing.
-    ``length`` overrides the total coordinate count (otherwise inferred
-    from the highest coordinate range seen plus the metadata packet).
-    """
-    # Parse every gradient header exactly once up front, and read its
-    # flags word directly: the ``trimmed`` / ``is_metadata`` properties
-    # cost a call each, several times a packet.
-    data_packets: list[tuple[GradientHeader, Packet]] = []
-    metadata: Optional[GradientMetadata] = None
-    geometry: Optional[GradientHeader] = None
+    Packets may arrive in any order and more than once; trimmed packets
+    contribute heads only; coordinates not covered by any packet are
+    flagged missing.  ``length`` overrides the total coordinate count
+    (otherwise the metadata packet's, or without it the end of the
+    highest coordinate range seen).
 
+    Every header is read from its payload's bytes, and the set must be
+    one message.  ``ValueError`` says what is wrong when a payload is too
+    short for a header or has a bad magic; when two headers disagree on
+    version, codec id, head/tail bits, message id, epoch or seed; when a
+    payload is not exactly as long as its header's ``coord_count`` and
+    TRIMMED flag make it; when two metadata packets differ; when a packet
+    runs beyond ``length``; and, with the metadata packet in the set, when
+    a data packet is off the message's grid (:func:`check_grid`).
+    """
+    # One struct call a packet reads its header.  The message's identity
+    # is three byte strings, compared with the first packet's; data
+    # packets are grouped as they come by (coord_count, TRIMMED, whether
+    # the packet starts where its chunk index puts it on the grid of its
+    # own coord_count — every packet but a message's final chunk does).
+    read = SET_VIEW.unpack_from
+    geometry: Optional[GradientHeader] = None
+    first: "bytes | memoryview" = b""
+    lead = middle = seed = b""
+    meta_payload: "Optional[bytes | memoryview]" = None
+    groups: Groups = {}
     for pkt in packets:
-        header = pkt.grad_header or GradientHeader.from_bytes(pkt.payload)
-        if header.flags & FLAG_METADATA:
-            metadata = GradientMetadata.from_bytes(pkt.payload[GRADIENT_HEADER_BYTES:])
-            geometry = geometry or header
-        else:
-            data_packets.append((header, pkt))
-    if data_packets:
-        geometry = data_packets[0][0]
+        payload = pkt.payload
+        try:
+            its_lead, flags, its_middle, chunk, lo, count, its_seed = read(payload)
+        except struct.error:
+            raise ValueError(
+                f"gradient header needs {GRADIENT_HEADER_BYTES} bytes, got {len(payload)}"
+            ) from None
+        if its_lead != lead or its_middle != middle or its_seed != seed:
+            if geometry is not None:
+                raise _disagreement(first, payload)
+            geometry = GradientHeader.from_bytes(payload)
+            first, lead, middle, seed = payload, its_lead, its_middle, its_seed
+        if flags & FLAG_METADATA:
+            if meta_payload is None:
+                meta_payload = payload
+            elif meta_payload != payload:
+                raise ValueError("two different metadata packets in one message")
+            continue
+        key = (count, flags & FLAG_TRIMMED, lo == (chunk - 1) * count)
+        members = groups.get(key)
+        if members is None:
+            members = groups[key] = []
+        members.append((lo, chunk, payload))
     if geometry is None:
         raise ValueError("no gradient packets to depacketize")
 
-    if length is None:
+    head_bits, tail_bits = geometry.head_bits, geometry.tail_bits
+    metadata = None
+    if meta_payload is not None:
+        metadata = GradientMetadata.from_bytes(meta_payload[GRADIENT_HEADER_BYTES:])
+    if length is None and metadata is not None:
+        length = metadata.encoded_length
+    elif length is None:
         length = max(
-            (hdr.coord_offset + hdr.coord_count for hdr, _ in data_packets),
+            (lo + count for (count, _, _), members in groups.items() for lo, _, _ in members),
             default=0,
         )
+    if metadata is not None:
+        check_grid(groups, length)
 
     heads = np.zeros(length, dtype=np.uint32)
     tails = np.zeros(length, dtype=np.uint32)
     trimmed = np.zeros(length, dtype=bool)
     covered = np.zeros(length, dtype=bool)
 
-    # Group arrived packets by geometry and invert each group's packed
-    # planes in one batched call; a message's packets share one geometry
-    # (plus a possibly-smaller final chunk and the trimmed variants), so
-    # this collapses the per-packet unpack loop into a handful of calls.
-    # A group is (payload offset of the tail plane, of the payload's end,
-    # coord offsets, head planes, tail planes).
-    groups: dict[
-        tuple[int, int, int, bool],
-        tuple[int, int, list[int], list[memoryview], list[memoryview]],
-    ] = {}
-    # Geometry of the *untrimmed* encoding comes from the first untrimmed
-    # data packet; with every packet trimmed, the head plane width is
-    # whatever survived.
-    full_bits: Optional[tuple[int, int]] = None
-    for hdr, pkt in data_packets:
-        lo, hi = hdr.coord_offset, hdr.coord_offset + hdr.coord_count
-        if hi > length:
-            raise ValueError(f"packet covers coords [{lo},{hi}) beyond length {length}")
-        was_trimmed = bool(hdr.flags & FLAG_TRIMMED)
-        if full_bits is None and not was_trimmed:
-            full_bits = (hdr.head_bits, hdr.tail_bits)
-        key = (hdr.coord_count, hdr.head_bits, hdr.tail_bits, was_trimmed)
-        group = groups.get(key)
-        if group is None:
-            tails_at = GRADIENT_HEADER_BYTES + packed_size(hdr.coord_count, hdr.head_bits)
-            end = tails_at + (0 if was_trimmed else packed_size(hdr.coord_count, hdr.tail_bits))
-            group = groups[key] = (tails_at, end, [], [], [])
-        tails_at, end, los, head_planes, tail_planes = group
-        payload = memoryview(pkt.payload)
-        if len(payload) < end:
+    # Invert each group's packed planes in batched calls; a message's
+    # packets share one geometry (plus a possibly-smaller final chunk and
+    # the trimmed variants), so a message is a handful of groups.
+    for (count, trimmed_bit, in_place), members in groups.items():
+        los, _, payloads = zip(*members)
+        lo = max(los)
+        if lo + count > length:
+            raise ValueError(f"packet covers coords [{lo},{lo + count}) beyond length {length}")
+        tails_at = GRADIENT_HEADER_BYTES + packed_size(count, head_bits)
+        end = tails_at if trimmed_bit else tails_at + packed_size(count, tail_bits)
+        wrong = set(map(len, payloads)) - {end}
+        if wrong:
             raise ValueError(
-                f"need {end - GRADIENT_HEADER_BYTES} payload bytes for {hdr.coord_count} coords "
-                f"({hdr.head_bits}+{0 if was_trimmed else hdr.tail_bits} bits), "
-                f"got {max(len(payload) - GRADIENT_HEADER_BYTES, 0)}"
+                f"need {end - GRADIENT_HEADER_BYTES} payload bytes for {count} coords "
+                f"({head_bits}+{0 if trimmed_bit else tail_bits} bits), "
+                f"got {max(min(wrong) - GRADIENT_HEADER_BYTES, 0)}"
             )
-        los.append(lo)
-        head_planes.append(payload[GRADIENT_HEADER_BYTES:tails_at])
-        if not was_trimmed:
-            tail_planes.append(payload[tails_at:end])
-
-    for (count, head_bits, tail_bits, was_trimmed), group in groups.items():
-        _, _, los, head_planes, tail_planes = group
         offsets = np.asarray(los, dtype=np.int64)
-        if count and not (offsets % count).any():
-            # Every packet sits on the group's own coord_count grid (all
-            # that packetize emits, bar the short final chunk): view the
-            # planes as rows of `count` coordinates and store whole rows.
+        if in_place and count:
+            # Packets where their chunk index puts them on their own
+            # coord_count grid (all that packetize emits, bar the short
+            # final chunk): view the planes as rows of `count`
+            # coordinates and store whole rows.
             width = count
             index = (offsets // count)[:, None]
         else:
-            # Misaligned or hand-built packets: one index per coordinate.
+            # The final chunk, or hand-built packets: one index per coordinate.
             width = 1
             index = offsets[:, None] + np.arange(count)
         grid = length - length % width
@@ -300,19 +310,23 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
             plane[:grid].reshape(-1, width) for plane in (heads, tails, trimmed, covered)
         )
         covered_rows[index] = True
-        if was_trimmed:
+        if trimmed_bit:
             trimmed_rows[index] = True
-        # Unpack a row group of packets at a time, so that what is scattered
-        # into the planes is still in cache and no whole-plane copy exists.
-        for start in range(0, len(los), ROW_GROUP):
+        # A row group of packets at a time: their payloads joined are a
+        # (packets, payload bytes) matrix whose column ranges are the two
+        # planes, and what is scattered into the planes is still in cache.
+        for start in range(0, len(payloads), ROW_GROUP):
             some = slice(start, start + ROW_GROUP)
             into = index[some].reshape(-1)
-            head_rows[into] = unpack_batch(head_planes[some], count, head_bits).reshape(-1, width)
-            if not was_trimmed:
-                unpacked = unpack_batch(tail_planes[some], count, tail_bits)
+            batch = payloads[some]
+            rows = np.frombuffer(b"".join(batch), dtype=np.uint8).reshape(len(batch), end)
+            head_rows[into] = unpack_batch(
+                rows[:, GRADIENT_HEADER_BYTES:tails_at], count, head_bits
+            ).reshape(-1, width)
+            if not trimmed_bit:
+                unpacked = unpack_batch(rows[:, tails_at:], count, tail_bits)
                 tail_rows[into] = unpacked.reshape(-1, width)
 
-    full_head_bits, full_tail_bits = full_bits or (geometry.head_bits, geometry.tail_bits)
     return GradientMessage(
         heads=heads,
         tails=tails,
@@ -320,10 +334,62 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
         missing=~covered,
         metadata=metadata,
         codec_id=geometry.codec_id,
-        head_bits=full_head_bits,
-        tail_bits=full_tail_bits,
+        head_bits=head_bits,
+        tail_bits=tail_bits,
         length=length,
     )
+
+
+#: A receiver's data packets: ``(coord_count, kind, in_place)`` to the
+#: ``(coord_offset, chunk_index, payload)`` of each packet of the kind —
+#: trimmed or not for ``depacketize``, the arrived depth for the
+#: multi-level codec — where ``in_place`` says that the packet starts at
+#: ``(chunk_index - 1) * coord_count``.
+Groups = Dict[Tuple[int, int, bool], List[Tuple[int, int, "bytes | memoryview"]]]
+
+
+def check_grid(groups: Groups, length: int) -> None:
+    """Raise ``ValueError`` unless the data packets tile one message's grid.
+
+    ``packetize`` gives chunk ``k`` the coordinates ``[(k - 1)·n,
+    min(k·n, length))``, ``n`` being a full packet's: every packet but the
+    final chunk is in place with ``n`` coordinates, and the final chunk
+    ends the message.  A header whose offset, count or chunk index changed
+    in flight breaks this even where its payload's length still fits it.
+    When no packet is in place, only copies of the final chunk arrived and
+    ``n`` is unknown: the copies need only agree.
+    """
+    n = max((count for count, _, in_place in groups if in_place and count), default=None)
+    final = None
+    for (count, _, in_place), members in groups.items():
+        if in_place and count == n:
+            continue
+        for lo, chunk, _ in members:
+            if n is None:
+                final = final or (lo, chunk)
+                ok = (lo, chunk) == final
+            else:
+                ok = lo == (chunk - 1) * n
+            if not ok or lo + count != length:
+                raise ValueError(
+                    f"data packet {chunk} covers coords [{lo},{lo + count}), off the "
+                    f"message's grid of {n or count}-coordinate packets over {length}"
+                )
+
+
+def _disagreement(first: "bytes | memoryview", other: "bytes | memoryview") -> ValueError:
+    """The error for two headers of one set that name different messages."""
+    a, b = GradientHeader.from_bytes(first), GradientHeader.from_bytes(other)
+    differ = [name for name in _IDENTITY if getattr(a, name) != getattr(b, name)]
+    return ValueError(
+        "packets of two messages in one set: "
+        + ", ".join(f"{name} {getattr(a, name)} != {getattr(b, name)}" for name in differ)
+    )
+
+
+#: The header fields every packet of one message shares (``SET_VIEW``'s
+#: three byte strings, magic aside).
+_IDENTITY = ("version", "codec_id", "head_bits", "tail_bits", "message_id", "epoch", "seed")
 
 
 def decode_packets(

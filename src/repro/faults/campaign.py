@@ -32,12 +32,12 @@ so campaign JSONL artifacts are byte-identical across repeats.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..transforms.prng import shared_generator
 from .injector import FaultInjector
-from .scenarios import FaultSpec, Scenario
+from .scenarios import FaultSpec, Scenario, checked_fields
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..net.topology import Network
@@ -138,11 +138,7 @@ class CampaignConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignConfig":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {f.name for f in fields(cls)}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown campaign config keys: {sorted(extra)}")
-        payload = dict(data)
+        payload = checked_fields(cls, data, "campaign config")
         if "kinds" in payload:
             payload["kinds"] = tuple(payload["kinds"])
         return cls(**payload)
@@ -163,15 +159,15 @@ class CampaignPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "CampaignPlan":
-        known = {"config", "faults"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown campaign plan keys: {sorted(extra)}")
+        """Inverse of :meth:`to_dict`; unknown keys are rejected."""
+        payload = checked_fields(cls, data, "campaign plan")
         return cls(
-            config=CampaignConfig.from_dict(data["config"]),
+            config=CampaignConfig.from_dict(payload["config"]),
             faults=tuple(
-                spec if isinstance(spec, FaultSpec) else FaultSpec(**spec)
-                for spec in data.get("faults", ())
+                spec
+                if isinstance(spec, FaultSpec)
+                else FaultSpec(**checked_fields(FaultSpec, spec, "fault"))
+                for spec in payload["faults"]
             ),
         )
 

@@ -67,6 +67,11 @@ def _load_scenario(name: str) -> Scenario:
     return scenario_by_name(name)
 
 
+#: What reading a scenario or plan file can raise: a missing file, bad
+#: JSON or a wrong key — reported in one line, exit status 2.
+_BAD_FILE = (OSError, TypeError, ValueError)
+
+
 def _cmd_list(_: argparse.Namespace) -> int:
     for name in sorted(PRESETS):
         scenario = PRESETS[name]
@@ -76,7 +81,11 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
-    scenario = _load_scenario(ns.scenario)
+    try:
+        scenario = _load_scenario(ns.scenario)
+    except _BAD_FILE as exc:
+        logger.error("repro-faults: %s: %s", ns.scenario, exc)
+        return 2
     run = run_scenario(
         scenario,
         transport=ns.transport,
@@ -174,7 +183,12 @@ def _cmd_campaign_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_replay(ns: argparse.Namespace) -> int:
-    result = run_campaign(_load_plan(ns.plan))
+    try:
+        plan = _load_plan(ns.plan)
+    except _BAD_FILE as exc:
+        logger.error("repro-faults: %s: %s", ns.plan, exc)
+        return 2
+    result = run_campaign(plan)
     if ns.out is not None:
         Path(ns.out).write_text(
             "\n".join(render_campaign_jsonl(result)) + "\n", encoding="utf-8"
@@ -184,7 +198,11 @@ def _cmd_campaign_replay(ns: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_shrink(ns: argparse.Namespace) -> int:
-    plan = _load_plan(ns.plan)
+    try:
+        plan = _load_plan(ns.plan)
+    except _BAD_FILE as exc:
+        logger.error("repro-faults: %s: %s", ns.plan, exc)
+        return 2
     monitor = ns.monitor
     if monitor is None:
         first = run_campaign(plan)

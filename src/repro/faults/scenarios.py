@@ -19,8 +19,8 @@ produces the same fault stream — byte-identical event logs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Dict, Optional, Tuple
+from dataclasses import MISSING, asdict, dataclass, fields
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "FAULT_KINDS",
@@ -29,7 +29,35 @@ __all__ = [
     "PRESETS",
     "available_scenarios",
     "scenario_by_name",
+    "checked_fields",
 ]
+
+
+def checked_fields(cls: type, data: Any, what: str) -> Dict[str, Any]:
+    """``data`` as keyword arguments for the dataclass ``cls``, or ``ValueError``.
+
+    The error says what to fix in a JSON file: ``data`` is not an object,
+    or names a key ``cls`` does not have, or lacks one it needs (``what``
+    names the object, e.g. ``"job"``).
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} must be a JSON object, got {type(data).__name__}")
+    specs = fields(cls)
+    extra = set(data) - {spec.name for spec in specs}
+    if extra:
+        raise ValueError(
+            f"unknown {what} keys: {sorted(extra)}; a {what} takes "
+            f"{[spec.name for spec in specs]}"
+        )
+    missing = [
+        spec.name
+        for spec in specs
+        if spec.name not in data and spec.default is MISSING and spec.default_factory is MISSING
+    ]
+    if missing:
+        raise ValueError(f"{what} lacks required keys: {missing}")
+    return dict(data)
+
 
 #: Fault kinds the injector knows how to apply.
 FAULT_KINDS = (
@@ -207,14 +235,12 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Dict) -> "Scenario":
         """Inverse of :meth:`to_dict`; unknown keys are rejected."""
-        known = {f.name for f in fields(cls)}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown scenario keys: {sorted(extra)}")
-        payload = dict(data)
+        payload = checked_fields(cls, data, "scenario")
         payload["faults"] = tuple(
-            spec if isinstance(spec, FaultSpec) else FaultSpec(**spec)
-            for spec in payload.get("faults", ())
+            spec
+            if isinstance(spec, FaultSpec)
+            else FaultSpec(**checked_fields(FaultSpec, spec, "fault"))
+            for spec in payload["faults"]
         )
         return cls(**payload)
 

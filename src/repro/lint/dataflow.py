@@ -812,7 +812,7 @@ class StateEvent:
     detail: str
 
 
-_PACKET_MUTABLE_ATTRS: Set[str] = {"payload", "grad_header", "int_ext"}
+_PACKET_MUTABLE_ATTRS: Set[str] = {"payload", "int_ext"}
 _SEND_METHODS: Set[str] = {"send"}
 
 

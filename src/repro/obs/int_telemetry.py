@@ -456,8 +456,7 @@ class INTCollector:
         ext = packet.int_ext
         if ext is None or not ext.records:
             return 0
-        header = packet.grad_header
-        message_id = header.message_id if header is not None else 0
+        message_id = packet.message_id or 0
         flow_id = packet.flow_id
         self.packets_collected += 1
         if ext.overflowed:

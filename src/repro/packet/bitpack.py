@@ -341,30 +341,40 @@ def pack_segments(
     return PackedSegments(buffer=buffer, bits=bits, segment_len=segment_len, total=total)
 
 
-def unpack_batch(chunks: Sequence[ByteLike], count: int, bits: int) -> np.ndarray:
+def unpack_batch(
+    chunks: Union[Sequence[ByteLike], np.ndarray], count: int, bits: int
+) -> np.ndarray:
     """Unpack many same-geometry packed planes in one batched call.
 
     Every chunk must hold exactly ``packed_size(count, bits)`` bytes (the
-    packed plane of one packet).  Returns a ``(len(chunks), count)``
-    uint32 matrix.  This is the receive-side twin of
-    :func:`pack_segments`: ``depacketize`` groups arrived packets by
-    geometry and inverts each group here, ``ROW_GROUP`` packets a call,
-    instead of per packet.
+    packed plane of one packet); ``chunks`` is a sequence of buffers or a
+    ``(packets, packed_size(count, bits))`` uint8 matrix of any row stride
+    (``depacketize`` passes the plane's columns of a batch of payloads).
+    Returns a ``(len(chunks), count)`` uint32 matrix.  This is the
+    receive-side twin of :func:`pack_segments`: ``depacketize`` groups
+    arrived packets by geometry and inverts each group here,
+    ``ROW_GROUP`` packets a call, instead of per packet.
     """
     _check_bits(bits)
     need = packed_size(count, bits)
-    for chunk in chunks:
-        if len(chunk) != need:
+    if isinstance(chunks, np.ndarray):
+        if chunks.ndim != 2 or chunks.shape[1] != need or chunks.dtype != np.uint8:
             raise ValueError(
-                f"need exactly {need} bytes per chunk to unpack {count}x{bits}-bit, "
-                f"got {len(chunk)}"
+                f"need a (packets, {need}) uint8 matrix to unpack {count}x{bits}-bit, "
+                f"got {chunks.shape} {chunks.dtype}"
             )
-    if not chunks:
-        return np.zeros((0, count), dtype=np.uint32)
-    if count == 0:
-        return np.zeros((len(chunks), 0), dtype=np.uint32)
-    data = b"".join(chunks)  # bytes.join accepts any buffer, memoryviews included
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(len(chunks), need)
+        raw = chunks
+    else:
+        for chunk in chunks:
+            if len(chunk) != need:
+                raise ValueError(
+                    f"need exactly {need} bytes per chunk to unpack {count}x{bits}-bit, "
+                    f"got {len(chunk)}"
+                )
+        # bytes.join accepts any buffer, memoryviews included
+        raw = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(chunks), need)
+    if count == 0 or len(raw) == 0:
+        return np.zeros((len(raw), count), dtype=np.uint32)
     return _unpack_rows(raw, count, bits)
 
 

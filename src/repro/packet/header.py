@@ -26,6 +26,12 @@ offset bytes field
 20     4     coordinate count ``n`` in this packet
 24     8     rotation / dither seed
 ====== ===== =========================================================
+
+These 32 bytes at the front of the payload are the only copy of the
+header: a packet stores no parsed twin of them.  Switches, transports and
+receivers read the fields they need straight from the bytes through the
+precompiled views below; :class:`GradientHeader` is for building headers
+and for cold readers.
 """
 
 from __future__ import annotations
@@ -63,8 +69,11 @@ FLAG_METADATA = 0x02
 #: switches stamp it but never trim it.
 FLAG_INT = 0x04
 
-_STRUCT = struct.Struct(">HBBBBHIHHIIQ")
-GRADIENT_HEADER_BYTES = _STRUCT.size
+#: Every field in wire order: ``(magic, version, flags, codec_id,
+#: head_bits, tail_bits, message_id, epoch, chunk_index, coord_offset,
+#: coord_count, seed)``.
+HEADER_VIEW = struct.Struct(">HBBBBHIHHIIQ")
+GRADIENT_HEADER_BYTES = HEADER_VIEW.size
 assert GRADIENT_HEADER_BYTES == 32
 #: Wire width in bits of each :class:`GradientHeader` field, in field order.
 _FIELD_BITS = (8, 8, 16, 32, 16, 16, 32, 32, 64, 8, 8)
@@ -72,9 +81,24 @@ _FIELD_BITS = (8, 8, 16, 32, 16, 16, 32, 32, 64, 8, 8)
 #: data packet of a message to the next.
 _CHUNK_INDEX_AT = 14
 _COORD_OFFSET_AT = 16
+#: Byte offsets of the fields a trimming switch rewrites: the flags (OR-ed
+#: with TRIMMED) and, for a multi-level trim, the head / tail bit widths.
+FLAGS_AT = 3
+HEAD_BITS_AT = 5
+TAIL_BITS_AT = 6
+
+#: What a switch or a transport reads of one packet:
+#: ``(magic, flags, head_bits, tail_bits, message_id, coord_count)``.
+PACKET_VIEW = struct.Struct(">HxBxBHI8xI8x")
+#: What a receiver reads of every packet of a set: ``(magic + version,
+#: flags, codec_id … epoch, chunk_index, coord_offset, coord_count, seed)``.
+#: The three byte strings are the message's identity — equal across one
+#: message — and compare in three operations instead of seven.
+SET_VIEW = struct.Struct(">3sB10sHII8s")
+assert PACKET_VIEW.size == SET_VIEW.size == 32
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class GradientHeader:
     """Self-describing header carried at the front of every gradient packet."""
 
@@ -90,37 +114,6 @@ class GradientHeader:
     version: int = 1
     flags: int = 0
 
-    def __init__(
-        self,
-        codec_id: int,
-        head_bits: int,
-        tail_bits: int,
-        message_id: int,
-        epoch: int,
-        chunk_index: int,
-        coord_offset: int,
-        coord_count: int,
-        seed: int,
-        version: int = 1,
-        flags: int = 0,
-    ) -> None:
-        # One header per packet made and per packet trimmed.  The __init__
-        # that dataclass generates for a frozen class stores each field
-        # with object.__setattr__(self, "name", value); the slot
-        # descriptors build the same immutable object in half the time.
-        store = _STORE
-        store[0](self, codec_id)
-        store[1](self, head_bits)
-        store[2](self, tail_bits)
-        store[3](self, message_id)
-        store[4](self, epoch)
-        store[5](self, chunk_index)
-        store[6](self, coord_offset)
-        store[7](self, coord_count)
-        store[8](self, seed)
-        store[9](self, version)
-        store[10](self, flags)
-
     @property
     def trimmed(self) -> bool:
         """True when a switch trimmed this packet's tails away."""
@@ -135,22 +128,6 @@ class GradientHeader:
     def has_int(self) -> bool:
         """True when the packet was emitted with an INT telemetry band."""
         return bool(self.flags & FLAG_INT)
-
-    def with_flags(self, flags: int) -> "GradientHeader":
-        """Copy of this header with ``flags`` OR-ed in."""
-        return GradientHeader(
-            self.codec_id,
-            self.head_bits,
-            self.tail_bits,
-            self.message_id,
-            self.epoch,
-            self.chunk_index,
-            self.coord_offset,
-            self.coord_count,
-            self.seed,
-            self.version,
-            self.flags | flags,
-        )
 
     def check_fits(self) -> None:
         """Raise ``ValueError`` naming the first field too large for its wire width.
@@ -170,7 +147,7 @@ class GradientHeader:
 
     def to_bytes(self) -> bytes:
         """Serialize (big-endian, 32 bytes)."""
-        return _STRUCT.pack(
+        return HEADER_VIEW.pack(
             MAGIC,
             self.version,
             self.flags,
@@ -188,11 +165,11 @@ class GradientHeader:
     def pack_into(self, buffer: "bytearray | memoryview", offset: int = 0) -> None:
         """Serialize directly into ``buffer`` at ``offset`` (no allocation).
 
-        Uses the module's precompiled :class:`struct.Struct`; the hot
-        packetizer path writes every header straight into the message's
-        single wire buffer instead of concatenating 32-byte strings.
+        Uses the module's precompiled :class:`struct.Struct`; the
+        packetizer writes the final chunk's header straight into the
+        message's single wire buffer this way.
         """
-        _STRUCT.pack_into(
+        HEADER_VIEW.pack_into(
             buffer,
             offset,
             MAGIC,
@@ -235,11 +212,7 @@ class GradientHeader:
                 f"gradient header needs {GRADIENT_HEADER_BYTES} bytes, got {len(data)}"
             )
         # The wire carries version and flags first; the dataclass has them last.
-        magic, version, flags, *rest = _STRUCT.unpack_from(data)
+        magic, version, flags, *rest = HEADER_VIEW.unpack_from(data)
         if magic != MAGIC:
             raise ValueError(f"bad magic 0x{magic:04x}; not a gradient packet")
         return cls(*rest, version, flags)
-
-
-#: ``__set__`` of each field's slot, in field order (what ``__init__`` stores through).
-_STORE = tuple(getattr(GradientHeader, f.name).__set__ for f in fields(GradientHeader))

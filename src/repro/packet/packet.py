@@ -2,10 +2,13 @@
 
 A :class:`Packet` models one datagram: addressing, the 42-byte standard
 wire header (sized but not serialized — the simulator does not route real
-Ethernet frames), an optional :class:`~repro.packet.header.GradientHeader`
-and an opaque payload.  ``wire_size`` is what queues and links account
-for; ``trim()`` produces the trimmed twin the switch forwards instead of
-dropping.
+Ethernet frames) and a payload.  Gradient traffic carries its 32-byte
+:class:`~repro.packet.header.GradientHeader` as the payload's first bytes
+and nowhere else: the accessors below (``is_gradient``,
+``trimmable_bytes``, ``is_metadata``, ``message_id``) read the fields they
+need from those bytes, so what a switch acts on is what is on the wire.
+``wire_size`` is what queues and links account for; ``trim()`` produces
+the trimmed twin the switch forwards instead of dropping.
 """
 
 from __future__ import annotations
@@ -16,7 +19,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..obs.int_telemetry import INTExtension
-from .header import FLAG_TRIMMED, GRADIENT_HEADER_BYTES, WIRE_HEADER_BYTES, GradientHeader
+from .header import (
+    FLAG_METADATA,
+    FLAG_TRIMMED,
+    FLAGS_AT,
+    GRADIENT_HEADER_BYTES,
+    MAGIC,
+    PACKET_VIEW,
+    WIRE_HEADER_BYTES,
+    GradientHeader,
+)
 
 __all__ = ["Packet", "MAX_MTU_BYTES", "DEFAULT_MTU_BYTES"]
 
@@ -24,6 +36,8 @@ DEFAULT_MTU_BYTES = 1500
 MAX_MTU_BYTES = 9000
 
 _packet_ids = itertools.count()
+_read_view = PACKET_VIEW.unpack_from
+_MAGIC_FIRST_BYTE = MAGIC >> 8
 
 
 @dataclass(slots=True)
@@ -33,13 +47,12 @@ class Packet:
     Attributes:
         src: source host name.
         dst: destination host name.
-        payload: application payload (starts with the gradient header
-            when ``grad_header`` is set).  Either owned ``bytes`` or a
+        payload: application payload; gradient traffic starts it with the
+            32-byte gradient header.  Either owned ``bytes`` or a
             read-only ``memoryview`` into a shared message buffer — the
             packetizer emits zero-copy views; :meth:`trim` always
             produces owned bytes (see docs/performance.md for the
             ownership invariants).
-        grad_header: parsed gradient header, if this is gradient traffic.
         priority: queueing priority; 0 = normal, higher = more urgent
             (trimmed headers travel at priority 1, like NDP).
         flow_id: transport flow this packet belongs to.
@@ -75,7 +88,6 @@ class Packet:
     src: str
     dst: str
     payload: "bytes | memoryview" = b""
-    grad_header: Optional[GradientHeader] = None
     priority: int = 0
     flow_id: int = 0
     seq: int = 0
@@ -108,10 +120,44 @@ class Packet:
         """True when a switch trimmed this packet."""
         return self.trimmed_from is not None
 
+    def _header_view(self) -> Optional[tuple[int, ...]]:
+        """:data:`~repro.packet.header.PACKET_VIEW` of the payload's header
+        bytes, or None when the payload does not start with a header."""
+        payload = self.payload
+        # The magic's first byte turns other traffic away before any parse.
+        if len(payload) < GRADIENT_HEADER_BYTES or payload[0] != _MAGIC_FIRST_BYTE:
+            return None
+        view = _read_view(payload)
+        return view if view[0] == MAGIC else None
+
+    @property
+    def grad_header(self) -> Optional[GradientHeader]:
+        """The gradient header parsed from the payload, or None.
+
+        Parsed afresh on every read, for tests and cold paths; per-packet
+        code reads the one or two fields it needs through the accessors
+        below instead.
+        """
+        if self._header_view() is None:
+            return None
+        return GradientHeader.from_bytes(self.payload)
+
     @property
     def is_gradient(self) -> bool:
-        """True for trimmable gradient data packets."""
-        return self.grad_header is not None and not self.is_ack
+        """True for gradient packets (payload starts with a gradient header)."""
+        return not self.is_ack and self._header_view() is not None
+
+    @property
+    def is_metadata(self) -> bool:
+        """True for a gradient message's metadata packet (never trimmed)."""
+        view = self._header_view()
+        return view is not None and bool(view[1] & FLAG_METADATA)
+
+    @property
+    def message_id(self) -> Optional[int]:
+        """The gradient header's message id, or None for other traffic."""
+        view = self._header_view()
+        return None if view is None else view[4]
 
     def trimmable_bytes(self) -> Optional[int]:
         """Payload bytes a switch must keep when trimming, or None.
@@ -120,12 +166,17 @@ class Packet:
         heads (``ceil(P*n/8)`` bytes); anything else is not trimmable and
         must be dropped instead when the buffer is full.
         """
-        if self.grad_header is None or self.is_ack or self.grad_header.is_metadata:
+        # _header_view() spelled out: every switch overflow asks this twice.
+        payload = self.payload
+        if self.is_ack or len(payload) < GRADIENT_HEADER_BYTES:
             return None
-        hdr = self.grad_header
-        heads = -(-hdr.head_bits * hdr.coord_count // 8)
-        keep = GRADIENT_HEADER_BYTES + heads
-        if keep >= len(self.payload):
+        if payload[0] != _MAGIC_FIRST_BYTE:
+            return None
+        magic, flags, head_bits, _, _, coord_count = _read_view(payload)
+        if magic != MAGIC or flags & FLAG_METADATA:
+            return None
+        keep = GRADIENT_HEADER_BYTES - (-head_bits * coord_count // 8)
+        if keep >= len(payload):
             return None  # nothing to cut
         return keep
 
@@ -153,16 +204,14 @@ class Packet:
         keep = self.trimmable_bytes()
         if keep is None:
             raise ValueError(f"packet {self.packet_id} is not trimmable")
-        assert self.grad_header is not None
-        new_header = self.grad_header.with_flags(FLAG_TRIMMED)
-        # join (not +) so a zero-copy memoryview payload concatenates too;
-        # the trimmed twin always owns its (small) remnant payload.
-        new_payload = b"".join(
-            (new_header.to_bytes(), self.payload[GRADIENT_HEADER_BYTES:keep])
-        )
+        # The remnant is a copy of the header and the heads with TRIMMED
+        # OR-ed into its flags byte; the trimmed twin always owns its
+        # (small) payload, whatever buffer the original's was a view of.
+        remnant = bytearray(self.payload[:keep])
+        remnant[FLAGS_AT] |= FLAG_TRIMMED
+        new_payload = bytes(remnant)
         return self._twin(
             payload=new_payload,
-            grad_header=new_header,
             priority=max(self.priority, 1),
             packet_id=self.packet_id,
             trimmed_from=self.wire_size,
@@ -179,7 +228,6 @@ class Packet:
         """
         return self._twin(
             payload=self.payload,
-            grad_header=self.grad_header,
             priority=self.priority,
             packet_id=next(_packet_ids),
             trimmed_from=self.trimmed_from,
@@ -190,7 +238,6 @@ class Packet:
     def _twin(
         self,
         payload: "bytes | memoryview",
-        grad_header: Optional[GradientHeader],
         priority: int,
         packet_id: int,
         trimmed_from: Optional[int],
@@ -209,7 +256,6 @@ class Packet:
             src=self.src,
             dst=self.dst,
             payload=payload,
-            grad_header=grad_header,
             priority=priority,
             flow_id=self.flow_id,
             seq=self.seq,

@@ -11,9 +11,20 @@ to how congested the queue is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import zlib
+from dataclasses import dataclass, replace
 from typing import Optional
 
+from .bitpack import packed_size
+from .header import (
+    FLAG_TRIMMED,
+    FLAGS_AT,
+    GRADIENT_HEADER_BYTES,
+    HEAD_BITS_AT,
+    MAGIC,
+    PACKET_VIEW,
+    TAIL_BITS_AT,
+)
 from .packet import Packet
 
 __all__ = ["TrimDecision", "TrimPolicy", "SingleLevelTrim", "MultiLevelTrim", "NeverTrim"]
@@ -113,19 +124,17 @@ def trim_to_bits(
     The payload after the gradient header is a sequence of *bit planes*
     (``plane_bits`` wide per coordinate), each independently packed to a
     byte boundary; ``keep_bits`` must land on a plane boundary — the trim
-    keeps the packed bytes of exactly those prefix planes.  The gradient
-    header's ``head_bits``/``tail_bits`` are rewritten so the receiver
-    knows the surviving depth.
+    keeps the packed bytes of exactly those prefix planes.  The remnant's
+    header bytes get ``head_bits``/``tail_bits`` rewritten so the receiver
+    knows the surviving depth, and the TRIMMED flag.
     """
-    from dataclasses import replace as _replace
-
-    from .bitpack import packed_size
-    from .header import FLAG_TRIMMED, GRADIENT_HEADER_BYTES
-
-    hdr = packet.grad_header
-    if hdr is None:
+    payload = packet.payload
+    if len(payload) < GRADIENT_HEADER_BYTES:
         raise ValueError("not a gradient packet")
-    total_bits = hdr.head_bits + hdr.tail_bits
+    magic, _, head_bits, tail_bits, _, coord_count = PACKET_VIEW.unpack_from(payload)
+    if magic != MAGIC:
+        raise ValueError("not a gradient packet")
+    total_bits = head_bits + tail_bits
     if keep_bits > total_bits:
         raise ValueError(f"cannot keep {keep_bits} bits of a {total_bits}-bit code")
     keep_bytes = 0
@@ -133,34 +142,26 @@ def trim_to_bits(
     for width in plane_bits:
         if bits_so_far == keep_bits:
             break
-        keep_bytes += packed_size(hdr.coord_count, width)
+        keep_bytes += packed_size(coord_count, width)
         bits_so_far += width
     if bits_so_far != keep_bits:
         raise ValueError(
             f"keep_bits={keep_bits} is not a prefix-plane boundary of {plane_bits}"
         )
     keep_payload = GRADIENT_HEADER_BYTES + keep_bytes
-    if keep_payload >= len(packet.payload):
+    if keep_payload >= len(payload):
         return packet
-    new_header = _replace(
-        hdr,
-        head_bits=keep_bits,
-        tail_bits=total_bits - keep_bits,
-        flags=hdr.flags | FLAG_TRIMMED,
-    )
-    # join (not +) so zero-copy memoryview payloads concatenate; the
-    # trimmed packet owns its remnant payload (see docs/performance.md).
-    new_payload = b"".join(
-        (new_header.to_bytes(), packet.payload[GRADIENT_HEADER_BYTES:keep_payload])
-    )
+    # The trimmed packet owns its remnant payload (see docs/performance.md).
+    remnant = bytearray(payload[:keep_payload])
+    remnant[FLAGS_AT] |= FLAG_TRIMMED
+    remnant[HEAD_BITS_AT] = keep_bits
+    remnant[TAIL_BITS_AT : TAIL_BITS_AT + 2] = (total_bits - keep_bits).to_bytes(2, "big")
+    new_payload = bytes(remnant)
     # Re-seal over the remnant payload, as Packet.trim does — a stale
     # checksum would make receivers mistake the trim for corruption.
-    import zlib
-
-    return _replace(
+    return replace(
         packet,
         payload=new_payload,
-        grad_header=new_header,
         priority=max(packet.priority, 1),
         trimmed_from=packet.wire_size,
         checksum=zlib.crc32(new_payload) if packet.checksum is not None else None,

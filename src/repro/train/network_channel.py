@@ -107,9 +107,7 @@ class _WireTransfer:
         stats.coordinates += self.coords
         if self.wire is None:
             return None
-        data = [
-            p for p in self.wire if p.grad_header and not p.grad_header.is_metadata
-        ]
+        data = [p for p in self.wire if p.is_gradient and not p.is_metadata]
         trimmed = sum(1 for p in data if p.is_trimmed)
         self.trim_fraction = trimmed / max(1, len(data))
         stats.packets_total += len(data)

@@ -9,6 +9,8 @@ Two anchors:
   trim fractions within a tolerance band, both finishing training.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,20 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match="unknown cluster scenario keys"):
             ClusterScenario.from_dict(data)
 
+    @pytest.mark.parametrize("part, what", [("jobs", "job"), ("tenants", "tenant")])
+    def test_unknown_job_and_tenant_keys_named(self, part, what):
+        data = _contended_scenario().to_dict()
+        data[part][0]["workerz"] = 2
+        expected = rf"unknown {what} keys: \['workerz'\]; a {what} takes"
+        with pytest.raises(ValueError, match=expected):
+            ClusterScenario.from_dict(data)
+
+    def test_missing_required_key_named(self):
+        data = _contended_scenario().to_dict()
+        del data["jobs"][0]["name"]
+        with pytest.raises(ValueError, match=r"job lacks required keys: \['name'\]"):
+            ClusterScenario.from_dict(data)
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             ClusterScenario(
@@ -210,3 +226,30 @@ class TestScenarioSpec:
         for name, scenario in CLUSTER_PRESETS.items():
             assert scenario.name == name
             assert ClusterScenario.from_dict(scenario.to_dict()) == scenario
+
+
+class TestClusterCLI:
+    """``repro-cluster run FILE`` on a file it cannot use: one line that
+    names the file and what is wrong, exit status 2, no traceback."""
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (None, "No such file"),
+            ("{nope", "Expecting property name"),
+            ('{"name": "x", "description": "", "jobs": [{"name": "j", "workerz": 2}]}',
+             r"unknown job keys: \['workerz'\]"),
+        ],
+        ids=["missing", "not-json", "unknown-key"],
+    )
+    def test_bad_scenario_file(self, tmp_path, caplog, content, reason):
+        from repro.cluster.cli import main
+
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_text(content)
+        with caplog.at_level("ERROR"):
+            assert main(["run", str(path)]) == 2
+        (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert line.startswith(f"repro-cluster: {path}: ")
+        assert re.search(reason, line) and "\n" not in line

@@ -57,7 +57,6 @@ def reference_packetize(
             src=src,
             dst=dst,
             payload=meta_header.to_bytes() + meta.to_bytes(),
-            grad_header=meta_header,
             priority=1,
         )
     ]
@@ -80,7 +79,7 @@ def reference_packetize(
             + pack_bits(enc.tails[offset:end], enc.tail_bits)
         )
         packets.append(
-            Packet(src=src, dst=dst, payload=payload, grad_header=header, seq=chunk + 1)
+            Packet(src=src, dst=dst, payload=payload, seq=chunk + 1)
         )
     return packets
 
@@ -334,14 +333,19 @@ def flat_scatter(packets: Iterable[Packet], length: int):
 def hand_packet(
     offset: int, count: int, rng, head_bits: int = 1, tail_bits: int = 31, trim: bool = False
 ) -> Packet:
-    """A data packet at an arbitrary coordinate offset (no packetizer grid)."""
+    """A data packet at an arbitrary coordinate offset (no packetizer grid).
+
+    Its chunk index is the one ``packetize`` would give a packet of
+    ``count`` coordinates at ``offset``, so a packet on that grid is stored
+    as a whole row and any other by the per-coordinate index.
+    """
     header = GradientHeader(
         codec_id=1,
         head_bits=head_bits,
         tail_bits=tail_bits,
         message_id=7,
         epoch=3,
-        chunk_index=1,
+        chunk_index=offset // count + 1 if count else 1,
         coord_offset=offset,
         coord_count=count,
         seed=0,
@@ -352,7 +356,7 @@ def hand_packet(
     payload = header.to_bytes() + pack_bits(heads, head_bits)
     if not trim:
         payload += pack_bits(tails, tail_bits)
-    return Packet(src="s", dst="d", payload=payload, grad_header=header)
+    return Packet(src="s", dst="d", payload=payload)
 
 
 def assert_same_store(packets: List[Packet], length: int) -> GradientMessage:
@@ -470,7 +474,6 @@ def loop_packetize(
             src=src,
             dst=dst,
             payload=meta_header.to_bytes() + meta.to_bytes(),
-            grad_header=meta_header,
             priority=1,
             flow_id=flow_id,
             int_ext=band(),
@@ -500,7 +503,6 @@ def loop_packetize(
                 src=src,
                 dst=dst,
                 payload=views[pos:cursor],
-                grad_header=chunk_header,
                 flow_id=flow_id,
                 seq=chunk + 1,
                 int_ext=band(),
@@ -515,7 +517,6 @@ def assert_same_packets(new: List[Packet], old: List[Packet]) -> None:
     for new_pkt, old_pkt in zip(new, old):
         assert bytes(new_pkt.payload) == bytes(old_pkt.payload)
         assert new_pkt.grad_header == old_pkt.grad_header
-        assert GradientHeader.from_bytes(new_pkt.payload) == new_pkt.grad_header
         for field in ("src", "dst", "seq", "priority", "wire_size", "flow_id", "seq_total"):
             assert getattr(new_pkt, field) == getattr(old_pkt, field), field
         assert (new_pkt.int_ext is None) == (old_pkt.int_ext is None)
@@ -655,7 +656,6 @@ class TestMessageTooLargeForItsHeader:
         packets = packetize(fits, mtu=100)
         assert len(packets) == 0xFFFF + 1
         assert packets[-1].grad_header.chunk_index == 0xFFFF
-        assert GradientHeader.from_bytes(packets[-1].payload) == packets[-1].grad_header
         too_long = make_encoded(0xFFFF * n + 1, 1, 31)
         with pytest.raises(ValueError, match=r"chunk_index=65536 .*limit 65535"):
             packetize(too_long, mtu=100)

@@ -7,6 +7,7 @@ campaign JSONL artifact format.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -286,3 +287,26 @@ class TestCampaignCLI:
         )
         assert code == 0
         assert not (tmp_path / "shrunk" / "shrunk.json").exists()
+
+    @pytest.mark.parametrize("command", ["replay", "shrink"])
+    @pytest.mark.parametrize("case", ["missing", "not-json", "unknown-key"])
+    def test_bad_plan_file(self, tmp_path, caplog, command, case):
+        """One line naming the file and what is wrong, exit status 2."""
+        path = tmp_path / "plan.json"
+        plan = draw_plan(CampaignConfig(cluster="idle-1job", seed=1, faults=2)).to_dict()
+        plan["faults"][0]["ratez"] = 0.5
+        reason = {
+            "missing": "No such file",
+            "not-json": "Expecting value",
+            "unknown-key": r"unknown fault keys: \['ratez'\]",
+        }[case]
+        if case == "not-json":
+            path.write_text("plan:\n  - nope\n")
+        elif case == "unknown-key":
+            path.write_text(json.dumps(plan))
+        extra = ["--out-dir", str(tmp_path / "out")] if command == "shrink" else []
+        with caplog.at_level("ERROR"):
+            assert faults_main(["campaign", command, "--plan", str(path), *extra]) == 2
+        (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert line.startswith(f"repro-faults: {path}: ")
+        assert re.search(reason, line)

@@ -81,22 +81,10 @@ class TestFlags:
         assert not header.trimmed
         assert not header.is_metadata
 
-    def test_with_flags_is_additive(self):
-        header = make_header(flags=FLAG_METADATA).with_flags(FLAG_TRIMMED)
-        assert header.trimmed
-        assert header.is_metadata
-
-    def test_with_flags_returns_new_object(self):
-        header = make_header()
-        trimmed = header.with_flags(FLAG_TRIMMED)
-        assert not header.trimmed
-        assert trimmed.trimmed
-
 
 class TestStillAFrozenDataclass:
-    """PR 20 gave the header slots and a hand-written ``__init__`` (it is
-    built once per packet made and once per packet trimmed); everything a
-    caller could see of the ``@dataclass(frozen=True)`` it was must hold."""
+    """The header is a slotted frozen dataclass; everything a caller could
+    see of the ``@dataclass(frozen=True)`` it always was must hold."""
 
     GOLDEN_REPR = (
         "GradientHeader(codec_id=4, head_bits=1, tail_bits=31, message_id=1234, "

@@ -16,6 +16,7 @@ from repro.packet import (
     Packet,
     pack_bits,
 )
+from repro.packet.header import FLAGS_AT
 
 
 def gradient_packet(coord_count=365, head_bits=1, tail_bits=31, flags=0):
@@ -35,7 +36,7 @@ def gradient_packet(coord_count=365, head_bits=1, tail_bits=31, flags=0):
     heads = rng.integers(0, 2, coord_count).astype(np.uint32)
     tails = rng.integers(0, 2**31, coord_count).astype(np.uint32)
     payload = header.to_bytes() + pack_bits(heads, head_bits) + pack_bits(tails, tail_bits)
-    return Packet(src="h0", dst="h1", payload=payload, grad_header=header)
+    return Packet(src="h0", dst="h1", payload=payload)
 
 
 class TestWireSize:
@@ -63,10 +64,12 @@ class TestTrim:
 
     def test_original_untouched(self):
         pkt = gradient_packet()
-        size_before = pkt.wire_size
-        pkt.trim()
+        size_before, payload_before = pkt.wire_size, bytes(pkt.payload)
+        trimmed = pkt.trim()
         assert pkt.wire_size == size_before
         assert not pkt.is_trimmed
+        assert bytes(pkt.payload) == payload_before and not pkt.grad_header.trimmed
+        assert trimmed.payload[FLAGS_AT] == payload_before[FLAGS_AT] | FLAG_TRIMMED
 
     def test_non_gradient_packet_not_trimmable(self):
         pkt = Packet(src="a", dst="b", payload=b"x" * 1000)
@@ -119,11 +122,45 @@ class TestIdentity:
         assert not Packet(src="a", dst="b").is_gradient
 
 
+class TestHeaderAccessors:
+    """The payload's 32 header bytes are the only header a packet has;
+    every accessor reads them, and a payload that does not start with
+    one (wrong magic, too short) is simply not gradient traffic."""
+
+    def test_read_from_the_bytes(self):
+        pkt = gradient_packet(coord_count=100)
+        assert pkt.message_id == 1 and not pkt.is_metadata
+        assert pkt.grad_header == GradientHeader.from_bytes(pkt.payload)
+        meta = gradient_packet(flags=FLAG_METADATA)
+        assert meta.is_metadata and meta.is_gradient and meta.trimmable_bytes() is None
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"\x7am" + bytes(29), b"\x00" * 1416, b"\x7a\x6c" + bytes(200)],
+        ids=["empty", "31-bytes", "filler", "magic-off-by-one"],
+    )
+    def test_other_traffic(self, payload):
+        pkt = Packet(src="a", dst="b", payload=payload)
+        assert not pkt.is_gradient and not pkt.is_metadata
+        assert pkt.grad_header is None and pkt.message_id is None
+        assert pkt.trimmable_bytes() is None
+
+    def test_what_a_switch_reads_is_what_is_on_the_wire(self):
+        """Bytes changed in flight change the answer: there is no stored
+        twin for a reader to consult instead."""
+        pkt = gradient_packet(coord_count=100)
+        raw = bytearray(pkt.payload)
+        raw[FLAGS_AT] |= FLAG_METADATA
+        assert Packet(src="a", dst="b", payload=bytes(raw)).trimmable_bytes() is None
+        raw[0] ^= 0x80
+        assert not Packet(src="a", dst="b", payload=bytes(raw)).is_gradient
+
+
 class TestCopiesCarryEveryField:
-    """``trim`` / ``clone`` / ``with_flags`` spell their copies out field by
-    field (``dataclasses.replace`` was most of a trim's cost), so compare them
-    with the ``replace``-based copy over ``fields(...)``: a field added to
-    either dataclass later cannot be silently dropped from the hot path."""
+    """``trim`` / ``clone`` spell their copies out field by field
+    (``dataclasses.replace`` was most of a trim's cost), so compare them with
+    the ``replace``-based copy over ``fields(Packet)``: a field added later
+    cannot be silently dropped from the hot path."""
 
     @staticmethod
     def busy_packet(sealed: bool) -> Packet:
@@ -131,11 +168,12 @@ class TestCopiesCarryEveryField:
         from repro.obs.int_telemetry import INTExtension
 
         base = gradient_packet(coord_count=356, flags=FLAG_INT)
+        header = dataclasses.replace(base.grad_header, version=2, seed=99)
+        payload = header.to_bytes() + bytes(base.payload[GRADIENT_HEADER_BYTES:])
         pkt = Packet(
             src="w3",
             dst="ps",
-            payload=memoryview(base.payload).toreadonly(),
-            grad_header=dataclasses.replace(base.grad_header, version=2, seed=99),
+            payload=memoryview(payload).toreadonly(),
             priority=2,
             flow_id=17,
             seq=5,
@@ -157,13 +195,6 @@ class TestCopiesCarryEveryField:
             if f.name not in but:
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
 
-    def test_with_flags_matches_replace(self):
-        header = self.busy_packet(sealed=False).grad_header
-        got = header.with_flags(FLAG_TRIMMED)
-        assert got == dataclasses.replace(header, flags=header.flags | FLAG_TRIMMED)
-        self.assert_same_fields(got, header, but={"flags"})
-        assert got.flags == FLAG_INT | FLAG_TRIMMED
-
     @pytest.mark.parametrize("sealed", [False, True])
     def test_trim_matches_replace(self, sealed):
         pkt = self.busy_packet(sealed)
@@ -174,7 +205,6 @@ class TestCopiesCarryEveryField:
         want = dataclasses.replace(
             pkt,
             payload=payload,
-            grad_header=header,
             trimmed_from=pkt.wire_size,
             checksum=zlib.crc32(payload) if sealed else None,
         )

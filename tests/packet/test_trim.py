@@ -38,7 +38,7 @@ def plane_packet(coord_count=50):
         + pack_bits(mags, 7)
         + pack_bits(residuals, 24)
     )
-    return Packet(src="a", dst="b", payload=payload, grad_header=header)
+    return Packet(src="a", dst="b", payload=payload)
 
 
 class TestNeverTrim:
