@@ -65,6 +65,9 @@ def _cmd_show(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = _load_scenario(args)
+    except KeyError as exc:  # an unknown preset: the message names them all
+        logger.error("repro-cluster: %s", exc.args[0])
+        return 2
     except (OSError, TypeError, ValueError) as exc:
         # A missing file, bad JSON or a wrong key: one line, no traceback.
         logger.error("repro-cluster: %s: %s", args.scenario or args.preset, exc)

@@ -10,8 +10,12 @@ switch can trim to different depths.  :class:`EdenCodec` generalizes
   standard normal with ``2^P`` levels (the MMSE scalar quantizer for the
   post-rotation distribution; exact tables for P ≤ 4, uniform beyond);
 * tail = the residual against the head's reconstruction, uniformly
-  quantized over ``±4σ_r`` with the remaining ``32-P`` bits — so an
-  untrimmed packet still decodes to (well below) fp32 precision;
+  quantized with the remaining ``32-P`` bits over
+  ``±(sqrt(w) + max|c|)·σ_r`` for rows of width ``w`` and centroids
+  ``c``.  ``σ_r²`` is the row's mean square, so no coordinate exceeds
+  ``sqrt(w)·σ_r`` and no residual is ever clipped: an untrimmed packet
+  decodes to a tail step of ``2(sqrt(w) + max|c|)·σ_r / (2^(32-P) - 1)``
+  — about 2e-8·σ_r at P = 1 on 512-wide rows, 3e-6·σ_r at P = 8;
 * per-row scale ``σ_r`` travels in the reliable metadata packet.
 
 Because heads and tails live in separate packed planes, the existing
@@ -63,6 +67,16 @@ def lloyd_max_centroids(bits: int) -> np.ndarray:
     return -4.0 + step / 2 + step * np.arange(levels)
 
 
+def _residual_range(centroids: np.ndarray, width: int) -> float:
+    """Tail span in units of the row's ``σ_r``: a bound on every residual.
+
+    ``|x| <= sqrt(width)·σ_r`` for every coordinate of a row whose mean
+    square is ``σ_r²``, and the head's reconstruction is at most
+    ``max|c|·σ_r`` away from zero.
+    """
+    return float(np.sqrt(width) + np.abs(centroids).max())
+
+
 @register_codec
 class EdenCodec(GradientCodec):
     """RHT rotation + P-bit Lloyd-Max heads + residual tails."""
@@ -85,9 +99,6 @@ class EdenCodec(GradientCodec):
         self._centroids = lloyd_max_centroids(head_bits)
         # Cell boundaries: midpoints between adjacent centroids.
         self._boundaries = (self._centroids[1:] + self._centroids[:-1]) / 2.0
-        #: Residual range in units of the row sigma (generous: covers
-        #: the unbounded outer Lloyd-Max cells up to ~4+4 sigma).
-        self._residual_range = 4.0
 
     # -- encode --------------------------------------------------------------
 
@@ -107,7 +118,7 @@ class EdenCodec(GradientCodec):
         approx = self._centroids[heads] * sigmas[:, None]
         residual = rows - approx
         max_tail = (1 << self.tail_bits) - 1
-        span = self._residual_range * sigmas[:, None]
+        span = _residual_range(self._centroids, width) * sigmas[:, None]
         tail_norm = np.clip((residual / span + 1.0) / 2.0, 0.0, 1.0)
         tails = np.rint(tail_norm * max_tail).astype(np.uint64).astype(np.uint32)
 
@@ -157,7 +168,7 @@ class EdenCodec(GradientCodec):
 
         approx = centroids[enc.heads] * sigmas
         max_tail = (1 << enc.tail_bits) - 1
-        span = self._residual_range * sigmas
+        span = _residual_range(centroids, width) * sigmas
         residual = (enc.tails.astype(np.float64) / max_tail * 2.0 - 1.0) * span
         r_hat = np.where(mask, approx, approx + residual)
         r_hat = np.where(lost, 0.0, r_hat)

@@ -83,6 +83,9 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def _cmd_run(ns: argparse.Namespace) -> int:
     try:
         scenario = _load_scenario(ns.scenario)
+    except KeyError as exc:  # an unknown preset: the message names them all
+        logger.error("repro-faults: %s", exc.args[0])
+        return 2
     except _BAD_FILE as exc:
         logger.error("repro-faults: %s: %s", ns.scenario, exc)
         return 2
@@ -166,6 +169,13 @@ def _log_campaign_verdict(result: CampaignResult) -> int:
 
 
 def _cmd_campaign_run(ns: argparse.Namespace) -> int:
+    from ..cluster import cluster_scenario_by_name
+
+    try:
+        cluster_scenario_by_name(ns.cluster)
+    except KeyError as exc:
+        logger.error("repro-faults: %s", exc.args[0])
+        return 2
     kinds = (
         tuple(k for k in ns.kinds.split(",") if k) if ns.kinds else CAMPAIGN_KINDS
     )

@@ -72,8 +72,8 @@ class NondeterminismTaintRule(Rule):
     exempt = ("transforms/prng.py",)
 
     #: Event-loop entry points (method names on any simulator handle),
-    #: including the fire-and-forget fast-path API.
-    _SCHEDULE_METHODS = ("schedule", "schedule_at", "schedule_call")
+    #: including the fire-and-forget fast-path API and timer moves.
+    _SCHEDULE_METHODS = ("schedule", "schedule_at", "schedule_call", "reschedule")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         tracker = ImportTracker(module.tree)

@@ -14,8 +14,15 @@ handles.  Sequences are unique, so a comparison never reaches the third
 element.
 
 Cancelled events are skipped lazily at pop; when dead entries outnumber
-live ones the heap is rebuilt in place, so timer-heavy workloads
-(flap/blackout fault churn, transport RTO re-arming) keep bounded memory.
+live ones the heap is rebuilt in place, so cancel-heavy workloads
+(flap/blackout fault churn) keep bounded memory.
+
+A pending event moved later (:meth:`Simulator.reschedule`, how a
+transport re-arms its retransmission timer on every ACK) keeps its one
+heap entry: the event takes a new ``(time, sequence)`` and the entry,
+now stale, is re-pushed under that key when it reaches the top.  Since
+the new key is never smaller than the old one, the event runs exactly
+where a cancel plus a fresh post would have put it.
 
 A callback ends the run in progress with :meth:`Simulator.stop`.  The
 loop does not poll a flag for it: ``stop`` posts a sentinel that sorts
@@ -40,6 +47,10 @@ _COMPACT_MIN_DEAD = 64
 
 class _Halt(Exception):
     """Raised by the :meth:`Simulator.stop` sentinel to leave the loop."""
+
+
+def _released() -> None:
+    """What a cancelled :class:`Event` holds in place of its callback."""
 
 
 class Event:
@@ -69,17 +80,21 @@ class Event:
         """Mark the event dead; it will be skipped when popped.
 
         Cancelling an already-executed or already-cancelled event is a
-        no-op, so timer-style callers can cancel unconditionally.
+        no-op, so timer-style callers can cancel unconditionally.  The
+        callback is let go: until the dead entry is popped or compacted
+        away it must not keep its owner (a finished sender, its packets
+        and their message buffer) alive.
         """
         if self.cancelled or self._done:
             return
         self.cancelled = True
+        self.callback = _released
         scheduler = self._scheduler
         if scheduler is not None:
             scheduler._dead += 1
             # Lazy-cancel compaction: once dead entries outnumber live
             # ones the heap is mostly garbage — rebuild it so heavy
-            # cancel churn (timer re-arming every packet) cannot grow
+            # cancel churn (fault flap / blackout timers) cannot grow
             # the queue without bound.
             if (
                 scheduler._dead > _COMPACT_MIN_DEAD
@@ -135,6 +150,31 @@ class Simulator:
     def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Run ``callback`` at absolute time ``when``."""
         return self.schedule(when - self.now, callback)
+
+    def reschedule(self, event: Event, delay: float) -> Event:
+        """Move ``event`` to ``delay`` seconds from now; returns its handle.
+
+        The same as ``event.cancel()`` followed by ``schedule(delay,
+        event.callback)`` — one sequence number, the same place in the
+        run order — but a pending event moved later keeps its heap entry
+        and its handle.  Moving it earlier, or moving an event that
+        already ran, posts a fresh event, whose handle is returned.  A
+        cancelled event has let its callback go and cannot be moved.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        if event.cancelled:
+            raise ValueError("cannot move a cancelled event")
+        when = self.now + delay
+        if when < event.time or event._done:
+            callback = event.callback
+            event.cancel()
+            return self.schedule(delay, callback)
+        # The heap entry still carries the old key; the drain loop
+        # re-pushes it under this one when it pops it.
+        event.time = when
+        event.sequence = next(self._sequence)
+        return event
 
     def schedule_call(self, delay: float, fn: Callable[[Any], Any], arg: Any) -> None:
         """Fire-and-forget: run ``fn(arg)`` ``delay`` seconds from now.
@@ -229,6 +269,9 @@ class Simulator:
                     if event.cancelled:
                         self._dead -= 1
                         continue
+                    if entry[1] != event.sequence:  # rescheduled later
+                        heappush(heap, (event.time, event.sequence, event))
+                        continue
                     self.now = when
                     event._done = True
                     event.callback()
@@ -290,6 +333,9 @@ class Simulator:
                     if event.cancelled:
                         self._dead -= 1
                         continue
+                    if entry[1] != event.sequence:  # rescheduled later
+                        heappush(heap, (event.time, event.sequence, event))
+                        continue
                     self.now = when
                     event._done = True
                     callback = event.callback
@@ -304,7 +350,10 @@ class Simulator:
         return self.now
 
     def pending(self) -> int:
-        """Number of live events still queued (O(1))."""
+        """Number of live events still queued (O(1)).
+
+        A rescheduled event has one entry, stale or not, so it counts once.
+        """
         return len(self._heap) - self._dead - self._halting
 
     # -- maintenance --------------------------------------------------------
@@ -313,11 +362,16 @@ class Simulator:
         """Rebuild the heap without its cancelled entries.
 
         Called from :meth:`Event.cancel` once dead entries outnumber
-        live ones; O(total entries), amortized O(1) per cancel.  The
-        list is rewritten in place because a running :meth:`run` holds
-        a reference to it.
+        live ones; O(total entries), amortized O(1) per cancel.  Stale
+        entries of rescheduled events are rewritten under their event's
+        current key.  The list is rewritten in place because a running
+        :meth:`run` holds a reference to it.
         """
         heap = self._heap
-        heap[:] = [e for e in heap if len(e) == 4 or not e[2].cancelled]
+        heap[:] = [
+            e if len(e) == 4 else (e[2].time, e[2].sequence, e[2])
+            for e in heap
+            if len(e) == 4 or not e[2].cancelled
+        ]
         heapify(heap)
         self._dead = 0

@@ -35,7 +35,7 @@ from ..obs import trace as _obs_trace
 from ..packet.packet import Packet
 from ..packet.trim import NeverTrim, TrimPolicy
 from .link import Device, Link
-from .queues import PriorityQueue
+from .queues import ByteQueue, PriorityQueue
 from .simulator import Simulator
 
 __all__ = ["Switch", "SwitchStats"]
@@ -471,63 +471,142 @@ class Switch(Device):
             self._path_changed.discard(key)
             if packet.int_ext is not None:
                 ecmp_aux = ecmp_aux | AUX_PATH_CHANGED
-        # Fused fast path: replicate forward -> enqueue -> push inline
-        # for the common case (no INT band to stamp).  Counter and ECN
-        # side effects are exactly ByteQueue.push's; any overflow falls
-        # back to the full method.
-        if packet.int_ext is None:
-            queue = link.queue
-            bands = queue.bands
-            last = queue._last_band
-            priority = packet.priority
-            band = bands[last - (priority if priority < last else last)]
-            wire = packet.wire_size
-            new_bytes = band._bytes + wire
-            if new_bytes <= band.capacity_bytes:
-                threshold = band.ecn_threshold_bytes
-                if threshold is not None and new_bytes > threshold:
-                    packet.ecn = True
-                    band.ecn_marked += 1
-                if (
-                    not link._busy
-                    and not band._items
-                    and (band is bands[0] or not bands[0]._items)
-                ):
-                    # Idle serializer, empty queue: the push/pop pair is
-                    # a pass-through, so hand the packet straight to the
-                    # serializer.  Counters still see the enqueue and
-                    # the immediate dequeue; occupancy is untouched.
-                    band.enqueued += 1
-                    band.dequeued += 1
-                    if new_bytes > band.peak_bytes:
-                        band.peak_bytes = new_bytes
-                    link._busy = True
-                    link._sched_call(
-                        wire * 8.0 / link.rate_bps, link._finish_cb, packet
-                    )
-                else:
-                    band._items.append(packet)
-                    band._bytes = new_bytes
-                    band.enqueued += 1
-                    if new_bytes > band.peak_bytes:
-                        band.peak_bytes = new_bytes
-                    if not link._busy:
-                        link._try_transmit()
-                self.stats.forwarded += 1
-                tracer = _obs_trace._TRACER
-                if tracer.enabled:
-                    tracer.event(
-                        "switch.forward",
-                        sim_time=self.sim.now,
-                        switch=self.name,
-                        dst=packet.dst,
-                        flow_id=packet.flow_id,
-                        seq=packet.seq,
-                        bytes=wire,
-                        queue_bytes=queue.bytes_queued,
-                    )
-                return
-        self.forward(packet, link, ecmp_aux=ecmp_aux)
+        # One pass from here: ByteQueue.push and Link._try_transmit are
+        # spelled out, counters and ECN exactly theirs, and an overflow is
+        # settled on the spot — forwarded, trimmed or dropped.
+        queue = link.queue
+        bands = queue.bands
+        last = queue._last_band
+        data = bands[last]
+        priority = packet.priority
+        band = bands[last - (priority if priority < last else last)]
+        wire = packet.wire_size
+        new_bytes = band._bytes + wire
+        if new_bytes > band.capacity_bytes:
+            band.rejected += 1
+            if band is data:
+                self._trim_or_drop(packet, link, data)
+            else:
+                # The express band holds tiny packets already: no trim.
+                self._drop(packet, "header-band-overflow")
+            return
+        int_ext = packet.int_ext
+        if int_ext is not None:
+            fill_permille = int(data._bytes / data.capacity_bytes * 1000)
+        threshold = band.ecn_threshold_bytes
+        if threshold is not None and new_bytes > threshold:
+            packet.ecn = True
+            band.ecn_marked += 1
+        if (
+            not link._busy
+            and not band._items
+            and (band is bands[0] or not bands[0]._items)
+        ):
+            # Idle serializer, empty queue: the push/pop pair is a
+            # pass-through, so hand the packet straight to the
+            # serializer.  Counters still see the enqueue and the
+            # immediate dequeue; occupancy is untouched.
+            band.enqueued += 1
+            band.dequeued += 1
+            if new_bytes > band.peak_bytes:
+                band.peak_bytes = new_bytes
+            link._busy = True
+            link._sched_call(wire * 8.0 / link.rate_bps, link._finish_cb, packet)
+        else:
+            band._items.append(packet)
+            band._bytes = new_bytes
+            band.enqueued += 1
+            if new_bytes > band.peak_bytes:
+                band.peak_bytes = new_bytes
+            if not link._busy:
+                link._try_transmit()
+        if int_ext is not None:
+            int_ext.stamp(
+                self._int_hop,
+                DECISION_FORWARD,
+                0,
+                self.sim.now,
+                queue_depth_bytes=queue.bytes_queued,
+                fill_permille=fill_permille,
+                aux=ecmp_aux,
+            )
+        self.stats.forwarded += 1
+        tracer = _obs_trace._TRACER
+        if tracer.enabled:
+            tracer.event(
+                "switch.forward",
+                sim_time=self.sim.now,
+                switch=self.name,
+                dst=packet.dst,
+                flow_id=packet.flow_id,
+                seq=packet.seq,
+                bytes=wire,
+                queue_bytes=queue.bytes_queued,
+            )
+
+    def _trim_or_drop(self, packet: Packet, link: Link, data: ByteQueue) -> None:
+        """Settle a data-band overflow: enqueue the trim policy's remnant
+        in its own band, or drop.
+
+        ``data`` is the full data band; the rejection is counted already.
+        The remnant's push is ``ByteQueue.push`` spelled out, and a full
+        express band drops the packet as ``header-band-overflow``.
+        """
+        fill = data._bytes / data.capacity_bytes
+        trimmed = self.trim_policy.trim(packet, fill)
+        if trimmed is None:
+            self._drop(packet, "buffer-overflow")
+            return
+        remnant, level = trimmed
+        queue = link.queue
+        last = queue._last_band
+        priority = remnant.priority
+        band = queue.bands[last - (priority if priority < last else last)]
+        wire = remnant.wire_size
+        new_bytes = band._bytes + wire
+        if new_bytes > band.capacity_bytes:
+            band.rejected += 1
+            self._drop(packet, "header-band-overflow")
+            return
+        threshold = band.ecn_threshold_bytes
+        if threshold is not None and new_bytes > threshold:
+            remnant.ecn = True
+            band.ecn_marked += 1
+        band._items.append(remnant)
+        band._bytes = new_bytes
+        band.enqueued += 1
+        if new_bytes > band.peak_bytes:
+            band.peak_bytes = new_bytes
+        if not link._busy:
+            link._try_transmit()
+        saved = packet.wire_size - wire
+        if remnant.int_ext is not None:
+            remnant.int_ext.stamp(
+                self._int_hop,
+                DECISION_TRIM,
+                REASON_BUFFER_OVERFLOW,
+                self.sim.now,
+                queue_depth_bytes=queue.bytes_queued,
+                fill_permille=int(fill * 1000),
+                aux=level,
+            )
+        self.stats.trimmed += 1
+        self.stats.trimmed_bytes_saved += saved
+        if self.flow_classifier is not None:
+            self.flow_classifier(packet.flow_id, "trim", "buffer-overflow")
+        tracer = _obs_trace._TRACER
+        if tracer.enabled:
+            tracer.event(
+                "switch.trim",
+                sim_time=self.sim.now,
+                switch=self.name,
+                dst=packet.dst,
+                flow_id=packet.flow_id,
+                seq=packet.seq,
+                bytes_saved=saved,
+                remnant_bytes=wire,
+                fill_before=fill,
+            )
 
     def _drop(self, packet: Packet, kind: str) -> None:
         if packet.int_ext is not None:
@@ -542,7 +621,7 @@ class Switch(Device):
         self.stats.note_drop(kind)
         if self.flow_classifier is not None:
             self.flow_classifier(packet.flow_id, "drop", kind)
-        tracer = get_tracer()
+        tracer = _obs_trace._TRACER
         if tracer.enabled:
             tracer.event(
                 "switch.drop",
@@ -554,92 +633,6 @@ class Switch(Device):
                 seq=packet.seq,
                 bytes=packet.wire_size,
             )
-
-    def forward(self, packet: Packet, link: Link, ecmp_aux: int = 0) -> None:
-        """Enqueue on ``link``, trimming or dropping on overflow.
-
-        :meth:`receive` lands here when its fused fast path does not
-        apply: the packet carries an INT band, or the push would overflow.
-        ``ecmp_aux`` (path index + 1 when the route had equal-cost
-        alternatives) is stamped into the INT forward record so traces
-        show which leg of an ECMP group the packet rode.
-        """
-        queue: PriorityQueue = link.queue  # type: ignore[assignment]
-        fill_before = queue.data_band().fill
-        if link.enqueue(packet):
-            if packet.int_ext is not None:
-                packet.int_ext.stamp(
-                    self._int_hop,
-                    DECISION_FORWARD,
-                    0,
-                    self.sim.now,
-                    queue_depth_bytes=queue.bytes_queued,
-                    fill_permille=int(fill_before * 1000),
-                    aux=ecmp_aux,
-                )
-            self.stats.forwarded += 1
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "switch.forward",
-                    sim_time=self.sim.now,
-                    switch=self.name,
-                    dst=packet.dst,
-                    flow_id=packet.flow_id,
-                    seq=packet.seq,
-                    bytes=packet.wire_size,
-                    queue_bytes=queue.bytes_queued,
-                )
-            return
-        # Overflow.  Express-band packets (already tiny) are just dropped;
-        # data packets go through the trim policy.
-        if queue.band_for(packet) != len(queue.bands) - 1:
-            self._drop(packet, "header-band-overflow")
-            return
-        decision = self.trim_policy.decide(packet, fill_before)
-        remnant = (
-            self.trim_policy.apply(packet, decision)
-            if decision.action == "trim"
-            else None
-        )
-        if remnant is None:
-            self._drop(packet, "buffer-overflow")
-            return
-        if remnant.wire_size >= packet.wire_size:
-            # Trimming did not shrink the packet; treat as overflow.
-            self._drop(packet, "buffer-overflow")
-            return
-        if link.enqueue(remnant):
-            saved = packet.wire_size - remnant.wire_size
-            if remnant.int_ext is not None:
-                remnant.int_ext.stamp(
-                    self._int_hop,
-                    DECISION_TRIM,
-                    REASON_BUFFER_OVERFLOW,
-                    self.sim.now,
-                    queue_depth_bytes=queue.bytes_queued,
-                    fill_permille=int(fill_before * 1000),
-                    aux=decision.level or 0,
-                )
-            self.stats.trimmed += 1
-            self.stats.trimmed_bytes_saved += saved
-            if self.flow_classifier is not None:
-                self.flow_classifier(packet.flow_id, "trim", "buffer-overflow")
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "switch.trim",
-                    sim_time=self.sim.now,
-                    switch=self.name,
-                    dst=packet.dst,
-                    flow_id=packet.flow_id,
-                    seq=packet.seq,
-                    bytes_saved=saved,
-                    remnant_bytes=remnant.wire_size,
-                    fill_before=fill_before,
-                )
-        else:
-            self._drop(packet, "header-band-overflow")
 
     # -- introspection ----------------------------------------------------------
 

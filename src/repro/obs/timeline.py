@@ -292,7 +292,11 @@ def _cmd_record(ns: argparse.Namespace) -> int:
         with open(ns.scenario, "r", encoding="utf-8") as fh:
             scenario = Scenario.from_dict(json.load(fh))
     else:
-        scenario = scenario_by_name(ns.scenario)
+        try:
+            scenario = scenario_by_name(ns.scenario)
+        except KeyError as exc:  # an unknown preset: the message names them all
+            logger.error("repro-timeline: %s", exc.args[0])
+            return 2
 
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)

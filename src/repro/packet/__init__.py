@@ -26,7 +26,6 @@ from .trim import (
     MultiLevelTrim,
     NeverTrim,
     SingleLevelTrim,
-    TrimDecision,
     TrimPolicy,
     trim_to_bits,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "MultiLevelTrim",
     "NeverTrim",
     "SingleLevelTrim",
-    "TrimDecision",
     "TrimPolicy",
     "trim_to_bits",
 ]

@@ -166,7 +166,7 @@ class Packet:
         heads (``ceil(P*n/8)`` bytes); anything else is not trimmable and
         must be dropped instead when the buffer is full.
         """
-        # _header_view() spelled out: every switch overflow asks this twice.
+        # _header_view() spelled out: every switch overflow asks this.
         payload = self.payload
         if self.is_ack or len(payload) < GRADIENT_HEADER_BYTES:
             return None
@@ -204,6 +204,12 @@ class Packet:
         keep = self.trimmable_bytes()
         if keep is None:
             raise ValueError(f"packet {self.packet_id} is not trimmable")
+        return self.trim_at(keep)
+
+    def trim_at(self, keep: int) -> "Packet":
+        """:meth:`trim` for a caller that already holds ``keep``, the
+        :meth:`trimmable_bytes` of this packet: the header is not parsed
+        again.  ``keep`` is trusted, not checked."""
         # The remnant is a copy of the header and the heads with TRIMMED
         # OR-ed into its flags byte; the trimmed twin always owns its
         # (small) payload, whatever buffer the original's was a view of.

@@ -1,19 +1,21 @@
-"""Trim policies: when and how far a switch cuts a packet.
+"""Trim policies: what a switch does with a packet its queue cannot hold.
 
-The paper's switches trim at a fixed byte threshold (87 bytes in the
-Section 2 example: 42 B wire header + 32 B gradient header + 13 B of
-packed 1-bit heads would not fit — the worked example uses a minimal
-application header; our self-describing header is 32 B, so the default
-threshold adapts to ``trimmable_bytes``).  Multi-level trimming
-(Section 5.1) lets the switch choose among several trim depths according
-to how congested the queue is.
+A switch whose data band overflows makes one call,
+:meth:`TrimPolicy.trim`, and gets back either the remnant to enqueue in
+the express band instead, with the trim level its INT record carries,
+or None, meaning drop.  The paper's switches trim at a fixed byte
+threshold (87 bytes in the Section 2 example: 42 B wire header + 32 B
+gradient header + 13 B of packed 1-bit heads; our self-describing header
+is 32 B, so :class:`SingleLevelTrim` keeps what ``trimmable_bytes``
+says).  Multi-level trimming (Section 5.1, :class:`MultiLevelTrim`)
+chooses among several trim depths according to how full the queue is.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import replace
+from typing import Optional, Tuple
 
 from .bitpack import packed_size
 from .header import (
@@ -27,45 +29,39 @@ from .header import (
 )
 from .packet import Packet
 
-__all__ = ["TrimDecision", "TrimPolicy", "SingleLevelTrim", "MultiLevelTrim", "NeverTrim"]
-
-
-@dataclass(frozen=True)
-class TrimDecision:
-    """What the switch decided to do with an overflowing packet."""
-
-    action: str  # "trim" | "drop"
-    level: int = 0  # which trim level was applied (multi-level trimming)
+__all__ = ["TrimPolicy", "SingleLevelTrim", "MultiLevelTrim", "NeverTrim"]
 
 
 class TrimPolicy:
-    """Decides the fate of a packet that does not fit in the buffer."""
+    """The fate of a packet that does not fit in a switch's data band."""
 
-    def decide(self, packet: Packet, queue_fill: float) -> TrimDecision:
-        """Choose an action for ``packet`` given queue fill in [0, 1]."""
+    def trim(self, packet: Packet, queue_fill: float) -> Optional[Tuple[Packet, int]]:
+        """``(remnant, level)`` to enqueue instead of ``packet``, or None
+        to drop it.
+
+        ``queue_fill`` is the data band's fill in [0, 1] before the
+        packet arrived.  The remnant is strictly smaller than ``packet``;
+        ``level`` is the trim level the switch stamps into the packet's
+        INT trim record (0 for single-level policies).
+        """
         raise NotImplementedError
-
-    def apply(self, packet: Packet, decision: TrimDecision) -> Optional[Packet]:
-        """Produce the packet to enqueue instead, or None to drop."""
-        if decision.action == "drop":
-            return None
-        return packet.trim()
 
 
 class NeverTrim(TrimPolicy):
     """Drop-tail baseline: congested packets are simply dropped."""
 
-    def decide(self, packet: Packet, queue_fill: float) -> TrimDecision:
-        return TrimDecision(action="drop")
+    def trim(self, packet: Packet, queue_fill: float) -> None:
+        return None
 
 
 class SingleLevelTrim(TrimPolicy):
     """NDP-style: trim every trimmable packet to its head-only size."""
 
-    def decide(self, packet: Packet, queue_fill: float) -> TrimDecision:
-        if packet.trimmable_bytes() is None:
-            return TrimDecision(action="drop")
-        return TrimDecision(action="trim")
+    def trim(self, packet: Packet, queue_fill: float) -> Optional[Tuple[Packet, int]]:
+        keep = packet.trimmable_bytes()
+        if keep is None:
+            return None
+        return packet.trim_at(keep), 0
 
 
 class MultiLevelTrim(TrimPolicy):
@@ -96,24 +92,19 @@ class MultiLevelTrim(TrimPolicy):
         self.thresholds = list(thresholds)
         self.plane_bits = tuple(plane_bits)
 
-    def decide(self, packet: Packet, queue_fill: float) -> TrimDecision:
+    def trim(self, packet: Packet, queue_fill: float) -> Optional[Tuple[Packet, int]]:
         if packet.trimmable_bytes() is None:
-            return TrimDecision(action="drop")
-        level = -1
+            return None
+        # The deepest level whose threshold the fill reaches; an overflow
+        # under every threshold (e.g. one huge packet) takes the shallowest.
+        level = 0
         for i, threshold in enumerate(self.thresholds):
             if queue_fill >= threshold:
                 level = i
-        if level < 0:
-            # Overflow while under every threshold (e.g. a single huge
-            # packet): fall back to the shallowest trim level.
-            level = 0
-        return TrimDecision(action="trim", level=level)
-
-    def apply(self, packet: Packet, decision: TrimDecision) -> Optional[Packet]:
-        if decision.action == "drop":
-            return None
-        keep_bits = self.level_bits[decision.level]
-        return trim_to_bits(packet, keep_bits, self.plane_bits)
+        remnant = trim_to_bits(packet, self.level_bits[level], self.plane_bits)
+        if remnant is packet:
+            return None  # nothing to cut at this depth
+        return remnant, level
 
 
 def trim_to_bits(

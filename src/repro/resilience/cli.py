@@ -119,7 +119,11 @@ def _trainer_kwargs(ns: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
-    scenario = _load_scenario(ns.scenario)
+    try:
+        scenario = _load_scenario(ns.scenario)
+    except KeyError as exc:  # an unknown preset: the message names them all
+        logger.error("repro-resilience: %s", exc.args[0])
+        return 2
     trainer = build_trainer(scenario, **_trainer_kwargs(ns))
     history = trainer.train()
     for record in history.records:
@@ -170,7 +174,11 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_resume_check(ns: argparse.Namespace) -> int:
-    scenario = _load_scenario(ns.scenario)
+    try:
+        scenario = _load_scenario(ns.scenario)
+    except KeyError as exc:
+        logger.error("repro-resilience: %s", exc.args[0])
+        return 2
     kwargs = _trainer_kwargs(ns)
 
     uninterrupted = build_trainer(scenario, **kwargs)

@@ -338,8 +338,12 @@ class MessageSenderBase:
                 tracer.end(span, t=self.sim.now, acked=True)
 
     def _arm_timer(self) -> None:
-        self._cancel_timer()
-        self._timer = self.sim.schedule(self.rtt.rto, self._timer_fired)
+        # Every ACK re-arms: a pending timer is moved rather than
+        # cancelled and re-posted, so the heap gains no dead entry.
+        if self._timer is None:
+            self._timer = self.sim.schedule(self.rtt.rto, self._timer_fired)
+        else:
+            self._timer = self.sim.reschedule(self._timer, self.rtt.rto)
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:

@@ -115,7 +115,7 @@ class TestPacketLevel:
             if fill < 0.5:
                 wire.append(pkt)
             else:
-                wire.append(policy.apply(pkt, policy.decide(pkt, fill)))
+                wire.append(policy.trim(pkt, fill)[0])
         back, levels = codec.depacketize(wire)
         assert set(np.unique(levels)) <= {1, 8, 32}
         assert nmse(x, codec.decode(back, levels)) < 0.6

@@ -15,3 +15,7 @@ class BackgroundFlow:
     def tick(self):
         delay = self._rng.exponential(1e-3)
         self.sim.schedule_call(delay, BackgroundFlow.tick, self)
+
+    def nudge(self, timer):
+        delay = self._rng.exponential(1e-3)
+        return self.sim.reschedule(timer, delay)

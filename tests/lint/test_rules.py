@@ -185,8 +185,9 @@ def test_source_module_records_suppressions():
 
 
 def test_taint_covers_fast_path_scheduling_apis():
-    """schedule_call is an event-loop sink like schedule."""
+    """schedule_call and reschedule are event-loop sinks like schedule."""
     findings = lint_fixture("net/bad_taint.py")
     sinks = " ".join(f.message for f in findings)
     assert "schedule() on the event loop" in sinks
     assert "schedule_call() on the event loop" in sinks
+    assert "reschedule() on the event loop" in sinks

@@ -352,6 +352,73 @@ class TestPendingCounter:
         assert fired == survivors
 
 
+class TestReschedule:
+    """A timer moved later keeps its one heap entry; moved earlier, it is
+    posted afresh.  Run order is the oracle's business
+    (test_simulator_oracle.py); these pin what it cannot see."""
+
+    def test_moving_later_keeps_the_handle_and_the_entry(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.schedule_call(0.5, fired.append, "ack")
+        for delay in (2.0, 3.0, 3.0):
+            assert sim.reschedule(timer, delay) is timer
+        assert len(sim._heap) == 2 and sim.pending() == 2
+        sim.run()
+        assert fired == ["ack", 3.0]
+        assert sim.events_processed == 2  # the stale re-push is no event
+
+    def test_moving_earlier_posts_a_fresh_event(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.schedule(5.0, lambda: fired.append(sim.now))
+        moved = sim.reschedule(timer, 1.0)
+        assert moved is not timer and timer.cancelled
+        assert sim.pending() == 1
+        sim.run()
+        assert fired == [1.0]
+
+    def test_an_event_that_ran_is_posted_afresh(self):
+        sim = Simulator()
+        fired = []
+        ran = sim.schedule(1.0, lambda: fired.append("ran"))
+        sim.run()
+        again = sim.reschedule(ran, 1.0)
+        assert again is not ran
+        sim.run()
+        assert fired == ["ran", "ran"]
+
+    def test_a_cancelled_event_lets_its_callback_go(self):
+        # A dead entry stays in the heap until popped or compacted; it
+        # must not keep what the callback closes over alive meanwhile.
+        sim = Simulator()
+        owner = {"packets": [bytearray(1 << 20)]}
+        timer = sim.schedule(1.0, lambda: owner)
+        timer.cancel()
+        assert len(sim._heap) == 1
+        assert timer.callback() is None
+        with pytest.raises(ValueError, match="cancelled"):
+            sim.reschedule(timer, 2.0)
+
+    def test_negative_delay_rejected(self):
+        sim = Simulator()
+        timer = sim.schedule(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.reschedule(timer, -1e-9)
+
+    def test_compaction_rewrites_a_stale_entry(self):
+        sim = Simulator()
+        fired = []
+        timer = sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.reschedule(timer, 4.0)
+        for _ in range(65):  # the 65th dead entry triggers compaction
+            sim.schedule(2.0, lambda: None).cancel()
+        assert [e[:2] for e in sim._heap] == [(4.0, timer.sequence)]
+        sim.run()
+        assert fired == [4.0] and sim.events_processed == 1
+
+
 class TestFastPathScheduling:
     """schedule_call shares the (time, sequence) stream with schedule(),
     so mixing the APIs must stay deterministic."""

@@ -44,47 +44,56 @@ def plane_packet(coord_count=50):
 class TestNeverTrim:
     def test_always_drops(self):
         policy = NeverTrim()
-        decision = policy.decide(plane_packet(), queue_fill=1.0)
-        assert decision.action == "drop"
-        assert policy.apply(plane_packet(), decision) is None
+        assert policy.trim(plane_packet(), queue_fill=1.0) is None
 
 
 class TestSingleLevelTrim:
     def test_trims_gradient_packets(self):
         policy = SingleLevelTrim()
         pkt = plane_packet()
-        decision = policy.decide(pkt, queue_fill=0.99)
-        assert decision.action == "trim"
-        out = policy.apply(pkt, decision)
-        assert out is not None and out.is_trimmed
+        out, level = policy.trim(pkt, queue_fill=0.99)
+        assert out.is_trimmed and level == 0
+        assert out.payload == pkt.trim().payload
+        assert out.wire_size < pkt.wire_size
 
     def test_drops_untrimmable_packets(self):
         policy = SingleLevelTrim()
         pkt = Packet(src="a", dst="b", payload=b"x" * 500)
-        assert policy.decide(pkt, queue_fill=0.99).action == "drop"
+        assert policy.trim(pkt, queue_fill=0.99) is None
 
 
 class TestMultiLevelTrim:
     def test_level_selection_by_fill(self):
         policy = MultiLevelTrim(level_bits=[8, 1], thresholds=[0.7, 0.9])
         pkt = plane_packet()
-        assert policy.decide(pkt, queue_fill=0.75).level == 0  # keep 8 bits
-        assert policy.decide(pkt, queue_fill=0.95).level == 1  # keep 1 bit
+        assert policy.trim(pkt, queue_fill=0.75)[1] == 0  # keep 8 bits
+        assert policy.trim(pkt, queue_fill=0.95)[1] == 1  # keep 1 bit
 
     def test_below_threshold_overflow_uses_shallowest(self):
         policy = MultiLevelTrim(level_bits=[8, 1], thresholds=[0.7, 0.9])
-        assert policy.decide(plane_packet(), queue_fill=0.1).level == 0
+        assert policy.trim(plane_packet(), queue_fill=0.1)[1] == 0
 
     def test_apply_produces_expected_sizes(self):
         policy = MultiLevelTrim(level_bits=[8, 1], thresholds=[0.7, 0.9])
         pkt = plane_packet(coord_count=50)
-        keep8 = policy.apply(pkt, policy.decide(pkt, 0.75))
-        keep1 = policy.apply(pkt, policy.decide(pkt, 0.95))
+        keep8, _ = policy.trim(pkt, 0.75)
+        keep1, _ = policy.trim(pkt, 0.95)
         # 50 coords: sign plane 7 B, magnitude plane 44 B, residual 150 B.
         assert len(keep8.payload) == GRADIENT_HEADER_BYTES + 7 + 44
         assert len(keep1.payload) == GRADIENT_HEADER_BYTES + 7
         assert keep8.grad_header.head_bits == 8
         assert keep1.grad_header.head_bits == 1
+
+    def test_a_trim_that_cuts_nothing_drops(self):
+        # Keeping all 32 bits leaves the packet whole: nothing to enqueue
+        # in the express band, so the switch must drop it instead.
+        policy = MultiLevelTrim(level_bits=[32], thresholds=[0.0])
+        assert policy.trim(plane_packet(), queue_fill=1.0) is None
+
+    def test_drops_untrimmable_packets(self):
+        policy = MultiLevelTrim(level_bits=[8, 1], thresholds=[0.7, 0.9])
+        pkt = Packet(src="a", dst="b", payload=b"x" * 500)
+        assert policy.trim(pkt, queue_fill=0.99) is None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="same length"):

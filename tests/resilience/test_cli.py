@@ -41,8 +41,8 @@ class TestRun:
         assert len(payload["history"]) == 2
 
     def test_unknown_scenario(self):
-        with pytest.raises(KeyError):
-            main(["run", "no-such-preset", "--epochs", "1"])
+        # A usage error: one line naming the presets, exit 2, no traceback.
+        assert main(["run", "no-such-preset", "--epochs", "1"]) == 2
 
 
 class TestResumeCheck:
