@@ -37,10 +37,8 @@ logger = logging.getLogger(__name__)
 def _load_scenario(args: argparse.Namespace) -> ClusterScenario:
     if args.preset:
         return cluster_scenario_by_name(args.preset)
-    if args.scenario:
-        data = json.loads(Path(args.scenario).read_text())
-        return ClusterScenario.from_dict(data)
-    raise SystemExit("run: pass --preset NAME or a scenario JSON path")
+    data = json.loads(Path(args.scenario).read_text())
+    return ClusterScenario.from_dict(data)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -57,12 +55,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    scenario = cluster_scenario_by_name(args.name)
+    try:
+        scenario = cluster_scenario_by_name(args.name)
+    except KeyError as exc:  # an unknown preset: the message names them all
+        logger.error("repro-cluster: %s", exc.args[0])
+        return 2
     sys.stdout.write(json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if not (args.preset or args.scenario):
+        logger.error(
+            "repro-cluster: run needs --preset NAME or a scenario JSON path; presets: %s",
+            available_cluster_scenarios(),
+        )
+        return 2
     try:
         scenario = _load_scenario(args)
     except KeyError as exc:  # an unknown preset: the message names them all

@@ -1,19 +1,16 @@
-"""Repo-specific static analysis: AST invariant checks for the reproduction.
+"""Repo-specific static analysis: the ``nondeterminism-taint`` dataflow rule.
 
-The test suite can only spot-check the reproduction's core invariants —
-shared randomness (sender and receiver must draw identical streams),
-sim-time purity (no wall-clock in the discrete-event simulator), and the
-codec registry contract.  This package checks them *statically*: every
-``src/repro`` module is parsed and walked by the rules in
-:mod:`repro.lint.rules`, and CI fails on any finding.
-
-See ``docs/static_analysis.md`` for the rule catalogue, and suppress a
-deliberate violation with ``# repro-lint: disable=<rule>`` on the
-offending line (or ``disable-file=<rule>`` anywhere in the file).
+Same ``(scenario, seed)``, same bytes: a value born from bare
+randomness, a wall-clock read, set iteration order or ``hash()`` must
+not reach the event loop, codec state or a packet payload.  Tests see
+one process; this rule sees every path.  Every ``src/repro`` module is
+parsed and walked by :mod:`repro.lint.rules`, and CI fails on any
+finding.  The per-line invariants are checks in
+``tests/test_static_checks.py``; ``docs/static_analysis.md`` has both.
 """
 
 from .engine import Finding, LintEngine, Rule, SourceModule, collect_files, package_relative
-from .rules import ALL_RULES, rules_by_name
+from .rules import ALL_RULES
 
 __all__ = [
     "ALL_RULES",
@@ -23,5 +20,4 @@ __all__ = [
     "SourceModule",
     "collect_files",
     "package_relative",
-    "rules_by_name",
 ]

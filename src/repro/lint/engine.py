@@ -1,11 +1,10 @@
-"""AST-walking lint engine: findings, suppressions, and file traversal.
+"""AST-walking lint engine: findings and file traversal.
 
 The engine is deliberately small: a :class:`Rule` inspects one parsed
 module at a time and yields :class:`Finding` records with ``file:line``
-positions, a severity, and a fix hint.  The engine owns everything rules
-should not care about — locating files, computing package-relative paths
-(so rules can scope themselves to e.g. ``core/``), parsing, and honoring
-``# repro-lint: disable=<rule>`` suppression comments.
+positions and a fix hint.  The engine owns everything rules should not
+care about — locating files, computing package-relative paths (so rules
+can scope themselves to e.g. ``core/``) and parsing.
 
 Rules live in :mod:`repro.lint.rules`; the CLI in :mod:`repro.lint.cli`.
 """
@@ -13,10 +12,9 @@ Rules live in :mod:`repro.lint.rules`; the CLI in :mod:`repro.lint.cli`.
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Finding",
@@ -25,14 +23,6 @@ __all__ = [
     "SourceModule",
     "package_relative",
 ]
-
-#: Rule name that matches every rule in a suppression comment.
-SUPPRESS_ALL = "all"
-
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro-lint:\s*disable(?P<file_scope>-file)?\s*=\s*"
-    r"(?P<rules>[A-Za-z0-9_-]+(?:\s*,\s*[A-Za-z0-9_-]+)*)"
-)
 
 
 @dataclass(frozen=True)
@@ -45,8 +35,7 @@ class Finding:
         line: 1-based line number.
         col: 1-based column number.
         message: what is wrong, specifically.
-        severity: ``"error"`` (gates CI) or ``"warning"``.
-        hint: how to fix it — or how to suppress when intentional.
+        hint: how to fix it.
     """
 
     rule: str
@@ -54,27 +43,14 @@ class Finding:
     line: int
     col: int
     message: str
-    severity: str = "error"
     hint: str = ""
 
     def format(self) -> str:
-        """Render as ``path:line:col: severity[rule] message (hint: ...)``."""
-        text = f"{self.path}:{self.line}:{self.col}: {self.severity}[{self.rule}] {self.message}"
+        """Render as ``path:line:col: error[rule] message (hint: ...)``."""
+        text = f"{self.path}:{self.line}:{self.col}: error[{self.rule}] {self.message}"
         if self.hint:
             text += f"  (hint: {self.hint})"
         return text
-
-    def to_json(self) -> Dict[str, object]:
-        """JSON-serializable record (for ``repro-lint --format json``)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-            "hint": self.hint,
-        }
 
 
 def package_relative(path: Path) -> str:
@@ -100,51 +76,20 @@ class SourceModule:
     Attributes:
         path: display path (what findings report).
         rel: package-relative posix path used for rule scoping.
-        text: raw source.
         tree: parsed AST.
-        line_suppressions: line number → rule names disabled on that line.
-        file_suppressions: rule names disabled for the whole file.
     """
 
     path: str
     rel: str
-    text: str
     tree: ast.Module
-    line_suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    file_suppressions: FrozenSet[str] = frozenset()
 
     @classmethod
     def parse(cls, text: str, path: str = "<string>", rel: Optional[str] = None) -> "SourceModule":
         """Parse source text; raises ``SyntaxError`` on invalid input."""
         tree = ast.parse(text, filename=path)
-        line_suppressions: Dict[int, FrozenSet[str]] = {}
-        file_rules: set[str] = set()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            match = _SUPPRESS_RE.search(line)
-            if match is None:
-                continue
-            rules = frozenset(name.strip() for name in match.group("rules").split(","))
-            if match.group("file_scope"):
-                file_rules |= rules
-            else:
-                line_suppressions[lineno] = line_suppressions.get(lineno, frozenset()) | rules
         if rel is None:
             rel = package_relative(Path(path))
-        return cls(
-            path=path,
-            rel=rel,
-            text=text,
-            tree=tree,
-            line_suppressions=line_suppressions,
-            file_suppressions=frozenset(file_rules),
-        )
-
-    def suppressed(self, finding: Finding) -> bool:
-        """True when a disable comment covers this finding."""
-        names = {finding.rule, SUPPRESS_ALL}
-        if self.file_suppressions & names:
-            return True
-        return bool(self.line_suppressions.get(finding.line, frozenset()) & names)
+        return cls(path=path, rel=rel, tree=tree)
 
 
 class Rule:
@@ -158,8 +103,6 @@ class Rule:
     """
 
     name: str = ""
-    severity: str = "error"
-    description: str = ""
     hint: str = ""
     scope: Tuple[str, ...] = ()
     exempt: Tuple[str, ...] = ()
@@ -174,13 +117,7 @@ class Rule:
         """Yield findings for one module; implemented by subclasses."""
         raise NotImplementedError
 
-    def finding(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        message: str,
-        hint: Optional[str] = None,
-    ) -> Finding:
+    def finding(self, module: SourceModule, node: ast.AST, message: str) -> Finding:
         """Build a :class:`Finding` positioned at ``node``."""
         return Finding(
             rule=self.name,
@@ -188,8 +125,7 @@ class Rule:
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             message=message,
-            severity=self.severity,
-            hint=self.hint if hint is None else hint,
+            hint=self.hint,
         )
 
 
@@ -203,14 +139,11 @@ class LintEngine:
         self.rules: List[Rule] = list(rules)
 
     def lint_module(self, module: SourceModule) -> List[Finding]:
-        """All unsuppressed findings for one parsed module."""
+        """All findings for one parsed module."""
         findings: List[Finding] = []
         for rule in self.rules:
-            if not rule.applies_to(module.rel):
-                continue
-            for finding in rule.check(module):
-                if not module.suppressed(finding):
-                    findings.append(finding)
+            if rule.applies_to(module.rel):
+                findings.extend(rule.check(module))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 

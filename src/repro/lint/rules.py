@@ -1,322 +1,171 @@
-"""The repo-specific invariant rules.
+"""The one repo-specific rule: ``nondeterminism-taint``.
 
-Each rule protects a correctness property the test suite can only
-spot-check (see ``docs/static_analysis.md`` for the full rationale):
-
-* ``bare-randomness`` — SD/RHT shared-randomness decoding breaks if any
-  encode-path randomness bypasses :mod:`repro.transforms.prng`.
-* ``wall-clock-in-sim`` — the discrete-event simulator must never mix
-  wall-clock time into sim-time.
-* ``codec-contract`` — registered codecs must carry their registry
-  identity and the encode/decode pair.
-* ``float-eq`` — exact float comparison hides tolerance bugs in the
-  numeric modules.
-* ``mutable-default`` — shared mutable default arguments.
-* ``print-call`` — library output goes through :mod:`logging`.
+A value originating from bare randomness, a wall-clock read, set
+iteration order, or ``hash()`` must not reach the simulator's event
+loop, codec state, or a packet payload without passing through
+:mod:`repro.transforms.prng`.  The violation is *propagated* rather
+than syntactic, so the rule runs on :mod:`repro.lint.dataflow`.  The
+per-line invariants (bare randomness, float equality, mutable defaults,
+``print``, callback writes) are checks in ``tests/test_static_checks.py``;
+see ``docs/static_analysis.md``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-from .dataflow import ImportTracker, dotted_name
+from .dataflow import (
+    ImportTracker,
+    Taint,
+    TaintFlow,
+    class_attribute_taints,
+    dotted_name,
+    iter_flow_scopes,
+)
 from .engine import Finding, Rule, SourceModule
-from .flow_rules import FLOW_RULES
 
-__all__ = [
-    "ALL_RULES",
-    "BareRandomnessRule",
-    "CodecContractRule",
-    "FloatEqRule",
-    "ImportTracker",
-    "MutableDefaultRule",
-    "PrintCallRule",
-    "WallClockInSimRule",
-    "dotted_name",
-    "rules_by_name",
-]
+__all__ = ["ALL_RULES", "NondeterminismTaintRule"]
+
+#: Taint kinds that constitute a reportable nondeterminism (the internal
+#: ``set-value`` marker only becomes real taint once iterated).
+_REPORTABLE_KINDS = ("randomness", "wall-clock", "iter-order", "hash-order")
 
 
-#: Legacy global-state samplers of ``numpy.random`` (the module-level API).
-_NUMPY_SAMPLERS: Set[str] = {
-    "seed", "rand", "randn", "randint", "random", "random_sample", "ranf",
-    "sample", "bytes", "choice", "shuffle", "permutation", "standard_normal",
-    "normal", "uniform", "binomial", "poisson", "exponential", "beta",
-    "gamma", "laplace", "lognormal", "get_state", "set_state", "RandomState",
-}
+class NondeterminismTaintRule(Rule):
+    """Tainted values must not reach the event loop, codecs, or payloads."""
 
-#: Stdlib :mod:`random` functions (all draw from hidden global state).
-_STDLIB_SAMPLERS: Set[str] = {
-    "random", "uniform", "randint", "randrange", "choice", "choices",
-    "shuffle", "sample", "gauss", "normalvariate", "lognormvariate",
-    "betavariate", "expovariate", "gammavariate", "triangular",
-    "vonmisesvariate", "paretovariate", "weibullvariate", "seed",
-    "getrandbits", "randbytes",
-}
-
-
-class BareRandomnessRule(Rule):
-    """Randomness in codec/transport/train paths must use prng streams."""
-
-    name = "bare-randomness"
-    description = (
-        "no ad-hoc np.random.* / random.* / np.random.default_rng() in the "
-        "shared-randomness code paths"
-    )
+    name = "nondeterminism-taint"
     hint = (
-        "draw from repro.transforms.prng (StreamKey(...).spawn() or "
-        "shared_generator(...)) so sender and receiver regenerate the "
-        "same stream"
+        "derive the value from repro.transforms.prng (shared_generator / "
+        "StreamKey(...).spawn()) so every party regenerates the same stream, "
+        "or sort the collection before iterating"
     )
     scope = (
         "core/", "transforms/", "collectives/", "transport/", "train/",
-        "faults/", "resilience/",
+        "faults/", "resilience/", "net/", "packet/",
     )
     exempt = ("transforms/prng.py",)
 
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        tracker = ImportTracker(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = tracker.resolve_call(node.func)
-            if target is None:
-                continue
-            if target == "numpy.random.default_rng":
-                yield self.finding(
-                    module,
-                    node,
-                    "np.random.default_rng() bypasses the shared-randomness "
-                    "stream registry",
-                )
-            elif target.startswith("numpy.random."):
-                attr = target.rsplit(".", 1)[1]
-                if attr in _NUMPY_SAMPLERS:
-                    yield self.finding(
-                        module, node, f"bare numpy.random.{attr}() draws from global state"
-                    )
-            elif target.startswith("random."):
-                attr = target.rsplit(".", 1)[1]
-                if attr in _STDLIB_SAMPLERS:
-                    yield self.finding(
-                        module, node, f"stdlib random.{attr}() draws from global state"
-                    )
-
-
-#: Wall-clock sources that must not leak into sim-time code.
-_WALL_CLOCK_CALLS: Set[str] = {
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "time.process_time_ns",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-}
-
-
-class WallClockInSimRule(Rule):
-    """Sim-time code must derive time from the event loop, never the host."""
-
-    name = "wall-clock-in-sim"
-    description = "no wall-clock reads (time.time()/monotonic()/datetime.now()) in sim-time code"
-    hint = (
-        "use Simulator.now / event timestamps; wall-clock spans belong in "
-        "the repro.obs tracer's explicit capture points"
-    )
-    scope = ("net/", "transport/", "faults/", "resilience/")
+    #: Event-loop entry points (method names on any simulator handle),
+    #: including the fire-and-forget fast-path API and timer moves.
+    _SCHEDULE_METHODS = ("schedule", "schedule_at", "schedule_call", "reschedule")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         tracker = ImportTracker(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = tracker.resolve_call(node.func)
-            if target in _WALL_CLOCK_CALLS:
-                yield self.finding(
-                    module, node, f"{target}() reads the wall clock inside sim-time code"
+        class_taints = class_attribute_taints(module.tree, tracker.resolve_call)
+        reported: Set[Tuple[int, int, str, str]] = set()
+        findings: List[Finding] = []
+
+        for scope in iter_flow_scopes(module.tree):
+            initial = dict(class_taints.get(scope.class_name or "", {}))
+            flow = TaintFlow(tracker.resolve_call, initial=initial)
+            in_codec = scope.class_name is not None and scope.class_name.endswith("Codec")
+
+            def on_call(call: ast.Call, env: Dict[str, object]) -> None:
+                self._check_schedule_sink(module, flow, call, env, reported, findings)
+                self._check_payload_sink(module, flow, call, env, reported, findings)
+
+            def on_attr_store(
+                target: ast.Attribute, taints: "frozenset[Taint]", env: Dict[str, object]
+            ) -> None:
+                if not in_codec:
+                    return
+                base = dotted_name(target.value)
+                if base != "self":
+                    return
+                self._report(
+                    module,
+                    target,
+                    taints,
+                    f"codec state self.{target.attr}",
+                    reported,
+                    findings,
                 )
 
+            flow.on_call = on_call
+            flow.on_attribute_store = on_attr_store
+            flow.run(scope)
 
-class CodecContractRule(Rule):
-    """``@register_codec`` classes must carry identity + encode/decode."""
+        yield from findings
 
-    name = "codec-contract"
-    description = (
-        "registered codec classes must declare literal name/codec_id and "
-        "define the encode/decode pair"
-    )
-    hint = (
-        "declare `name = \"...\"` and `codec_id = <int>` in the class body "
-        "and implement both encode() and decode()"
-    )
-    scope = ("core/",)
+    # -- sinks -----------------------------------------------------------------
 
-    _REQUIRED_METHODS = ("encode", "decode")
+    def _check_schedule_sink(
+        self,
+        module: SourceModule,
+        flow: TaintFlow,
+        call: ast.Call,
+        env: Dict[str, object],
+        reported: Set[Tuple[int, int, str, str]],
+        findings: List[Finding],
+    ) -> None:
+        if not isinstance(call.func, ast.Attribute):
+            return
+        if call.func.attr not in self._SCHEDULE_METHODS:
+            return
+        for arg in list(call.args) + [kw.value for kw in call.keywords]:
+            if isinstance(arg, ast.Lambda):
+                continue  # callback bodies are separate scopes, not data
+            taints = flow.eval_expr(arg, env)
+            if isinstance(taints, frozenset):
+                self._report(
+                    module,
+                    arg,
+                    taints,
+                    f"{call.func.attr}() on the event loop",
+                    reported,
+                    findings,
+                )
 
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
+    def _check_payload_sink(
+        self,
+        module: SourceModule,
+        flow: TaintFlow,
+        call: ast.Call,
+        env: Dict[str, object],
+        reported: Set[Tuple[int, int, str, str]],
+        findings: List[Finding],
+    ) -> None:
+        for keyword in call.keywords:
+            if keyword.arg != "payload":
                 continue
-            if not any(self._is_register_codec(deco) for deco in node.decorator_list):
+            taints = flow.eval_expr(keyword.value, env)
+            if isinstance(taints, frozenset):
+                self._report(
+                    module, keyword.value, taints, "a packet payload", reported, findings
+                )
+
+    def _report(
+        self,
+        module: SourceModule,
+        node: ast.AST,
+        taints: "frozenset[Taint]",
+        sink: str,
+        reported: Set[Tuple[int, int, str, str]],
+        findings: List[Finding],
+    ) -> None:
+        for taint in sorted(taints, key=lambda t: (t.kind, t.source, t.line)):
+            if taint.kind not in _REPORTABLE_KINDS:
                 continue
-            methods = {
-                stmt.name
-                for stmt in node.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            attrs = self._class_constants(node)
-            for method in self._REQUIRED_METHODS:
-                if method not in methods:
-                    yield self.finding(
-                        module, node, f"registered codec {node.name} does not define {method}()"
-                    )
-            if not isinstance(attrs.get("name"), str):
-                yield self.finding(
+            key = (
+                getattr(node, "lineno", 0),
+                getattr(node, "col_offset", 0),
+                taint.source,
+                sink,
+            )
+            if key in reported:
+                continue
+            reported.add(key)
+            findings.append(
+                self.finding(
                     module,
                     node,
-                    f"registered codec {node.name} must declare a literal `name` string",
+                    f"value tainted by {taint.source} (line {taint.line}) reaches "
+                    f"{sink} without passing through shared_generator",
                 )
-            if not isinstance(attrs.get("codec_id"), int) or isinstance(
-                attrs.get("codec_id"), bool
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f"registered codec {node.name} must declare a literal integer `codec_id`",
-                )
-
-    @staticmethod
-    def _is_register_codec(deco: ast.AST) -> bool:
-        if isinstance(deco, ast.Call):
-            deco = deco.func
-        dotted = dotted_name(deco)
-        return dotted is not None and dotted.split(".")[-1] == "register_codec"
-
-    @staticmethod
-    def _class_constants(node: ast.ClassDef) -> Dict[str, object]:
-        constants: Dict[str, object] = {}
-        for stmt in node.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None or not isinstance(value, ast.Constant):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    constants[target.id] = value.value
-        return constants
+            )
 
 
-class FloatEqRule(Rule):
-    """Exact ``==``/``!=``/``is``/``is not`` against float literals."""
-
-    name = "float-eq"
-    description = "no ==/!=/is/is not comparison against float literals in numeric modules"
-    hint = (
-        "use np.isclose/math.isclose with an explicit tolerance, or an "
-        "ordering test (<=/>=) for sentinel values; `is` additionally "
-        "depends on interning and is never correct for floats"
-    )
-    scope = (
-        "core/", "transforms/", "nn/", "baselines/", "collectives/",
-        "train/", "bench/", "resilience/",
-    )
-
-    _SYMBOLS = {ast.Eq: "==", ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not"}
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for index, op in enumerate(node.ops):
-                if not isinstance(op, (ast.Eq, ast.NotEq, ast.Is, ast.IsNot)):
-                    continue
-                left, right = operands[index], operands[index + 1]
-                if self._is_float_literal(left) or self._is_float_literal(right):
-                    symbol = self._SYMBOLS[type(op)]
-                    kind = (
-                        "identity" if isinstance(op, (ast.Is, ast.IsNot)) else "exact float"
-                    )
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{kind} comparison `{symbol}` against a float literal",
-                    )
-
-    @staticmethod
-    def _is_float_literal(node: ast.expr) -> bool:
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            node = node.operand
-        return isinstance(node, ast.Constant) and isinstance(node.value, float)
-
-
-class MutableDefaultRule(Rule):
-    """Mutable default arguments are shared across calls."""
-
-    name = "mutable-default"
-    description = "no mutable default arguments (list/dict/set literals or constructors)"
-    hint = "default to None (or use dataclasses.field(default_factory=...)) and build inside"
-
-    _MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray"}
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                default for default in node.args.kw_defaults if default is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        module,
-                        default,
-                        f"mutable default argument in {node.name}() is shared across calls",
-                    )
-
-    def _is_mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in self._MUTABLE_CONSTRUCTORS
-        )
-
-
-class PrintCallRule(Rule):
-    """Library code logs; it does not print."""
-
-    name = "print-call"
-    description = "no print() in library code (PR 1 moved output to logging)"
-    hint = "use logging.getLogger(__name__); CLI entry points write to sys.stdout explicitly"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                yield self.finding(module, node, "print() call in library code")
-
-
-#: Every shipped rule, in documentation order: the per-line invariant
-#: checks first, then the flow-aware families from :mod:`.flow_rules`.
-ALL_RULES: Tuple[Rule, ...] = (
-    BareRandomnessRule(),
-    WallClockInSimRule(),
-    CodecContractRule(),
-    FloatEqRule(),
-    MutableDefaultRule(),
-    PrintCallRule(),
-) + FLOW_RULES
-
-
-def rules_by_name() -> Dict[str, Rule]:
-    """Name → rule instance for every shipped rule."""
-    return {rule.name: rule for rule in ALL_RULES}
+#: Every shipped rule.
+ALL_RULES: Tuple[Rule, ...] = (NondeterminismTaintRule(),)

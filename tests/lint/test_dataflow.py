@@ -1,4 +1,4 @@
-"""Unit tests for the flow-aware layer: taint, typestate, and units.
+"""Unit tests for the flow-aware layer behind ``nondeterminism-taint``.
 
 These drive the dataflow engine through ``LintEngine.lint_text`` with
 package-relative paths (so scoping matches ``src/repro``) plus a few
@@ -11,12 +11,7 @@ import textwrap
 import pytest
 
 from repro.lint import ALL_RULES, LintEngine
-from repro.lint.dataflow import (
-    ImportTracker,
-    PacketStateFlow,
-    TaintFlow,
-    iter_flow_scopes,
-)
+from repro.lint.dataflow import ImportTracker, TaintFlow, iter_flow_scopes
 
 ENGINE = LintEngine(ALL_RULES)
 
@@ -176,130 +171,6 @@ def test_taint_clean_cases(label, source):
     assert findings_for("nondeterminism-taint", source, rel="net/x.py") == []
 
 
-# -- packet-typestate: orderings ----------------------------------------------
-
-
-def typestate_kinds(source: str):
-    found = findings_for("packet-typestate", source, rel="packet/x.py")
-    return [f.message.split(":", 1)[0] for f in found]
-
-
-def test_trim_after_seal_ordering():
-    kinds = typestate_kinds(
-        """
-        def emit(host):
-            pkt = Packet(src="a", dst="b", payload=b"x" * 64)
-            pkt.seal()
-            pkt.trim()
-        """
-    )
-    assert kinds == ["trim on a sealed packet"]
-
-
-def test_verify_skip_is_flagged():
-    kinds = typestate_kinds(
-        """
-        def receive(pkt):
-            pkt.verify()
-            return pkt.payload
-        """
-    )
-    assert kinds == ["verify() verdict discarded"]
-
-
-def test_verify_used_in_condition_is_clean():
-    assert (
-        typestate_kinds(
-            """
-        def receive(pkt):
-            if not pkt.verify():
-                return None
-            return pkt.payload
-        """
-        )
-        == []
-    )
-
-
-def test_received_packet_trim_is_switch_legal():
-    assert (
-        typestate_kinds(
-            """
-        def forward(pkt):
-            pkt.trim()
-            return pkt
-        """
-        )
-        == []
-    )
-
-
-def test_branch_join_degrades_to_unknown():
-    assert (
-        typestate_kinds(
-            """
-        def emit(host, flag):
-            pkt = Packet(src="a", dst="b", payload=b"x")
-            if flag:
-                pkt.seal()
-            pkt.trim()
-        """
-        )
-        == []
-    )
-
-
-def test_empty_packet_send_without_seal_is_clean():
-    assert (
-        typestate_kinds(
-            """
-        def probe(host):
-            pkt = Packet(src="a", dst="b")
-            host.send(pkt)
-        """
-        )
-        == []
-    )
-
-
-# -- bits-bytes: true and false positives -------------------------------------
-
-
-def unit_findings(source: str):
-    return findings_for("bits-bytes", source, rel="packet/x.py")
-
-
-def test_mixed_unit_arithmetic_is_flagged():
-    assert unit_findings("def f(header_bytes, keep_bits):\n    return header_bytes + keep_bits\n")
-
-
-def test_mixed_unit_comparison_is_flagged():
-    assert unit_findings("def f(wire_size, budget_bits):\n    return wire_size < budget_bits\n")
-
-
-def test_len_of_payload_is_bytes():
-    assert unit_findings("def f(payload, keep_bits):\n    return len(payload) + keep_bits\n")
-
-
-def test_explicit_conversion_is_clean():
-    assert unit_findings("def f(n_bytes, k_bits):\n    return n_bytes * 8 + k_bits\n") == []
-    assert unit_findings("def f(wire_size, k_bits):\n    return wire_size >= k_bits // 8\n") == []
-
-
-def test_same_unit_and_unitless_are_clean():
-    assert unit_findings("def f(a_bytes, b_bytes):\n    return a_bytes + b_bytes\n") == []
-    assert unit_findings("def f(count, total):\n    return count / total\n") == []
-
-
-def test_unit_propagates_through_assignment():
-    source = """
-    def f(wire_size, budget_bits):
-        occupancy = wire_size
-        return occupancy + budget_bits
-    """
-    assert unit_findings(source)
-
-
 # -- dataflow API --------------------------------------------------------------
 
 
@@ -326,17 +197,3 @@ def test_taintflow_env_propagation():
     kinds_b = {t.kind for t in env["b"]}
     assert kinds_a == {"randomness"}
     assert kinds_b == {"randomness"}, "taint must survive arithmetic"
-
-
-def test_packetstateflow_emits_ordered_events():
-    tree = ast.parse(
-        "def f(host):\n"
-        "    p = Packet(src='a', dst='b', payload=b'x')\n"
-        "    p.seal()\n"
-        "    p.seal()\n"
-        "    p.trim()\n"
-    )
-    tracker = ImportTracker(tree)
-    scope = next(s for s in iter_flow_scopes(tree) if s.name == "f")
-    events = PacketStateFlow(tracker.resolve_call).run(scope)
-    assert [e.kind for e in events] == ["double-seal", "trim-after-seal"]

@@ -1,4 +1,4 @@
-"""An unknown preset or scenario name is a usage error on every CLI.
+"""An unknown or missing preset or scenario name is a usage error on every CLI.
 
 Each command prints one line naming the names it knows and exits 2,
 as ``repro-bench`` and ``repro-lint`` do — no traceback.
@@ -43,6 +43,19 @@ CASES = {
         "repro.cluster.cli",
         ["run", "--preset", "no-such"],
         "repro-cluster: unknown cluster scenario 'no-such'; available: ",
+        "incast-4job",
+    ),
+    "repro-cluster show": (
+        "repro.cluster.cli",
+        ["show", "no-such"],
+        "repro-cluster: unknown cluster scenario 'no-such'; available: ",
+        "incast-4job",
+    ),
+    # Neither a file nor --preset: a usage error that lists the presets.
+    "repro-cluster run (no scenario)": (
+        "repro.cluster.cli",
+        ["run"],
+        "repro-cluster: run needs --preset NAME or a scenario JSON path; presets: ",
         "incast-4job",
     ),
 }

@@ -1,4 +1,4 @@
-"""What of CI's ``ruff`` / ``mypy`` steps can be checked without them.
+"""What of CI's ``ruff`` / ``mypy`` steps can be checked without them, and the repo invariants.
 
 Neither tool is installed where this repo is built, and for seven PRs
 that meant "unverified here".  This is the offline part as a tier-1
@@ -33,8 +33,9 @@ def strict_files():
             continue
         for module in override["module"]:
             path = SRC / module.removesuffix(".*").replace(".", "/")
-            files.update(path.rglob("*.py") if module.endswith(".*") else [path.with_suffix(".py")])
-    assert len(files) >= 50 and all(f.is_file() for f in files)
+            found = [*path.rglob("*.py")] if module.endswith(".*") else [path.with_suffix(".py")]
+            assert found and all(f.is_file() for f in found), f"{module} names no source file"
+            files.update(found)
     return sorted(files)
 
 
@@ -104,6 +105,114 @@ def long_lines(text):
 
 CHECKS = [unannotated, unused_imports, undefined_names, long_lines]
 
+#: What numpy.random / random build from a caller's seed; any other function of theirs
+#: draws from hidden global state or, like ``default_rng``, from an unshared stream.
+SEEDED = {"Generator", "SeedSequence", "BitGenerator", "Philox", "PCG64", "PCG64DXSM",
+          "MT19937", "SFC64", "Random"}
+MUTATORS = {"append", "extend", "add", "update", "insert", "remove", "discard", "pop",
+            "popitem", "clear", "setdefault", "__setitem__"}
+
+
+def dotted(node, imports):
+    """``np.random.rand`` -> ``numpy.random.rand`` through the module's imports."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return isinstance(node, ast.Name) and ".".join([imports.get(node.id, node.id), *parts[::-1]])
+
+
+def bare_randomness(text):
+    tree = ast.parse(text)
+    modules, members = {}, {}  # local name -> what it is bound to; a member import wins
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                modules[alias.asname or head] = alias.name if alias.asname else head
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            members.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+    for node in ast.walk(tree):
+        name = isinstance(node, ast.Call) and dotted(node.func, modules | members) or ""
+        if name.startswith(("numpy.random.", "random.")) and name.rpartition(".")[2] not in SEEDED:
+            yield f"line {node.lineno}: {name}() bypasses repro.transforms.prng"
+
+
+def float_eq(text):
+    def is_float(node):  # a literal, or a signed one
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Constant) and isinstance(node.value, float)
+
+    for node in ast.walk(ast.parse(text)):
+        operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        for op, left, right in zip(getattr(node, "ops", ()), operands, operands[1:]):
+            if isinstance(op, (ast.Eq, ast.NotEq, ast.Is, ast.IsNot)):
+                if is_float(left) or is_float(right):
+                    yield f"line {node.lineno}: exact comparison with a float literal"
+
+
+def mutable_default(text):
+    literals = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d]:
+                called = isinstance(default, ast.Call) and getattr(default.func, "id", None)
+                if isinstance(default, literals) or called in ("list", "dict", "set", "bytearray"):
+                    yield f"line {default.lineno}: {node.name}() has a mutable default"
+
+
+def print_call(text):
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            yield f"line {node.lineno}: print() (log instead)"
+
+
+def callback_writes(text):
+    """Module-level state written by a callable posted with ``schedule*``."""
+    tree = ast.parse(text)
+    shared = {t.id for s in tree.body if isinstance(s, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+              for t in getattr(s, "targets", None) or [s.target] if isinstance(t, ast.Name)}
+    defs = {d.name: d.body for d in ast.walk(tree)
+            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    found = []
+    for call in ast.walk(tree) if shared else ():
+        posts = isinstance(call, ast.Call) and getattr(call.func, "attr", None)
+        if posts not in ("schedule", "schedule_at", "schedule_call"):
+            continue
+        fn = call.args[1] if len(call.args) > 1 else None
+        fn = next((k.value for k in reversed(call.keywords) if k.arg == "callback"), fn)
+        if isinstance(fn, ast.Attribute):  # only ``self.method`` resolves
+            fn = fn.attr if getattr(fn.value, "id", None) == "self" else None
+        body = [fn.body] if isinstance(fn, ast.Lambda) else defs.get(getattr(fn, "id", fn), [])
+        nodes = [node for stmt in body for node in ast.walk(stmt)]
+        declared = {name for node in nodes if isinstance(node, ast.Global) for name in node.names}
+        for node in nodes:
+            targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+            if getattr(getattr(node, "func", None), "attr", None) in MUTATORS:
+                targets = [node.func]  # ``x.append(v)`` writes ``x`` as ``x[k] = v`` does
+            for target in targets:
+                if getattr(target, "id", None) in declared:  # a ``global`` name rebound
+                    found.append((node.lineno, target.id))
+                elif getattr(getattr(target, "value", None), "id", None) in shared:
+                    found.append((node.lineno, target.value.id))
+    for line, name in dict.fromkeys(found):
+        yield f"line {line}: event-loop callback writes module state {name}"
+
+
+#: Each invariant's package-relative scope (empty: all of src/repro) and exemption.
+INVARIANTS = {
+    bare_randomness: ("core/ transforms/ collectives/ transport/ train/ faults/ resilience/",
+                      "transforms/prng.py"),  # the sanctioned source
+    float_eq: ("core/ transforms/ nn/ baselines/ collectives/ train/ bench/ resilience/", ""),
+    mutable_default: ("", ""), print_call: ("", ""),
+    callback_writes: ("net/ transport/ faults/ resilience/ train/ collectives/", ""),
+}
+
+
+def covers(check, rel):
+    scope, exempt = (tuple(prefixes.split()) for prefixes in INVARIANTS[check])
+    return not rel.startswith(exempt) and (not scope or rel.startswith(scope))
+
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
 def test_strict_packages(check):
@@ -116,8 +225,37 @@ def test_strict_packages(check):
     assert not problems, "\n".join(problems)
 
 
+@pytest.mark.parametrize("check", INVARIANTS, ids=lambda check: check.__name__)
+def test_repo_invariants(check):
+    package = SRC / "repro"
+    problems = [f"{path.relative_to(package)}: {found}" for path in sorted(package.rglob("*.py"))
+                if covers(check, path.relative_to(package).as_posix())
+                for found in check(path.read_text(encoding="utf-8"))]
+    assert not problems, "\n".join(problems)
+
+
+#: A module with every invariant's defect, and one with none of them.
+BAD = (
+    "import numpy as np\nfrom numpy import random as npr\nPENDING = {}\nSEEN = []\n"
+    "def noisy(x, bucket=[], counts=dict()):\n    rng = np.random.default_rng()\n"
+    "    print(x is 1.0 or x is not 0.5, x == 0.0 or x != -1.0)\n"
+    "    return x + np.random.rand(4) + npr.rand(3) + rng.standard_normal(4)\n"
+    "def watch(sim, flow_id):\n    def fire():\n"
+    "        PENDING[flow_id] = sim.now\n        SEEN.append(flow_id)\n"
+    "    sim.schedule(0.001, fire)\n"
+)
+GOOD = (
+    "import logging\nfrom repro.transforms.prng import shared_generator\nPENDING = {}\n"
+    "def noisy(x, seed: int, bucket=None):\n    logging.info('%s', x <= 0.0 or x is None)\n"
+    "    return x + shared_generator(seed, purpose='dither').standard_normal(4) + (seed == 3)\n"
+    "class Watcher:\n    def watch(self, flow):\n"
+    "        self.sim.schedule(0, lambda: self.on(flow))\n"
+    "    def on(self, flow):\n        self.pending[flow] = self.sim.now\n"
+)
+
+
 def test_the_checks_bite():
-    """Each check finds the defect it is for in a module that has all four."""
+    """Each check finds the defect it is for in a module that has all of them."""
     bad = "import os\ndef f(x):\n    return missing + x\ny = " + "1 + " * 40 + "1\n"
     assert [list(check(bad)) for check in CHECKS] == [
         ["line 2: f has no annotation for x, return"],
@@ -125,3 +263,15 @@ def test_the_checks_bite():
         ["undefined name missing (in f)"],
         ["line 4: 165 columns"],
     ]
+    assert [list(check(BAD)) for check in INVARIANTS] == [
+        ["line 6: numpy.random.default_rng() bypasses repro.transforms.prng"]
+        + ["line 8: numpy.random.rand() bypasses repro.transforms.prng"] * 2,
+        ["line 7: exact comparison with a float literal"] * 4,
+        ["line 5: noisy() has a mutable default"] * 2,
+        ["line 7: print() (log instead)"],
+        ["line 11: event-loop callback writes module state PENDING",
+         "line 12: event-loop callback writes module state SEEN"],
+    ]
+    assert not [found for check in INVARIANTS for found in check(GOOD)]
+    assert covers(bare_randomness, "faults/x.py") and covers(print_call, "obs/x.py")
+    assert not covers(bare_randomness, "transforms/prng.py") and not covers(float_eq, "obs/x.py")

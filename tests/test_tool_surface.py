@@ -1,8 +1,9 @@
-"""Pins the surface of the two tool packages after the PR 19 trial.
+"""Pins the surface of the tools after the trials that cut them.
 
-``repro-lint`` is ten rules and a loop; ``repro-bench`` regenerates the
-paper's figures and nothing else; the perf ledger is the only gate.
-The mechanisms deleted in that trial (docs/static_analysis.md and
+``repro-lint`` is one dataflow rule and a loop (the per-line rules are
+checks in ``tests/test_static_checks.py``); ``repro-bench`` regenerates
+the paper's figures and nothing else; the perf ledger is the only gate.
+The mechanisms deleted in those trials (docs/static_analysis.md and
 docs/performance.md, "Trial record") should not grow back unnoticed.
 """
 
@@ -12,6 +13,7 @@ import inspect
 import pkgutil
 import re
 import subprocess
+import tomllib
 from pathlib import Path
 from unittest import mock
 
@@ -50,9 +52,9 @@ def _parser_surface(main):
 
 def test_repro_lint_options_are_exactly_these():
     options, positionals, choices = _parser_surface(lint_cli.main)
-    assert options == {"--select", "--ignore", "--format", "--list-rules"}
+    assert options == set()
     assert positionals == {"paths"}
-    assert choices == {"format": {"text", "json"}}
+    assert choices == {}
 
 
 def test_repro_bench_options_are_exactly_these():
@@ -67,10 +69,16 @@ def test_repro_bench_options_are_exactly_these():
 
 def test_repro_lint_modules_are_exactly_these():
     modules = {info.name for info in pkgutil.iter_modules(repro.lint.__path__)}
-    assert modules == {
-        "__main__", "cli", "engine", "dataflow", "rules", "flow_rules",
+    assert modules == {"__main__", "cli", "engine", "dataflow", "rules"}
+    assert [rule.name for rule in repro.lint.ALL_RULES] == ["nondeterminism-taint"]
+
+
+def test_console_scripts_are_exactly_these():
+    config = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert set(config["project"]["scripts"]) == {
+        "repro-bench", "repro-report", "repro-lint", "repro-faults", "repro-resilience",
+        "repro-timeline", "repro-cluster",
     }
-    assert len(repro.lint.ALL_RULES) == 10
 
 
 @pytest.mark.parametrize(
@@ -79,6 +87,7 @@ def test_repro_lint_modules_are_exactly_these():
         "repro.lint.cache",
         "repro.lint.sarif",
         "repro.lint.baseline",
+        "repro.lint.flow_rules",
         "repro.bench.regression",
         "repro.net.trace",
         "repro.obs.spans",
