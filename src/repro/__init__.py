@@ -98,6 +98,20 @@ def configure_logging(level=None, stream_name: str = "stdout", fmt: str = "%(mes
     return logger
 
 
+def int_at_least(minimum: int):
+    """An argparse ``type=``: an integer of at least ``minimum``, else a usage error (exit 2)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            from argparse import ArgumentTypeError  # keeps ``import repro`` free of argparse
+
+            raise ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 from .core import (
     EncodedGradient,
     GradientCodec,

@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .. import int_at_least
 from .driver import ClusterDriver
 from .scenario import (
     ClusterScenario,
@@ -117,7 +118,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "scenario", nargs="?", help="path to a scenario JSON file"
     )
     p_run.add_argument("--preset", help="built-in scenario name")
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=int_at_least(0), default=0)
     p_run.add_argument(
         "--target-top1",
         type=float,

@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
+from .. import int_at_least
 from ..net import impairment_summary
 from .campaign import (
     CAMPAIGN_KINDS,
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario",
         help="a preset name (see `repro-faults list`) or a path to a scenario .json",
     )
-    p_run.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    p_run.add_argument("--seed", type=int_at_least(0), default=0, help="run seed (default 0)")
     p_run.add_argument(
         "--transport",
         choices=TRANSPORTS,
@@ -293,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="idle-1job",
         help="cluster preset to fuzz (default idle-1job)",
     )
-    p_crun.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
+    p_crun.add_argument("--seed", type=int_at_least(0), default=0, help="campaign seed (default 0)")
     p_crun.add_argument(
-        "--faults", type=int, default=3, help="fault specs to draw (default 3)"
+        "--faults", type=int_at_least(1), default=3, help="fault specs to draw (default 3)"
     )
     p_crun.add_argument(
         "--kinds",

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .. import int_at_least
 from .export import _fmt_s, _rows, read_jsonl, timeline_html
 from .int_telemetry import (
     DEFAULT_INT_CAPACITY,
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario",
         help="a preset name (see `repro-faults list`) or a scenario .json path",
     )
-    p_rec.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    p_rec.add_argument("--seed", type=int_at_least(0), default=0, help="run seed (default 0)")
     p_rec.add_argument(
         "--transport",
         default="trimming",

@@ -25,6 +25,7 @@ import logging
 import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from .. import int_at_least
 from ..faults.scenarios import Scenario, scenario_by_name
 from .plan import ResilienceConfig
 
@@ -183,6 +184,14 @@ def _cmd_resume_check(ns: argparse.Namespace) -> int:
 
     uninterrupted = build_trainer(scenario, **kwargs)
     reference = uninterrupted.train().to_json()
+    rounds = uninterrupted.checkpoint().rounds_run
+    if not 1 <= ns.crash_round <= rounds:  # no crash inside the run: nothing to check
+        logger.error(
+            "repro-resilience: --crash-round %d is outside the run's rounds 1..%d",
+            ns.crash_round,
+            rounds,
+        )
+        return 2
 
     crashed = build_trainer(scenario, **kwargs)
     crashed.train(max_rounds=ns.crash_round)
@@ -218,9 +227,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "scenario",
         help="a preset name (e.g. worker-crash) or a path to a scenario .json",
     )
-    parser.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
+    parser.add_argument("--seed", type=int_at_least(0), default=0, help="run seed (default 0)")
     parser.add_argument("--epochs", type=int, default=20, help="epochs (default 20)")
-    parser.add_argument("--world", type=int, default=4, help="workers (default 4)")
+    parser.add_argument("--world", type=int_at_least(1), default=4, help="workers (default 4)")
     parser.add_argument(
         "--trim-rate", type=float, default=0.5, help="channel trim rate (default 0.5)"
     )

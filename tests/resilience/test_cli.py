@@ -59,3 +59,21 @@ class TestResumeCheck:
              "--crash-round", "4", "--ef"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("crash_round", [-1, 0, 11, 999])
+    def test_a_crash_outside_the_run_is_a_usage_error(self, crash_round, caplog):
+        # Two epochs of three workers are rounds 1..10: a crash anywhere else
+        # never interrupts the run, and "resume-check ok" would mean nothing.
+        argv = ["resume-check", "worker-crash", "--epochs", "2", "--world", "3",
+                "--crash-round", str(crash_round)]
+        with caplog.at_level("ERROR"):
+            assert main(argv) == 2
+        (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert line == (
+            f"repro-resilience: --crash-round {crash_round} is outside the run's rounds 1..10"
+        )
+
+    def test_a_crash_in_the_last_round_is_inside_the_run(self):
+        argv = ["resume-check", "worker-crash", "--epochs", "2", "--world", "3",
+                "--crash-round", "10"]
+        assert main(argv) == 0

@@ -24,18 +24,27 @@ MAX_COLUMNS = 100
 MODULE_DUNDERS = {"__name__", "__file__", "__doc__", "__package__", "__spec__", "__path__"}
 
 
+def strict_modules():
+    """What pyproject.toml's ``disallow_untyped_defs`` overrides name (``repro.core.*``, ...)."""
+    config = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    return sorted(module for override in config["tool"]["mypy"]["overrides"]
+                  if override.get("disallow_untyped_defs") for module in override["module"])
+
+
+def mypy_targets():
+    """``strict_modules()`` as mypy arguments: ``-p`` a package, ``-m`` a single module."""
+    return [arg for module in strict_modules() for arg in
+            (("-p", module.removesuffix(".*")) if module.endswith(".*") else ("-m", module))]
+
+
 def strict_files():
     """Source files of every module pyproject.toml types strictly."""
-    config = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     files = set()
-    for override in config["tool"]["mypy"]["overrides"]:
-        if not override.get("disallow_untyped_defs"):
-            continue
-        for module in override["module"]:
-            path = SRC / module.removesuffix(".*").replace(".", "/")
-            found = [*path.rglob("*.py")] if module.endswith(".*") else [path.with_suffix(".py")]
-            assert found and all(f.is_file() for f in found), f"{module} names no source file"
-            files.update(found)
+    for module in strict_modules():
+        path = SRC / module.removesuffix(".*").replace(".", "/")
+        found = [*path.rglob("*.py")] if module.endswith(".*") else [path.with_suffix(".py")]
+        assert found and all(f.is_file() for f in found), f"{module} names no source file"
+        files.update(found)
     return sorted(files)
 
 
@@ -275,3 +284,83 @@ def test_the_checks_bite():
     assert not [found for check in INVARIANTS for found in check(GOOD)]
     assert covers(bare_randomness, "faults/x.py") and covers(print_call, "obs/x.py")
     assert not covers(bare_randomness, "transforms/prng.py") and not covers(float_eq, "obs/x.py")
+
+
+def test_ci_types_exactly_the_strict_modules():
+    """CI's mypy step names the modules pyproject.toml holds to the strict bar, no more."""
+    ci = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    (command,) = [line for line in ci.splitlines() if "python -m mypy " in line]
+    args = command.split("python -m mypy ", 1)[1].split()
+    targets = mypy_targets()
+    assert sorted(zip(args[::2], args[1::2])) == sorted(zip(targets[::2], targets[1::2]))
+
+
+def test_mypy_strict_core_passes():
+    """Strict-core type check, run only where mypy is installed (CI lint job)."""
+    mypy_api = pytest.importorskip("mypy.api")
+    stdout, stderr, status = mypy_api.run(mypy_targets())
+    assert status == 0, stdout + stderr
+
+
+# The checks on the fixture modules, a bad and a good one per invariant, named by the
+# repro-lint rules they replaced.  The fixtures mimic the package layout
+# (``fixtures/repro/core/...``) so each check's scope applies as it does to src/repro.
+FIXTURES = Path(__file__).parent / "fixtures" / "repro"
+RULES = {"bare-randomness": bare_randomness, "float-eq": float_eq,
+         "mutable-default": mutable_default, "print-call": print_call,
+         "sim-callback-write": callback_writes}
+BAD_FIXTURES = [
+    ("core/bad_randomness.py", "bare-randomness"),
+    ("core/bad_float_eq.py", "float-eq"),
+    ("core/bad_mutable_default.py", "mutable-default"),
+    ("core/bad_print.py", "print-call"),
+    ("core/bad_float_identity.py", "float-eq"),
+    ("net/bad_simcb.py", "sim-callback-write"),
+]
+GOOD_FIXTURES = [
+    "core/good_randomness.py",
+    "core/good_float_eq.py",
+    "core/good_mutable_default.py",
+    "core/good_print.py",
+    "core/good_float_identity.py",
+    "net/good_simcb.py",
+]
+
+
+def rules_of(text, rel):
+    """The rules ``text`` breaks at package path ``rel``."""
+    return {rule for rule, check in RULES.items() if covers(check, rel) and any(check(text))}
+
+
+def fixture_rules(name):
+    return rules_of((FIXTURES / name).read_text(encoding="utf-8"), name)
+
+
+@pytest.mark.parametrize("fixture,rule", BAD_FIXTURES)
+def test_bad_fixture_trips_rule(fixture, rule):
+    assert rule in fixture_rules(fixture), f"{fixture} should trip {rule}"
+
+
+@pytest.mark.parametrize("fixture", GOOD_FIXTURES)
+def test_good_fixture_is_clean(fixture):
+    assert fixture_rules(fixture) == set()
+
+
+@pytest.mark.parametrize("fixture", [name for name, _ in BAD_FIXTURES if name.startswith("core/")])
+def test_bad_fixture_exits_nonzero(fixture):
+    """Every bad fixture fails a gate: some invariant check in scope fires on it."""
+    text = (FIXTURES / fixture).read_text(encoding="utf-8")
+    assert [found for check in INVARIANTS if covers(check, fixture) for found in check(text)]
+
+
+def test_bad_randomness_flags_both_forms():
+    text = (FIXTURES / "core" / "bad_randomness.py").read_text(encoding="utf-8")
+    messages = " ".join(bare_randomness(text))
+    assert "default_rng" in messages
+    assert "numpy.random.rand" in messages
+
+
+def test_prng_module_is_exempt_from_bare_randomness():
+    source = "import numpy as np\nrng = np.random.default_rng(1234)\n"
+    assert rules_of(source, "transforms/prng.py") == set()
+    assert rules_of(source, "transforms/dither.py") == {"bare-randomness"}

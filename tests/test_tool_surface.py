@@ -1,16 +1,18 @@
 """Pins the surface of the tools after the trials that cut them.
 
-``repro-lint`` is one dataflow rule and a loop (the per-line rules are
-checks in ``tests/test_static_checks.py``); ``repro-bench`` regenerates
-the paper's figures and nothing else; the perf ledger is the only gate.
-The mechanisms deleted in those trials (docs/static_analysis.md and
-docs/performance.md, "Trial record") should not grow back unnoticed.
+``repro-lint`` is gone: its per-line rules are checks in
+``tests/test_static_checks.py``, and what its taint rule guarded (bytes
+that change between processes) is
+``tests/test_same_bytes_across_processes.py``.  ``repro-bench``
+regenerates the paper's figures and nothing else; the perf ledger is
+the only gate.  The mechanisms deleted in those trials
+(docs/static_analysis.md and docs/performance.md, "Trial record")
+should not grow back unnoticed.
 """
 
 import argparse
 import importlib.util
 import inspect
-import pkgutil
 import re
 import subprocess
 import tomllib
@@ -20,8 +22,6 @@ from unittest import mock
 import pytest
 
 import repro.bench.__main__ as bench_cli
-import repro.lint
-import repro.lint.cli as lint_cli
 from repro.obs.trace import Tracer, trace_to
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -50,13 +50,6 @@ def _parser_surface(main):
     return options, positionals, choices
 
 
-def test_repro_lint_options_are_exactly_these():
-    options, positionals, choices = _parser_surface(lint_cli.main)
-    assert options == set()
-    assert positionals == {"paths"}
-    assert choices == {}
-
-
 def test_repro_bench_options_are_exactly_these():
     options, positionals, choices = _parser_surface(bench_cli.main)
     assert options == {"--scale", "--trace"}
@@ -67,23 +60,18 @@ def test_repro_bench_options_are_exactly_these():
     }
 
 
-def test_repro_lint_modules_are_exactly_these():
-    modules = {info.name for info in pkgutil.iter_modules(repro.lint.__path__)}
-    assert modules == {"__main__", "cli", "engine", "dataflow", "rules"}
-    assert [rule.name for rule in repro.lint.ALL_RULES] == ["nondeterminism-taint"]
-
-
 def test_console_scripts_are_exactly_these():
     config = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert set(config["project"]["scripts"]) == {
-        "repro-bench", "repro-report", "repro-lint", "repro-faults", "repro-resilience",
-        "repro-timeline", "repro-cluster",
+        "repro-bench", "repro-report", "repro-faults", "repro-resilience", "repro-timeline",
+        "repro-cluster",
     }
 
 
 @pytest.mark.parametrize(
     "module",
     [
+        "repro.lint",
         "repro.lint.cache",
         "repro.lint.sarif",
         "repro.lint.baseline",
@@ -94,7 +82,11 @@ def test_console_scripts_are_exactly_these():
     ],
 )
 def test_deleted_modules_stay_deleted(module):
-    assert importlib.util.find_spec(module) is None
+    try:
+        spec = importlib.util.find_spec(module)
+    except ModuleNotFoundError:  # its package is gone as well
+        spec = None
+    assert spec is None
 
 
 def test_tracer_has_no_rotation_parameters():
