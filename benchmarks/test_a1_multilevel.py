@@ -13,9 +13,9 @@ import numpy as np
 
 from repro.bench import emit, format_table
 from repro.core import MultiLevelCodec, nmse
-from repro.net import FlowLog, dumbbell
+from repro.net import dumbbell
 from repro.packet import MultiLevelTrim
-from repro.transport import FixedWindow, TrimmingReceiver, TrimmingSender
+from repro.transport import FixedWindow, Transfer, TrimmingSender
 
 NUM_COORDS = 2**15
 ROW_SIZE = 4096
@@ -50,15 +50,13 @@ def _closed_loop_rows():
         codec = MultiLevelCodec(root_seed=2, row_size=ROW_SIZE)
         x = np.random.default_rng(1).standard_normal(NUM_COORDS)
         enc = codec.encode(x)
-        log = FlowLog()
-        sender = TrimmingSender(net.hosts["tx0"], flow_id=1, cc=FixedWindow(512), log=log)
-        messages = []
-        TrimmingReceiver(net.hosts["rx0"], flow_id=1, on_message=messages.append)
-        sender.send_message(codec.packetize(enc, "tx0", "rx0", flow_id=1))
+        sender = TrimmingSender(net.hosts["tx0"], flow_id=1, cc=FixedWindow(512))
+        transfer = Transfer(net, sender, codec.packetize(enc, "tx0", "rx0", flow_id=1))
+        transfer.start()
         net.sim.run(until=30.0)
         stats = net.total_switch_stats()
-        if messages:
-            back, levels = codec.depacketize(messages[0])
+        if transfer.wire is not None:
+            back, levels = codec.depacketize(transfer.wire)
             err = nmse(x, codec.decode(back, levels))
             depth_counts = {b: int((levels == b).sum()) for b in (1, 8, 32)}
         else:
@@ -66,7 +64,7 @@ def _closed_loop_rows():
         rows.append(
             [
                 label,
-                f"{log.max_fct()*1e3:.2f}",
+                f"{sender.fct_s*1e3:.2f}",
                 stats["trimmed"],
                 stats["dropped"],
                 f"{err:.4f}",

@@ -11,9 +11,9 @@ import numpy as np
 
 from repro.bench import ascii_chart, emit, format_table
 from repro.core import RHTCodec, packetize
-from repro.net import FlowLog, IncastBurst, QueueMonitor, dumbbell
+from repro.net import IncastBurst, QueueMonitor, dumbbell
 from repro.packet import SingleLevelTrim
-from repro.transport import FixedWindow, TrimmingReceiver, TrimmingSender
+from repro.transport import FixedWindow, Transfer, TrimmingSender
 
 BUFFER = 25_000
 
@@ -37,24 +37,22 @@ def run_one(trim: bool):
     ).fire(at=0.0)
     codec = RHTCodec(root_seed=1, row_size=4096)
     x = np.random.default_rng(0).standard_normal(100_000)
-    log = FlowLog()
-    sender = TrimmingSender(net.hosts["tx0"], flow_id=1, cc=FixedWindow(128), log=log)
-    TrimmingReceiver(net.hosts["rx0"], flow_id=1)
-    sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=1))
+    sender = TrimmingSender(net.hosts["tx0"], flow_id=1, cc=FixedWindow(128))
+    Transfer(net, sender, packetize(codec.encode(x), "tx0", "rx0", flow_id=1)).start()
     net.sim.run(until=30.0)
     stats = net.total_switch_stats()
-    return monitor, log, stats, sender
+    return monitor, stats, sender
 
 
 def run_a7():
     results = {}
     for label, trim in [("drop-tail", False), ("trimming", True)]:
-        monitor, log, stats, sender = run_one(trim)
+        monitor, stats, sender = run_one(trim)
         results[label] = dict(
             series=monitor.series("bottleneck"),
             peak=monitor.peak_bytes("bottleneck"),
             congested_frac=monitor.time_above("bottleneck", int(BUFFER * 0.9)),
-            fct=log.max_fct(),
+            fct=sender.fct_s,
             drops=stats["dropped"],
             trims=stats["trimmed"],
             done=sender.done,

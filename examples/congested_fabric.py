@@ -19,15 +19,8 @@ Run:  python examples/congested_fabric.py
 import numpy as np
 
 from repro import RHTCodec, SingleLevelTrim, decode_packets, nmse, packetize
-from repro.net import FlowLog, IncastBurst, dumbbell
-from repro.transport import (
-    AIMD,
-    FixedWindow,
-    GoBackNReceiver,
-    GoBackNSender,
-    TrimmingReceiver,
-    TrimmingSender,
-)
+from repro.net import IncastBurst, dumbbell
+from repro.transport import AIMD, FixedWindow, GoBackNSender, Transfer, TrimmingSender
 
 GRADIENT_COORDS = 200_000
 EDGE_GBPS = 10e9
@@ -56,32 +49,26 @@ def build_network(trim: bool):
     return net
 
 
+def carry(net, sender, gradient, codec):
+    """One gradient message over ``net``; returns what decodes, or None."""
+    transfer = Transfer(net, sender, packetize(codec.encode(gradient), "tx0", "rx0", flow_id=1))
+    transfer.start()
+    net.sim.run(until=10.0)
+    return decode_packets(transfer.wire, codec) if transfer.wire is not None else None
+
+
 def run_baseline(gradient, codec):
     net = build_network(trim=False)
-    log = FlowLog()
     sender = GoBackNSender(
-        net.hosts["tx0"], flow_id=1, cc=AIMD(initial_window=64), log=log, rto_min=1e-3
+        net.hosts["tx0"], flow_id=1, cc=AIMD(initial_window=64), rto_min=1e-3
     )
-    messages = []
-    GoBackNReceiver(net.hosts["rx0"], flow_id=1, on_message=messages.append)
-    sender.send_message(packetize(codec.encode(gradient), "tx0", "rx0", flow_id=1))
-    net.sim.run(until=10.0)
-    decoded = decode_packets(messages[0], codec) if messages else None
-    return log, net, decoded
+    return sender, net, carry(net, sender, gradient, codec)
 
 
 def run_trimming(gradient, codec):
     net = build_network(trim=True)
-    log = FlowLog()
-    sender = TrimmingSender(
-        net.hosts["tx0"], flow_id=1, cc=FixedWindow(128), log=log
-    )
-    messages = []
-    TrimmingReceiver(net.hosts["rx0"], flow_id=1, on_message=messages.append)
-    sender.send_message(packetize(codec.encode(gradient), "tx0", "rx0", flow_id=1))
-    net.sim.run(until=10.0)
-    decoded = decode_packets(messages[0], codec) if messages else None
-    return log, net, decoded
+    sender = TrimmingSender(net.hosts["tx0"], flow_id=1, cc=FixedWindow(128))
+    return sender, net, carry(net, sender, gradient, codec)
 
 
 def main() -> None:
@@ -94,13 +81,11 @@ def main() -> None:
 
     print(f"{'':>22} | {'drop-tail + GBN':>16} | {'trimming switch':>16}")
     print("-" * 62)
-    base_log, base_net, base_dec = run_baseline(gradient, codec)
-    trim_log, trim_net, trim_dec = run_trimming(gradient, codec)
+    base, base_net, base_dec = run_baseline(gradient, codec)
+    trim, trim_net, trim_dec = run_trimming(gradient, codec)
     rows = [
-        ("flow completion time", f"{base_log.max_fct()*1e3:.2f} ms",
-         f"{trim_log.max_fct()*1e3:.2f} ms"),
-        ("retransmissions", base_log.total_retransmissions(),
-         trim_log.total_retransmissions()),
+        ("flow completion time", f"{base.fct_s*1e3:.2f} ms", f"{trim.fct_s*1e3:.2f} ms"),
+        ("retransmissions", base.tally.retransmissions, trim.tally.retransmissions),
         ("switch drops", base_net.total_switch_stats()["dropped"],
          trim_net.total_switch_stats()["dropped"]),
         ("switch trims", base_net.total_switch_stats()["trimmed"],

@@ -32,7 +32,7 @@ from repro.obs import (
     set_registry,
     set_tracer,
 )
-from repro.transport import FixedWindow, TrimmingReceiver, TrimmingSender
+from repro.transport import FixedWindow, Transfer, TrimmingSender
 
 GRADIENT_COORDS = 100_000
 BUFFER_BYTES = 20_000
@@ -61,12 +61,11 @@ def main() -> None:
         x = np.random.default_rng(5).standard_normal(GRADIENT_COORDS)
         codec = RHTCodec(root_seed=9, row_size=4096)
         sender = TrimmingSender(net.hosts["tx0"], flow_id=7, cc=FixedWindow(256))
-        messages = []
-        TrimmingReceiver(net.hosts["rx0"], flow_id=7, on_message=messages.append)
-        sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=7))
+        transfer = Transfer(net, sender, packetize(codec.encode(x), "tx0", "rx0", flow_id=7))
+        transfer.start()
         net.sim.run(until=5.0)
 
-        decoded = decode_packets(messages[0], codec)
+        decoded = decode_packets(transfer.wire, codec)
         tracer.event("decode.final", nmse=float(nmse(x, decoded)))
         tracer.close()
 

@@ -15,8 +15,8 @@ Run:  python examples/shared_fabric.py
 import numpy as np
 
 from repro import RHTCodec, SingleLevelTrim, decode_packets, nmse, packetize
-from repro.net import FlowLog, IncastBurst, QueueMonitor, leaf_spine
-from repro.transport import PullReceiver, PullSender
+from repro.net import IncastBurst, QueueMonitor, leaf_spine
+from repro.transport import PullSender, Transfer
 
 COORDS_PER_JOB = 150_000
 
@@ -50,20 +50,16 @@ def main() -> None:
         seed=5,
     ).fire(at=0.0)
 
-    log = FlowLog()
     codec = RHTCodec(root_seed=13, row_size=2**15)
-    gradients, deliveries = {}, {}
+    gradients, transfers = {}, {}
     for name, (src, dst, flow_id) in jobs.items():
         gradient = np.random.default_rng(flow_id).standard_normal(COORDS_PER_JOB)
         gradients[name] = gradient
-        deliveries[name] = []
-        sender = PullSender(
-            net.hosts[src], flow_id=flow_id, log=log, initial_window=32
+        sender = PullSender(net.hosts[src], flow_id=flow_id, initial_window=32)
+        transfers[name] = Transfer(
+            net, sender, packetize(codec.encode(gradient), src, dst, flow_id=flow_id)
         )
-        PullReceiver(
-            net.hosts[dst], flow_id=flow_id, on_message=deliveries[name].append
-        )
-        sender.send_message(packetize(codec.encode(gradient), src, dst, flow_id=flow_id))
+        transfers[name].start()
 
     net.sim.run(until=10.0)
 
@@ -71,13 +67,12 @@ def main() -> None:
     print(f"two {COORDS_PER_JOB:,}-coordinate gradient jobs + 2:1 incast\n")
     print(f"{'flow':>8} | {'FCT ms':>7} | {'retx':>4} | {'trimmed':>7} | NMSE")
     print("-" * 48)
-    for name, (src, dst, flow_id) in jobs.items():
-        record = log.get(flow_id)
-        decoded = decode_packets(deliveries[name][0], codec)
-        error = nmse(gradients[name], decoded)
+    for name, transfer in transfers.items():
+        sender = transfer.sender
+        error = nmse(gradients[name], decode_packets(transfer.wire, codec))
         print(
-            f"{name:>8} | {record.fct*1e3:>7.3f} | {record.retransmissions:>4} "
-            f"| {record.packets_trimmed:>7} | {error:.4f}"
+            f"{name:>8} | {sender.fct_s*1e3:>7.3f} | {sender.tally.retransmissions:>4} "
+            f"| {sender.tally.trims_reported:>7} | {error:.4f}"
         )
 
     stats = net.total_switch_stats()

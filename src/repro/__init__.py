@@ -98,18 +98,29 @@ def configure_logging(level=None, stream_name: str = "stdout", fmt: str = "%(mes
     return logger
 
 
-def int_at_least(minimum: int):
-    """An argparse ``type=``: an integer of at least ``minimum``, else a usage error (exit 2)."""
+def number_in(kind, low, high=None, *, above=False):
+    """An argparse ``type=``: a ``kind`` number of at least ``low`` (above it
+    when ``above``) and at most ``high``, else a usage error (exit 2)."""
+    if above:
+        rule = f"above {low}"
+    else:
+        rule = f"at least {low}" if high is None else f"in [{low}, {high}]"
 
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < minimum:
+    def number(text: str):
+        value = kind(text)
+        fits = low < value if above else low <= value  # NaN fits nothing
+        if not fits or (high is not None and not value <= high):
             from argparse import ArgumentTypeError  # keeps ``import repro`` free of argparse
 
-            raise ArgumentTypeError(f"must be at least {minimum}, got {value}")
+            raise ArgumentTypeError(f"must be {rule}, got {value}")
         return value
 
-    return integer
+    return number
+
+
+def int_at_least(minimum: int):
+    """An argparse ``type=``: an integer of at least ``minimum``, else a usage error (exit 2)."""
+    return number_in(int, minimum)
 
 
 from .core import (

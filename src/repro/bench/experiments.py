@@ -249,19 +249,20 @@ def t1_transport_drops(scale: Optional[str] = None) -> ExperimentResult:
     Reproduces the Section 4.4 in-text numbers on the discrete-event
     simulator: the baseline tolerates ~0.2 % drops, collapses at 1-2 %;
     the trimming transport completes with zero retransmissions even when
-    half its packets are trimmed.
+    half its packets are trimmed.  Each flow is one
+    :class:`~repro.transport.transfer.Transfer`; FCT is the sender's
+    (first send to completing ACK), counts are its tally.
     """
-    from ..net import FlowLog, dumbbell
+    from ..core import packetize
+    from ..net import dumbbell
     from ..transport import (
         AIMD,
         FixedWindow,
-        GoBackNReceiver,
         GoBackNSender,
-        TrimmingReceiver,
+        Transfer,
         TrimmingSender,
         segment_bytes,
     )
-    from ..core import packetize
 
     scale = scale or bench_scale()
     message_bytes = 2_000_000 if scale == "quick" else 8_000_000
@@ -273,15 +274,12 @@ def t1_transport_drops(scale: Optional[str] = None) -> ExperimentResult:
     for drop in drop_grid:
         net = dumbbell(pairs=1)
         net.set_impairment("s0", "s1", drop_prob=drop)
-        log = FlowLog()
         sender = GoBackNSender(
-            net.hosts["tx0"], flow_id=1, cc=AIMD(initial_window=32),
-            log=log, rto_min=1e-3,
+            net.hosts["tx0"], flow_id=1, cc=AIMD(initial_window=32), rto_min=1e-3
         )
-        GoBackNReceiver(net.hosts["rx0"], flow_id=1)
-        sender.send_message(segment_bytes("tx0", "rx0", message_bytes, flow_id=1))
+        Transfer(net, sender, segment_bytes("tx0", "rx0", message_bytes, flow_id=1)).start()
         net.sim.run(until=30.0)
-        fct = log.max_fct()
+        fct = sender.fct_s
         if drop <= 0.0:
             base_fct = fct
         rows.append(
@@ -290,7 +288,7 @@ def t1_transport_drops(scale: Optional[str] = None) -> ExperimentResult:
                 f"{drop:.2%}",
                 f"{fct*1e3:.2f}",
                 f"{fct / base_fct:.1f}x",
-                log.total_retransmissions(),
+                sender.tally.retransmissions,
                 "-",
             ]
         )
@@ -298,21 +296,19 @@ def t1_transport_drops(scale: Optional[str] = None) -> ExperimentResult:
     for trim in [0.0, 0.2, 0.5]:
         net = dumbbell(pairs=1)
         net.set_impairment("s0", "s1", trim_prob=trim)
-        log = FlowLog()
         x = np.random.default_rng(0).standard_normal(message_bytes // 4)
         codec = RHTCodec(root_seed=1, row_size=RHT_ROW_SIZE)
-        sender = TrimmingSender(net.hosts["tx0"], flow_id=2, cc=FixedWindow(64), log=log)
-        TrimmingReceiver(net.hosts["rx0"], flow_id=2)
-        sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=2))
+        sender = TrimmingSender(net.hosts["tx0"], flow_id=2, cc=FixedWindow(64))
+        Transfer(net, sender, packetize(codec.encode(x), "tx0", "rx0", flow_id=2)).start()
         net.sim.run(until=30.0)
         rows.append(
             [
                 "trimming",
                 f"trim {trim:.0%}",
-                f"{log.max_fct()*1e3:.2f}",
-                f"{log.max_fct() / base_fct:.1f}x",
-                log.total_retransmissions(),
-                log.total_trimmed(),
+                f"{sender.fct_s*1e3:.2f}",
+                f"{sender.fct_s / base_fct:.1f}x",
+                sender.tally.retransmissions,
+                sender.tally.trims_reported,
             ]
         )
     return ExperimentResult(

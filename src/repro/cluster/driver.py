@@ -46,7 +46,7 @@ from ..obs.trace import get_tracer
 from ..packet.trim import SingleLevelTrim
 from ..resilience.ef import EFChannel
 from ..train.ddp import DDPTrainer, TrainConfig
-from ..train.network_channel import _WireTransfer
+from ..train.network_channel import _GradientTransfer
 from ..transport.congestion import FixedWindow
 from .scenario import ClusterScenario, JobSpec
 from .tenants import TENANT_FLOW_BLOCK, TenantWorkload, tenant_flow_base
@@ -202,7 +202,7 @@ class FabricHook(CommHook):
         # The wave in flight: its (epoch, message id) and, per worker,
         # the transfer and the (input, EF slot, carry) it was built from.
         self._wave: Tuple[int, int] = (0, 0)
-        self._in_flight: List[_WireTransfer] = []
+        self._in_flight: List[_GradientTransfer] = []
         self._carried: List[Tuple[np.ndarray, int, np.ndarray]] = []
         # Running per-worker sums the telescoping monitor checks the EF
         # channel's residuals against.
@@ -228,7 +228,7 @@ class FabricHook(CommHook):
             slot, carry = self.channel.carry(flat, worker) if self.ef else (0, flat)
             self._carried.append((flat, slot, carry))
             self._in_flight.append(
-                _WireTransfer(
+                _GradientTransfer(
                     self.driver.net,
                     self.codec,
                     self.codec.encode(carry, epoch=epoch, message_id=message_id),

@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None, help="write the JSONL event log here")
     p_run.add_argument(
         "--max-events",
-        type=int,
+        type=int_at_least(1),
         default=2_000_000,
         help="simulator safety valve (default 2e6 events)",
     )

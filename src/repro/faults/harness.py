@@ -3,8 +3,9 @@
 :func:`run_scenario` is the single entry point the CLI, the chaos CI
 matrix and the invariant test suite all share: build the scenario's
 topology, arm a :class:`~repro.faults.injector.FaultInjector`, push one
-RHT-encoded gradient message per sender/receiver pair through the
-chosen transport, and drain the event loop.  The returned
+RHT-encoded gradient message per host pair through the chosen
+transport as a :class:`~repro.transport.transfer.Transfer`, and drain
+the event loop.  The returned
 :class:`ScenarioRun` exposes everything the callers assert on —
 delivery counts, surrender state, the deterministic fault event log,
 per-link impairment counters and the simulator step count (the
@@ -22,7 +23,7 @@ same presets exercise a multipath fabric without rewriting them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,13 +36,10 @@ from ..transforms.prng import shared_generator
 from ..transport import (
     AIMD,
     FixedWindow,
-    GoBackNReceiver,
     GoBackNSender,
     MessageSenderBase,
-    PullReceiver,
     PullSender,
-    TransportSurrender,
-    TrimmingReceiver,
+    Transfer,
     TrimmingSender,
 )
 from .injector import FaultInjector
@@ -49,8 +47,15 @@ from .scenarios import Scenario
 
 __all__ = ["TRANSPORTS", "ScenarioRun", "run_scenario"]
 
+#: The sender each transport name runs on a pair's sending host.
+_SENDERS: Dict[str, Callable[[Host, int], MessageSenderBase]] = {
+    "gbn": lambda host, flow: GoBackNSender(host, flow, cc=AIMD(initial_window=16)),
+    "pull": lambda host, flow: PullSender(host, flow),
+    "trimming": lambda host, flow: TrimmingSender(host, flow, cc=FixedWindow(initial_window=32)),
+}
+
 #: Transport names accepted by :func:`run_scenario` and the CLI.
-TRANSPORTS = ("gbn", "pull", "trimming")
+TRANSPORTS = tuple(_SENDERS)
 
 #: Topology names accepted by :func:`run_scenario`.
 TOPOLOGIES = ("dumbbell", "fat-tree")
@@ -129,15 +134,34 @@ class ScenarioRun:
     seed: int
     events: List[Dict]
     fault_counts: Dict[str, int]
-    deliveries: Dict[int, List[Packet]]
-    delivery_calls: Dict[int, int]
-    surrenders: Dict[int, str]
-    senders: Dict[int, MessageSenderBase]
+    transfers: Dict[int, Transfer]
     network: Network
     injector: FaultInjector
     sim_time: float
     steps: int
     decode_nmse: Dict[int, float] = field(default_factory=dict)
+
+    @property
+    def senders(self) -> Dict[int, MessageSenderBase]:
+        return {flow: t.sender for flow, t in self.transfers.items()}
+
+    @property
+    def deliveries(self) -> Dict[int, List[Packet]]:
+        """The message each delivered flow's receiver handed over."""
+        return {flow: t.wire for flow, t in self.transfers.items() if t.wire is not None}
+
+    @property
+    def delivery_calls(self) -> Dict[int, int]:
+        return {flow: t.delivery_calls for flow, t in self.transfers.items() if t.delivery_calls}
+
+    @property
+    def surrenders(self) -> Dict[int, str]:
+        """The reason each surrendered flow gave up."""
+        return {
+            flow: failure.reason
+            for flow, t in self.transfers.items()
+            if (failure := t.sender.failure) is not None
+        }
 
     @property
     def flows(self) -> List[int]:
@@ -168,26 +192,6 @@ class ScenarioRun:
                 for flow, value in sorted(self.decode_nmse.items())
             },
         }
-
-
-def _make_transport(
-    transport: str, net: Network, flow: int, tx_name: str, rx_name: str
-) -> Tuple[MessageSenderBase, Any, Host]:
-    """One sender/receiver pair on the given hosts."""
-    tx, rx = net.hosts[tx_name], net.hosts[rx_name]
-    sender: MessageSenderBase
-    if transport == "gbn":
-        sender = GoBackNSender(tx, flow_id=flow, cc=AIMD(initial_window=16))
-        receiver_cls = GoBackNReceiver
-    elif transport == "pull":
-        sender = PullSender(tx, flow_id=flow)
-        receiver_cls = PullReceiver
-    elif transport == "trimming":
-        sender = TrimmingSender(tx, flow_id=flow, cc=FixedWindow(initial_window=32))
-        receiver_cls = TrimmingReceiver
-    else:
-        raise ValueError(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
-    return sender, receiver_cls, rx
 
 
 def run_scenario(
@@ -225,6 +229,8 @@ def run_scenario(
     """
     if max_retries is None:
         max_retries = scenario.max_retries
+    if transport not in _SENDERS:
+        raise ValueError(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
     if topology not in TOPOLOGIES:
         raise ValueError(f"unknown topology {topology!r}; expected one of {TOPOLOGIES}")
     worker_hosts: Dict[int, str] = {}
@@ -275,26 +281,12 @@ def run_scenario(
 
     codec = RHTCodec(root_seed=seed)
     originals: Dict[int, np.ndarray] = {}
-    deliveries: Dict[int, List[Packet]] = {}
-    delivery_calls: Dict[int, int] = {}
-    surrenders: Dict[int, str] = {}
-    senders: Dict[int, MessageSenderBase] = {}
-
+    transfers: Dict[int, Transfer] = {}
     for pair, (tx_name, rx_name) in enumerate(pair_hosts):
         flow = FLOW_BASE + pair
-        sender, receiver_cls, rx = _make_transport(transport, net, flow, tx_name, rx_name)
+        sender = _SENDERS[transport](net.hosts[tx_name], flow)
         if max_retries is not None:
             sender.max_retries = max_retries
-        senders[flow] = sender
-
-        def on_message(packets: List[Packet], flow: int = flow) -> None:
-            delivery_calls[flow] = delivery_calls.get(flow, 0) + 1
-            deliveries.setdefault(flow, packets)
-
-        def on_failure(error: TransportSurrender, flow: int = flow) -> None:
-            surrenders[flow] = error.reason
-
-        receiver_cls(rx, flow_id=flow, on_message=on_message)
         grad = shared_generator(
             seed, epoch=0, message_id=flow, purpose="data"
         ).standard_normal(scenario.coords).astype(np.float32)
@@ -305,14 +297,16 @@ def run_scenario(
             dst=rx_name,
             flow_id=flow,
         )
-        sender.send_message(packets, on_failure=on_failure)
+        transfers[flow] = Transfer(net, sender, packets)
+        transfers[flow].start()
 
     net.sim.run(until=scenario.duration_s, max_events=max_events)
 
-    decode_err: Dict[int, float] = {}
-    for flow, packets in deliveries.items():
-        decoded = decode_packets(packets, codec=codec)
-        decode_err[flow] = float(nmse(originals[flow], decoded))
+    decode_err = {
+        flow: float(nmse(originals[flow], decode_packets(t.wire, codec=codec)))
+        for flow, t in transfers.items()
+        if t.wire is not None
+    }
 
     return ScenarioRun(
         scenario=scenario.name,
@@ -320,10 +314,7 @@ def run_scenario(
         seed=seed,
         events=injector.events,
         fault_counts=injector.summary(),
-        deliveries=deliveries,
-        delivery_calls=delivery_calls,
-        surrenders=surrenders,
-        senders=senders,
+        transfers=transfers,
         network=net,
         injector=injector,
         sim_time=net.sim.now,

@@ -1,7 +1,6 @@
 """Discrete-event network simulator: engine, queues, links, switches, topologies."""
 
 from .crosstraffic import CROSS_TRAFFIC_FLOW_BASE, IncastBurst, OnOffFlow
-from .flow import FlowLog, FlowRecord
 from .host import Host
 from .link import Device, DeliveryHook, Link
 from .queues import ByteQueue, PriorityQueue
@@ -14,8 +13,6 @@ __all__ = [
     "CROSS_TRAFFIC_FLOW_BASE",
     "IncastBurst",
     "OnOffFlow",
-    "FlowLog",
-    "FlowRecord",
     "Host",
     "Device",
     "DeliveryHook",

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import int_at_least
+from .. import int_at_least, number_in
 from .export import _fmt_s, _rows, read_jsonl, timeline_html
 from .int_telemetry import (
     DEFAULT_INT_CAPACITY,
@@ -419,22 +419,22 @@ def build_parser() -> argparse.ArgumentParser:
         default="timeline-out",
         help="artifact directory (default ./timeline-out)",
     )
-    p_rec.add_argument("--bins", type=int, default=60, help="time bins (default 60)")
+    p_rec.add_argument("--bins", type=int_at_least(1), default=60, help="time bins (default 60)")
     p_rec.add_argument(
         "--int-capacity",
-        type=int,
+        type=number_in(int, 1, 255),
         default=DEFAULT_INT_CAPACITY,
         help=f"INT band record slots per packet (default {DEFAULT_INT_CAPACITY})",
     )
     p_rec.add_argument(
         "--sample-period",
-        type=float,
+        type=number_in(float, 0, above=True),
         default=None,
         help="queue sampling period in seconds (default 2e-5)",
     )
     p_rec.add_argument(
         "--max-events",
-        type=int,
+        type=int_at_least(1),
         default=2_000_000,
         help="simulator safety valve (default 2e6 events)",
     )
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ren = sub.add_parser("render", help="render a timeline from a trace JSONL")
     p_ren.add_argument("trace", help="path to a trace.jsonl")
-    p_ren.add_argument("--bins", type=int, default=60, help="time bins (default 60)")
+    p_ren.add_argument("--bins", type=int_at_least(1), default=60, help="time bins (default 60)")
     p_ren.add_argument("--html", default=None, help="write a static HTML copy here")
     p_ren.set_defaults(func=_cmd_render)
     return parser

@@ -25,7 +25,7 @@ import logging
 import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .. import int_at_least
+from .. import int_at_least, number_in
 from ..faults.scenarios import Scenario, scenario_by_name
 from .plan import ResilienceConfig
 
@@ -231,7 +231,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=20, help="epochs (default 20)")
     parser.add_argument("--world", type=int_at_least(1), default=4, help="workers (default 4)")
     parser.add_argument(
-        "--trim-rate", type=float, default=0.5, help="channel trim rate (default 0.5)"
+        "--trim-rate",
+        type=number_in(float, 0, 1),
+        default=0.5,
+        help="channel trim rate (default 0.5)",
     )
     parser.add_argument(
         "--ef", action="store_true", help="enable error-feedback residuals"

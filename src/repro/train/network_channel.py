@@ -25,21 +25,21 @@ from ..core.codec import EncodedGradient, GradientCodec, nmse
 from ..core.packetizer import decode_packets, packetize
 from ..net.topology import Network
 from ..obs.trace import get_tracer
-from ..packet.packet import Packet
 from ..transport.congestion import CongestionControl, FixedWindow
-from ..transport.trimming import TrimmingReceiver, TrimmingSender
+from ..transport.transfer import Transfer
+from ..transport.trimming import TrimmingSender
 
 __all__ = ["NetworkChannel"]
 
 
-class _WireTransfer:
-    """One gradient message crossing ``net`` packet by packet.
+class _GradientTransfer(Transfer):
+    """A :class:`~repro.transport.transfer.Transfer` of one encoded gradient.
 
-    The only place a gradient message meets a transport: both carriers —
-    :class:`NetworkChannel` (a private network, run to its deadline) and
-    the cluster wave (one shared network, every job launched at the same
-    instant) — build one of these per message, :meth:`start` it, run the
-    event loop themselves, and :meth:`finish` it.
+    Both gradient carriers — :class:`NetworkChannel` (a private network,
+    run to its deadline) and the cluster wave (one shared network, every
+    job launched at the same instant) — build one of these per message,
+    :meth:`start` it, run the event loop themselves, and :meth:`finish`
+    it, which decodes what arrived and counts it in their ``stats``.
     """
 
     def __init__(
@@ -55,54 +55,23 @@ class _WireTransfer:
         cc: CongestionControl,
         max_retries: Optional[int] = None,
     ) -> None:
+        packets = packetize(enc, src=src, dst=dst, mtu=mtu, flow_id=flow_id)
+        sender = TrimmingSender(net.hosts[src], flow_id=flow_id, cc=cc)
+        if max_retries is not None:
+            sender.max_retries = max_retries
+        super().__init__(net, sender, packets)
         self.codec = codec
         self.coords = enc.metadata.original_length
-        self.flow_id = flow_id
-        self.dst_host = net.hosts[dst]
-        self.packets = packetize(enc, src=src, dst=dst, mtu=mtu, flow_id=flow_id)
-        self.sender = TrimmingSender(net.hosts[src], flow_id=flow_id, cc=cc)
-        if max_retries is not None:
-            self.sender.max_retries = max_retries
-        TrimmingReceiver(self.dst_host, flow_id=flow_id, on_message=self._landed)
-        self.start_s = 0.0
-        #: Set when the message lands: the event loop usually runs on
-        #: past that instant, so the completion time is read here.
-        self.done_s = 0.0
-        self.wire: Optional[List[Packet]] = None
         self.trim_fraction = 0.0
 
-    def _landed(self, wire: List[Packet]) -> None:
-        if self.wire is None:
-            self.wire = wire
-            self.done_s = self.sender.sim.now
-
-    def start(self, on_settled: Optional[Callable[..., None]] = None) -> None:
-        """Put the message on the wire.
-
-        ``on_settled`` is the sender's ``on_complete`` and ``on_failure``
-        in one: called at the instant the message is delivered (no
-        argument) or surrendered (with the ``TransportSurrender``).
-        """
-        self.start_s = self.sender.sim.now
-        self.sender.send_message(
-            self.packets, on_complete=on_settled, on_failure=on_settled
-        )
-
-    @property
-    def fct_s(self) -> float:
-        return self.done_s - self.start_s
-
     def finish(self, stats: ChannelStats) -> Optional[np.ndarray]:
-        """Tear the flow down and account for it in ``stats``.
+        """Close the flow and account for it in ``stats``.
 
         Returns the decoded vector, or None when nothing was delivered:
         ``sender.failure`` then holds the surrender, or is None for a
-        missed deadline.  Either way the retransmit timer is silenced
-        and both hosts forget the flow, so no event of this message
-        fires later and a kept network does not keep its packets alive.
+        missed deadline.
         """
-        self.sender.close()
-        self.dst_host.unregister_flow(self.flow_id)
+        self.close()
         stats.messages += 1
         stats.coordinates += self.coords
         if self.wire is None:
@@ -196,7 +165,7 @@ class NetworkChannel(GradientChannel):
         ):
             enc = self.codec.encode(flat, epoch=epoch, message_id=message_id)
         net = self.network_factory()
-        message = _WireTransfer(
+        message = _GradientTransfer(
             net,
             self.codec,
             enc,

@@ -1,9 +1,10 @@
-"""Transport substrate: congestion control, reliable and trimming stacks."""
+"""Transport substrate: congestion control, three sender/receiver stacks, the transfer."""
 
 from .base import MessageSenderBase, RttEstimator, TransportSurrender, segment_bytes
 from .congestion import AIMD, DCTCP, CongestionControl, FixedWindow
 from .pull import PullReceiver, PullSender
 from .reliable import GoBackNReceiver, GoBackNSender
+from .transfer import Transfer
 from .trimming import TrimmingReceiver, TrimmingSender
 
 __all__ = [
@@ -21,4 +22,5 @@ __all__ = [
     "PullSender",
     "TrimmingReceiver",
     "TrimmingSender",
+    "Transfer",
 ]

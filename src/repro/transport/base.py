@@ -7,10 +7,10 @@ receivers acknowledge, and a retransmission timer backstops losses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, ClassVar, List, Optional
 
-from ..net.flow import FlowLog, FlowRecord
 from ..net.host import Host
 from ..net.simulator import Event
 from ..obs.metrics import get_registry
@@ -107,15 +107,20 @@ class SenderTally:
     retransmissions: int = 0
     timeouts: int = 0
     surrenders: int = 0
-    trims_reported: int = 0  # trimmed-echo ACKs (trimming senders only)
+    trims_reported: int = 0  # trimmed-echo ACKs (senders that take trims)
 
 
 class MessageSenderBase:
-    """Common sender state: framing, window pacing, timer, flow log.
+    """Common sender state: framing, window pacing, timer, completion time.
 
     Subclasses implement ``_handle_control`` (ACK/NACK processing) and
-    ``_on_timeout`` (recovery), and call ``_pump`` to emit packets.
+    ``_on_timeout`` (recovery), call ``_pump`` to emit packets, and name
+    the ``receiver_class`` a :class:`~repro.transport.transfer.Transfer`
+    builds at the other end of their flow.
     """
+
+    #: Builds the receiving end, called as ``(host, flow_id, on_message)``.
+    receiver_class: ClassVar[Callable[[Host, int, Callable[[List[Packet]], None]], object]]
 
     def __init__(
         self,
@@ -124,7 +129,6 @@ class MessageSenderBase:
         cc: Optional[CongestionControl] = None,
         rto_min: float = 100e-6,
         rto_max: float = 100e-3,
-        log: Optional[FlowLog] = None,
         max_retries: int = 200,
     ) -> None:
         self.host = host
@@ -132,8 +136,6 @@ class MessageSenderBase:
         self.flow_id = flow_id
         self.cc = cc or FixedWindow()
         self.rtt = RttEstimator(rto_min=rto_min, rto_max=rto_max)
-        self.log = log
-        self.record: Optional[FlowRecord] = None
         # Retry budget *per packet*: a sequence number re-sent more than
         # this many times means the path is not recovering (ACK blackout,
         # persistent corruption, a dead link) and the sender surrenders
@@ -150,6 +152,7 @@ class MessageSenderBase:
         self._done = False
         self._failed: Optional[TransportSurrender] = None
         self._message_start = 0.0
+        self._fct_s = math.inf
         # What the sender counted over its whole life (it may carry many
         # messages): the only thing the send path writes, and what the
         # registry reads when it is flushed.
@@ -187,6 +190,17 @@ class MessageSenderBase:
         })
         host.register_flow(flow_id, self._dispatch)
 
+    def _publish_trims(self) -> None:
+        """Publish ``tally.trims_reported``: for senders that take trims."""
+        registry = get_registry()
+        registry.publish_tally(self, self.tally, {
+            "trims_reported": registry.counter(
+                "repro_transport_trims_reported_total",
+                "trimmed-echo ACKs seen by the sender",
+                ("transport",),
+            ).bind(transport=type(self).__name__),
+        })
+
     # -- public API ----------------------------------------------------------
 
     def send_message(
@@ -217,6 +231,7 @@ class MessageSenderBase:
         self._done = False
         self._failed = None
         self._message_start = self.sim.now
+        self._fct_s = math.inf
         self._retransmissions_before = self.tally.retransmissions
         self._retries_by_seq.clear()
         tracer = get_tracer()
@@ -230,11 +245,6 @@ class MessageSenderBase:
             )
             self._packet_spans.clear()
         self._reset_state()
-        if self.log is not None:
-            total = sum(p.wire_size for p in packets)
-            self.record = self.log.open(
-                self.flow_id, packets[0].src, packets[0].dst, total, self.sim.now
-            )
         self._pump()
 
     def close(self) -> None:
@@ -256,6 +266,15 @@ class MessageSenderBase:
     def failed(self) -> bool:
         """True once the sender has surrendered this message."""
         return self._failed is not None
+
+    @property
+    def fct_s(self) -> float:
+        """The last message's send to completing ACK, in simulated seconds.
+
+        The ``fct_s`` of its ``transport.deliver`` event; inf until the
+        message is delivered (a surrendered one never is).
+        """
+        return self._fct_s
 
     @property
     def failure(self) -> Optional["TransportSurrender"]:
@@ -297,8 +316,6 @@ class MessageSenderBase:
                 )
                 return
             self.tally.retransmissions += 1
-            if self.record is not None:
-                self.record.retransmissions += 1
             if tracer.enabled:
                 tracer.event(
                     "transport.retransmit",
@@ -323,8 +340,6 @@ class MessageSenderBase:
                 self._packet_spans[seq] = span
         self._send_times[seq] = self.sim.now
         self.tally.packets_emitted += 1
-        if self.record is not None:
-            self.record.packets_sent += 1
         self.host.send(packet)
 
     def _sample_rtt(self, seq: int) -> None:
@@ -403,8 +418,6 @@ class MessageSenderBase:
                 reason=reason,
                 retransmissions=self.tally.retransmissions - self._retransmissions_before,
             )
-        # The FlowLog record stays open: a surrendered flow never
-        # completed, so it must not contribute a bogus FCT sample.
         if self._on_failure is not None:
             self._on_failure(error)
 
@@ -412,6 +425,7 @@ class MessageSenderBase:
         if self._done or self._failed is not None:
             return
         self._done = True
+        self._fct_s = self.sim.now - self._message_start
         self._cancel_timer()
         self.tally.messages_delivered += 1
         self._close_spans(outcome="delivered")
@@ -426,9 +440,7 @@ class MessageSenderBase:
                 retransmissions=self.tally.retransmissions - self._retransmissions_before,
                 # Flow completion time is *simulated* seconds, so it lives
                 # in fields rather than duration_s (wall-clock spans).
-                fct_s=self.sim.now - self._message_start,
+                fct_s=self._fct_s,
             )
-        if self.log is not None:
-            self.log.close(self.flow_id, self.sim.now)
         if self._on_complete is not None:
             self._on_complete()

@@ -42,6 +42,7 @@ class PullSender(MessageSenderBase):
         self._acked: set[int] = set()
         self._retransmit: deque[int] = deque()
         self.credits_received = 0
+        self._publish_trims()
 
     def _reset_state(self) -> None:
         self._next = 0
@@ -76,8 +77,7 @@ class PullSender(MessageSenderBase):
             self._acked.add(packet.seq)
             self._sample_rtt(packet.seq)
             if packet.trimmed_echo:
-                if self.record is not None:
-                    self.record.packets_trimmed += 1
+                self.tally.trims_reported += 1
                 self.cc.on_trim()
             else:
                 self.cc.on_ack(ecn=packet.ecn)
@@ -206,3 +206,6 @@ class PullReceiver:
         self.host.send(control)
         self.pulls_sent += 1
         self.sim.schedule(self.pace_s, self._drain_one)
+
+
+PullSender.receiver_class = PullReceiver

@@ -195,3 +195,6 @@ class GoBackNReceiver:
             ecn=ecn,
         )
         self.host.send(ack)
+
+
+GoBackNSender.receiver_class = GoBackNReceiver

@@ -39,14 +39,7 @@ class TrimmingSender(MessageSenderBase):
         # |{s in _acked : s < _next}|, kept as both sides move so the
         # window check does not rescan the ack set on every ACK.
         self._acked_below_next = 0
-        registry = get_registry()
-        registry.publish_tally(self, self.tally, {
-            "trims_reported": registry.counter(
-                "repro_transport_trims_reported_total",
-                "trimmed-echo ACKs seen by the sender",
-                ("transport",),
-            ).bind(transport=type(self).__name__),
-        })
+        self._publish_trims()
 
     def _reset_state(self) -> None:
         self._acked = set()
@@ -86,8 +79,6 @@ class TrimmingSender(MessageSenderBase):
         self._sample_rtt(seq)
         if packet.trimmed_echo:
             self.tally.trims_reported += 1
-            if self.record is not None:
-                self.record.packets_trimmed += 1
             self.cc.on_trim()
         else:
             self.cc.on_ack(ecn=packet.ecn)
@@ -226,3 +217,6 @@ class TrimmingReceiver:
                 ecn=ecn,
             )
         )
+
+
+TrimmingSender.receiver_class = TrimmingReceiver

@@ -1,8 +1,8 @@
-"""Tests for background traffic generators and flow logging."""
+"""Tests for background traffic generators."""
 
 import pytest
 
-from repro.net import FlowLog, IncastBurst, OnOffFlow, dumbbell
+from repro.net import IncastBurst, OnOffFlow, dumbbell
 
 
 class TestOnOffFlow:
@@ -72,38 +72,3 @@ class TestIncastBurst:
         net.sim.run()
         assert net.switches["s1"].stats.dropped > 0 or net.switches["s0"].stats.dropped > 0
 
-
-class TestFlowLog:
-    def test_open_close_fct(self):
-        log = FlowLog()
-        log.open(1, "a", "b", 1000, now=1.0)
-        record = log.close(1, now=3.5)
-        assert record.fct == pytest.approx(2.5)
-
-    def test_duplicate_open_rejected(self):
-        log = FlowLog()
-        log.open(1, "a", "b", 10, now=0.0)
-        with pytest.raises(ValueError, match="already open"):
-            log.open(1, "a", "b", 10, now=0.0)
-
-    def test_statistics(self):
-        log = FlowLog()
-        for i, fct in enumerate([1.0, 2.0, 4.0]):
-            log.open(i, "a", "b", 10, now=0.0)
-            log.close(i, now=fct)
-        assert log.max_fct() == 4.0
-        assert log.mean_fct() == pytest.approx(7.0 / 3)
-        assert log.percentile_fct(50) == 2.0
-
-    def test_incomplete_flows_excluded(self):
-        log = FlowLog()
-        log.open(1, "a", "b", 10, now=0.0)
-        log.open(2, "a", "b", 10, now=0.0)
-        log.close(1, now=1.0)
-        assert len(log.completed()) == 1
-        assert log.get(2).fct is None
-
-    def test_empty_log_stats(self):
-        log = FlowLog()
-        assert log.max_fct() == float("inf")
-        assert log.mean_fct() == float("inf")

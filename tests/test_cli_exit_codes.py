@@ -2,9 +2,11 @@
 
 An unknown or missing preset or scenario name makes each command log
 one line naming the names it knows and exit 2, as ``repro-bench`` does.
-A negative ``--seed``, ``--faults`` below 1 or ``--world`` below 1 is
-rejected while the arguments are parsed: argparse's usage and one
-``error:`` line, exit 2.  Neither ends in a traceback.
+A number outside its option's range (a negative ``--seed``,
+``--faults``, ``--world``, ``--bins`` or ``--max-events`` below 1,
+``--int-capacity`` outside [1, 255], ``--sample-period`` not above 0,
+``--trim-rate`` outside [0, 1]) is rejected while the arguments are
+parsed: argparse's usage and one ``error:`` line, exit 2.  Neither ends in a traceback.
 """
 
 import importlib
@@ -110,6 +112,60 @@ CASES = {
         ["run", "worker-crash", "--world", "0"],
         "repro-resilience run: error: argument --world: must be at least 1, ",
         "got 0",
+    ),
+    "repro-timeline record --bins 0": (
+        "repro.obs.timeline",
+        ["record", "flaky-link", "--bins", "0"],
+        "repro-timeline record: error: argument --bins: must be at least 1, ",
+        "got 0",
+    ),
+    "repro-timeline record --int-capacity 0": (
+        "repro.obs.timeline",
+        ["record", "flaky-link", "--int-capacity", "0"],
+        "repro-timeline record: error: argument --int-capacity: must be in [1, 255], ",
+        "got 0",
+    ),
+    "repro-timeline record --int-capacity 256": (
+        "repro.obs.timeline",
+        ["record", "flaky-link", "--int-capacity", "256"],
+        "repro-timeline record: error: argument --int-capacity: must be in [1, 255], ",
+        "got 256",
+    ),
+    "repro-timeline record --sample-period 0": (
+        "repro.obs.timeline",
+        ["record", "flaky-link", "--sample-period", "0"],
+        "repro-timeline record: error: argument --sample-period: must be above 0, ",
+        "got 0.0",
+    ),
+    "repro-timeline record --max-events 0": (
+        "repro.obs.timeline",
+        ["record", "flaky-link", "--max-events", "0"],
+        "repro-timeline record: error: argument --max-events: must be at least 1, ",
+        "got 0",
+    ),
+    "repro-timeline render --bins 0": (
+        "repro.obs.timeline",
+        ["render", "trace.jsonl", "--bins", "0"],
+        "repro-timeline render: error: argument --bins: must be at least 1, ",
+        "got 0",
+    ),
+    "repro-faults run --max-events 0": (
+        "repro.faults.cli",
+        ["run", "flaky-link", "--max-events", "0"],
+        "repro-faults run: error: argument --max-events: must be at least 1, ",
+        "got 0",
+    ),
+    "repro-resilience run --trim-rate 2": (
+        "repro.resilience.cli",
+        ["run", "worker-crash", "--trim-rate", "2"],
+        "repro-resilience run: error: argument --trim-rate: must be in [0, 1], ",
+        "got 2.0",
+    ),
+    "repro-resilience run --trim-rate nan": (
+        "repro.resilience.cli",
+        ["run", "worker-crash", "--trim-rate", "nan"],
+        "repro-resilience run: error: argument --trim-rate: must be in [0, 1], ",
+        "got nan",
     ),
     "repro-resilience resume-check --seed -1": (
         "repro.resilience.cli",

@@ -5,7 +5,10 @@
 that change between processes) is
 ``tests/test_same_bytes_across_processes.py``.  ``repro-bench``
 regenerates the paper's figures and nothing else; the perf ledger is
-the only gate.  The mechanisms deleted in those trials
+the only gate.  Every message crosses the simulator as a
+``repro.transport.Transfer``, which builds the receiver its sender
+names, and completion times and counts are read from the sender: no
+flow log.  The mechanisms deleted in those trials
 (docs/static_analysis.md and docs/performance.md, "Trial record")
 should not grow back unnoticed.
 """
@@ -23,6 +26,7 @@ import pytest
 
 import repro.bench.__main__ as bench_cli
 from repro.obs.trace import Tracer, trace_to
+from repro.transport import GoBackNSender, MessageSenderBase, PullSender, TrimmingSender
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
@@ -78,6 +82,7 @@ def test_console_scripts_are_exactly_these():
         "repro.lint.flow_rules",
         "repro.bench.regression",
         "repro.net.trace",
+        "repro.net.flow",
         "repro.obs.spans",
     ],
 )
@@ -95,6 +100,36 @@ def test_tracer_has_no_rotation_parameters():
         "self", "enabled", "jsonl_path", "spans_path",
     ]
     assert list(inspect.signature(trace_to).parameters) == ["path", "spans_path"]
+
+
+def test_sender_constructors_take_no_flow_log():
+    # A sender's completion time is its ``fct_s`` and its counts its tally.
+    assert list(inspect.signature(MessageSenderBase.__init__).parameters) == [
+        "self", "host", "flow_id", "cc", "rto_min", "rto_max", "max_retries",
+    ]
+    own = {
+        cls: [
+            name
+            for name, param in inspect.signature(cls.__init__).parameters.items()
+            if param.kind is param.KEYWORD_ONLY
+        ]
+        for cls in (GoBackNSender, PullSender, TrimmingSender)
+    }
+    assert own == {GoBackNSender: ["dupack_threshold"], PullSender: ["initial_window"],
+                   TrimmingSender: []}
+
+
+def test_receivers_are_built_only_by_the_transport():
+    # Anything else puts its message on the wire through a Transfer.
+    pattern = re.compile(r"\w+Receiver\(")
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}: {match.group(0)}"
+        for top in ("src", "benchmarks", "examples")
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
+        if not path.is_relative_to(PACKAGE / "transport")
+        for match in pattern.finditer(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders
 
 
 def test_src_spawns_no_processes():

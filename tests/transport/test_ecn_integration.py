@@ -1,6 +1,6 @@
 """End-to-end ECN: marking switches + DCTCP senders keep queues short."""
 
-from repro.net import FlowLog, QueueMonitor, dumbbell
+from repro.net import QueueMonitor, dumbbell
 from repro.transport import (
     AIMD,
     DCTCP,
@@ -24,17 +24,16 @@ def run_transfer(cc, num_bytes=400_000, until=10.0):
     )
     monitor = QueueMonitor(net.sim, period_s=5e-6)
     monitor.watch("bottleneck", net.link_between("s0", "s1"))
-    log = FlowLog()
-    sender = GoBackNSender(net.hosts["tx0"], flow_id=1, cc=cc, log=log, rto_min=1e-3)
+    sender = GoBackNSender(net.hosts["tx0"], flow_id=1, cc=cc, rto_min=1e-3)
     GoBackNReceiver(net.hosts["rx0"], flow_id=1)
     sender.send_message(segment_bytes("tx0", "rx0", num_bytes, flow_id=1))
     net.sim.run(until=until)
-    return sender, monitor, log, net
+    return sender, monitor, net
 
 
 class TestEcnEndToEnd:
     def test_marks_are_applied_and_echoed(self):
-        sender, monitor, log, net = run_transfer(DCTCP(initial_window=64))
+        sender, monitor, net = run_transfer(DCTCP(initial_window=64))
         assert sender.done
         data_band = net.link_between("s0", "s1").queue.data_band()
         assert data_band.ecn_marked > 0
@@ -45,10 +44,10 @@ class TestEcnEndToEnd:
         """DCTCP's proportional decrease holds the queue near the marking
         threshold; an oblivious fixed window fills the whole buffer.
         Uses a longer flow — DCTCP needs a few windows to converge."""
-        _, monitor_dctcp, _, _ = run_transfer(
+        _, monitor_dctcp, _ = run_transfer(
             DCTCP(initial_window=64), num_bytes=2_000_000
         )
-        _, monitor_fixed, _, _ = run_transfer(
+        _, monitor_fixed, _ = run_transfer(
             FixedWindow(initial_window=96), num_bytes=2_000_000
         )
         dctcp_mean = monitor_dctcp.mean_bytes("bottleneck")
@@ -57,18 +56,18 @@ class TestEcnEndToEnd:
         assert monitor_dctcp.peak_bytes("bottleneck") < BUFFER * 0.9
 
     def test_dctcp_avoids_drops_fixed_window_may_not(self):
-        _, _, log_dctcp, net_dctcp = run_transfer(DCTCP(initial_window=64))
-        _, _, log_fixed, net_fixed = run_transfer(FixedWindow(initial_window=256), until=3.0)
+        dctcp, _, net_dctcp = run_transfer(DCTCP(initial_window=64))
+        fixed, _, net_fixed = run_transfer(FixedWindow(initial_window=256), until=3.0)
         assert net_dctcp.total_switch_stats()["dropped"] == 0
-        assert log_dctcp.total_retransmissions() == 0
+        assert dctcp.tally.retransmissions == 0
         # The oversized fixed window overruns the buffer.
         assert (
             net_fixed.total_switch_stats()["dropped"] > 0
-            or log_fixed.total_retransmissions() > 0
+            or fixed.tally.retransmissions > 0
         )
 
     def test_aimd_with_ecn_also_converges(self):
-        sender, monitor, log, net = run_transfer(AIMD(initial_window=64))
+        sender, monitor, net = run_transfer(AIMD(initial_window=64))
         assert sender.done
         assert net.total_switch_stats()["dropped"] == 0
         assert monitor.peak_bytes("bottleneck") < BUFFER

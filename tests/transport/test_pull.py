@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import RHTCodec, decode_packets, nmse, packetize
-from repro.net import FlowLog, dumbbell
+from repro.net import dumbbell
 from repro.packet import SingleLevelTrim
 from repro.transport import PullReceiver, PullSender, segment_bytes
 
 
-def wire_pull(net, flow_id=1, log=None, initial_window=12, rto_min=1e-4):
+def wire_pull(net, flow_id=1, initial_window=12, rto_min=1e-4):
     messages = []
     sender = PullSender(
-        net.hosts["tx0"], flow_id=flow_id, log=log,
-        initial_window=initial_window, rto_min=rto_min,
+        net.hosts["tx0"], flow_id=flow_id, initial_window=initial_window, rto_min=rto_min
     )
     receiver = PullReceiver(
         net.hosts["rx0"], flow_id=flow_id, on_message=messages.append
@@ -60,14 +59,13 @@ class TestImpairedPath:
     def test_trimmed_gradients_accepted_no_retransmit(self):
         net = dumbbell(pairs=1)
         net.set_impairment("s0", "s1", trim_prob=0.5)
-        log = FlowLog()
-        sender, receiver, messages = wire_pull(net, log=log)
+        sender, receiver, messages = wire_pull(net)
         codec = RHTCodec(root_seed=2, row_size=2048)
         x = np.random.default_rng(0).standard_normal(50_000)
         sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=1))
         net.sim.run(until=5.0)
         assert sender.done
-        assert log.total_retransmissions() == 0
+        assert sender.tally.retransmissions == 0
         assert receiver.trimmed_accepted > 0
         assert nmse(x, decode_packets(messages[0], codec)) < 0.6
 
@@ -77,13 +75,10 @@ class TestImpairedPath:
         because trimming is probabilistic per transmission."""
         net = dumbbell(pairs=1)
         net.set_impairment("s0", "s1", trim_prob=0.3)
-        log = FlowLog()
         codec = RHTCodec(root_seed=2, row_size=2048)
         x = np.random.default_rng(1).standard_normal(50_000)
         messages = []
-        sender = PullSender(
-            net.hosts["tx0"], flow_id=1, log=log, initial_window=32
-        )
+        sender = PullSender(net.hosts["tx0"], flow_id=1, initial_window=32)
         receiver = PullReceiver(
             net.hosts["rx0"], flow_id=1, on_message=messages.append,
             accept_trimmed=False,
@@ -92,21 +87,20 @@ class TestImpairedPath:
         net.sim.run(until=10.0)
         assert sender.done
         assert receiver.nacks_sent > 0
-        assert log.total_retransmissions() > 0
+        assert sender.tally.retransmissions > 0
         # Everything eventually arrives at full precision.
         assert nmse(x, decode_packets(messages[0], codec)) < 1e-12
 
     def test_full_drops_recovered_by_backstop_timer(self):
         net = dumbbell(pairs=1)
         net.set_impairment("s0", "s1", drop_prob=0.08)
-        log = FlowLog()
-        sender, receiver, messages = wire_pull(net, log=log, rto_min=1e-4)
+        sender, receiver, messages = wire_pull(net, rto_min=1e-4)
         codec = RHTCodec(root_seed=3, row_size=1024)
         x = np.random.default_rng(2).standard_normal(20_000)
         sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=1))
         net.sim.run(until=20.0)
         assert sender.done
-        assert log.total_retransmissions() > 0
+        assert sender.tally.retransmissions > 0
         assert nmse(x, decode_packets(messages[0], codec)) < 1e-12
 
     def test_pull_through_trimming_switch_completes_fast(self):
@@ -118,13 +112,12 @@ class TestImpairedPath:
             trim_policy=SingleLevelTrim(),
             buffer_bytes=20_000,
         )
-        log = FlowLog()
-        sender, receiver, messages = wire_pull(net, log=log, initial_window=64)
+        sender, receiver, messages = wire_pull(net, initial_window=64)
         codec = RHTCodec(root_seed=4, row_size=4096)
         x = np.random.default_rng(3).standard_normal(100_000)
         sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=1))
         net.sim.run(until=10.0)
         assert sender.done
-        assert log.total_retransmissions() == 0
+        assert sender.tally.retransmissions == 0
         assert net.total_switch_stats()["trimmed"] > 0
         assert nmse(x, decode_packets(messages[0], codec)) < 0.6

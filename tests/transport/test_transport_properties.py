@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RHTCodec, decode_packets, nmse, packetize
-from repro.net import FlowLog, dumbbell
+from repro.net import dumbbell
 from repro.packet import SingleLevelTrim
 from repro.transport import (
     AIMD,
@@ -63,16 +63,15 @@ def test_trimming_transport_completes_without_retransmission(trim, coords, seed)
     net = dumbbell(pairs=1)
     net.set_impairment("s0", "s1", trim_prob=trim)
     net.link_between("s0", "s1")._rng = np.random.default_rng(seed)
-    log = FlowLog()
     codec = RHTCodec(root_seed=seed % 1000, row_size=2048)
     x = np.random.default_rng(seed).standard_normal(coords)
-    sender = TrimmingSender(net.hosts["tx0"], flow_id=2, cc=FixedWindow(64), log=log)
+    sender = TrimmingSender(net.hosts["tx0"], flow_id=2, cc=FixedWindow(64))
     messages = []
     TrimmingReceiver(net.hosts["rx0"], flow_id=2, on_message=messages.append)
     sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=2))
     net.sim.run(until=60.0)
     assert sender.done
-    assert log.total_retransmissions() == 0
+    assert sender.tally.retransmissions == 0
     decoded = decode_packets(messages[0], codec)
     assert nmse(x, decoded) <= (np.pi / 2 - 1) + 0.3
 

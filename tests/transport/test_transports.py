@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import RHTCodec, decode_packets, nmse, packetize
-from repro.net import FlowLog, dumbbell
+from repro.net import dumbbell
 from repro.packet import Packet, SingleLevelTrim
 from repro.transport import (
     AIMD,
@@ -23,15 +23,14 @@ from repro.transport import (
 def run_gbn(drop=0.0, num_bytes=500_000, rto_min=1e-3, until=5.0):
     net = dumbbell(pairs=1)
     net.set_impairment("s0", "s1", drop_prob=drop)
-    log = FlowLog()
     sender = GoBackNSender(
-        net.hosts["tx0"], flow_id=1, cc=AIMD(initial_window=32), log=log, rto_min=rto_min
+        net.hosts["tx0"], flow_id=1, cc=AIMD(initial_window=32), rto_min=rto_min
     )
     messages = []
     GoBackNReceiver(net.hosts["rx0"], flow_id=1, on_message=messages.append)
     sender.send_message(segment_bytes("tx0", "rx0", num_bytes, flow_id=1))
     net.sim.run(until=until)
-    return sender, messages, log
+    return sender, messages
 
 
 class TestSegmentBytes:
@@ -77,29 +76,29 @@ class TestRttEstimator:
 
 class TestGoBackN:
     def test_lossless_delivery(self):
-        sender, messages, log = run_gbn(drop=0.0)
+        sender, messages = run_gbn(drop=0.0)
         assert sender.done
         assert len(messages) == 1
-        assert log.total_retransmissions() == 0
+        assert sender.tally.retransmissions == 0
         assert sum(len(p.payload) for p in messages[0]) == 500_000
 
     def test_in_order_delivery(self):
-        _, messages, _ = run_gbn(drop=0.0)
+        _, messages = run_gbn(drop=0.0)
         seqs = [p.seq for p in messages[0]]
         assert seqs == sorted(seqs)
 
     def test_loss_triggers_retransmission(self):
-        sender, messages, log = run_gbn(drop=0.01)
+        sender, messages = run_gbn(drop=0.01)
         assert sender.done
         assert len(messages) == 1
-        assert log.total_retransmissions() > 0
+        assert sender.tally.retransmissions > 0
 
     def test_fct_degrades_sharply_with_loss(self):
         """The Section 4.4 baseline behaviour: a few percent of drops
         multiply the completion time."""
-        _, _, log_clean = run_gbn(drop=0.0)
-        _, _, log_lossy = run_gbn(drop=0.02)
-        assert log_lossy.max_fct() > 5 * log_clean.max_fct()
+        clean, _ = run_gbn(drop=0.0)
+        lossy, _ = run_gbn(drop=0.02)
+        assert lossy.fct_s > 5 * clean.fct_s
 
     def test_rejects_concurrent_messages(self):
         net = dumbbell(pairs=1)
@@ -117,9 +116,8 @@ class TestGoBackN:
     def test_trimmed_arrivals_treated_as_loss(self):
         net = dumbbell(pairs=1)
         net.set_impairment("s0", "s1", trim_prob=0.5)
-        log = FlowLog()
         sender = GoBackNSender(
-            net.hosts["tx0"], flow_id=1, cc=AIMD(initial_window=16), log=log, rto_min=1e-4
+            net.hosts["tx0"], flow_id=1, cc=AIMD(initial_window=16), rto_min=1e-4
         )
         receiver = GoBackNReceiver(net.hosts["rx0"], flow_id=1)
         enc = RHTCodec(root_seed=0, row_size=1024).encode(
@@ -129,7 +127,7 @@ class TestGoBackN:
         net.sim.run(until=5.0)
         assert sender.done
         assert receiver.trimmed_rejected > 0
-        assert log.total_retransmissions() > 0
+        assert sender.tally.retransmissions > 0
 
 
 class TestTrimmingTransport:
@@ -153,17 +151,14 @@ class TestTrimmingTransport:
         net.set_impairment("s0", "s1", trim_prob=0.5)
         x = np.random.default_rng(2).standard_normal(50_000)
         codec = RHTCodec(root_seed=4, row_size=4096)
-        log = FlowLog()
-        sender = TrimmingSender(
-            net.hosts["tx0"], flow_id=2, cc=FixedWindow(64), log=log
-        )
+        sender = TrimmingSender(net.hosts["tx0"], flow_id=2, cc=FixedWindow(64))
         messages = []
         TrimmingReceiver(net.hosts["rx0"], flow_id=2, on_message=messages.append)
         sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=2))
         net.sim.run(until=5.0)
         assert sender.done
-        assert log.total_retransmissions() == 0
-        assert log.total_trimmed() > 0
+        assert sender.tally.retransmissions == 0
+        assert sender.tally.trims_reported > 0
         decoded = decode_packets(messages[0], codec)
         assert nmse(x, decoded) < 0.6
 
@@ -175,14 +170,11 @@ class TestTrimmingTransport:
             net.set_impairment("s0", "s1", trim_prob=trim)
             x = np.random.default_rng(3).standard_normal(100_000)
             codec = RHTCodec(root_seed=1, row_size=4096)
-            log = FlowLog()
-            sender = TrimmingSender(
-                net.hosts["tx0"], flow_id=2, cc=FixedWindow(64), log=log
-            )
+            sender = TrimmingSender(net.hosts["tx0"], flow_id=2, cc=FixedWindow(64))
             TrimmingReceiver(net.hosts["rx0"], flow_id=2)
             sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=2))
             net.sim.run(until=5.0)
-            fcts[trim] = log.max_fct()
+            fcts[trim] = sender.fct_s
         assert fcts[0.5] < fcts[0.0] * 1.5
 
     def test_switch_trimming_end_to_end(self):
@@ -197,10 +189,7 @@ class TestTrimmingTransport:
         )
         x = np.random.default_rng(5).standard_normal(100_000)
         codec = RHTCodec(root_seed=9, row_size=4096)
-        log = FlowLog()
-        sender = TrimmingSender(
-            net.hosts["tx0"], flow_id=7, cc=FixedWindow(256), log=log
-        )
+        sender = TrimmingSender(net.hosts["tx0"], flow_id=7, cc=FixedWindow(256))
         messages = []
         TrimmingReceiver(net.hosts["rx0"], flow_id=7, on_message=messages.append)
         sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=7))
@@ -216,16 +205,15 @@ class TestTrimmingTransport:
         net.set_impairment("s0", "s1", drop_prob=0.05)
         x = np.random.default_rng(6).standard_normal(20_000)
         codec = RHTCodec(root_seed=2, row_size=1024)
-        log = FlowLog()
         sender = TrimmingSender(
-            net.hosts["tx0"], flow_id=3, cc=FixedWindow(32), log=log, rto_min=1e-4
+            net.hosts["tx0"], flow_id=3, cc=FixedWindow(32), rto_min=1e-4
         )
         messages = []
         TrimmingReceiver(net.hosts["rx0"], flow_id=3, on_message=messages.append)
         sender.send_message(packetize(codec.encode(x), "tx0", "rx0", flow_id=3))
         net.sim.run(until=5.0)
         assert sender.done
-        assert log.total_retransmissions() > 0
+        assert sender.tally.retransmissions > 0
         assert nmse(x, decode_packets(messages[0], codec)) < 1e-12
 
 
@@ -286,16 +274,14 @@ class TestTrimmingInflightCount:
         )
         x = np.random.default_rng(0).standard_normal(111_332)
         codec = RHTCodec(root_seed=1, row_size=4096)
-        log = FlowLog()
-        sender = TrimmingSender(net.hosts["tx0"], flow_id=5, cc=FixedWindow(64), log=log)
+        sender = TrimmingSender(net.hosts["tx0"], flow_id=5, cc=FixedWindow(64))
         messages = []
         TrimmingReceiver(net.hosts["rx0"], flow_id=5, on_message=messages.append)
         packets = packetize(codec.encode(x), "tx0", "rx0", flow_id=5)
         sender.send_message(packets)
         net.sim.run(until=5.0)
         assert sender.done and len(packets) == 324
-        record = log.get(5)
         # Values of the commit that still rescanned the ack set per ACK.
-        assert record.fct == pytest.approx(9.918511999999965e-05, rel=1e-12)
-        assert (record.packets_trimmed, record.retransmissions) == (308, 0)
+        assert sender.fct_s == pytest.approx(9.918511999999965e-05, rel=1e-12)
+        assert (sender.tally.trims_reported, sender.tally.retransmissions) == (308, 0)
         assert net.sim.events_processed == 3888
