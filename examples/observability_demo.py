@@ -11,7 +11,7 @@ the full observability stack is on:
   (packetize -> switch enqueue/trim/drop -> delivery -> decode) to a
   JSONL file;
 * :func:`~repro.obs.build_report` turns the trace into the per-run
-  summary, and the same file replays later via ``repro-report``.
+  summary, and the same file replays later via ``repro-timeline report``.
 
 Run:  python examples/observability_demo.py
 """
@@ -88,7 +88,7 @@ def main() -> None:
 
         print()
         print(f"trace written to {trace_path}")
-        print(f"replay the report any time:  repro-report {trace_path}")
+        print(f"replay the report any time:  repro-timeline report {trace_path}")
     finally:
         set_registry(prev_registry)
         set_tracer(prev_tracer)

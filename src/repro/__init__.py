@@ -23,7 +23,7 @@ is organized as:
 * :mod:`repro.baselines` — TernGrad, Top-K, PowerSGD comparisons.
 * :mod:`repro.obs` — unified observability: process-wide metrics
   registry, gradient-path span tracing to JSONL, Prometheus text dump
-  and per-run reports (``python -m repro.obs.report``).
+  and per-run reports (``repro-timeline report trace.jsonl``).
 
 Quickstart::
 
@@ -96,31 +96,6 @@ def configure_logging(level=None, stream_name: str = "stdout", fmt: str = "%(mes
     handler.setFormatter(_logging.Formatter(fmt))
     logger.addHandler(handler)
     return logger
-
-
-def number_in(kind, low, high=None, *, above=False):
-    """An argparse ``type=``: a ``kind`` number of at least ``low`` (above it
-    when ``above``) and at most ``high``, else a usage error (exit 2)."""
-    if above:
-        rule = f"above {low}"
-    else:
-        rule = f"at least {low}" if high is None else f"in [{low}, {high}]"
-
-    def number(text: str):
-        value = kind(text)
-        fits = low < value if above else low <= value  # NaN fits nothing
-        if not fits or (high is not None and not value <= high):
-            from argparse import ArgumentTypeError  # keeps ``import repro`` free of argparse
-
-            raise ArgumentTypeError(f"must be {rule}, got {value}")
-        return value
-
-    return number
-
-
-def int_at_least(minimum: int):
-    """An argparse ``type=``: an integer of at least ``minimum``, else a usage error (exit 2)."""
-    return number_in(int, minimum)
 
 
 from .core import (

@@ -5,7 +5,7 @@ ECMP-routed fabric and print a deterministic JSON report::
 
     repro-cluster list
     repro-cluster show incast-4job
-    repro-cluster run --preset incast-4job --seed 7
+    repro-cluster run incast-4job --seed 7
     repro-cluster run my_scenario.json --seed 7 --out report.json
 
 Reports contain no wall-clock values, so two runs of the same
@@ -22,24 +22,15 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .. import int_at_least
+from ..argtypes import cluster_scenario, int_at_least, out_file
 from .driver import ClusterDriver
-from .scenario import (
-    ClusterScenario,
-    available_cluster_scenarios,
-    cluster_scenario_by_name,
-)
+from .scenario import available_cluster_scenarios, cluster_scenario_by_name
 
 __all__ = ["main"]
 
 logger = logging.getLogger(__name__)
 
-
-def _load_scenario(args: argparse.Namespace) -> ClusterScenario:
-    if args.preset:
-        return cluster_scenario_by_name(args.preset)
-    data = json.loads(Path(args.scenario).read_text())
-    return ClusterScenario.from_dict(data)
+_SCENARIO_HELP = "a preset name (see `repro-cluster list`) or a path to a scenario .json"
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -56,33 +47,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    try:
-        scenario = cluster_scenario_by_name(args.name)
-    except KeyError as exc:  # an unknown preset: the message names them all
-        logger.error("repro-cluster: %s", exc.args[0])
-        return 2
-    sys.stdout.write(json.dumps(scenario.to_dict(), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(args.scenario.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if not (args.preset or args.scenario):
-        logger.error(
-            "repro-cluster: run needs --preset NAME or a scenario JSON path; presets: %s",
-            available_cluster_scenarios(),
-        )
-        return 2
-    try:
-        scenario = _load_scenario(args)
-    except KeyError as exc:  # an unknown preset: the message names them all
-        logger.error("repro-cluster: %s", exc.args[0])
-        return 2
-    except (OSError, TypeError, ValueError) as exc:
-        # A missing file, bad JSON or a wrong key: one line, no traceback.
-        logger.error("repro-cluster: %s: %s", args.scenario or args.preset, exc)
-        return 2
     driver = ClusterDriver(
-        scenario, seed=args.seed, target_top1=args.target_top1
+        args.scenario, seed=args.seed, target_top1=args.target_top1
     )
     report = driver.run()
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -109,15 +80,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         func=_cmd_list
     )
 
-    p_show = sub.add_parser("show", help="print one preset as JSON")
-    p_show.add_argument("name")
+    p_show = sub.add_parser("show", help="print one cluster scenario as JSON")
+    p_show.add_argument("scenario", type=cluster_scenario, help=_SCENARIO_HELP)
     p_show.set_defaults(func=_cmd_show)
 
     p_run = sub.add_parser("run", help="run a cluster scenario")
-    p_run.add_argument(
-        "scenario", nargs="?", help="path to a scenario JSON file"
-    )
-    p_run.add_argument("--preset", help="built-in scenario name")
+    p_run.add_argument("scenario", type=cluster_scenario, help=_SCENARIO_HELP)
     p_run.add_argument("--seed", type=int_at_least(0), default=0)
     p_run.add_argument(
         "--target-top1",
@@ -125,7 +93,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=0.5,
         help="accuracy threshold for time-to-accuracy (default 0.5)",
     )
-    p_run.add_argument("--out", help="write the report here instead of stdout")
+    p_run.add_argument(
+        "--out", type=out_file, help="write the report here instead of stdout"
+    )
     p_run.set_defaults(func=_cmd_run)
 
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)

@@ -11,6 +11,14 @@ Subcommands:
   over a cluster preset: draw a fault sequence, run it under the
   invariant monitors (see :mod:`repro.faults.campaign`), replay a saved
   plan byte-for-byte, or shrink a failing plan to a minimal repro.
+* ``repro-faults train <scenario>`` — train a small DDP job under a
+  worker-scoped preset (``worker-crash``, ``straggler-storm``, or any
+  scenario JSON) with deadlines + membership armed, and report
+  per-epoch loss/accuracy plus straggler/eviction/rejoin counts.
+* ``repro-faults resume-check <scenario>`` — the byte-identity gate:
+  run the job uninterrupted, then rerun it crashing at round R and
+  resuming from a checkpoint, and fail unless both histories serialize
+  to identical JSON.  CI runs exactly this.
 
 The JSONL stream is one fault event per line (sorted keys, simulation
 time only — never wall-clock time) followed by a single ``summary``
@@ -24,14 +32,21 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from .. import int_at_least
+from ..argtypes import (
+    campaign_plan,
+    cluster_preset,
+    fault_scenario,
+    int_at_least,
+    number_in,
+    out_file,
+)
 from ..net import impairment_summary
+from ..resilience.cli import build_trainer
 from .campaign import (
     CAMPAIGN_KINDS,
     CampaignConfig,
-    CampaignPlan,
     CampaignResult,
     draw_plan,
     render_campaign_jsonl,
@@ -39,7 +54,7 @@ from .campaign import (
     shrink_plan,
 )
 from .harness import TRANSPORTS, ScenarioRun, run_scenario
-from .scenarios import PRESETS, Scenario, scenario_by_name
+from .scenarios import PRESETS
 
 logger = logging.getLogger("repro.faults")
 
@@ -61,18 +76,6 @@ def render_jsonl(run: ScenarioRun) -> List[str]:
     return lines
 
 
-def _load_scenario(name: str) -> Scenario:
-    if name.endswith(".json"):
-        with open(name, "r", encoding="utf-8") as fh:
-            return Scenario.from_dict(json.load(fh))
-    return scenario_by_name(name)
-
-
-#: What reading a scenario or plan file can raise: a missing file, bad
-#: JSON or a wrong key — reported in one line, exit status 2.
-_BAD_FILE = (OSError, TypeError, ValueError)
-
-
 def _cmd_list(_: argparse.Namespace) -> int:
     for name in sorted(PRESETS):
         scenario = PRESETS[name]
@@ -82,16 +85,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
-    try:
-        scenario = _load_scenario(ns.scenario)
-    except KeyError as exc:  # an unknown preset: the message names them all
-        logger.error("repro-faults: %s", exc.args[0])
-        return 2
-    except _BAD_FILE as exc:
-        logger.error("repro-faults: %s: %s", ns.scenario, exc)
-        return 2
     run = run_scenario(
-        scenario,
+        ns.scenario,
         transport=ns.transport,
         seed=ns.seed,
         max_events=ns.max_events,
@@ -125,11 +120,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 
 # -- chaos campaigns ----------------------------------------------------------
-
-
-def _load_plan(path: str) -> CampaignPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return CampaignPlan.from_dict(json.load(fh))
 
 
 def _write_campaign_artifacts(
@@ -170,13 +160,6 @@ def _log_campaign_verdict(result: CampaignResult) -> int:
 
 
 def _cmd_campaign_run(ns: argparse.Namespace) -> int:
-    from ..cluster import cluster_scenario_by_name
-
-    try:
-        cluster_scenario_by_name(ns.cluster)
-    except KeyError as exc:
-        logger.error("repro-faults: %s", exc.args[0])
-        return 2
     kinds = (
         tuple(k for k in ns.kinds.split(",") if k) if ns.kinds else CAMPAIGN_KINDS
     )
@@ -194,12 +177,7 @@ def _cmd_campaign_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_replay(ns: argparse.Namespace) -> int:
-    try:
-        plan = _load_plan(ns.plan)
-    except _BAD_FILE as exc:
-        logger.error("repro-faults: %s: %s", ns.plan, exc)
-        return 2
-    result = run_campaign(plan)
+    result = run_campaign(ns.plan)
     if ns.out is not None:
         Path(ns.out).write_text(
             "\n".join(render_campaign_jsonl(result)) + "\n", encoding="utf-8"
@@ -209,11 +187,7 @@ def _cmd_campaign_replay(ns: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_shrink(ns: argparse.Namespace) -> int:
-    try:
-        plan = _load_plan(ns.plan)
-    except _BAD_FILE as exc:
-        logger.error("repro-faults: %s: %s", ns.plan, exc)
-        return 2
+    plan = ns.plan
     monitor = ns.monitor
     if monitor is None:
         first = run_campaign(plan)
@@ -250,6 +224,154 @@ def _cmd_campaign_shrink(ns: argparse.Namespace) -> int:
     return 0
 
 
+# -- worker-fault training ----------------------------------------------------
+
+
+def _trainer_kwargs(ns: argparse.Namespace) -> Dict[str, Any]:
+    return {
+        "seed": ns.seed,
+        "epochs": ns.epochs,
+        "world_size": ns.world,
+        "trim_rate": ns.trim_rate,
+        "error_feedback": ns.ef,
+        "deadline_factor": ns.deadline_factor,
+        "evict_after": ns.evict_after,
+    }
+
+
+def _cmd_train(ns: argparse.Namespace) -> int:
+    scenario = ns.scenario
+    trainer = build_trainer(scenario, **_trainer_kwargs(ns))
+    history = trainer.train()
+    for record in history.records:
+        logger.info(
+            "epoch %2d  loss %.4f  top1 %.4f  stragglers %d  "
+            "evictions %d  rejoins %d",
+            record.epoch,
+            record.train_loss,
+            record.top1,
+            record.stragglers,
+            record.evictions,
+            record.rejoins,
+        )
+    deadline = trainer.deadline
+    membership = trainer.membership
+    assert deadline is not None and membership is not None  # armed by build_trainer
+    summary: Dict[str, Any] = {
+        "scenario": scenario.name,
+        "seed": ns.seed,
+        "epochs": len(history.records),
+        "final_top1": history.final_top1,
+        "diverged": history.diverged,
+        "rounds": deadline.rounds,
+        "stragglers": deadline.total_stragglers,
+        "evictions": membership.evictions,
+        "rejoins": membership.rejoins,
+        "states": {
+            str(rank): state.value for rank, state in membership.states.items()
+        },
+        "surrendered": trainer.hook.stats.rounds_surrendered,
+    }
+    logger.info("%s", json.dumps(summary, sort_keys=True))
+    if ns.out is not None:
+        payload = {"summary": summary, "history": history.as_dicts()}
+        with open(ns.out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        logger.info("wrote history to %s", ns.out)
+    if history.diverged:
+        logger.error("training diverged under %s", scenario.name)
+        return 1
+    if len(history.records) < ns.epochs:
+        logger.error(
+            "only %d/%d epochs completed", len(history.records), ns.epochs
+        )
+        return 1
+    return 0
+
+
+def _cmd_resume_check(ns: argparse.Namespace) -> int:
+    from ..resilience.checkpoint import TrainingCheckpoint
+
+    scenario = ns.scenario
+    kwargs = _trainer_kwargs(ns)
+
+    uninterrupted = build_trainer(scenario, **kwargs)
+    reference = uninterrupted.train().to_json()
+    rounds = uninterrupted.checkpoint().rounds_run
+    if not 1 <= ns.crash_round <= rounds:  # no crash inside the run: nothing to check
+        logger.error(
+            "repro-faults: --crash-round %d is outside the run's rounds 1..%d",
+            ns.crash_round,
+            rounds,
+        )
+        return 2
+
+    crashed = build_trainer(scenario, **kwargs)
+    crashed.train(max_rounds=ns.crash_round)
+    blob = crashed.checkpoint().to_json()
+
+    resumed = build_trainer(scenario, **kwargs)
+    resumed.restore(TrainingCheckpoint.from_json(blob))
+    replay = resumed.train().to_json()
+
+    if replay != reference:
+        logger.error(
+            "resume mismatch: crash at round %d diverged from the "
+            "uninterrupted run",
+            ns.crash_round,
+        )
+        return 1
+    logger.info(
+        "resume-check ok: %s seed=%d crash_round=%d — %d epochs "
+        "byte-identical (%d bytes)",
+        scenario.name,
+        ns.seed,
+        ns.crash_round,
+        len(resumed.history.records),
+        len(reference),
+    )
+    return 0
+
+
+def _add_scenario_and_seed(parser: argparse.ArgumentParser, example: str) -> None:
+    parser.add_argument(
+        "scenario",
+        type=fault_scenario,
+        help=f"a preset name (e.g. {example}) or a path to a scenario .json",
+    )
+    parser.add_argument("--seed", type=int_at_least(0), default=0, help="run seed (default 0)")
+
+
+def _add_training(parser: argparse.ArgumentParser) -> None:
+    _add_scenario_and_seed(parser, "worker-crash")
+    parser.add_argument(
+        "--epochs", type=int_at_least(1), default=20, help="epochs (default 20)"
+    )
+    parser.add_argument("--world", type=int_at_least(1), default=4, help="workers (default 4)")
+    parser.add_argument(
+        "--trim-rate",
+        type=number_in(float, 0, 1),
+        default=0.5,
+        help="channel trim rate (default 0.5)",
+    )
+    parser.add_argument(
+        "--ef", action="store_true", help="enable error-feedback residuals"
+    )
+    parser.add_argument(
+        "--deadline-factor",
+        type=number_in(float, 1, above=True),
+        default=1.5,
+        help="round budget as a multiple of the nominal round time",
+    )
+    parser.add_argument(
+        "--evict-after",
+        type=int_at_least(1),
+        default=3,
+        help="consecutive missed deadlines before eviction (default 3)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-faults",
@@ -261,18 +383,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_list)
 
     p_run = sub.add_parser("run", help="run one scenario and emit a JSONL log")
-    p_run.add_argument(
-        "scenario",
-        help="a preset name (see `repro-faults list`) or a path to a scenario .json",
-    )
-    p_run.add_argument("--seed", type=int_at_least(0), default=0, help="run seed (default 0)")
+    _add_scenario_and_seed(p_run, "flaky-link")
     p_run.add_argument(
         "--transport",
         choices=TRANSPORTS,
         default="trimming",
         help="transport to drive the gradient traffic (default trimming)",
     )
-    p_run.add_argument("--out", default=None, help="write the JSONL event log here")
+    p_run.add_argument(
+        "--out", type=out_file, default=None, help="write the JSONL event log here"
+    )
     p_run.add_argument(
         "--max-events",
         type=int_at_least(1),
@@ -291,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_crun.add_argument(
         "--cluster",
+        type=cluster_preset,
         default="idle-1job",
         help="cluster preset to fuzz (default idle-1job)",
     )
@@ -323,16 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_creplay = campaign_sub.add_parser(
         "replay", help="re-run a saved plan.json byte-for-byte"
     )
-    p_creplay.add_argument("--plan", required=True, help="path to a saved plan.json")
     p_creplay.add_argument(
-        "--out", default=None, help="write the campaign JSONL log here"
+        "--plan", type=campaign_plan, required=True, help="path to a saved plan.json"
+    )
+    p_creplay.add_argument(
+        "--out", type=out_file, default=None, help="write the campaign JSONL log here"
     )
     p_creplay.set_defaults(func=_cmd_campaign_replay)
 
     p_cshrink = campaign_sub.add_parser(
         "shrink", help="reduce a failing plan to a minimal repro"
     )
-    p_cshrink.add_argument("--plan", required=True, help="path to a saved plan.json")
+    p_cshrink.add_argument(
+        "--plan", type=campaign_plan, required=True, help="path to a saved plan.json"
+    )
     p_cshrink.add_argument(
         "--monitor",
         default=None,
@@ -344,6 +469,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="write shrunk.json and shrink.jsonl here",
     )
     p_cshrink.set_defaults(func=_cmd_campaign_shrink)
+
+    p_train = sub.add_parser("train", help="train under a worker-fault scenario")
+    _add_training(p_train)
+    p_train.add_argument(
+        "--out", type=out_file, default=None, help="write the history JSON here"
+    )
+    p_train.set_defaults(func=_cmd_train)
+
+    p_resume = sub.add_parser(
+        "resume-check", help="verify crash+resume is byte-identical"
+    )
+    _add_training(p_resume)
+    p_resume.add_argument(
+        "--crash-round",
+        type=int,
+        default=7,
+        help="total rounds to run before the simulated crash (default 7)",
+    )
+    p_resume.set_defaults(func=_cmd_resume_check)
     return parser
 
 

@@ -18,9 +18,8 @@ per-stage time — and this package is where the pipeline reports them:
   and wall time to pipeline stages;
 * :mod:`repro.obs.export` — Prometheus text dump, JSONL IO, the
   human-readable per-run report, and the static HTML timeline;
-* :mod:`repro.obs.timeline` — ``repro-timeline`` per-round congestion
-  timeline CLI;
-* :mod:`repro.obs.report` — ``python -m repro.obs.report trace.jsonl``.
+* :mod:`repro.obs.timeline` — ``repro-timeline``: the per-round
+  congestion timeline, and ``repro-timeline report trace.jsonl``.
 
 Typical use::
 

@@ -27,6 +27,10 @@ Subcommands:
 * ``repro-timeline render <trace.jsonl>`` — rebuild the timeline from a
   previously recorded trace; a missing or malformed file, or one with
   no ``sim_time`` event, is logged and exits 1.
+* ``repro-timeline report <trace.jsonl>`` — write the run report
+  :func:`~repro.obs.export.build_report` renders for the trace to
+  stdout (everything else this tool logs goes to stderr); a missing or
+  malformed file is logged and exits 1.
 
 ``--profile`` (record only) attaches the
 :class:`~repro.obs.profile.SimProfiler` event-loop profiler and reports
@@ -43,8 +47,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import int_at_least, number_in
-from .export import _fmt_s, _rows, read_jsonl, timeline_html
+from ..argtypes import fault_scenario, int_at_least, number_in, out_file
+from .export import _fmt_s, _rows, build_report, read_jsonl, timeline_html
 from .int_telemetry import (
     DEFAULT_INT_CAPACITY,
     INTCollector,
@@ -258,14 +262,30 @@ def render_timeline(tl: Timeline) -> List[str]:
 # -- CLI ----------------------------------------------------------------------
 
 
-def _cmd_render(ns: argparse.Namespace) -> int:
+def _read_trace(path: str) -> Optional[List[Dict[str, Any]]]:
+    """The trace's events, or None once the reason is logged."""
     try:
-        events = read_jsonl(ns.trace)
+        return read_jsonl(path)
     except OSError as exc:
-        logger.error("cannot read trace %s: %s", ns.trace, exc)
-        return 1
+        logger.error("cannot read trace %s: %s", path, exc)
     except ValueError as exc:  # malformed JSON line
-        logger.error("trace %s is not valid JSONL: %s", ns.trace, exc)
+        logger.error("trace %s is not valid JSONL: %s", path, exc)
+    return None
+
+
+def _cmd_report(ns: argparse.Namespace) -> int:
+    events = _read_trace(ns.trace)
+    if events is None:
+        return 1
+    if not events:
+        logger.warning("trace %s holds no events", ns.trace)
+    sys.stdout.write(build_report(events, title=ns.title) + "\n")
+    return 0
+
+
+def _cmd_render(ns: argparse.Namespace) -> int:
+    events = _read_trace(ns.trace)
+    if events is None:
         return 1
     try:
         tl = build_timeline(events, bins=ns.bins)
@@ -286,18 +306,7 @@ def _cmd_record(ns: argparse.Namespace) -> int:
     # Imported here: the faults harness pulls in the whole simulator
     # stack, which `repro-timeline render` does not need.
     from ..faults.harness import run_scenario
-    from ..faults.scenarios import Scenario, scenario_by_name
     from ..net.telemetry import QueueMonitor
-
-    if ns.scenario.endswith(".json"):
-        with open(ns.scenario, "r", encoding="utf-8") as fh:
-            scenario = Scenario.from_dict(json.load(fh))
-    else:
-        try:
-            scenario = scenario_by_name(ns.scenario)
-        except KeyError as exc:  # an unknown preset: the message names them all
-            logger.error("repro-timeline: %s", exc.args[0])
-            return 2
 
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -325,7 +334,7 @@ def _cmd_record(ns: argparse.Namespace) -> int:
 
     try:
         run = run_scenario(
-            scenario,
+            ns.scenario,
             transport=ns.transport,
             seed=ns.seed,
             max_events=ns.max_events,
@@ -406,6 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rec.add_argument(
         "scenario",
+        type=fault_scenario,
         help="a preset name (see `repro-faults list`) or a scenario .json path",
     )
     p_rec.add_argument("--seed", type=int_at_least(0), default=0, help="run seed (default 0)")
@@ -451,8 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ren = sub.add_parser("render", help="render a timeline from a trace JSONL")
     p_ren.add_argument("trace", help="path to a trace.jsonl")
     p_ren.add_argument("--bins", type=int_at_least(1), default=60, help="time bins (default 60)")
-    p_ren.add_argument("--html", default=None, help="write a static HTML copy here")
+    p_ren.add_argument(
+        "--html", type=out_file, default=None, help="write a static HTML copy here"
+    )
     p_ren.set_defaults(func=_cmd_render)
+
+    p_rep = sub.add_parser("report", help="write a trace JSONL's run report to stdout")
+    p_rep.add_argument("trace", help="path to a trace.jsonl")
+    p_rep.add_argument(
+        "--title", default="run report", help="report heading (default: 'run report')"
+    )
+    p_rep.set_defaults(func=_cmd_report)
     return parser
 
 

@@ -12,7 +12,7 @@ function of counters that are themselves checkpointed.
 Numbers round-trip through JSON exactly (Python serializes floats via
 ``repr``, which is shortest-round-trip), so saving, loading and
 continuing produces a byte-identical :class:`TrainingHistory` to the
-uninterrupted run — the invariant ``repro-resilience resume-check``
+uninterrupted run — the invariant ``repro-faults resume-check``
 verifies in CI.
 
 This module is deliberately import-light (no trainer imports); the

@@ -82,4 +82,4 @@ class TestExamplesRun:
         out = capsys.readouterr().out
         assert "trim fraction" in out
         assert "-- metrics snapshot --" in out
-        assert "repro-report" in out
+        assert "repro-timeline report" in out

@@ -242,14 +242,15 @@ class TestClusterCLI:
         ],
         ids=["missing", "not-json", "unknown-key"],
     )
-    def test_bad_scenario_file(self, tmp_path, caplog, content, reason):
+    def test_bad_scenario_file(self, tmp_path, capsys, content, reason):
         from repro.cluster.cli import main
 
         path = tmp_path / "scenario.json"
         if content is not None:
             path.write_text(content)
-        with caplog.at_level("ERROR"):
-            assert main(["run", str(path)]) == 2
-        (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert line.startswith(f"repro-cluster: {path}: ")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(path)])
+        assert exc.value.code == 2
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+        assert line.startswith(f"repro-cluster run: error: argument scenario: {path}: ")
         assert re.search(reason, line) and "\n" not in line

@@ -290,7 +290,7 @@ class TestCampaignCLI:
 
     @pytest.mark.parametrize("command", ["replay", "shrink"])
     @pytest.mark.parametrize("case", ["missing", "not-json", "unknown-key"])
-    def test_bad_plan_file(self, tmp_path, caplog, command, case):
+    def test_bad_plan_file(self, tmp_path, capsys, command, case):
         """One line naming the file and what is wrong, exit status 2."""
         path = tmp_path / "plan.json"
         plan = draw_plan(CampaignConfig(cluster="idle-1job", seed=1, faults=2)).to_dict()
@@ -305,8 +305,9 @@ class TestCampaignCLI:
         elif case == "unknown-key":
             path.write_text(json.dumps(plan))
         extra = ["--out-dir", str(tmp_path / "out")] if command == "shrink" else []
-        with caplog.at_level("ERROR"):
-            assert faults_main(["campaign", command, "--plan", str(path), *extra]) == 2
-        (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-        assert line.startswith(f"repro-faults: {path}: ")
+        with pytest.raises(SystemExit) as exc:
+            faults_main(["campaign", command, "--plan", str(path), *extra])
+        assert exc.value.code == 2
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if ": error: " in line]
+        assert line.startswith(f"repro-faults campaign {command}: error: argument --plan: {path}: ")
         assert re.search(reason, line)

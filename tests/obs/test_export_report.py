@@ -4,7 +4,7 @@ import json
 
 from repro.obs.export import build_report, prometheus_text, read_jsonl
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import main as report_main
+from repro.obs.timeline import main as timeline_main
 
 
 class TestPrometheusText:
@@ -154,10 +154,10 @@ class TestJsonlAndCli:
         with open(path, "w") as fh:
             for ev in _events():
                 fh.write(json.dumps(ev) + "\n")
-        assert report_main([str(path), "--title", "cli run"]) == 0
+        assert timeline_main(["report", str(path), "--title", "cli run"]) == 0
         out = capsys.readouterr().out
         assert "== cli run ==" in out
         assert "trim fraction" in out
 
     def test_cli_missing_file(self, tmp_path):
-        assert report_main([str(tmp_path / "nope.jsonl")]) == 1
+        assert timeline_main(["report", str(tmp_path / "nope.jsonl")]) == 1

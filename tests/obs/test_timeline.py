@@ -186,7 +186,7 @@ class TestCli:
 
 
 class TestRenderRejectsBadInput:
-    """A bad trace is logged and exits 1, as ``repro-report`` does."""
+    """A bad trace is logged and exits 1, as ``repro-timeline report`` does."""
 
     def test_missing_file(self, tmp_path, caplog):
         assert main(["render", str(tmp_path / "absent.jsonl")]) == 1

@@ -1,10 +1,11 @@
-"""The repro-resilience command line."""
+"""Worker-fault training from the command line: ``repro-faults train`` and
+``resume-check``."""
 
 import json
 
 import pytest
 
-from repro.resilience.cli import build_parser, main
+from repro.faults.cli import build_parser, main
 
 
 class TestParser:
@@ -13,8 +14,8 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_run_defaults(self):
-        ns = build_parser().parse_args(["run", "worker-crash"])
-        assert ns.scenario == "worker-crash"
+        ns = build_parser().parse_args(["train", "worker-crash"])
+        assert ns.scenario.name == "worker-crash"
         assert ns.epochs == 20
         assert not ns.ef
 
@@ -30,7 +31,7 @@ class TestRun:
     def test_completes_under_worker_crash(self, tmp_path):
         out = tmp_path / "history.json"
         code = main(
-            ["run", "worker-crash", "--epochs", "2", "--world", "3",
+            ["train", "worker-crash", "--epochs", "2", "--world", "3",
              "--out", str(out)]
         )
         assert code == 0
@@ -42,7 +43,9 @@ class TestRun:
 
     def test_unknown_scenario(self):
         # A usage error: one line naming the presets, exit 2, no traceback.
-        assert main(["run", "no-such-preset", "--epochs", "1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "no-such-preset", "--epochs", "1"])
+        assert exc.value.code == 2
 
 
 class TestResumeCheck:
@@ -70,7 +73,7 @@ class TestResumeCheck:
             assert main(argv) == 2
         (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert line == (
-            f"repro-resilience: --crash-round {crash_round} is outside the run's rounds 1..10"
+            f"repro-faults: --crash-round {crash_round} is outside the run's rounds 1..10"
         )
 
     def test_a_crash_in_the_last_round_is_inside_the_run(self):

@@ -1,12 +1,15 @@
-"""An unknown name or an unusable number is a usage error on every CLI.
+"""An unusable argument is a usage error on every CLI.
 
-An unknown or missing preset or scenario name makes each command log
-one line naming the names it knows and exit 2, as ``repro-bench`` does.
-A number outside its option's range (a negative ``--seed``,
-``--faults``, ``--world``, ``--bins`` or ``--max-events`` below 1,
+Every argument is resolved while the arguments are parsed, through the
+shared types of ``repro.argtypes``: an unknown preset (the line names the
+presets it knows), a missing scenario file, a number outside its
+option's range (a negative ``--seed``, ``--faults``, ``--world``,
+``--epochs``, ``--evict-after``, ``--bins`` or ``--max-events`` below 1,
 ``--int-capacity`` outside [1, 255], ``--sample-period`` not above 0,
-``--trim-rate`` outside [0, 1]) is rejected while the arguments are
-parsed: argparse's usage and one ``error:`` line, exit 2.  Neither ends in a traceback.
+``--deadline-factor`` not above 1, ``--trim-rate`` outside [0, 1]) or
+an output file in a directory that does not exist gives argparse's
+usage and one ``error:`` line, exit 2, before anything runs.  None ends
+in a traceback.
 """
 
 import importlib
@@ -17,57 +20,73 @@ CASES = {
     "repro-faults run": (
         "repro.faults.cli",
         ["run", "no-such"],
-        "repro-faults: unknown scenario 'no-such'; available: ",
+        "repro-faults run: error: argument scenario: unknown scenario 'no-such'; available: ",
         "flaky-link",
     ),
     "repro-faults campaign run": (
         "repro.faults.cli",
         ["campaign", "run", "--cluster", "no-such"],
-        "repro-faults: unknown cluster scenario 'no-such'; available: ",
+        "repro-faults campaign run: error: argument --cluster: "
+        "unknown cluster scenario 'no-such'; available: ",
         "idle-1job",
     ),
-    "repro-resilience run": (
-        "repro.resilience.cli",
-        ["run", "no-such"],
-        "repro-resilience: unknown scenario 'no-such'; available: ",
+    "repro-faults train": (
+        "repro.faults.cli",
+        ["train", "no-such"],
+        "repro-faults train: error: argument scenario: unknown scenario 'no-such'; available: ",
         "worker-crash",
     ),
-    "repro-resilience resume-check": (
-        "repro.resilience.cli",
+    "repro-faults resume-check": (
+        "repro.faults.cli",
         ["resume-check", "no-such"],
-        "repro-resilience: unknown scenario 'no-such'; available: ",
+        "repro-faults resume-check: error: argument scenario: "
+        "unknown scenario 'no-such'; available: ",
         "worker-crash",
     ),
     "repro-timeline record": (
         "repro.obs.timeline",
         ["record", "no-such"],
-        "repro-timeline: unknown scenario 'no-such'; available: ",
+        "repro-timeline record: error: argument scenario: unknown scenario 'no-such'; available: ",
         "flaky-link",
     ),
     "repro-cluster run": (
         "repro.cluster.cli",
-        ["run", "--preset", "no-such"],
-        "repro-cluster: unknown cluster scenario 'no-such'; available: ",
+        ["run", "no-such"],
+        "repro-cluster run: error: argument scenario: "
+        "unknown cluster scenario 'no-such'; available: ",
         "incast-4job",
     ),
     "repro-cluster show": (
         "repro.cluster.cli",
         ["show", "no-such"],
-        "repro-cluster: unknown cluster scenario 'no-such'; available: ",
+        "repro-cluster show: error: argument scenario: "
+        "unknown cluster scenario 'no-such'; available: ",
         "incast-4job",
     ),
-    # Neither a file nor --preset: a usage error that lists the presets.
     "repro-cluster run (no scenario)": (
         "repro.cluster.cli",
         ["run"],
-        "repro-cluster: run needs --preset NAME or a scenario JSON path; presets: ",
-        "incast-4job",
+        "repro-cluster run: error: the following arguments are required: ",
+        "scenario",
+    ),
+    # A scenario file that is not there: the same line, not a traceback.
+    "repro-faults train missing.json": (
+        "repro.faults.cli",
+        ["train", "missing.json"],
+        "repro-faults train: error: argument scenario: missing.json: ",
+        "No such file",
+    ),
+    "repro-timeline record missing.json": (
+        "repro.obs.timeline",
+        ["record", "missing.json"],
+        "repro-timeline record: error: argument scenario: missing.json: ",
+        "No such file",
     ),
     # A number below its option's minimum is refused while the arguments
     # are parsed: argparse's usage, then its one ``error:`` line.
     "repro-cluster run --seed -1": (
         "repro.cluster.cli",
-        ["run", "--preset", "incast-4job", "--seed", "-1"],
+        ["run", "incast-4job", "--seed", "-1"],
         "repro-cluster run: error: argument --seed: must be at least 0, ",
         "got -1",
     ),
@@ -101,16 +120,60 @@ CASES = {
         "repro-timeline record: error: argument --seed: must be at least 0, ",
         "got -1",
     ),
-    "repro-resilience run --seed -1": (
-        "repro.resilience.cli",
-        ["run", "worker-crash", "--seed", "-1"],
-        "repro-resilience run: error: argument --seed: must be at least 0, ",
+    "repro-faults train --seed -1": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--seed", "-1"],
+        "repro-faults train: error: argument --seed: must be at least 0, ",
         "got -1",
     ),
-    "repro-resilience run --world 0": (
-        "repro.resilience.cli",
-        ["run", "worker-crash", "--world", "0"],
-        "repro-resilience run: error: argument --world: must be at least 1, ",
+    "repro-faults train --world 0": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--world", "0"],
+        "repro-faults train: error: argument --world: must be at least 1, ",
+        "got 0",
+    ),
+    # Zero epochs trained nothing and exited 0; a deadline factor or an
+    # eviction streak out of range ended in ResilienceConfig's traceback.
+    "repro-faults train --epochs 0": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--epochs", "0"],
+        "repro-faults train: error: argument --epochs: must be at least 1, ",
+        "got 0",
+    ),
+    "repro-faults train --epochs -1": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--epochs", "-1"],
+        "repro-faults train: error: argument --epochs: must be at least 1, ",
+        "got -1",
+    ),
+    "repro-faults train --deadline-factor 0": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--deadline-factor", "0"],
+        "repro-faults train: error: argument --deadline-factor: must be above 1, ",
+        "got 0.0",
+    ),
+    "repro-faults train --evict-after 0": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--evict-after", "0"],
+        "repro-faults train: error: argument --evict-after: must be at least 1, ",
+        "got 0",
+    ),
+    "repro-faults resume-check --epochs 0": (
+        "repro.faults.cli",
+        ["resume-check", "worker-crash", "--epochs", "0"],
+        "repro-faults resume-check: error: argument --epochs: must be at least 1, ",
+        "got 0",
+    ),
+    "repro-faults resume-check --deadline-factor 1": (
+        "repro.faults.cli",
+        ["resume-check", "worker-crash", "--deadline-factor", "1"],
+        "repro-faults resume-check: error: argument --deadline-factor: must be above 1, ",
+        "got 1.0",
+    ),
+    "repro-faults resume-check --evict-after 0": (
+        "repro.faults.cli",
+        ["resume-check", "worker-crash", "--evict-after", "0"],
+        "repro-faults resume-check: error: argument --evict-after: must be at least 1, ",
         "got 0",
     ),
     "repro-timeline record --bins 0": (
@@ -155,23 +218,55 @@ CASES = {
         "repro-faults run: error: argument --max-events: must be at least 1, ",
         "got 0",
     ),
-    "repro-resilience run --trim-rate 2": (
-        "repro.resilience.cli",
-        ["run", "worker-crash", "--trim-rate", "2"],
-        "repro-resilience run: error: argument --trim-rate: must be in [0, 1], ",
+    "repro-faults train --trim-rate 2": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--trim-rate", "2"],
+        "repro-faults train: error: argument --trim-rate: must be in [0, 1], ",
         "got 2.0",
     ),
-    "repro-resilience run --trim-rate nan": (
-        "repro.resilience.cli",
-        ["run", "worker-crash", "--trim-rate", "nan"],
-        "repro-resilience run: error: argument --trim-rate: must be in [0, 1], ",
+    "repro-faults train --trim-rate nan": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--trim-rate", "nan"],
+        "repro-faults train: error: argument --trim-rate: must be in [0, 1], ",
         "got nan",
     ),
-    "repro-resilience resume-check --seed -1": (
-        "repro.resilience.cli",
+    "repro-faults resume-check --seed -1": (
+        "repro.faults.cli",
         ["resume-check", "worker-crash", "--seed", "-1"],
-        "repro-resilience resume-check: error: argument --seed: must be at least 0, ",
+        "repro-faults resume-check: error: argument --seed: must be at least 0, ",
         "got -1",
+    ),
+    # An output file in a missing directory is refused before the run,
+    # which used to end in a FileNotFoundError traceback.
+    "repro-cluster run --out": (
+        "repro.cluster.cli",
+        ["run", "incast-4job", "--out", "no-such-dir/report.json"],
+        "repro-cluster run: error: argument --out: no directory 'no-such-dir' ",
+        "no-such-dir/report.json",
+    ),
+    "repro-faults run --out": (
+        "repro.faults.cli",
+        ["run", "flaky-link", "--out", "no-such-dir/log.jsonl"],
+        "repro-faults run: error: argument --out: no directory 'no-such-dir' ",
+        "no-such-dir/log.jsonl",
+    ),
+    "repro-faults train --out": (
+        "repro.faults.cli",
+        ["train", "worker-crash", "--out", "no-such-dir/history.json"],
+        "repro-faults train: error: argument --out: no directory 'no-such-dir' ",
+        "no-such-dir/history.json",
+    ),
+    "repro-faults campaign replay --out": (
+        "repro.faults.cli",
+        ["campaign", "replay", "--out", "no-such-dir/replay.jsonl", "--plan", "plan.json"],
+        "repro-faults campaign replay: error: argument --out: no directory 'no-such-dir' ",
+        "no-such-dir/replay.jsonl",
+    ),
+    "repro-timeline render --html": (
+        "repro.obs.timeline",
+        ["render", "trace.jsonl", "--html", "no-such-dir/timeline.html"],
+        "repro-timeline render: error: argument --html: no directory 'no-such-dir' ",
+        "no-such-dir/timeline.html",
     ),
 }
 

@@ -36,3 +36,25 @@ def test_startup_path_imports_no_heavy_library():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "loaded:", done.stdout
+
+
+CLI_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import repro.faults.campaign, repro.train.ddp
+cli = ("repro.argtypes", "repro.obs.timeline", "repro.bench.__main__")
+print("cli:", ",".join(sorted(m for m in sys.modules if m in cli or m.endswith(".cli"))))
+"""
+
+
+def test_the_ledger_path_imports_no_cli_code():
+    # The perf ledger imports both modules; everything they import is
+    # compiled again inside its measured setup when bytecode is not cached.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT.format(src=src)],
+        env=dict(os.environ, REPRO_LOG_LEVEL="WARNING"),
+        capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "cli:", done.stdout

@@ -17,13 +17,13 @@ train faults resilience net packet`` each one runs code of:
   on/off flow over an ECMP leaf-spine: net, packet, transforms.
 * ``wire-golden`` — ``tests/core/test_wire_golden._digests`` for the four
   codecs (wire, depacketized message, decode): core, packet, transforms.
-* ``cluster`` — ``repro-cluster run --preset incast-4job --seed 7``:
+* ``cluster`` — ``repro-cluster run incast-4job --seed 7``:
   core, transforms, collectives, transport, train, net, packet.
 * ``timeline`` — ``repro-timeline record incast-plus-corruption --seed 7``,
   every artifact (``trace.jsonl`` without its host clock, as
   ``tests/obs/test_timeline_golden.py`` compares it): core, transforms,
   transport, faults, net, packet.
-* ``resilience`` — ``repro-resilience run worker-crash --epochs 1 --seed 7``,
+* ``resilience`` — ``repro-faults train worker-crash --epochs 1 --seed 7``,
   the history JSON: core, transforms, collectives, train, faults,
   resilience.
 
@@ -45,7 +45,7 @@ from pathlib import Path
 sys.path[:0] = [{root!r}, {src!r}]
 from repro.cluster.cli import main as cluster
 from repro.obs.timeline import main as timeline
-from repro.resilience.cli import main as resilience
+from repro.faults.cli import main as faults
 from tests.core.test_wire_golden import CODECS, _digests
 from tests.net.test_ecmp_properties import _run_traced
 from tests.obs.test_timeline_golden import _strip_host_clock
@@ -60,7 +60,7 @@ def emit(producer, *chunks):
 
 emit("ecmp-trace", _run_traced(3).encode())
 emit("wire-golden", *(d.encode() for name in sorted(CODECS) for d in _digests(name)))
-assert cluster(["run", "--preset", "incast-4job", "--seed", "7",
+assert cluster(["run", "incast-4job", "--seed", "7",
                 "--out", str(out / "cluster.json")]) == 0
 emit("cluster", (out / "cluster.json").read_bytes())
 assert timeline(["record", "incast-plus-corruption", "--seed", "7",
@@ -70,8 +70,8 @@ for path in sorted((out / "timeline").iterdir()):
     raw = path.read_bytes()
     chunks += [path.name.encode(), _strip_host_clock(raw) if path.name == "trace.jsonl" else raw]
 emit("timeline", *chunks)
-assert resilience(["run", "worker-crash", "--epochs", "1", "--seed", "7",
-                   "--out", str(out / "resilience.json")]) == 0
+assert faults(["train", "worker-crash", "--epochs", "1", "--seed", "7",
+               "--out", str(out / "resilience.json")]) == 0
 emit("resilience", (out / "resilience.json").read_bytes())
 """
 

@@ -1,5 +1,9 @@
 """Pins the surface of the tools after the trials that cut them.
 
+Four tools remain: ``repro-resilience`` is ``repro-faults train`` and
+``resume-check``, ``repro-report`` is ``repro-timeline report``, and
+every scenario, plan or output file a command names is resolved by one
+of the shared argparse types in ``repro.argtypes``.
 ``repro-lint`` is gone: its per-line rules are checks in
 ``tests/test_static_checks.py``, and what its taint rule guarded (bytes
 that change between processes) is
@@ -25,6 +29,9 @@ from unittest import mock
 import pytest
 
 import repro.bench.__main__ as bench_cli
+import repro.cluster.cli as cluster_cli
+import repro.faults.cli as faults_cli
+import repro.obs.timeline as timeline_cli
 from repro.obs.trace import Tracer, trace_to
 from repro.transport import GoBackNSender, MessageSenderBase, PullSender, TrimmingSender
 
@@ -32,8 +39,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
 
 
-def _parser_surface(main):
-    """(option strings, positional dests, choices by dest) of ``main``'s parser."""
+def _parser(main):
+    """The parser ``main`` builds, caught before it parses anything."""
     captured = {}
 
     def capture(parser, argv=None):
@@ -43,9 +50,14 @@ def _parser_surface(main):
     with mock.patch.object(argparse.ArgumentParser, "parse_args", capture):
         with pytest.raises(SystemExit):
             main([])
+    return captured["parser"]
+
+
+def _parser_surface(main):
+    """(option strings, positional dests, choices by dest) of ``main``'s parser."""
     actions = [
         action
-        for action in captured["parser"]._actions
+        for action in _parser(main)._actions
         if not isinstance(action, argparse._HelpAction)
     ]
     options = {opt for action in actions for opt in action.option_strings}
@@ -67,8 +79,52 @@ def test_repro_bench_options_are_exactly_these():
 def test_console_scripts_are_exactly_these():
     config = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
     assert set(config["project"]["scripts"]) == {
-        "repro-bench", "repro-report", "repro-faults", "repro-resilience", "repro-timeline",
-        "repro-cluster",
+        "repro-bench", "repro-cluster", "repro-faults", "repro-timeline",
+    }
+
+
+def _arguments(parser):
+    """(prog, dest, type) of every argument that takes a value, in ``parser``
+    and its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _arguments(sub)
+        elif action.nargs != 0:  # not a flag
+            yield parser.prog, action.dest, action.type
+
+
+def test_every_named_input_is_resolved_by_a_shared_type():
+    from repro.argtypes import (
+        campaign_plan,
+        cluster_preset,
+        cluster_scenario,
+        fault_scenario,
+        out_file,
+    )
+
+    shared = {fault_scenario, cluster_scenario, cluster_preset, campaign_plan, out_file}
+    named = {
+        (prog, dest): kind
+        for main in (bench_cli.main, cluster_cli.main, faults_cli.main, timeline_cli.main)
+        for prog, dest, kind in _arguments(_parser(main))
+        if kind in shared or dest in ("scenario", "name", "cluster", "plan", "out", "html")
+    }
+    assert named == {
+        ("repro-cluster show", "scenario"): cluster_scenario,
+        ("repro-cluster run", "scenario"): cluster_scenario,
+        ("repro-cluster run", "out"): out_file,
+        ("repro-faults run", "scenario"): fault_scenario,
+        ("repro-faults run", "out"): out_file,
+        ("repro-faults train", "scenario"): fault_scenario,
+        ("repro-faults train", "out"): out_file,
+        ("repro-faults resume-check", "scenario"): fault_scenario,
+        ("repro-faults campaign run", "cluster"): cluster_preset,
+        ("repro-faults campaign replay", "plan"): campaign_plan,
+        ("repro-faults campaign replay", "out"): out_file,
+        ("repro-faults campaign shrink", "plan"): campaign_plan,
+        ("repro-timeline record", "scenario"): fault_scenario,
+        ("repro-timeline render", "html"): out_file,
     }
 
 
@@ -84,6 +140,8 @@ def test_console_scripts_are_exactly_these():
         "repro.net.trace",
         "repro.net.flow",
         "repro.obs.spans",
+        "repro.obs.report",
+        "repro.resilience.__main__",
     ],
 )
 def test_deleted_modules_stay_deleted(module):
