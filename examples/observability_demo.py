@@ -4,9 +4,8 @@
 One gradient message overloads a shallow trim-enabled dumbbell while
 the full observability stack is on:
 
-* a fresh :class:`~repro.obs.MetricsRegistry` collects labelled
-  counters/gauges/histograms from the switch, links, transport and
-  queue monitor;
+* a fresh :class:`~repro.obs.MetricsRegistry` reads the labelled
+  counters of the switch, links and transport;
 * a :class:`~repro.obs.Tracer` streams every gradient-path event
   (packetize -> switch enqueue/trim/drop -> delivery -> decode) to a
   JSONL file;
@@ -27,7 +26,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     build_report,
-    prometheus_text,
     read_jsonl,
     set_registry,
     set_tracer,
@@ -82,9 +80,11 @@ def main() -> None:
               f"bytes_saved={stats.trimmed_bytes_saved}")
 
         print()
-        print("first Prometheus lines (prometheus_text(registry)):")
-        for line in prometheus_text(registry).splitlines()[:6]:
-            print(f"  {line}")
+        print("the same counters in the registry (registry.snapshot()):")
+        snapshot = registry.snapshot()
+        for family in ("forwarded", "trimmed", "trim_bytes_saved"):
+            name = f"repro_switch_{family}_total"
+            print(f"  {name}{{switch=s0}} = {snapshot[name].get('switch=s0', 0):g}")
 
         print()
         print(f"trace written to {trace_path}")

@@ -21,9 +21,9 @@ is organized as:
   of the paper's evaluation, the wall-clock cost model, trim-transcript
   replay, and FSDP.
 * :mod:`repro.baselines` — TernGrad, Top-K, PowerSGD comparisons.
-* :mod:`repro.obs` — unified observability: process-wide metrics
-  registry, gradient-path span tracing to JSONL, Prometheus text dump
-  and per-run reports (``repro-timeline report trace.jsonl``).
+* :mod:`repro.obs` — unified observability: process-wide counter
+  registry, gradient-path span tracing to JSONL and per-run reports
+  (``repro-timeline report trace.jsonl``).
 
 Quickstart::
 

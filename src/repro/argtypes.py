@@ -27,6 +27,7 @@ __all__ = [
     "cluster_preset",
     "cluster_scenario",
     "fault_scenario",
+    "fault_transport",
     "int_at_least",
     "number_in",
     "out_file",
@@ -90,6 +91,15 @@ def fault_scenario(text: str) -> "Scenario":
     from .faults.scenarios import Scenario, scenario_by_name
 
     return _preset_or_file(text, scenario_by_name, Scenario.from_dict)
+
+
+def fault_transport(text: str) -> str:
+    """A transport the fault harness can drive (``repro-faults run --transport``)."""
+    from .faults.harness import TRANSPORTS
+
+    if text not in TRANSPORTS:
+        raise ArgumentTypeError(f"unknown transport {text!r}; expected one of {TRANSPORTS}")
+    return text
 
 
 def cluster_scenario(text: str) -> "ClusterScenario":

@@ -47,7 +47,6 @@ from ..packet.trim import SingleLevelTrim
 from ..resilience.ef import EFChannel
 from ..train.ddp import DDPTrainer, TrainConfig
 from ..train.network_channel import _GradientTransfer
-from ..transport.congestion import FixedWindow
 from .scenario import ClusterScenario, JobSpec
 from .tenants import TENANT_FLOW_BLOCK, TenantWorkload, tenant_flow_base
 
@@ -236,7 +235,6 @@ class FabricHook(CommHook):
                     dst=placement.aggregator,
                     flow_id=self._flow_id(worker),
                     mtu=self.mtu,
-                    cc=FixedWindow(initial_window=128),
                 )
             )
         settled = partial(self.driver._transfer_settled, self.driver.waves_run)

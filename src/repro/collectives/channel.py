@@ -60,14 +60,10 @@ class GradientChannel:
         label = type(self).__name__
         self._publish_metrics = registry.publish_tally(self, self.stats, {
             "rounds_surrendered": registry.counter(
-                "repro_channel_rounds_surrendered_total",
-                "rounds the channel gave up on (zero-gradient degraded step)",
-                ("channel",),
+                "repro_channel_rounds_surrendered_total", ("channel",)
             ).bind(channel=label),
             "packets_dropped": registry.counter(
-                "repro_channel_packets_dropped_total",
-                "data packets lost outright on the channel",
-                ("channel",),
+                "repro_channel_packets_dropped_total", ("channel",)
             ).bind(channel=label),
         })
 

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .channel import ChannelStats, GradientChannel, PerfectChannel
 from .ring import allreduce_mean, ring_allreduce
@@ -67,12 +66,6 @@ class CommHook:
         self.bucket_coords = bucket_coords
         self.deadline = deadline
         self._message_counter = 0
-        hook = type(self).__name__
-        self._m_agg_seconds = get_registry().histogram(
-            "repro_collective_aggregate_seconds",
-            "wall time of one gradient aggregation",
-            ("hook",),
-        ).bind(hook=hook)
 
     @property
     def stats(self) -> ChannelStats:
@@ -105,7 +98,6 @@ class CommHook:
         if callable(end_round):
             end_round()
         duration = time.perf_counter() - start
-        self._m_agg_seconds.observe(duration)
         if tracer.enabled:
             tracer.event(
                 "collective.aggregate",

@@ -299,7 +299,7 @@ def _cmd_resume_check(ns: argparse.Namespace) -> int:
     uninterrupted = build_trainer(scenario, **kwargs)
     reference = uninterrupted.train().to_json()
     rounds = uninterrupted.checkpoint().rounds_run
-    if not 1 <= ns.crash_round <= rounds:  # no crash inside the run: nothing to check
+    if ns.crash_round > rounds:  # no crash inside the run: nothing to check
         logger.error(
             "repro-faults: --crash-round %d is outside the run's rounds 1..%d",
             ns.crash_round,
@@ -483,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_training(p_resume)
     p_resume.add_argument(
         "--crash-round",
-        type=int,
+        type=int_at_least(1),
         default=7,
         help="total rounds to run before the simulated crash (default 7)",
     )

@@ -87,11 +87,7 @@ class FaultInjector:
         self._hooked_links: Dict[str, List] = {}
         self._installed = False
         events = self.events  # the hook below must not hold the injector
-        injected = get_registry().counter(
-            "repro_faults_injected_total",
-            "faults injected by kind and target",
-            ("fault", "target"),
-        )
+        injected = get_registry().counter("repro_faults_injected_total", ("fault", "target"))
         published = 0
 
         def _publish_metrics() -> None:

@@ -129,20 +129,16 @@ class Link:
         registry = get_registry()
         registry.publish_tally(self, self._tally, {
             "packets_sent": registry.counter(
-                "repro_link_packets_sent_total", "packets serialized onto the wire", ("link",)
+                "repro_link_packets_sent_total", ("link",)
             ).bind(link=label),
             "bytes_sent": registry.counter(
-                "repro_link_bytes_sent_total", "bytes serialized onto the wire", ("link",)
+                "repro_link_bytes_sent_total", ("link",)
             ).bind(link=label),
             "packets_dropped": registry.counter(
-                "repro_link_packets_dropped_total",
-                "packets lost to probabilistic impairment",
-                ("link",),
+                "repro_link_packets_dropped_total", ("link",)
             ).bind(link=label),
             "packets_trimmed": registry.counter(
-                "repro_link_packets_trimmed_total",
-                "packets trimmed by probabilistic impairment",
-                ("link",),
+                "repro_link_packets_trimmed_total", ("link",)
             ).bind(link=label),
         })
         self._label = label

@@ -182,30 +182,22 @@ class Switch(Device):
         registry = get_registry()
         registry.publish_tally(self, stats, {
             "forwarded": registry.counter(
-                "repro_switch_forwarded_total", "packets forwarded intact", ("switch",)
+                "repro_switch_forwarded_total", ("switch",)
             ).bind(switch=name),
             "trimmed": registry.counter(
-                "repro_switch_trimmed_total", "packets trimmed on overflow", ("switch",)
+                "repro_switch_trimmed_total", ("switch",)
             ).bind(switch=name),
             "trimmed_bytes_saved": registry.counter(
-                "repro_switch_trim_bytes_saved_total",
-                "wire bytes removed by trimming",
-                ("switch",),
+                "repro_switch_trim_bytes_saved_total", ("switch",)
             ).bind(switch=name),
             "ecmp_collisions": registry.counter(
-                "repro_switch_ecmp_collisions_total",
-                "new flows hashed onto an equal-cost port already carrying flows",
-                ("switch",),
+                "repro_switch_ecmp_collisions_total", ("switch",)
             ).bind(switch=name),
             "reroutes": registry.counter(
-                "repro_switch_reroutes_total",
-                "flows rehomed onto a surviving equal-cost leg after a port died",
-                ("switch",),
+                "repro_switch_reroutes_total", ("switch",)
             ).bind(switch=name),
         })
-        dropped = registry.counter(
-            "repro_switch_dropped_total", "packets dropped", ("switch", "kind")
-        )
+        dropped = registry.counter("repro_switch_dropped_total", ("switch", "kind"))
         dropped_seen: Dict[str, int] = {}
 
         def _publish_metrics() -> None:
@@ -216,14 +208,6 @@ class Switch(Device):
                     dropped.inc(gained, switch=name, kind=kind)
 
         registry.add_flush_hook(_publish_metrics, self)
-        self._m_ports_down = registry.gauge(
-            "repro_switch_ports_down",
-            "egress ports currently down on this switch",
-            ("switch",),
-        ).bind(switch=name)
-        # A live gauge publishes its state from birth (and a fresh
-        # switch reusing a prior run's name must not inherit its value).
-        self._m_ports_down.set(0.0)
 
     # -- wiring -------------------------------------------------------------
 
@@ -283,7 +267,6 @@ class Switch(Device):
         else:
             self.ports_down.discard(neighbor)
             self._converged_down.discard(neighbor)
-        self._m_ports_down.set(len(self.ports_down))
 
     def _converge(self, neighbor: str) -> None:
         """FIB convergence: route around ``neighbor``, evict its flows.

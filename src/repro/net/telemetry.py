@@ -14,10 +14,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .link import Link
-from .queues import PriorityQueue
 from .simulator import Simulator
 
 __all__ = ["QueueSample", "QueueMonitor", "impairment_summary", "fabric_health"]
@@ -104,32 +102,6 @@ class QueueMonitor:
         self._watched: Dict[str, Link] = {}
         self.samples: Dict[str, List[QueueSample]] = {}
         self._running = False
-        registry = get_registry()
-        self._m_depth = registry.gauge(
-            "repro_queue_depth_bytes", "sampled egress queue depth", ("queue",)
-        )
-        self._m_depth_hist = registry.histogram(
-            "repro_queue_depth_bytes_hist",
-            "distribution of sampled egress queue depth",
-            ("queue",),
-            start=1.0,
-            factor=4.0,
-            num_buckets=20,
-        )
-        # Live occupancy gauges: before these, occupancy was only
-        # available post-hoc via summary().  fill_ratio is the data
-        # band's fill in [0, 1] (the band trim decisions key on);
-        # band_bytes breaks a PriorityQueue's depth out per band.
-        self._m_fill = registry.gauge(
-            "repro_queue_fill_ratio",
-            "live data-band occupancy of a watched egress queue (0-1)",
-            ("queue",),
-        )
-        self._m_band = registry.gauge(
-            "repro_queue_band_bytes",
-            "live bytes queued per priority band of a watched egress queue",
-            ("queue", "band"),
-        )
 
     def watch(self, label: str, link: Link) -> None:
         """Start recording the egress queue feeding ``link``."""
@@ -170,16 +142,6 @@ class QueueMonitor:
                     packets=len(queue),
                 )
             )
-            self._m_depth.set(depth, queue=label)
-            self._m_depth_hist.observe(depth, queue=label)
-            if isinstance(queue, PriorityQueue):
-                self._m_fill.set(queue.data_band().fill, queue=label)
-                for band_idx, band in enumerate(queue.bands):
-                    self._m_band.set(
-                        band.bytes_queued, queue=label, band=str(band_idx)
-                    )
-            else:
-                self._m_fill.set(queue.fill, queue=label)
             if tracer.enabled:
                 tracer.event(
                     "queue.sample",

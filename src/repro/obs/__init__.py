@@ -3,8 +3,9 @@
 The paper's claims are rate claims — trim fraction, bytes saved, NMSE,
 per-stage time — and this package is where the pipeline reports them:
 
-* :mod:`repro.obs.metrics` — process-wide counters/gauges/log-scale
-  histograms, always-on by default and a no-op when disabled;
+* :mod:`repro.obs.metrics` — the process-wide registry of counters,
+  each a published view of one plain tally (a ``SwitchStats``, a
+  ``ChannelStats``, a sender's tally) read on demand;
 * :mod:`repro.obs.trace` — the one recorder: point events along the
   gradient path (encode → packetize → switch enqueue/trim/drop →
   transport delivery → decode) with sim-time and wall-time, and causal
@@ -16,8 +17,8 @@ per-stage time — and this package is where the pipeline reports them:
   hop) series;
 * :mod:`repro.obs.profile` — event-loop profiler attributing modeled
   and wall time to pipeline stages;
-* :mod:`repro.obs.export` — Prometheus text dump, JSONL IO, the
-  human-readable per-run report, and the static HTML timeline;
+* :mod:`repro.obs.export` — JSONL IO, the human-readable per-run
+  report, and the static HTML timeline;
 * :mod:`repro.obs.timeline` — ``repro-timeline``: the per-round
   congestion timeline, and ``repro-timeline report trace.jsonl``.
 
@@ -31,7 +32,7 @@ Typical use::
                        registry=get_registry()))
 """
 
-from .export import build_report, prometheus_text, read_jsonl, timeline_html
+from .export import build_report, read_jsonl, timeline_html
 from .int_telemetry import (
     INTCollector,
     INTExtension,
@@ -43,21 +44,12 @@ from .int_telemetry import (
     int_to,
     set_int_collector,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-)
+from .metrics import Counter, MetricsRegistry, get_registry, set_registry
 from .profile import SimProfiler
 from .trace import Span, TraceEvent, Tracer, get_tracer, set_tracer, trace_to
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "INTCollector",
     "INTExtension",
     "INTHopRecord",
@@ -74,7 +66,6 @@ __all__ = [
     "get_tracer",
     "int_capacity",
     "int_to",
-    "prometheus_text",
     "read_jsonl",
     "set_int_collector",
     "set_registry",

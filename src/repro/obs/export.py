@@ -1,8 +1,7 @@
-"""Exporters: Prometheus text dump, JSONL IO, per-run report.
+"""Exporters: JSONL IO, per-run report, static HTML timeline.
 
-Three consumers, three formats:
+Two consumers, two formats:
 
-* a scrape endpoint or tee file wants :func:`prometheus_text`;
 * offline analysis wants the raw JSONL trace (:func:`read_jsonl`);
 * a human at the end of a run wants :func:`build_report` — the
   paper-shaped summary (trim fraction, bytes saved, queue percentiles,
@@ -18,57 +17,18 @@ from collections import defaultdict
 from html import escape
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence
 
-from .metrics import Histogram, MetricsRegistry, _HistogramSeries, get_registry
+from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - timeline imports this module
     from .timeline import Timeline
 
-__all__ = ["prometheus_text", "read_jsonl", "build_report", "timeline_html"]
-
-
-# -- Prometheus exposition ---------------------------------------------------
-
-
-def _label_str(names: Sequence[str], values: Sequence[str]) -> str:
-    if not names:
-        return ""
-    inner = ",".join(f'{n}="{v}"' for n, v in zip(names, values))
-    return "{" + inner + "}"
+__all__ = ["read_jsonl", "build_report", "timeline_html"]
 
 
 def _fmt_num(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
-
-
-def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
-    """Render the registry in the Prometheus text exposition format."""
-    registry = registry or get_registry()
-    lines: List[str] = []
-    for metric in registry.collect():
-        if metric.help:
-            lines.append(f"# HELP {metric.name} {metric.help}")
-        lines.append(f"# TYPE {metric.name} {metric.kind}")
-        for key, value in metric.series():
-            if isinstance(value, _HistogramSeries):
-                assert isinstance(metric, Histogram)
-                cumulative = 0
-                for bound, count in zip(metric.bounds, value.buckets):
-                    cumulative += count
-                    label = _label_str(
-                        metric.label_names + ("le",), key + (repr(bound),)
-                    )
-                    lines.append(f"{metric.name}_bucket{label} {cumulative}")
-                label = _label_str(metric.label_names + ("le",), key + ("+Inf",))
-                lines.append(f"{metric.name}_bucket{label} {value.count}")
-                base = _label_str(metric.label_names, key)
-                lines.append(f"{metric.name}_sum{base} {repr(value.sum)}")
-                lines.append(f"{metric.name}_count{base} {value.count}")
-            else:
-                label = _label_str(metric.label_names, key)
-                lines.append(f"{metric.name}{label} {_fmt_num(float(value))}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # -- JSONL -------------------------------------------------------------------
@@ -295,14 +255,11 @@ def build_report(
     # -- optional metrics snapshot ------------------------------------------
     if registry is not None:
         snapshot = registry.snapshot()
-        flat_rows = []
-        for name, family in snapshot.items():
-            for label, value in family.items():
-                if isinstance(value, dict):  # histogram summary
-                    rendered = f"count={value['count']} sum={value['sum']:.6g}"
-                else:
-                    rendered = _fmt_num(float(value))
-                flat_rows.append([name, label or "-", rendered])
+        flat_rows = [
+            [name, label or "-", _fmt_num(value)]
+            for name, family in snapshot.items()
+            for label, value in family.items()
+        ]
         if flat_rows:
             lines.append("")
             lines.append("-- metrics snapshot --")

@@ -33,7 +33,7 @@ import json
 import re
 import struct
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import IO, TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from .metrics import get_registry
 
@@ -379,15 +379,6 @@ def int_capacity() -> Optional[int]:
 # -- receiver-side collection -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class INTSample:
-    """One collected record, keyed back to the packet that carried it."""
-
-    seq: int
-    packet_id: int
-    record: INTHopRecord
-
-
 class INTCollector:
     """Sinks delivered INT records into per-(job, layer, hop) series.
 
@@ -399,39 +390,24 @@ class INTCollector:
         enabled: collect records (False = one attribute check per call).
         jsonl_path: stream one JSON line per record (sorted keys,
             simulation time only — byte-identical for the same seed).
-        keep_records: retain series in memory for in-process analysis.
     """
 
     def __init__(
         self,
         enabled: bool = False,
         jsonl_path: Optional[str] = None,
-        keep_records: bool = True,
     ) -> None:
         self.enabled = enabled
         self.jsonl_path = jsonl_path
-        self.keep_records = keep_records
-        #: (flow_id, message_id, hop_id) -> samples in delivery order.
-        self.series: Dict[Tuple[int, int, int], List[INTSample]] = {}
+        #: every (flow_id, message_id, hop_id) a record arrived on.
+        self.series: Set[Tuple[int, int, int]] = set()
         self.packets_collected = 0
         #: decision code -> delivered records; the one record counter.
         self.records_by_decision: Dict[int, int] = {}
         self.overflowed_packets = 0
         self._sink: Optional[IO[str]] = None
         registry = get_registry()
-        records = registry.counter(
-            "repro_int_records_total",
-            "INT hop records delivered to the collector",
-            ("decision",),
-        )
-        self._m_depth = registry.histogram(
-            "repro_int_queue_depth_bytes",
-            "egress queue depth observed by delivered INT records",
-            ("hop",),
-            start=1.0,
-            factor=4.0,
-            num_buckets=20,
-        )
+        records = registry.counter("repro_int_records_total", ("decision",))
         by_decision = self.records_by_decision  # the hook must not hold the collector
         published: Dict[int, int] = {}
 
@@ -463,13 +439,8 @@ class INTCollector:
             self.overflowed_packets += 1
         by_decision = self.records_by_decision
         for record in ext.records:
-            key = (flow_id, message_id, record.hop)
-            if self.keep_records:
-                self.series.setdefault(key, []).append(
-                    INTSample(seq=packet.seq, packet_id=packet.packet_id, record=record)
-                )
+            self.series.add((flow_id, message_id, record.hop))
             by_decision[record.decision] = by_decision.get(record.decision, 0) + 1
-            self._m_depth.observe(record.queue_depth_bytes, hop=hop_name(record.hop))
             if self.jsonl_path is not None:
                 if self._sink is None:
                     self._sink = open(self.jsonl_path, "w", encoding="utf-8")
@@ -503,11 +474,6 @@ class INTCollector:
     def hops_seen(self) -> List[str]:
         """Names of every hop that contributed a record, sorted."""
         return sorted({hop_name(hop) for _, _, hop in self.series})
-
-    def depth_series(self, flow_id: int, message_id: int, hop: str) -> List[Tuple[float, int]]:
-        """(sim_time, queue_depth_bytes) pairs for one congestion series."""
-        samples = self.series.get((flow_id, message_id, hop_id(hop)), [])
-        return [(s.record.sim_time, s.record.queue_depth_bytes) for s in samples]
 
     def decision_counts(self) -> Dict[str, int]:
         """Delivered records per decision, over every series."""

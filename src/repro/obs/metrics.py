@@ -1,9 +1,9 @@
-"""Process-wide metrics registry: counters, gauges, log-scale histograms.
+"""Process-wide metrics registry: counter views over plain tallies.
 
 The rate claims at the heart of the paper — trim fraction under
 congestion, bytes saved per round, per-stage time — are all *counters
 divided by counters*.  This module gives every layer of the pipeline one
-place to put those counters so a run can be summarized without chasing
+place to read those counters so a run can be summarized without chasing
 per-object attributes (``SwitchStats`` here, ``Link.packets_sent``
 there, ``ChannelStats`` somewhere else).
 
@@ -19,9 +19,11 @@ Design constraints, in order:
    and once more after the object is gone, so a counter family always
    equals the sum of the plain counters behind it and no packet pays
    for a series update.
-2. **Gauges and histograms are written directly** — they have no plain
-   twin — at the point where the value changes or the sample is taken,
-   none of which is per forwarded packet.
+2. **Counters only.**  A point-in-time value (a queue depth, the last
+   epoch's loss, the ports down) or a distribution (an encode time) has
+   one home already — a stats object, a ``TrainingHistory``, a
+   ``QueueMonitor`` sample list, an INT record or a trace event — and
+   is read there, not copied here.
 3. **No dependencies.**  The registry imports nothing from the rest of
    :mod:`repro`, so any layer may import it without cycles.
 
@@ -32,38 +34,27 @@ Tests that need isolation install a fresh registry with
 
 from __future__ import annotations
 
-import math
 import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
-    "Metric",
     "MetricsRegistry",
     "get_registry",
     "set_registry",
 ]
 
 
-class Metric:
-    """Base class: a named family of labelled series."""
-
-    kind = "untyped"
+class Counter:
+    """A named family of labelled, monotonically increasing series."""
 
     def __init__(
-        self,
-        name: str,
-        help_text: str,
-        registry: "MetricsRegistry",
-        label_names: Sequence[str] = (),
+        self, name: str, registry: "MetricsRegistry", label_names: Sequence[str] = ()
     ) -> None:
         self.name = name
-        self.help = help_text
         self.label_names = tuple(label_names)
         self._registry = registry
-        self._series: Dict[Tuple[str, ...], object] = {}
+        self._series: Dict[Tuple[str, ...], float] = {}
 
     def _key(self, labels: Mapping[str, object]) -> Tuple[str, ...]:
         if len(labels) != len(self.label_names):
@@ -76,7 +67,7 @@ class Metric:
         except KeyError as exc:
             raise ValueError(f"{self.name}: missing label {exc}") from exc
 
-    def series(self) -> List[Tuple[Tuple[str, ...], object]]:
+    def series(self) -> List[Tuple[Tuple[str, ...], float]]:
         """(label-values, value) pairs in sorted label order."""
         self._registry.flush()
         return sorted(self._series.items())
@@ -84,9 +75,28 @@ class Metric:
     def clear(self) -> None:
         self._series.clear()
 
+    def inc(self, amount: float = 1.0, **labels: object) -> None:
+        if amount < 0:
+            raise ValueError(f"{self.name}: counters only go up (got {amount})")
+        key = self._key(labels)
+        self._series[key] = self._series.get(key, 0.0) + amount
+
+    def value(self, **labels: object) -> float:
+        self._registry.flush()
+        return float(self._series.get(self._key(labels), 0.0))
+
+    def total(self) -> float:
+        """Sum across every label combination."""
+        self._registry.flush()
+        return float(sum(self._series.values()))
+
+    def bind(self, **labels: object) -> "_BoundScalar":
+        """One source's handle on the series with these labels."""
+        return _BoundScalar(self, self._key(labels))
+
 
 class _BoundScalar:
-    """One source's handle on one series: a (metric, label-key) pair.
+    """One source's handle on one series: a (counter, label-key) pair.
 
     Each instrumented object binds its own, so :meth:`publish` can
     remember how much of *that object's* plain counter the series
@@ -95,10 +105,10 @@ class _BoundScalar:
 
     __slots__ = ("_metric", "_key", "_series", "_seen")
 
-    def __init__(self, metric: Metric, key: Tuple[str, ...]) -> None:
+    def __init__(self, metric: Counter, key: Tuple[str, ...]) -> None:
         self._metric = metric
         self._key = key
-        # Aliased: Metric.clear() empties the series dict in place, so
+        # Aliased: Counter.clear() empties the series dict in place, so
         # the reference stays valid.
         self._series = metric._series
         self._seen = 0.0
@@ -123,180 +133,17 @@ class _BoundScalar:
         key = self._key
         series[key] = series.get(key, 0.0) + amount
 
-    def set(self, value: float) -> None:
-        self._series[self._key] = float(value)
-
     @property
     def value(self) -> float:
         self._metric._registry.flush()
         return float(self._series.get(self._key, 0.0))
 
 
-class _ScalarMetric(Metric):
-    """What counters and gauges share: float series, ``value``, ``bind``."""
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
-
-    def value(self, **labels: object) -> float:
-        self._registry.flush()
-        return float(self._series.get(self._key(labels), 0.0))
-
-    def bind(self, **labels: object) -> _BoundScalar:
-        """One source's handle on the series with these labels."""
-        return _BoundScalar(self, self._key(labels))
-
-
-class Counter(_ScalarMetric):
-    """Monotonically increasing count (packets, bytes, rounds)."""
-
-    kind = "counter"
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"{self.name}: counters only go up (got {amount})")
-        super().inc(amount, **labels)
-
-    def total(self) -> float:
-        """Sum across every label combination."""
-        self._registry.flush()
-        return float(sum(self._series.values()))
-
-
-class Gauge(_ScalarMetric):
-    """Point-in-time value (queue depth, epoch, loss)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: object) -> None:
-        self._series[self._key(labels)] = float(value)
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
-
-class _HistogramSeries:
-    """Bucket counts + running sum for one label combination."""
-
-    __slots__ = ("buckets", "count", "sum")
-
-    def __init__(self, num_buckets: int) -> None:
-        self.buckets = [0] * (num_buckets + 1)  # +1 overflow bucket
-        self.count = 0
-        self.sum = 0.0
-
-
-class _BoundHistogram:
-    __slots__ = ("_metric", "_key")
-
-    def __init__(self, metric: "Histogram", key: Tuple[str, ...]) -> None:
-        self._metric = metric
-        self._key = key
-
-    def observe(self, value: float) -> None:
-        self._metric._observe(self._key, value)
-
-
-class Histogram(Metric):
-    """Log-scale histogram: geometric bucket bounds.
-
-    Buckets span ``[start, start * factor ** (num_buckets - 1)]``; the
-    default covers nanoseconds to ~20 minutes for time-like values and
-    single bytes to ~1 TB for size-like values with one parametrisation
-    (1e-9 .. 1e12 at decade spacing).  Values above the last bound land
-    in an overflow bucket; percentiles are interpolated geometrically
-    inside the owning bucket, which is accurate to the bucket factor.
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        registry: "MetricsRegistry",
-        label_names: Sequence[str] = (),
-        start: float = 1e-9,
-        factor: float = 10.0,
-        num_buckets: int = 22,
-    ) -> None:
-        super().__init__(name, help_text, registry, label_names)
-        if start <= 0 or factor <= 1 or num_buckets < 1:
-            raise ValueError("need start > 0, factor > 1, num_buckets >= 1")
-        self.bounds = [start * factor**i for i in range(num_buckets)]
-        self._log_start = math.log(start)
-        self._log_factor = math.log(factor)
-
-    # -- recording ----------------------------------------------------------
-
-    def _bucket_index(self, value: float) -> int:
-        if value <= self.bounds[0]:
-            return 0
-        if value > self.bounds[-1]:
-            return len(self.bounds)  # overflow
-        # Direct log-index beats a bisect on the hot path.
-        idx = int(math.ceil((math.log(value) - self._log_start) / self._log_factor - 1e-12))
-        return min(max(idx, 0), len(self.bounds) - 1)
-
-    def _observe(self, key: Tuple[str, ...], value: float) -> None:
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.bounds))
-        series.buckets[self._bucket_index(value)] += 1
-        series.count += 1
-        series.sum += value
-
-    def observe(self, value: float, **labels: object) -> None:
-        self._observe(self._key(labels), value)
-
-    def bind(self, **labels: object) -> _BoundHistogram:
-        return _BoundHistogram(self, self._key(labels))
-
-    # -- queries ------------------------------------------------------------
-
-    def _get(self, labels: Mapping[str, object]) -> Optional[_HistogramSeries]:
-        series = self._series.get(self._key(labels))
-        return series if isinstance(series, _HistogramSeries) else None
-
-    def count(self, **labels: object) -> int:
-        series = self._get(labels)
-        return series.count if series else 0
-
-    def total(self, **labels: object) -> float:
-        series = self._get(labels)
-        return series.sum if series else 0.0
-
-    def mean(self, **labels: object) -> float:
-        series = self._get(labels)
-        return series.sum / series.count if series and series.count else 0.0
-
-    def percentile(self, q: float, **labels: object) -> float:
-        """Estimated q-th percentile (q in [0, 100])."""
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        series = self._get(labels)
-        if series is None or series.count == 0:
-            return 0.0
-        rank = q / 100.0 * series.count
-        seen = 0
-        for i, n in enumerate(series.buckets):
-            seen += n
-            if seen >= rank and n:
-                if i >= len(self.bounds):
-                    return self.bounds[-1] * math.sqrt(
-                        self.bounds[-1] / self.bounds[-2]
-                    )
-                lower = self.bounds[i - 1] if i else self.bounds[0] / math.e
-                return math.sqrt(lower * self.bounds[i])
-        return self.bounds[-1]
-
-
 class MetricsRegistry:
-    """Name -> metric family; one per process by default."""
+    """Name -> counter family; one per process by default."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, Metric] = {}
+        self._metrics: Dict[str, Counter] = {}
         # (weak owner, publication closure): see add_flush_hook.
         self._flush_hooks: List[Tuple[weakref.ref, Callable[[], None]]] = []
         self._flushing = False
@@ -373,67 +220,37 @@ class MetricsRegistry:
 
     # -- registration -------------------------------------------------------
 
-    def _register(self, cls, name: str, help_text: str, labels: Sequence[str], **kwargs):
+    def counter(self, name: str, labels: Sequence[str] = ()) -> Counter:
+        """Get-or-create a counter family (idempotent)."""
         existing = self._metrics.get(name)
         if existing is not None:
-            if type(existing) is not cls or existing.label_names != tuple(labels):
+            if existing.label_names != tuple(labels):
                 raise ValueError(
-                    f"metric {name!r} already registered as {existing.kind} "
+                    f"counter {name!r} already registered "
                     f"with labels {existing.label_names}"
                 )
             return existing
-        metric = cls(name, help_text, self, labels, **kwargs)
-        self._metrics[name] = metric
+        metric = self._metrics[name] = Counter(name, self, labels)
         return metric
-
-    def counter(self, name: str, help_text: str = "", labels: Sequence[str] = ()) -> Counter:
-        """Get-or-create a counter family (idempotent)."""
-        return self._register(Counter, name, help_text, labels)
-
-    def gauge(self, name: str, help_text: str = "", labels: Sequence[str] = ()) -> Gauge:
-        return self._register(Gauge, name, help_text, labels)
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        labels: Sequence[str] = (),
-        start: float = 1e-9,
-        factor: float = 10.0,
-        num_buckets: int = 22,
-    ) -> Histogram:
-        return self._register(
-            Histogram, name, help_text, labels,
-            start=start, factor=factor, num_buckets=num_buckets,
-        )
 
     # -- introspection ------------------------------------------------------
 
-    def get(self, name: str) -> Optional[Metric]:
+    def get(self, name: str) -> Optional[Counter]:
         return self._metrics.get(name)
 
-    def collect(self) -> List[Metric]:
-        """All metric families, sorted by name."""
+    def collect(self) -> List[Counter]:
+        """All counter families, sorted by name."""
         return [self._metrics[name] for name in sorted(self._metrics)]
 
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Plain-dict dump: {metric: {label-string: value}}.
-
-        Histogram series dump as ``{"count": n, "sum": s}``.
-        """
-        out: Dict[str, Dict[str, object]] = {}
-        for metric in self.collect():
-            family: Dict[str, object] = {}
-            for key, value in metric.series():
-                label = ",".join(
-                    f"{n}={v}" for n, v in zip(metric.label_names, key)
-                )
-                if isinstance(value, _HistogramSeries):
-                    family[label] = {"count": value.count, "sum": value.sum}
-                else:
-                    family[label] = value
-            out[metric.name] = family
-        return out
+    def snapshot(self) -> Dict[str, Dict[str, float]]:
+        """Plain-dict dump: {counter: {label-string: value}}."""
+        return {
+            metric.name: {
+                ",".join(f"{n}={v}" for n, v in zip(metric.label_names, key)): value
+                for key, value in metric.series()
+            }
+            for metric in self.collect()
+        }
 
 
 _REGISTRY = MetricsRegistry()

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..argtypes import fault_scenario, int_at_least, number_in, out_file
+from ..argtypes import fault_scenario, fault_transport, int_at_least, number_in, out_file
 from .export import _fmt_s, _rows, build_report, read_jsonl, timeline_html
 from .int_telemetry import (
     DEFAULT_INT_CAPACITY,
@@ -421,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--seed", type=int_at_least(0), default=0, help="run seed (default 0)")
     p_rec.add_argument(
         "--transport",
+        type=fault_transport,
         default="trimming",
         help="transport to drive the gradient traffic (default trimming)",
     )

@@ -51,9 +51,7 @@ class RoundDeadline:
         registry = get_registry()
         registry.publish_tally(self, self._tally, {
             "total_stragglers": registry.counter(
-                "repro_resilience_stragglers_total",
-                "workers excluded from a round for exceeding the deadline",
-                ("run",),
+                "repro_resilience_stragglers_total", ("run",)
             ).bind(run=label),
         })
 

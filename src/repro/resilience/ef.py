@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Mapping, Tuple
 import numpy as np
 
 from ..collectives.channel import GradientChannel
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 
 __all__ = ["EFChannel"]
@@ -45,7 +44,7 @@ class EFChannel(GradientChannel):
 
     Args:
         inner: the lossy channel to compensate.
-        label: metrics label for the residual-norm gauge.
+        label: the ``run`` field of its ``resilience.ef_residual`` events.
     """
 
     def __init__(self, inner: GradientChannel, label: str = "train") -> None:
@@ -56,11 +55,6 @@ class EFChannel(GradientChannel):
         self.stats = inner.stats
         self._residuals: Dict[Tuple[int, int], np.ndarray] = {}
         self._slots: Dict[int, int] = {}
-        self._m_residual_norm = get_registry().gauge(
-            "repro_resilience_ef_residual_norm",
-            "L2 norm of the error-feedback residual per worker",
-            ("run", "worker"),
-        )
 
     def transfer(
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0, worker: int = 0
@@ -101,8 +95,6 @@ class EFChannel(GradientChannel):
         """Keep what the carrier lost of ``carry`` as the slot's residual."""
         residual = carry - delivered
         self._residuals[(worker, slot)] = residual
-        norm = float(np.linalg.norm(residual))
-        self._m_residual_norm.set(norm, run=self.label, worker=worker)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -112,7 +104,7 @@ class EFChannel(GradientChannel):
                 message_id=message_id,
                 worker=worker,
                 slot=slot,
-                residual_norm=norm,
+                residual_norm=float(np.linalg.norm(residual)),
             )
 
     def end_round(self) -> None:

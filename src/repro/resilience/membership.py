@@ -90,22 +90,12 @@ class Membership:
         registry = get_registry()
         registry.publish_tally(self, self._tally, {
             "evictions": registry.counter(
-                "repro_resilience_evictions_total",
-                "workers evicted after consecutive missed deadlines",
-                ("run",),
+                "repro_resilience_evictions_total", ("run",)
             ).bind(run=label),
             "rejoins": registry.counter(
-                "repro_resilience_rejoins_total",
-                "evicted workers re-admitted via model broadcast",
-                ("run",),
+                "repro_resilience_rejoins_total", ("run",)
             ).bind(run=label),
         })
-        self._m_alive = registry.gauge(
-            "repro_resilience_alive_workers",
-            "workers currently in the alive or suspect state",
-            ("run",),
-        ).bind(run=label)
-        self._m_alive.set(float(world_size))
 
     evictions = property(attrgetter("_tally.evictions"))
     rejoins = property(attrgetter("_tally.rejoins"))
@@ -151,7 +141,6 @@ class Membership:
         if self.missed[rank] >= self.evict_after:
             self.states[rank] = WorkerState.DEAD
             self._tally.evictions += 1
-            self._m_alive.set(float(len(self.participants())))
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(
@@ -173,7 +162,6 @@ class Membership:
         self.missed[rank] = 0
         self._times[rank].clear()  # stale history would bias the detector
         self._tally.rejoins += 1
-        self._m_alive.set(float(len(self.participants())))
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event("resilience.rejoin", run=self.label, worker=rank)
@@ -224,4 +212,3 @@ class Membership:
             int(r): deque((float(x) for x in ts), maxlen=self.window)
             for r, ts in dict(state["times"]).items()
         }
-        self._m_alive.set(float(len(self.participants())))

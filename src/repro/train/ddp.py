@@ -316,41 +316,8 @@ class DDPTrainer:
                 self.hook.channel = EFChannel(self.hook.channel, label=self.label)
         registry = get_registry()
         registry.publish_tally(self, self._rounds, {
-            "run": registry.counter(
-                "repro_train_rounds_total", "synchronous rounds completed", ("run",)
-            ).bind(run=self.label),
+            "run": registry.counter("repro_train_rounds_total", ("run",)).bind(run=self.label),
         })
-        self._m_round_seconds = registry.histogram(
-            "repro_train_round_seconds",
-            "wall time of one synchronous round (compute + aggregate)",
-            ("run",),
-        ).bind(run=self.label)
-        self._m_epoch = registry.gauge(
-            "repro_train_epoch", "last completed epoch", ("run",)
-        ).bind(run=self.label)
-        self._m_loss = registry.gauge(
-            "repro_train_loss", "mean train loss of the last epoch", ("run",)
-        ).bind(run=self.label)
-        self._m_top1 = registry.gauge(
-            "repro_train_top1", "test top-1 after the last epoch", ("run",)
-        ).bind(run=self.label)
-        # The channel's accounting under the run's label, refreshed on
-        # every flush.  The hook holds the stats object (one for the
-        # channel's whole life), not the comm hook, which may know the
-        # trainer.
-        stats = self.hook.stats
-        gauges = {
-            name: registry.gauge(
-                f"repro_channel_{name}", f"ChannelStats.{name} of the run", ("channel",)
-            ).bind(channel=self.label)
-            for name in stats.as_dict()
-        }
-
-        def _publish_metrics() -> None:
-            for name, value in stats.as_dict().items():
-                gauges[name].set(value)
-
-        registry.add_flush_hook(_publish_metrics, self)
 
     _rounds_run = property(attrgetter("_rounds.run"))
 
@@ -476,7 +443,6 @@ class DDPTrainer:
             self._update_membership(times)
         self._rounds.run += 1
         round_seconds = time.perf_counter() - round_start
-        self._m_round_seconds.observe(round_seconds)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         if tracer.enabled:
             tracer.event(
@@ -614,9 +580,6 @@ class DDPTrainer:
                     rejoins=self._epoch_rejoins,
                 )
             )
-            self._m_epoch.set(epoch)
-            self._m_loss.set(mean_loss)
-            self._m_top1.set(accuracy[1])
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(

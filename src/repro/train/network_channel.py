@@ -25,7 +25,7 @@ from ..core.codec import EncodedGradient, GradientCodec, nmse
 from ..core.packetizer import decode_packets, packetize
 from ..net.topology import Network
 from ..obs.trace import get_tracer
-from ..transport.congestion import CongestionControl, FixedWindow
+from ..transport.congestion import FixedWindow
 from ..transport.transfer import Transfer
 from ..transport.trimming import TrimmingSender
 
@@ -52,11 +52,12 @@ class _GradientTransfer(Transfer):
         dst: str,
         flow_id: int,
         mtu: int,
-        cc: CongestionControl,
         max_retries: Optional[int] = None,
     ) -> None:
         packets = packetize(enc, src=src, dst=dst, mtu=mtu, flow_id=flow_id)
-        sender = TrimmingSender(net.hosts[src], flow_id=flow_id, cc=cc)
+        sender = TrimmingSender(
+            net.hosts[src], flow_id=flow_id, cc=FixedWindow(initial_window=128)
+        )
         if max_retries is not None:
             sender.max_retries = max_retries
         super().__init__(net, sender, packets)
@@ -95,7 +96,6 @@ class NetworkChannel(GradientChannel):
             returning.
         codec: trimmable codec used on the wire.
         src / dst: host names inside the built network.
-        make_cc: congestion-control factory for the sender.
         mtu: packet size.
         deadline_s: simulation-time budget per transfer; an incomplete
             transfer raises (a lost metadata packet would otherwise hang
@@ -115,7 +115,6 @@ class NetworkChannel(GradientChannel):
         codec: GradientCodec,
         src: str,
         dst: str,
-        make_cc: Optional[Callable[[], CongestionControl]] = None,
         mtu: int = 1500,
         deadline_s: float = 30.0,
         degraded_step: bool = False,
@@ -126,7 +125,6 @@ class NetworkChannel(GradientChannel):
         self.codec = codec
         self.src = src
         self.dst = dst
-        self.make_cc = make_cc or (lambda: FixedWindow(initial_window=128))
         self.mtu = mtu
         self.deadline_s = deadline_s
         self.degraded_step = degraded_step
@@ -173,7 +171,6 @@ class NetworkChannel(GradientChannel):
             dst=self.dst,
             flow_id=77_000 + worker,
             mtu=self.mtu,
-            cc=self.make_cc(),
             max_retries=self.max_retries,
         )
         start = net.sim.now

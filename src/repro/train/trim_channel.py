@@ -24,7 +24,6 @@ import numpy as np
 from ..collectives.channel import GradientChannel
 from ..core.codec import GradientCodec
 from ..core.layout import coords_per_packet
-from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..packet.header import GRADIENT_HEADER_BYTES, WIRE_HEADER_BYTES
 from ..transforms.prng import shared_generator
@@ -85,15 +84,7 @@ class TrimChannel(GradientChannel):
         self._trimmed_packet_bytes = WIRE_HEADER_BYTES + GRADIENT_HEADER_BYTES + (
             -(-head_bits // 8)
         )
-        registry = get_registry()
-        codec_name = type(codec).__name__
-        self._m_encode_seconds = registry.histogram(
-            "repro_encode_seconds", "wall time of one codec encode", ("codec",)
-        ).bind(codec=codec_name)
-        self._m_decode_seconds = registry.histogram(
-            "repro_decode_seconds", "wall time of one codec decode", ("codec",)
-        ).bind(codec=codec_name)
-        self._codec_label = codec_name
+        self._codec_label = type(codec).__name__
 
     def _trim_mask(
         self, num_packets: int, epoch: int, message_id: int, worker: int
@@ -180,8 +171,6 @@ class TrimChannel(GradientChannel):
         )
         self.stats.encode_seconds += t1 - t0
         self.stats.decode_seconds += t3 - t2
-        self._m_encode_seconds.observe(t1 - t0)
-        self._m_decode_seconds.observe(t3 - t2)
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(

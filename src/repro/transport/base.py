@@ -167,25 +167,19 @@ class MessageSenderBase:
         registry = get_registry()
         registry.publish_tally(self, self.tally, {
             "messages_delivered": registry.counter(
-                "repro_transport_messages_total", "messages fully delivered", ("transport",)
+                "repro_transport_messages_total", ("transport",)
             ).bind(transport=transport),
             "packets_emitted": registry.counter(
-                "repro_transport_packets_emitted_total",
-                "data packets handed to the host (including retransmissions)",
-                ("transport",),
+                "repro_transport_packets_emitted_total", ("transport",)
             ).bind(transport=transport),
             "retransmissions": registry.counter(
-                "repro_transport_retransmissions_total",
-                "packets re-sent after a loss signal or timeout",
-                ("transport",),
+                "repro_transport_retransmissions_total", ("transport",)
             ).bind(transport=transport),
             "timeouts": registry.counter(
-                "repro_transport_timeouts_total", "retransmission-timer expiries", ("transport",)
+                "repro_transport_timeouts_total", ("transport",)
             ).bind(transport=transport),
             "surrenders": registry.counter(
-                "repro_transport_surrenders_total",
-                "messages abandoned after exhausting the per-packet retry budget",
-                ("transport",),
+                "repro_transport_surrenders_total", ("transport",)
             ).bind(transport=transport),
         })
         host.register_flow(flow_id, self._dispatch)
@@ -195,9 +189,7 @@ class MessageSenderBase:
         registry = get_registry()
         registry.publish_tally(self, self.tally, {
             "trims_reported": registry.counter(
-                "repro_transport_trims_reported_total",
-                "trimmed-echo ACKs seen by the sender",
-                ("transport",),
+                "repro_transport_trims_reported_total", ("transport",)
             ).bind(transport=type(self).__name__),
         })
 

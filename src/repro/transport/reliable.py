@@ -126,19 +126,13 @@ class GoBackNReceiver:
         registry = get_registry()
         registry.publish_tally(self, self._tally, {
             "trimmed_rejected": registry.counter(
-                "repro_transport_trimmed_rejected_total",
-                "trimmed packets the trim-oblivious baseline treated as losses",
-                ("transport",),
+                "repro_transport_trimmed_rejected_total", ("transport",)
             ).bind(transport=transport),
             "corrupt_rejected": registry.counter(
-                "repro_transport_corrupt_rejected_total",
-                "packets failing checksum verification, treated as losses",
-                ("transport",),
+                "repro_transport_corrupt_rejected_total", ("transport",)
             ).bind(transport=transport),
             "out_of_order_discarded": registry.counter(
-                "repro_transport_out_of_order_discarded_total",
-                "out-of-order packets discarded by the in-order receiver",
-                ("transport",),
+                "repro_transport_out_of_order_discarded_total", ("transport",)
             ).bind(transport=transport),
         })
         host.register_flow(flow_id, self._on_packet)

@@ -131,19 +131,13 @@ class TrimmingReceiver:
         registry = get_registry()
         registry.publish_tally(self, self._tally, {
             "trimmed_accepted": registry.counter(
-                "repro_transport_trimmed_accepted_total",
-                "trimmed gradient packets accepted as deliveries",
-                ("transport",),
+                "repro_transport_trimmed_accepted_total", ("transport",)
             ).bind(transport=transport),
             "corrupt_rejected": registry.counter(
-                "repro_transport_corrupt_rejected_total",
-                "packets failing checksum verification, treated as losses",
-                ("transport",),
+                "repro_transport_corrupt_rejected_total", ("transport",)
             ).bind(transport=transport),
             "nacks_sent": registry.counter(
-                "repro_transport_nacks_total",
-                "NDP-style NACKs sent for unusable trimmed packets",
-                ("transport",),
+                "repro_transport_nacks_total", ("transport",)
             ).bind(transport=transport),
         })
         host.register_flow(flow_id, self._on_packet)

@@ -109,15 +109,16 @@ class TestSelectiveEviction:
                 assert leaf1._ecmp_cache[key] is entry
 
     def test_ports_down_gauge_tracks_live_state(self):
+        # The live count is the switch's own set; no registry copy of it.
         net = _build()
         leaf0 = net.switches["leaf0"]
-        assert leaf0._m_ports_down.value == 0.0
+        assert len(leaf0.ports_down) == 0
         leaf0.set_port_down("spine0")
-        assert leaf0._m_ports_down.value == 1.0
+        assert len(leaf0.ports_down) == 1
         leaf0.set_port_down("spine1")
-        assert leaf0._m_ports_down.value == 2.0
+        assert len(leaf0.ports_down) == 2
         leaf0.set_port_down("spine0", down=False)
-        assert leaf0._m_ports_down.value == 1.0
+        assert len(leaf0.ports_down) == 1
 
 
 class TestFailoverReroute:

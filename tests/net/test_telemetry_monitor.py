@@ -95,27 +95,9 @@ class TestScheduling:
 
 
 class TestLiveGauges:
-    """The fill/band occupancy gauges and network-wide watching."""
-
-    def registry_gauge(self, name, labels):
-        from repro.obs.metrics import get_registry
-
-        return get_registry().gauge(name, labels=labels)
-
-    def test_fill_ratio_gauge_tracks_watched_queue(self):
-        net, monitor = congested_monitor()
-        net.sim.run()
-        fill = self.registry_gauge("repro_queue_fill_ratio", ("queue",))
-        value = fill.value(queue="b")
-        assert 0.0 <= value <= 1.0
-
-    def test_band_bytes_gauge_per_priority_band(self):
-        net, monitor = congested_monitor()
-        net.sim.run()
-        band = self.registry_gauge("repro_queue_band_bytes", ("queue", "band"))
-        queue = net.link_between("s0", "s1").queue
-        for idx in range(len(queue.bands)):
-            assert band.value(queue="b", band=str(idx)) >= 0.0
+    """Network-wide watching.  A watched queue's live state is its
+    link's queue and its history the monitor's samples; the registry
+    keeps no gauge of either."""
 
     def test_watch_network_covers_every_switch_port(self):
         net = dumbbell(pairs=2)

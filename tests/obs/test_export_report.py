@@ -1,38 +1,10 @@
-"""Exporters: Prometheus text, JSONL IO, report rendering, report CLI."""
+"""Exporters: JSONL IO, report rendering, report CLI."""
 
 import json
 
-from repro.obs.export import build_report, prometheus_text, read_jsonl
+from repro.obs.export import build_report, read_jsonl
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeline import main as timeline_main
-
-
-class TestPrometheusText:
-    def test_counter_and_gauge_lines(self):
-        registry = MetricsRegistry()
-        registry.counter("pkts_total", "packets seen", ("switch",)).inc(3, switch="s0")
-        registry.gauge("depth_bytes").set(120.5)
-        text = prometheus_text(registry)
-        assert "# HELP pkts_total packets seen" in text
-        assert "# TYPE pkts_total counter" in text
-        assert 'pkts_total{switch="s0"} 3' in text
-        assert "# TYPE depth_bytes gauge" in text
-        assert "depth_bytes 120.5" in text
-
-    def test_histogram_exposition(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat", "latency", start=1e-3, factor=10, num_buckets=3)
-        h.observe(5e-3)
-        h.observe(500.0)  # overflow
-        text = prometheus_text(registry)
-        assert 'lat_bucket{le="+Inf"} 2' in text
-        assert "lat_count 2" in text
-        assert "lat_sum 500.005" in text
-        # Buckets are cumulative.
-        assert 'lat_bucket{le="0.01"} 1' in text
-
-    def test_empty_registry(self):
-        assert prometheus_text(MetricsRegistry()) == ""
 
 
 def _events():

@@ -220,19 +220,17 @@ class TestCollector:
     def test_disabled_collects_nothing(self, int_enabled):
         collector = INTCollector(enabled=False)
         assert collector.collect(self._delivered_packet()) == 0
-        assert collector.series == {}
+        assert collector.series == set()
 
     def test_series_keyed_by_flow_message_hop(self, int_enabled):
         collector = INTCollector(enabled=True)
         pkt = self._delivered_packet(hops=2)
         assert collector.collect(pkt) == 2
         message_id = pkt.grad_header.message_id
-        assert len(collector.series) == 2
-        for key in collector.series:
-            assert key[0] == 42
-            assert key[1] == message_id
-        depths = collector.depth_series(42, message_id, "col-hop-0")
-        assert depths == [(pytest.approx(0.1), 100)]
+        assert collector.series == {
+            (42, message_id, hop_id("col-hop-0")),
+            (42, message_id, hop_id("col-hop-1")),
+        }
         assert collector.summary()["records"] == 2
         assert collector.decision_counts() == {"forward": 2}
 

@@ -15,7 +15,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     build_report,
-    prometheus_text,
     set_registry,
     set_tracer,
 )
@@ -106,9 +105,8 @@ class TestPipelineAgreement:
         assert registry.get("repro_switch_trim_bytes_saved_total").total() == saved
         assert registry.get("repro_transport_messages_total").total() == 1
 
-        # The Prometheus dump carries the same counters.
-        text = prometheus_text(registry)
-        assert f'repro_switch_trimmed_total{{switch="s0"}} {trimmed}' in text
+        # The snapshot the report prints carries the same counters.
+        assert registry.snapshot()["repro_switch_trimmed_total"] == {"switch=s0": trimmed}
 
     def test_jsonl_roundtrip_preserves_report(self, fresh_obs, tmp_path):
         from repro.obs import read_jsonl

@@ -64,11 +64,22 @@ class TestResumeCheck:
         assert code == 0
 
     @pytest.mark.parametrize("crash_round", [-1, 0, 11, 999])
-    def test_a_crash_outside_the_run_is_a_usage_error(self, crash_round, caplog):
+    def test_a_crash_outside_the_run_is_a_usage_error(self, crash_round, caplog, capsys):
         # Two epochs of three workers are rounds 1..10: a crash anywhere else
         # never interrupts the run, and "resume-check ok" would mean nothing.
+        # Below round 1 is refused while parsing, before anything trains;
+        # past the end only once the reference run has counted its rounds.
         argv = ["resume-check", "worker-crash", "--epochs", "2", "--world", "3",
                 "--crash-round", str(crash_round)]
+        if crash_round < 1:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert (
+                f"error: argument --crash-round: must be at least 1, got {crash_round}"
+                in capsys.readouterr().err
+            )
+            return
         with caplog.at_level("ERROR"):
             assert main(argv) == 2
         (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]

@@ -1,13 +1,14 @@
 """An unusable argument is a usage error on every CLI.
 
 Every argument is resolved while the arguments are parsed, through the
-shared types of ``repro.argtypes``: an unknown preset (the line names the
-presets it knows), a missing scenario file, a number outside its
-option's range (a negative ``--seed``, ``--faults``, ``--world``,
-``--epochs``, ``--evict-after``, ``--bins`` or ``--max-events`` below 1,
-``--int-capacity`` outside [1, 255], ``--sample-period`` not above 0,
-``--deadline-factor`` not above 1, ``--trim-rate`` outside [0, 1]) or
-an output file in a directory that does not exist gives argparse's
+shared types of ``repro.argtypes``: an unknown preset or transport (the
+line names the ones it knows), a missing scenario file, a number outside
+its option's range (a negative ``--seed``, ``--faults``, ``--world``,
+``--epochs``, ``--evict-after``, ``--crash-round``, ``--bins`` or
+``--max-events`` below 1, ``--int-capacity`` outside [1, 255],
+``--sample-period`` not above 0, ``--deadline-factor`` not above 1,
+``--trim-rate`` outside [0, 1]) or an output file in a directory that
+does not exist gives argparse's
 usage and one ``error:`` line, exit 2, before anything runs.  None ends
 in a traceback.
 """
@@ -206,6 +207,14 @@ CASES = {
         "repro-timeline record: error: argument --max-events: must be at least 1, ",
         "got 0",
     ),
+    # An unknown transport used to create --out-dir, then end in the
+    # harness's ValueError traceback.
+    "repro-timeline record --transport bogus": (
+        "repro.obs.timeline",
+        ["record", "flaky-link", "--transport", "bogus"],
+        "repro-timeline record: error: argument --transport: unknown transport 'bogus'; ",
+        "trimming",
+    ),
     "repro-timeline render --bins 0": (
         "repro.obs.timeline",
         ["render", "trace.jsonl", "--bins", "0"],
@@ -229,6 +238,14 @@ CASES = {
         ["train", "worker-crash", "--trim-rate", "nan"],
         "repro-faults train: error: argument --trim-rate: must be in [0, 1], ",
         "got nan",
+    ),
+    # A crash before round 1 used to be refused only after the whole
+    # reference run had trained.
+    "repro-faults resume-check --crash-round 0": (
+        "repro.faults.cli",
+        ["resume-check", "worker-crash", "--crash-round", "0"],
+        "repro-faults resume-check: error: argument --crash-round: must be at least 1, ",
+        "got 0",
     ),
     "repro-faults resume-check --seed -1": (
         "repro.faults.cli",

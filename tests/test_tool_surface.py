@@ -12,7 +12,10 @@ regenerates the paper's figures and nothing else; the perf ledger is
 the only gate.  Every message crosses the simulator as a
 ``repro.transport.Transfer``, which builds the receiver its sender
 names, and completion times and counts are read from the sender: no
-flow log.  The mechanisms deleted in those trials
+flow log.  The metrics registry holds counters and nothing else: a
+gauge or histogram copied a number a stats object, a sample list, an
+INT record or a trace event already holds, and only the deleted
+Prometheus exposition read it.  The mechanisms deleted in those trials
 (docs/static_analysis.md and docs/performance.md, "Trial record")
 should not grow back unnoticed.
 """
@@ -31,8 +34,12 @@ import pytest
 import repro.bench.__main__ as bench_cli
 import repro.cluster.cli as cluster_cli
 import repro.faults.cli as faults_cli
+import repro.obs as obs
 import repro.obs.timeline as timeline_cli
+from repro.obs.int_telemetry import INTCollector
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, trace_to
+from repro.train.network_channel import NetworkChannel
 from repro.transport import GoBackNSender, MessageSenderBase, PullSender, TrimmingSender
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -100,10 +107,14 @@ def test_every_named_input_is_resolved_by_a_shared_type():
         cluster_preset,
         cluster_scenario,
         fault_scenario,
+        fault_transport,
         out_file,
     )
 
-    shared = {fault_scenario, cluster_scenario, cluster_preset, campaign_plan, out_file}
+    shared = {
+        fault_scenario, fault_transport, cluster_scenario, cluster_preset, campaign_plan,
+        out_file,
+    }
     named = {
         (prog, dest): kind
         for main in (bench_cli.main, cluster_cli.main, faults_cli.main, timeline_cli.main)
@@ -124,6 +135,7 @@ def test_every_named_input_is_resolved_by_a_shared_type():
         ("repro-faults campaign replay", "out"): out_file,
         ("repro-faults campaign shrink", "plan"): campaign_plan,
         ("repro-timeline record", "scenario"): fault_scenario,
+        ("repro-timeline record", "transport"): fault_transport,
         ("repro-timeline render", "html"): out_file,
     }
 
@@ -175,6 +187,25 @@ def test_sender_constructors_take_no_flow_log():
     }
     assert own == {GoBackNSender: ["dupack_threshold"], PullSender: ["initial_window"],
                    TrimmingSender: []}
+
+
+def test_the_registry_holds_only_counters():
+    assert not hasattr(MetricsRegistry, "gauge")
+    assert not hasattr(MetricsRegistry, "histogram")
+    for name in ("Gauge", "Histogram", "prometheus_text"):
+        assert not hasattr(obs, name), name
+        assert name not in obs.__all__, name
+
+
+def test_gradient_carrier_and_int_collector_take_no_dead_knobs():
+    # Both carriers send with one fixed window; the collector keeps no records.
+    assert list(inspect.signature(NetworkChannel.__init__).parameters) == [
+        "self", "network_factory", "codec", "src", "dst", "mtu", "deadline_s",
+        "degraded_step", "max_retries",
+    ]
+    assert list(inspect.signature(INTCollector.__init__).parameters) == [
+        "self", "enabled", "jsonl_path",
+    ]
 
 
 def test_receivers_are_built_only_by_the_transport():
