@@ -13,14 +13,13 @@ is organized as:
   trim-on-overflow shallow-buffer switches.
 * :mod:`repro.transport` — go-back-N (NCCL-like) and trimming-aware
   (NDP-like) transports with congestion control.
-* :mod:`repro.collectives` — all-reduce / all-gather over pluggable
-  gradient channels, DDP-style comm hooks.
+* :mod:`repro.collectives` — the all-reduce over pluggable gradient
+  channels and the DDP-style comm hook that drives it.
 * :mod:`repro.nn` — a numpy autograd training substrate (VGG-style
   models, SGD+momentum, synthetic CIFAR-100-like data).
 * :mod:`repro.train` — distributed trainers, the Bernoulli trim channel
   of the paper's evaluation, the wall-clock cost model, trim-transcript
   replay, and FSDP.
-* :mod:`repro.baselines` — TernGrad, Top-K, PowerSGD comparisons.
 * :mod:`repro.obs` — unified observability: process-wide counter
   registry, gradient-path span tracing to JSONL and per-run reports
   (``repro-timeline report trace.jsonl``).

@@ -160,7 +160,7 @@ class _JobRuntime:
 class FabricHook(CommHook):
     """A CommHook whose aggregation rides the shared cluster fabric.
 
-    Mirrors :func:`~repro.collectives.ring.allreduce_mean` exactly —
+    Mirrors :func:`~repro.collectives.hooks.allreduce_mean` exactly —
     one message id per round, every worker's gradient crossing once,
     ``np.mean`` over what arrives — so a single job on an idle fabric
     reproduces the in-memory baseline bit for bit.  A transfer that
@@ -199,10 +199,10 @@ class FabricHook(CommHook):
         #: Completion time of every delivered message.
         self.fcts: List[float] = []
         # The wave in flight: its (epoch, message id) and, per worker,
-        # the transfer and the (input, EF slot, carry) it was built from.
+        # the transfer and the (input, carry) it was built from.
         self._wave: Tuple[int, int] = (0, 0)
         self._in_flight: List[_GradientTransfer] = []
-        self._carried: List[Tuple[np.ndarray, int, np.ndarray]] = []
+        self._carried: List[Tuple[np.ndarray, np.ndarray]] = []
         # Running per-worker sums the telescoping monitor checks the EF
         # channel's residuals against.
         self._ef_input_sum: Dict[int, np.ndarray] = {}
@@ -224,8 +224,8 @@ class FabricHook(CommHook):
             flat = np.asarray(grad, dtype=np.float64)
             # Error feedback: what the fabric lost last round rides
             # along with this round's gradient.
-            slot, carry = self.channel.carry(flat, worker) if self.ef else (0, flat)
-            self._carried.append((flat, slot, carry))
+            carry = self.channel.carry(flat, worker) if self.ef else flat
+            self._carried.append((flat, carry))
             self._in_flight.append(
                 _GradientTransfer(
                     self.driver.net,
@@ -247,7 +247,7 @@ class FabricHook(CommHook):
         self.waves += 1
         self.wave_log.append((epoch, self.driver.net.sim.now))
         received: List[np.ndarray] = []
-        for worker, (transfer, (flat, slot, carry)) in enumerate(
+        for worker, (transfer, (flat, carry)) in enumerate(
             zip(self._in_flight, self._carried)
         ):
             delivered = transfer.finish(self.stats)
@@ -258,7 +258,6 @@ class FabricHook(CommHook):
                 self.fcts.append(transfer.fct_s)
             if self.ef:
                 self.channel.settle(
-                    slot,
                     carry,
                     delivered,
                     epoch=epoch,
@@ -273,8 +272,6 @@ class FabricHook(CommHook):
                 )
             received.append(delivered)
         self._in_flight, self._carried = [], []
-        if self.ef:
-            self.channel.end_round()
         return np.mean(received, axis=0)
 
     # -- error-feedback introspection -------------------------------------------

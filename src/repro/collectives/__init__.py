@@ -1,8 +1,7 @@
 """Collective-communication substrate (the *ccl of the paper)."""
 
 from .channel import ChannelStats, GradientChannel, PerfectChannel
-from .hooks import AllReduceHook, CommHook, RingAllReduceHook, bucket_bounds
-from .ring import all_gather, allreduce_mean, broadcast, reduce_scatter, ring_allreduce
+from .hooks import AllReduceHook, CommHook, allreduce_mean, broadcast
 
 __all__ = [
     "ChannelStats",
@@ -10,11 +9,6 @@ __all__ = [
     "PerfectChannel",
     "AllReduceHook",
     "CommHook",
-    "RingAllReduceHook",
-    "bucket_bounds",
-    "all_gather",
     "allreduce_mean",
     "broadcast",
-    "reduce_scatter",
-    "ring_allreduce",
 ]

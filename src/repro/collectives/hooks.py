@@ -1,4 +1,4 @@
-"""DDP-style communication hooks.
+"""DDP-style communication hooks and the collectives they run.
 
 The paper implements its codecs as "customized communication hooks in
 the Pytorch Distributed Data-Parallel framework".  A
@@ -7,40 +7,86 @@ of per-worker flat gradients each round and receives the aggregated
 gradient back.  Hooks own their channel, so swapping
 baseline/sign/SQ/SD/RHT aggregation is a one-line change in experiments.
 
-Hooks optionally *bucket* the gradient the way PyTorch DDP does (the
-paper cites the 25 MB default): each bucket becomes its own collective
-message with its own codec state — in particular its own σ / clip range
-/ row scales, which localizes the sign codec's global-σ damage and is
-therefore visible in the experiments.
+Every round sends one message per worker: :func:`allreduce_mean` puts
+each worker's whole gradient across the channel once and the receiver
+averages — exactly the paper's evaluation methodology.
+:func:`broadcast` hands rank 0's vector to every rank (the rejoin path).
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from ..obs.trace import get_tracer
 from .channel import ChannelStats, GradientChannel, PerfectChannel
-from .ring import allreduce_mean, ring_allreduce
 
 if TYPE_CHECKING:  # avoid a runtime collectives -> resilience cycle
     from ..resilience.deadline import RoundDeadline
 
-__all__ = ["CommHook", "AllReduceHook", "RingAllReduceHook", "bucket_bounds"]
+__all__ = ["CommHook", "AllReduceHook", "allreduce_mean", "broadcast"]
 
 
-def bucket_bounds(length: int, bucket_coords: Optional[int]) -> List[tuple]:
-    """(start, end) spans splitting ``length`` coords into DDP buckets."""
-    if bucket_coords is None or bucket_coords >= length:
-        return [(0, length)]
-    if bucket_coords <= 0:
-        raise ValueError(f"bucket_coords must be positive, got {bucket_coords}")
-    return [
-        (start, min(start + bucket_coords, length))
-        for start in range(0, length, bucket_coords)
+def _check_same_shape(tensors: List[np.ndarray]) -> int:
+    if not tensors:
+        raise ValueError("collective needs at least one tensor")
+    length = tensors[0].size
+    for i, t in enumerate(tensors):
+        if t.ndim != 1:
+            raise ValueError(f"worker {i}: collectives operate on flat vectors")
+        if t.size != length:
+            raise ValueError(f"worker {i}: length {t.size} != {length}")
+    return length
+
+
+def allreduce_mean(
+    tensors: List[np.ndarray],
+    channel: Optional[GradientChannel] = None,
+    epoch: int = 0,
+    message_id: int = 0,
+    deadline: Optional["RoundDeadline"] = None,
+) -> np.ndarray:
+    """Mean of all workers' vectors, each crossing the channel once.
+
+    With a ``deadline``, only the responders' vectors cross the channel
+    and the mean is rescaled over them — an unbiased estimator of the
+    responder mean; stragglers neither transfer nor stall the round.
+    An empty responder set surrenders the round (zero gradient).
+    """
+    channel = channel or PerfectChannel()
+    _check_same_shape(tensors)
+    ranks: Sequence[int] = range(len(tensors))
+    if deadline is not None:
+        ranks, _stragglers = deadline.split(list(ranks))
+        if not ranks:
+            channel.count_surrender()
+            return np.zeros(tensors[0].size)
+    received = [
+        channel.transfer(
+            tensors[rank], epoch=epoch, message_id=message_id, worker=rank
+        )
+        for rank in ranks
     ]
+    return np.mean(received, axis=0)
+
+
+def broadcast(
+    tensor: np.ndarray,
+    world: int,
+    channel: Optional[GradientChannel] = None,
+    epoch: int = 0,
+    message_id: int = 0,
+) -> List[np.ndarray]:
+    """Rank 0's vector delivered to every rank (rank 0 keeps it exact)."""
+    channel = channel or PerfectChannel()
+    outputs = [np.asarray(tensor, dtype=np.float64)]
+    for receiver in range(1, world):
+        outputs.append(
+            channel.transfer(tensor, epoch=epoch, message_id=message_id, worker=receiver)
+        )
+    return outputs
 
 
 class CommHook:
@@ -48,9 +94,6 @@ class CommHook:
 
     Args:
         channel: the gradient channel every message crosses.
-        bucket_coords: DDP-style bucketing — split each gradient into
-            buckets of this many coordinates, aggregated as independent
-            messages (None = one message for the whole gradient).
         deadline: optional :class:`~repro.resilience.RoundDeadline`
             enabling partial aggregation over the round's responders
             (the trainer also assigns this after construction).
@@ -59,11 +102,9 @@ class CommHook:
     def __init__(
         self,
         channel: Optional[GradientChannel] = None,
-        bucket_coords: Optional[int] = None,
         deadline: Optional["RoundDeadline"] = None,
     ) -> None:
         self.channel = channel or PerfectChannel()
-        self.bucket_coords = bucket_coords
         self.deadline = deadline
         self._message_counter = 0
 
@@ -92,11 +133,6 @@ class CommHook:
         with tracer.context(span):
             out = self._aggregate(grads, epoch)
         tracer.end(span)
-        # Error-feedback channels key residuals by in-round slot; tell
-        # them the round is over so the next one starts back at slot 0.
-        end_round = getattr(self.channel, "end_round", None)
-        if callable(end_round):
-            end_round()
         duration = time.perf_counter() - start
         if tracer.enabled:
             tracer.event(
@@ -117,46 +153,14 @@ class AllReduceHook(CommHook):
     """Direct aggregation: every worker's message crosses the channel once.
 
     This matches the paper's evaluation: trimming hits each worker's
-    gradient stream independently, then the receiver averages.  With
-    ``bucket_coords`` set, each bucket is its own message (own metadata,
-    own trim pattern), like DDP's 25 MB buckets.
+    gradient stream independently, then the receiver averages.
     """
 
     def _aggregate(self, grads: List[np.ndarray], epoch: int) -> np.ndarray:
-        spans = bucket_bounds(grads[0].size, self.bucket_coords)
-        if len(spans) == 1:
-            return allreduce_mean(
-                grads,
-                self.channel,
-                epoch=epoch,
-                message_id=self.next_message_id(),
-                deadline=self.deadline,
-            )
-        out = np.empty(grads[0].size)
-        for start, end in spans:
-            out[start:end] = allreduce_mean(
-                [g[start:end] for g in grads],
-                self.channel,
-                epoch=epoch,
-                message_id=self.next_message_id(),
-                deadline=self.deadline,
-            )
-        return out
-
-
-class RingAllReduceHook(CommHook):
-    """Ring aggregation: compression error compounds per chunk hop.
-
-    Returns rank 0's copy (all ranks agree when the channel is
-    deterministic for a given (epoch, message, worker) key).
-    """
-
-    def _aggregate(self, grads: List[np.ndarray], epoch: int) -> np.ndarray:
-        results = ring_allreduce(
+        return allreduce_mean(
             grads,
             self.channel,
             epoch=epoch,
             message_id=self.next_message_id(),
             deadline=self.deadline,
         )
-        return results[0]

@@ -17,7 +17,6 @@ from .eden import EdenCodec, lloyd_max_centroids
 from .layout import (
     TrimmableLayout,
     coords_per_packet,
-    inverse_order,
     magnitude_order,
     paper_worked_example,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "register_codec",
     "TrimmableLayout",
     "coords_per_packet",
-    "inverse_order",
     "magnitude_order",
     "paper_worked_example",
     "GradientMetadata",

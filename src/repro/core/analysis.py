@@ -57,7 +57,7 @@ def per_parameter_scales(model: SupportsParameters) -> List[Dict[str, object]]:
 
     Returns one record per parameter: shape, size, rms.  The spread of
     these values across a model is the mechanism behind the sign codec's
-    global-σ damage; DDP bucketing (``bucket_coords``) localizes it.
+    global-σ damage: one σ per message serves every layer.
     """
     records: List[Dict[str, object]] = []
     for index, param in enumerate(model.parameters()):

@@ -20,7 +20,6 @@ __all__ = [
     "TrimmableLayout",
     "paper_worked_example",
     "magnitude_order",
-    "inverse_order",
     "coords_per_packet",
 ]
 
@@ -133,10 +132,3 @@ def magnitude_order(flat: np.ndarray, coords_per_pkt: int) -> np.ndarray:
         order[position : position + ranks.size] = by_magnitude[ranks]
         position += ranks.size
     return order
-
-
-def inverse_order(order: np.ndarray) -> np.ndarray:
-    """Inverse permutation: ``flat == wire[inverse_order(order)]``."""
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    return inverse

@@ -116,7 +116,7 @@ class SignMagnitudeCodec(ScalarCodec):
         flat = self._check_finite(flat)
         image = flat.astype(np.float32)
         heads = float32_sign_bits(image)
-        heads ^= np.uint32(1)  # head bit 1 for non-negative values (matches pack_signs)
+        heads ^= np.uint32(1)  # head bit 1 for non-negative values (unpack_signs reads 1 as +1)
         tails = float32_rest_bits(image)  # exact: a true-sign head needs no correction bit
         return EncodedGradient(
             codec_id=self.codec_id,

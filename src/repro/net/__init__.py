@@ -6,7 +6,7 @@ from .link import Device, DeliveryHook, Link
 from .queues import ByteQueue, PriorityQueue
 from .simulator import Event, Simulator
 from .switch import Switch, SwitchStats
-from .telemetry import QueueMonitor, QueueSample, fabric_health, impairment_summary
+from .telemetry import QueueMonitor, QueueSample, impairment_summary
 from .topology import GBPS, Network, dumbbell, fat_tree, leaf_spine
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "SwitchStats",
     "QueueMonitor",
     "QueueSample",
-    "fabric_health",
     "impairment_summary",
     "GBPS",
     "Network",

@@ -18,28 +18,7 @@ from ..obs.trace import get_tracer
 from .link import Link
 from .simulator import Simulator
 
-__all__ = ["QueueSample", "QueueMonitor", "impairment_summary", "fabric_health"]
-
-
-def fabric_health(network) -> Dict[str, Dict[str, int]]:
-    """Per-switch self-healing state: failures, reroutes, blackholes.
-
-    The fabric-failure twin of :func:`impairment_summary`: one row per
-    switch with its device/port failure state and the failover work it
-    has done.  The faults CLI and the chaos campaign fold this into
-    their artifacts; tests use it to assert *which* device healed.
-    """
-    return {
-        name: {
-            "failed": int(switch.failed),
-            "ports_down": len(switch.ports_down),
-            "reroutes": switch.stats.reroutes,
-            "blackhole_drops": switch.stats.blackhole,
-            "switch_down_drops": switch.stats.drops_by_kind.get("switch-down", 0),
-            "port_blackout_drops": switch.stats.drops_by_kind.get("port-blackout", 0),
-        }
-        for name, switch in sorted(network.switches.items())
-    }
+__all__ = ["QueueSample", "QueueMonitor", "impairment_summary"]
 
 
 def impairment_summary(network) -> Dict[str, Dict[str, int]]:

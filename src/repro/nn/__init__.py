@@ -2,7 +2,7 @@
 
 from . import functional
 from .data import DataLoader, SyntheticImages, make_dataset
-from .functional import conv2d, cross_entropy, dropout, log_softmax, max_pool2d, softmax
+from .functional import conv2d, cross_entropy, dropout, log_softmax, max_pool2d
 from .layers import (
     BatchNorm2d,
     Conv2d,
@@ -15,8 +15,8 @@ from .layers import (
     ReLU,
     Sequential,
 )
-from .metrics import AverageMeter, evaluate, topk_accuracy
-from .models import VGG_CONFIGS, LogisticRegression, MLP, SmallConvNet, make_vgg
+from .metrics import evaluate, topk_accuracy
+from .models import VGG_CONFIGS, LogisticRegression, MLP, make_vgg
 from .optim import SGD, StepLR
 from .tensor import Tensor, is_grad_enabled, no_grad
 
@@ -30,7 +30,6 @@ __all__ = [
     "dropout",
     "log_softmax",
     "max_pool2d",
-    "softmax",
     "BatchNorm2d",
     "Conv2d",
     "Dropout",
@@ -41,13 +40,11 @@ __all__ = [
     "Parameter",
     "ReLU",
     "Sequential",
-    "AverageMeter",
     "evaluate",
     "topk_accuracy",
     "VGG_CONFIGS",
     "LogisticRegression",
     "MLP",
-    "SmallConvNet",
     "make_vgg",
     "SGD",
     "StepLR",

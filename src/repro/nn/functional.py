@@ -13,7 +13,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["conv2d", "max_pool2d", "dropout", "softmax", "log_softmax", "cross_entropy"]
+__all__ = ["conv2d", "max_pool2d", "dropout", "log_softmax", "cross_entropy"]
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -127,28 +127,18 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
     return x * Tensor(mask)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of a raw array (inference utility)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of a raw array."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def cross_entropy(
-    logits: Tensor, labels: np.ndarray, label_smoothing: float = 0.0
-) -> Tensor:
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Fused softmax cross-entropy, mean over the batch.
 
     Args:
         logits: (N, K) raw scores.
         labels: (N,) integer class ids.
-        label_smoothing: mass spread uniformly over all classes.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n, k = logits.shape
@@ -159,8 +149,6 @@ def cross_entropy(
     logp = log_softmax(logits.data)
     target = np.zeros((n, k))
     target[np.arange(n), labels] = 1.0
-    if label_smoothing > 0.0:
-        target = (1 - label_smoothing) * target + label_smoothing / k
     loss_value = -(target * logp).sum() / n
 
     def backward(g: np.ndarray) -> None:

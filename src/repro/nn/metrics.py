@@ -1,4 +1,4 @@
-"""Evaluation metrics: top-k accuracy and running averages."""
+"""Evaluation metrics: top-k accuracy."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from .data import SyntheticImages
 from .layers import Module
 from .tensor import Tensor, no_grad
 
-__all__ = ["topk_accuracy", "evaluate", "AverageMeter"]
+__all__ = ["topk_accuracy", "evaluate"]
 
 
 def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
@@ -44,22 +44,3 @@ def evaluate(
         model.train()
     return {k: topk_accuracy(logits, dataset.labels, k) for k in ks}
 
-
-class AverageMeter:
-    """Streaming mean of a scalar metric."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.count = 0
-
-    def update(self, value: float, n: int = 1) -> None:
-        self.total += float(value) * n
-        self.count += n
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.total = 0.0
-        self.count = 0

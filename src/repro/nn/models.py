@@ -26,7 +26,7 @@ from .layers import (
 )
 from .tensor import Tensor
 
-__all__ = ["VGG_CONFIGS", "make_vgg", "MLP", "LogisticRegression", "SmallConvNet"]
+__all__ = ["VGG_CONFIGS", "make_vgg", "MLP", "LogisticRegression"]
 
 # Standard VGG configurations ("M" = 2x2 max-pool).
 VGG_CONFIGS = {
@@ -134,31 +134,3 @@ class LogisticRegression(Module):
             x = x.reshape(x.shape[0], -1)
         return self.linear(x)
 
-
-class SmallConvNet(Module):
-    """Two-conv CNN for fast integration tests (8x8 or 16x16 inputs)."""
-
-    def __init__(
-        self,
-        in_channels: int = 3,
-        num_classes: int = 10,
-        image_size: int = 8,
-        seed: int = 0,
-    ):
-        super().__init__()
-        if image_size % 4:
-            raise ValueError(f"image_size must be divisible by 4, got {image_size}")
-        rng = np.random.default_rng(seed)
-        self.conv1 = Conv2d(in_channels, 8, kernel_size=3, rng=rng, padding=1)
-        self.bn1 = BatchNorm2d(8)
-        self.conv2 = Conv2d(8, 16, kernel_size=3, rng=rng, padding=1)
-        self.bn2 = BatchNorm2d(16)
-        self.pool = MaxPool2d(2)
-        flat = 16 * (image_size // 4) ** 2
-        self.head = Linear(flat, num_classes, rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        x = self.pool(self.bn1(self.conv1(x)).relu())
-        x = self.pool(self.bn2(self.conv2(x)).relu())
-        x = x.reshape(x.shape[0], -1)
-        return self.head(x)

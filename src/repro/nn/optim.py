@@ -2,9 +2,8 @@
 
 The paper's training recipe (Section 4.1 footnote): SGD with momentum
 0.9, initial learning rate 1e-3 with a StepLR schedule, cross-entropy
-loss.  Adam and a cosine schedule are included for the optimizer-
-sensitivity ablation (how each optimizer reacts to trimmed-gradient
-noise), plus gradient-norm clipping.
+loss.  Adam is included for the optimizer-sensitivity ablation (how
+each optimizer reacts to trimmed-gradient noise).
 """
 
 from __future__ import annotations
@@ -15,13 +14,13 @@ import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["SGD", "Adam", "StepLR", "CosineLR", "clip_grad_norm"]
+__all__ = ["SGD", "Adam", "StepLR"]
 
 
 class SGD:
     """Stochastic gradient descent with classical momentum.
 
-    ``v <- mu*v + g;  p <- p - lr*(v + wd*p)``
+    ``v <- mu*v + g;  p <- p - lr*v``
     """
 
     def __init__(
@@ -29,7 +28,6 @@ class SGD:
         parameters: Sequence[Parameter],
         lr: float = 1e-3,
         momentum: float = 0.9,
-        weight_decay: float = 0.0,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
@@ -40,7 +38,6 @@ class SGD:
             raise ValueError("optimizer received no parameters")
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.parameters]
 
     def zero_grad(self) -> None:
@@ -52,11 +49,8 @@ class SGD:
         for p, v in zip(self.parameters, self._velocity):
             if p.grad is None:
                 continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             v *= self.momentum
-            v += grad
+            v += p.grad
             p.data -= self.lr * v
 
     def state_dict(self) -> dict:
@@ -98,7 +92,6 @@ class Adam:
         lr: float = 1e-3,
         betas: tuple = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
@@ -111,7 +104,6 @@ class Adam:
         self.lr = lr
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
         self._t = 0
@@ -129,8 +121,6 @@ class Adam:
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             m *= self.beta1
             m += (1 - self.beta1) * grad
             v *= self.beta2
@@ -138,27 +128,6 @@ class Adam:
             m_hat = m / correction1
             v_hat = v / correction2
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.  A standard defense that interacts
-    interestingly with trimming: the sign codec's inflated small
-    coordinates raise the global norm and get everything scaled down.
-    """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
-    grads = [p.grad for p in parameters if p.grad is not None]
-    for grad in grads:
-        total += float(np.sum(grad * grad))
-    norm = float(np.sqrt(total))
-    if norm > max_norm:
-        scale = max_norm / (norm + 1e-12)
-        for grad in grads:
-            grad *= scale
-    return norm
 
 
 class StepLR:
@@ -191,36 +160,3 @@ class StepLR:
     def lr(self) -> float:
         return self.optimizer.lr
 
-
-class CosineLR:
-    """Cosine annealing from the base lr to ``min_lr`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer, t_max: int, min_lr: float = 0.0) -> None:
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.optimizer = optimizer
-        self.t_max = t_max
-        self.min_lr = min_lr
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        """Advance one epoch and update the optimizer's lr."""
-        self.epoch += 1
-        progress = min(self.epoch, self.t_max) / self.t_max
-        cosine = 0.5 * (1.0 + np.cos(np.pi * progress))
-        self.optimizer.lr = self.min_lr + (self.base_lr - self.min_lr) * cosine
-
-    def set_epoch(self, epoch: int) -> None:
-        """Jump to ``epoch`` completed steps (checkpoint restore)."""
-        if epoch < 0:
-            raise ValueError(f"epoch must be non-negative, got {epoch}")
-        self.epoch = 0
-        for _ in range(epoch):
-            self.step()
-        if epoch == 0:
-            self.optimizer.lr = self.base_lr
-
-    @property
-    def lr(self) -> float:
-        return self.optimizer.lr

@@ -41,7 +41,6 @@ from .int_telemetry import (
     enable_int,
     get_int_collector,
     int_capacity,
-    int_to,
     set_int_collector,
 )
 from .metrics import Counter, MetricsRegistry, get_registry, set_registry
@@ -65,7 +64,6 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "int_capacity",
-    "int_to",
     "read_jsonl",
     "set_int_collector",
     "set_registry",

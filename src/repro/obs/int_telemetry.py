@@ -72,7 +72,6 @@ __all__ = [
     "reset_hop_registry",
     "get_int_collector",
     "set_int_collector",
-    "int_to",
 ]
 
 INT_VERSION = 1
@@ -516,10 +515,3 @@ def set_int_collector(collector: INTCollector) -> INTCollector:
     _COLLECTOR = collector
     return previous
 
-
-def int_to(path: Optional[str], capacity: int = DEFAULT_INT_CAPACITY) -> INTCollector:
-    """Enable INT stamping + collection, streaming records to ``path``."""
-    enable_int(capacity=capacity)
-    collector = INTCollector(enabled=True, jsonl_path=path)
-    set_int_collector(collector)
-    return collector

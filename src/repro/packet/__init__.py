@@ -4,7 +4,6 @@ from .bitpack import (
     PackedSegments,
     pack_bits,
     pack_segments,
-    pack_signs,
     packed_size,
     unpack_batch,
     unpack_bits,
@@ -21,7 +20,7 @@ from .header import (
     WIRE_HEADER_BYTES,
     GradientHeader,
 )
-from .packet import DEFAULT_MTU_BYTES, MAX_MTU_BYTES, Packet
+from .packet import DEFAULT_MTU_BYTES, Packet
 from .trim import (
     MultiLevelTrim,
     NeverTrim,
@@ -34,7 +33,6 @@ __all__ = [
     "PackedSegments",
     "pack_bits",
     "pack_segments",
-    "pack_signs",
     "packed_size",
     "unpack_batch",
     "unpack_bits",
@@ -49,7 +47,6 @@ __all__ = [
     "WIRE_HEADER_BYTES",
     "GradientHeader",
     "DEFAULT_MTU_BYTES",
-    "MAX_MTU_BYTES",
     "Packet",
     "MultiLevelTrim",
     "NeverTrim",

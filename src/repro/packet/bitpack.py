@@ -37,7 +37,6 @@ __all__ = [
     "packed_size",
     "pack_bits",
     "unpack_bits",
-    "pack_signs",
     "unpack_signs",
     "PackedSegments",
     "pack_segments",
@@ -381,14 +380,7 @@ def unpack_batch(
 # -- sign helpers -------------------------------------------------------------
 
 
-def pack_signs(signs: np.ndarray) -> bytes:
-    """Pack a ±1 (or boolean) array as 1 bit per entry (+1 -> 1, -1 -> 0)."""
-    arr = np.asarray(signs).reshape(-1)
-    bits = (arr > 0).astype(np.uint8)
-    return pack_bits(bits, 1)
-
-
 def unpack_signs(data: ByteLike, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_signs`; returns a float64 ±1 array."""
+    """1-bit entries as a float64 ±1 array (1 -> +1, 0 -> -1)."""
     bits = unpack_bits(data, count, 1)
     return bits.astype(np.float64) * 2.0 - 1.0

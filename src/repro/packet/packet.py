@@ -30,10 +30,9 @@ from .header import (
     GradientHeader,
 )
 
-__all__ = ["Packet", "MAX_MTU_BYTES", "DEFAULT_MTU_BYTES"]
+__all__ = ["Packet", "DEFAULT_MTU_BYTES"]
 
 DEFAULT_MTU_BYTES = 1500
-MAX_MTU_BYTES = 9000
 
 _packet_ids = itertools.count()
 _read_view = PACKET_VIEW.unpack_from

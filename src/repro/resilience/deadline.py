@@ -10,10 +10,9 @@ estimator of the responder mean, with the stragglers' contribution
 deferred rather than waited for.
 
 The deadline is fed per round by the trainer (``begin_round``) with
-each worker's modeled time for that round; the collectives then call
-``split`` — possibly several times per round under DDP bucketing, so
-the responder set is fixed at ``begin_round`` and ``split`` only
-filters it (no double counting).
+each worker's modeled time for that round; the collective then calls
+``split``, which only filters the responder set fixed at
+``begin_round`` (no double counting).
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ class RoundDeadline:
         ``model`` is a :class:`~repro.train.timing.RoundTimeModel` (typed
         loosely to keep this package import-light); ``round_kwargs`` are
         forwarded to :meth:`~repro.train.timing.RoundTimeModel.round_time`
-        (codec_name, trim_rate, drop_rate, world_size).
+        (codec_name, trim_rate, world_size).
         """
         if factor <= 1.0:
             raise ValueError(f"deadline factor must exceed 1, got {factor}")

@@ -15,17 +15,13 @@ the invariant the property suite checks.  A surrendered round (zero
 delivered) leaves the whole carry in the residual: the update is
 delayed one round, not lost.
 
-Residuals are keyed by ``(worker, slot)`` where ``slot`` is the
-message's index *within the round* — stable across rounds even under
-DDP bucketing, where one round issues several messages per worker with
-fresh ``message_id``s.  :meth:`EFChannel.end_round` closes a round and
-resets the slot counters; :class:`~repro.collectives.hooks.CommHook`
-calls it automatically after each aggregation.
+Every round sends one message per worker, so residuals are keyed by
+worker alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
@@ -53,23 +49,20 @@ class EFChannel(GradientChannel):
         self.inner = inner
         self.label = label
         self.stats = inner.stats
-        self._residuals: Dict[Tuple[int, int], np.ndarray] = {}
-        self._slots: Dict[int, int] = {}
+        self._residuals: Dict[int, np.ndarray] = {}
 
     def transfer(
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0, worker: int = 0
     ) -> np.ndarray:
-        slot, carry = self.carry(flat, worker)
+        carry = self.carry(flat, worker)
         delivered = self.inner.transfer(
             carry, epoch=epoch, message_id=message_id, worker=worker
         )
-        self.settle(
-            slot, carry, delivered, epoch=epoch, message_id=message_id, worker=worker
-        )
+        self.settle(carry, delivered, epoch=epoch, message_id=message_id, worker=worker)
         return delivered
 
-    def carry(self, flat: np.ndarray, worker: int) -> Tuple[int, np.ndarray]:
-        """Claim ``worker``'s next slot; returns it with input + residual.
+    def carry(self, flat: np.ndarray, worker: int) -> np.ndarray:
+        """``worker``'s input plus the residual its last message left.
 
         :meth:`transfer` is ``carry`` → inner channel → :meth:`settle`.
         The halves are public for a carrier that cannot deliver inside
@@ -77,14 +70,11 @@ class EFChannel(GradientChannel):
         shared fabric first and settles them once the wave has run.
         """
         flat = np.asarray(flat, dtype=np.float64)
-        slot = self._slots.get(worker, 0)
-        self._slots[worker] = slot + 1
-        residual = self._residuals.get((worker, slot))
-        return slot, flat if residual is None else flat + residual
+        residual = self._residuals.get(worker)
+        return flat if residual is None else flat + residual
 
     def settle(
         self,
-        slot: int,
         carry: np.ndarray,
         delivered: np.ndarray,
         *,
@@ -92,9 +82,9 @@ class EFChannel(GradientChannel):
         message_id: int = 0,
         worker: int = 0,
     ) -> None:
-        """Keep what the carrier lost of ``carry`` as the slot's residual."""
+        """Keep what the carrier lost of ``carry`` as ``worker``'s residual."""
         residual = carry - delivered
-        self._residuals[(worker, slot)] = residual
+        self._residuals[worker] = residual
         tracer = get_tracer()
         if tracer.enabled:
             tracer.event(
@@ -103,36 +93,26 @@ class EFChannel(GradientChannel):
                 epoch=epoch,
                 message_id=message_id,
                 worker=worker,
-                slot=slot,
                 residual_norm=float(np.linalg.norm(residual)),
             )
 
-    def end_round(self) -> None:
-        """Close the round: the next transfer starts again at slot 0."""
-        self._slots.clear()
-
-    def residual(self, worker: int, slot: int = 0) -> np.ndarray:
-        """Copy of one residual (zeros-shaped errors start as absent)."""
-        value = self._residuals.get((worker, slot))
+    def residual(self, worker: int) -> np.ndarray:
+        """Copy of one worker's residual (zeros-shaped errors start as absent)."""
+        value = self._residuals.get(worker)
         if value is None:
-            raise KeyError(f"no residual for worker {worker}, slot {slot}")
+            raise KeyError(f"no residual for worker {worker}")
         return value.copy()
 
     def residual_norms(self) -> Dict[int, float]:
-        """Per-worker total residual L2 norm across all slots."""
-        totals: Dict[int, float] = {}
-        for (worker, _slot), value in self._residuals.items():
-            totals[worker] = totals.get(worker, 0.0) + float(
-                np.sum(value * value)
-            )
-        return {worker: float(np.sqrt(s)) for worker, s in sorted(totals.items())}
+        """Per-worker residual L2 norm."""
+        return {
+            worker: float(np.sqrt(np.sum(value * value)))
+            for worker, value in sorted(self._residuals.items())
+        }
 
     def drop_worker(self, worker: int) -> None:
-        """Discard a worker's residuals (evicted workers rejoin fresh)."""
-        self._residuals = {
-            key: value for key, value in self._residuals.items() if key[0] != worker
-        }
-        self._slots.pop(worker, None)
+        """Discard a worker's residual (evicted workers rejoin fresh)."""
+        self._residuals.pop(worker, None)
 
     def reset_stats(self) -> None:
         self.inner.reset_stats()  # zeroes the shared stats in place
@@ -140,22 +120,21 @@ class EFChannel(GradientChannel):
     # -- checkpointing ----------------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """Residual buffers and slot counters, JSON-ready."""
+        """Residual buffers, JSON-ready."""
         residuals: List[Dict[str, Any]] = [
-            {"worker": worker, "slot": slot, "values": value.tolist()}
-            for (worker, slot), value in sorted(self._residuals.items())
+            {"worker": worker, "values": value.tolist()}
+            for worker, value in sorted(self._residuals.items())
         ]
-        return {
-            "residuals": residuals,
-            "slots": {str(w): s for w, s in self._slots.items()},
-        }
+        return {"residuals": residuals}
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Inverse of :meth:`state_dict`."""
-        self._residuals = {
-            (int(item["worker"]), int(item["slot"])): np.asarray(
-                item["values"], dtype=np.float64
+        """Inverse of :meth:`state_dict`; refuses the per-slot format."""
+        if "slots" in state or any("slot" in item for item in state["residuals"]):
+            raise ValueError(
+                "EF state keyed by (worker, slot) is not supported: "
+                "residuals are keyed by worker"
             )
+        self._residuals = {
+            int(item["worker"]): np.asarray(item["values"], dtype=np.float64)
             for item in state["residuals"]
         }
-        self._slots = {int(w): int(s) for w, s in dict(state["slots"]).items()}

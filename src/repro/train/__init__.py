@@ -12,7 +12,7 @@ from .fsdp import FSDPTrainer
 from .network_channel import NetworkChannel
 from .replay import TrimTranscript
 from .timing import RoundTime, RoundTimeModel, TimingConfig, measure_codec_throughput
-from .trim_channel import BaselineDropChannel, TrimChannel
+from .trim_channel import TrimChannel
 
 __all__ = [
     "AdaptiveQController",
@@ -29,6 +29,5 @@ __all__ = [
     "RoundTimeModel",
     "TimingConfig",
     "measure_codec_throughput",
-    "BaselineDropChannel",
     "TrimChannel",
 ]

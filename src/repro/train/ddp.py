@@ -25,8 +25,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..collectives.hooks import AllReduceHook, CommHook
-from ..collectives.ring import broadcast
+from ..collectives.hooks import AllReduceHook, CommHook, broadcast
 from ..nn.data import DataLoader, SyntheticImages
 from ..nn.functional import cross_entropy
 from ..nn.layers import Module
@@ -54,25 +53,18 @@ _RoundRequest = Tuple[List[np.ndarray], int, Optional[int]]
 class TrainConfig:
     """Hyper-parameters, defaulting to the paper's recipe (footnote 4).
 
-    ``freeze_momentum_on_surrender`` controls the degraded-step
-    interaction with momentum: by default a surrendered round's zero
-    gradient still decays the velocity buffers (``v <- mu*v``); with the
-    flag set the optimizer step is skipped entirely when a surrender
-    left the aggregated gradient all-zero, freezing both parameters and
-    momentum for that round.
+    A surrendered round's zero gradient still steps the optimizer, so
+    the momentum buffers decay (``v <- mu*v``) through the lost round.
     """
 
     epochs: int = 20
     batch_size: int = 64
     lr: float = 1e-3
     momentum: float = 0.9
-    weight_decay: float = 0.0
     step_size: int = 50
     gamma: float = 0.1
-    label_smoothing: float = 0.0
     augment: bool = True
     seed: int = 0
-    freeze_momentum_on_surrender: bool = False
 
 
 @dataclass
@@ -207,7 +199,7 @@ class DDPTrainer:
         config: hyper-parameters.
         time_model: wall-clock cost model (None = count no time).
         codec_name: codec label for the time model (None = baseline).
-        trim_rate / drop_rate: congestion levels for the time model.
+        trim_rate: congestion level for the time model.
         divergence_loss: abort threshold — training whose epoch loss
             exceeds this (or goes NaN) is flagged diverged, like the
             sign codec at >= 2 % trim in the paper.
@@ -233,7 +225,6 @@ class DDPTrainer:
         time_model: Optional[RoundTimeModel] = None,
         codec_name: Optional[str] = None,
         trim_rate: float = 0.0,
-        drop_rate: float = 0.0,
         divergence_loss: float = 50.0,
         label: Optional[str] = None,
         optimizer_factory=None,
@@ -250,7 +241,6 @@ class DDPTrainer:
         self.time_model = time_model
         self.codec_name = codec_name
         self.trim_rate = trim_rate
-        self.drop_rate = drop_rate
         self.divergence_loss = divergence_loss
         self.label = label or (codec_name or "baseline")
 
@@ -258,12 +248,7 @@ class DDPTrainer:
         if optimizer_factory is not None:
             self.optimizer = optimizer_factory(model.parameters())
         else:
-            self.optimizer = SGD(
-                model.parameters(),
-                lr=cfg.lr,
-                momentum=cfg.momentum,
-                weight_decay=cfg.weight_decay,
-            )
+            self.optimizer = SGD(model.parameters(), lr=cfg.lr, momentum=cfg.momentum)
         self.scheduler = StepLR(self.optimizer, step_size=cfg.step_size, gamma=cfg.gamma)
         self.loaders = [
             DataLoader(
@@ -300,7 +285,6 @@ class DDPTrainer:
                 label=self.label,
                 codec_name=codec_name,
                 trim_rate=trim_rate,
-                drop_rate=drop_rate,
                 world_size=world_size,
             )
             self.membership = Membership(
@@ -395,11 +379,7 @@ class DDPTrainer:
                 grads.append(np.zeros(self.num_coords))
                 continue
             self.model.zero_grad()
-            loss = cross_entropy(
-                self.model(Tensor(images)),
-                labels,
-                label_smoothing=self.config.label_smoothing,
-            )
+            loss = cross_entropy(self.model(Tensor(images)), labels)
             loss.backward()
             grads.append(self.model.flat_gradient())
             losses.append(loss.item())
@@ -421,24 +401,8 @@ class DDPTrainer:
                 t=now_s + self._epoch_round_time().total_s,
                 surrendered=self.hook.stats.rounds_surrendered - surrendered_before,
             )
-        surrendered = self.hook.stats.rounds_surrendered - surrendered_before
-        if (
-            self.config.freeze_momentum_on_surrender
-            and surrendered > 0
-            and not np.any(aggregated)
-        ):
-            # The whole round was lost: freeze parameters AND momentum
-            # instead of letting a zero gradient decay the velocity.
-            if tracer.enabled:
-                tracer.event(
-                    "train.momentum_frozen",
-                    run=self.label,
-                    epoch=epoch,
-                    round=self._rounds_run + 1,
-                )
-        else:
-            self.model.load_flat_gradient(aggregated)
-            self.optimizer.step()
+        self.model.load_flat_gradient(aggregated)
+        self.optimizer.step()
         if times is not None:
             self._update_membership(times)
         self._rounds.run += 1
@@ -474,7 +438,6 @@ class DDPTrainer:
             self.num_coords,
             codec_name=self.codec_name,
             trim_rate=self.trim_rate,
-            drop_rate=self.drop_rate,
             world_size=self.world_size,
         )
 

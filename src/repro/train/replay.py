@@ -35,7 +35,10 @@ class TrimTranscript:
         key = (epoch, message_id, worker)
         if key in self._entries:
             raise ValueError(f"transcript already has an entry for {key}")
-        self._entries[key] = sorted(int(i) for i in trimmed)
+        indices = sorted(int(i) for i in trimmed)
+        if indices and indices[0] < 0:
+            raise ValueError(f"negative packet index {indices[0]} for {key}")
+        self._entries[key] = indices
 
     def lookup(self, epoch: int, message_id: int, worker: int) -> List[int]:
         """Trimmed packet indices for one message (raises if unknown)."""

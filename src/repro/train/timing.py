@@ -13,10 +13,7 @@ those are reconstructed from three ingredients:
    throughput (RHT costs more than SQ/SD by the FWHT's O(log n) factor —
    the paper measured ≈18 %).
 3. **Communication** — bytes on the wire over the link bandwidth.
-   Trimming *reduces* bytes (trimmed packets are ~1/32 size); drops on
-   the baseline *add* go-back-N retransmission stalls, calibrated to the
-   Section 4.4 observation (0.15-0.25 % drops tolerable, 1-2 % drops
-   5-10x slower).
+   Trimming *reduces* bytes (trimmed packets are ~1/32 size).
 
 The knobs live in :class:`TimingConfig` and every default is documented,
 so EXPERIMENTS.md can state exactly what was assumed.
@@ -47,13 +44,6 @@ class TimingConfig:
             as a fraction of compute_s (anchors the 42-68 % range
             together with hook_overhead_s).
         mtu_bytes: packet size.
-        gbn_window: baseline go-back-N window (packets re-sent per drop).
-        fast_retx_s: cheap recovery cost per isolated drop (dup-ACK
-            rewind, ~RTTs).
-        rto_s: retransmission timeout charged when a second loss lands
-            in the same window (probability ≈ drop_rate·window) — the
-            super-linear regime that makes 1-2 % drops 5-10x slower
-            while ~0.2 % stays tolerable, as §4.4 reports.
     """
 
     bandwidth_bps: float = 100e9
@@ -62,9 +52,6 @@ class TimingConfig:
     hook_overhead_s: float = 12e-3
     encode_fraction_scalar: float = 0.2
     mtu_bytes: int = 1500
-    gbn_window: int = 64
-    fast_retx_s: float = 30e-6
-    rto_s: float = 1e-3
 
 
 @dataclass
@@ -164,7 +151,6 @@ class RoundTimeModel:
         num_coords: int,
         codec_name: Optional[str] = None,
         trim_rate: float = 0.0,
-        drop_rate: float = 0.0,
         world_size: int = 2,
     ) -> RoundTime:
         """Model one synchronous training round.
@@ -173,7 +159,6 @@ class RoundTimeModel:
             num_coords: gradient length (all workers equal).
             codec_name: None for the uncompressed baseline.
             trim_rate: fraction of packets trimmed (trimmable path).
-            drop_rate: fraction of packets dropped (baseline path).
             world_size: ring width — bytes scale with the all-reduce's
                 2(N-1)/N factor.
         """
@@ -183,22 +168,7 @@ class RoundTimeModel:
         bytes_on_wire = self._message_bytes(num_coords, trim_rate, codec_name)
         bytes_on_wire *= 2.0 * (world_size - 1) / world_size
         comm = bytes_on_wire * 8.0 / cfg.bandwidth_bps + cfg.base_rtt_s
-        if drop_rate > 0.0:
-            num_packets = bytes_on_wire / cfg.mtu_bytes
-            drops = num_packets * drop_rate
-            # Each drop rewinds ~W/2 packets; with probability
-            # ~drop_rate*W a second loss hits the same window and the
-            # sender stalls a full RTO (the super-linear §4.4 regime).
-            rewind_bytes = drops * cfg.gbn_window / 2 * cfg.mtu_bytes
-            rto_probability = min(1.0, drop_rate * cfg.gbn_window)
-            stall_per_drop = cfg.fast_retx_s + rto_probability * cfg.rto_s
-            comm += rewind_bytes * 8.0 / cfg.bandwidth_bps + drops * stall_per_drop
         return RoundTime(
             compute_s=cfg.compute_s, encode_s=encode + hook, comm_s=comm
         )
 
-    def baseline_slowdown(self, num_coords: int, drop_rate: float) -> float:
-        """Round-time ratio of the lossy baseline to the clean baseline."""
-        clean = self.round_time(num_coords).total_s
-        lossy = self.round_time(num_coords, drop_rate=drop_rate).total_s
-        return lossy / clean

@@ -8,10 +8,6 @@ quantized value.  :class:`TrimChannel` reproduces that exactly on top of
 the real codecs: encode → per-packet Bernoulli trim → decode, with
 wall-clock encode/decode timing captured for the Figure 5 breakdown, and
 an optional Section 5.4 transcript for record/replay.
-
-:class:`BaselineDropChannel` models the unmodified-NCCL baseline: data
-always arrives bit-exact (reliability), but drops are counted so the
-timing model can charge the retransmission stalls of Section 4.4.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from ..packet.header import GRADIENT_HEADER_BYTES, WIRE_HEADER_BYTES
 from ..transforms.prng import shared_generator
 from .replay import TrimTranscript
 
-__all__ = ["TrimChannel", "BaselineDropChannel"]
+__all__ = ["TrimChannel"]
 
 
 class TrimChannel(GradientChannel):
@@ -91,6 +87,12 @@ class TrimChannel(GradientChannel):
     ) -> np.ndarray:
         if self.replay is not None:
             indices = self.replay.lookup(epoch, message_id, worker)
+            if indices and indices[-1] >= num_packets:
+                raise ValueError(
+                    f"transcript trims packet {indices[-1]} of message "
+                    f"(epoch={epoch}, message={message_id}, worker={worker}), "
+                    f"which has {num_packets} packets"
+                )
             mask = np.zeros(num_packets, dtype=bool)
             mask[np.asarray(indices, dtype=int)] = True
             return mask
@@ -198,38 +200,3 @@ class TrimChannel(GradientChannel):
             )
         return decoded
 
-
-class BaselineDropChannel(GradientChannel):
-    """Unmodified-NCCL baseline: bit-exact delivery, drops cost time.
-
-    A reliable transport retransmits every dropped packet, so the
-    *values* are unaffected; the damage is pure latency.  The channel
-    counts Bernoulli drops so :class:`repro.train.timing.RoundTimeModel`
-    can convert them into the go-back-N stalls of Section 4.4.
-    """
-
-    def __init__(self, drop_rate: float = 0.0, mtu: int = 1500, seed: int = 0) -> None:
-        super().__init__()
-        if not 0.0 <= drop_rate <= 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1], got {drop_rate}")
-        self.drop_rate = drop_rate
-        self.mtu = mtu
-        self.seed = seed
-        self._payload_bytes = mtu - WIRE_HEADER_BYTES
-
-    def transfer(
-        self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0, worker: int = 0
-    ) -> np.ndarray:
-        flat = np.asarray(flat, dtype=np.float64)
-        num_packets = -(-flat.size * 4 // self._payload_bytes)
-        gen = shared_generator(
-            self.seed * 1_000_003 + worker, epoch, message_id, purpose="trim"
-        )
-        dropped = int((gen.random(num_packets) < self.drop_rate).sum())
-        self.stats.messages += 1
-        self.stats.coordinates += flat.size
-        self.stats.packets_total += num_packets
-        self.count_dropped(dropped)
-        # Retransmissions put the dropped packets on the wire again.
-        self.stats.bytes_sent += (num_packets + dropped) * self.mtu
-        return flat.copy()

@@ -7,7 +7,7 @@ from .hadamard import (
     is_power_of_two,
     next_power_of_two,
 )
-from .prng import StreamKey, derive_seed, purposes, shared_generator
+from .prng import StreamKey, derive_seed, shared_generator
 from .rotation import RotatedRows, irht, random_signs, rht, rotate_rows, unrotate_rows
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "next_power_of_two",
     "StreamKey",
     "derive_seed",
-    "purposes",
     "shared_generator",
     "RotatedRows",
     "irht",

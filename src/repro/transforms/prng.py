@@ -44,7 +44,7 @@ class StreamKey:
         root_seed: experiment-wide seed, agreed out of band.
         epoch: training epoch (or any coarse round counter).
         message_id: collective-communication message id within the epoch.
-        purpose: one of ``purposes()`` — keeps e.g. dither and rotation
+        purpose: a key of ``_PURPOSES`` — keeps e.g. dither and rotation
             streams independent even for the same message.
     """
 
@@ -66,11 +66,6 @@ class StreamKey:
             spawn_key=(self.epoch, self.message_id, _PURPOSES[self.purpose]),
         )
         return np.random.Generator(np.random.Philox(seq))
-
-
-def purposes() -> list[str]:
-    """Names of the available independent sub-streams."""
-    return sorted(_PURPOSES)
 
 
 def shared_generator(

@@ -1,7 +1,7 @@
 """Transport substrate: congestion control, three sender/receiver stacks, the transfer."""
 
 from .base import MessageSenderBase, RttEstimator, TransportSurrender, segment_bytes
-from .congestion import AIMD, DCTCP, CongestionControl, FixedWindow
+from .congestion import AIMD, CongestionControl, FixedWindow
 from .pull import PullReceiver, PullSender
 from .reliable import GoBackNReceiver, GoBackNSender
 from .transfer import Transfer
@@ -13,7 +13,6 @@ __all__ = [
     "TransportSurrender",
     "segment_bytes",
     "AIMD",
-    "DCTCP",
     "CongestionControl",
     "FixedWindow",
     "GoBackNReceiver",

@@ -1,24 +1,22 @@
 """Window-based congestion control.
 
-Three controllers that bracket the paper's setting:
+Two controllers that bracket the paper's setting:
 
 * :class:`FixedWindow` — no reaction; models an aggressively provisioned
   RDMA-style sender (and keeps microbenchmarks deterministic).
 * :class:`AIMD` — TCP-NewReno-flavoured: +1/cwnd per ACK, halve on loss
   or ECN.
-* :class:`DCTCP` — ECN-*fraction* proportional decrease, the standard
-  data-center control the paper contrasts with trimming.
 
 Trim notifications feed :meth:`CongestionControl.on_trim`.  Per
 Section 5.3, a trimming-aware sender should *not* slow down as hard as on
 loss — the trimmed packet still delivered its head, and the whole point
-is to keep the link saturated and let the switch compress.  DCTCP treats
-a trim like an ECN mark; AIMD applies a gentle multiplicative decrease.
+is to keep the link saturated and let the switch compress.  AIMD applies
+a gentle multiplicative decrease.
 """
 
 from __future__ import annotations
 
-__all__ = ["CongestionControl", "FixedWindow", "AIMD", "DCTCP"]
+__all__ = ["CongestionControl", "FixedWindow", "AIMD"]
 
 
 class CongestionControl:
@@ -80,55 +78,3 @@ class AIMD(CongestionControl):
         self.cwnd *= 0.5
         self._clamp()
 
-
-class DCTCP(CongestionControl):
-    """DCTCP: decrease proportional to the EWMA fraction of marked ACKs.
-
-    ``alpha`` tracks the marked fraction with gain ``g``; each window's
-    end applies ``cwnd *= 1 - alpha/2``.  We approximate per-window
-    epochs by counting ACKs against the current window.
-    """
-
-    def __init__(
-        self,
-        initial_window: float = 10.0,
-        max_window: float = 1024.0,
-        gain: float = 1.0 / 16.0,
-    ) -> None:
-        super().__init__(initial_window, max_window)
-        self.gain = gain
-        self.alpha = 0.0
-        self._acks = 0
-        self._marked = 0
-        self._epoch = max(1, int(self.cwnd))
-
-    def _roll_epoch(self) -> None:
-        fraction = self._marked / max(1, self._acks)
-        self.alpha = (1 - self.gain) * self.alpha + self.gain * fraction
-        if self.alpha > 0:
-            self.cwnd *= 1 - self.alpha / 2
-        self._acks = 0
-        self._marked = 0
-        self._epoch = max(1, int(self.cwnd))
-        self._clamp()
-
-    def on_ack(self, ecn: bool = False) -> None:
-        self._acks += 1
-        if ecn:
-            self._marked += 1
-        else:
-            self.cwnd += 1.0 / self.cwnd
-        if self._acks >= self._epoch:
-            self._roll_epoch()
-        self._clamp()
-
-    def on_trim(self) -> None:
-        # A trim is a congestion signal of the same grade as a CE mark.
-        self._acks += 1
-        self._marked += 1
-        if self._acks >= self._epoch:
-            self._roll_epoch()
-
-    def on_loss(self) -> None:
-        self.cwnd *= 0.5
-        self._clamp()

@@ -77,8 +77,7 @@ class TestIdleFabricParity:
         baseline = _baseline(SEED, "job0", workers=2, epochs=2, ef=ef)
         assert fabric_history.to_json() == baseline.history.to_json()
         if ef:
-            # One EFChannel on both sides: a wave that forgot end_round()
-            # would file round 2's residuals under slot 1.
+            # One EFChannel on both sides, equal residual bits per worker.
             fabric_ef = driver.runtimes[0].hook.channel
             for worker in range(2):
                 assert np.array_equal(

@@ -3,16 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    AllReduceHook,
-    PerfectChannel,
-    RingAllReduceHook,
-    all_gather,
-    allreduce_mean,
-    broadcast,
-    reduce_scatter,
-    ring_allreduce,
-)
+from repro.collectives import AllReduceHook, PerfectChannel, allreduce_mean, broadcast
 from repro.core import RHTCodec, codec_by_name
 from repro.train import TrimChannel
 
@@ -73,64 +64,7 @@ class TestAllReduceMean:
             allreduce_mean([])
 
 
-class TestRingAllReduce:
-    def test_matches_mean_with_perfect_channel(self):
-        grads = worker_grads(world=5, n=1003)  # deliberately not divisible
-        results = ring_allreduce(grads)
-        true = np.mean(grads, axis=0)
-        for rank_result in results:
-            assert np.allclose(rank_result, true)
-
-    def test_single_worker_identity(self):
-        grads = worker_grads(world=1)
-        assert np.allclose(ring_allreduce(grads)[0], grads[0])
-
-    def test_two_workers(self):
-        grads = worker_grads(world=2, n=64)
-        results = ring_allreduce(grads)
-        assert np.allclose(results[0], np.mean(grads, axis=0))
-        assert np.allclose(results[1], np.mean(grads, axis=0))
-
-    def test_channel_crossed_per_hop(self):
-        channel = PerfectChannel()
-        grads = worker_grads(world=4, n=400)
-        ring_allreduce(grads, channel)
-        # 2 * (N-1) steps, N sends per step = 24 messages.
-        assert channel.stats.messages == 24
-
-    def test_compression_error_compounds_but_bounded(self):
-        grads = worker_grads(world=4, n=2**14)
-        channel = TrimChannel(RHTCodec(root_seed=0, row_size=1024), trim_rate=0.2, seed=1)
-        results = ring_allreduce(grads, channel, epoch=1)
-        true = np.mean(grads, axis=0)
-        err = np.linalg.norm(results[0] - true) / np.linalg.norm(true)
-        assert err < 1.5
-
-
-class TestAllGatherReduceScatterBroadcast:
-    def test_all_gather_concatenates(self):
-        shards = [np.full(3, float(r)) for r in range(3)]
-        gathered = all_gather(shards)
-        expected = np.concatenate(shards)
-        for rank, view in enumerate(gathered):
-            assert np.allclose(view, expected), rank
-
-    def test_all_gather_own_shard_exact_under_compression(self):
-        shards = [np.random.default_rng(r).standard_normal(4096) for r in range(3)]
-        channel = TrimChannel(
-            codec_by_name("sq", root_seed=0), trim_rate=1.0, seed=3
-        )
-        gathered = all_gather(shards, channel)
-        # Rank 1's own chunk is exact even though remote chunks degraded.
-        assert np.allclose(gathered[1][4096:8192], shards[1])
-        assert not np.allclose(gathered[1][:4096], shards[0])
-
-    def test_reduce_scatter_means_chunks(self):
-        tensors = worker_grads(world=4, n=1000)
-        outputs = reduce_scatter(tensors)
-        true = np.mean(tensors, axis=0)
-        assert np.allclose(np.concatenate(outputs), true)
-
+class TestBroadcast:
     def test_broadcast(self):
         x = np.arange(10.0)
         copies = broadcast(x, world=3)
@@ -145,11 +79,6 @@ class TestHooks:
         hook = AllReduceHook()
         assert np.allclose(hook.aggregate(grads, epoch=0), np.mean(grads, axis=0))
 
-    def test_ring_hook_matches_function(self):
-        grads = worker_grads(world=3)
-        hook = RingAllReduceHook()
-        assert np.allclose(hook.aggregate(grads, epoch=0), np.mean(grads, axis=0))
-
     def test_message_ids_advance(self):
         hook = AllReduceHook()
         a, b = hook.next_message_id(), hook.next_message_id()
@@ -162,53 +91,3 @@ class TestHooks:
         assert hook.stats.packets_total > 0
         assert 0.2 < hook.stats.trim_fraction < 0.8
 
-
-class TestBucketing:
-    def test_bucket_bounds_cover_exactly(self):
-        from repro.collectives import bucket_bounds
-
-        spans = bucket_bounds(1000, 300)
-        assert spans == [(0, 300), (300, 600), (600, 900), (900, 1000)]
-        assert bucket_bounds(1000, None) == [(0, 1000)]
-        assert bucket_bounds(100, 500) == [(0, 100)]
-
-    def test_bucket_bounds_validation(self):
-        from repro.collectives import bucket_bounds
-
-        with pytest.raises(ValueError):
-            bucket_bounds(100, 0)
-
-    def test_bucketed_perfect_aggregation_exact(self):
-        grads = worker_grads(world=3, n=1111)
-        hook = AllReduceHook(bucket_coords=200)
-        assert np.allclose(hook.aggregate(grads, epoch=0), np.mean(grads, axis=0))
-
-    def test_bucketed_messages_counted_per_bucket(self):
-        from repro.train import TrimChannel
-
-        channel = TrimChannel(codec_by_name("sd", root_seed=0), trim_rate=0.0, seed=0)
-        hook = AllReduceHook(channel, bucket_coords=500)
-        hook.aggregate(worker_grads(world=2, n=2000), epoch=1)
-        # 4 buckets x 2 workers = 8 messages.
-        assert channel.stats.messages == 8
-
-    def test_bucketing_localizes_sigma(self):
-        """A bucket holding only small coordinates gets a small sigma, so
-        sign-decode damage stays inside the bucket (DDP-bucket effect)."""
-        rng = np.random.default_rng(0)
-        small = rng.standard_normal(4000) * 0.01
-        big = rng.standard_normal(4000) * 10.0
-        grad = np.concatenate([small, big])
-        codec = codec_by_name("sign")
-        from repro.train import TrimChannel
-
-        whole = AllReduceHook(TrimChannel(codec, trim_rate=1.0, seed=1))
-        bucketed = AllReduceHook(
-            TrimChannel(codec_by_name("sign"), trim_rate=1.0, seed=1),
-            bucket_coords=4000,
-        )
-        out_whole = whole.aggregate([grad], epoch=1)
-        out_bucketed = bucketed.aggregate([grad], epoch=1)
-        err_whole = np.linalg.norm(out_whole[:4000] - small)
-        err_bucketed = np.linalg.norm(out_bucketed[:4000] - small)
-        assert err_bucketed < err_whole * 0.1

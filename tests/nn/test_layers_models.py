@@ -12,7 +12,6 @@ from repro.nn import (
     MaxPool2d,
     ReLU,
     Sequential,
-    SmallConvNet,
     Tensor,
     cross_entropy,
     make_vgg,
@@ -151,10 +150,6 @@ class TestModels:
     def test_logreg(self):
         model = LogisticRegression(10, 3, seed=0)
         assert model(Tensor(np.zeros((4, 10)))).shape == (4, 3)
-
-    def test_smallconvnet_validates_size(self):
-        with pytest.raises(ValueError):
-            SmallConvNet(image_size=10)
 
     def test_deterministic_init(self):
         a = make_vgg("vgg-micro", num_classes=10, image_size=8, seed=5)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.nn import (
     SGD,
-    AverageMeter,
     DataLoader,
     LogisticRegression,
     StepLR,
@@ -33,13 +32,6 @@ class TestSGD:
             p.grad = np.array([1.0])
             opt.step()
             assert np.allclose(p.data, [expected])
-
-    def test_weight_decay(self):
-        p = Parameter(np.array([10.0]))
-        opt = SGD([p], lr=0.1, momentum=0.0, weight_decay=0.1)
-        p.grad = np.array([0.0])
-        opt.step()
-        assert np.allclose(p.data, [10.0 - 0.1 * 1.0])
 
     def test_none_grad_skipped(self):
         p = Parameter(np.array([3.0]))
@@ -170,11 +162,3 @@ class TestMetrics:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             topk_accuracy(np.zeros(3), np.zeros(3, dtype=int))
-
-    def test_average_meter(self):
-        meter = AverageMeter()
-        meter.update(1.0, n=2)
-        meter.update(4.0, n=1)
-        assert meter.mean == pytest.approx(2.0)
-        meter.reset()
-        assert meter.mean == 0.0

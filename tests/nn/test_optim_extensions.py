@@ -1,10 +1,10 @@
-"""Tests for Adam, CosineLR, and gradient clipping."""
+"""Tests for Adam."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Parameter
-from repro.nn.optim import SGD, Adam, CosineLR, clip_grad_norm
+from repro.nn.optim import Adam
 
 
 class TestAdam:
@@ -36,13 +36,6 @@ class TestAdam:
             opt.step()
         assert np.allclose(p.data, [1.0], atol=1e-2)
 
-    def test_weight_decay(self):
-        p = Parameter(np.array([10.0]))
-        opt = Adam([p], lr=0.1, weight_decay=0.1)
-        p.grad = np.array([0.0])
-        opt.step()
-        assert p.data[0] < 10.0
-
     def test_none_grad_skipped(self):
         p = Parameter(np.array([1.0]))
         Adam([p], lr=0.1).step()
@@ -57,67 +50,3 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
 
-
-class TestCosineLR:
-    def test_anneals_to_min(self):
-        opt = SGD([Parameter(np.array([0.0]))], lr=1.0)
-        sched = CosineLR(opt, t_max=10, min_lr=0.1)
-        lrs = []
-        for _ in range(10):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs[-1] == pytest.approx(0.1)
-        assert all(a >= b - 1e-12 for a, b in zip(lrs, lrs[1:]))
-
-    def test_halfway_point(self):
-        opt = SGD([Parameter(np.array([0.0]))], lr=1.0)
-        sched = CosineLR(opt, t_max=10)
-        for _ in range(5):
-            sched.step()
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_stays_at_min_past_t_max(self):
-        opt = SGD([Parameter(np.array([0.0]))], lr=1.0)
-        sched = CosineLR(opt, t_max=4, min_lr=0.2)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.2)
-
-    def test_validation(self):
-        opt = SGD([Parameter(np.array([0.0]))], lr=1.0)
-        with pytest.raises(ValueError):
-            CosineLR(opt, t_max=0)
-
-
-class TestClipGradNorm:
-    def test_no_clip_below_threshold(self):
-        p = Parameter(np.array([0.0, 0.0]))
-        p.grad = np.array([3.0, 4.0])  # norm 5
-        norm = clip_grad_norm([p], max_norm=10.0)
-        assert norm == pytest.approx(5.0)
-        assert np.allclose(p.grad, [3.0, 4.0])
-
-    def test_clips_to_max_norm(self):
-        p = Parameter(np.array([0.0, 0.0]))
-        p.grad = np.array([3.0, 4.0])
-        clip_grad_norm([p], max_norm=1.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, rel=1e-6)
-        # Direction preserved.
-        assert p.grad[1] / p.grad[0] == pytest.approx(4.0 / 3.0)
-
-    def test_global_norm_across_parameters(self):
-        a = Parameter(np.array([0.0]))
-        b = Parameter(np.array([0.0]))
-        a.grad = np.array([3.0])
-        b.grad = np.array([4.0])
-        clip_grad_norm([a, b], max_norm=1.0)
-        total = np.sqrt(a.grad[0] ** 2 + b.grad[0] ** 2)
-        assert total == pytest.approx(1.0, rel=1e-6)
-
-    def test_none_grads_ignored(self):
-        a = Parameter(np.array([0.0]))
-        assert clip_grad_norm([a], max_norm=1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            clip_grad_norm([], max_norm=0.0)

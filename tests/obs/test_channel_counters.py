@@ -6,7 +6,7 @@ import pytest
 from repro.collectives.channel import GradientChannel
 from repro.core import codec_by_name
 from repro.obs.metrics import get_registry
-from repro.train import BaselineDropChannel, TrimChannel
+from repro.train import TrimChannel
 
 
 @pytest.fixture(autouse=True)
@@ -48,14 +48,6 @@ class TestLiveCounters:
             channel.stats.packets_dropped
         )
         assert channel.stats.packets_dropped > 0
-
-    def test_baseline_drop_channel_counts(self, clean_registry):
-        channel = BaselineDropChannel(drop_rate=0.5, seed=1)
-        channel.transfer(np.random.default_rng(0).standard_normal(20_000))
-        metric = clean_registry.get("repro_channel_packets_dropped_total")
-        assert metric.value(channel="BaselineDropChannel") == float(
-            channel.stats.packets_dropped
-        )
 
     def test_counters_survive_stats_reset(self, clean_registry):
         """reset_stats() zeroes the per-run stats object but the registry

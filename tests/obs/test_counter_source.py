@@ -22,10 +22,11 @@ from repro.faults import run_scenario, scenario_by_name
 from repro.net import Simulator, Switch, dumbbell
 from repro.nn import LogisticRegression, make_dataset
 from repro.obs.int_telemetry import (
+    INTCollector,
     decision_name,
     disable_int,
+    enable_int,
     get_int_collector,
-    int_to,
     set_int_collector,
 )
 from repro.obs.metrics import MetricsRegistry, set_registry
@@ -183,7 +184,9 @@ def test_collected_endpoints_are_counted(registry):
 
 def test_registry_equals_plain_counters_after_a_fault_scenario(registry):
     previous = get_int_collector()
-    collector = int_to(None)
+    enable_int()
+    collector = INTCollector(enabled=True)
+    set_int_collector(collector)
     try:
         run = run_scenario(scenario_by_name("incast-plus-corruption"), seed=7)
     finally:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.packet import pack_bits, pack_signs, packed_size, unpack_bits, unpack_signs
+from repro.packet import pack_bits, packed_size, unpack_bits, unpack_signs
 
 
 class TestPackedSize:
@@ -67,14 +67,13 @@ class TestPackUnpack:
 class TestSigns:
     def test_round_trip(self):
         signs = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
-        assert np.array_equal(unpack_signs(pack_signs(signs), 5), signs)
+        assert np.array_equal(unpack_signs(pack_bits(signs > 0, 1), 5), signs)
 
     def test_zero_maps_to_minus_one(self):
-        # pack_signs treats only strictly-positive values as +1.
-        assert np.array_equal(unpack_signs(pack_signs(np.array([0.0])), 1), [-1.0])
+        assert np.array_equal(unpack_signs(pack_bits(np.array([0]), 1), 1), [-1.0])
 
     def test_boolean_input(self):
-        signs = unpack_signs(pack_signs(np.array([True, False, True])), 3)
+        signs = unpack_signs(pack_bits(np.array([True, False, True]), 1), 3)
         assert np.array_equal(signs, [1.0, -1.0, 1.0])
 
 

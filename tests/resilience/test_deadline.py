@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import PerfectChannel, allreduce_mean, ring_allreduce
+from repro.collectives import PerfectChannel, allreduce_mean
 from repro.resilience import RoundDeadline
 
 
@@ -32,7 +32,7 @@ class TestRoundDeadline:
         assert deadline.last_stragglers == (1, 3)
         assert deadline.total_stragglers == 2
         # split only filters the fixed set -- calling it repeatedly
-        # (DDP bucketing) must not double-count.
+        # must not double-count.
         for _ in range(3):
             responders, stragglers = deadline.split([0, 1, 2, 3])
             assert responders == [0, 2]
@@ -89,33 +89,3 @@ class TestPartialAllreduceMean:
         out = allreduce_mean(tensors, PerfectChannel())
         assert np.allclose(out, np.mean(tensors, axis=0))
 
-
-class TestPartialRingAllreduce:
-    def test_straggler_slots_get_consensus_copy(self):
-        tensors = grads(world=5, n=103)
-        deadline = RoundDeadline(1.0)
-        deadline.begin_round({0: 0.5, 1: 5.0, 2: 0.5, 3: 0.5, 4: 0.5})
-        outs = ring_allreduce(tensors, PerfectChannel(), deadline=deadline)
-        expected = np.mean(
-            [tensors[0], tensors[2], tensors[3], tensors[4]], axis=0
-        )
-        assert len(outs) == 5
-        for out in outs:
-            assert np.allclose(out, expected)
-
-    def test_all_stragglers_surrenders_to_zeros(self):
-        tensors = grads(world=3)
-        channel = PerfectChannel()
-        deadline = RoundDeadline(1.0)
-        deadline.begin_round({0: 9.0, 1: 9.0, 2: 9.0})
-        outs = ring_allreduce(tensors, channel, deadline=deadline)
-        assert all(np.array_equal(o, np.zeros_like(tensors[0])) for o in outs)
-        assert channel.stats.rounds_surrendered == 1
-
-    def test_single_responder_ring(self):
-        tensors = grads(world=3)
-        deadline = RoundDeadline(1.0)
-        deadline.begin_round({0: 9.0, 1: 0.5, 2: 9.0})
-        outs = ring_allreduce(tensors, PerfectChannel(), deadline=deadline)
-        for out in outs:
-            assert np.allclose(out, tensors[1])

@@ -43,7 +43,6 @@ class TestResidualMechanics:
         ef = EFChannel(HalfChannel())
         x = np.arange(6.0)
         ef.transfer(x, worker=0)
-        ef.end_round()
         # Next round, zero input: the carried residual alone crosses the
         # channel, and its even part is finally delivered.
         out = ef.transfer(np.zeros(6), worker=0)
@@ -56,7 +55,6 @@ class TestResidualMechanics:
         out = ef.transfer(x, worker=0)
         assert np.array_equal(out, np.zeros(4))
         assert np.array_equal(ef.residual(0), x)
-        ef.end_round()
         # The whole update arrives one round late through a now-perfect path.
         ef.inner = PerfectChannel()
         out = ef.transfer(np.zeros(4), worker=0)
@@ -69,16 +67,6 @@ class TestResidualMechanics:
         ef.transfer(2 * np.ones(4), worker=1)
         assert np.array_equal(ef.residual(0), [0.0, 1.0, 0.0, 1.0])
         assert np.array_equal(ef.residual(1), [0.0, 2.0, 0.0, 2.0])
-
-    def test_slots_track_bucketed_messages(self):
-        ef = EFChannel(HalfChannel())
-        ef.transfer(np.ones(4), worker=0)   # slot 0
-        ef.transfer(np.ones(2), worker=0)   # slot 1 (second bucket)
-        assert ef.residual(0, slot=0).size == 4
-        assert ef.residual(0, slot=1).size == 2
-        ef.end_round()
-        ef.transfer(np.zeros(4), worker=0)  # slot 0 again
-        assert np.array_equal(ef.residual(0, slot=0), [0.0, 1.0, 0.0, 1.0])
 
     def test_missing_residual_raises(self):
         ef = EFChannel(HalfChannel())
@@ -119,10 +107,10 @@ class TestStateDict:
         restored.load_state_dict(ef.state_dict())
         assert np.array_equal(restored.residual(0), ef.residual(0))
         assert np.array_equal(restored.residual(1), ef.residual(1))
-        # slot counters travel too: the next same-round transfer
-        # lands on slot 1, not slot 0.
-        restored.transfer(np.ones(2), worker=0)
-        assert restored.residual(0, slot=1).size == 2
+        # The restored residual rides the next round's message.
+        assert np.array_equal(
+            restored.transfer(np.zeros(4), worker=0), ef.transfer(np.zeros(4), worker=0)
+        )
 
     def test_json_safe(self):
         import json
@@ -133,6 +121,16 @@ class TestStateDict:
         restored = EFChannel(HalfChannel())
         restored.load_state_dict(json.loads(blob))
         assert np.array_equal(restored.residual(0), ef.residual(0))
+
+    @pytest.mark.parametrize("state", [
+        {"residuals": [{"worker": 0, "slot": 0, "values": [1.0]}], "slots": {"0": 1}},
+        {"residuals": [{"worker": 0, "slot": 1, "values": [1.0]}]},
+    ])
+    def test_rejects_slot_keyed_state(self, state):
+        """A residual per (worker, slot) has no place to go: refuse, do not merge."""
+        ef = EFChannel(HalfChannel())
+        with pytest.raises(ValueError, match="keyed by worker"):
+            ef.load_state_dict(state)
 
 
 class TestWithRealCodec:
@@ -155,7 +153,6 @@ class TestWithRealCodec:
         for i, x in enumerate(inputs):
             sum_plain += plain.transfer(x, epoch=1, message_id=i)
             sum_ef += ef.transfer(x, epoch=1, message_id=i)
-            ef.end_round()
         true = np.sum(inputs, axis=0)
         err_plain = np.linalg.norm(sum_plain - true)
         err_ef = np.linalg.norm(sum_ef - true)

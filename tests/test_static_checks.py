@@ -1,5 +1,7 @@
 """What of CI's ``ruff`` / ``mypy`` steps can be checked without them, and the repo invariants.
 
+Every name a package exports must also have a reader outside ``tests/``.
+
 Neither tool is installed where this repo is built, and for seven PRs
 that meant "unverified here".  This is the offline part as a tier-1
 test: over the packages ``pyproject.toml`` holds to the strict mypy bar
@@ -212,7 +214,7 @@ def callback_writes(text):
 INVARIANTS = {
     bare_randomness: ("core/ transforms/ collectives/ transport/ train/ faults/ resilience/",
                       "transforms/prng.py"),  # the sanctioned source
-    float_eq: ("core/ transforms/ nn/ baselines/ collectives/ train/ bench/ resilience/", ""),
+    float_eq: ("core/ transforms/ nn/ collectives/ train/ bench/ resilience/", ""),
     mutable_default: ("", ""), print_call: ("", ""),
     callback_writes: ("net/ transport/ faults/ resilience/ train/ collectives/", ""),
 }
@@ -293,6 +295,70 @@ def test_ci_types_exactly_the_strict_modules():
     args = command.split("python -m mypy ", 1)[1].split()
     targets = mypy_targets()
     assert sorted(zip(args[::2], args[1::2])) == sorted(zip(targets[::2], targets[1::2]))
+
+
+#: Exported names nothing outside tests reads, each kept for the reason given.
+UNREAD_EXPORTS = {
+    "hadamard_matrix": "dense oracle the fast Walsh-Hadamard transform is tested against",
+    "unpack_signs": "oracle the sign heads' bit patterns are read back with",
+    "LogisticRegression": "the convex model of the training tests",
+    "is_grad_enabled": "what no_grad switches, for tests to observe",
+}
+#: Decorators that register what they decorate: the registry is its reader.
+REGISTRIES = {"register_codec"}
+
+
+def exports():
+    """(name, package) for every name a ``src/repro`` package's ``__all__`` lists."""
+    for init in sorted((SRC / "repro").rglob("__init__.py")):
+        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and "__all__" in [
+                    getattr(target, "id", None) for target in node.targets]:
+                yield from ((elt.value, init.parent.relative_to(SRC)) for elt in node.value.elts)
+
+
+def read_names(text, package_init=False):
+    """Names a module reads: names, attributes and imports, never a string's words.
+
+    A package ``__init__``'s relative import re-exports a name, it does not read it;
+    a registered definition is read through its registry (``codec_by_name("sq")``).
+    """
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and not (package_init and node.level):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)) and any(
+                getattr(d, "id", None) in REGISTRIES for d in node.decorator_list):
+            names.add(node.name)
+    return names
+
+
+def test_every_export_has_a_reader_outside_tests():
+    """Every exported name is read in src/ (a re-export is no read), benchmarks/ or examples/."""
+    read = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+            read |= read_names(path.read_text(encoding="utf-8"), path.name == "__init__.py")
+    unread = sorted(f"{package}: {name}" for name, package in exports()
+                    if name not in read and name not in UNREAD_EXPORTS)
+    assert not unread, "delete these or say in UNREAD_EXPORTS why they stay:\n" + "\n".join(unread)
+    stale = sorted(name for name in UNREAD_EXPORTS if name in read)
+    assert not stale, f"read now, drop from UNREAD_EXPORTS: {stale}"
+    assert len(UNREAD_EXPORTS) <= 4
+
+
+def test_the_reader_check_bites():
+    """Strings, re-exports and the definition itself read nothing; uses and registries do."""
+    assert read_names('"""f, G"""\ndef f():\n    return "G"\n') == set()
+    assert read_names("from .ring import f\n", package_init=True) == set()
+    assert read_names("from .ring import f\n") == {"f"}
+    assert read_names("import m\nx = m.f(G)\n") >= {"f", "G"}
+    assert "C" in read_names("@register_codec\nclass C:\n    pass\n")
+    assert "C" not in read_names("@dataclass\nclass C:\n    pass\n")
 
 
 def test_mypy_strict_core_passes():

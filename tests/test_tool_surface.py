@@ -15,12 +15,17 @@ names, and completion times and counts are read from the sender: no
 flow log.  The metrics registry holds counters and nothing else: a
 gauge or histogram copied a number a stats object, a sample list, an
 INT record or a trace event already holds, and only the deleted
-Prometheus exposition read it.  The mechanisms deleted in those trials
+Prometheus exposition read it.  Gradients take one aggregation path:
+each worker's message crosses the channel once and the receiver
+averages, so there is no ring, no DDP bucketing, no modeled drop
+baseline and no ``repro.baselines``, and error feedback keeps one
+residual per worker.  The mechanisms deleted in those trials
 (docs/static_analysis.md and docs/performance.md, "Trial record")
 should not grow back unnoticed.
 """
 
 import argparse
+import dataclasses
 import importlib.util
 import inspect
 import re
@@ -36,9 +41,12 @@ import repro.cluster.cli as cluster_cli
 import repro.faults.cli as faults_cli
 import repro.obs as obs
 import repro.obs.timeline as timeline_cli
+from repro.collectives import CommHook
 from repro.obs.int_telemetry import INTCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, trace_to
+from repro.resilience import EFChannel
+from repro.train import RoundTimeModel, TimingConfig, TrainConfig
 from repro.train.network_channel import NetworkChannel
 from repro.transport import GoBackNSender, MessageSenderBase, PullSender, TrimmingSender
 
@@ -154,6 +162,11 @@ def test_every_named_input_is_resolved_by_a_shared_type():
         "repro.obs.spans",
         "repro.obs.report",
         "repro.resilience.__main__",
+        "repro.baselines",
+        "repro.baselines.terngrad",
+        "repro.baselines.topk",
+        "repro.baselines.powersgd",
+        "repro.collectives.ring",
     ],
 )
 def test_deleted_modules_stay_deleted(module):
@@ -206,6 +219,25 @@ def test_gradient_carrier_and_int_collector_take_no_dead_knobs():
     assert list(inspect.signature(INTCollector.__init__).parameters) == [
         "self", "enabled", "jsonl_path",
     ]
+
+
+def test_one_aggregation_path_takes_no_dead_knobs():
+    # No bucketing, no drop-rate clock, no training options only tests set.
+    assert list(inspect.signature(CommHook.__init__).parameters) == [
+        "self", "channel", "deadline",
+    ]
+    assert list(inspect.signature(RoundTimeModel.round_time).parameters) == [
+        "self", "num_coords", "codec_name", "trim_rate", "world_size",
+    ]
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "epochs", "batch_size", "lr", "momentum", "step_size", "gamma", "augment", "seed",
+    ]
+    assert [f.name for f in dataclasses.fields(TimingConfig)] == [
+        "bandwidth_bps", "base_rtt_s", "compute_s", "hook_overhead_s",
+        "encode_fraction_scalar", "mtu_bytes",
+    ]
+    # One residual per worker: no in-round slots to reset.
+    assert not hasattr(EFChannel, "end_round")
 
 
 def test_receivers_are_built_only_by_the_transport():

@@ -3,15 +3,13 @@
 A ``NetworkChannel(degraded_step=True)`` surrender hands the trainer an
 all-zero gradient.  Classical momentum then still moves the parameters
 (``v <- mu*v; p <- p - lr*v``) — the optimizer keeps coasting on stale
-velocity through an outage.  ``freeze_momentum_on_surrender`` pins the
-alternative: skip the optimizer step entirely, freezing parameters AND
-velocity for the lost round.  Both behaviors are pinned here so neither
-changes silently.
+velocity through an outage.  That behavior is pinned here so it does not
+change silently.
 """
 
 import numpy as np
 
-from repro.collectives import AllReduceHook, PerfectChannel
+from repro.collectives import AllReduceHook
 from repro.collectives.channel import GradientChannel
 from repro.core import RHTCodec
 from repro.faults import FaultInjector, FaultSpec, Scenario
@@ -56,7 +54,7 @@ def corrupting_network_channel():
     )
 
 
-def trainer(channel, freeze, seed=0):
+def trainer(channel, seed=0):
     train_set, test_set = make_dataset(
         num_classes=3, train_per_class=4, test_per_class=2, image_size=6, seed=seed
     )
@@ -72,7 +70,6 @@ def trainer(channel, freeze, seed=0):
             lr=0.1,
             momentum=0.9,
             seed=seed,
-            freeze_momentum_on_surrender=freeze,
         ),
         label="momentum-surrender",
     )
@@ -85,7 +82,7 @@ def prime_velocity(t, value=0.01):
 
 class TestDefaultBehavior:
     def test_zero_gradient_still_decays_velocity_and_moves_params(self):
-        t = trainer(AlwaysSurrenderChannel(), freeze=False)
+        t = trainer(AlwaysSurrenderChannel())
         prime_velocity(t)
         params_before = t.model.flat_parameters()
         t.train(max_rounds=1)
@@ -96,43 +93,12 @@ class TestDefaultBehavior:
         assert np.allclose(t.model.flat_parameters(), expected)
 
 
-class TestFrozenBehavior:
-    def test_flag_freezes_params_and_velocity(self):
-        t = trainer(AlwaysSurrenderChannel(), freeze=True)
-        prime_velocity(t)
-        params_before = t.model.flat_parameters()
-        t.train(max_rounds=1)
-        for v in t.optimizer._velocity:
-            assert np.allclose(v, 0.01)  # untouched
-        assert np.array_equal(t.model.flat_parameters(), params_before)
-
-    def test_freeze_only_when_round_fully_lost(self):
-        """A normal round (no surrender) must still step under the flag."""
-        t = trainer(AlwaysSurrenderChannel(), freeze=True)
-        t.hook.channel = PerfectChannel()
-        prime_velocity(t)
-        params_before = t.model.flat_parameters()
-        t.train(max_rounds=1)
-        assert not np.array_equal(t.model.flat_parameters(), params_before)
-
-
 class TestThroughRealNetworkChannel:
-    def test_both_behaviors_through_transport_surrender(self):
-        results = {}
-        for freeze in (False, True):
-            t = trainer(corrupting_network_channel(), freeze=freeze)
-            prime_velocity(t)
-            params_before = t.model.flat_parameters()
-            t.train(max_rounds=1)
-            assert t.hook.stats.rounds_surrendered == t.world_size
-            results[freeze] = (
-                params_before,
-                t.model.flat_parameters(),
-                [v.copy() for v in t.optimizer._velocity],
-            )
-        before, after, velocity = results[True]
-        assert np.array_equal(after, before)
-        assert all(np.allclose(v, 0.01) for v in velocity)
-        before, after, velocity = results[False]
-        assert np.allclose(after, before - 0.1 * 0.009)
-        assert all(np.allclose(v, 0.009) for v in velocity)
+    def test_default_behavior(self):
+        t = trainer(corrupting_network_channel())
+        prime_velocity(t)
+        params_before = t.model.flat_parameters()
+        t.train(max_rounds=1)
+        assert t.hook.stats.rounds_surrendered == t.world_size
+        assert np.allclose(t.model.flat_parameters(), params_before - 0.1 * 0.009)
+        assert all(np.allclose(v, 0.009) for v in t.optimizer._velocity)

@@ -1,10 +1,10 @@
-"""Tests for the Bernoulli trim channel and the baseline drop channel."""
+"""Tests for the Bernoulli trim channel and trim-transcript replay."""
 
 import numpy as np
 import pytest
 
 from repro.core import RHTCodec, codec_by_name, nmse
-from repro.train import BaselineDropChannel, TrimChannel, TrimTranscript
+from repro.train import TrimChannel, TrimTranscript
 
 
 def gradient(n=50_000, seed=0):
@@ -139,28 +139,21 @@ class TestTranscriptIntegration:
         with pytest.raises(ValueError, match="already has"):
             transcript.record(1, 1, 1, [1])
 
+    def test_loaded_transcript_rejects_negative_index(self):
+        # A negative index would wrap to the message's last packet.
+        with pytest.raises(ValueError, match=r"negative packet index -1 for \(1, 1, 0\)"):
+            TrimTranscript.from_json('{"1:1:0": [-1]}')
 
-class TestBaselineDropChannel:
-    def test_always_bit_exact(self):
-        channel = BaselineDropChannel(drop_rate=0.5, seed=0)
-        x = gradient()
-        assert np.array_equal(channel.transfer(x), x)
+    def test_replay_rejects_index_past_the_message(self):
+        transcript = TrimTranscript.from_json('{"1:1:0": [3, 1000000]}')
+        channel = TrimChannel(
+            codec_by_name("sign"), trim_rate=0.0, seed=0, replay=transcript
+        )
+        flat = gradient(14 * channel.coords_per_pkt + 1)  # 15 packets
+        with pytest.raises(
+            ValueError,
+            match=r"packet 1000000 of message \(epoch=1, message=1, worker=0\), "
+            r"which has 15 packets",
+        ):
+            channel.transfer(flat, epoch=1, message_id=1, worker=0)
 
-    def test_counts_drops(self):
-        channel = BaselineDropChannel(drop_rate=0.1, seed=1)
-        for i in range(10):
-            channel.transfer(gradient(50_000, seed=i), message_id=i)
-        fraction = channel.stats.packets_dropped / channel.stats.packets_total
-        assert abs(fraction - 0.1) < 0.03
-
-    def test_retransmissions_add_bytes(self):
-        lossy = BaselineDropChannel(drop_rate=0.2, seed=1)
-        clean = BaselineDropChannel(drop_rate=0.0, seed=1)
-        x = gradient()
-        lossy.transfer(x)
-        clean.transfer(x)
-        assert lossy.stats.bytes_sent > clean.stats.bytes_sent
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            BaselineDropChannel(drop_rate=-0.1)

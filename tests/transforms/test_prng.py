@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.transforms import StreamKey, derive_seed, purposes, shared_generator
+from repro.transforms import StreamKey, derive_seed, shared_generator
 
 
 class TestSharedGenerator:
@@ -35,12 +35,6 @@ class TestSharedGenerator:
     def test_unknown_purpose_rejected(self):
         with pytest.raises(ValueError, match="unknown purpose"):
             shared_generator(0, purpose="nonsense")
-
-    def test_purposes_listing(self):
-        names = purposes()
-        assert "dither" in names
-        assert "rotation" in names
-        assert names == sorted(names)
 
 
 class TestStreamKey:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.transport import AIMD, DCTCP, FixedWindow
+from repro.transport import AIMD, FixedWindow
 
 
 class TestFixedWindow:
@@ -61,44 +61,3 @@ class TestAIMD:
             cc.on_ack()
         assert cc.cwnd <= 12
 
-
-class TestDCTCP:
-    def test_no_marks_grows_like_aimd(self):
-        cc = DCTCP(initial_window=10)
-        for _ in range(10):
-            cc.on_ack(ecn=False)
-        assert cc.cwnd > 10
-        assert cc.alpha == 0.0
-
-    def test_all_marked_converges_to_halving(self):
-        cc = DCTCP(initial_window=100, gain=1.0)
-        for _ in range(100):
-            cc.on_ack(ecn=True)
-        # alpha -> 1, each epoch multiplies by 1 - 1/2.
-        assert cc.alpha == pytest.approx(1.0)
-        assert cc.cwnd < 100
-
-    def test_sparse_marks_small_decrease(self):
-        heavy = DCTCP(initial_window=100, gain=1.0)
-        light = DCTCP(initial_window=100, gain=1.0)
-        for i in range(200):
-            heavy.on_ack(ecn=True)
-            light.on_ack(ecn=(i % 20 == 0))
-        assert light.cwnd > heavy.cwnd
-
-    def test_trim_counts_as_mark(self):
-        cc = DCTCP(initial_window=4, gain=1.0)
-        for _ in range(8):
-            cc.on_trim()
-        assert cc.alpha > 0.5
-
-    def test_loss_halves(self):
-        cc = DCTCP(initial_window=40)
-        cc.on_loss()
-        assert cc.cwnd == 20
-
-    def test_window_floor(self):
-        cc = DCTCP(initial_window=1)
-        for _ in range(50):
-            cc.on_loss()
-        assert cc.window == 1
