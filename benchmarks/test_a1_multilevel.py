@@ -9,10 +9,12 @@ Two questions from the paper:
    report delivered bytes, reconstruction NMSE, and drops.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.bench import emit, format_table
-from repro.core import MultiLevelCodec, nmse
+from repro.core import MultiLevelCodec, decode_packets, depacketize, nmse, packetize
 from repro.net import dumbbell
 from repro.packet import MultiLevelTrim
 from repro.transport import FixedWindow, Transfer, TrimmingSender
@@ -27,8 +29,8 @@ def _array_level_rows():
     enc = codec.encode(x)
     rows = []
     for bits, label in [(32, "untrimmed (32b)"), (8, "trim to ~25% (8b)"), (1, "trim to ~3% (1b)")]:
-        levels = np.full(enc.length, bits, dtype=np.int64)
-        rows.append([label, f"{nmse(x, codec.decode(enc, levels)):.2e}"])
+        arrived = replace(enc, depth=np.full(enc.length, bits, dtype=np.uint8))
+        rows.append([label, f"{nmse(x, codec.decode(arrived)):.2e}"])
     return rows
 
 
@@ -51,14 +53,14 @@ def _closed_loop_rows():
         x = np.random.default_rng(1).standard_normal(NUM_COORDS)
         enc = codec.encode(x)
         sender = TrimmingSender(net.hosts["tx0"], flow_id=1, cc=FixedWindow(512))
-        transfer = Transfer(net, sender, codec.packetize(enc, "tx0", "rx0", flow_id=1))
+        transfer = Transfer(net, sender, packetize(enc, "tx0", "rx0", flow_id=1))
         transfer.start()
         net.sim.run(until=30.0)
         stats = net.total_switch_stats()
         if transfer.wire is not None:
-            back, levels = codec.depacketize(transfer.wire)
-            err = nmse(x, codec.decode(back, levels))
-            depth_counts = {b: int((levels == b).sum()) for b in (1, 8, 32)}
+            err = nmse(x, decode_packets(transfer.wire, codec))
+            depth = depacketize(transfer.wire).depth
+            depth_counts = {b: int((depth == b).sum()) for b in (1, 8, 32)}
         else:
             err, depth_counts = float("nan"), {}
         rows.append(

@@ -15,7 +15,7 @@ the sender chooses its ahead-of-time depth three ways:
 import numpy as np
 
 from repro.bench import emit, format_table
-from repro.core import MultiLevelCodec, nmse
+from repro.core import MultiLevelCodec, nmse, packetize
 from repro.train import AdaptiveQController, BudgetedLinkChannel
 
 NUM_COORDS = 2**15
@@ -25,7 +25,7 @@ MESSAGES = 6
 def run_a6():
     codec = MultiLevelCodec(root_seed=1, row_size=4096)
     x = np.random.default_rng(0).standard_normal(NUM_COORDS)
-    full_bytes = sum(p.wire_size for p in codec.packetize(codec.encode(x), "a", "b"))
+    full_bytes = sum(p.wire_size for p in packetize(codec.encode(x), "a", "b"))
     rows = []
     for budget_frac in [0.35, 0.6]:
         budget = int(full_bytes * budget_frac)

@@ -4,16 +4,16 @@
 The tiered 1/8/32-bit encoding lets a switch choose *how hard* to trim
 according to congestion: keep ~25% of the packet (8-bit quality) under
 mild pressure, or ~3% (1-bit sign + DRIVE scale) under heavy pressure.
-This example packetizes a gradient with the multi-level codec, trims
-different packets to different depths, and decodes the mix.
+This example packetizes a gradient with the multi-level codec, cuts
+different packets to different depths with ``Packet.trim(bits)``, and
+decodes the mix, all through the same calls every codec uses.
 
 Run:  python examples/multilevel_trimming.py
 """
 
 import numpy as np
 
-from repro import MultiLevelCodec, nmse
-from repro.packet import trim_to_bits
+from repro import MultiLevelCodec, decode_packets, nmse, packetize
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
     gradient = rng.standard_normal(2**15)
     codec = MultiLevelCodec(root_seed=5, row_size=4096)
     encoded = codec.encode(gradient, epoch=1, message_id=1)
-    packets = codec.packetize(encoded, src="gpu0", dst="gpu1")
+    packets = packetize(encoded, src="gpu0", dst="gpu1")
     data = packets[1:]
     full_size = data[0].wire_size
     print(f"gradient: {gradient.size:,} coords -> {len(data)} data packets "
@@ -29,7 +29,7 @@ def main() -> None:
 
     print("per-depth packet sizes (Section 5.1's '25% or 3%'):")
     for bits in (32, 8, 1):
-        pkt = data[0] if bits == 32 else trim_to_bits(data[0], bits)
+        pkt = data[0] if bits == 32 else data[0].trim(bits)
         print(f"  keep {bits:>2} bits/coord -> {pkt.wire_size:>5} B "
               f"({pkt.wire_size / full_size:.1%} of full)")
     print()
@@ -47,9 +47,8 @@ def main() -> None:
     for label, depths in scenarios.items():
         wire = [packets[0]]
         for pkt, bits in zip(data, depths):
-            wire.append(pkt if bits == 32 else trim_to_bits(pkt, int(bits)))
-        back, levels = codec.depacketize(wire)
-        decoded = codec.decode(back, levels)
+            wire.append(pkt if bits == 32 else pkt.trim(int(bits)))
+        decoded = decode_packets(wire, codec)
         total_bytes = sum(p.wire_size for p in wire)
         print(f"{label:>34} | {total_bytes:>13,} | {nmse(gradient, decoded):.5f}")
 

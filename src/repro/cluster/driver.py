@@ -39,7 +39,7 @@ from ..collectives.channel import PerfectChannel
 from ..collectives.hooks import CommHook
 from ..core.codec import GradientCodec, codec_by_name
 from ..net.crosstraffic import CROSS_TRAFFIC_FLOW_BASE
-from ..net.topology import Network, fat_tree, leaf_spine
+from ..net.topology import Network, fat_tree
 from ..nn.data import make_dataset
 from ..nn.models import MLP
 from ..obs.trace import get_tracer
@@ -99,16 +99,11 @@ class HostAllocator:
 
 
 def topology_pods(scenario: ClusterScenario) -> List[List[str]]:
-    """Host names grouped by pod (fat-tree) or leaf (leaf–spine)."""
-    if scenario.topology == "fat-tree":
-        half = scenario.k // 2
-        return [
-            [f"h{pod}_{e}_{i}" for e in range(half) for i in range(half)]
-            for pod in range(scenario.k)
-        ]
+    """The fat-tree's host names grouped by pod."""
+    half = scenario.k // 2
     return [
-        [f"h{leaf}_{i}" for i in range(scenario.hosts_per_leaf)]
-        for leaf in range(scenario.leaves)
+        [f"h{pod}_{e}_{i}" for e in range(half) for i in range(half)]
+        for pod in range(scenario.k)
     ]
 
 
@@ -129,7 +124,7 @@ def place_jobs(
     pod ``(j + 1 + w) % P``, so every gradient flow crosses the fabric
     core — the contention the multi-tenant scenarios study.
     """
-    pods = scenario.pods
+    pods = scenario.k
     placements = []
     for j, job in enumerate(scenario.jobs):
         aggregator = allocator.take(j % pods)
@@ -355,31 +350,15 @@ class ClusterDriver:
         campaign's target enumeration, placement studies — can build
         the exact same fabric without paying for job construction.
         """
-        s = scenario
-        trim_policy = SingleLevelTrim() if s.trim else None
-        if s.topology == "fat-tree":
-            return fat_tree(
-                k=s.k,
-                rate_bps=s.rate_bps,
-                delay_s=s.delay_s,
-                trim_policy=trim_policy,
-                buffer_bytes=s.buffer_bytes,
-                ecmp=s.ecmp,
-                ecmp_seed=seed,
-                host_burst=s.host_burst,
-            )
-        return leaf_spine(
-            leaves=s.leaves,
-            spines=s.spines,
-            hosts_per_leaf=s.hosts_per_leaf,
-            host_rate_bps=s.rate_bps,
-            fabric_rate_bps=s.rate_bps,
-            delay_s=s.delay_s,
-            trim_policy=trim_policy,
-            buffer_bytes=s.buffer_bytes,
-            ecmp=s.ecmp,
+        return fat_tree(
+            k=scenario.k,
+            rate_bps=scenario.rate_bps,
+            delay_s=scenario.delay_s,
+            trim_policy=SingleLevelTrim() if scenario.trim else None,
+            buffer_bytes=scenario.buffer_bytes,
+            ecmp=scenario.ecmp,
             ecmp_seed=seed,
-            host_burst=s.host_burst,
+            host_burst=scenario.host_burst,
         )
 
     def _build_network(self) -> Network:
@@ -579,7 +558,7 @@ class ClusterDriver:
         return {
             "scenario": self.scenario.name,
             "seed": self.seed,
-            "topology": self.scenario.topology,
+            "topology": "fat-tree",
             "k": self.scenario.k,
             "ecmp": self.scenario.ecmp,
             "sim_time_s": self.net.sim.now,

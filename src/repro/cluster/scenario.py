@@ -2,8 +2,8 @@
 
 A :class:`ClusterScenario` describes one shared-fabric experiment: which
 training jobs run concurrently (:class:`JobSpec`), which background
-tenants load the fabric (:class:`TenantSpec`), and the topology they all
-share (a k-ary fat-tree or a leaf–spine).  Like
+tenants load the fabric (:class:`TenantSpec`), and the k-ary fat-tree
+they all share.  Like
 :class:`repro.faults.Scenario`, everything is plain data: scenarios
 round-trip through dicts, so a JSON file is a valid scenario definition
 and the preset table below is just three of them.
@@ -23,7 +23,6 @@ from ..faults.scenarios import checked_fields
 
 __all__ = [
     "TENANT_PATTERNS",
-    "TOPOLOGIES",
     "JobSpec",
     "TenantSpec",
     "ClusterScenario",
@@ -34,10 +33,6 @@ __all__ = [
 
 #: Background-traffic shapes :class:`repro.cluster.TenantWorkload` builds.
 TENANT_PATTERNS = ("incast", "elephant", "mice")
-
-#: Fabric shapes the driver can place jobs on.
-TOPOLOGIES = ("fat-tree", "leaf-spine")
-
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -101,8 +96,8 @@ class TenantSpec:
         burst_bytes: bytes per incast sender per burst.
         period_s: incast repeat period.
         start_s / stop_s: active window on the shared simulation clock.
-        dst_pod: pod (fat-tree) or leaf (leaf–spine) the traffic
-            converges on; senders are placed on free hosts elsewhere.
+        dst_pod: fat-tree pod the traffic converges on; senders are
+            placed on free hosts elsewhere.
     """
 
     name: str
@@ -141,11 +136,7 @@ class ClusterScenario:
     description: str
     jobs: Tuple[JobSpec, ...]
     tenants: Tuple[TenantSpec, ...] = ()
-    topology: str = "fat-tree"
     k: int = 4
-    leaves: int = 4
-    spines: int = 2
-    hosts_per_leaf: int = 4
     rate_bps: float = 10e9
     delay_s: float = 1e-6
     buffer_bytes: int = 60_000
@@ -160,26 +151,21 @@ class ClusterScenario:
     def __post_init__(self) -> None:
         if not self.jobs:
             raise ValueError("a cluster scenario needs at least one job")
-        if self.topology not in TOPOLOGIES:
-            raise ValueError(
-                f"unknown topology {self.topology!r}; expected one of {TOPOLOGIES}"
-            )
         names = [job.name for job in self.jobs] + [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"job/tenant names must be unique, got {names}")
         if self.k % 2 != 0 or self.k < 2:
             raise ValueError(f"fat-tree degree k must be even and >= 2, got {self.k}")
-        if self.leaves < 1 or self.spines < 1 or self.hosts_per_leaf < 1:
-            raise ValueError("leaves, spines and hosts_per_leaf must be positive")
+        for tenant in self.tenants:
+            if tenant.dst_pod >= self.k:
+                raise ValueError(
+                    f"tenant {tenant.name!r} has dst_pod {tenant.dst_pod}, "
+                    f"but a k={self.k} fat-tree has pods 0..{self.k - 1}"
+                )
         if self.rate_bps <= 0 or self.delay_s < 0 or self.buffer_bytes < 1:
             raise ValueError("bad fabric parameters")
         if self.deadline_s <= 0 or self.mtu < 64 or self.host_burst < 1:
             raise ValueError("deadline_s, mtu and host_burst must be positive")
-
-    @property
-    def pods(self) -> int:
-        """Placement domains: fat-tree pods or leaf racks."""
-        return self.k if self.topology == "fat-tree" else self.leaves
 
     def to_dict(self) -> Dict:
         """Plain-data form (JSON-ready)."""

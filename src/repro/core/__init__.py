@@ -21,13 +21,7 @@ from .layout import (
     paper_worked_example,
 )
 from .metadata import GradientMetadata
-from .multilevel import (
-    LEVEL_BITS,
-    MULTILEVEL_CODEC_ID,
-    PLANE_BITS,
-    MultiLevelCodec,
-    MultiLevelEncoded,
-)
+from .multilevel import LEVEL_BITS, MultiLevelCodec
 from .packetizer import GradientMessage, decode_packets, depacketize, packetize
 from .quantizers import (
     ScalarCodec,
@@ -59,10 +53,7 @@ __all__ = [
     "paper_worked_example",
     "GradientMetadata",
     "LEVEL_BITS",
-    "MULTILEVEL_CODEC_ID",
-    "PLANE_BITS",
     "MultiLevelCodec",
-    "MultiLevelEncoded",
     "GradientMessage",
     "decode_packets",
     "depacketize",

@@ -48,6 +48,10 @@ class EncodedGradient:
         heads: per-coordinate head codes, uint32, values < 2**head_bits.
         tails: per-coordinate tail codes, uint32, values < 2**tail_bits.
         metadata: the reliable side-channel (σ / L / row scales / seed).
+        depth: bits per coordinate that arrived (0 = lost), for a code of
+            more than two planes (:data:`~repro.packet.header.CODE_PLANES`)
+            that the packetizer received; None where the ``trimmed`` and
+            ``missing`` masks say it all.
     """
 
     codec_id: int
@@ -57,22 +61,13 @@ class EncodedGradient:
     heads: np.ndarray
     tails: np.ndarray
     metadata: GradientMetadata
+    depth: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.heads.shape != (self.length,):
-            raise ValueError(f"heads shape {self.heads.shape} != ({self.length},)")
-        if self.tails.shape != (self.length,):
-            raise ValueError(f"tails shape {self.tails.shape} != ({self.length},)")
-
-    @property
-    def full_bits(self) -> int:
-        """Bits per coordinate when nothing is trimmed."""
-        return self.head_bits + self.tail_bits
-
-    @property
-    def payload_bytes(self) -> int:
-        """Untrimmed payload size (heads + tails planes), in bytes."""
-        return -(-self.length * self.full_bits // 8)
+        for name in ("heads", "tails", "depth"):
+            plane = getattr(self, name)
+            if plane is not None and plane.shape != (self.length,):
+                raise ValueError(f"{name} shape {plane.shape} != ({self.length},)")
 
 
 class GradientCodec:

@@ -4,19 +4,23 @@
 the wire exactly as Figure 2(b) prescribes: every packet carries its
 32-byte self-describing gradient header, then the packed ``P``-bit heads
 of its ``n`` coordinates, then their ``Q``-bit tails.  A switch that trims
-the packet after the heads leaves a decodable prefix.
+the packet after the heads leaves a decodable prefix.  A code listed in
+:data:`~repro.packet.header.CODE_PLANES` (Section 5.1's multi-level
+code) splits its tails into further planes, each packed whole, so a cut
+at any plane boundary leaves a decodable prefix too.
 
-``depacketize`` reassembles whatever arrived — full packets, trimmed
+``depacketize`` reassembles whatever arrived — full packets, cut
 packets, or holes where packets were dropped — into per-coordinate head /
-tail arrays plus masks, ready for the codec's decoder.
+tail arrays plus masks (and, for a code of more planes, the depth that
+arrived), ready for the codec's decoder.
 
 Both directions run on the training hot path (once per gradient per
 step), so they are whole-message vectorized (see docs/performance.md):
 
 * ``packetize`` lays all payloads (headers included, via the precompiled
   struct template) out in one contiguous message buffer, has
-  :func:`~repro.packet.bitpack.pack_segments` pack the head and the tail
-  plane straight into their columns of that buffer's rows, and hands
+  :func:`~repro.packet.bitpack.pack_segments` pack each plane
+  straight into its columns of that buffer's rows, and hands
   each packet a read-only zero-copy ``memoryview`` slice of it.  The
   header bytes in the buffer are the only header: a packet is one object.
 * ``depacketize`` reads each header from its payload's bytes with one
@@ -33,6 +37,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +52,7 @@ from ..packet.header import (
     GRADIENT_HEADER_BYTES,
     SET_VIEW,
     GradientHeader,
+    code_planes,
 )
 from ..packet.packet import DEFAULT_MTU_BYTES, Packet
 from .codec import EncodedGradient, GradientCodec, codec_by_id
@@ -67,6 +73,8 @@ class GradientMessage:
         missing: True for coordinates whose packet never arrived.
         metadata: the reliable side-channel, if its packet arrived.
         codec_id / head_bits / tail_bits / length: message geometry.
+        depth: bits per coordinate that arrived, for a code of more than
+            two planes (see :class:`~repro.core.codec.EncodedGradient`).
     """
 
     heads: np.ndarray
@@ -78,6 +86,7 @@ class GradientMessage:
     head_bits: int
     tail_bits: int
     length: int
+    depth: Optional[np.ndarray] = None
 
     @property
     def trim_fraction(self) -> float:
@@ -96,6 +105,7 @@ class GradientMessage:
             heads=self.heads,
             tails=self.tails,
             metadata=self.metadata,
+            depth=self.depth,
         )
 
 
@@ -113,6 +123,7 @@ def packetize(
     packets in coordinate order.
     """
     meta = enc.metadata
+    planes = code_planes(enc.codec_id, enc.head_bits, enc.tail_bits)
     n_per_packet = coords_per_packet(mtu, enc.head_bits, enc.tail_bits)
     num_chunks = -(-enc.length // n_per_packet)
     full_chunks = max(num_chunks - 1, 0)  # the final chunk may be short
@@ -145,14 +156,12 @@ def packetize(
 
     # Lay every payload out in a single contiguous message buffer; each
     # packet's payload is a read-only zero-copy view into it (owned bytes
-    # only appear again when a switch trims — see Packet.trim).
-    head_bytes = packed_size(n_per_packet, enc.head_bits)
-    tail_bytes = packed_size(n_per_packet, enc.tail_bits)
+    # only appear again when a switch trims — see Packet.cut).
+    sizes = [packed_size(n_per_packet, bits) for bits in planes]
     last_count = enc.length - full_chunks * n_per_packet
-    last_head_bytes = packed_size(last_count, enc.head_bits)
-    last_tail_bytes = packed_size(last_count, enc.tail_bits)
-    full_payload = GRADIENT_HEADER_BYTES + head_bytes + tail_bytes
-    last_payload = GRADIENT_HEADER_BYTES + last_head_bytes + last_tail_bytes
+    last_sizes = [packed_size(last_count, bits) for bits in planes]
+    full_payload = GRADIENT_HEADER_BYTES + sum(sizes)
+    last_payload = GRADIENT_HEADER_BYTES + sum(last_sizes)
     last_pos = full_payload * full_chunks
     buf = bytearray(last_pos + last_payload)
 
@@ -164,13 +173,15 @@ def packetize(
     octets = np.frombuffer(buf, dtype=np.uint8)
     rows = octets[:last_pos].reshape(full_chunks, full_payload)
     last_row = octets[last_pos + GRADIENT_HEADER_BYTES :]
-    tails_at = GRADIENT_HEADER_BYTES + head_bytes
     header(1, 0, n_per_packet, int_flag).pack_run(rows[:, :GRADIENT_HEADER_BYTES], n_per_packet)
     header(num_chunks, full_chunks * n_per_packet, last_count, int_flag).pack_into(buf, last_pos)
-    heads_out = rows[:, GRADIENT_HEADER_BYTES:tails_at], last_row[:last_head_bytes]
-    tails_out = rows[:, tails_at:], last_row[last_head_bytes:]
-    pack_segments(enc.heads, enc.head_bits, n_per_packet, out=heads_out)
-    pack_segments(enc.tails, enc.tail_bits, n_per_packet, out=tails_out)
+    at, last_at = GRADIENT_HEADER_BYTES, 0
+    for values, bits, size, last_size in zip(
+        (enc.heads, *_split(enc.tails, planes[1:])), planes, sizes, last_sizes
+    ):
+        out = rows[:, at : at + size], last_row[last_at : last_at + last_size]
+        pack_segments(values, bits, n_per_packet, out=out)
+        at, last_at = at + size, last_at + last_size
 
     views = memoryview(buf).toreadonly()
     for chunk in range(num_chunks):
@@ -201,33 +212,54 @@ def packetize(
     return packets
 
 
+def _split(tails: np.ndarray, widths: Sequence[int]) -> List[np.ndarray]:
+    """A code's tail planes, front first: ``tails`` holds their bits
+    concatenated, the first plane's highest."""
+    if len(widths) == 1:
+        return [tails]
+    planes = []
+    shift = sum(widths)
+    for width in widths:
+        shift -= width
+        planes.append((tails >> np.uint32(shift)) & np.uint32((1 << width) - 1))
+    return planes
+
+
 def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> GradientMessage:
     """Reassemble received packets into a :class:`GradientMessage`.
 
-    Packets may arrive in any order and more than once; trimmed packets
-    contribute heads only; coordinates not covered by any packet are
-    flagged missing.  ``length`` overrides the total coordinate count
-    (otherwise the metadata packet's, or without it the end of the
-    highest coordinate range seen).
+    Packets may arrive in any order and more than once; a cut packet
+    contributes the planes above its cut (a two-plane code's: the heads);
+    coordinates not covered by any packet are flagged missing.  ``length``
+    overrides the total coordinate count (otherwise the metadata packet's,
+    or without it the end of the highest coordinate range seen).
 
     Every header is read from its payload's bytes, and the set must be
     one message.  ``ValueError`` says what is wrong when a payload is too
     short for a header or has a bad magic; when two headers disagree on
-    version, codec id, head/tail bits, message id, epoch or seed; when a
-    payload is not exactly as long as its header's ``coord_count`` and
-    TRIMMED flag make it; when two metadata packets differ; when a packet
-    runs beyond ``length``; and, with the metadata packet in the set, when
-    a data packet is off the message's grid (:func:`check_grid`).
+    version, codec id, code width (head + tail bits), message id, epoch
+    or seed; when a header's head bits are not a plane boundary of the
+    code; when a payload is not exactly as long as its header's
+    ``coord_count`` and arrived depth make it; when two metadata packets
+    differ; when a packet runs beyond ``length``; and, with the metadata
+    packet in the set, when a data packet is off the message's grid
+    (:func:`check_grid`).
     """
     # One struct call a packet reads its header.  The message's identity
-    # is three byte strings, compared with the first packet's; data
-    # packets are grouped as they come by (coord_count, TRIMMED, whether
-    # the packet starts where its chunk index puts it on the grid of its
-    # own coord_count — every packet but a message's final chunk does).
+    # is three byte strings, compared with those already accepted (the
+    # middle one holds the head / tail split, which a cut moves); data
+    # packets are grouped as they come by (coord_count, arrived depth,
+    # whether the packet starts where its chunk index puts it on the grid
+    # of its own coord_count — every packet but a message's final chunk
+    # does).
     read = SET_VIEW.unpack_from
     geometry: Optional[GradientHeader] = None
     first: "bytes | memoryview" = b""
-    lead = middle = seed = b""
+    lead = seed = b""
+    heads_of: Dict[bytes, int] = {}  # an accepted middle -> its head bits
+    planes: Tuple[int, ...] = ()  # the code's plane widths
+    cuts: Tuple[int, ...] = ()  # their boundaries, the last the full depth
+    full = 0
     meta_payload: "Optional[bytes | memoryview]" = None
     groups: Groups = {}
     for pkt in packets:
@@ -238,18 +270,32 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
             raise ValueError(
                 f"gradient header needs {GRADIENT_HEADER_BYTES} bytes, got {len(payload)}"
             ) from None
-        if its_lead != lead or its_middle != middle or its_seed != seed:
-            if geometry is not None:
+        head = heads_of.get(its_middle)
+        if head is None or its_lead != lead or its_seed != seed:
+            header = GradientHeader.from_bytes(payload)
+            if geometry is None:
+                geometry, first, lead, seed = header, payload, its_lead, its_seed
+                planes = code_planes(header.codec_id, header.head_bits, header.tail_bits)
+                cuts = tuple(accumulate(planes))
+                full = cuts[-1]
+            head = header.head_bits
+            if [getattr(header, name) for name in _SHARED] != [
+                getattr(geometry, name) for name in _SHARED
+            ] or head + header.tail_bits != full:
                 raise _disagreement(first, payload)
-            geometry = GradientHeader.from_bytes(payload)
-            first, lead, middle, seed = payload, its_lead, its_middle, its_seed
+            if head not in cuts[:-1]:
+                raise ValueError(
+                    f"head_bits {head} is not a plane boundary of codec "
+                    f"{header.codec_id}'s code {cuts}"
+                )
+            heads_of[its_middle] = head
         if flags & FLAG_METADATA:
             if meta_payload is None:
                 meta_payload = payload
             elif meta_payload != payload:
                 raise ValueError("two different metadata packets in one message")
             continue
-        key = (count, flags & FLAG_TRIMMED, lo == (chunk - 1) * count)
+        key = (count, head if flags & FLAG_TRIMMED else full, lo == (chunk - 1) * count)
         members = groups.get(key)
         if members is None:
             members = groups[key] = []
@@ -257,7 +303,6 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
     if geometry is None:
         raise ValueError("no gradient packets to depacketize")
 
-    head_bits, tail_bits = geometry.head_bits, geometry.tail_bits
     metadata = None
     if meta_payload is not None:
         metadata = GradientMetadata.from_bytes(meta_payload[GRADIENT_HEADER_BYTES:])
@@ -275,24 +320,33 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
     tails = np.zeros(length, dtype=np.uint32)
     trimmed = np.zeros(length, dtype=bool)
     covered = np.zeros(length, dtype=bool)
+    # Only a code of more than two planes has depths the masks cannot say.
+    depth = np.zeros(length, dtype=np.uint8) if len(planes) > 2 else None
 
     # Invert each group's packed planes in batched calls; a message's
     # packets share one geometry (plus a possibly-smaller final chunk and
-    # the trimmed variants), so a message is a handful of groups.
-    for (count, trimmed_bit, in_place), members in groups.items():
+    # the cut variants), so a message is a handful of groups.
+    for (count, arrived, in_place), members in groups.items():
         los, _, payloads = zip(*members)
         lo = max(los)
         if lo + count > length:
             raise ValueError(f"packet covers coords [{lo},{lo + count}) beyond length {length}")
-        tails_at = GRADIENT_HEADER_BYTES + packed_size(count, head_bits)
-        end = tails_at if trimmed_bit else tails_at + packed_size(count, tail_bits)
+        kept = planes[: cuts.index(arrived) + 1]
+        # The column range of each arrived plane in the payload, and where
+        # its bits go in a tail: the tail planes' bits concatenated, the
+        # first plane's highest.
+        ends = list(accumulate([GRADIENT_HEADER_BYTES] + [packed_size(count, b) for b in kept]))
+        end = ends[-1]
         wrong = set(map(len, payloads)) - {end}
         if wrong:
             raise ValueError(
                 f"need {end - GRADIENT_HEADER_BYTES} payload bytes for {count} coords "
-                f"({head_bits}+{0 if trimmed_bit else tail_bits} bits), "
+                f"({'+'.join(map(str, kept))} bits), "
                 f"got {max(min(wrong) - GRADIENT_HEADER_BYTES, 0)}"
             )
+        tail_columns = [
+            (ends[i], ends[i + 1], kept[i], full - cuts[i]) for i in range(1, len(kept))
+        ]
         offsets = np.asarray(los, dtype=np.int64)
         if in_place and count:
             # Packets where their chunk index puts them on their own
@@ -310,10 +364,12 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
             plane[:grid].reshape(-1, width) for plane in (heads, tails, trimmed, covered)
         )
         covered_rows[index] = True
-        if trimmed_bit:
+        if arrived != full:
             trimmed_rows[index] = True
+        if depth is not None:
+            depth[:grid].reshape(-1, width)[index] = arrived
         # A row group of packets at a time: their payloads joined are a
-        # (packets, payload bytes) matrix whose column ranges are the two
+        # (packets, payload bytes) matrix whose column ranges are the
         # planes, and what is scattered into the planes is still in cache.
         for start in range(0, len(payloads), ROW_GROUP):
             some = slice(start, start + ROW_GROUP)
@@ -321,11 +377,16 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
             batch = payloads[some]
             rows = np.frombuffer(b"".join(batch), dtype=np.uint8).reshape(len(batch), end)
             head_rows[into] = unpack_batch(
-                rows[:, GRADIENT_HEADER_BYTES:tails_at], count, head_bits
+                rows[:, GRADIENT_HEADER_BYTES : ends[1]], count, kept[0]
             ).reshape(-1, width)
-            if not trimmed_bit:
-                unpacked = unpack_batch(rows[:, tails_at:], count, tail_bits)
-                tail_rows[into] = unpacked.reshape(-1, width)
+            tail = None
+            for at, stop, bits, shift in tail_columns:
+                part = unpack_batch(rows[:, at:stop], count, bits)
+                if shift:
+                    part <<= np.uint32(shift)
+                tail = part if tail is None else tail | part
+            if tail is not None:
+                tail_rows[into] = tail.reshape(-1, width)
 
     return GradientMessage(
         heads=heads,
@@ -334,17 +395,17 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
         missing=~covered,
         metadata=metadata,
         codec_id=geometry.codec_id,
-        head_bits=head_bits,
-        tail_bits=tail_bits,
+        head_bits=planes[0],
+        tail_bits=full - planes[0],
         length=length,
+        depth=depth,
     )
 
 
-#: A receiver's data packets: ``(coord_count, kind, in_place)`` to the
-#: ``(coord_offset, chunk_index, payload)`` of each packet of the kind —
-#: trimmed or not for ``depacketize``, the arrived depth for the
-#: multi-level codec — where ``in_place`` says that the packet starts at
-#: ``(chunk_index - 1) * coord_count``.
+#: A receiver's data packets: ``(coord_count, depth, in_place)`` to the
+#: ``(coord_offset, chunk_index, payload)`` of each packet that arrived
+#: with ``depth`` bits per coordinate, where ``in_place`` says that the
+#: packet starts at ``(chunk_index - 1) * coord_count``.
 Groups = Dict[Tuple[int, int, bool], List[Tuple[int, int, "bytes | memoryview"]]]
 
 
@@ -388,8 +449,10 @@ def _disagreement(first: "bytes | memoryview", other: "bytes | memoryview") -> V
 
 
 #: The header fields every packet of one message shares (``SET_VIEW``'s
-#: three byte strings, magic aside).
+#: three byte strings, magic aside); a cut moves bits from the tail to the
+#: head, so what the packets share of those two is their sum.
 _IDENTITY = ("version", "codec_id", "head_bits", "tail_bits", "message_id", "epoch", "seed")
+_SHARED = ("version", "codec_id", "message_id", "epoch", "seed")
 
 
 def decode_packets(

@@ -69,7 +69,6 @@ __all__ = [
     "hop_id",
     "hop_name",
     "is_reserved_hop_name",
-    "reset_hop_registry",
     "get_int_collector",
     "set_int_collector",
 ]
@@ -187,12 +186,6 @@ def is_reserved_hop_name(name: str) -> bool:
     and ``add_switch`` reject such names up front.
     """
     return "->" in name or _FALLBACK_HOP_RE.fullmatch(name) is not None
-
-
-def reset_hop_registry() -> None:
-    """Clear the interning table (test isolation)."""
-    _HOP_IDS.clear()
-    _HOP_NAMES.clear()
 
 
 # -- wire format --------------------------------------------------------------

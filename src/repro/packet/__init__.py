@@ -2,7 +2,6 @@
 
 from .bitpack import (
     PackedSegments,
-    pack_bits,
     pack_segments,
     packed_size,
     unpack_batch,
@@ -21,17 +20,10 @@ from .header import (
     GradientHeader,
 )
 from .packet import DEFAULT_MTU_BYTES, Packet
-from .trim import (
-    MultiLevelTrim,
-    NeverTrim,
-    SingleLevelTrim,
-    TrimPolicy,
-    trim_to_bits,
-)
+from .trim import MultiLevelTrim, NeverTrim, SingleLevelTrim, TrimPolicy
 
 __all__ = [
     "PackedSegments",
-    "pack_bits",
     "pack_segments",
     "packed_size",
     "unpack_batch",
@@ -52,5 +44,4 @@ __all__ = [
     "NeverTrim",
     "SingleLevelTrim",
     "TrimPolicy",
-    "trim_to_bits",
 ]

@@ -7,12 +7,13 @@ each byte (network order), for any ``1 <= bits <= 32``.
 
 Two layers are exposed:
 
-* the scalar-plane API (:func:`pack_bits` / :func:`unpack_bits`) packs one
-  flat array.  Widths ``1``, ``8``, ``16`` and ``32`` are ``np.packbits``
-  on the raw values or big-endian byte/word views; every other width —
-  the paper's ``Q = 31`` tail plane first of all — goes through a
-  word-level kernel that assembles each block of 8 values (exactly
-  ``bits`` bytes) in ``uint64`` words with one or two shifts per value.
+* the scalar-plane API (:func:`unpack_bits` / :func:`unpack_signs`)
+  unpacks one flat array; the row kernels under it pack one.  Widths
+  ``1``, ``8``, ``16`` and ``32`` are ``np.packbits`` on the raw values
+  or big-endian byte/word views; every other width — the paper's
+  ``Q = 31`` tail plane first of all — goes through a word-level kernel
+  that assembles each block of 8 values (exactly ``bits`` bytes) in
+  ``uint64`` words with one or two shifts per value.
 * the whole-message API (:func:`pack_segments` / :func:`unpack_batch`)
   packs or unpacks *the packets of a message as the rows of a matrix*,
   a row group (``ROW_GROUP`` packets) per numpy call so the kernel's
@@ -35,7 +36,6 @@ import numpy as np
 
 __all__ = [
     "packed_size",
-    "pack_bits",
     "unpack_bits",
     "unpack_signs",
     "PackedSegments",
@@ -219,21 +219,9 @@ def _unpack_blocks(data: np.ndarray, count: int, bits: int) -> np.ndarray:
 # -- scalar-plane API ---------------------------------------------------------
 
 
-def pack_bits(values: np.ndarray, bits: int) -> bytes:
-    """Pack unsigned integers of width ``bits`` into bytes, MSB-first.
-
-    Values must already be in ``[0, 2**bits)``; out-of-range input raises.
-    """
-    _check_bits(bits)
-    values = np.asarray(values, dtype=np.uint64).reshape(-1)
-    _check_range(values, bits)
-    if values.size == 0:
-        return b""
-    return _pack_rows(values.reshape(1, -1), bits).tobytes()
-
-
 def unpack_bits(data: ByteLike, count: int, bits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bits`; returns ``count`` values as uint32."""
+    """Unpack ``count`` MSB-first values of width ``bits`` (one packed
+    segment of :func:`pack_segments`); returns them as uint32."""
     _check_bits(bits)
     need = packed_size(count, bits)
     if len(data) < need:
@@ -298,10 +286,11 @@ def pack_segments(
 ) -> PackedSegments:
     """Pack a whole plane into byte-aligned per-packet segments at once.
 
-    Equivalent to calling :func:`pack_bits` on every ``segment_len`` slice
-    of ``values`` but performed as batched numpy calls over row groups of
-    segments: the full segments are the rows of one matrix and the final
-    (possibly partial) one is a row of its own, so nothing is padded.
+    Each segment is one ``segment_len`` slice of ``values`` packed
+    MSB-first and padded to a byte boundary, computed as batched numpy
+    calls over row groups of segments: the full segments are the rows of
+    one matrix and the final (possibly partial) one is a row of its own,
+    so nothing else is padded.
 
     ``out`` names where the segments go instead of a new buffer, as the
     pair ``(full, last)`` of writable uint8 arrays (any strides): row ``i``

@@ -17,8 +17,8 @@ offset bytes field
 2      1     version
 3      1     flags (bit 0: TRIMMED, bit 1: METADATA, bit 2: INT)
 4      1     codec id (see :mod:`repro.core.codec`)
-5      1     head bits ``P``
-6      2     tail bits ``Q`` (16-bit to allow multi-level codes)
+5      1     head bits ``P`` (a remnant: the bits per coordinate it kept)
+6      2     tail bits ``Q`` (the code's other bits; 16-bit for wide codes)
 8      4     message id
 12     2     epoch
 14     2     chunk index (packet index within the message)
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -51,7 +52,9 @@ __all__ = [
     "FLAG_TRIMMED",
     "FLAG_METADATA",
     "FLAG_INT",
+    "CODE_PLANES",
     "GradientHeader",
+    "code_planes",
 ]
 
 ETHERNET_HEADER_BYTES = 14
@@ -82,14 +85,22 @@ _FIELD_BITS = (8, 8, 16, 32, 16, 16, 32, 32, 64, 8, 8)
 _CHUNK_INDEX_AT = 14
 _COORD_OFFSET_AT = 16
 #: Byte offsets of the fields a trimming switch rewrites: the flags (OR-ed
-#: with TRIMMED) and, for a multi-level trim, the head / tail bit widths.
+#: with TRIMMED) and, for a cut below a code's first plane boundary, the
+#: head / tail bit widths, ``(head_bits, tail_bits)`` through ``SPLIT_VIEW``.
 FLAGS_AT = 3
 HEAD_BITS_AT = 5
-TAIL_BITS_AT = 6
+SPLIT_VIEW = struct.Struct(">BH")
+
+#: Bit width of each plane of a code, front of the packet first, by codec
+#: id.  A packet can be cut at any plane boundary and what is left decodes
+#: on its own.  A codec not listed has two planes, ``(head_bits,
+#: tail_bits)``; codec 5 is Section 5.1's multi-level code
+#: (:mod:`repro.core.multilevel`): sign, 7-bit magnitude, 24-bit residual.
+CODE_PLANES: Dict[int, Tuple[int, ...]] = {5: (1, 7, 24)}
 
 #: What a switch or a transport reads of one packet:
-#: ``(magic, flags, head_bits, tail_bits, message_id, coord_count)``.
-PACKET_VIEW = struct.Struct(">HxBxBHI8xI8x")
+#: ``(magic, flags, codec_id, head_bits, tail_bits, message_id, coord_count)``.
+PACKET_VIEW = struct.Struct(">HxBBBHI8xI8x")
 #: What a receiver reads of every packet of a set: ``(magic + version,
 #: flags, codec_id … epoch, chunk_index, coord_offset, coord_count, seed)``.
 #: The three byte strings are the message's identity — equal across one
@@ -216,3 +227,8 @@ class GradientHeader:
         if magic != MAGIC:
             raise ValueError(f"bad magic 0x{magic:04x}; not a gradient packet")
         return cls(*rest, version, flags)
+
+
+def code_planes(codec_id: int, head_bits: int, tail_bits: int) -> Tuple[int, ...]:
+    """The plane widths of ``codec_id``'s code (:data:`CODE_PLANES`)."""
+    return CODE_PLANES.get(codec_id) or (head_bits, tail_bits)

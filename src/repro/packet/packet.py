@@ -7,8 +7,9 @@ Ethernet frames) and a payload.  Gradient traffic carries its 32-byte
 and nowhere else: the accessors below (``is_gradient``,
 ``trimmable_bytes``, ``is_metadata``, ``message_id``) read the fields they
 need from those bytes, so what a switch acts on is what is on the wire.
-``wire_size`` is what queues and links account for; ``trim()`` produces
-the trimmed twin the switch forwards instead of dropping.
+``wire_size`` is what queues and links account for; ``cut()`` produces
+the trimmed twin the switch forwards instead of dropping, for every codec
+one rule over the plane widths of its code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..obs.int_telemetry import INTExtension
 from .header import (
@@ -24,10 +25,13 @@ from .header import (
     FLAG_TRIMMED,
     FLAGS_AT,
     GRADIENT_HEADER_BYTES,
+    HEAD_BITS_AT,
     MAGIC,
     PACKET_VIEW,
+    SPLIT_VIEW,
     WIRE_HEADER_BYTES,
     GradientHeader,
+    code_planes,
 )
 
 __all__ = ["Packet", "DEFAULT_MTU_BYTES"]
@@ -156,28 +160,44 @@ class Packet:
     def message_id(self) -> Optional[int]:
         """The gradient header's message id, or None for other traffic."""
         view = self._header_view()
-        return None if view is None else view[4]
+        return None if view is None else view[5]
 
-    def trimmable_bytes(self) -> Optional[int]:
-        """Payload bytes a switch must keep when trimming, or None.
+    def trimmable_bytes(self, bits: int = 0) -> Optional[int]:
+        """Payload bytes :meth:`cut` to ``bits`` keeps, or None when it drops.
 
         For gradient packets this is the gradient header plus the packed
-        heads (``ceil(P*n/8)`` bytes); anything else is not trimmable and
-        must be dropped instead when the buffer is full.
+        planes above the cut (for a two-plane code: the heads,
+        ``ceil(P*n/8)`` bytes); anything else is not trimmable and must be
+        dropped instead when the buffer is full.
         """
+        at = self._cut_at(bits)
+        return None if at is None else at[0]
+
+    def _cut_at(self, bits: int) -> Optional[Tuple[int, int]]:
+        """``(payload bytes kept, bits per coordinate kept)`` of :meth:`cut`."""
         # _header_view() spelled out: every switch overflow asks this.
         payload = self.payload
         if self.is_ack or len(payload) < GRADIENT_HEADER_BYTES:
             return None
         if payload[0] != _MAGIC_FIRST_BYTE:
             return None
-        magic, flags, head_bits, _, _, coord_count = _read_view(payload)
+        magic, flags, codec_id, head_bits, tail_bits, _, coord_count = _read_view(payload)
         if magic != MAGIC or flags & FLAG_METADATA:
             return None
-        keep = GRADIENT_HEADER_BYTES - (-head_bits * coord_count // 8)
-        if keep >= len(payload):
+        carried = head_bits if flags & FLAG_TRIMMED else head_bits + tail_bits
+        # The first plane boundary below what the packet carries, then each
+        # deeper one up to ``bits``.
+        depth = keep = 0
+        for width in code_planes(codec_id, head_bits, tail_bits):
+            deeper = depth + width
+            if deeper >= carried or (depth and deeper > bits):
+                break
+            depth = deeper
+            keep -= -width * coord_count // 8
+        keep += GRADIENT_HEADER_BYTES
+        if not depth or keep >= len(payload):
             return None  # nothing to cut
-        return keep
+        return keep, depth
 
     def seal(self) -> "Packet":
         """Stamp ``checksum`` with the CRC32 of the current payload.
@@ -191,29 +211,43 @@ class Packet:
         """True when the payload matches its checksum (or was never sealed)."""
         return self.checksum is None or zlib.crc32(self.payload) == self.checksum
 
-    def trim(self) -> "Packet":
-        """Return the trimmed twin of this packet (original is untouched).
-
-        A sealed packet is re-sealed over the remnant payload — trimming
-        switches recompute the frame check sequence, exactly as real
-        store-and-forward ASICs do when they rewrite a frame.
+    def trim(self, bits: int = 0) -> "Packet":
+        """:meth:`cut`, for a packet that must be trimmable (the original
+        is untouched).
 
         Raises ``ValueError`` when the packet is not trimmable.
         """
-        keep = self.trimmable_bytes()
-        if keep is None:
+        remnant = self.cut(bits)
+        if remnant is None:
             raise ValueError(f"packet {self.packet_id} is not trimmable")
-        return self.trim_at(keep)
+        return remnant
 
-    def trim_at(self, keep: int) -> "Packet":
-        """:meth:`trim` for a caller that already holds ``keep``, the
-        :meth:`trimmable_bytes` of this packet: the header is not parsed
-        again.  ``keep`` is trusted, not checked."""
-        # The remnant is a copy of the header and the heads with TRIMMED
-        # OR-ed into its flags byte; the trimmed twin always owns its
-        # (small) payload, whatever buffer the original's was a view of.
+    def cut(self, bits: int = 0) -> Optional["Packet"]:
+        """The remnant of this packet cut to ``bits`` bits per coordinate,
+        or None when it cannot shrink (drop it instead).
+
+        The cut lands on the deepest plane boundary of the packet's code
+        (:data:`~repro.packet.header.CODE_PLANES`) that is at most ``bits``
+        and below what the packet carries; when there is none, on the
+        shallowest boundary below it.  ``bits=0`` is the head-only cut.
+        A sealed packet is re-sealed over the remnant payload — trimming
+        switches recompute the frame check sequence, exactly as real
+        store-and-forward ASICs do when they rewrite a frame.
+        """
+        at = self._cut_at(bits)
+        if at is None:
+            return None
+        keep, depth = at
+        # The remnant is a copy of the header and the kept planes with
+        # TRIMMED OR-ed into its flags byte, and its depth in the head bits
+        # when the cut is below the first boundary; the trimmed twin always
+        # owns its (small) payload, whatever buffer the original's was a
+        # view of.
         remnant = bytearray(self.payload[:keep])
         remnant[FLAGS_AT] |= FLAG_TRIMMED
+        if remnant[HEAD_BITS_AT] != depth:
+            head_bits, tail_bits = SPLIT_VIEW.unpack_from(remnant, HEAD_BITS_AT)
+            SPLIT_VIEW.pack_into(remnant, HEAD_BITS_AT, depth, head_bits + tail_bits - depth)
         new_payload = bytes(remnant)
         return self._twin(
             payload=new_payload,
@@ -249,7 +283,7 @@ class Packet:
         checksum: Optional[int],
         int_ext: Optional[INTExtension],
     ) -> "Packet":
-        """Copy of this packet with the fields ``trim`` / ``clone`` change.
+        """Copy of this packet with the fields ``cut`` / ``clone`` change.
 
         Spelled out rather than ``dataclasses.replace()``: the switch trims
         every other gradient packet under congestion, and ``replace`` spent

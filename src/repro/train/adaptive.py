@@ -32,7 +32,7 @@ import numpy as np
 
 from ..collectives.channel import GradientChannel
 from ..core.multilevel import LEVEL_BITS, MultiLevelCodec
-from ..packet.trim import trim_to_bits
+from ..core.packetizer import decode_packets, packetize
 
 __all__ = ["BudgetedLinkChannel", "AdaptiveQController"]
 
@@ -131,7 +131,7 @@ class BudgetedLinkChannel(GradientChannel):
         )
         self.last_send_bits = send_bits
         enc = self.codec.encode(flat, epoch=epoch, message_id=message_id)
-        packets = self.codec.packetize(enc, "tx", "rx")
+        packets = packetize(enc, "tx", "rx")
         meta, data = packets[0], packets[1:]
 
         wire = [meta]
@@ -139,7 +139,7 @@ class BudgetedLinkChannel(GradientChannel):
         jit_trimmed = 0
         dropped = 0
         for pkt in data:
-            shaped = pkt if send_bits >= 32 else trim_to_bits(pkt, send_bits)
+            shaped = pkt if send_bits == LEVEL_BITS[-1] else pkt.trim(send_bits)
             if used + shaped.wire_size <= self.capacity_bytes:
                 wire.append(shaped)
                 used += shaped.wire_size
@@ -150,7 +150,7 @@ class BudgetedLinkChannel(GradientChannel):
             placed = False
             deeper = self._next_lower(send_bits)
             while deeper is not None:
-                remnant = trim_to_bits(pkt, deeper)
+                remnant = pkt.trim(deeper)
                 if used + remnant.wire_size <= self.capacity_bytes:
                     wire.append(remnant)
                     used += remnant.wire_size
@@ -161,8 +161,7 @@ class BudgetedLinkChannel(GradientChannel):
             if not placed:
                 dropped += 1
 
-        back, levels = self.codec.depacketize(wire)
-        decoded = self.codec.decode(back, levels)
+        decoded = decode_packets(wire, self.codec)
 
         self.last_trim_fraction = (jit_trimmed + dropped) / max(1, len(data))
         if self.controller is not None:

@@ -19,45 +19,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import MultiLevelCodec, codec_by_name, decode_packets, depacketize, packetize
-from repro.packet import (
-    FLAG_INT,
-    FLAG_TRIMMED,
-    GRADIENT_HEADER_BYTES,
-    GradientHeader,
-    Packet,
-    trim_to_bits,
-)
+from repro.core import codec_by_name, decode_packets, depacketize, packetize
+from repro.packet import FLAG_INT, FLAG_TRIMMED, GRADIENT_HEADER_BYTES, GradientHeader, Packet
 
 CODECS = ("rht", "sq", "multilevel")
 COORDS = 3224  # rht pads it to 4 rows of 1,024: 12 data packets
 
 
 def make_codec(name):
-    if name == "multilevel":
-        return MultiLevelCodec(root_seed=1, row_size=1024)
-    return codec_by_name(name, root_seed=1, **({"row_size": 1024} if name == "rht" else {}))
+    return codec_by_name(name, root_seed=1, **({} if name == "sq" else {"row_size": 1024}))
 
 
 def message(name, message_id=1, trim=False):
-    """The packets of one message; with ``trim`` every other data packet trimmed."""
+    """The packets of one message; with ``trim`` every other data packet
+    trimmed (the multi-level code's alternately to 1 and 8 bits)."""
     codec = make_codec(name)
     grad = np.random.default_rng(message_id).standard_normal(COORDS)
     enc = codec.encode(grad, epoch=3, message_id=message_id)
-    packets = (codec.packetize if name == "multilevel" else packetize)(enc, "a", "b")
+    packets = packetize(enc, "a", "b")
     if trim:
         for i in range(1, len(packets), 2):
-            if name == "multilevel":
-                packets[i] = trim_to_bits(packets[i], 1 if i % 4 == 1 else 8)
-            else:
-                packets[i] = packets[i].trim()
+            packets[i] = packets[i].trim(1 if i % 4 == 1 else 8)
     return codec, packets
 
 
 def decode(name, codec, packets):
     """The decoded gradient's bytes (bit-identical means equal bytes)."""
-    if name == "multilevel":
-        return codec.decode(*codec.depacketize(packets)).tobytes()
     return decode_packets(packets, codec).tobytes()
 
 

@@ -24,7 +24,6 @@ from repro.packet import (
     GRADIENT_HEADER_BYTES,
     GradientHeader,
     Packet,
-    pack_bits,
     pack_segments,
     packed_size,
     unpack_batch,
@@ -32,6 +31,7 @@ from repro.packet import (
 )
 from repro.packet.bitpack import ROW_GROUP
 from repro.packet.header import FLAG_INT, FLAG_METADATA, FLAG_TRIMMED
+from tests.packet.test_bitpack import pack_bits
 
 
 def reference_packetize(

@@ -31,7 +31,7 @@ from repro.obs.int_telemetry import (
     disable_int,
     enable_int,
 )
-from repro.packet import MultiLevelTrim, NeverTrim, SingleLevelTrim, trim_to_bits
+from repro.packet import MultiLevelTrim, NeverTrim, SingleLevelTrim
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +60,7 @@ def apply(policy, packet, decision) -> Optional[object]:
     if decision.action == "drop":
         return None
     if isinstance(policy, MultiLevelTrim):
-        return trim_to_bits(packet, policy.level_bits[decision.level], policy.plane_bits)
+        return packet.trim(policy.level_bits[decision.level])
     return packet.trim()
 
 
@@ -190,7 +190,7 @@ def _multilevel_dumbbell():
     def traffic():
         gradient = np.random.default_rng(1).standard_normal(60_000)
         codec = MultiLevelCodec(root_seed=3, row_size=1024)
-        packets = codec.packetize(codec.encode(gradient), "tx0", "rx0", flow_id=5)
+        packets = packetize(codec.encode(gradient), "tx0", "rx0", flow_id=5)
         for index, packet in enumerate(packets):
             if index % 2:
                 packet = dataclasses.replace(packet, int_ext=INTExtension())

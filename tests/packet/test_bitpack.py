@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.packet import pack_bits, packed_size, unpack_bits, unpack_signs
+from repro.packet import pack_segments, packed_size, unpack_bits, unpack_signs
+
+
+def pack_bits(values, bits) -> bytes:
+    """One flat plane packed MSB-first: ``pack_segments`` with one segment."""
+    values = np.asarray(values).reshape(-1)
+    if values.size == 0:
+        return b""
+    return bytes(pack_segments(values, bits, values.size).segment(0))
 
 
 class TestPackedSize:

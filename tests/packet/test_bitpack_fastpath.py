@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.packet import (
-    pack_bits,
     pack_segments,
     packed_size,
     unpack_batch,
@@ -29,6 +28,7 @@ from repro.packet import (
 from repro.packet.bitpack import FAST_WIDTHS, ROW_GROUP, _pack_rows, _unpack_rows
 
 from .bitpack_oracle import _pack_bits_generic, _unpack_bits_generic
+from .test_bitpack import pack_bits
 
 
 @st.composite

@@ -10,7 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.packet import pack_bits, packed_size, unpack_bits, unpack_signs
+from repro.packet import packed_size, unpack_bits, unpack_signs
+
+from .test_bitpack import pack_bits
 
 
 @st.composite

@@ -14,9 +14,10 @@ from repro.packet import (
     WIRE_HEADER_BYTES,
     GradientHeader,
     Packet,
-    pack_bits,
 )
 from repro.packet.header import FLAGS_AT
+
+from .test_bitpack import pack_bits
 
 
 def gradient_packet(coord_count=365, head_bits=1, tail_bits=31, flags=0):

@@ -1,4 +1,5 @@
-"""Tests for trim policies, including multi-level trimming."""
+"""Tests for trim policies, including multi-level trimming, and for
+``Packet.trim(bits)``, the one cut they all make."""
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from repro.packet import (
     NeverTrim,
     Packet,
     SingleLevelTrim,
-    pack_bits,
-    trim_to_bits,
 )
+
+from .test_bitpack import pack_bits
 
 
 def plane_packet(coord_count=50):
@@ -85,10 +86,13 @@ class TestMultiLevelTrim:
         assert keep1.grad_header.head_bits == 1
 
     def test_a_trim_that_cuts_nothing_drops(self):
-        # Keeping all 32 bits leaves the packet whole: nothing to enqueue
-        # in the express band, so the switch must drop it instead.
+        # A remnant already at the sign plane cannot shrink: nothing to
+        # enqueue in the express band, so the switch must drop it instead.
         policy = MultiLevelTrim(level_bits=[32], thresholds=[0.0])
-        assert policy.trim(plane_packet(), queue_fill=1.0) is None
+        assert policy.trim(plane_packet().trim(1), queue_fill=1.0) is None
+        # A level at or beyond the full depth cuts at the deepest boundary below it.
+        remnant, _ = policy.trim(plane_packet(), queue_fill=1.0)
+        assert remnant.grad_header.head_bits == 8
 
     def test_drops_untrimmable_packets(self):
         policy = MultiLevelTrim(level_bits=[8, 1], thresholds=[0.7, 0.9])
@@ -105,42 +109,44 @@ class TestMultiLevelTrim:
 
 
 class TestTrimToBits:
-    def test_keep_bits_must_hit_plane_boundary(self):
-        with pytest.raises(ValueError, match="prefix-plane boundary"):
-            trim_to_bits(plane_packet(), keep_bits=5)
+    """``Packet.trim(bits)``: the deepest plane boundary of the packet's own
+    code at most ``bits`` and below what it carries, else the shallowest."""
 
-    def test_keep_all_bits_is_identity(self):
+    def test_keep_bits_must_hit_plane_boundary(self):
         pkt = plane_packet()
-        assert trim_to_bits(pkt, keep_bits=32).payload == pkt.payload
+        assert pkt.trim(5).payload == pkt.trim(1).payload
+        assert pkt.trim(31).payload == pkt.trim(8).payload
+
+    def test_keep_all_bits_cuts_at_the_deepest_boundary(self):
+        pkt = plane_packet()
+        assert pkt.trim(32).payload == pkt.trim(8).payload
 
     def test_requires_gradient_packet(self):
-        with pytest.raises(ValueError, match="not a gradient"):
-            trim_to_bits(Packet(src="a", dst="b", payload=b"zz"), 1)
+        with pytest.raises(ValueError, match="not trimmable"):
+            Packet(src="a", dst="b", payload=b"zz").trim(1)
 
     def test_cannot_keep_more_than_total(self):
-        with pytest.raises(ValueError, match="cannot keep"):
-            trim_to_bits(plane_packet(), keep_bits=40)
+        pkt = plane_packet()
+        assert pkt.trim(40).payload == pkt.trim(8).payload
+        assert pkt.trim(8).trimmable_bytes(40) == len(pkt.trim(1).payload)
 
     def test_sealed_packet_is_resealed(self):
-        """A multi-level trim must re-seal, like Packet.trim — a stale
+        """A multi-level trim must re-seal, like a head-only one — a stale
         checksum would read as in-flight corruption at the receiver."""
         pkt = plane_packet()
         pkt.seal()
-        trimmed = trim_to_bits(pkt, keep_bits=8)
+        trimmed = pkt.trim(8)
         assert trimmed.checksum is not None
         assert trimmed.verify()
 
     def test_unsealed_packet_stays_unsealed(self):
-        trimmed = trim_to_bits(plane_packet(), keep_bits=8)
+        trimmed = plane_packet().trim(8)
         assert trimmed.checksum is None
 
     def test_two_plane_default_head_trim(self):
-        """trim_to_bits with (P, Q) planes matches Packet.trim for P=1."""
+        """On a (P, Q) packet every level keeps the heads, as Packet.trim() does."""
         from tests.packet.test_packet import gradient_packet
 
         pkt = gradient_packet(coord_count=100)
-        via_policy = trim_to_bits(pkt, keep_bits=1, plane_bits=(1, 31))
-        via_packet = pkt.trim()
-        assert via_policy.payload[GRADIENT_HEADER_BYTES:] == via_packet.payload[
-            GRADIENT_HEADER_BYTES:
-        ]
+        assert pkt.trim(8).payload == pkt.trim(1).payload == pkt.trim().payload
+        assert pkt.trim().trimmable_bytes(8) is None

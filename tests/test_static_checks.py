@@ -309,12 +309,12 @@ REGISTRIES = {"register_codec"}
 
 
 def exports():
-    """(name, package) for every name a ``src/repro`` package's ``__all__`` lists."""
-    for init in sorted((SRC / "repro").rglob("__init__.py")):
-        for node in ast.parse(init.read_text(encoding="utf-8")).body:
+    """(name, module) for every name a ``src/repro`` module's ``__all__`` lists."""
+    for module in sorted((SRC / "repro").rglob("*.py")):
+        for node in ast.parse(module.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.Assign) and "__all__" in [
                     getattr(target, "id", None) for target in node.targets]:
-                yield from ((elt.value, init.parent.relative_to(SRC)) for elt in node.value.elts)
+                yield from ((elt.value, module.relative_to(SRC)) for elt in node.value.elts)
 
 
 def read_names(text, package_init=False):
@@ -343,7 +343,7 @@ def test_every_export_has_a_reader_outside_tests():
     for top in ("src", "benchmarks", "examples"):
         for path in sorted((REPO_ROOT / top).rglob("*.py")):
             read |= read_names(path.read_text(encoding="utf-8"), path.name == "__init__.py")
-    unread = sorted(f"{package}: {name}" for name, package in exports()
+    unread = sorted(f"{module}: {name}" for name, module in exports()
                     if name not in read and name not in UNREAD_EXPORTS)
     assert not unread, "delete these or say in UNREAD_EXPORTS why they stay:\n" + "\n".join(unread)
     stale = sorted(name for name in UNREAD_EXPORTS if name in read)

@@ -9,7 +9,9 @@ of the shared argparse types in ``repro.argtypes``.
 that change between processes) is
 ``tests/test_same_bytes_across_processes.py``.  ``repro-bench``
 regenerates the paper's figures and nothing else; the perf ledger is
-the only gate.  Every message crosses the simulator as a
+the only gate.  Every codec, the multi-level one included, rides one
+packetizer and one cut, and the cluster runs on a fat-tree only.  Every
+message crosses the simulator as a
 ``repro.transport.Transfer``, which builds the receiver its sender
 names, and completion times and counts are read from the sender: no
 flow log.  The metrics registry holds counters and nothing else: a
@@ -41,10 +43,14 @@ import repro.cluster.cli as cluster_cli
 import repro.faults.cli as faults_cli
 import repro.obs as obs
 import repro.obs.timeline as timeline_cli
+import repro.packet as packet
+from repro.cluster import ClusterScenario
 from repro.collectives import CommHook
+from repro.core import GradientCodec, MultiLevelCodec, codec_by_name
 from repro.obs.int_telemetry import INTCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, trace_to
+from repro.packet import MultiLevelTrim
 from repro.resilience import EFChannel
 from repro.train import RoundTimeModel, TimingConfig, TrainConfig
 from repro.train.network_channel import NetworkChannel
@@ -238,6 +244,26 @@ def test_one_aggregation_path_takes_no_dead_knobs():
     ]
     # One residual per worker: no in-round slots to reset.
     assert not hasattr(EFChannel, "end_round")
+
+
+def test_every_codec_rides_one_wire_path():
+    # The multi-level code is a registered codec: no packetizer, depacketizer
+    # or plane-width knob of its own, one cut on Packet.
+    assert isinstance(codec_by_name("multilevel"), GradientCodec)
+    assert not hasattr(MultiLevelCodec, "packetize")
+    assert not hasattr(MultiLevelCodec, "depacketize")
+    assert not hasattr(packet, "trim_to_bits") and "trim_to_bits" not in packet.__all__
+    assert list(inspect.signature(MultiLevelTrim.__init__).parameters) == [
+        "self", "level_bits", "thresholds",
+    ]
+
+
+def test_the_cluster_runs_on_one_fabric_shape():
+    # A k-ary fat-tree: no topology switch, no leaf-spine sizes.
+    assert [f.name for f in dataclasses.fields(ClusterScenario)] == [
+        "name", "description", "jobs", "tenants", "k", "rate_bps", "delay_s",
+        "buffer_bytes", "ecmp", "trim", "deadline_s", "mtu", "host_burst",
+    ]
 
 
 def test_receivers_are_built_only_by_the_transport():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import MultiLevelCodec, nmse
+from repro.core import MultiLevelCodec, nmse, packetize
 from repro.train import AdaptiveQController, BudgetedLinkChannel
 
 
@@ -49,7 +49,7 @@ class TestAdaptiveQController:
 
 class TestBudgetedLinkChannel:
     def full_message_bytes(self, codec, x):
-        packets = codec.packetize(codec.encode(x), "a", "b")
+        packets = packetize(codec.encode(x), "a", "b")
         return sum(p.wire_size for p in packets)
 
     def test_ample_capacity_is_lossless(self):
