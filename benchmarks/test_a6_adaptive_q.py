@@ -46,7 +46,7 @@ def run_a6():
                     label,
                     channel.last_send_bits,
                     f"{channel.last_trim_fraction:.2f}",
-                    channel.packets_dropped_total,
+                    channel.stats.packets_dropped,
                     f"{utilization:.0%}",
                     f"{nmse(x, out):.5f}",
                 ]

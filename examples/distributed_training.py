@@ -13,7 +13,7 @@ Run:  python examples/distributed_training.py
 from repro import TrainConfig, TrimChannel, codec_by_name
 from repro.collectives import AllReduceHook
 from repro.nn import make_dataset, make_vgg
-from repro.train import DDPTrainer, RoundTimeModel, TimingConfig
+from repro.train import DDPTrainer, RoundTimeModel
 
 TRIM_RATE = 0.5
 EPOCHS = 8
@@ -39,7 +39,6 @@ def main() -> None:
         step_size=5, gamma=0.2, seed=0, augment=False,
     )
     time_model = RoundTimeModel(
-        TimingConfig(),
         codec_ns_per_coord={"sign": 20, "sq": 35, "sd": 42, "rht": 95},
     )
 

@@ -121,7 +121,6 @@ from .train import (
     DDPTrainer,
     FSDPTrainer,
     RoundTimeModel,
-    TimingConfig,
     TrainConfig,
     TrimChannel,
     TrimTranscript,
@@ -155,7 +154,6 @@ __all__ = [
     "DDPTrainer",
     "FSDPTrainer",
     "RoundTimeModel",
-    "TimingConfig",
     "TrainConfig",
     "TrimChannel",
     "TrimTranscript",

@@ -21,7 +21,6 @@ from ..nn import make_dataset, make_vgg
 from ..train import (
     DDPTrainer,
     RoundTimeModel,
-    TimingConfig,
     TrainConfig,
     TrimChannel,
     measure_codec_throughput,
@@ -93,7 +92,7 @@ def _make_model():
 def time_model() -> RoundTimeModel:
     """Cost model fed with this machine's measured codec throughput."""
     measured = measure_codec_throughput(num_coords=2**16, repeats=2)
-    return RoundTimeModel(TimingConfig(), measured)
+    return RoundTimeModel(measured)
 
 
 @lru_cache(maxsize=64)

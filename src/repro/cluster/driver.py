@@ -187,7 +187,6 @@ class FabricHook(CommHook):
         self.codec = codec
         self.mtu = mtu
         self.ef = ef
-        self.waves = 0
         #: (epoch, fabric time at wave end) per round — the driver's
         #: source for per-job time-to-accuracy on the shared clock.
         self.wave_log: List[Tuple[int, float]] = []
@@ -208,7 +207,7 @@ class FabricHook(CommHook):
         # can never be mistaken for the next round's data.
         base = JOB_FLOW_BASE + self.job_index * JOB_FLOW_BLOCK
         workers = len(self.driver.runtimes[self.job_index].placement.workers)
-        return base + (self.waves * workers + worker) % JOB_FLOW_BLOCK
+        return base + (len(self.wave_log) * workers + worker) % JOB_FLOW_BLOCK
 
     def launch(self, grads: List[np.ndarray], epoch: int) -> None:
         """Put every worker's gradient message on the fabric, now."""
@@ -239,7 +238,6 @@ class FabricHook(CommHook):
     def complete(self) -> np.ndarray:
         """Close the wave in flight; returns the mean of what arrived."""
         epoch, message_id = self._wave
-        self.waves += 1
         self.wave_log.append((epoch, self.driver.net.sim.now))
         received: List[np.ndarray] = []
         for worker, (transfer, (flat, carry)) in enumerate(
@@ -270,13 +268,6 @@ class FabricHook(CommHook):
         return np.mean(received, axis=0)
 
     # -- error-feedback introspection -------------------------------------------
-
-    def ef_residual_norms(self) -> Dict[int, float]:
-        """Per-worker L2 norm of the current EF residual."""
-        return {
-            worker: float(np.linalg.norm(self.channel.residual(worker)))
-            for worker in sorted(self._ef_input_sum)
-        }
 
     def ef_telescoping_gap(self) -> float:
         """Max relative telescoping error across workers (0 when EF off).
@@ -510,7 +501,7 @@ class ClusterDriver:
             "aggregator": runtime.placement.aggregator,
             "worker_hosts": list(runtime.placement.workers),
             "epochs": len(history.records),
-            "rounds": runtime.hook.waves,
+            "rounds": len(runtime.hook.wave_log),
             "final_top1": history.final_top1,
             "best_top1": history.best_top1,
             "diverged": history.diverged,
@@ -531,7 +522,7 @@ class ClusterDriver:
         }
         if runtime.spec.ef:
             report["ef_telescoping_gap"] = runtime.hook.ef_telescoping_gap()
-            report["ef_residual_norms"] = runtime.hook.ef_residual_norms()
+            report["ef_residual_norms"] = runtime.hook.channel.residual_norms()
         return report
 
     def _fairness(self) -> Dict[str, float]:

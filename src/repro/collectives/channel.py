@@ -13,10 +13,12 @@ discrete-event network.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..obs.metrics import get_registry
+from ..packet.packet import Packet
 
 __all__ = ["ChannelStats", "GradientChannel", "PerfectChannel"]
 
@@ -31,9 +33,6 @@ class ChannelStats:
     packets_trimmed: int = 0
     packets_dropped: int = 0
     bytes_sent: int = 0
-    bytes_saved_by_trim: int = 0
-    encode_seconds: float = 0.0
-    decode_seconds: float = 0.0
     # Rounds where the transport surrendered (or the whole message was
     # lost) and the trainer took a degraded step instead of hanging.
     rounds_surrendered: int = 0
@@ -47,6 +46,31 @@ class ChannelStats:
 
     def as_dict(self) -> dict:
         return {**asdict(self), "trim_fraction": self.trim_fraction}
+
+    def count_wire(
+        self, coords: int, packets: int, wire: Optional[Sequence[Packet]]
+    ) -> int:
+        """Count one message of ``coords`` coordinates, cut into ``packets``
+        data packets, of which ``wire`` arrived (None: nothing did).
+
+        ``wire`` is what the receiver decodes: the metadata packet first,
+        then the data packets that arrived, whole or cut.  Returns how
+        many of those arrived cut.
+        """
+        self.messages += 1
+        self.coordinates += coords
+        if wire is None:
+            return 0
+        trimmed = size = 0
+        for packet in wire:  # once: every carrier of the cluster runs this
+            size += packet.wire_size
+            if packet.trimmed_from is not None:
+                trimmed += 1
+        self.packets_total += packets
+        self.packets_trimmed += trimmed
+        self.packets_dropped += packets - (len(wire) - 1)
+        self.bytes_sent += size
+        return trimmed
 
 
 class GradientChannel:
@@ -70,10 +94,6 @@ class GradientChannel:
     def count_surrender(self) -> None:
         """Record one surrendered round."""
         self.stats.rounds_surrendered += 1
-
-    def count_dropped(self, packets: int) -> None:
-        """Record ``packets`` lost data packets."""
-        self.stats.packets_dropped += packets
 
     def transfer(
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0, worker: int = 0

@@ -18,7 +18,9 @@ Subcommands:
 * ``repro-faults resume-check <scenario>`` — the byte-identity gate:
   run the job uninterrupted, then rerun it crashing at round R and
   resuming from a checkpoint, and fail unless both histories serialize
-  to identical JSON.  CI runs exactly this.
+  to identical JSON and both runs end in the same checkpoint bytes
+  (channel stats, deadline, membership and EF residuals included).  CI
+  runs exactly this.
 
 The JSONL stream is one fault event per line (sorted keys, simulation
 time only — never wall-clock time) followed by a single ``summary``
@@ -31,6 +33,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -298,7 +301,8 @@ def _cmd_resume_check(ns: argparse.Namespace) -> int:
 
     uninterrupted = build_trainer(scenario, **kwargs)
     reference = uninterrupted.train().to_json()
-    rounds = uninterrupted.checkpoint().rounds_run
+    final = uninterrupted.checkpoint()
+    rounds = final.rounds_run
     if ns.crash_round > rounds:  # no crash inside the run: nothing to check
         logger.error(
             "repro-faults: --crash-round %d is outside the run's rounds 1..%d",
@@ -322,9 +326,23 @@ def _cmd_resume_check(ns: argparse.Namespace) -> int:
             ns.crash_round,
         )
         return 1
+    # The first top-level key of the canonical JSON whose bytes differ.
+    got, want = (
+        {key: json.dumps(value, sort_keys=True) for key, value in asdict(ckpt).items()}
+        for ckpt in (resumed.checkpoint(), final)
+    )
+    key = next((key for key in sorted(want) if got[key] != want[key]), None)
+    if key is not None:
+        logger.error(
+            "resume mismatch: crash at round %d left the final state's %r "
+            "different from the uninterrupted run's",
+            ns.crash_round,
+            key,
+        )
+        return 1
     logger.info(
-        "resume-check ok: %s seed=%d crash_round=%d — %d epochs "
-        "byte-identical (%d bytes)",
+        "resume-check ok: %s seed=%d crash_round=%d — %d epochs and the "
+        "final state byte-identical (%d bytes)",
         scenario.name,
         ns.seed,
         ns.crash_round,

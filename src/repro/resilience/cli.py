@@ -41,7 +41,7 @@ def build_trainer(
     from ..nn.data import make_dataset
     from ..nn.models import MLP
     from ..train.ddp import DDPTrainer, TrainConfig
-    from ..train.timing import RoundTimeModel, TimingConfig
+    from ..train.timing import RoundTimeModel
     from ..train.trim_channel import TrimChannel
 
     train_set, test_set = make_dataset(
@@ -76,7 +76,7 @@ def build_trainer(
         world_size=world_size,
         hook=hook,
         config=config,
-        time_model=RoundTimeModel(TimingConfig()),
+        time_model=RoundTimeModel(),
         resilience=resilience,
         label=label,
     )

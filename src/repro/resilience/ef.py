@@ -106,7 +106,7 @@ class EFChannel(GradientChannel):
     def residual_norms(self) -> Dict[int, float]:
         """Per-worker residual L2 norm."""
         return {
-            worker: float(np.sqrt(np.sum(value * value)))
+            worker: float(np.linalg.norm(value))
             for worker, value in sorted(self._residuals.items())
         }
 

@@ -11,7 +11,7 @@ from .ddp import (
 from .fsdp import FSDPTrainer
 from .network_channel import NetworkChannel
 from .replay import TrimTranscript
-from .timing import RoundTime, RoundTimeModel, TimingConfig, measure_codec_throughput
+from .timing import RoundTime, RoundTimeModel, measure_codec_throughput
 from .trim_channel import TrimChannel
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "TrimTranscript",
     "RoundTime",
     "RoundTimeModel",
-    "TimingConfig",
     "measure_codec_throughput",
     "TrimChannel",
 ]

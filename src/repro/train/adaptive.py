@@ -116,7 +116,6 @@ class BudgetedLinkChannel(GradientChannel):
         self.static_send_bits = static_send_bits
         self.last_trim_fraction = 0.0
         self.last_send_bits = static_send_bits
-        self.packets_dropped_total = 0
 
     def _next_lower(self, bits: int) -> Optional[int]:
         lower = [b for b in LEVEL_BITS if b < bits]
@@ -137,7 +136,6 @@ class BudgetedLinkChannel(GradientChannel):
         wire = [meta]
         used = meta.wire_size
         jit_trimmed = 0
-        dropped = 0
         for pkt in data:
             shaped = pkt if send_bits == LEVEL_BITS[-1] else pkt.trim(send_bits)
             if used + shaped.wire_size <= self.capacity_bytes:
@@ -147,7 +145,6 @@ class BudgetedLinkChannel(GradientChannel):
             # JIT reaction: cascade down the plane boundaries until the
             # remnant fits; a packet that cannot fit even at the deepest
             # plane is dropped (buffer exhausted).
-            placed = False
             deeper = self._next_lower(send_bits)
             while deeper is not None:
                 remnant = pkt.trim(deeper)
@@ -155,22 +152,13 @@ class BudgetedLinkChannel(GradientChannel):
                     wire.append(remnant)
                     used += remnant.wire_size
                     jit_trimmed += 1
-                    placed = True
                     break
                 deeper = self._next_lower(deeper)
-            if not placed:
-                dropped += 1
 
+        self.stats.count_wire(flat.size, len(data), wire)
         decoded = decode_packets(wire, self.codec)
-
+        dropped = len(data) + 1 - len(wire)
         self.last_trim_fraction = (jit_trimmed + dropped) / max(1, len(data))
         if self.controller is not None:
             self.controller.update(self.last_trim_fraction)
-        self.packets_dropped_total += dropped
-        self.stats.messages += 1
-        self.stats.coordinates += flat.size
-        self.stats.packets_total += len(data)
-        self.stats.packets_trimmed += jit_trimmed
-        self.stats.packets_dropped += dropped
-        self.stats.bytes_sent += used
         return decoded

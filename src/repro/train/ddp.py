@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Dict, Generator, List, Optional, Tuple
@@ -628,6 +628,10 @@ class DDPTrainer:
                 f"checkpoint has {len(ckpt.loader_states)} loaders, "
                 f"trainer has {len(self.loaders)}"
             )
+        known = {spec.name for spec in fields(self.hook.stats)}
+        for key in ckpt.channel_stats:
+            if key not in known:
+                raise ValueError(f"unknown channel stat {key!r}")
         self.model.load_flat_parameters(
             np.asarray(ckpt.model_flat, dtype=np.float64)
         )
@@ -637,11 +641,8 @@ class DDPTrainer:
             loader.set_state(state)
         self._epoch_loader_states = [dict(s) for s in ckpt.loader_states]
         self.hook._message_counter = ckpt.message_counter
-        stats = self.hook.stats
         for key, value in ckpt.channel_stats.items():
-            if not hasattr(stats, key):
-                raise ValueError(f"unknown channel stat {key!r}")
-            setattr(stats, key, value)
+            setattr(self.hook.stats, key, value)
         self.history = TrainingHistory(self.label)
         for record in ckpt.history:
             self.history.append(EpochRecord.from_dict(record))

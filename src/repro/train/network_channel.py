@@ -73,16 +73,11 @@ class _GradientTransfer(Transfer):
         missed deadline.
         """
         self.close()
-        stats.messages += 1
-        stats.coordinates += self.coords
+        data = len(self.packets) - 1  # after the metadata packet
+        trimmed = stats.count_wire(self.coords, data, self.wire)
         if self.wire is None:
             return None
-        data = [p for p in self.wire if p.is_gradient and not p.is_metadata]
-        trimmed = sum(1 for p in data if p.is_trimmed)
-        self.trim_fraction = trimmed / max(1, len(data))
-        stats.packets_total += len(data)
-        stats.packets_trimmed += trimmed
-        stats.bytes_sent += sum(p.wire_size for p in self.wire)
+        self.trim_fraction = trimmed / max(1, data)
         return decode_packets(self.wire, self.codec)
 
 

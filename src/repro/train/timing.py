@@ -5,8 +5,7 @@ measured directly.  Figures 3-5 compare *relative* per-round times, and
 those are reconstructed from three ingredients:
 
 1. **Compute** — a fixed per-round cost representing the forward+backward
-   pass on the paper's GPU (configurable; the default is calibrated to a
-   VGG-19/CIFAR-100 batch).
+   pass on the paper's GPU (calibrated to a VGG-19/CIFAR-100 batch).
 2. **Encode/decode** — anchored to the paper's measured fact that the
    hook adds ~42-68 % per round for scalar codecs, with the *relative*
    cost between codecs taken from this machine's measured per-coordinate
@@ -15,7 +14,7 @@ those are reconstructed from three ingredients:
 3. **Communication** — bytes on the wire over the link bandwidth.
    Trimming *reduces* bytes (trimmed packets are ~1/32 size).
 
-The knobs live in :class:`TimingConfig` and every default is documented,
+The constants below are the whole calibration, each with its provenance,
 so EXPERIMENTS.md can state exactly what was assumed.
 """
 
@@ -27,31 +26,23 @@ from typing import Dict, Optional
 
 from ..transforms.prng import shared_generator
 
-__all__ = ["TimingConfig", "RoundTime", "RoundTimeModel", "measure_codec_throughput"]
+__all__ = ["RoundTime", "RoundTimeModel", "measure_codec_throughput"]
 
-
-@dataclass
-class TimingConfig:
-    """Every constant of the cost model, with provenance.
-
-    Attributes:
-        bandwidth_bps: testbed link rate (paper: 100 Gb/s DAC).
-        base_rtt_s: propagation + switching latency per message.
-        compute_s: GPU forward+backward per round (order of VGG-19 @ 64).
-        hook_overhead_s: fixed DDP-hook callback cost per round (the
-            paper attributes much of its 42-68 % overhead to this).
-        encode_fraction_scalar: encode+decode cost of the *scalar* codecs
-            as a fraction of compute_s (anchors the 42-68 % range
-            together with hook_overhead_s).
-        mtu_bytes: packet size.
-    """
-
-    bandwidth_bps: float = 100e9
-    base_rtt_s: float = 10e-6
-    compute_s: float = 40e-3
-    hook_overhead_s: float = 12e-3
-    encode_fraction_scalar: float = 0.2
-    mtu_bytes: int = 1500
+#: Testbed link rate (paper: 100 Gb/s DAC).
+BANDWIDTH_BPS = 100e9
+#: Propagation + switching latency per message.
+BASE_RTT_S = 10e-6
+#: GPU forward+backward per round (order of VGG-19 @ 64).
+COMPUTE_S = 40e-3
+#: Fixed DDP-hook callback cost per round (the paper attributes much of
+#: its 42-68 % overhead to this).
+HOOK_OVERHEAD_S = 12e-3
+#: Encode+decode cost of the *scalar* codecs as a fraction of
+#: ``COMPUTE_S`` (anchors the 42-68 % range together with
+#: ``HOOK_OVERHEAD_S``).
+ENCODE_FRACTION_SCALAR = 0.2
+#: Packet size.
+MTU_BYTES = 1500
 
 
 @dataclass
@@ -107,12 +98,7 @@ def measure_codec_throughput(
 class RoundTimeModel:
     """Convert per-round counters into modeled wall-clock seconds."""
 
-    def __init__(
-        self,
-        config: Optional[TimingConfig] = None,
-        codec_ns_per_coord: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.config = config or TimingConfig()
+    def __init__(self, codec_ns_per_coord: Optional[Dict[str, float]] = None) -> None:
         # Relative codec costs; measured lazily on first use if absent.
         self._codec_ns = codec_ns_per_coord
 
@@ -126,24 +112,22 @@ class RoundTimeModel:
         """Encode+decode cost, anchored to scalar == fraction of compute."""
         if codec_name is None:
             return 0.0
-        cfg = self.config
         table = self.codec_ns_per_coord
         if codec_name not in table:
             raise KeyError(f"no throughput measurement for codec {codec_name!r}")
         scalar_ns = table.get("sq", min(table.values()))
         relative = table[codec_name] / scalar_ns
-        return cfg.encode_fraction_scalar * cfg.compute_s * relative
+        return ENCODE_FRACTION_SCALAR * COMPUTE_S * relative
 
     def _message_bytes(
         self, num_coords: int, trim_rate: float, codec_name: Optional[str]
     ) -> float:
-        cfg = self.config
-        payload = cfg.mtu_bytes - 42
+        payload = MTU_BYTES - 42
         if codec_name is None:
-            return num_coords * 4 * (cfg.mtu_bytes / payload)
+            return num_coords * 4 * (MTU_BYTES / payload)
         # Trimmed packets carry 1 bit per coordinate instead of 32.
-        full = num_coords * 4 * (cfg.mtu_bytes / payload)
-        trimmed_size_fraction = 1.0 / 32.0 + 74.0 / cfg.mtu_bytes  # heads + headers
+        full = num_coords * 4 * (MTU_BYTES / payload)
+        trimmed_size_fraction = 1.0 / 32.0 + 74.0 / MTU_BYTES  # heads + headers
         return full * ((1 - trim_rate) + trim_rate * trimmed_size_fraction)
 
     def round_time(
@@ -162,13 +146,10 @@ class RoundTimeModel:
             world_size: ring width — bytes scale with the all-reduce's
                 2(N-1)/N factor.
         """
-        cfg = self.config
         encode = self._encode_seconds(codec_name, num_coords)
-        hook = cfg.hook_overhead_s if codec_name is not None else 0.0
+        hook = HOOK_OVERHEAD_S if codec_name is not None else 0.0
         bytes_on_wire = self._message_bytes(num_coords, trim_rate, codec_name)
         bytes_on_wire *= 2.0 * (world_size - 1) / world_size
-        comm = bytes_on_wire * 8.0 / cfg.bandwidth_bps + cfg.base_rtt_s
-        return RoundTime(
-            compute_s=cfg.compute_s, encode_s=encode + hook, comm_s=comm
-        )
+        comm = bytes_on_wire * 8.0 / BANDWIDTH_BPS + BASE_RTT_S
+        return RoundTime(compute_s=COMPUTE_S, encode_s=encode + hook, comm_s=comm)
 

@@ -4,24 +4,22 @@ The authors could not change NCCL's wire format, so their evaluation
 "simulate[s] the effect of congestion using pre-set random probabilistic
 dropping/trimming": each gradient packet is independently trimmed with a
 fixed probability, and trimmed coordinates are replaced by their decoded
-quantized value.  :class:`TrimChannel` reproduces that exactly on top of
-the real codecs: encode → per-packet Bernoulli trim → decode, with
-wall-clock encode/decode timing captured for the Figure 5 breakdown, and
-an optional Section 5.4 transcript for record/replay.
+quantized value.  :class:`TrimChannel` reproduces that on the real wire
+format: encode → packetize → per-packet Bernoulli cut or drop →
+``decode_packets``, the receive path of the simulated fabric, with an
+optional Section 5.4 transcript for record/replay.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
 from ..collectives.channel import GradientChannel
-from ..core.codec import GradientCodec
-from ..core.layout import coords_per_packet
+from ..core.codec import GradientCodec, nmse
+from ..core.packetizer import decode_packets, packetize
 from ..obs.trace import get_tracer
-from ..packet.header import GRADIENT_HEADER_BYTES, WIRE_HEADER_BYTES
 from ..transforms.prng import shared_generator
 from .replay import TrimTranscript
 
@@ -32,14 +30,15 @@ class TrimChannel(GradientChannel):
     """Codec + per-packet Bernoulli trimming.
 
     Args:
-        codec: any registered :class:`GradientCodec` (sign/sq/sd/rht).
-        trim_rate: probability each data packet is trimmed to its heads.
+        codec: any registered :class:`GradientCodec`.
+        trim_rate: probability each data packet is cut to its heads
+            (:meth:`~repro.packet.Packet.trim`, the switch's cut).
         drop_rate: probability each data packet is *lost outright* —
             its coordinates arrive as missing, the fault-injection
             analogue of an unrecovered corruption.  A message that loses
             every packet surrenders the round: the channel returns a
             zero gradient and counts ``stats.rounds_surrendered``.
-        mtu: packet size used to derive coordinates-per-packet.
+        mtu: packet size of :func:`~repro.core.packetizer.packetize`.
         seed: trim-pattern seed (independent of the codec's seed).
         record: transcript to append trim decisions to (Section 5.4).
         replay: transcript to *read* trim decisions from instead of
@@ -70,17 +69,6 @@ class TrimChannel(GradientChannel):
         self.seed = seed
         self.record = record
         self.replay = replay
-        self.coords_per_pkt = coords_per_packet(mtu, codec.head_bits, codec.tail_bits)
-        # Wire sizes for byte accounting (per full/trimmed data packet).
-        full_bits = (codec.head_bits + codec.tail_bits) * self.coords_per_pkt
-        head_bits = codec.head_bits * self.coords_per_pkt
-        self._full_packet_bytes = WIRE_HEADER_BYTES + GRADIENT_HEADER_BYTES + (
-            -(-full_bits // 8)
-        )
-        self._trimmed_packet_bytes = WIRE_HEADER_BYTES + GRADIENT_HEADER_BYTES + (
-            -(-head_bits // 8)
-        )
-        self._codec_label = type(codec).__name__
 
     def _trim_mask(
         self, num_packets: int, epoch: int, message_id: int, worker: int
@@ -108,36 +96,37 @@ class TrimChannel(GradientChannel):
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0, worker: int = 0
     ) -> np.ndarray:
         flat = np.asarray(flat, dtype=np.float64)
-
-        t0 = time.perf_counter()
-        enc = self.codec.encode(flat, epoch=epoch, message_id=message_id)
-        t1 = time.perf_counter()
-
-        num_packets = -(-enc.length // self.coords_per_pkt)
-        packet_mask = self._trim_mask(num_packets, epoch, message_id, worker)
-        drop_mask = np.zeros(num_packets, dtype=bool)
+        tracer = get_tracer()
+        with tracer.span(
+            "encode",
+            codec=type(self.codec).__name__,
+            coords=int(flat.size),
+            epoch=epoch,
+            message_id=message_id,
+            worker=worker,
+        ):
+            enc = self.codec.encode(flat, epoch=epoch, message_id=message_id)
+        meta, *data = packetize(enc, mtu=self.mtu)
+        trim_mask = self._trim_mask(len(data), epoch, message_id, worker)
+        drop_mask = np.zeros(len(data), dtype=bool)
         if self.drop_rate > 0.0:
             # An independent stream (purpose="fault") so adding drops
             # never perturbs an existing trim pattern or a replay.
             drop_gen = shared_generator(
                 self.seed * 1_000_003 + worker, epoch, message_id, purpose="fault"
             )
-            drop_mask = drop_gen.random(num_packets) < self.drop_rate
-            packet_mask = packet_mask & ~drop_mask
-        coord_mask = np.repeat(packet_mask, self.coords_per_pkt)[: enc.length]
-        missing_mask = np.repeat(drop_mask, self.coords_per_pkt)[: enc.length]
-        dropped_count = int(drop_mask.sum())
+            drop_mask = drop_gen.random(len(data)) < self.drop_rate
+        wire = [meta] + [
+            packet.trim() if trim else packet
+            for packet, trim, lost in zip(data, trim_mask.tolist(), drop_mask.tolist())
+            if not lost
+        ]
+        trimmed_count = self.stats.count_wire(flat.size, len(data), wire)
 
-        if dropped_count == num_packets:
-            # Nothing survived the wire: surrender the round with a zero
-            # gradient instead of decoding garbage or hanging.
-            self.stats.messages += 1
-            self.stats.coordinates += flat.size
-            self.stats.packets_total += num_packets
-            self.count_dropped(dropped_count)
-            self.stats.bytes_sent += num_packets * self._full_packet_bytes
+        if len(wire) == 1:
+            # Nothing but the metadata survived: surrender the round with
+            # a zero gradient instead of decoding garbage or hanging.
             self.count_surrender()
-            tracer = get_tracer()
             if tracer.enabled:
                 tracer.event(
                     "channel.degraded_step",
@@ -148,55 +137,14 @@ class TrimChannel(GradientChannel):
                 )
             return np.zeros_like(flat)
 
-        t2 = time.perf_counter()
-        decoded = self.codec.decode(
-            enc,
-            trimmed=coord_mask,
-            missing=missing_mask if dropped_count else None,
-        )
-        t3 = time.perf_counter()
-
-        trimmed_count = int(packet_mask.sum())
-        self.stats.messages += 1
-        self.stats.coordinates += flat.size
-        self.stats.packets_total += num_packets
-        self.stats.packets_trimmed += trimmed_count
-        self.count_dropped(dropped_count)
-        # Dropped packets were transmitted at full size before they died.
-        self.stats.bytes_sent += (
-            (num_packets - trimmed_count - dropped_count) * self._full_packet_bytes
-            + trimmed_count * self._trimmed_packet_bytes
-            + dropped_count * self._full_packet_bytes
-        )
-        self.stats.bytes_saved_by_trim += trimmed_count * (
-            self._full_packet_bytes - self._trimmed_packet_bytes
-        )
-        self.stats.encode_seconds += t1 - t0
-        self.stats.decode_seconds += t3 - t2
-        tracer = get_tracer()
+        decoded = decode_packets(wire, self.codec)
         if tracer.enabled:
             tracer.event(
-                "encode",
-                duration_s=t1 - t0,
-                codec=self._codec_label,
-                coords=int(flat.size),
+                "channel.transfer",
                 epoch=epoch,
                 message_id=message_id,
                 worker=worker,
-            )
-            from ..core.codec import nmse
-
-            tracer.event(
-                "decode",
-                duration_s=t3 - t2,
-                codec=self._codec_label,
-                coords=int(flat.size),
-                epoch=epoch,
-                message_id=message_id,
-                worker=worker,
-                packets_trimmed=trimmed_count,
-                packets_total=num_packets,
+                trim_fraction=trimmed_count / len(data),
                 nmse=float(nmse(flat, decoded)),
             )
         return decoded
-

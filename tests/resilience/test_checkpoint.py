@@ -11,7 +11,7 @@ from repro.nn.models import MLP
 from repro.resilience import ResilienceConfig, TrainingCheckpoint
 from repro.resilience.cli import build_trainer
 from repro.train import DDPTrainer, TrainConfig, TrimChannel
-from repro.train.timing import RoundTimeModel, TimingConfig
+from repro.train.timing import RoundTimeModel
 
 
 def small_trainer(seed=0, epochs=3, resilience=None, label="ckpt"):
@@ -29,7 +29,7 @@ def small_trainer(seed=0, epochs=3, resilience=None, label="ckpt"):
         world_size=2,
         hook=hook,
         config=TrainConfig(epochs=epochs, batch_size=4, lr=0.05, seed=seed),
-        time_model=RoundTimeModel(TimingConfig()),
+        time_model=RoundTimeModel(),
         resilience=resilience,
         label=label,
     )
@@ -122,16 +122,18 @@ class TestByteIdenticalResume:
         assert resumed.deadline.rounds == full.deadline.rounds
         assert resumed.deadline.total_stragglers == full.deadline.total_stragglers
         assert resumed.membership.state_dict() == full.membership.state_dict()
-        # encode/decode seconds are real wall-clock observability timings,
-        # not trajectory state -- everything else must match exactly.
-        timings = ("encode_seconds", "decode_seconds")
-        resumed_stats = {
-            k: v for k, v in resumed.hook.stats.as_dict().items() if k not in timings
-        }
-        full_stats = {
-            k: v for k, v in full.hook.stats.as_dict().items() if k not in timings
-        }
-        assert resumed_stats == full_stats
+        assert resumed.hook.stats == full.hook.stats
+
+    def test_same_seed_gives_the_same_checkpoint_bytes(self):
+        # Nothing of the host's clock may reach the state: two runs of one
+        # seed stopped at one round write the same checkpoint.
+        scenario = scenario_by_name("worker-crash")
+        blobs = []
+        for _ in range(2):
+            trainer = build_trainer(scenario, seed=7, epochs=1)
+            trainer.train(max_rounds=3)
+            blobs.append(trainer.checkpoint().to_json())
+        assert blobs[0] == blobs[1]
 
 
 class TestRestoreValidation:
@@ -146,6 +148,14 @@ class TestRestoreValidation:
         ckpt = small_trainer(seed=0).checkpoint()
         with pytest.raises(ValueError, match="seed"):
             small_trainer(seed=1).restore(ckpt)
+
+    def test_removed_channel_stat_is_refused(self):
+        trainer = small_trainer()
+        trainer.train(max_rounds=1)
+        ckpt = trainer.checkpoint()
+        ckpt.channel_stats["encode_seconds"] = 0.25
+        with pytest.raises(ValueError, match="unknown channel stat 'encode_seconds'"):
+            small_trainer().restore(ckpt)
 
     def test_optimizer_without_state_dict(self):
         from repro.nn.optim import Adam

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.faults.cli import build_parser, main
+from repro.resilience import RoundDeadline
 
 
 class TestParser:
@@ -85,6 +86,20 @@ class TestResumeCheck:
         (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert line == (
             f"repro-faults: --crash-round {crash_round} is outside the run's rounds 1..10"
+        )
+
+    def test_a_state_only_divergence_fails(self, monkeypatch, caplog):
+        # A restore that forgets the deadline's counters replays the same
+        # history; only the final checkpoint shows the lost state.
+        monkeypatch.setattr(RoundDeadline, "load_state_dict", lambda self, state: None)
+        argv = ["resume-check", "straggler-storm", "--epochs", "2", "--world", "3",
+                "--crash-round", "4"]
+        with caplog.at_level("ERROR"):
+            assert main(argv) == 1
+        (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert line == (
+            "resume mismatch: crash at round 4 left the final state's 'deadline' "
+            "different from the uninterrupted run's"
         )
 
     def test_a_crash_in_the_last_round_is_inside_the_run(self):

@@ -21,7 +21,9 @@ Prometheus exposition read it.  Gradients take one aggregation path:
 each worker's message crosses the channel once and the receiver
 averages, so there is no ring, no DDP bucketing, no modeled drop
 baseline and no ``repro.baselines``, and error feedback keeps one
-residual per worker.  The mechanisms deleted in those trials
+residual per worker.  Every gradient channel decodes what its wire
+carries and counts that wire one way, so ``ChannelStats`` holds counts
+and no estimate or timer.  The mechanisms deleted in those trials
 (docs/static_analysis.md and docs/performance.md, "Trial record")
 should not grow back unnoticed.
 """
@@ -45,14 +47,14 @@ import repro.obs as obs
 import repro.obs.timeline as timeline_cli
 import repro.packet as packet
 from repro.cluster import ClusterScenario
-from repro.collectives import CommHook
+from repro.collectives import ChannelStats, CommHook, GradientChannel
 from repro.core import GradientCodec, MultiLevelCodec, codec_by_name
 from repro.obs.int_telemetry import INTCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, trace_to
 from repro.packet import MultiLevelTrim
 from repro.resilience import EFChannel
-from repro.train import RoundTimeModel, TimingConfig, TrainConfig
+from repro.train import RoundTimeModel, TrainConfig
 from repro.train.network_channel import NetworkChannel
 from repro.transport import GoBackNSender, MessageSenderBase, PullSender, TrimmingSender
 
@@ -238,12 +240,22 @@ def test_one_aggregation_path_takes_no_dead_knobs():
     assert [f.name for f in dataclasses.fields(TrainConfig)] == [
         "epochs", "batch_size", "lr", "momentum", "step_size", "gamma", "augment", "seed",
     ]
-    assert [f.name for f in dataclasses.fields(TimingConfig)] == [
-        "bandwidth_bps", "base_rtt_s", "compute_s", "hook_overhead_s",
-        "encode_fraction_scalar", "mtu_bytes",
+    # The cost model's calibration is module constants, not settable fields.
+    assert list(inspect.signature(RoundTimeModel.__init__).parameters) == [
+        "self", "codec_ns_per_coord",
     ]
     # One residual per worker: no in-round slots to reset.
     assert not hasattr(EFChannel, "end_round")
+
+
+def test_channel_stats_count_the_wire_and_nothing_else():
+    # No byte estimate, no wall-clock timers (they made checkpoints differ
+    # run to run), no drop counter beside the one the wire count writes.
+    assert [f.name for f in dataclasses.fields(ChannelStats)] == [
+        "messages", "coordinates", "packets_total", "packets_trimmed",
+        "packets_dropped", "bytes_sent", "rounds_surrendered",
+    ]
+    assert not hasattr(GradientChannel, "count_dropped")
 
 
 def test_every_codec_rides_one_wire_path():

@@ -117,7 +117,7 @@ class TestBudgetedLinkChannel:
             static_out = static.transfer(x, message_id=m)
             adaptive_out = adaptive.transfer(x, message_id=m)
         assert nmse(x, adaptive_out) < nmse(x, static_out)
-        assert static.packets_dropped_total > 0
+        assert static.stats.packets_dropped > 0
 
     def test_validation(self):
         codec = MultiLevelCodec(root_seed=1, row_size=1024)

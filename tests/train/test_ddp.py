@@ -16,7 +16,6 @@ from repro.nn import (
 from repro.train import (
     DDPTrainer,
     RoundTimeModel,
-    TimingConfig,
     TrainConfig,
     TrimChannel,
     shard_dataset,
@@ -114,7 +113,7 @@ class TestHistoryQueries:
         train, test = dataset
         model = LogisticRegression(192, 8, seed=0)
         tm = RoundTimeModel(
-            TimingConfig(), codec_ns_per_coord={"sq": 10.0, "rht": 15.0, "sign": 9.0, "sd": 11.0}
+            codec_ns_per_coord={"sq": 10.0, "rht": 15.0, "sign": 9.0, "sd": 11.0}
         )
         cfg = TrainConfig(epochs=3, batch_size=8, lr=0.05, seed=0, augment=False)
         history = DDPTrainer(
@@ -127,9 +126,7 @@ class TestHistoryQueries:
     def test_time_to_accuracy(self, dataset):
         train, test = dataset
         model = LogisticRegression(192, 8, seed=0)
-        tm = RoundTimeModel(
-            TimingConfig(), codec_ns_per_coord={"sq": 10.0}
-        )
+        tm = RoundTimeModel(codec_ns_per_coord={"sq": 10.0})
         cfg = TrainConfig(epochs=5, batch_size=8, lr=0.1, seed=0, augment=False)
         history = DDPTrainer(
             model, train, test, world_size=2, config=cfg, time_model=tm
