@@ -1,11 +1,12 @@
 """The argparse ``type=`` callables the command lines share.
 
-Every scenario, campaign plan, bounded number and output file a
-command names is resolved here, while its arguments are parsed: an
-unknown preset, a missing file, bad JSON, a wrong key, a number out of
-range or an output file in a missing directory is argparse's usage and
-one ``error:`` line, exit status 2, before anything runs.  Each
-scenario or plan type imports its package only when called, so a
+Every scenario, campaign plan, named choice (transport, campaign fault
+kind, monitor), bounded number and output file a command names is
+resolved here, while its arguments are parsed: an unknown preset or
+name, a missing file, bad JSON, a wrong key, a number out of range or
+an output file in a missing directory is argparse's usage and one
+``error:`` line, exit status 2, before anything runs.  Each scenario,
+plan or name type imports its package only when called, so a
 command that names none (``repro-timeline render``) does not load the
 simulator.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 from argparse import ArgumentTypeError
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Tuple
 
 if TYPE_CHECKING:
     from .cluster.scenario import ClusterScenario
@@ -23,6 +24,8 @@ if TYPE_CHECKING:
     from .faults.scenarios import Scenario
 
 __all__ = [
+    "campaign_kinds",
+    "campaign_monitor",
     "campaign_plan",
     "cluster_preset",
     "cluster_scenario",
@@ -93,13 +96,34 @@ def fault_scenario(text: str) -> "Scenario":
     return _preset_or_file(text, scenario_by_name, Scenario.from_dict)
 
 
+def _one_of(name: str, known: Tuple[str, ...], what: str) -> str:
+    if name not in known:
+        raise ArgumentTypeError(f"unknown {what} {name!r}; expected one of {known}")
+    return name
+
+
 def fault_transport(text: str) -> str:
     """A transport the fault harness can drive (``repro-faults run --transport``)."""
     from .faults.harness import TRANSPORTS
 
-    if text not in TRANSPORTS:
-        raise ArgumentTypeError(f"unknown transport {text!r}; expected one of {TRANSPORTS}")
-    return text
+    return _one_of(text, TRANSPORTS, "transport")
+
+
+def campaign_kinds(text: str) -> Tuple[str, ...]:
+    """A comma-separated, non-empty pool of fault kinds a campaign may draw."""
+    from .faults.campaign import CAMPAIGN_KINDS
+
+    kinds = tuple(kind for kind in text.split(",") if kind)
+    if not kinds:
+        raise ArgumentTypeError(f"name at least one of {CAMPAIGN_KINDS}")
+    return tuple(_one_of(kind, CAMPAIGN_KINDS, "campaign fault kind") for kind in kinds)
+
+
+def campaign_monitor(text: str) -> str:
+    """A monitor a campaign run can violate (``campaign shrink --monitor``)."""
+    from .faults.campaign import MONITORS
+
+    return _one_of(text, tuple(m.name for m in MONITORS) + ("determinism",), "monitor")
 
 
 def cluster_scenario(text: str) -> "ClusterScenario":

@@ -1,8 +1,8 @@
 """Multi-tenant fabric simulation: concurrent jobs sharing one network.
 
 This package drives several :class:`~repro.train.ddp.DDPTrainer` jobs
-*concurrently* over one simulated ECMP-routed fat-tree (or leaf–spine)
-fabric, alongside background tenants built from
+*concurrently* over one simulated ECMP-routed fat-tree fabric,
+alongside background tenants built from
 :mod:`repro.net.crosstraffic`.  Per-flow id blocks make every switch
 trim/drop verdict attributable to the job or tenant that owned the
 packet, and the whole run is deterministic per ``(scenario, seed)``.

@@ -1,9 +1,9 @@
 """Multi-tenant cluster driver: concurrent jobs on one shared fabric.
 
 :class:`ClusterDriver` runs N :class:`~repro.train.ddp.DDPTrainer` jobs
-*concurrently* on a single simulated fat-tree (or leaf–spine) while
-background tenants load the same links.  Concurrency is simulated, not
-executed: one thread drives every job's resumable trainer
+*concurrently* on a single simulated fat-tree while background tenants
+load the same links.  Concurrency is simulated, not executed: one
+thread drives every job's resumable trainer
 (:meth:`~repro.train.ddp.DDPTrainer.rounds`) in waves —
 
 * advance each live job, in fixed job order, to the point where its

@@ -72,6 +72,16 @@ CAMPAIGN_KINDS = (
 #: EF telescoping tolerance: float64 rounding noise, nothing more.
 EF_GAP_TOLERANCE = 1e-9
 
+#: Fault start times are drawn in ``[0, WINDOW_S)`` on the fabric clock,
+#: which advances only while gradients are in flight (a preset run is
+#: ~0.8-1.2 ms of it).
+WINDOW_S = 0.5e-3
+#: Dark-time range of the windowed kinds (flap/blackout/port-flap/
+#: switch-down) and active-window length of the per-packet kinds.
+DOWN_MIN_S, DOWN_MAX_S = 0.05e-3, 0.4e-3
+#: Per-packet probability range.
+RATE_MIN, RATE_MAX = 0.01, 0.2
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -82,11 +92,6 @@ class CampaignConfig:
         seed: campaign seed — drives the plan draw *and* the run.
         faults: how many fault specs to draw.
         kinds: the fault-kind pool (subset of :data:`CAMPAIGN_KINDS`).
-        window_s: fault start times are drawn in ``[0, window_s)``.
-        down_min_s / down_max_s: dark-time range for windowed kinds
-            (flap/blackout/port-flap/switch-down) and the active-window
-            length of per-packet kinds.
-        rate_min / rate_max: per-packet probability range.
         ef: force DGC error feedback on every job so the telescoping
             monitor has something to check.
         check_determinism: run the plan twice and require byte-identical
@@ -98,11 +103,6 @@ class CampaignConfig:
     seed: int = 0
     faults: int = 3
     kinds: Tuple[str, ...] = CAMPAIGN_KINDS
-    window_s: float = 0.5e-3
-    down_min_s: float = 0.05e-3
-    down_max_s: float = 0.4e-3
-    rate_min: float = 0.01
-    rate_max: float = 0.2
     ef: bool = True
     check_determinism: bool = False
     max_steps: int = 50_000_000
@@ -115,18 +115,6 @@ class CampaignConfig:
             raise ValueError(
                 f"kinds must be a non-empty subset of {CAMPAIGN_KINDS}, "
                 f"got {self.kinds}"
-            )
-        if self.window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {self.window_s}")
-        if not 0 < self.down_min_s <= self.down_max_s:
-            raise ValueError(
-                f"need 0 < down_min_s <= down_max_s, got "
-                f"[{self.down_min_s}, {self.down_max_s}]"
-            )
-        if not 0 < self.rate_min <= self.rate_max <= 1:
-            raise ValueError(
-                f"need 0 < rate_min <= rate_max <= 1, got "
-                f"[{self.rate_min}, {self.rate_max}]"
             )
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be positive, got {self.max_steps}")
@@ -240,10 +228,8 @@ def draw_plan(config: CampaignConfig, network: Optional["Network"] = None) -> Ca
     specs: List[FaultSpec] = []
     for _ in range(config.faults):
         kind = kinds[int(gen.integers(len(kinds)))]
-        start_s = round(float(gen.uniform(0.0, config.window_s)), 9)
-        span_s = round(
-            float(gen.uniform(config.down_min_s, config.down_max_s)), 9
-        )
+        start_s = round(float(gen.uniform(0.0, WINDOW_S)), 9)
+        span_s = round(float(gen.uniform(DOWN_MIN_S, DOWN_MAX_S)), 9)
         if kind in ("blackout", "port-flap"):
             target = inventory.ports[int(gen.integers(len(inventory.ports)))]
             specs.append(FaultSpec(kind, target, start_s=start_s, down_s=span_s))
@@ -255,8 +241,8 @@ def draw_plan(config: CampaignConfig, network: Optional["Network"] = None) -> Ca
             specs.append(FaultSpec(kind, target, start_s=start_s, down_s=span_s))
         elif kind == "gray-failure":
             target = inventory.links[int(gen.integers(len(inventory.links)))]
-            rate = round(float(gen.uniform(config.rate_min, config.rate_max)), 9)
-            corrupt = round(float(gen.uniform(0.0, config.rate_max)), 9)
+            rate = round(float(gen.uniform(RATE_MIN, RATE_MAX)), 9)
+            corrupt = round(float(gen.uniform(0.0, RATE_MAX)), 9)
             specs.append(
                 FaultSpec(
                     kind,
@@ -269,7 +255,7 @@ def draw_plan(config: CampaignConfig, network: Optional["Network"] = None) -> Ca
             )
         else:  # corrupt
             target = inventory.links[int(gen.integers(len(inventory.links)))]
-            rate = round(float(gen.uniform(config.rate_min, config.rate_max)), 9)
+            rate = round(float(gen.uniform(RATE_MIN, RATE_MAX)), 9)
             specs.append(
                 FaultSpec(
                     kind,

@@ -38,6 +38,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..argtypes import (
+    campaign_kinds,
+    campaign_monitor,
     campaign_plan,
     cluster_preset,
     fault_scenario,
@@ -163,14 +165,11 @@ def _log_campaign_verdict(result: CampaignResult) -> int:
 
 
 def _cmd_campaign_run(ns: argparse.Namespace) -> int:
-    kinds = (
-        tuple(k for k in ns.kinds.split(",") if k) if ns.kinds else CAMPAIGN_KINDS
-    )
     config = CampaignConfig(
         cluster=ns.cluster,
         seed=ns.seed,
         faults=ns.faults,
-        kinds=kinds,
+        kinds=ns.kinds,
         ef=not ns.no_ef,
         check_determinism=ns.determinism,
     )
@@ -191,14 +190,15 @@ def _cmd_campaign_replay(ns: argparse.Namespace) -> int:
 
 def _cmd_campaign_shrink(ns: argparse.Namespace) -> int:
     plan = ns.plan
-    monitor = ns.monitor
+    violated = run_campaign(plan).violated_monitors
+    monitor = ns.monitor or next(iter(violated), None)
     if monitor is None:
-        first = run_campaign(plan)
-        if first.ok:
-            logger.info("plan violates no monitor; nothing to shrink")
-            return 0
-        monitor = first.violated_monitors[0]
-        logger.info("shrinking against monitor %r", monitor)
+        logger.info("plan violates no monitor; nothing to shrink")
+        return 0
+    if monitor not in violated:
+        logger.info("plan does not violate monitor %r; nothing to shrink", monitor)
+        return 0
+    logger.info("shrinking against monitor %r", monitor)
     trace: List[dict] = []
     shrunk = shrink_plan(plan, monitor, trace=trace)
     out = Path(ns.out_dir)
@@ -439,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_crun.add_argument(
         "--kinds",
-        default=None,
+        type=campaign_kinds,
+        default=CAMPAIGN_KINDS,
         help=f"comma-separated fault-kind pool (default all of {CAMPAIGN_KINDS})",
     )
     p_crun.add_argument(
@@ -478,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cshrink.add_argument(
         "--monitor",
+        type=campaign_monitor,
         default=None,
         help="monitor name to shrink against (default: first violated)",
     )

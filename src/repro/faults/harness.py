@@ -1,36 +1,30 @@
-"""Run a fault scenario against a dumbbell or fat-tree topology.
+"""Run a fault scenario on its dumbbell.
 
-:func:`run_scenario` is the single entry point the CLI, the chaos CI
-matrix and the invariant test suite all share: build the scenario's
-topology, arm a :class:`~repro.faults.injector.FaultInjector`, push one
-RHT-encoded gradient message per host pair through the chosen
-transport as a :class:`~repro.transport.transfer.Transfer`, and drain
-the event loop.  The returned
-:class:`ScenarioRun` exposes everything the callers assert on —
-delivery counts, surrender state, the deterministic fault event log,
-per-link impairment counters and the simulator step count (the
+:func:`run_scenario` is the single entry point ``repro-faults run``,
+``repro-timeline record`` and the invariant test suite all share: build
+the scenario's dumbbell, arm a
+:class:`~repro.faults.injector.FaultInjector`, push one RHT-encoded
+gradient message per host pair through the chosen transport as a
+:class:`~repro.transport.transfer.Transfer`, and drain the event loop.
+The returned :class:`ScenarioRun` exposes everything the callers assert
+on — delivery counts, surrender state, the deterministic fault event
+log, per-link impairment counters and the simulator step count (the
 no-livelock bound).
 
-Scenarios are written against the dumbbell's names (``s0->s1``,
-``s1:rx0``, ``worker:<rank>``).  On a fat-tree the harness *remaps*
-those roles onto the ECMP path pair 0's flow actually takes — the
-bottleneck fault lands on the first fabric link of that path, the ACK
-fault on the reverse path, the receiver blackout on the receiver's edge
-port, a ``switch:s0`` device death on the aggregation tier — so the
-same presets exercise a multipath fabric without rewriting them.
+Faults on a fat-tree are the chaos campaign's job
+(:mod:`repro.faults.campaign`): it draws its targets from the fabric
+it runs on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..core import RHTCodec, decode_packets, nmse, packetize
 from ..net import Host, Network, dumbbell
-from ..net.crosstraffic import CROSS_TRAFFIC_FLOW_BASE, OnOffFlow
-from ..net.topology import fat_tree
 from ..packet.packet import Packet
 from ..transforms.prng import shared_generator
 from ..transport import (
@@ -57,72 +51,8 @@ _SENDERS: Dict[str, Callable[[Host, int], MessageSenderBase]] = {
 #: Transport names accepted by :func:`run_scenario` and the CLI.
 TRANSPORTS = tuple(_SENDERS)
 
-#: Topology names accepted by :func:`run_scenario`.
-TOPOLOGIES = ("dumbbell", "fat-tree")
-
 #: Base flow id for scenario traffic (clear of the test/bench ranges).
 FLOW_BASE = 500
-
-#: Flow id of the optional fat-tree background tenant.
-BACKGROUND_FLOW = CROSS_TRAFFIC_FLOW_BASE + 777
-
-
-def _fat_tree_hosts(pair: int) -> Tuple[str, str]:
-    """Pair ``i``'s endpoints on the k=4 fat-tree: pod 0 -> pod 1."""
-    if pair >= 4:
-        raise ValueError(
-            f"fat-tree harness places at most 4 pairs (pod capacity), got pair {pair}"
-        )
-    return f"h0_{pair // 2}_{pair % 2}", f"h1_{pair // 2}_{pair % 2}"
-
-
-def _remap_scenario(scenario: Scenario, net: Network) -> Tuple[Scenario, Dict[int, str]]:
-    """Rewrite dumbbell fault targets onto the fat-tree's fabric.
-
-    The roles transfer along the path pair 0's flow actually hashes to
-    (``Network.flow_path`` is pure, so this predicts without
-    perturbing): ``s0->s1`` becomes that path's first fabric link,
-    ``s1->s0`` the reverse path's, ``s1:rx<i>`` the receiver's edge
-    port, ``s0:s1`` (port-scoped kinds) the first fabric port on the
-    forward path, and ``switch:s0``/``switch:s1`` the aggregation
-    switch on the sender/receiver side of that path — the tier where a
-    device death still leaves the edge an equal-cost alternative to
-    reroute onto.  Worker ranks map to the pod-0 sender hosts.
-    """
-    tx0, rx0 = _fat_tree_hosts(0)
-    forward = net.flow_path(tx0, rx0, FLOW_BASE)
-    reverse = net.flow_path(rx0, tx0, FLOW_BASE)
-    mapping = {
-        "s0->s1": f"{forward[1]}->{forward[2]}",
-        "s1->s0": f"{reverse[1]}->{reverse[2]}",
-    }
-    # Aggregation-tier devices on pair 0's path (fall back to the edge
-    # on fabrics too shallow to have one).
-    agg_up = forward[2] if len(forward) > 4 else forward[1]
-    agg_down = forward[-3] if len(forward) > 4 else forward[-2]
-    switch_mapping = {"switch:s0": f"switch:{agg_up}", "switch:s1": f"switch:{agg_down}"}
-    faults = []
-    for spec in scenario.faults:
-        target = spec.target
-        if target in mapping:
-            target = mapping[target]
-        elif spec.fault == "switch-down":
-            target = switch_mapping.get(target, target)
-        elif spec.fault in ("blackout", "port-flap") and ":" in target:
-            switch_name, neighbor = target.split(":", 1)
-            if neighbor.startswith("rx"):
-                rx_host = _fat_tree_hosts(int(neighbor[2:]))[1]
-                edge = net.flow_path(tx0, rx_host, FLOW_BASE)[-2]
-                target = f"{edge}:{rx_host}"
-            elif (switch_name, neighbor) == ("s0", "s1"):
-                target = f"{forward[1]}:{forward[2]}"
-            elif (switch_name, neighbor) == ("s1", "s0"):
-                target = f"{reverse[1]}:{reverse[2]}"
-        faults.append(replace(spec, target=target) if target != spec.target else spec)
-    worker_hosts = {
-        rank: _fat_tree_hosts(rank)[0] for rank in range(min(scenario.pairs, 4))
-    }
-    return replace(scenario, faults=tuple(faults)), worker_hosts
 
 
 @dataclass
@@ -199,10 +129,7 @@ def run_scenario(
     transport: str = "trimming",
     seed: int = 0,
     max_events: int = 2_000_000,
-    max_retries: Optional[int] = None,
     instrument: Optional[Callable[[Network], None]] = None,
-    topology: str = "dumbbell",
-    background_traffic: bool = False,
 ) -> ScenarioRun:
     """Execute ``scenario`` and return the full observable outcome.
 
@@ -215,78 +142,32 @@ def run_scenario(
             deterministic.
         max_events: simulator safety valve — the no-livelock bound the
             invariant suite asserts against.
-        max_retries: per-packet retry budget override (None falls back
-            to ``scenario.max_retries``, then the transport default).
         instrument: observability seam — called with the built network
             after faults are armed but before any traffic is queued, so
             monitors/profilers (e.g. ``repro-timeline record``) can
             attach without perturbing the schedule already laid down.
-        topology: one of :data:`TOPOLOGIES`.  ``fat-tree`` runs the same
-            scenario on an ECMP-routed k=4 fat-tree (pairs cross from
-            pod 0 to pod 1, fault targets remapped; max 4 pairs).
-        background_traffic: fat-tree only — add one elephant tenant flow
-            (pod 2 -> pod 1) contending with the scenario traffic.
     """
-    if max_retries is None:
-        max_retries = scenario.max_retries
     if transport not in _SENDERS:
         raise ValueError(f"unknown transport {transport!r}; expected one of {TRANSPORTS}")
-    if topology not in TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}; expected one of {TOPOLOGIES}")
-    worker_hosts: Dict[int, str] = {}
-    background: Optional[OnOffFlow] = None
-    if topology == "fat-tree":
-        net = fat_tree(
-            k=4,
-            rate_bps=scenario.edge_rate_bps,
-            ecmp=True,
-            ecmp_seed=seed,
-        )
-        scenario, worker_hosts = _remap_scenario(scenario, net)
-        pair_hosts = [_fat_tree_hosts(pair) for pair in range(scenario.pairs)]
-        if background_traffic:
-            # Unregistered flows are silently counted at the receiving
-            # host, so the tenant needs no transport endpoints.  The
-            # active window is capped: scenario durations are drain
-            # budgets (seconds), while all fault schedules and gradient
-            # flows live in the first milliseconds — a tenant streaming
-            # through the whole drain would add millions of idle-time
-            # events and defeat the no-livelock step bounds.
-            background = OnOffFlow(
-                net.sim,
-                net.hosts["h2_0_0"],
-                "h1_0_0",
-                rate_bps=scenario.edge_rate_bps / 4,
-                burst_s=2e-3,
-                idle_s=2e-4,
-                seed=seed,
-                flow_id=BACKGROUND_FLOW,
-                stop_at=min(scenario.duration_s, 20e-3),
-            )
-    else:
-        if background_traffic:
-            raise ValueError("background_traffic requires topology='fat-tree'")
-        net = dumbbell(
-            pairs=scenario.pairs,
-            edge_rate_bps=scenario.edge_rate_bps,
-            bottleneck_rate_bps=scenario.bottleneck_rate_bps,
-        )
-        pair_hosts = [(f"tx{pair}", f"rx{pair}") for pair in range(scenario.pairs)]
-    injector = FaultInjector(net, scenario, root_seed=seed, worker_hosts=worker_hosts)
+    net = dumbbell(
+        pairs=scenario.pairs,
+        edge_rate_bps=scenario.edge_rate_bps,
+        bottleneck_rate_bps=scenario.bottleneck_rate_bps,
+    )
+    injector = FaultInjector(net, scenario, root_seed=seed)
     injector.install()
-    if background is not None:
-        background.start()
     if instrument is not None:
         instrument(net)
 
     codec = RHTCodec(root_seed=seed)
     originals: Dict[int, np.ndarray] = {}
     transfers: Dict[int, Transfer] = {}
-    for pair, (tx_name, rx_name) in enumerate(pair_hosts):
+    for pair in range(scenario.pairs):
+        tx_name, rx_name = f"tx{pair}", f"rx{pair}"
         flow = FLOW_BASE + pair
         sender = _SENDERS[transport](net.hosts[tx_name], flow)
-        if max_retries is not None:
-            sender.max_retries = max_retries
+        if scenario.max_retries is not None:
+            sender.max_retries = scenario.max_retries
         grad = shared_generator(
             seed, epoch=0, message_id=flow, purpose="data"
         ).standard_normal(scenario.coords).astype(np.float32)

@@ -35,7 +35,7 @@ transient fault into a permanent one.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -58,10 +58,6 @@ class FaultInjector:
         network: a :class:`repro.net.topology.Network` (already wired).
         scenario: the declarative schedule to install.
         root_seed: the run seed; all fault draws derive from it.
-        worker_hosts: optional rank -> host-name map for worker-scoped
-            faults; None keeps the dumbbell convention ``tx<rank>``.
-            Harnesses running scenarios on other topologies (fat-tree)
-            pass their placement here.
 
     Attributes:
         events: append-only, JSON-ready fault log.  Every record carries
@@ -71,17 +67,10 @@ class FaultInjector:
         counts: per fault-kind totals.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        scenario: Scenario,
-        root_seed: int,
-        worker_hosts: Optional[Dict[int, str]] = None,
-    ) -> None:
+    def __init__(self, network: Network, scenario: Scenario, root_seed: int) -> None:
         self.network = network
         self.scenario = scenario
         self.root_seed = root_seed
-        self.worker_hosts = worker_hosts or {}
         self.events: List[Dict] = []
         self.counts: Dict[str, int] = {}
         self._hooked_links: Dict[str, List] = {}
@@ -238,12 +227,8 @@ class FaultInjector:
     # -- worker-scoped faults ---------------------------------------------------
 
     def _worker_host(self, spec: FaultSpec) -> Tuple[Host, Link]:
-        """Resolve ``worker:<rank>`` to its wired host + uplink.
-
-        The rank maps through ``worker_hosts`` when the harness supplied
-        a placement, else to the dumbbell convention ``tx<rank>``.
-        """
-        name = self.worker_hosts.get(spec.worker_rank, f"tx{spec.worker_rank}")
+        """Resolve ``worker:<rank>`` to host ``tx<rank>`` and its uplink."""
+        name = f"tx{spec.worker_rank}"
         host = self.network.hosts.get(name)
         if host is None or host.uplink is None:
             raise ValueError(f"no wired host {name!r} for target {spec.target!r}")
@@ -255,9 +240,9 @@ class FaultInjector:
         downlink = self.network.link_between(uplink.dst.name, host.name)
         # Burst batching pre-schedules deliveries; a link that can die
         # mid-burst must serialize one packet at a time so the crash
-        # loses exactly what is on the wire.
+        # loses exactly what is on the wire.  The downlink is a switch
+        # egress, which Network.connect already builds with burst=1.
         uplink.burst = 1
-        downlink.burst = 1
         sim = self.network.sim
 
         def die() -> None:
@@ -301,7 +286,8 @@ class FaultInjector:
 
     def _install_flap(self, spec: FaultSpec) -> None:
         link = self._link(spec.target)
-        # See _install_crash: a flapping link must not batch deliveries.
+        # See _install_crash: a flapping link must not batch deliveries
+        # (the target may be a host uplink).
         link.burst = 1
         sim = self.network.sim
 
@@ -359,9 +345,6 @@ class FaultInjector:
         link = switch.ports.get(neighbor)
         if link is None:
             raise ValueError(f"{switch_name}: no port toward {neighbor!r}")
-        # See _install_crash: a link that can die mid-burst must
-        # serialize one packet at a time.
-        link.burst = 1
         sim = self.network.sim
 
         def go_down() -> None:
@@ -390,13 +373,6 @@ class FaultInjector:
             for other in self.network.switches.values()
             if other is not switch and name in other.ports
         ]
-        # The dead switch's egress wires lose what they carry; pin them
-        # to one-packet serialization so the loss is exact (see
-        # _install_crash).
-        for link in switch.ports.values():
-            link.burst = 1
-        for other in neighbors:
-            other.ports[name].burst = 1
         sim = self.network.sim
 
         def die() -> None:

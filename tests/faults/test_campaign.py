@@ -53,10 +53,6 @@ class TestConfig:
             CampaignConfig(kinds=("crash",))
         with pytest.raises(ValueError, match="subset"):
             CampaignConfig(kinds=())
-        with pytest.raises(ValueError, match="down_min_s"):
-            CampaignConfig(down_min_s=2e-3, down_max_s=1e-3)
-        with pytest.raises(ValueError, match="rate_min"):
-            CampaignConfig(rate_min=0.5, rate_max=0.1)
 
 
 class TestInventory:
@@ -259,7 +255,9 @@ class TestCampaignCLI:
         assert code == 0
         assert replay_path.read_bytes() == log_path.read_bytes()
 
-    def test_shrink_on_healthy_plan_is_a_noop(self, tmp_path):
+    def test_shrink_on_healthy_plan_is_a_noop(self, tmp_path, caplog):
+        """With no ``--monitor``, or one the plan does not violate: one
+        line, exit 0, nothing written."""
         out = tmp_path / "campaign"
         faults_main(
             [
@@ -275,18 +273,24 @@ class TestCampaignCLI:
                 str(out),
             ]
         )
-        code = faults_main(
-            [
-                "campaign",
-                "shrink",
-                "--plan",
-                str(out / "plan.json"),
-                "--out-dir",
-                str(tmp_path / "shrunk"),
-            ]
-        )
-        assert code == 0
-        assert not (tmp_path / "shrunk" / "shrunk.json").exists()
+        for monitor in ([], ["--monitor", "training-completes"]):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="repro.faults"):
+                code = faults_main(
+                    [
+                        "campaign",
+                        "shrink",
+                        "--plan",
+                        str(out / "plan.json"),
+                        "--out-dir",
+                        str(tmp_path / "shrunk"),
+                        *monitor,
+                    ]
+                )
+            assert code == 0
+            (line,) = [r.getMessage() for r in caplog.records if r.name == "repro.faults"]
+            assert line.endswith("nothing to shrink")
+            assert not (tmp_path / "shrunk").exists()
 
     @pytest.mark.parametrize("command", ["replay", "shrink"])
     @pytest.mark.parametrize("case", ["missing", "not-json", "unknown-key"])

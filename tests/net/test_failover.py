@@ -232,6 +232,16 @@ class TestFailoverReroute:
         net.sim.run()
         assert leaf0._ecmp_cache[("h0_0", "h1_0", flow)] is new_entry
 
+    def test_restored_leg_takes_fresh_flows_again(self):
+        net = _build()
+        leaf0 = net.switches["leaf0"]
+        flow = _flow_via(net, "spine0")
+        leaf0.set_port_down("spine0")
+        net.sim.run()  # converged: fresh flows hash over the live legs only
+        assert leaf0.route_lookup("h0_0", "h1_0", flow)[0] != "spine0"
+        leaf0.set_port_down("spine0", down=False)
+        assert leaf0.route_lookup("h0_0", "h1_0", flow)[0] == "spine0"
+
 
 class TestSwitchDown:
     def test_failed_switch_drops_everything_as_switch_down(self):

@@ -1,9 +1,9 @@
 """An unusable argument is a usage error on every CLI.
 
 Every argument is resolved while the arguments are parsed, through the
-shared types of ``repro.argtypes``: an unknown preset or transport (the
-line names the ones it knows), a missing scenario file, a number outside
-its option's range (a negative ``--seed``, ``--faults``, ``--world``,
+shared types of ``repro.argtypes``: an unknown preset, transport,
+campaign fault kind or monitor (the line names the ones it knows), a
+missing scenario file, a number outside its option's range (a negative ``--seed``, ``--faults``, ``--world``,
 ``--epochs``, ``--evict-after``, ``--crash-round``, ``--bins`` or
 ``--max-events`` below 1, ``--int-capacity`` outside [1, 255],
 ``--sample-period`` not above 0, ``--deadline-factor`` not above 1,
@@ -214,6 +214,29 @@ CASES = {
         ["record", "flaky-link", "--transport", "bogus"],
         "repro-timeline record: error: argument --transport: unknown transport 'bogus'; ",
         "trimming",
+    ),
+    # An unknown or worker-scoped fault kind, or an unknown monitor, ended
+    # in CampaignConfig's or shrink_plan's ValueError traceback.
+    "repro-faults campaign run --kinds bogus": (
+        "repro.faults.cli",
+        ["campaign", "run", "--kinds", "bogus"],
+        "repro-faults campaign run: error: argument --kinds: "
+        "unknown campaign fault kind 'bogus'; expected one of ",
+        "gray-failure",
+    ),
+    "repro-faults campaign run --kinds crash": (
+        "repro.faults.cli",
+        ["campaign", "run", "--kinds", "blackout,crash"],
+        "repro-faults campaign run: error: argument --kinds: "
+        "unknown campaign fault kind 'crash'; expected one of ",
+        "switch-down",
+    ),
+    "repro-faults campaign shrink --monitor bogus": (
+        "repro.faults.cli",
+        ["campaign", "shrink", "--monitor", "bogus", "--plan", "plan.json", "--out-dir", "out"],
+        "repro-faults campaign shrink: error: argument --monitor: "
+        "unknown monitor 'bogus'; expected one of ",
+        "ef-telescoping",
     ),
     "repro-timeline render --bins 0": (
         "repro.obs.timeline",

@@ -10,7 +10,10 @@ that change between processes) is
 ``tests/test_same_bytes_across_processes.py``.  ``repro-bench``
 regenerates the paper's figures and nothing else; the perf ledger is
 the only gate.  Every codec, the multi-level one included, rides one
-packetizer and one cut, and the cluster runs on a fat-tree only.  Every
+packetizer and one cut, and the cluster runs on a fat-tree only.  The
+fault harness runs a preset on the dumbbell it names; the chaos
+campaign is the one path that puts faults on a fat-tree, and its draw
+ranges are constants.  Every
 message crosses the simulator as a
 ``repro.transport.Transfer``, which builds the receiver its sender
 names, and completion times and counts are read from the sender: no
@@ -49,6 +52,8 @@ import repro.packet as packet
 from repro.cluster import ClusterScenario
 from repro.collectives import ChannelStats, CommHook, GradientChannel
 from repro.core import GradientCodec, MultiLevelCodec, codec_by_name
+from repro.faults import FaultInjector, run_scenario
+from repro.faults.campaign import CampaignConfig
 from repro.obs.int_telemetry import INTCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, trace_to
@@ -119,6 +124,8 @@ def _arguments(parser):
 
 def test_every_named_input_is_resolved_by_a_shared_type():
     from repro.argtypes import (
+        campaign_kinds,
+        campaign_monitor,
         campaign_plan,
         cluster_preset,
         cluster_scenario,
@@ -129,13 +136,14 @@ def test_every_named_input_is_resolved_by_a_shared_type():
 
     shared = {
         fault_scenario, fault_transport, cluster_scenario, cluster_preset, campaign_plan,
-        out_file,
+        campaign_kinds, campaign_monitor, out_file,
     }
     named = {
         (prog, dest): kind
         for main in (bench_cli.main, cluster_cli.main, faults_cli.main, timeline_cli.main)
         for prog, dest, kind in _arguments(_parser(main))
-        if kind in shared or dest in ("scenario", "name", "cluster", "plan", "out", "html")
+        if kind in shared
+        or dest in ("scenario", "name", "cluster", "plan", "out", "html", "kinds", "monitor")
     }
     assert named == {
         ("repro-cluster show", "scenario"): cluster_scenario,
@@ -147,9 +155,11 @@ def test_every_named_input_is_resolved_by_a_shared_type():
         ("repro-faults train", "out"): out_file,
         ("repro-faults resume-check", "scenario"): fault_scenario,
         ("repro-faults campaign run", "cluster"): cluster_preset,
+        ("repro-faults campaign run", "kinds"): campaign_kinds,
         ("repro-faults campaign replay", "plan"): campaign_plan,
         ("repro-faults campaign replay", "out"): out_file,
         ("repro-faults campaign shrink", "plan"): campaign_plan,
+        ("repro-faults campaign shrink", "monitor"): campaign_monitor,
         ("repro-timeline record", "scenario"): fault_scenario,
         ("repro-timeline record", "transport"): fault_transport,
         ("repro-timeline render", "html"): out_file,
@@ -275,6 +285,27 @@ def test_the_cluster_runs_on_one_fabric_shape():
     assert [f.name for f in dataclasses.fields(ClusterScenario)] == [
         "name", "description", "jobs", "tenants", "k", "rate_bps", "delay_s",
         "buffer_bytes", "ecmp", "trim", "deadline_s", "mtu", "host_burst",
+    ]
+
+
+def test_the_fault_harness_runs_presets_on_their_dumbbell():
+    # No topology switch, no tenant, no retry override beside the scenario's.
+    assert list(inspect.signature(run_scenario).parameters) == [
+        "scenario", "transport", "seed", "max_events", "instrument",
+    ]
+
+
+def test_the_fault_injector_takes_no_host_placement():
+    # ``worker:<r>`` is host ``tx<r>``.
+    assert list(inspect.signature(FaultInjector.__init__).parameters) == [
+        "self", "network", "scenario", "root_seed",
+    ]
+
+
+def test_the_campaign_draws_from_constant_ranges():
+    # Start window, dark time and rate ranges are module constants.
+    assert [f.name for f in dataclasses.fields(CampaignConfig)] == [
+        "cluster", "seed", "faults", "kinds", "ef", "check_determinism", "max_steps",
     ]
 
 

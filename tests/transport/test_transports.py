@@ -13,6 +13,7 @@ from repro.transport import (
     FixedWindow,
     GoBackNReceiver,
     GoBackNSender,
+    PullReceiver,
     RttEstimator,
     TrimmingReceiver,
     TrimmingSender,
@@ -215,6 +216,26 @@ class TestTrimmingTransport:
         assert sender.done
         assert sender.tally.retransmissions > 0
         assert nmse(x, decode_packets(messages[0], codec)) < 1e-12
+
+
+class TestLateTrimmedCopy:
+    """A retransmitted full packet can overtake a trimmed copy of itself
+    that was held at a switch; whichever lands last, the receiver keeps
+    the full one."""
+
+    @pytest.mark.parametrize("receiver_class", [TrimmingReceiver, PullReceiver])
+    def test_never_replaces_the_full_packet(self, receiver_class):
+        net = dumbbell(pairs=1)
+        codec = RHTCodec(root_seed=4, row_size=1024)
+        x = np.random.default_rng(8).standard_normal(4096)
+        packets = packetize(codec.encode(x), "tx0", "rx0", flow_id=9)
+        receiver = receiver_class(net.hosts["rx0"], flow_id=9)
+        for packet in packets:
+            net.hosts["rx0"].receive(packet)
+        full = next(p for p in packets if p.cut() is not None)
+        net.hosts["rx0"].receive(full.trim())
+        assert receiver.packets()[full.seq] is full
+        assert receiver.trimmed_accepted == 0
 
 
 class TestTrimmingInflightCount:
