@@ -115,7 +115,7 @@ class GradientCodec:
         flat = np.asarray(flat, dtype=np.float64).reshape(-1)
         if flat.size == 0:
             raise ValueError("cannot encode an empty gradient")
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             bad = int((~np.isfinite(flat)).sum())
             raise ValueError(
                 f"gradient contains {bad} non-finite values; refusing to encode"

@@ -18,6 +18,7 @@ Decoding builds ``r̂_i = r_i`` for untrimmed coordinates and
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -48,9 +49,19 @@ def unbiased_row_scales(rows: np.ndarray) -> np.ndarray:
     numerator on the rotated row equals the paper's ``‖V‖₂²``.
     """
     scratch = rows * rows
-    l2sq = np.sum(scratch, axis=1)
-    l1 = np.sum(np.abs(rows, out=scratch), axis=1)
+    l2sq = np.add.reduce(scratch, axis=1)
+    l1 = np.add.reduce(np.abs(rows, out=scratch), axis=1)
     return np.divide(l2sq, l1, out=np.zeros_like(l2sq), where=l1 > 0)
+
+
+def _std(flat: np.ndarray) -> float:
+    """``float(np.std(flat))`` for a non-empty float64 vector, spelled out:
+    the same reductions in the same order, so the same bits, without the
+    generic wrapper's cost (as much as the rest of a small message's
+    bookkeeping)."""
+    deviations = flat - np.add.reduce(flat) / flat.size
+    np.square(deviations, out=deviations)
+    return math.sqrt(np.add.reduce(deviations) / flat.size)
 
 
 @register_codec
@@ -85,7 +96,7 @@ class RHTCodec(GradientCodec):
             original_length=flat.size,
             row_size=rotated.row_size,
             seed=seed,
-            sigma=float(np.std(flat)),
+            sigma=_std(flat),
             scale=0.0,
             row_scales=scales,
         )

@@ -147,12 +147,11 @@ class GradientHeader:
         packetizer asks this of a message's largest header before it packs
         anything (its column stores would wrap silently instead).
         """
-        for spec, bits in zip(fields(self), _FIELD_BITS):
-            value = getattr(self, spec.name)
-            limit = (1 << bits) - 1
+        for name, limit in _FIELD_LIMITS:
+            value = getattr(self, name)
             if not 0 <= value <= limit:
                 raise ValueError(
-                    f"gradient header field {spec.name}={value} does not fit "
+                    f"gradient header field {name}={value} does not fit "
                     f"the wire format (limit {limit})"
                 )
 
@@ -227,6 +226,12 @@ class GradientHeader:
         if magic != MAGIC:
             raise ValueError(f"bad magic 0x{magic:04x}; not a gradient packet")
         return cls(*rest, version, flags)
+
+
+#: ``(field name, largest value its wire width holds)``, in field order.
+_FIELD_LIMITS = tuple(
+    (spec.name, (1 << bits) - 1) for spec, bits in zip(fields(GradientHeader), _FIELD_BITS)
+)
 
 
 def code_planes(codec_id: int, head_bits: int, tail_bits: int) -> Tuple[int, ...]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.packet.bitpack as bitpack
 from repro.core import (
     RHTCodec,
     SignMagnitudeCodec,
@@ -158,3 +159,84 @@ def test_packet_round_trip_property(n, seed, mtu):
     enc = codec.encode(x)
     decoded = decode_packets(packetize(enc, "a", "b", mtu=mtu), codec)
     assert nmse(x, decoded) < 1e-12
+
+
+class TestDeepestCopyWins:
+    """Two copies of one packet, one cut: the deeper one's bits are kept,
+    whichever arrived first."""
+
+    @staticmethod
+    def _cases(name, cuts):
+        enc = codec_by_name(name, root_seed=3).encode(gradient(3224), epoch=1, message_id=2)
+        packets = packetize(enc, "h0", "h1")
+        for index in (1, len(packets) - 1):  # a full packet and the short final one
+            for bits in cuts:
+                copy = packets[index].trim(bits)
+                yield enc, packets, packets + [copy], [copy] + packets
+
+    def test_two_plane_code(self):
+        for enc, packets, after, before in self._cases("rht", (0,)):
+            clean = depacketize(packets)
+            for received in (after, before):
+                msg = depacketize(received)
+                assert not msg.trimmed.any() and not msg.missing.any()
+                assert np.array_equal(msg.heads, enc.heads)
+                assert np.array_equal(msg.tails, enc.tails)
+                assert np.array_equal(decode_packets(received), decode_packets(packets))
+                assert np.array_equal(msg.heads, clean.heads)
+
+    def test_multilevel_code(self):
+        for enc, packets, after, before in self._cases("multilevel", (1, 8)):
+            for received in (after, before):
+                msg = depacketize(received)
+                assert set(np.unique(msg.depth)) == {32}
+                assert not msg.trimmed.any()
+                assert np.array_equal(msg.tails, enc.tails)
+                assert np.array_equal(decode_packets(received), decode_packets(packets))
+
+    def test_multilevel_shallower_cut_keeps_the_deeper_cut(self):
+        enc = codec_by_name("multilevel", root_seed=3).encode(gradient(3224))
+        packets = packetize(enc, "h0", "h1")
+        eight, one = packets[2].trim(8), packets[2].trim(1)
+        want = depacketize([p for p in packets if p is not packets[2]] + [eight])
+        for pair in ((eight, one), (one, eight)):
+            msg = depacketize([p for p in packets if p is not packets[2]] + list(pair))
+            assert set(np.unique(msg.depth)) == {8, 32}
+            for plane in ("heads", "tails", "trimmed", "missing", "depth"):
+                assert np.array_equal(getattr(msg, plane), getattr(want, plane)), plane
+
+
+class TestOneKernelCallPerPlane:
+    """A clean message of at most ``ROW_GROUP`` data packets is one row
+    group: each plane reaches the row kernel once on each side."""
+
+    @pytest.mark.parametrize(
+        "name, length",
+        [
+            ("rht", 3224),  # a cluster job's message: 12 packets, the last 180 coordinates
+            ("rht", 30_000),  # padded to 2^15: 93 packets
+            ("multilevel", 3224),
+            ("sq", 3224),
+            ("sq", 356 * (bitpack.ROW_GROUP - 1) + 1),  # ROW_GROUP packets, the last short
+            ("sq", 356 * bitpack.ROW_GROUP),  # ROW_GROUP full packets
+        ],
+    )
+    def test_pack_and_unpack_rows_run_once_per_plane(self, monkeypatch, name, length):
+        calls = {"_pack_rows": 0, "_unpack_rows": 0}
+        for kernel in calls:
+            original = getattr(bitpack, kernel)
+
+            def spy(*args, _original=original, _kernel=kernel, **kwargs):
+                calls[_kernel] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bitpack, kernel, spy)
+        codec = codec_by_name(name, root_seed=1)
+        enc = codec.encode(gradient(length), epoch=0, message_id=1)
+        planes = 3 if name == "multilevel" else 2
+        packets = packetize(enc, "h0", "h1")
+        assert 1 < len(packets) - 1 <= bitpack.ROW_GROUP
+        assert calls == {"_pack_rows": planes, "_unpack_rows": 0}
+        msg = depacketize(packets)
+        assert calls == {"_pack_rows": planes, "_unpack_rows": planes}
+        assert np.array_equal(msg.heads, enc.heads) and np.array_equal(msg.tails, enc.tails)

@@ -115,14 +115,14 @@ def reference_depacketize(
     tails = np.zeros(length, dtype=np.uint32)
     trimmed = np.zeros(length, dtype=bool)
     covered = np.zeros(length, dtype=bool)
-    for hdr, pkt in zip(headers, data_packets):
+    # Trimmed packets first: of two copies of a coordinate the full one wins.
+    for hdr, pkt in sorted(zip(headers, data_packets), key=lambda hp: not hp[0].trimmed):
         body = bytes(pkt.payload[GRADIENT_HEADER_BYTES:])
         lo, hi = hdr.coord_offset, hdr.coord_offset + hdr.coord_count
         heads[lo:hi] = unpack_bits(body, hdr.coord_count, hdr.head_bits)
         covered[lo:hi] = True
-        if hdr.trimmed:
-            trimmed[lo:hi] = True
-        else:
+        trimmed[lo:hi] = hdr.trimmed
+        if not hdr.trimmed:
             tail_start = packed_size(hdr.coord_count, hdr.head_bits)
             tails[lo:hi] = unpack_bits(body[tail_start:], hdr.coord_count, hdr.tail_bits)
     return GradientMessage(
@@ -282,17 +282,16 @@ class TestZeroCopyInvariants:
         assert np.array_equal(out, out_ref)
 
     @pytest.mark.parametrize("fate", ["trim", "drop"])
-    def test_sticky_duplicate_semantics(self, fate):
-        """A trimmed duplicate of a full packet keeps the trimmed flag
-        sticky, exactly as the old per-packet loop did."""
+    def test_deepest_duplicate_wins(self, fate):
+        """A trimmed duplicate of a full packet, before or after it, leaves
+        the full copy's coordinates untrimmed."""
         enc = make_encoded(300, 1, 31)
         packets = packetize(enc, mtu=256)
         dup = packets[1].trim() if fate == "trim" else packets[1]
-        received = packets + [dup]
-        assert_messages_equal(
-            depacketize(received, length=enc.length),
-            reference_depacketize(received, length=enc.length),
-        )
+        for received in (packets + [dup], [packets[0], dup] + packets[1:]):
+            msg = depacketize(received, length=enc.length)
+            assert_messages_equal(msg, reference_depacketize(received, length=enc.length))
+            assert not msg.trimmed.any() and np.array_equal(msg.tails, enc.tails)
 
 
 def flat_scatter(packets: Iterable[Packet], length: int):
@@ -301,7 +300,8 @@ def flat_scatter(packets: Iterable[Packet], length: int):
     ``depacketize`` now stores a group that lies on its own ``coord_count``
     grid as whole rows and only falls back to this for the rest; both must
     fill ``(heads, tails, trimmed, missing)`` identically, duplicates and
-    overlaps included (groups in first-seen order, last writer wins).
+    overlaps included (trimmed groups before full ones, otherwise in
+    first-seen order; the last writer wins).
     """
     heads = np.zeros(length, dtype=np.uint32)
     tails = np.zeros(length, dtype=np.uint32)
@@ -314,16 +314,17 @@ def flat_scatter(packets: Iterable[Packet], length: int):
             key = (hdr.coord_count, hdr.head_bits, hdr.tail_bits, hdr.trimmed)
             body = memoryview(pkt.payload)[GRADIENT_HEADER_BYTES:]
             groups.setdefault(key, []).append((hdr.coord_offset, body))
-    for (count, head_bits, tail_bits, was_trimmed), members in groups.items():
+    for (count, head_bits, tail_bits, was_trimmed), members in sorted(
+        groups.items(), key=lambda group: not group[0][3]
+    ):
         offsets = np.array([lo for lo, _ in members], dtype=np.int64)
         flat = (offsets[:, None] + np.arange(count)).reshape(-1)
         cut = packed_size(count, head_bits)
         end = cut + packed_size(count, tail_bits)
         heads[flat] = unpack_batch([b[:cut] for _, b in members], count, head_bits).reshape(-1)
         covered[flat] = True
-        if was_trimmed:
-            trimmed[flat] = True
-        else:
+        trimmed[flat] = was_trimmed
+        if not was_trimmed:
             tails[flat] = unpack_batch(
                 [b[cut:end] for _, b in members], count, tail_bits
             ).reshape(-1)

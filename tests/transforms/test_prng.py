@@ -66,3 +66,21 @@ class TestDeriveSeed:
         for i in range(20):
             seed = derive_seed(i, i + 1, i + 2)
             assert 0 <= seed < 2**63
+
+    def test_a_reused_seed_equals_a_fresh_derivation(self):
+        """A key derived again (every worker of a job derives its message's
+        key) returns the cached seed, which is the one a fresh generator
+        draws."""
+        fresh = shared_generator(5, 2, 9, "rotation").integers(0, 2**63 - 1)
+        derive_seed.cache_clear()
+        first = derive_seed(5, 2, 9, "rotation")
+        hits = derive_seed.cache_info().hits
+        again = derive_seed(5, 2, 9, "rotation")
+        assert derive_seed.cache_info().hits == hits + 1
+        assert first == again == fresh == derive_seed.__wrapped__(5, 2, 9, "rotation")
+
+    def test_a_seed_evicted_from_the_cache_derives_the_same(self):
+        first = derive_seed(7, 1, 1)
+        for message_id in range(2, 2 + 2 * derive_seed.cache_info().maxsize):
+            derive_seed(7, 1, message_id)
+        assert derive_seed(7, 1, 1) == first
