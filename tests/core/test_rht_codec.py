@@ -31,6 +31,24 @@ class TestRowScales:
         assert np.array_equal(unbiased_row_scales(rows), [0.0, 0.0])
 
 
+class TestSigma:
+    """The metadata's sigma is ``np.std``'s float, bit for bit: the codec
+    spells out the same two reductions instead of calling it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sigma_is_numpys_std(self, seed):
+        rng = np.random.default_rng(seed)
+        for flat in (
+            heavy_tailed(3224, seed),
+            rng.standard_normal(int(rng.integers(1, 70_000))) * 10.0 ** rng.uniform(-30, 30),
+            rng.standard_normal(2_000)[::3],  # strided
+            np.full(7, 5.0),
+            np.array([0.25]),
+        ):
+            sigma = RHTCodec(root_seed=seed).encode(flat).metadata.sigma
+            assert np.float64(sigma).tobytes() == np.std(flat).tobytes()
+
+
 class TestLossless:
     def test_untrimmed_decode_is_fp32_exact(self):
         x = gradient()
