@@ -19,7 +19,9 @@ import numpy as np
 
 __all__ = ["GradientMetadata"]
 
-_FIXED = struct.Struct(">IHIIQddI")
+#: The fixed fields, then the counts of row scales and of aux scales; the
+#: scales follow as big-endian float32, rows first.
+_FIXED = struct.Struct(">IHIIQddII")
 
 
 @dataclass
@@ -61,18 +63,14 @@ class GradientMetadata:
             self.sigma,
             self.scale,
             rows.size,
+            aux.size,
         )
-        return (
-            fixed
-            + struct.pack(">I", aux.size)
-            + rows.astype(">f4").tobytes()
-            + aux.astype(">f4").tobytes()
-        )
+        return fixed + rows.astype(">f4").tobytes() + aux.astype(">f4").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "GradientMetadata":
         """Parse :meth:`to_bytes` output."""
-        if len(data) < _FIXED.size + 4:
+        if len(data) < _FIXED.size:
             raise ValueError(f"metadata payload too short: {len(data)} bytes")
         (
             message_id,
@@ -83,18 +81,14 @@ class GradientMetadata:
             sigma,
             scale,
             n_rows,
+            n_aux,
         ) = _FIXED.unpack_from(data)
-        (n_aux,) = struct.unpack_from(">I", data, _FIXED.size)
-        offset = _FIXED.size + 4
-        need = offset + 4 * (n_rows + n_aux)
+        need = _FIXED.size + 4 * (n_rows + n_aux)
         if len(data) < need:
             raise ValueError(f"metadata payload truncated: {len(data)} < {need}")
-        rows = np.frombuffer(data, dtype=">f4", count=n_rows, offset=offset).astype(
-            np.float64
-        )
-        aux = np.frombuffer(
-            data, dtype=">f4", count=n_aux, offset=offset + 4 * n_rows
-        ).astype(np.float64)
+        scales = np.frombuffer(data, dtype=">f4", count=n_rows + n_aux, offset=_FIXED.size)
+        scales = scales.astype(np.float64)
+        rows, aux = scales[:n_rows], scales[n_rows:]
         return cls(
             message_id=message_id,
             epoch=epoch,
@@ -118,8 +112,6 @@ class GradientMetadata:
     @property
     def wire_bytes(self) -> int:
         """Size of the serialized metadata payload."""
-        return (
-            _FIXED.size
-            + 4
-            + 4 * (np.asarray(self.row_scales).size + np.asarray(self.aux_scales).size)
+        return _FIXED.size + 4 * (
+            np.asarray(self.row_scales).size + np.asarray(self.aux_scales).size
         )
