@@ -4,12 +4,11 @@ from .analysis import codec_error_profile, heavy_tail_index, per_parameter_scale
 from .codec import (
     EncodedGradient,
     GradientCodec,
+    RowGroups,
     available_codecs,
     codec_by_id,
     codec_by_name,
     compose_float32,
-    float32_rest_bits,
-    float32_sign_bits,
     nmse,
     register_codec,
 )
@@ -39,12 +38,11 @@ __all__ = [
     "lloyd_max_centroids",
     "EncodedGradient",
     "GradientCodec",
+    "RowGroups",
     "available_codecs",
     "codec_by_id",
     "codec_by_name",
     "compose_float32",
-    "float32_rest_bits",
-    "float32_sign_bits",
     "nmse",
     "register_codec",
     "TrimmableLayout",

@@ -15,22 +15,24 @@ methodology) and real packet-level decode via the packetizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Type
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Type
 
 import numpy as np
 
+from ..transforms.hadamard import _TILE, fwht_inplace, is_power_of_two, next_power_of_two
+from ..transforms.rotation import random_signs
 from .metadata import GradientMetadata
 
 __all__ = [
     "EncodedGradient",
     "GradientCodec",
+    "RowGroups",
     "register_codec",
     "codec_by_name",
     "codec_by_id",
     "available_codecs",
-    "float32_sign_bits",
-    "float32_rest_bits",
     "compose_float32",
+    "split_float32",
     "nmse",
 ]
 
@@ -68,6 +70,104 @@ class EncodedGradient:
             plane = getattr(self, name)
             if plane is not None and plane.shape != (self.length,):
                 raise ValueError(f"{name} shape {plane.shape} != ({self.length},)")
+
+
+#: A group's chain: ``(part, values, heads, tails)`` writes the group's codes.
+EncodeGroup = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], None]
+
+
+@dataclass(eq=False)
+class RowGroups:
+    """A message's coordinates in rows, the rows in groups: the one pass of
+    every codec's ``encode`` and ``decode``.
+
+    A group is as many whole rows as fit in ``hadamard._TILE`` coordinates
+    (one row where a row is wider).  The planes or the decoded vector are
+    allocated once; each group then goes through the codec's whole chain
+    and is written into them, so a round trip holds one group of
+    temporaries beside them, not a message of them — §3.2 cuts the
+    rotation into rows that stay in fast memory for the same reason.  With
+    ``signs`` (a rotating code's ±1 diagonal) a group's values are the RHT
+    of its rows.
+
+    Attributes:
+        length: coordinates in the planes (whole rows).
+        n: coordinates of the gradient (``length`` less the last row's padding).
+        width: coordinates in a row (1 for a code that does not rotate).
+        signs: the rotation's ±1 diagonal; None for a scalar code.
+    """
+
+    length: int
+    n: int
+    width: int = 1
+    signs: Optional[np.ndarray] = None
+
+    @classmethod
+    def rotating(cls, n: int, row_size: int, seed: int) -> "RowGroups":
+        """Rows of ``row_size`` for an ``n``-coordinate blob, the last one
+        zero-padded; a blob shorter than a row is one row padded to the next
+        power of two, so a tiny layer does not pay for a full row."""
+        if not is_power_of_two(row_size):
+            raise ValueError(f"row_size must be a power of two, got {row_size}")
+        width = next_power_of_two(n) if n < row_size else row_size
+        return cls(-(-n // width) * width, n, width, random_signs(width, seed))
+
+    @classmethod
+    def received(cls, enc: "EncodedGradient", *scales: np.ndarray) -> "RowGroups":
+        """The rows of a rotated message, checked against its per-row ``scales``."""
+        meta = enc.metadata
+        width = meta.row_size
+        if width <= 0 or enc.length % width != 0:
+            raise ValueError(f"encoded length {enc.length} not a multiple of row {width}")
+        for row_scales in scales:
+            if row_scales.size != enc.length // width:
+                rows = f"{enc.length // width} rows of {width}"
+                raise ValueError(f"{row_scales.size} row scales cannot cover {rows}")
+        return cls(enc.length, meta.original_length, width, random_signs(width, meta.seed))
+
+    def __iter__(self) -> Iterator[slice]:
+        step = max(1, _TILE // self.width) * self.width
+        for start in range(0, self.length, step):
+            yield slice(start, min(start + step, self.length))
+
+    def rows(self, part: slice) -> slice:
+        """The rows group ``part`` holds: where its per-row scales go."""
+        return slice(part.start // self.width, part.stop // self.width)
+
+    def encode(self, flat: np.ndarray, group: EncodeGroup) -> Tuple[np.ndarray, np.ndarray]:
+        """Head and tail planes, ``group(part, values, heads, tails)`` writing
+        each group's codes into the planes' slices.
+
+        ``values`` is a view of ``flat`` (read it only) for a scalar code,
+        and the group's rotated rows, a fresh ``(rows, width)`` array, for a
+        rotating one; ``heads`` and ``tails`` have its shape.
+        """
+        heads = np.empty(self.length, dtype=np.uint32)
+        tails = np.empty(self.length, dtype=np.uint32)
+        for part in self:
+            values = flat[part]
+            if self.signs is not None:
+                rows = np.zeros(((part.stop - part.start) // self.width, self.width))
+                rows.reshape(-1)[: values.size] = values
+                rows *= self.signs
+                values = fwht_inplace(rows)
+            shape = values.shape
+            group(part, values, heads[part].reshape(shape), tails[part].reshape(shape))
+        return heads, tails
+
+    def decode(self, group: Callable[[slice, np.ndarray], None]) -> np.ndarray:
+        """The decoded vector, ``group(part, values)`` writing each group's
+        estimate into its slice (1-D), inverse-rotated here in place for a
+        rotating code; a rotated message's padding is cut off by a view."""
+        out = np.empty(self.length)
+        for part in self:
+            values = out[part]
+            group(part, values)
+            if self.signs is not None:
+                rows = values.reshape(-1, self.width)
+                fwht_inplace(rows)
+                rows *= self.signs
+        return out[: self.n]
 
 
 class GradientCodec:
@@ -122,6 +222,20 @@ class GradientCodec:
             )
         return flat
 
+    def _encoded(
+        self, planes: Tuple[np.ndarray, np.ndarray], metadata: GradientMetadata
+    ) -> EncodedGradient:
+        heads, tails = planes
+        return EncodedGradient(
+            codec_id=self.codec_id,
+            head_bits=self.head_bits,
+            tail_bits=self.tail_bits,
+            length=heads.size,
+            heads=heads,
+            tails=tails,
+            metadata=metadata,
+        )
+
     def _check_encoded(self, enc: EncodedGradient) -> None:
         if enc.codec_id != self.codec_id:
             raise ValueError(
@@ -130,48 +244,55 @@ class GradientCodec:
             )
 
     @staticmethod
-    def _trimmed_mask(enc: EncodedGradient, trimmed: Optional[np.ndarray]) -> np.ndarray:
-        if trimmed is None:
-            return np.zeros(enc.length, dtype=bool)
-        trimmed = np.asarray(trimmed, dtype=bool).reshape(-1)
-        if trimmed.shape != (enc.length,):
-            raise ValueError(f"trimmed mask shape {trimmed.shape} != ({enc.length},)")
-        return trimmed
+    def _mask(enc: EncodedGradient, mask: Optional[np.ndarray], name: str) -> Optional[np.ndarray]:
+        if mask is None:
+            return None
+        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        if mask.shape != (enc.length,):
+            raise ValueError(f"{name} mask shape {mask.shape} != ({enc.length},)")
+        return mask
 
-    @staticmethod
-    def _missing_mask(enc: EncodedGradient, missing: Optional[np.ndarray]) -> np.ndarray:
-        if missing is None:
-            return np.zeros(enc.length, dtype=bool)
-        missing = np.asarray(missing, dtype=bool).reshape(-1)
-        if missing.shape != (enc.length,):
-            raise ValueError(f"missing mask shape {missing.shape} != ({enc.length},)")
-        return missing
-
-    def _select(
-        self, enc: EncodedGradient, mask: np.ndarray, lost: np.ndarray, exact: np.ndarray
+    def _decode_groups(
+        self,
+        enc: EncodedGradient,
+        trimmed: Optional[np.ndarray],
+        missing: Optional[np.ndarray],
+        exact: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        groups: Optional[RowGroups] = None,
     ) -> np.ndarray:
-        """Shared decode tail of the 1-bit-head codecs.
+        """Shared decode of the 1-bit-head codecs, a row group at a time.
 
-        ``exact`` (a fresh array, returned as is for a whole message) where
-        the tail arrived, :meth:`_head_only` where ``mask`` says it was
-        trimmed, 0 where ``lost``.  Each select runs only when its mask
-        selects something: ``np.where`` is the one pass here numpy does not
-        vectorize, and most messages arrive whole.
+        ``exact(heads, tails)`` of the group's codes (float32 values,
+        widened into the output) where the tail arrived, the
+        :meth:`_head_only` estimate where ``trimmed`` says it was cut, 0
+        where ``missing`` says the packet was lost.  The estimate is made
+        only for a message with a trimmed coordinate, but then for every
+        group in order: its shared randomness is one stream.  ``groups``
+        defaults to a scalar code's plan.
         """
-        if mask.any():
-            signs = enc.heads.astype(np.float64)
-            signs *= 2.0
-            signs -= 1.0
-            exact = np.where(mask, self._head_only(enc, signs), exact)
-        if lost.any():
-            exact = np.where(lost, 0.0, exact)
-        return exact
+        trimmed = self._mask(enc, trimmed, "trimmed")
+        missing = self._mask(enc, missing, "missing")
+        estimate = self._head_only(enc) if trimmed is not None and trimmed.any() else None
+        lost = missing if missing is not None and missing.any() else None
 
-    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
-        """Estimate of every coordinate from its head alone.
+        def group(part: slice, values: np.ndarray) -> None:
+            np.copyto(values, exact(enc.heads[part], enc.tails[part]))
+            if estimate is not None and trimmed is not None:
+                signs = enc.heads[part].astype(np.float64)
+                signs *= 2.0
+                signs -= 1.0
+                np.copyto(values, estimate(part, signs), where=trimmed[part])
+            if lost is not None:
+                np.copyto(values, 0.0, where=lost[part])
 
-        ``signs`` is the head plane as float64 ``±1``, a scratch array the
-        codec may scale in place and return.
+        return (RowGroups(enc.length, enc.length) if groups is None else groups).decode(group)
+
+    def _head_only(self, enc: EncodedGradient) -> Callable[[slice, np.ndarray], np.ndarray]:
+        """Estimate of a group's coordinates from their heads alone.
+
+        The returned ``estimate(part, signs)`` gets the group's head plane
+        as float64 ``±1``, a scratch array it may scale in place and
+        return; it is called for every group, in order.
         """
         raise NotImplementedError
 
@@ -215,20 +336,15 @@ def available_codecs() -> list[str]:
 # -- float32 bit surgery ------------------------------------------------------
 
 
-def float32_sign_bits(values: np.ndarray) -> np.ndarray:
-    """Sign bit of each float32 (1 = negative), as uint32.
-
-    A float32 input is viewed, not converted: an encoder that needs sign
-    and rest makes one ``astype(np.float32)`` image and passes it to both.
-    """
-    bits = np.asarray(values, dtype=np.float32).view(np.uint32)
-    return bits >> np.uint32(31)
-
-
-def float32_rest_bits(values: np.ndarray) -> np.ndarray:
-    """Exponent + mantissa (low 31 bits) of each float32, as uint32."""
-    bits = np.asarray(values, dtype=np.float32).view(np.uint32)
-    return bits & np.uint32(0x7FFFFFFF)
+def split_float32(part: slice, values: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
+    """A row group's true-sign heads (1 for non-negative, which
+    ``unpack_signs`` reads as +1) and exponent+mantissa tails, cut from one
+    float32 image: sign-magnitude's and the RHT's split, exact without a
+    correction bit."""
+    bits = values.astype(np.float32).view(np.uint32)
+    np.right_shift(bits, np.uint32(31), out=heads)
+    heads ^= np.uint32(1)
+    np.bitwise_and(bits, np.uint32(0x7FFFFFFF), out=tails)
 
 
 def compose_float32(sign_bits: np.ndarray, rest_bits: np.ndarray) -> np.ndarray:
@@ -236,11 +352,12 @@ def compose_float32(sign_bits: np.ndarray, rest_bits: np.ndarray) -> np.ndarray:
 
     Only bit 0 of ``sign_bits`` and bits 0-30 of ``rest_bits`` are read
     (the shift and the mask drop the rest), so hostile wire values cannot
-    leak into the other field.
+    leak into the other field.  The result is float32: a decoder widens it
+    straight into its float64 output.
     """
-    sign = np.asarray(sign_bits, dtype=np.uint32) << np.uint32(31)
-    rest = np.asarray(rest_bits, dtype=np.uint32) & np.uint32(0x7FFFFFFF)
-    return (sign | rest).view(np.float32).astype(np.float64)
+    word = np.asarray(sign_bits, dtype=np.uint32) << np.uint32(31)
+    word |= np.asarray(rest_bits, dtype=np.uint32) & np.uint32(0x7FFFFFFF)
+    return word.view(np.float32)
 
 
 def nmse(original: np.ndarray, decoded: np.ndarray) -> float:

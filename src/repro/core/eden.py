@@ -29,8 +29,7 @@ from typing import Optional
 import numpy as np
 
 from ..transforms.prng import derive_seed
-from ..transforms.rotation import RotatedRows, rotate_rows, unrotate_rows
-from .codec import EncodedGradient, GradientCodec, register_codec
+from .codec import EncodedGradient, GradientCodec, RowGroups, register_codec
 from .metadata import GradientMetadata
 from .rht import DEFAULT_ROW_SIZE
 
@@ -106,40 +105,41 @@ class EdenCodec(GradientCodec):
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0
     ) -> EncodedGradient:
         flat = self._check_finite(flat)
+        sigma = float(np.std(flat))
         seed = derive_seed(self.root_seed, epoch, message_id, purpose="rotation")
-        rotated = rotate_rows(flat, self.row_size, seed)
-        rows = rotated.rows
-        width = rotated.row_size
-        sigmas = np.sqrt(np.mean(rows * rows, axis=1))
-        sigmas = np.where(sigmas > 0, sigmas, 1.0)
-
-        normalized = rows / sigmas[:, None]
-        heads = np.searchsorted(self._boundaries, normalized).astype(np.uint32)
-        approx = self._centroids[heads] * sigmas[:, None]
-        residual = rows - approx
+        groups = RowGroups.rotating(flat.size, self.row_size, seed)
+        width = groups.width
+        all_sigmas = np.empty(groups.length // width)
         max_tail = (1 << self.tail_bits) - 1
-        span = _residual_range(self._centroids, width) * sigmas[:, None]
-        tail_norm = np.clip((residual / span + 1.0) / 2.0, 0.0, 1.0)
-        tails = np.rint(tail_norm * max_tail).astype(np.uint64).astype(np.uint32)
 
+        def group(part: slice, rows: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
+            sigmas = np.sqrt(np.mean(rows * rows, axis=1))
+            sigmas = np.where(sigmas > 0, sigmas, 1.0)
+            all_sigmas[groups.rows(part)] = sigmas
+            heads[...] = np.searchsorted(self._boundaries, rows / sigmas[:, None])
+            # The residual against the head's reconstruction, normalized to
+            # its span and rounded to the tail code, in one array.
+            residual = self._centroids[heads]
+            residual *= sigmas[:, None]
+            np.subtract(rows, residual, out=residual)
+            residual /= _residual_range(self._centroids, width) * sigmas[:, None]
+            residual += 1.0
+            residual /= 2.0
+            np.clip(residual, 0.0, 1.0, out=residual)
+            residual *= max_tail
+            np.copyto(tails, np.rint(residual, out=residual), casting="unsafe")
+
+        planes = groups.encode(flat, group)
         metadata = GradientMetadata(
             message_id=message_id,
             epoch=epoch,
             original_length=flat.size,
             row_size=width,
             seed=seed,
-            sigma=float(np.std(flat)),
-            row_scales=sigmas,
+            sigma=sigma,
+            row_scales=all_sigmas,
         )
-        return EncodedGradient(
-            codec_id=self.codec_id,
-            head_bits=self.head_bits,
-            tail_bits=self.tail_bits,
-            length=rows.size,
-            heads=heads.reshape(-1),
-            tails=tails.reshape(-1),
-            metadata=metadata,
-        )
+        return self._encoded(planes, metadata)
 
     # -- decode ---------------------------------------------------------------
 
@@ -159,24 +159,26 @@ class EdenCodec(GradientCodec):
             if enc.head_bits == self.head_bits
             else lloyd_max_centroids(enc.head_bits)
         )
-        mask = self._trimmed_mask(enc, trimmed)
-        lost = self._missing_mask(enc, missing)
-        meta = enc.metadata
-        width = meta.row_size
-        num_rows = enc.length // width
-        sigmas = np.repeat(np.asarray(meta.row_scales, dtype=np.float64), width)
-
-        approx = centroids[enc.heads] * sigmas
+        mask = self._mask(enc, trimmed, "trimmed")
+        lost = self._mask(enc, missing, "missing")
+        all_sigmas = np.asarray(enc.metadata.row_scales, dtype=np.float64)
+        groups = RowGroups.received(enc, all_sigmas)
         max_tail = (1 << enc.tail_bits) - 1
-        span = _residual_range(centroids, width) * sigmas
-        residual = (enc.tails.astype(np.float64) / max_tail * 2.0 - 1.0) * span
-        r_hat = np.where(mask, approx, approx + residual)
-        r_hat = np.where(lost, 0.0, r_hat)
+        residual_range = _residual_range(centroids, groups.width)
 
-        rotated = RotatedRows(
-            rows=r_hat.reshape(num_rows, width),
-            original_length=meta.original_length,
-            row_size=width,
-            seed=meta.seed,
-        )
-        return unrotate_rows(rotated)
+        def group(part: slice, values: np.ndarray) -> None:
+            sigmas = all_sigmas[groups.rows(part), None]
+            r_hat = values.reshape(-1, groups.width)
+            np.multiply(centroids[enc.heads[part].reshape(r_hat.shape)], sigmas, out=r_hat)
+            residual = enc.tails[part].reshape(r_hat.shape).astype(np.float64)
+            residual /= max_tail
+            residual *= 2.0
+            residual -= 1.0
+            residual *= residual_range * sigmas
+            # The head's reconstruction where the tail was trimmed.
+            kept = True if mask is None else ~mask[part].reshape(r_hat.shape)
+            np.add(r_hat, residual, out=r_hat, where=kept)
+            if lost is not None:
+                np.copyto(values, 0.0, where=lost[part])
+
+        return groups.decode(group)

@@ -38,8 +38,7 @@ import numpy as np
 
 from ..packet.header import CODE_PLANES
 from ..transforms.prng import derive_seed
-from ..transforms.rotation import RotatedRows, rotate_rows, unrotate_rows
-from .codec import EncodedGradient, GradientCodec, register_codec
+from .codec import EncodedGradient, GradientCodec, RowGroups, register_codec
 from .metadata import GradientMetadata
 from .rht import DEFAULT_ROW_SIZE, unbiased_row_scales
 
@@ -72,45 +71,56 @@ class MultiLevelCodec(GradientCodec):
     ) -> EncodedGradient:
         """Rotate, then split every coordinate into the three planes."""
         flat = self._check_finite(flat)
+        sigma = float(np.std(flat))
         seed = derive_seed(self.root_seed, epoch, message_id, purpose="rotation")
-        rotated = rotate_rows(flat, self.row_size, seed)
-        rows = rotated.rows
-        f_scales = unbiased_row_scales(rows)
-        ranges = np.abs(rows).max(axis=1)
-        ranges = np.where(ranges > 0, ranges, 1.0)
+        groups = RowGroups.rotating(flat.size, self.row_size, seed)
+        f_scales = np.empty(groups.length // groups.width)
+        all_ranges = np.empty_like(f_scales)
 
-        signs = (rows >= 0).astype(np.uint32)
-        step = ranges[:, None] / _MAG_STEPS
-        mags = np.minimum(
-            (np.abs(rows) / step).astype(np.int64), _MAG_STEPS - 1
-        ).astype(np.uint32)
-        mid = (mags.astype(np.float64) + 0.5) * step
-        r8 = np.where(signs == 1, mid, -mid)
-        residual = rows - r8
-        # Residual lies in ±step/2 by construction; quantize over ±step to
-        # keep headroom for float rounding at the clamp boundary.
-        res_norm = np.clip((residual / step + 1.0) / 2.0, 0.0, 1.0)
-        res_codes = np.rint(res_norm * _RES_LEVELS).astype(np.uint32)
+        def group(part: slice, rows: np.ndarray, signs: np.ndarray, tails: np.ndarray) -> None:
+            f_scales[groups.rows(part)] = unbiased_row_scales(rows)
+            ranges = np.abs(rows).max(axis=1)
+            ranges = np.where(ranges > 0, ranges, 1.0)
+            all_ranges[groups.rows(part)] = ranges
 
+            signs[...] = rows >= 0
+            step = ranges[:, None] / _MAG_STEPS
+            # One scratch array walks the chain in place: |r|/step, the
+            # magnitude m = min(trunc, 127) (kept in the tail plane), the
+            # midpoint ±(m + ½)·step, the residual r - r̂₈ and its code.
+            work = np.abs(rows)
+            work /= step
+            np.minimum(work, _MAG_STEPS - 1, out=work)
+            np.trunc(work, out=work)
+            np.copyto(tails, work, casting="unsafe")
+            tails <<= np.uint32(_RES_BITS)
+            work += 0.5
+            work *= step
+            np.negative(work, out=work, where=signs == 0)
+            np.subtract(rows, work, out=work)
+            # Residual lies in ±step/2 by construction; quantize over ±step to
+            # keep headroom for float rounding at the clamp boundary.
+            work /= step
+            work += 1.0
+            work /= 2.0
+            np.clip(work, 0.0, 1.0, out=work)
+            work *= _RES_LEVELS
+            np.rint(work, out=work)
+            work += tails  # m << 24 | code, exact in float64 below 2^53
+            np.copyto(tails, work, casting="unsafe")
+
+        planes = groups.encode(flat, group)
         metadata = GradientMetadata(
             message_id=message_id,
             epoch=epoch,
             original_length=flat.size,
-            row_size=rotated.row_size,
+            row_size=groups.width,
             seed=seed,
-            sigma=float(np.std(flat)),
+            sigma=sigma,
             row_scales=f_scales,
-            aux_scales=ranges,
+            aux_scales=all_ranges,
         )
-        return EncodedGradient(
-            codec_id=self.codec_id,
-            head_bits=self.head_bits,
-            tail_bits=self.tail_bits,
-            length=rows.size,
-            heads=signs.reshape(-1),
-            tails=(mags << np.uint32(_RES_BITS) | res_codes).reshape(-1),
-            metadata=metadata,
-        )
+        return self._encoded(planes, metadata)
 
     def decode(
         self,
@@ -126,40 +136,49 @@ class MultiLevelCodec(GradientCodec):
         every other one all 32 bits.
         """
         self._check_encoded(enc)
-        levels = enc.depth
-        if levels is None:
-            levels = np.full(enc.length, LEVEL_BITS[-1], dtype=np.uint8)
-            levels[self._trimmed_mask(enc, trimmed)] = LEVEL_BITS[0]
-            levels[self._missing_mask(enc, missing)] = 0
-        bad = ~np.isin(levels, (0,) + LEVEL_BITS)
-        if bad.any():
-            raise ValueError(f"invalid depth values: {np.unique(levels[bad])}")
+        mask = self._mask(enc, trimmed, "trimmed")
+        lost = self._mask(enc, missing, "missing")
         meta = enc.metadata
-        width = meta.row_size
-        num_rows = enc.length // width
+        f_scales = np.asarray(meta.row_scales, dtype=np.float64)
+        all_ranges = np.asarray(meta.aux_scales, dtype=np.float64)
+        groups = RowGroups.received(enc, f_scales, all_ranges)
 
-        sign_values = enc.heads.astype(np.float64) * 2.0 - 1.0
-        f_scales = np.repeat(np.asarray(meta.row_scales, dtype=np.float64), width)
-        ranges = np.repeat(np.asarray(meta.aux_scales, dtype=np.float64), width)
-        step = ranges / _MAG_STEPS
+        def group(part: slice, values: np.ndarray) -> None:
+            if enc.depth is not None:
+                levels = enc.depth[part]
+            else:
+                levels = np.full(values.size, LEVEL_BITS[-1], dtype=np.uint8)
+                if mask is not None:
+                    levels[mask[part]] = LEVEL_BITS[0]
+                if lost is not None:
+                    levels[lost[part]] = 0
+            bad = ~np.isin(levels, (0,) + LEVEL_BITS)
+            if bad.any():
+                raise ValueError(f"invalid depth values: {np.unique(levels[bad])}")
+            r_hat = values.reshape(-1, groups.width)
+            levels = levels.reshape(r_hat.shape)
+            rows = groups.rows(part)
+            step = all_ranges[rows, None] / _MAG_STEPS
+            tails = enc.tails[part].reshape(r_hat.shape)
+            signs = enc.heads[part].reshape(r_hat.shape).astype(np.float64)
+            signs *= 2.0
+            signs -= 1.0
 
-        mags = enc.tails >> np.uint32(_RES_BITS)
-        residuals = enc.tails & np.uint32(_RES_LEVELS)
-        mid = (mags.astype(np.float64) + 0.5) * step
-        r8 = sign_values * mid
-        residual = (residuals.astype(np.float64) / _RES_LEVELS * 2.0 - 1.0) * step
-        r_full = r8 + residual
-        r1 = sign_values * f_scales
+            # r̂: the 8-bit midpoint ±(m + ½)·step, then ±f where 1 bit
+            # arrived, + the residual where all 32 did, 0 where none did.
+            np.copyto(r_hat, tails >> np.uint32(_RES_BITS))
+            r_hat += 0.5
+            r_hat *= step
+            r_hat *= signs
+            signs *= f_scales[rows, None]
+            np.copyto(r_hat, signs, where=levels == LEVEL_BITS[0])
+            del signs
+            residual = (tails & np.uint32(_RES_LEVELS)).astype(np.float64)
+            residual /= _RES_LEVELS
+            residual *= 2.0
+            residual -= 1.0
+            residual *= step
+            np.add(r_hat, residual, out=r_hat, where=levels == LEVEL_BITS[2])
+            np.copyto(r_hat, 0.0, where=levels == 0)
 
-        r_hat = np.zeros(enc.length, dtype=np.float64)
-        r_hat = np.where(levels == LEVEL_BITS[0], r1, r_hat)
-        r_hat = np.where(levels == LEVEL_BITS[1], r8, r_hat)
-        r_hat = np.where(levels == LEVEL_BITS[2], r_full, r_hat)
-
-        rotated = RotatedRows(
-            rows=r_hat.reshape(num_rows, width),
-            original_length=meta.original_length,
-            row_size=width,
-            seed=meta.seed,
-        )
-        return unrotate_rows(rotated)
+        return groups.decode(group)

@@ -21,7 +21,7 @@ reduced tail loses original precision (footnote 1).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -29,10 +29,10 @@ from ..transforms.prng import shared_generator
 from .codec import (
     EncodedGradient,
     GradientCodec,
+    RowGroups,
     compose_float32,
-    float32_rest_bits,
-    float32_sign_bits,
     register_codec,
+    split_float32,
 )
 from .metadata import GradientMetadata
 
@@ -71,23 +71,22 @@ class ScalarCodec(GradientCodec):
         )
 
     @staticmethod
-    def _corrected_tail(head: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """31-bit tail = correction bit + top-30 exponent/mantissa bits.
+    def _corrected_tail(head: np.ndarray, values: np.ndarray, tails: np.ndarray) -> None:
+        """31-bit tail = correction bit + top-30 exponent/mantissa bits, into ``tails``.
 
         ``(head ^ 1) << 31`` XOR the float32 word leaves ``head XOR
         true-sign`` (head bit 1 = non-negative) in bit 31 above the 31
         exponent+mantissa bits; one shift then drops the lowest mantissa
         bit and puts the correction at bit 30.
         """
-        tails = head ^ np.uint32(1)
+        np.bitwise_xor(head, np.uint32(1), out=tails)
         tails <<= np.uint32(31)
         tails ^= values.astype(np.float32).view(np.uint32)
         tails >>= np.uint32(1)
-        return tails
 
     @staticmethod
     def _decode_corrected(head: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Invert :meth:`_corrected_tail` (lowest mantissa bit lost).
+        """Invert :meth:`_corrected_tail` (lowest mantissa bit lost), as float32.
 
         ``tails << 1`` has the correction in bit 31 and shifts a hostile
         bit 31 out; XOR ``(head ^ 1) << 31`` turns it back into the sign.
@@ -95,7 +94,11 @@ class ScalarCodec(GradientCodec):
         word = np.asarray(head, dtype=np.uint32) ^ np.uint32(1)
         word <<= np.uint32(31)
         word ^= np.asarray(tails, dtype=np.uint32) << np.uint32(1)
-        return word.view(np.float32).astype(np.float64)
+        return word.view(np.float32)
+
+    def _head_only(self, enc: EncodedGradient) -> Callable[[slice, np.ndarray], np.ndarray]:
+        scale = enc.metadata.scale
+        return lambda part, signs: np.multiply(signs, scale, out=signs)  # ±L
 
 
 @register_codec
@@ -114,21 +117,9 @@ class SignMagnitudeCodec(ScalarCodec):
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0
     ) -> EncodedGradient:
         flat = self._check_finite(flat)
-        image = flat.astype(np.float32)
-        heads = float32_sign_bits(image)
-        heads ^= np.uint32(1)  # head bit 1 for non-negative values (unpack_signs reads 1 as +1)
-        tails = float32_rest_bits(image)  # exact: a true-sign head needs no correction bit
-        return EncodedGradient(
-            codec_id=self.codec_id,
-            head_bits=self.head_bits,
-            tail_bits=self.tail_bits,
-            length=flat.size,
-            heads=heads,
-            tails=tails,
-            metadata=self._metadata(
-                flat, epoch, message_id, scale=0.0, sigma=float(np.std(flat))
-            ),
-        )
+        sigma = float(np.std(flat))
+        planes = RowGroups(flat.size, flat.size).encode(flat, split_float32)
+        return self._encoded(planes, self._metadata(flat, epoch, message_id, 0.0, sigma))
 
     def decode(
         self,
@@ -137,14 +128,13 @@ class SignMagnitudeCodec(ScalarCodec):
         missing: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         self._check_encoded(enc)
-        mask = self._trimmed_mask(enc, trimmed)
-        lost = self._missing_mask(enc, missing)
-        exact = compose_float32(1 - enc.heads, enc.tails)
-        return self._select(enc, mask, lost, exact)
+        return self._decode_groups(
+            enc, trimmed, missing, lambda heads, tails: compose_float32(1 - heads, tails)
+        )
 
-    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
-        signs *= enc.metadata.sigma  # ±σ
-        return signs
+    def _head_only(self, enc: EncodedGradient) -> Callable[[slice, np.ndarray], np.ndarray]:
+        sigma = enc.metadata.sigma
+        return lambda part, signs: np.multiply(signs, sigma, out=signs)  # ±σ
 
 
 @register_codec
@@ -169,25 +159,20 @@ class StochasticQuantizationCodec(ScalarCodec):
         flat = self._check_finite(flat)
         sigma = float(np.std(flat))
         scale = self.clip_multiplier * sigma
-        if scale > 0:
-            p_plus = np.clip(flat, -scale, scale)
-            p_plus += scale
-            p_plus /= 2.0 * scale
-        else:
-            p_plus = np.full(flat.size, 0.5)
+        # One 64-bit draw a value, taken group after group: the same stream.
         gen = shared_generator(self.root_seed, epoch, message_id, purpose="quantize")
-        heads = (gen.random(flat.size) < p_plus).astype(np.uint32)
-        tails = self._corrected_tail(heads, flat)
-        enc = EncodedGradient(
-            codec_id=self.codec_id,
-            head_bits=self.head_bits,
-            tail_bits=self.tail_bits,
-            length=flat.size,
-            heads=heads,
-            tails=tails,
-            metadata=self._metadata(flat, epoch, message_id, scale=scale, sigma=sigma),
-        )
-        return enc
+
+        def group(part: slice, values: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
+            p_plus: Union[float, np.ndarray] = 0.5
+            if scale > 0:
+                p_plus = np.clip(values, -scale, scale)
+                p_plus += scale
+                p_plus /= 2.0 * scale
+            np.less(gen.random(values.size), p_plus, out=heads, casting="unsafe")
+            self._corrected_tail(heads, values, tails)
+
+        planes = RowGroups(flat.size, flat.size).encode(flat, group)
+        return self._encoded(planes, self._metadata(flat, epoch, message_id, scale, sigma))
 
     def decode(
         self,
@@ -196,14 +181,7 @@ class StochasticQuantizationCodec(ScalarCodec):
         missing: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         self._check_encoded(enc)
-        mask = self._trimmed_mask(enc, trimmed)
-        lost = self._missing_mask(enc, missing)
-        exact = self._decode_corrected(enc.heads, enc.tails)
-        return self._select(enc, mask, lost, exact)
-
-    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
-        signs *= enc.metadata.scale  # ±L
-        return signs
+        return self._decode_groups(enc, trimmed, missing, self._decode_corrected)
 
 
 @register_codec
@@ -225,15 +203,17 @@ class SubtractiveDitheringCodec(ScalarCodec):
         super().__init__(root_seed)
         self.clip_multiplier = clip_multiplier
 
-    def _dither(self, n: int, scale: float, epoch: int, message_id: int) -> np.ndarray:
+    def _dither(self, scale: float, epoch: int, message_id: int) -> Callable[[int], np.ndarray]:
         # Full-width dither: levels are ±scale, so U(-scale, scale) is
         # the unique width making E[scale·sign(v+ε) − ε] = v on the
         # whole clip range (a half-width dither doubles small values).
-        # Not memoized: the stream is gradient-sized, and redrawing it for a
-        # decode with trimmed coordinates costs no resolvable ``unit_s``
-        # (docs/performance.md, "Trial record: shared-randomness caches").
+        # Drawn a group at a time, one 64-bit draw a value, so the groups
+        # read one stream.  Not memoized: the stream is gradient-sized, and
+        # redrawing it for a decode with trimmed coordinates costs no
+        # resolvable ``unit_s`` (docs/performance.md, "Trial record:
+        # shared-randomness caches").
         gen = shared_generator(self.root_seed, epoch, message_id, purpose="dither")
-        return gen.uniform(-scale, scale, size=n)
+        return lambda size: gen.uniform(-scale, scale, size=size)
 
     def encode(
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0
@@ -241,23 +221,19 @@ class SubtractiveDitheringCodec(ScalarCodec):
         flat = self._check_finite(flat)
         sigma = float(np.std(flat))
         scale = self.clip_multiplier * sigma
-        dither = self._dither(flat.size, scale, epoch, message_id)
-        if scale > 0:
-            shifted = np.clip(flat, -scale, scale)
-            shifted += dither
-        else:
-            shifted = flat + dither
-        heads = (shifted >= 0).astype(np.uint32)
-        tails = self._corrected_tail(heads, flat)
-        return EncodedGradient(
-            codec_id=self.codec_id,
-            head_bits=self.head_bits,
-            tail_bits=self.tail_bits,
-            length=flat.size,
-            heads=heads,
-            tails=tails,
-            metadata=self._metadata(flat, epoch, message_id, scale=scale, sigma=sigma),
-        )
+        dither = self._dither(scale, epoch, message_id)
+
+        def group(part: slice, values: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
+            if scale > 0:
+                shifted = np.clip(values, -scale, scale)
+                shifted += dither(values.size)
+            else:
+                shifted = values + dither(values.size)
+            np.greater_equal(shifted, 0, out=heads, casting="unsafe")
+            self._corrected_tail(heads, values, tails)
+
+        planes = RowGroups(flat.size, flat.size).encode(flat, group)
+        return self._encoded(planes, self._metadata(flat, epoch, message_id, scale, sigma))
 
     def decode(
         self,
@@ -266,13 +242,15 @@ class SubtractiveDitheringCodec(ScalarCodec):
         missing: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         self._check_encoded(enc)
-        mask = self._trimmed_mask(enc, trimmed)
-        lost = self._missing_mask(enc, missing)
-        exact = self._decode_corrected(enc.heads, enc.tails)
-        return self._select(enc, mask, lost, exact)
+        return self._decode_groups(enc, trimmed, missing, self._decode_corrected)
 
-    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
+    def _head_only(self, enc: EncodedGradient) -> Callable[[slice, np.ndarray], np.ndarray]:
         meta = enc.metadata
-        signs *= meta.scale
-        signs -= self._dither(enc.length, meta.scale, meta.epoch, meta.message_id)  # ±L − ε
-        return signs
+        dither = self._dither(meta.scale, meta.epoch, meta.message_id)
+
+        def estimate(part: slice, signs: np.ndarray) -> np.ndarray:
+            signs *= meta.scale
+            signs -= dither(signs.size)  # ±L − ε
+            return signs
+
+        return estimate

@@ -1,8 +1,9 @@
 """RHT-based trimmable codec (paper Section 3.2, DRIVE-style).
 
 The gradient blob is split into rows of ``2^15`` coordinates (each fits
-the GPU L1 working set in the paper — here, one batched numpy transform)
-and each row is rotated with a Randomized Hadamard Transform.  After the
+the GPU L1 working set in the paper — here, the rows go a cache-sized
+group at a time, :class:`~repro.core.codec.RowGroups`) and each row is
+rotated with a Randomized Hadamard Transform.  After the
 rotation the coordinates are symmetrically centred near zero, so the
 1-bit *sign* of each rotated coordinate is an excellent standalone head:
 
@@ -19,20 +20,18 @@ Decoding builds ``r̂_i = r_i`` for untrimmed coordinates and
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from ..transforms.hadamard import fwht_inplace
 from ..transforms.prng import derive_seed
-from ..transforms.rotation import random_signs, rotate_rows
 from .codec import (
     EncodedGradient,
     GradientCodec,
+    RowGroups,
     compose_float32,
-    float32_rest_bits,
-    float32_sign_bits,
     register_codec,
+    split_float32,
 )
 from .metadata import GradientMetadata
 
@@ -51,7 +50,7 @@ def unbiased_row_scales(rows: np.ndarray) -> np.ndarray:
     scratch = rows * rows
     l2sq = np.add.reduce(scratch, axis=1)
     l1 = np.add.reduce(np.abs(rows, out=scratch), axis=1)
-    return np.divide(l2sq, l1, out=np.zeros_like(l2sq), where=l1 > 0)
+    return np.divide(l2sq, l1, out=np.zeros(l2sq.shape), where=l1 > 0)
 
 
 def _std(flat: np.ndarray) -> float:
@@ -81,34 +80,27 @@ class RHTCodec(GradientCodec):
         self, flat: np.ndarray, *, epoch: int = 0, message_id: int = 0
     ) -> EncodedGradient:
         flat = self._check_finite(flat)
+        sigma = _std(flat)
         seed = derive_seed(self.root_seed, epoch, message_id, purpose="rotation")
-        rotated = rotate_rows(flat, self.row_size, seed)
-        rows = rotated.rows
-        scales = unbiased_row_scales(rows)
-        coords = rows.reshape(-1)
-        image = coords.astype(np.float32)
-        heads = float32_sign_bits(image)
-        heads ^= np.uint32(1)
-        tails = float32_rest_bits(image)
+        groups = RowGroups.rotating(flat.size, self.row_size, seed)
+        scales = np.empty(groups.length // groups.width)
+
+        def group(part: slice, rows: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
+            scales[groups.rows(part)] = unbiased_row_scales(rows)
+            split_float32(part, rows, heads, tails)
+
+        planes = groups.encode(flat, group)
         metadata = GradientMetadata(
             message_id=message_id,
             epoch=epoch,
             original_length=flat.size,
-            row_size=rotated.row_size,
+            row_size=groups.width,
             seed=seed,
-            sigma=_std(flat),
+            sigma=sigma,
             scale=0.0,
             row_scales=scales,
         )
-        return EncodedGradient(
-            codec_id=self.codec_id,
-            head_bits=self.head_bits,
-            tail_bits=self.tail_bits,
-            length=coords.size,
-            heads=heads,
-            tails=tails,
-            metadata=metadata,
-        )
+        return self._encoded(planes, metadata)
 
     def decode(
         self,
@@ -116,31 +108,25 @@ class RHTCodec(GradientCodec):
         trimmed: Optional[np.ndarray] = None,
         missing: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        self._check_encoded(enc)
-        mask = self._trimmed_mask(enc, trimmed)
-        lost = self._missing_mask(enc, missing)
-        meta = enc.metadata
-        width = meta.row_size
-        if width <= 0 or enc.length % width != 0:
-            raise ValueError(f"encoded length {enc.length} not a multiple of row {width}")
-        scales = np.asarray(meta.row_scales, dtype=np.float64)
-        num_rows = enc.length // width
-        if scales.size != num_rows:
-            raise ValueError(
-                f"{scales.size} row scales cannot cover {num_rows} rows of {width}"
-            )
-        exact = compose_float32(1 - enc.heads, enc.tails)
         # Dropped coordinates carry no information: their best estimate in
         # the rotated domain is the (zero) mean, applied before the IRHT.
-        # r_hat is this call's own array, so the inverse rotation (irht's
-        # two steps) runs on it in place.
-        r_hat = self._select(enc, mask, lost, exact).reshape(num_rows, width)
-        fwht_inplace(r_hat)
-        r_hat *= random_signs(width, meta.seed)
-        return r_hat.reshape(-1)[: meta.original_length]
-
-    def _head_only(self, enc: EncodedGradient, signs: np.ndarray) -> np.ndarray:
+        self._check_encoded(enc)
         scales = np.asarray(enc.metadata.row_scales, dtype=np.float64)
-        rows = signs.reshape(scales.size, -1)
-        rows *= scales.reshape(-1, 1)  # ±f of the coordinate's row
-        return signs
+        return self._decode_groups(
+            enc,
+            trimmed,
+            missing,
+            lambda heads, tails: compose_float32(1 - heads, tails),
+            RowGroups.received(enc, scales),
+        )
+
+    def _head_only(self, enc: EncodedGradient) -> Callable[[slice, np.ndarray], np.ndarray]:
+        scales = np.asarray(enc.metadata.row_scales, dtype=np.float64)
+        width = enc.metadata.row_size
+
+        def estimate(part: slice, signs: np.ndarray) -> np.ndarray:
+            rows = signs.reshape(-1, width)
+            rows *= scales[part.start // width : part.stop // width, None]  # ±f of the row
+            return signs
+
+        return estimate

@@ -69,10 +69,14 @@ class Link:
         burst: serializer batch size.  With ``burst > 1`` a clean link
             (up, unimpaired, no delivery hook) pops up to ``burst``
             queued packets at once and schedules their deliveries at the
-            exact per-packet cumulative serialization times — identical
-            timing to the one-at-a-time path, ~half the simulator events.
-            Only exact on FIFO queues, so ``Network.connect`` applies it
-            to host uplinks alone; switch egress is always per-packet.
+            exact per-packet cumulative serialization times, ~half the
+            simulator events.  The batch is fixed when it is popped, so a
+            higher-band packet queued meanwhile waits for the whole batch
+            where the one-at-a-time path sends it next: host queues are
+            two-band too, and a host's ACK can land later.
+            ``Network.connect`` applies it to host uplinks alone; switch
+            egress, where the express band carries trimmed headers, is
+            always per-packet.
     """
 
     #: Batch size Network.connect applies to host uplinks.

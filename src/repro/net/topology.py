@@ -102,10 +102,11 @@ class Network:
         dropping/trimming" congestion emulation.
         """
         dev_a, dev_b = self.device(a), self.device(b)
-        # Host uplinks may serialize bursts in one batch of events (a
-        # FIFO NIC queue has no express band to reorder, so batching
-        # preserves delivery times); switch egress always keeps
-        # per-packet events because the priority bands interleave.
+        # Host uplinks may serialize bursts in one batch of events.  A
+        # host's queue has an express band too, and a batch holds back an
+        # express packet queued behind it (Link's ``burst``); switch
+        # egress always keeps per-packet events because trimmed headers
+        # ride its express band.
         link_ab = Link(
             self.sim, a, dev_b, rate_bps, delay_s, dev_a.make_queue(),
             drop_prob=drop_prob, trim_prob=trim_prob, seed=seed,

@@ -8,7 +8,7 @@ from .hadamard import (
     next_power_of_two,
 )
 from .prng import StreamKey, derive_seed, shared_generator
-from .rotation import RotatedRows, irht, random_signs, rht, rotate_rows, unrotate_rows
+from .rotation import random_signs
 
 __all__ = [
     "fwht",
@@ -19,10 +19,5 @@ __all__ = [
     "StreamKey",
     "derive_seed",
     "shared_generator",
-    "RotatedRows",
-    "irht",
     "random_signs",
-    "rht",
-    "rotate_rows",
-    "unrotate_rows",
 ]

@@ -15,6 +15,8 @@ the {+1,-1} Hadamard matrix, so the transform is an involution:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -100,7 +102,7 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
     d = x.shape[-1]
     if not is_power_of_two(d):
         raise ValueError(f"last dimension must be a power of two, got {d}")
-    if not np.issubdtype(x.dtype, np.inexact):
+    if x.dtype.kind not in "fc":  # np.inexact, without issubdtype's cost per call
         raise TypeError(f"fwht_inplace needs a floating dtype, got {x.dtype}; fwht() promotes")
     if x.ndim > 2:
         # Merging leading axes could copy a strided array; walk them instead.
@@ -109,7 +111,7 @@ def fwht_inplace(x: np.ndarray) -> np.ndarray:
         return x
     matrix = x.reshape(1, d) if x.ndim == 1 else x
     ping, pong = np.empty((2, min(matrix.size, _TILE)), dtype=x.dtype)
-    scale = 1.0 / np.sqrt(d)
+    scale = np.float64(1.0 / math.sqrt(d))  # 1.0 / np.sqrt(d), without its ufunc call
     if d <= _TILE:
         group = _TILE // d
         for start in range(0, len(matrix), group):

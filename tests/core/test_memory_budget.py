@@ -13,7 +13,11 @@ input (8 bytes a coordinate).  Two things these budgets pin:
 * the two streaming kernels work a cache-sized piece at a time (PR 24):
   ``packetize`` packs straight into its message buffer, ``depacketize``
   unpacks a row group of packets at a time, and ``fwht_inplace`` owns two
-  tiles however large its input is.
+  tiles however large its input is;
+* every codec's ``encode`` and ``decode`` take a row group of at most
+  ``_TILE`` coordinates through their whole chain at a time
+  (``core.codec.RowGroups``): beside its planes or its output a codec holds
+  a few groups of temporaries, not a message of them.
 """
 
 import gc
@@ -29,9 +33,14 @@ from repro.transforms.hadamard import _TILE, fwht_inplace
 COORDS = 2**18
 INPUT_BYTES = 8 * COORDS
 #: Peak traced memory of one half-trimmed round trip, in inputs: measured
-#: 4.27 / 4.27 / 4.27 / 4.40 (sign / sq / sd / rht) when this was written,
-#: plus 15 %.  PR 19 measured 5.27 / 5.77 / 6.77 / 6.55.
-PEAK_BUDGET = {"sign": 4.9, "sq": 4.9, "sd": 4.9, "rht": 5.05}
+#: 2.65 / 2.65 / 2.78 / 2.90 / 2.90 / 3.03 (sign / sq / sd / rht / eden /
+#: multilevel) when the codecs went a row group at a time, plus 15 %.
+#: Whole-message codec passes measured 4.40 / 4.40 / 4.40 / 4.53 / 7.78 /
+#: 14.03, PR 19 5.27 / 5.77 / 6.77 / 6.55 for the first four.
+PEAK_BUDGET = {
+    "sign": 3.05, "sq": 3.05, "sd": 3.2, "rht": 3.35, "eden": 3.35, "multilevel": 3.5,
+}
+ROTATING = ("rht", "eden", "multilevel")
 #: Diagonals the sign cache may hold (``rotation._cached_signs``).
 SIGN_CACHE_BOUND = 8
 
@@ -39,7 +48,7 @@ GRADIENT = np.random.default_rng(20).standard_normal(COORDS)
 
 
 def make_codec(name: str):
-    return codec_by_name(name, root_seed=3, **({"row_size": 2**15} if name == "rht" else {}))
+    return codec_by_name(name, root_seed=3, **({"row_size": 2**15} if name in ROTATING else {}))
 
 
 def round_trip(codec, message_id: int, gradient: np.ndarray = GRADIENT) -> np.ndarray:
@@ -179,3 +188,64 @@ def test_fwht_of_rows_longer_than_a_tile_owns_half_a_row_more(rows, traced):
     _, _, peak = traced_peak(lambda: fwht_inplace(x))
     print(f"fwht_inplace({rows} x 2^17): peak {peak / MB:.2f} MB")
     assert peak <= (2 * _TILE + x.shape[1] // 2) * x.itemsize + 4096
+
+
+#: One row group of float64 coordinates: 2^15 x 8 bytes = 256 kB.
+GROUP = _TILE * 8
+#: Groups of temporaries an encode / a decode of 2^20 coordinates may hold
+#: beyond its planes / its output: two.  A rotating code's encode holds one
+#: group of rows beside ``fwht_inplace``'s two tiles (pinned above): three.
+#: Measured when the codecs went a row group at a time: encode 0.51 / 2.07 /
+#: 2.03 / 3.02 / 3.05 / 3.04, decode 1.51 / 1.01 / 2.02 / 2.02 / 2.01 / 2.02
+#: (sign / sq / sd / rht / eden / multilevel); a decode writes each group
+#: straight into its output.  A whole-message temporary beside the planes
+#: or the output is four groups even as a byte mask, so any of them fails.
+TWO_GROUPS = 2 * GROUP
+ENCODE_HELD = {name: TWO_GROUPS + (GROUP if name in ROTATING else 0) for name in PEAK_BUDGET}
+#: numpy's casting buffers and the views' headers.
+SLACK = 64 * 1024
+
+
+@pytest.fixture(scope="module")
+def million_coordinates():
+    return np.random.default_rng(24).standard_normal(2**20)
+
+
+@pytest.mark.parametrize("name", list(PEAK_BUDGET))
+def test_encode_holds_its_planes_and_two_groups(name, million_coordinates, traced):
+    """σ is reduced before the planes exist, so its scratch (one input) and
+    the planes are never alive together: the high-water mark is the larger
+    of the two plus the groups.  The message is encoded once before it is
+    measured, so the rotation's cached diagonal is not counted."""
+    codec = make_codec(name)
+    codec.encode(million_coordinates, epoch=1, message_id=1)
+    encoded, _, peak = traced_peak(
+        lambda: codec.encode(million_coordinates, epoch=1, message_id=1)
+    )
+    planes = encoded.heads.nbytes + encoded.tails.nbytes
+    groups = (peak - max(planes, million_coordinates.nbytes)) / GROUP
+    print(f"{name}: encode peak {peak / MB:.2f} MB, planes {planes / MB:.2f} MB, "
+          f"held {groups:.2f} groups beyond")
+    assert peak <= max(planes, million_coordinates.nbytes) + ENCODE_HELD[name] + SLACK
+
+
+@pytest.mark.parametrize("name", list(PEAK_BUDGET))
+def test_decode_holds_its_output_and_two_groups(name, million_coordinates, traced):
+    """Every other coordinate trimmed and one in 97 lost: all of the
+    decode's selects run in every group.  (A rotated message's output is a
+    view that cuts the last row's padding; at 2^20 there is none.)"""
+    codec = make_codec(name)
+    encoded = codec.encode(million_coordinates, epoch=1, message_id=1)
+    trimmed = np.zeros(encoded.length, dtype=bool)
+    trimmed[::2] = True
+    missing = np.zeros(encoded.length, dtype=bool)
+    missing[::97] = True
+    codec.decode(encoded, trimmed=trimmed, missing=missing)
+    decoded, _, peak = traced_peak(
+        lambda: codec.decode(encoded, trimmed=trimmed, missing=missing)
+    )
+    groups = (peak - decoded.nbytes) / GROUP
+    print(f"{name}: decode peak {peak / MB:.2f} MB, output {decoded.nbytes / MB:.2f} MB, "
+          f"held {groups:.2f} groups beyond")
+    assert decoded.shape == million_coordinates.shape
+    assert peak <= decoded.nbytes + TWO_GROUPS + SLACK

@@ -36,6 +36,37 @@ class TestNonFiniteInputsRejected:
             codec.encode(np.zeros(0))
 
 
+class TestRotatedMetadataChecked:
+    """A rotating codec's decode checks the row geometry and every per-row
+    scale array against the planes before it reads them: a typed
+    ``ValueError`` naming the mismatch, where EDEN and the multi-level
+    code used to divide by a zero row size or fail a broadcast."""
+
+    @pytest.mark.parametrize("name", ["rht", "eden", "multilevel"])
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("row_size", 0, "not a multiple of row 0"),
+            ("row_size", 48, "not a multiple of row 48"),
+            ("row_scales", np.ones(1), "1 row scales cannot cover 4 rows of 64"),
+        ],
+        ids=["zero-row", "row-48", "short-scales"],
+    )
+    def test_bad_row_geometry_is_refused(self, name, field, value, message):
+        codec = codec_by_name(name, row_size=64)
+        encoded = codec.encode(np.random.default_rng(0).standard_normal(256))
+        setattr(encoded.metadata, field, value)
+        with pytest.raises(ValueError, match=message):
+            codec.decode(encoded)
+
+    def test_multilevel_range_per_row(self):
+        codec = codec_by_name("multilevel", row_size=64)
+        encoded = codec.encode(np.random.default_rng(0).standard_normal(256))
+        encoded.metadata.aux_scales = np.ones(1)
+        with pytest.raises(ValueError, match="1 row scales cannot cover 4 rows of 64"):
+            codec.decode(encoded)
+
+
 @settings(max_examples=100)
 @given(data=st.binary(min_size=0, max_size=64))
 def test_header_parser_never_crashes(data):
