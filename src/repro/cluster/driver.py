@@ -47,7 +47,7 @@ from ..packet.trim import SingleLevelTrim
 from ..resilience.ef import EFChannel
 from ..train.ddp import DDPTrainer, TrainConfig
 from ..train.network_channel import _GradientTransfer
-from .scenario import ROW_CODECS, ClusterScenario, JobSpec
+from .scenario import ClusterScenario, JobSpec
 from .tenants import TENANT_FLOW_BLOCK, TenantWorkload, tenant_flow_base
 
 __all__ = ["JOB_FLOW_BASE", "JOB_FLOW_BLOCK", "FabricHook", "ClusterDriver"]
@@ -368,9 +368,10 @@ class ClusterDriver:
             noise=1.0,
             seed=job_seed,
         )
-        model = MLP(192, [spec.hidden], 8, seed=job_seed + 3)
-        rows = {"row_size": spec.row_size} if spec.codec in ROW_CODECS else {}
-        codec = codec_by_name(spec.codec, root_seed=job_seed + 1, **rows)
+        model = MLP(192, [16], 8, seed=job_seed + 3)
+        codec = codec_by_name(
+            "rht", root_seed=job_seed + 1, row_size=spec.row_size
+        )
         hook = FabricHook(
             driver=self,
             job_index=index,

@@ -19,12 +19,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
-from ..core.codec import available_codecs
 from ..faults.scenarios import checked_fields
 
 __all__ = [
     "TENANT_PATTERNS",
-    "ROW_CODECS",
     "JobSpec",
     "TenantSpec",
     "ClusterScenario",
@@ -36,10 +34,6 @@ __all__ = [
 #: Background-traffic shapes :class:`repro.cluster.TenantWorkload` builds.
 TENANT_PATTERNS = ("incast", "elephant", "mice")
 
-#: Codecs that rotate rows and so take the job's ``row_size``.
-ROW_CODECS = ("eden", "multilevel", "rht")
-
-
 @dataclass(frozen=True)
 class JobSpec:
     """One training job: the standard small MLP recipe on its own shard.
@@ -50,7 +44,7 @@ class JobSpec:
             gradient flows to the job's aggregator host every round.
         epochs: training epochs.
         batch_size / lr: optimizer knobs (paper defaults scaled down).
-        row_size: row size of a rotating codec (:data:`ROW_CODECS`).
+        row_size: RHT codec row size.
         seed_offset: added to the run seed for this job's data/model/
             codec seeds (None = the job's index, so two jobs are
             identical workloads only if their offsets are pinned equal).
@@ -59,9 +53,6 @@ class JobSpec:
             it back next round, so the telescoping sum
             ``sum(delivered) + residual == sum(inputs)`` holds (the
             invariant the chaos campaign monitors).
-        hidden: width of the MLP's hidden layer, which sets the gradient
-            message's size (16: 3,224 coordinates, 256: 51,464).
-        codec: registered name of the gradient codec.
     """
 
     name: str
@@ -72,8 +63,6 @@ class JobSpec:
     row_size: int = 1024
     seed_offset: Optional[int] = None
     ef: bool = False
-    hidden: int = 16
-    codec: str = "rht"
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -86,12 +75,6 @@ class JobSpec:
             raise ValueError("batch_size and row_size must be positive")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.codec not in available_codecs():
-            raise ValueError(
-                f"unknown codec {self.codec!r}; expected one of {available_codecs()}"
-            )
 
 
 @dataclass(frozen=True)
