@@ -8,7 +8,6 @@ from .codec import (
     available_codecs,
     codec_by_id,
     codec_by_name,
-    compose_float32,
     nmse,
     register_codec,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "available_codecs",
     "codec_by_id",
     "codec_by_name",
-    "compose_float32",
     "nmse",
     "register_codec",
     "TrimmableLayout",

@@ -31,8 +31,6 @@ __all__ = [
     "codec_by_name",
     "codec_by_id",
     "available_codecs",
-    "compose_float32",
-    "split_float32",
     "nmse",
 ]
 
@@ -270,6 +268,7 @@ class GradientCodec:
         group in order: its shared randomness is one stream.  ``groups``
         defaults to a scalar code's plan.
         """
+        groups = RowGroups(enc.length, enc.length) if groups is None else groups
         trimmed = self._mask(enc, trimmed, "trimmed")
         missing = self._mask(enc, missing, "missing")
         estimate = self._head_only(enc) if trimmed is not None and trimmed.any() else None
@@ -281,18 +280,19 @@ class GradientCodec:
                 signs = enc.heads[part].astype(np.float64)
                 signs *= 2.0
                 signs -= 1.0
-                np.copyto(values, estimate(part, signs), where=trimmed[part])
+                np.copyto(values, estimate(groups.rows(part), signs), where=trimmed[part])
             if lost is not None:
                 np.copyto(values, 0.0, where=lost[part])
 
-        return (RowGroups(enc.length, enc.length) if groups is None else groups).decode(group)
+        return groups.decode(group)
 
     def _head_only(self, enc: EncodedGradient) -> Callable[[slice, np.ndarray], np.ndarray]:
         """Estimate of a group's coordinates from their heads alone.
 
-        The returned ``estimate(part, signs)`` gets the group's head plane
-        as float64 ``±1``, a scratch array it may scale in place and
-        return; it is called for every group, in order.
+        The returned ``estimate(rows, signs)`` gets the group's rows (a
+        slice of the plan's rows: its coordinates, for a scalar code) and its
+        head plane as float64 ``±1``, a scratch array it may scale in place
+        and return; it is called for every group, in order.
         """
         raise NotImplementedError
 
@@ -336,7 +336,7 @@ def available_codecs() -> list[str]:
 # -- float32 bit surgery ------------------------------------------------------
 
 
-def split_float32(part: slice, values: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
+def split_float32(values: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
     """A row group's true-sign heads (1 for non-negative, which
     ``unpack_signs`` reads as +1) and exponent+mantissa tails, cut from one
     float32 image: sign-magnitude's and the RHT's split, exact without a

@@ -98,7 +98,7 @@ class ScalarCodec(GradientCodec):
 
     def _head_only(self, enc: EncodedGradient) -> Callable[[slice, np.ndarray], np.ndarray]:
         scale = enc.metadata.scale
-        return lambda part, signs: np.multiply(signs, scale, out=signs)  # ±L
+        return lambda rows, signs: np.multiply(signs, scale, out=signs)  # ±L
 
 
 @register_codec
@@ -118,7 +118,9 @@ class SignMagnitudeCodec(ScalarCodec):
     ) -> EncodedGradient:
         flat = self._check_finite(flat)
         sigma = float(np.std(flat))
-        planes = RowGroups(flat.size, flat.size).encode(flat, split_float32)
+        planes = RowGroups(flat.size, flat.size).encode(
+            flat, lambda part, *planes: split_float32(*planes)
+        )
         return self._encoded(planes, self._metadata(flat, epoch, message_id, 0.0, sigma))
 
     def decode(
@@ -134,7 +136,7 @@ class SignMagnitudeCodec(ScalarCodec):
 
     def _head_only(self, enc: EncodedGradient) -> Callable[[slice, np.ndarray], np.ndarray]:
         sigma = enc.metadata.sigma
-        return lambda part, signs: np.multiply(signs, sigma, out=signs)  # ±σ
+        return lambda rows, signs: np.multiply(signs, sigma, out=signs)  # ±σ
 
 
 @register_codec
@@ -248,7 +250,7 @@ class SubtractiveDitheringCodec(ScalarCodec):
         meta = enc.metadata
         dither = self._dither(meta.scale, meta.epoch, meta.message_id)
 
-        def estimate(part: slice, signs: np.ndarray) -> np.ndarray:
+        def estimate(rows: slice, signs: np.ndarray) -> np.ndarray:
             signs *= meta.scale
             signs -= dither(signs.size)  # ±L − ε
             return signs

@@ -87,7 +87,7 @@ class RHTCodec(GradientCodec):
 
         def group(part: slice, rows: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> None:
             scales[groups.rows(part)] = unbiased_row_scales(rows)
-            split_float32(part, rows, heads, tails)
+            split_float32(rows, heads, tails)
 
         planes = groups.encode(flat, group)
         metadata = GradientMetadata(
@@ -124,9 +124,9 @@ class RHTCodec(GradientCodec):
         scales = np.asarray(enc.metadata.row_scales, dtype=np.float64)
         width = enc.metadata.row_size
 
-        def estimate(part: slice, signs: np.ndarray) -> np.ndarray:
-            rows = signs.reshape(-1, width)
-            rows *= scales[part.start // width : part.stop // width, None]  # ±f of the row
+        def estimate(rows: slice, signs: np.ndarray) -> np.ndarray:
+            grid = signs.reshape(-1, width)
+            grid *= scales[rows, None]  # ±f of the row
             return signs
 
         return estimate
