@@ -368,7 +368,7 @@ class ClusterDriver:
             noise=1.0,
             seed=job_seed,
         )
-        model = MLP(192, [16], 8, seed=job_seed + 3)
+        model = MLP(192, [spec.hidden], 8, seed=job_seed + 3)
         codec = codec_by_name(
             "rht", root_seed=job_seed + 1, row_size=spec.row_size
         )

@@ -6,7 +6,7 @@ tenants load the fabric (:class:`TenantSpec`), and the k-ary fat-tree
 they all share.  Like
 :class:`repro.faults.Scenario`, everything is plain data: scenarios
 round-trip through dicts, so a JSON file is a valid scenario definition
-and the preset table below is just three of them.
+and the preset table below is just four of them.
 
 Determinism contract: a scenario carries no randomness of its own.  All
 random draws (data, codec rotations, tenant on/off cycles, ECMP salt)
@@ -16,7 +16,7 @@ derive from the run seed through :mod:`repro.transforms.prng`, so one
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..faults.scenarios import checked_fields
@@ -53,6 +53,8 @@ class JobSpec:
             it back next round, so the telescoping sum
             ``sum(delivered) + residual == sum(inputs)`` holds (the
             invariant the chaos campaign monitors).
+        hidden: width of the MLP's hidden layer, which sets the gradient
+            message's size (16: 3,224 coordinates, 256: 51,464).
     """
 
     name: str
@@ -63,6 +65,7 @@ class JobSpec:
     row_size: int = 1024
     seed_offset: Optional[int] = None
     ef: bool = False
+    hidden: int = 16
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -75,6 +78,8 @@ class JobSpec:
             raise ValueError("batch_size and row_size must be positive")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
 
 
 @dataclass(frozen=True)
@@ -190,29 +195,38 @@ class ClusterScenario:
 
 
 def _presets() -> Dict[str, ClusterScenario]:
+    incast = ClusterScenario(
+        name="incast-4job",
+        description=(
+            "four 2-worker jobs share a k=4 fat-tree while an "
+            "incast tenant fires periodic partition/aggregate "
+            "bursts into pod 1"
+        ),
+        jobs=tuple(JobSpec(name=f"job{i}", workers=2, epochs=2) for i in range(4)),
+        tenants=(
+            TenantSpec(
+                name="incast-bg",
+                pattern="incast",
+                flows=3,
+                burst_bytes=60_000,
+                period_s=2e-3,
+                dst_pod=1,
+            ),
+        ),
+    )
     return {
         scenario.name: scenario
         for scenario in (
-            ClusterScenario(
-                name="incast-4job",
+            incast,
+            replace(
+                incast,
+                name="trim-4job",
                 description=(
-                    "four 2-worker jobs share a k=4 fat-tree while an "
-                    "incast tenant fires periodic partition/aggregate "
-                    "bursts into pod 1"
+                    "incast-4job with 256-wide hidden layers: 51,464-coordinate "
+                    "messages that the fabric trims (its drop-tail control is "
+                    "the same scenario with trim false)"
                 ),
-                jobs=tuple(
-                    JobSpec(name=f"job{i}", workers=2, epochs=2) for i in range(4)
-                ),
-                tenants=(
-                    TenantSpec(
-                        name="incast-bg",
-                        pattern="incast",
-                        flows=3,
-                        burst_bytes=60_000,
-                        period_s=2e-3,
-                        dst_pod=1,
-                    ),
-                ),
+                jobs=tuple(replace(job, hidden=256) for job in incast.jobs),
             ),
             ClusterScenario(
                 name="elephant-2job",
