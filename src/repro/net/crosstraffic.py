@@ -103,7 +103,7 @@ class OnOffFlow:
         if sim.now >= self._burst_until:
             sim.schedule(self._rng.exponential(self.idle_s), self._begin_burst)
             return
-        packet = Packet(self.src.name, self.dst, self._payload, flow_id=self.flow_id)
+        packet = Packet(self.src.name, self.dst, self._payload, 0, self.flow_id)
         self.src.send(packet)
         self.packets_emitted += 1
         # Unbound method + self: a pacing tick that allocates no closure.
@@ -157,6 +157,6 @@ class IncastBurst:
         while remaining > 0:
             size = min(self.packet_bytes, remaining + 42)
             payload = full if size == self.packet_bytes else b"\x00" * max(0, size - 42)
-            sender.send(Packet(src, self.dst, payload, flow_id=flow_id))
+            sender.send(Packet(src, self.dst, payload, 0, flow_id))
             self.packets_emitted += 1
             remaining -= size - 42

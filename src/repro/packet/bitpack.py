@@ -225,29 +225,35 @@ def _pack_blocks(values: np.ndarray, bits: int, out: np.ndarray) -> None:
         out[:, whole * block_bytes :] = octets[:, whole, : need - whole * block_bytes]
 
 
-def _unpack_rows(data: np.ndarray, count: int, bits: int) -> np.ndarray:
+def _unpack_rows(
+    data: np.ndarray, count: int, bits: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Inverse of :func:`_pack_rows`: ``(rows, bytes)`` -> ``(rows, count)``.
 
     ``data`` may carry trailing bytes beyond the packed width; they are
-    ignored.  Returns uint32 values.
+    ignored.  Returns uint32 values, in ``out`` (a ``(rows, count)`` uint32
+    matrix of any strides) when given.
     """
     rows = data.shape[0]
+    if bits not in FAST_WIDTHS and count:
+        return _unpack_blocks(data, count, bits, out)
+    if out is None:
+        out = np.empty((rows, count), dtype=np.uint32)
     if count == 0:
-        return np.zeros((rows, 0), dtype=np.uint32)
+        return out
     if bits == 1:
-        return np.unpackbits(data, axis=1)[:, :count].astype(np.uint32)
-    if bits == 8:
-        return data[:, :count].astype(np.uint32)
-    if bits == 16:
-        raw = np.ascontiguousarray(data[:, : 2 * count])
-        return raw.view(">u2").reshape(rows, count).astype(np.uint32)
-    if bits == 32:
-        raw = np.ascontiguousarray(data[:, : 4 * count])
-        return raw.view(">u4").reshape(rows, count).astype(np.uint32)
-    return _unpack_blocks(data, count, bits)
+        out[...] = np.unpackbits(data, axis=1, count=count)
+    elif bits == 8:
+        out[...] = data[:, :count]
+    else:
+        raw = np.ascontiguousarray(data[:, : bits // 8 * count])
+        out[...] = raw.view(f">u{bits // 8}")
+    return out
 
 
-def _unpack_blocks(data: np.ndarray, count: int, bits: int) -> np.ndarray:
+def _unpack_blocks(
+    data: np.ndarray, count: int, bits: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Inverse of :func:`_pack_blocks`: the lanes ending in a word are
     shifted down out of it in one call and masked into the output in
     another, a straddling lane's high bits OR-ed in between."""
@@ -267,9 +273,15 @@ def _unpack_blocks(data: np.ndarray, count: int, bits: int) -> np.ndarray:
     words = np.empty((words_per_block, rows, blocks), dtype=np.uint64)
     words[...] = octets.view(">u8").transpose(2, 0, 1)  # one byte swap for the whole plane
     # Whole blocks out, so every pass below runs over full (rows, blocks)
-    # arrays; the caller gets the first `count` columns of each row.
-    out = np.empty((rows, blocks, 8), dtype=np.uint32)
-    lanes = out.transpose(2, 0, 1)
+    # arrays: straight into ``out`` when its rows are whole blocks of
+    # contiguous values, else into a scratch whose first `count` columns
+    # are copied over.
+    if out is not None and count % 8 == 0 and out.strides[1] == out.itemsize:
+        wide = out
+    else:
+        wide = np.empty((rows, 8 * blocks), dtype=np.uint32)
+    # Splitting the last axis of a matrix with unit column stride is a view.
+    lanes = wide.reshape(rows, blocks, 8).transpose(2, 0, 1)
     mask = np.uint64((1 << bits) - 1)
     value = np.empty((max(stop - first for first, stop, _ in plan.words), rows, blocks), np.uint64)
     high = np.empty((rows, blocks), dtype=np.uint64)
@@ -280,7 +292,11 @@ def _unpack_blocks(data: np.ndarray, count: int, bits: int) -> np.ndarray:
             np.left_shift(words[word - 1], carry, out=high)
             ends_here[0] |= high
         np.bitwise_and(ends_here, mask, out=lanes[first:stop])
-    return out.reshape(rows, 8 * blocks)[:, :count]
+    if out is None:
+        return wide[:, :count]
+    if wide is not out:
+        out[...] = wide[:, :count]
+    return out
 
 
 # -- scalar-plane API ---------------------------------------------------------
@@ -397,7 +413,10 @@ def pack_segments(
 
 
 def unpack_batch(
-    chunks: Union[Sequence[ByteLike], np.ndarray], count: int, bits: int
+    chunks: Union[Sequence[ByteLike], np.ndarray],
+    count: int,
+    bits: int,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unpack many same-geometry packed planes in one batched call.
 
@@ -409,6 +428,10 @@ def unpack_batch(
     receive-side twin of :func:`pack_segments`: ``depacketize`` groups
     arrived packets by geometry and inverts each group here,
     ``ROW_GROUP`` packets a call, instead of per packet.
+
+    ``out`` names where the values go instead of a new matrix: a writable
+    ``(len(chunks), count)`` uint32 array of any strides — ``depacketize``
+    passes a run of consecutive rows of its planes — which is returned.
     """
     _check_bits(bits)
     need = packed_size(count, bits)
@@ -428,9 +451,13 @@ def unpack_batch(
                 )
         # bytes.join accepts any buffer, memoryviews included
         raw = np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(len(chunks), need)
-    if count == 0 or len(raw) == 0:
-        return np.zeros((len(raw), count), dtype=np.uint32)
-    return _unpack_rows(raw, count, bits)
+    if out is not None and (out.shape != (len(raw), count) or out.dtype != np.uint32):
+        raise ValueError(
+            f"out must be a {(len(raw), count)} uint32 matrix, got {out.shape} {out.dtype}"
+        )
+    if len(raw) == 0:
+        return np.zeros((0, count), dtype=np.uint32) if out is None else out
+    return _unpack_rows(raw, count, bits, out)
 
 
 # -- sign helpers -------------------------------------------------------------

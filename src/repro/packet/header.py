@@ -101,12 +101,27 @@ CODE_PLANES: Dict[int, Tuple[int, ...]] = {5: (1, 7, 24)}
 #: What a switch or a transport reads of one packet:
 #: ``(magic, flags, codec_id, head_bits, tail_bits, message_id, coord_count)``.
 PACKET_VIEW = struct.Struct(">HxBBBHI8xI8x")
-#: What a receiver reads of every packet of a set: ``(magic + version,
-#: flags, codec_id … epoch, chunk_index, coord_offset, coord_count, seed)``.
-#: The three byte strings are the message's identity — equal across one
-#: message — and compare in three operations instead of seven.
-SET_VIEW = struct.Struct(">3sB10sHII8s")
-assert PACKET_VIEW.size == SET_VIEW.size == 32
+#: What a receiver reads of every packet of a set: one numpy record a
+#: header, every field in wire order under its :class:`GradientHeader`
+#: name.  A message's headers joined are an array of these, so each field
+#: is one column for the whole set.
+SET_VIEW = np.dtype(
+    [
+        ("magic", ">u2"),
+        ("version", "u1"),
+        ("flags", "u1"),
+        ("codec_id", "u1"),
+        ("head_bits", "u1"),
+        ("tail_bits", ">u2"),
+        ("message_id", ">u4"),
+        ("epoch", ">u2"),
+        ("chunk_index", ">u2"),
+        ("coord_offset", ">u4"),
+        ("coord_count", ">u4"),
+        ("seed", ">u8"),
+    ]
+)
+assert PACKET_VIEW.size == SET_VIEW.itemsize == 32
 
 
 @dataclass(frozen=True, slots=True)

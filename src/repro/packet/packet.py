@@ -101,7 +101,7 @@ class Packet:
     trimmed_echo: bool = False
     ecn: bool = False
     created_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
     trimmed_from: Optional[int] = None
     checksum: Optional[int] = None
     int_ext: Optional[INTExtension] = None
@@ -238,24 +238,25 @@ class Packet:
         if at is None:
             return None
         keep, depth = at
-        # The remnant is a copy of the header and the kept planes with
-        # TRIMMED OR-ed into its flags byte, and its depth in the head bits
-        # when the cut is below the first boundary; the trimmed twin always
-        # owns its (small) payload, whatever buffer the original's was a
-        # view of.
-        remnant = bytearray(self.payload[:keep])
-        remnant[FLAGS_AT] |= FLAG_TRIMMED
-        if remnant[HEAD_BITS_AT] != depth:
-            head_bits, tail_bits = SPLIT_VIEW.unpack_from(remnant, HEAD_BITS_AT)
-            SPLIT_VIEW.pack_into(remnant, HEAD_BITS_AT, depth, head_bits + tail_bits - depth)
-        new_payload = bytes(remnant)
+        # The remnant is the header with TRIMMED OR-ed into its flags byte
+        # (and its depth in the head bits when the cut is below the first
+        # boundary) joined to the kept planes: one copy of the body, and
+        # the trimmed twin always owns its (small) payload, whatever buffer
+        # the original's was a view of.
+        payload = self.payload
+        header = bytearray(payload[:GRADIENT_HEADER_BYTES])
+        header[FLAGS_AT] |= FLAG_TRIMMED
+        if header[HEAD_BITS_AT] != depth:
+            head_bits, tail_bits = SPLIT_VIEW.unpack_from(header, HEAD_BITS_AT)
+            SPLIT_VIEW.pack_into(header, HEAD_BITS_AT, depth, head_bits + tail_bits - depth)
+        new_payload = b"".join((header, payload[GRADIENT_HEADER_BYTES:keep]))
         return self._twin(
-            payload=new_payload,
-            priority=max(self.priority, 1),
-            packet_id=self.packet_id,
-            trimmed_from=self.wire_size,
-            checksum=zlib.crc32(new_payload) if self.checksum is not None else None,
-            int_ext=self.int_ext,
+            new_payload,
+            max(self.priority, 1),
+            self.packet_id,
+            self.wire_size,
+            None if self.checksum is None else zlib.crc32(new_payload),
+            self.int_ext,
         )
 
     def clone(self) -> "Packet":
@@ -266,12 +267,12 @@ class Packet:
         original's.
         """
         return self._twin(
-            payload=self.payload,
-            priority=self.priority,
-            packet_id=next(_packet_ids),
-            trimmed_from=self.trimmed_from,
-            checksum=self.checksum,
-            int_ext=self.int_ext.fresh() if self.int_ext is not None else None,
+            self.payload,
+            self.priority,
+            next(_packet_ids),
+            self.trimmed_from,
+            self.checksum,
+            None if self.int_ext is None else self.int_ext.fresh(),
         )
 
     def _twin(
@@ -285,28 +286,28 @@ class Packet:
     ) -> "Packet":
         """Copy of this packet with the fields ``cut`` / ``clone`` change.
 
-        Spelled out rather than ``dataclasses.replace()``: the switch trims
-        every other gradient packet under congestion, and ``replace`` spent
-        most of a trim walking the field list.  ``test_packet.py`` compares
+        Spelled out rather than ``dataclasses.replace()``, and by position
+        (keyword construction is dearer): the switch trims every other
+        gradient packet under congestion.  ``test_packet.py`` compares
         both copies with the ``replace``-based ones over ``fields(Packet)``,
-        so a field added later cannot be forgotten here.
+        so a field added or reordered later cannot be missed here.
         """
         return Packet(
-            src=self.src,
-            dst=self.dst,
-            payload=payload,
-            priority=priority,
-            flow_id=self.flow_id,
-            seq=self.seq,
-            seq_total=self.seq_total,
-            is_ack=self.is_ack,
-            nack=self.nack,
-            pull=self.pull,
-            trimmed_echo=self.trimmed_echo,
-            ecn=self.ecn,
-            created_at=self.created_at,
-            packet_id=packet_id,
-            trimmed_from=trimmed_from,
-            checksum=checksum,
-            int_ext=int_ext,
+            self.src,
+            self.dst,
+            payload,
+            priority,
+            self.flow_id,
+            self.seq,
+            self.seq_total,
+            self.is_ack,
+            self.nack,
+            self.pull,
+            self.trimmed_echo,
+            self.ecn,
+            self.created_at,
+            packet_id,
+            trimmed_from,
+            checksum,
+            int_ext,
         )

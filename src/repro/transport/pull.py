@@ -151,15 +151,21 @@ class PullReceiver:
             return
         self._peer = packet.src
         self._total = packet.seq_total or self._total
+        # By position (src, dst, payload, priority, flow_id, seq, seq_total,
+        # is_ack, nack, pull, trimmed_echo, ecn): one per data packet.
         control = Packet(
-            src=self.host.name,
-            dst=self._peer,
-            is_ack=True,
-            pull=True,
-            seq=packet.seq,
-            flow_id=self.flow_id,
-            priority=2,
-            ecn=packet.ecn,
+            self.host.name,
+            self._peer,
+            b"",
+            2,
+            self.flow_id,
+            packet.seq,
+            0,
+            True,
+            False,
+            True,
+            False,
+            packet.ecn,
         )
         if not packet.verify():
             # Corrupted in flight: the NACK doubles as the credit that

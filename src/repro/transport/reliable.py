@@ -179,14 +179,21 @@ class GoBackNReceiver:
     def _send_cumulative_ack(self, ecn: bool) -> None:
         if self._peer is None:
             return
+        # By position (src, dst, payload, priority, flow_id, seq, seq_total,
+        # is_ack, nack, pull, trimmed_echo, ecn): one ACK per data packet.
         ack = Packet(
-            src=self.host.name,
-            dst=self._peer,
-            is_ack=True,
-            seq=self._expected - 1 if self._expected else _ACK_NONE,
-            flow_id=self.flow_id,
-            priority=2,
-            ecn=ecn,
+            self.host.name,
+            self._peer,
+            b"",
+            2,
+            self.flow_id,
+            self._expected - 1 if self._expected else _ACK_NONE,
+            0,
+            True,
+            False,
+            False,
+            False,
+            ecn,
         )
         self.host.send(ack)
 

@@ -198,17 +198,22 @@ class TrimmingReceiver:
     ) -> None:
         if self._peer is None:
             return
+        # By position (src, dst, payload, priority, flow_id, seq, seq_total,
+        # is_ack, nack, pull, trimmed_echo, ecn): one per data packet.
         self.host.send(
             Packet(
-                src=self.host.name,
-                dst=self._peer,
-                is_ack=True,
-                nack=nack,
-                trimmed_echo=trimmed_echo,
-                seq=seq,
-                flow_id=self.flow_id,
-                priority=2,
-                ecn=ecn,
+                self.host.name,
+                self._peer,
+                b"",
+                2,
+                self.flow_id,
+                seq,
+                0,
+                True,
+                nack,
+                False,
+                trimmed_echo,
+                ecn,
             )
         )
 

@@ -288,6 +288,24 @@ class TestRowGroupOracleGrid:
                         oracle = _unpack_bits_generic(bytes(full[i]), segment_len, bits)
                         assert np.array_equal(matrix[i], oracle)
 
+                # out=: consecutive rows of a larger plane (unit column
+                # stride), then every other column of a wider matrix.
+                rows = segments - 1
+                plane_rows = np.full((rows + 4, segment_len), 7, dtype=np.uint32)
+                into = plane_rows[2 : 2 + rows]
+                assert unpack_batch(full, segment_len, bits, out=into) is into
+                assert np.array_equal(into, matrix)
+                assert (plane_rows[:2] == 7).all() and (plane_rows[2 + rows :] == 7).all()
+                strided = np.full((rows, 2 * segment_len), 7, dtype=np.uint32)
+                unpack_batch(full, segment_len, bits, out=strided[:, ::2])
+                assert np.array_equal(strided[:, ::2], matrix) and (strided[:, 1::2] == 7).all()
+
+    def test_unpack_out_must_fit(self):
+        chunks = [bytes(packed_size(8, 3))] * 2
+        for out in (np.zeros((2, 9), np.uint32), np.zeros((3, 8), np.uint32), np.zeros((2, 8))):
+            with pytest.raises(ValueError, match="out must be a"):
+                unpack_batch(chunks, 8, 3, out=out)
+
     @pytest.mark.parametrize("bits", [1, 5, 8, 16, 31])
     def test_bad_input_raises_before_out_is_written(self, bits):
         segment_len, segments = 21, ROW_GROUP + 2

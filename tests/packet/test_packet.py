@@ -234,3 +234,122 @@ class TestCopiesCarryEveryField:
     def test_clone_without_int_band(self):
         pkt = gradient_packet()
         assert pkt.clone().int_ext is None
+
+    # The sites that build a packet a packet pass its fields by position
+    # (keyword construction is dearer): each must equal the keyword
+    # construction it stands for, with its id drawn from the one counter
+    # in creation order, so a reordered field fails here.
+
+    @staticmethod
+    def assert_built_as(got, fields):
+        """Each of ``got`` equals ``Packet(**fields[i])`` over every field
+        but ``packet_id``; the ids of ``got`` are consecutive and were drawn
+        before the keyword twins'."""
+        want = [Packet(**kwargs) for kwargs in fields]
+        assert len(got) == len(want)
+        for built, twin in zip(got, want):
+            for f in dataclasses.fields(Packet):
+                mine, theirs = getattr(built, f.name), getattr(twin, f.name)
+                if f.name == "packet_id":
+                    continue
+                if f.name == "int_ext" and theirs is not None:
+                    mine, theirs = (
+                        (band.version, band.capacity, band.records, band.overflowed)
+                        for band in (mine, theirs)
+                    )
+                assert mine == theirs, f.name
+        ids = [pkt.packet_id for pkt in got]
+        assert ids == list(range(ids[0], ids[0] + len(ids)))
+        assert want[0].packet_id > ids[-1]
+
+    @pytest.mark.parametrize("flag", ["nack", "pull", "trimmed_echo", "ecn"])
+    def test_copies_keep_each_flag_in_its_field(self, flag):
+        """The busy packet sets every flag, so a swap of two would not show."""
+        pkt = dataclasses.replace(gradient_packet(), **{flag: True})
+        for copy in (pkt.clone(), pkt.trim()):
+            assert [getattr(copy, name) for name in ("nack", "pull", "trimmed_echo", "ecn")] == [
+                name == flag for name in ("nack", "pull", "trimmed_echo", "ecn")
+            ]
+
+    @pytest.mark.parametrize("int_band", [False, True])
+    def test_packetize_data_packets(self, int_band):
+        from repro.core import codec_by_name, packetize
+        from repro.obs.int_telemetry import INTExtension, disable_int, enable_int, int_capacity
+
+        enc = codec_by_name("rht", root_seed=1).encode(np.arange(1000.0), epoch=1, message_id=2)
+        if int_band:
+            enable_int(6)
+        try:
+            packets = packetize(enc, "w1", "ps", mtu=512, flow_id=9)
+            capacity = int_capacity()
+        finally:
+            disable_int()
+        band = {"int_ext": INTExtension(capacity)} if int_band else {}
+        fields = [
+            dict(src="w1", dst="ps", payload=pkt.payload, flow_id=9, seq=seq, **band)
+            for seq, pkt in enumerate(packets[1:], 1)
+        ]
+        self.assert_built_as(packets[1:], fields)
+
+    def test_transport_control_packets(self):
+        from repro.net.simulator import Simulator
+        from repro.transport.pull import PullReceiver
+        from repro.transport.reliable import GoBackNReceiver
+        from repro.transport.trimming import TrimmingReceiver
+
+        class Host:
+            """What a receiver touches of its host."""
+
+            def __init__(self):
+                self.name, self.sim, self.sent = "ps", Simulator(), []
+
+            def register_flow(self, flow_id, handler):
+                pass
+
+            def send(self, packet):
+                self.sent.append(packet)
+
+        control = dict(src="ps", dst="w3", priority=2, flow_id=17, is_ack=True)
+        trimming = TrimmingReceiver(Host(), 17)
+        trimming._peer = "w3"
+        trimming._send_control(5, nack=True, trimmed_echo=True, ecn=True)
+        self.assert_built_as(
+            trimming.host.sent, [dict(control, seq=5, nack=True, trimmed_echo=True, ecn=True)]
+        )
+        gbn = GoBackNReceiver(Host(), 17)
+        gbn._peer, gbn._expected = "w3", 8
+        gbn._send_cumulative_ack(ecn=True)
+        self.assert_built_as(gbn.host.sent, [dict(control, seq=7, ecn=True)])
+        pull = PullReceiver(Host(), 17)
+        data = Packet(src="w3", dst="ps", payload=b"x", flow_id=17, seq=4, seq_total=9, ecn=True)
+        pull._on_packet(data)
+        pull.sim.run()
+        self.assert_built_as(pull.host.sent, [dict(control, seq=4, pull=True, ecn=True)])
+
+    def test_tenant_packets(self):
+        from repro.net.crosstraffic import IncastBurst, OnOffFlow
+        from repro.net.simulator import Simulator
+
+        class Host:
+            """What a traffic source touches of its host."""
+
+            def __init__(self, name):
+                self.name, self.sent = name, []
+
+            def send(self, packet):
+                self.sent.append(packet)
+
+        sim = Simulator()
+        flow = OnOffFlow(sim, Host("t0"), "t9", 1e9, packet_bytes=300, flow_id=41)
+        flow._active, flow._burst_until = True, 1.0
+        flow._emit()
+        self.assert_built_as(
+            flow.src.sent, [dict(src="t0", dst="t9", payload=b"\x00" * 258, flow_id=41)]
+        )
+        sender = Host("t1")
+        burst = IncastBurst(sim, [sender], "t9", burst_bytes=2000, packet_bytes=1458, flow_id_base=50)
+        burst._blast(sender, 3)
+        fields = [
+            dict(src="t1", dst="t9", payload=b"\x00" * size, flow_id=53) for size in (1416, 584)
+        ]
+        self.assert_built_as(sender.sent, fields)
