@@ -20,15 +20,27 @@ import numpy as np
 __all__ = ["SyntheticImages", "DataLoader", "make_dataset"]
 
 
+def _roll(images: np.ndarray, step: int, axis: int) -> np.ndarray:
+    """``np.roll(images, step, axis)`` for ``axis`` -2 or -1: the same
+    values, written as two slice copies without ``np.roll``'s index set-up."""
+    out = np.empty_like(images)
+    if axis == -2:
+        images, out = images.swapaxes(-2, -1), out.swapaxes(-2, -1)
+    cut = -step % images.shape[-1]  # out[j] = images[(j + cut) % size]
+    out[..., : images.shape[-1] - cut] = images[..., cut:]
+    out[..., images.shape[-1] - cut :] = images[..., :cut]
+    return out if axis == -1 else out.swapaxes(-2, -1)
+
+
 def _smooth(images: np.ndarray) -> np.ndarray:
     """Two rounds of circular neighbor averaging over the last two axes."""
     for _ in range(2):
         images = (
             images
-            + np.roll(images, 1, axis=-2)
-            + np.roll(images, -1, axis=-2)
-            + np.roll(images, 1, axis=-1)
-            + np.roll(images, -1, axis=-1)
+            + _roll(images, 1, -2)
+            + _roll(images, -1, -2)
+            + _roll(images, 1, -1)
+            + _roll(images, -1, -1)
         ) / 5.0
     return images
 
@@ -37,14 +49,14 @@ def _roll_each(images: np.ndarray, shifts: np.ndarray) -> None:
     """Circularly shift ``images[i]`` by ``shifts[i] = (dy, dx)``, in place.
 
     The shifts are small jitter drawn from a handful of values, so
-    instead of one ``np.roll`` per image the batch is rolled once per
+    instead of one roll per image the batch is rolled once per
     axis and distinct step, over the images that move that way.
     """
     for axis in (0, 1):
         steps = shifts[:, axis]
         for step in set(steps.tolist()) - {0}:
             moved = steps == step
-            images[moved] = np.roll(images[moved], step, axis=axis + 2)
+            images[moved] = _roll(images[moved], step, axis - 2)
 
 
 @dataclass
