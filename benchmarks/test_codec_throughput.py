@@ -17,6 +17,11 @@ cluster job's 3,224-coordinate RHT message, whose cost is mostly fixed
 per message rather than per coordinate (docs/performance.md, "Ledger
 record: small messages").
 
+``test_wave_pass_cost`` prints µs per cluster wave of 8 such messages
+(four 2-worker jobs): ``packetize_many`` / ``depacketize_many`` over the
+whole wave beside 8 single ``packetize`` / ``depacketize`` calls
+(docs/performance.md, "Ledger record: one wire pass per wave").
+
 ``test_streaming_kernel_cost`` prints the two numpy kernels under those
 stages on their own, in ns per coordinate: the FWHT at the three shapes
 the ledger's workloads transform, the 31-bit plane packed / unpacked
@@ -31,7 +36,14 @@ import numpy as np
 import pytest
 
 from repro.bench import emit, format_table
-from repro.core import MultiLevelCodec, codec_by_name, depacketize, packetize
+from repro.core import (
+    MultiLevelCodec,
+    codec_by_name,
+    depacketize,
+    depacketize_many,
+    packetize,
+    packetize_many,
+)
 from repro.core.layout import coords_per_packet
 from repro.packet import pack_segments, unpack_batch
 from repro.packet.bitpack import ROW_GROUP
@@ -157,6 +169,44 @@ def _emit_small_message_stages():
             title=f"[perf codec pipeline (rht), {SMALL_COORDS} coords, {len(packets) - 1} packets]",
         )
     )
+
+
+#: Messages in one ``incast-4job`` wave: four jobs of two workers.
+WAVE_MESSAGES = 8
+
+
+def test_wave_pass_cost():
+    """µs per wave of ``WAVE_MESSAGES`` cluster messages: one pass over
+    the wave against one call a message, each side of the wire."""
+    codec = codec_by_name("rht", root_seed=1)
+    grads = np.random.default_rng(0).standard_normal((WAVE_MESSAGES, SMALL_COORDS))
+    outgoing = [
+        (codec.encode(grad, epoch=0, message_id=worker), f"h{worker}", "agg", worker)
+        for worker, grad in enumerate(grads)
+    ]
+    wires = packetize_many(outgoing)
+    stages = {
+        "packetize": (
+            lambda: packetize_many(outgoing),
+            lambda: [packetize(enc, src, dst, flow_id=flow) for enc, src, dst, flow in outgoing],
+        ),
+        "depacketize": (lambda: depacketize_many(wires), lambda: [depacketize(w) for w in wires]),
+    }
+    rows = []
+    for stage, (wave, singles) in stages.items():
+        wave_s = _best_seconds(wave, repeats=7, number=20)
+        singles_s = _best_seconds(singles, repeats=7, number=20)
+        rows.append([stage, f"{wave_s * 1e6:,.0f}", f"{singles_s * 1e6:,.0f}"])
+    emit(
+        "\n"
+        + format_table(
+            ["stage", "one pass (us/wave)", f"{WAVE_MESSAGES} calls (us/wave)"],
+            rows,
+            title=f"[perf wave pass (rht), {WAVE_MESSAGES} x {SMALL_COORDS} coords]",
+        )
+    )
+    for message, wire in zip(depacketize_many(wires), wires):
+        assert np.array_equal(message.heads, depacketize(wire).heads)
 
 
 def test_streaming_kernel_cost():

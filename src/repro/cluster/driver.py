@@ -7,13 +7,18 @@ thread drives every job's resumable trainer
 (:meth:`~repro.train.ddp.DDPTrainer.rounds`) in waves —
 
 * advance each live job, in fixed job order, to the point where its
-  round's gradients are ready;
-* launch all of those gradient messages at the same simulation instant
-  on the shared network (per-flow ECMP spreads them across the fabric)
-  and run the event loop to the instant the last of them is delivered
-  or surrendered — or to the deadline, whichever comes first;
-* complete each job in the same order — decode what arrived, hand the
+  round's gradients are ready, and encode them;
+* packetize all of those gradient messages in one pass, launch them at
+  the same simulation instant on the shared network (per-flow ECMP
+  spreads them across the fabric), run the event loop to the instant
+  the last of them is delivered or surrendered — or to the deadline,
+  whichever comes first — and depacketize what arrived in one pass;
+* complete each job in the same order — decode its messages, hand the
   aggregate back to its trainer — which carries it to its next round.
+
+The wire layer works a wave at a time because a cluster message is
+small (12 data packets): one ``packetize`` / ``depacketize`` call a
+message is mostly fixed cost, which the wave's one pass pays once.
 
 Nothing runs beside anything else, so there is no schedule to vary: a
 ``(scenario, seed)`` pair produces byte-identical reports by
@@ -31,18 +36,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from ..collectives.channel import PerfectChannel
 from ..collectives.hooks import CommHook
 from ..core.codec import GradientCodec, codec_by_name
+from ..core.packetizer import Outgoing, depacketize_many, packetize_many
 from ..net.crosstraffic import CROSS_TRAFFIC_FLOW_BASE
 from ..net.topology import Network, fat_tree
 from ..nn.data import make_dataset
 from ..nn.models import MLP
 from ..obs.trace import get_tracer
+from ..packet.packet import Packet
 from ..packet.trim import SingleLevelTrim
 from ..resilience.ef import EFChannel
 from ..train.ddp import DDPTrainer, TrainConfig
@@ -164,10 +171,12 @@ class FabricHook(CommHook):
     storms the core.
 
     The aggregation is split in two because other jobs share the wave:
-    :meth:`launch` puts the round's messages on the fabric, the driver
-    runs the event loop, :meth:`complete` returns the mean.  With
-    ``ef`` the channel is an :class:`~repro.resilience.ef.EFChannel`
-    and each half calls the matching half of its ``transfer``.
+    :meth:`launch` encodes the round's messages, the driver packetizes
+    and starts the wave's messages together, runs the event loop and
+    depacketizes what they delivered together, and :meth:`complete`
+    decodes this job's messages and returns the mean.  With ``ef`` the
+    channel is an :class:`~repro.resilience.ef.EFChannel` and each half
+    calls the matching half of its ``transfer``.
     """
 
     def __init__(
@@ -175,7 +184,6 @@ class FabricHook(CommHook):
         driver: "ClusterDriver",
         job_index: int,
         codec: GradientCodec,
-        mtu: int = 1500,
         ef: bool = False,
     ) -> None:
         # The inner channel never carries anything (the fabric does); it
@@ -185,16 +193,19 @@ class FabricHook(CommHook):
         self.driver = driver
         self.job_index = job_index
         self.codec = codec
-        self.mtu = mtu
         self.ef = ef
         #: (epoch, fabric time at wave end) per round — the driver's
         #: source for per-job time-to-accuracy on the shared clock.
         self.wave_log: List[Tuple[int, float]] = []
         #: Completion time of every delivered message.
         self.fcts: List[float] = []
-        # The wave in flight: its (epoch, message id) and, per worker,
-        # the transfer and the (input, carry) it was built from.
+        # The wave in flight: its (epoch, message id), the round span its
+        # transfers start in, the encoded messages the driver has yet to
+        # packetize, and per worker the transfer and the (input, carry)
+        # it was built from.
         self._wave: Tuple[int, int] = (0, 0)
+        self._span: Optional[int] = None
+        self._outgoing: List[Outgoing] = []
         self._in_flight: List[_GradientTransfer] = []
         self._carried: List[Tuple[np.ndarray, np.ndarray]] = []
         # Running per-worker sums the telescoping monitor checks the EF
@@ -209,10 +220,15 @@ class FabricHook(CommHook):
         workers = len(self.driver.runtimes[self.job_index].placement.workers)
         return base + (len(self.wave_log) * workers + worker) % JOB_FLOW_BLOCK
 
-    def launch(self, grads: List[np.ndarray], epoch: int) -> None:
-        """Put every worker's gradient message on the fabric, now."""
+    def launch(self, grads: List[np.ndarray], epoch: int, span: Optional[int] = None) -> None:
+        """Encode every worker's gradient message for the next wave.
+
+        The driver packetizes the wave's messages together and starts
+        them (in ``span``, the job's round) at the wave's first instant.
+        """
         message_id = self.next_message_id()
         self._wave = (epoch, message_id)
+        self._span = span
         placement = self.driver.runtimes[self.job_index].placement
         for worker, grad in enumerate(grads):
             flat = np.asarray(grad, dtype=np.float64)
@@ -220,20 +236,30 @@ class FabricHook(CommHook):
             # along with this round's gradient.
             carry = self.channel.carry(flat, worker) if self.ef else flat
             self._carried.append((flat, carry))
+            self._outgoing.append(
+                (
+                    self.codec.encode(carry, epoch=epoch, message_id=message_id),
+                    placement.workers[worker],
+                    placement.aggregator,
+                    self._flow_id(worker),
+                )
+            )
+
+    def _start(self, wires: List[List[Packet]], settled: Callable[..., None]) -> None:
+        """Put the packetized messages of :meth:`launch` on the fabric, now."""
+        for (enc, *_), packets in zip(self._outgoing, wires):
             self._in_flight.append(
                 _GradientTransfer(
                     self.driver.net,
                     self.codec,
-                    self.codec.encode(carry, epoch=epoch, message_id=message_id),
-                    src=placement.workers[worker],
-                    dst=placement.aggregator,
-                    flow_id=self._flow_id(worker),
-                    mtu=self.mtu,
+                    packets,
+                    coords=enc.metadata.original_length,
                 )
             )
-        settled = partial(self.driver._transfer_settled, self.driver.waves_run)
-        for transfer in self._in_flight:
-            transfer.start(settled)
+        self._outgoing = []
+        with get_tracer().context(self._span):
+            for transfer in self._in_flight:
+                transfer.start(settled)
 
     def complete(self) -> np.ndarray:
         """Close the wave in flight; returns the mean of what arrived."""
@@ -372,13 +398,7 @@ class ClusterDriver:
         codec = codec_by_name(
             "rht", root_seed=job_seed + 1, row_size=spec.row_size
         )
-        hook = FabricHook(
-            driver=self,
-            job_index=index,
-            codec=codec,
-            mtu=self.scenario.mtu,
-            ef=spec.ef,
-        )
+        hook = FabricHook(driver=self, job_index=index, codec=codec, ef=spec.ef)
         trainer = DDPTrainer(
             model,
             train_set,
@@ -439,15 +459,35 @@ class ClusterDriver:
     # -- wave engine ------------------------------------------------------------
 
     def _run_wave(self, hooks: List[FabricHook]) -> None:
-        """Run the fabric to the instant the last transfer ``hooks``
-        launched is terminal, or to the deadline."""
+        """Run one wave of what ``hooks`` launched: packetize every
+        message at once, start them in job order, run the fabric to the
+        instant the last transfer is terminal (or to the deadline), then
+        depacketize everything delivered at once."""
         sim = self.net.sim
+        wires = iter(
+            packetize_many(
+                [message for hook in hooks for message in hook._outgoing], mtu=self.scenario.mtu
+            )
+        )
+        settled = partial(self._transfer_settled, self.waves_run)
+        for hook in hooks:
+            hook._start([next(wires) for _ in hook._outgoing], settled)
         # Nothing settles before the loop runs: a sender hears of its
         # message's fate from an ACK or a timer, both events.
         self._unsettled = sum(len(hook._in_flight) for hook in hooks)
         if self._unsettled:
             sim.run(until=sim.now + self.scenario.deadline_s)
         self.waves_run += 1
+        delivered = [
+            transfer
+            for hook in hooks
+            for transfer in hook._in_flight
+            if transfer.wire is not None
+        ]
+        for transfer, message in zip(
+            delivered, depacketize_many([transfer.wire for transfer in delivered])
+        ):
+            transfer.received = message
 
     def _transfer_settled(self, wave: int, _surrender: object = None) -> None:
         """A sender launched in ``wave`` delivered its message or gave up."""
@@ -464,15 +504,12 @@ class ClusterDriver:
         self._ran = True
         for tenant in self.tenants:
             tenant.install()
-        tracer = get_tracer()
         for runtime in self.runtimes:
             runtime.stepper = runtime.trainer.rounds()
             runtime.request = next(runtime.stepper, None)
         while live := [r for r in self.runtimes if r.request is not None]:
             for runtime in live:  # fixed job order => deterministic
-                grads, epoch, round_span = runtime.request
-                with tracer.context(round_span):
-                    runtime.hook.launch(grads, epoch)
+                runtime.hook.launch(*runtime.request)
             self._run_wave([runtime.hook for runtime in live])
             for runtime in live:
                 try:

@@ -20,7 +20,15 @@ from .layout import (
 )
 from .metadata import GradientMetadata
 from .multilevel import LEVEL_BITS, MultiLevelCodec
-from .packetizer import GradientMessage, decode_packets, depacketize, packetize
+from .packetizer import (
+    GradientMessage,
+    decode_message,
+    decode_packets,
+    depacketize,
+    depacketize_many,
+    packetize,
+    packetize_many,
+)
 from .quantizers import (
     ScalarCodec,
     SignMagnitudeCodec,
@@ -51,9 +59,12 @@ __all__ = [
     "LEVEL_BITS",
     "MultiLevelCodec",
     "GradientMessage",
+    "decode_message",
     "decode_packets",
     "depacketize",
+    "depacketize_many",
     "packetize",
+    "packetize_many",
     "ScalarCodec",
     "SignMagnitudeCodec",
     "StochasticQuantizationCodec",

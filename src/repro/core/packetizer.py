@@ -12,36 +12,46 @@ at any plane boundary leaves a decodable prefix too.
 ``depacketize`` reassembles whatever arrived — full packets, cut
 packets, or holes where packets were dropped — into per-coordinate head /
 tail arrays plus masks (and, for a code of more planes, the depth that
-arrived), ready for the codec's decoder.
+arrived), ready for the codec's decoder.  Each set it reads must be one
+message; ``depacketize_many`` reads several sets, one message each.
 
 Both directions run on the training hot path (once per gradient per
-step), so they are whole-message vectorized (see docs/performance.md):
+step), so they are vectorized over whole messages, and over every
+message of a cluster wave at once (see docs/performance.md):
 
-* ``packetize`` lays all payloads (headers included, via the precompiled
-  struct template) out in one contiguous message buffer, has
-  :func:`~repro.packet.bitpack.pack_segments` pack each plane
-  straight into its columns of that buffer's rows, and hands
-  each packet a read-only zero-copy ``memoryview`` slice of it.  The
-  header bytes in the buffer are the only header: a packet is one object.
-* ``depacketize`` joins the set's headers once and reads them as an
-  array (:data:`~repro.packet.header.SET_VIEW`), checks with column ops
-  that the set is one message, groups the arrived packets by geometry
-  with one sort, and inverts every group's packed planes with batched
+* ``packetize_many`` lays out the messages of one geometry in one
+  contiguous buffer — every message's full chunks as the rows of one
+  matrix, their short final chunks as the rows of another — writes the
+  header block with one strided store (headers included, via the
+  precompiled struct template), has
+  :func:`~repro.packet.bitpack.pack_segments` pack each plane of all of
+  them straight into its columns of those rows, and hands each packet a
+  read-only zero-copy ``memoryview`` slice of it.  The header bytes in
+  the buffer are the only header: a packet is one object.
+  ``packetize`` is its one-message call.
+* ``depacketize_many`` joins the headers of every set once and reads
+  them as one array (:data:`~repro.packet.header.SET_VIEW`), checks with
+  column ops that each set is one message, groups every set's arrived
+  packets by geometry with one sort, and inverts the groups of one code
+  and geometry across all sets with batched
   :func:`~repro.packet.bitpack.unpack_batch` calls over the joined
   payloads of a row group of packets, storing a group that lies on its
   own ``coord_count`` grid as whole rows (a run of consecutive rows
-  straight into the planes).  The short final chunk is zero-padded into
-  a full row of the same group, so a clean message is one group and each
-  plane one kernel call per row group.
+  straight into the planes, which the sets share, each a segment ending
+  on its grid).  The short final chunk is zero-padded into a full row
+  of the same group, so a clean message is one group, the clean
+  messages of a wave one store, and each plane one kernel call per row
+  group.  ``depacketize`` is its one-set call.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import accumulate, chain
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,13 +70,22 @@ from ..packet.header import (
     SPLIT_VIEW,
     GradientHeader,
     code_planes,
+    pack_runs,
 )
 from ..packet.packet import DEFAULT_MTU_BYTES, Packet
 from .codec import EncodedGradient, GradientCodec, codec_by_id
 from .layout import coords_per_packet
 from .metadata import GradientMetadata
 
-__all__ = ["GradientMessage", "packetize", "depacketize", "decode_packets"]
+__all__ = [
+    "GradientMessage",
+    "packetize",
+    "packetize_many",
+    "depacketize",
+    "depacketize_many",
+    "decode_packets",
+    "decode_message",
+]
 
 
 @dataclass
@@ -116,6 +135,10 @@ class GradientMessage:
         )
 
 
+#: One message to lay out: ``(encoded, src, dst, flow_id)``.
+Outgoing = Tuple[EncodedGradient, str, str, int]
+
+
 def packetize(
     enc: EncodedGradient,
     src: str = "",
@@ -127,106 +150,169 @@ def packetize(
 
     The first returned packet is the small reliable metadata packet
     (flagged so switches never trim it); the rest are trimmable data
-    packets in coordinate order.
+    packets in coordinate order.  A one-message :func:`packetize_many`.
     """
-    meta = enc.metadata
-    planes = code_planes(enc.codec_id, enc.head_bits, enc.tail_bits)
-    n_per_packet = coords_per_packet(mtu, enc.head_bits, enc.tail_bits)
-    num_chunks = -(-enc.length // n_per_packet)
-    full_chunks = max(num_chunks - 1, 0)  # the final chunk may be short
+    return packetize_many([(enc, src, dst, flow_id)], mtu)[0]
 
-    # When INT is enabled, every packet of this message carries a
-    # fixed-size telemetry band, and FLAG_INT is baked into the headers
-    # before they are serialized into the shared read-only buffer.
+
+def packetize_many(
+    messages: Sequence[Outgoing], mtu: int = DEFAULT_MTU_BYTES
+) -> List[List[Packet]]:
+    """Serialize several encoded gradients at once, one packet list each.
+
+    Every list is what :func:`packetize` makes of that message alone, and
+    the packets are made in the order sequential calls make them, so their
+    ids are the same.  Messages of one geometry (plane widths, packet
+    size, chunk count, final chunk) share one buffer: their full chunks are
+    the rows of one matrix and their final chunks the rows of another, so
+    the header block is one strided store and each plane one
+    :func:`~repro.packet.bitpack.pack_segments` call for all of them.  A
+    message too big for the wire format fails, typed, before anything is
+    packed.
+    """
+    # When INT is enabled, every packet carries a fixed-size telemetry
+    # band, and FLAG_INT is baked into the headers before they are
+    # serialized into the shared read-only buffer.
     capacity = int_capacity()
     int_flag = FLAG_INT if capacity is not None else 0
 
-    common = (enc.codec_id, enc.head_bits, enc.tail_bits, meta.message_id, meta.epoch)
+    batches: Dict[Tuple[Tuple[int, ...], int, int, int], List[int]] = {}
+    for at, (enc, *_) in enumerate(messages):
+        n_per_packet = coords_per_packet(mtu, enc.head_bits, enc.tail_bits)
+        num_chunks = -(-enc.length // n_per_packet)
+        full_chunks = max(num_chunks - 1, 0)  # the final chunk may be short
+        # The largest values any header of this message carries.
+        _header(enc, num_chunks, full_chunks * n_per_packet, n_per_packet, int_flag).check_fits()
+        planes = code_planes(enc.codec_id, enc.head_bits, enc.tail_bits)
+        last_count = enc.length - full_chunks * n_per_packet
+        batches.setdefault((planes, n_per_packet, full_chunks, last_count), []).append(at)
 
-    def header(chunk_index: int, coord_offset: int, coord_count: int, flags: int) -> GradientHeader:
-        return GradientHeader(*common, chunk_index, coord_offset, coord_count, meta.seed, 1, flags)
+    # Lay every payload out in one buffer a geometry; each packet's payload
+    # is a read-only zero-copy view into it (owned bytes only appear again
+    # when a switch trims — see Packet.cut).
+    slots: Dict[int, Tuple[memoryview, range, slice]] = {}
+    for (planes, n_per_packet, full_chunks, last_count), members in batches.items():
+        encs = [messages[at][0] for at in members]
+        sizes = [packed_size(n_per_packet, bits) for bits in planes]
+        last_sizes = [packed_size(last_count, bits) for bits in planes]
+        full_payload = GRADIENT_HEADER_BYTES + sum(sizes)
+        last_payload = GRADIENT_HEADER_BYTES + sum(last_sizes)
+        last_pos = full_payload * full_chunks * len(members)
+        buf = bytearray(last_pos + last_payload * len(members))
 
-    # The largest values any header of this message carries: a message too
-    # big for the wire format fails here, typed, before anything is packed.
-    header(num_chunks, full_chunks * n_per_packet, n_per_packet, int_flag).check_fits()
-
-    packets = [
-        Packet(
-            src=src,
-            dst=dst,
-            payload=header(0, 0, 0, FLAG_METADATA | int_flag).to_bytes() + meta.to_bytes(),
-            priority=1,
-            flow_id=flow_id,
-            int_ext=INTExtension(capacity) if capacity is not None else None,
+        # Every chunk but a message's last has the same geometry, so their
+        # payloads are the rows of a matrix over ``buf``, message after
+        # message; the final chunks may be short, so their payloads are the
+        # rows of a second matrix after it.  The header block is one strided
+        # store (plus two header columns) and each plane is packed, a row
+        # group at a time, straight into its columns of those rows (the
+        # final chunks ride in the last row group: see ``pack_segments``).
+        octets = np.frombuffer(buf, dtype=np.uint8)
+        rows = octets[:last_pos].reshape(-1, full_payload)
+        last_rows = octets[last_pos:].reshape(len(members), last_payload)
+        pack_runs(
+            [_header(enc, 1, 0, n_per_packet, int_flag) for enc in encs],
+            rows[:, :GRADIENT_HEADER_BYTES],
+            n_per_packet,
         )
-    ]
+        num_chunks = full_chunks + (last_count > 0)
+        for row, enc in enumerate(encs):
+            header = _header(enc, num_chunks, full_chunks * n_per_packet, last_count, int_flag)
+            header.pack_into(buf, last_pos + row * last_payload)
+        at, last_at = GRADIENT_HEADER_BYTES, GRADIENT_HEADER_BYTES
+        for values, bits, size, last_size in zip(
+            _stacked_planes(encs, planes), planes, sizes, last_sizes
+        ):
+            out = rows[:, at : at + size], last_rows[:, last_at : last_at + last_size]
+            pack_segments(values, bits, n_per_packet, out=out)
+            at, last_at = at + size, last_at + last_size
 
-    # Lay every payload out in a single contiguous message buffer; each
-    # packet's payload is a read-only zero-copy view into it (owned bytes
-    # only appear again when a switch trims — see Packet.cut).
-    sizes = [packed_size(n_per_packet, bits) for bits in planes]
-    last_count = enc.length - full_chunks * n_per_packet
-    last_sizes = [packed_size(last_count, bits) for bits in planes]
-    full_payload = GRADIENT_HEADER_BYTES + sum(sizes)
-    last_payload = GRADIENT_HEADER_BYTES + sum(last_sizes)
-    last_pos = full_payload * full_chunks
-    buf = bytearray(last_pos + last_payload)
-
-    # Every chunk but the last has the same geometry, so their payloads are
-    # the rows of a matrix over ``buf``; the last chunk may be short, so its
-    # payload follows them.  The header block is one strided store (plus two
-    # header columns) and each plane is packed, a row group at a time,
-    # straight into its columns of those rows and of the last payload
-    # (which rides in the last row group: see ``pack_segments``).
-    octets = np.frombuffer(buf, dtype=np.uint8)
-    rows = octets[:last_pos].reshape(full_chunks, full_payload)
-    last_row = octets[last_pos + GRADIENT_HEADER_BYTES :]
-    header(1, 0, n_per_packet, int_flag).pack_run(rows[:, :GRADIENT_HEADER_BYTES], n_per_packet)
-    header(num_chunks, full_chunks * n_per_packet, last_count, int_flag).pack_into(buf, last_pos)
-    at, last_at = GRADIENT_HEADER_BYTES, 0
-    for values, bits, size, last_size in zip(
-        (enc.heads, *_split(enc.tails, planes[1:])), planes, sizes, last_sizes
-    ):
-        out = rows[:, at : at + size], last_row[last_at : last_at + last_size]
-        pack_segments(values, bits, n_per_packet, out=out)
-        at, last_at = at + size, last_at + last_size
-
-    # One Packet a chunk, fields by position (src, dst, payload, priority,
-    # flow_id, seq): keyword construction is dearer.
-    views = memoryview(buf).toreadonly()
-    slots = enumerate(range(0, num_chunks * full_payload, full_payload), 1)
-    if capacity is None:
-        packets += [
-            Packet(src, dst, views[pos : pos + full_payload], 0, flow_id, seq)
-            for seq, pos in slots  # the last chunk's slice ends with buf
-        ]
-    else:
-        packets += [
-            Packet(
-                src,
-                dst,
-                views[pos : pos + full_payload],
-                0,
-                flow_id,
-                seq,
-                int_ext=INTExtension(capacity),
+        views = memoryview(buf).toreadonly()
+        span = full_chunks * full_payload
+        for row, at in enumerate(members):
+            last = last_pos + row * last_payload
+            slots[at] = (
+                views,
+                range(row * span, (row + 1) * span, full_payload),
+                slice(last, last + last_payload),
             )
-            for seq, pos in slots
-        ]
+
+    # One Packet a chunk after the metadata packet, fields by position
+    # (src, dst, payload, priority, flow_id, seq): keyword construction is
+    # dearer.
     tracer = get_tracer()
-    if tracer.enabled:
-        tracer.event(
-            "packetize",
-            message_id=meta.message_id,
-            epoch=meta.epoch,
-            coords=enc.length,
-            packets=len(packets),
-            bytes=sum(p.wire_size for p in packets),
-            src=src,
-            dst=dst,
-            flow_id=flow_id,
+    wires = []
+    for at, (enc, src, dst, flow_id) in enumerate(messages):
+        views, full, last = slots[at]
+        meta = enc.metadata
+        meta_header = _header(enc, 0, 0, 0, FLAG_METADATA | int_flag)
+        packets = [
+            Packet(
+                src=src,
+                dst=dst,
+                payload=meta_header.to_bytes() + meta.to_bytes(),
+                priority=1,
+                flow_id=flow_id,
+                int_ext=INTExtension(capacity) if capacity is not None else None,
+            )
+        ]
+        payloads = chain(
+            (views[pos : pos + full.step] for pos in full), (views[last],) if enc.length else ()
         )
-    return packets
+        if capacity is None:
+            packets += [
+                Packet(src, dst, payload, 0, flow_id, seq)
+                for seq, payload in enumerate(payloads, 1)
+            ]
+        else:
+            packets += [
+                Packet(src, dst, payload, 0, flow_id, seq, int_ext=INTExtension(capacity))
+                for seq, payload in enumerate(payloads, 1)
+            ]
+        if tracer.enabled:
+            tracer.event(
+                "packetize",
+                message_id=meta.message_id,
+                epoch=meta.epoch,
+                coords=enc.length,
+                packets=len(packets),
+                bytes=sum(p.wire_size for p in packets),
+                src=src,
+                dst=dst,
+                flow_id=flow_id,
+            )
+        wires.append(packets)
+    return wires
+
+
+def _header(
+    enc: EncodedGradient, chunk_index: int, coord_offset: int, coord_count: int, flags: int
+) -> GradientHeader:
+    """The gradient header of one of ``enc``'s packets."""
+    meta = enc.metadata
+    return GradientHeader(
+        enc.codec_id,
+        enc.head_bits,
+        enc.tail_bits,
+        meta.message_id,
+        meta.epoch,
+        chunk_index,
+        coord_offset,
+        coord_count,
+        meta.seed,
+        1,
+        flags,
+    )
+
+
+def _stacked_planes(
+    encs: Sequence[EncodedGradient], planes: Tuple[int, ...]
+) -> Iterator[np.ndarray]:
+    """Each plane of ``encs`` (messages of one geometry) as a ``(messages,
+    length)`` matrix, the heads first: one message's is a view of it."""
+    per_message = [(enc.heads, *_split(enc.tails, planes[1:])) for enc in encs]
+    for plane in zip(*per_message):
+        yield plane[0][np.newaxis] if len(plane) == 1 else np.stack(plane)
 
 
 def _split(tails: np.ndarray, widths: Sequence[int]) -> List[np.ndarray]:
@@ -264,124 +350,226 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
     a payload is not exactly as long as its header's ``coord_count`` and
     arrived depth make it.  Of the first five, the first offending
     packet in arrival order is named; of the rest, the first in the order
-    the packets' geometries first arrived.
+    the packets' geometries first arrived.  A one-set
+    :func:`depacketize_many`.
     """
-    payloads = [pkt.payload for pkt in packets]
-    if not payloads:
-        raise ValueError("no gradient packets to depacketize")
-    first = payloads[0]
-    if len(first) < GRADIENT_HEADER_BYTES:
-        raise _short(first)
-    magic, _, _, codec_id, head_bits, tail_bits = HEADER_VIEW.unpack_from(first)[:6]
-    if magic != MAGIC:
-        GradientHeader.from_bytes(first)  # refuses it, naming the magic
-    planes = code_planes(codec_id, head_bits, tail_bits)
-    cuts = tuple(accumulate(planes))  # the planes' boundaries, the last the full depth
-    full = cuts[-1]
+    return depacketize_many([packets], [length])[0]
+
+
+def depacketize_many(
+    sets: Sequence[Iterable[Packet]], lengths: Optional[Sequence[Optional[int]]] = None
+) -> List[GradientMessage]:
+    """Reassemble several received sets at once, one message each.
+
+    Each set is read as :func:`depacketize` reads it alone (``lengths[i]``
+    is its ``length``); when a set is one that :func:`depacketize`
+    refuses, this raises the ``ValueError`` it raises alone, for the first
+    such set in order.  The sets' headers are joined once and read as one
+    array, each packet's identity checked against the packet before it in
+    its set; one stable sort groups every set's packets by geometry; and
+    the groups of one code and geometry across all sets fill one store,
+    unpacked a row group at a time into per-set views of shared planes:
+    the clean messages of a cluster wave are one
+    :func:`~repro.packet.bitpack.unpack_batch` call per plane.
+    """
+    payload_sets = [[pkt.payload for pkt in packets] for packets in sets]
+    if not payload_sets:
+        return []
+    if lengths is None:
+        lengths = [None] * len(payload_sets)
+    # Each set's code, as its first header names it.  ``live`` sets are
+    # read on: those before the first one found to fail (``failure``).
+    named: List[Tuple[int, Tuple[int, ...]]] = []
+    failure: Optional[ValueError] = None
+    for payloads in payload_sets:
+        try:
+            named.append(_named_code(payloads))
+        except ValueError as error:
+            failure = error
+            break
+    live = len(named)
+    if failure is not None and not live:
+        raise failure
+    payloads = payload_sets[0] if live == 1 else [p for ps in payload_sets[:live] for p in ps]
+    bounds = list(accumulate([0] + [len(ps) for ps in payload_sets[:live]]))
+    counts = [len(ps) for ps in payload_sets[:live]]
+    cuts_of = [tuple(accumulate(planes)) for _, planes in named]
 
     # The headers joined once are one record array, and the same bytes are
-    # four 64-bit words a header: every check below is a column op.  They
-    # are read up to the first payload too short for one.
+    # four 64-bit words a header: every check below is a column op.  A
+    # payload too short for a header reads as zeros and ends what is read
+    # of its set (``readable``): that set fails.
     joined = b"".join([payload[:GRADIENT_HEADER_BYTES] for payload in payloads])
     sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
-    short = None
+    readable = bounds[1:]
     if len(joined) < GRADIENT_HEADER_BYTES * len(payloads):
-        readable = int((sizes < GRADIENT_HEADER_BYTES).argmax())
-        short, payloads, sizes = payloads[readable], payloads[:readable], sizes[:readable]
-        joined = joined[: GRADIENT_HEADER_BYTES * readable]
+        for at in (sizes < GRADIENT_HEADER_BYTES).nonzero()[0].tolist():
+            s = bisect_right(bounds, at) - 1
+            readable[s] = min(readable[s], at)
+        joined = b"".join(
+            [bytes(payload[:GRADIENT_HEADER_BYTES]).ljust(GRADIENT_HEADER_BYTES, b"\0")
+             for payload in payloads]
+        )
     records = np.frombuffer(joined, dtype=SET_VIEW)
     words = np.frombuffer(joined, dtype="<u8").reshape(-1, 4)
-    # A packet of this message has the first one's identity bytes, and its
-    # head / tail split is at a plane boundary of the code: for a code of
-    # two planes, the first packet's split, which then counts as identity.
-    # One word column at a time (the third holds no identity).
-    layered = len(planes) > 2
+    # A packet of a set's message has its first packet's identity bytes,
+    # and its head / tail split is at a plane boundary of the code: for a
+    # code of two planes, the first packet's split, which then counts as
+    # identity.  One word column at a time (the third holds no identity).
+    layered = [len(planes) > 2 for _, planes in named]
+    # Each set's first header, one a packet (its word columns: ``firsts.T``).
+    firsts = words[bounds[:live]]
+    firsts = firsts[0] if live == 1 else np.repeat(firsts, counts, axis=0)
     strange = np.zeros(len(payloads), dtype=bool)
-    for word, bits in enumerate(_IDENTITY_BITS if layered else _IDENTITY_AND_SPLIT_BITS):
-        if bits:
-            strange |= (words[:, word] ^ words[0, word]) & bits != 0
-    if layered:
+    for word, bits in enumerate(_IDENTITY_AND_SPLIT_BITS):
+        if not bits:
+            continue
+        if word == 0:
+            bits = _per_row([_IDENTITY_BITS[0] if lay else bits for lay in layered], counts)
+        strange |= (words[:, word] ^ firsts.T[word]) & bits != 0
+    if any(layered):
         split = words[:, 0] >> np.uint64(8 * HEAD_BITS_AT)
-        off_boundary = split != _split_bits(cuts[0], full - cuts[0])
-        for cut in cuts[1:-1]:
-            off_boundary &= split != _split_bits(cut, full - cut)
-        strange |= off_boundary
+        for cuts in dict.fromkeys(cuts for cuts in cuts_of if len(cuts) > 2):
+            off_boundary = split != _split_bits(cuts[0], cuts[-1] - cuts[0])
+            for cut in cuts[1:-1]:
+                off_boundary &= split != _split_bits(cut, cuts[-1] - cut)
+            members = _per_row([code == cuts for code in cuts_of], counts)
+            strange |= off_boundary if members is True else off_boundary & members
+    strangers = _firsts(strange, bounds)
     flags = records["flags"]
     metas = (flags & FLAG_METADATA).nonzero()[0].tolist()
-    meta_payload = payloads[metas[0]] if metas else None
-    # The first packet that is not of this message, then the first
+    first_meta: Dict[int, int] = {}  # set -> its first metadata packet
+    twins: Dict[int, int] = {}  # set -> its first metadata packet unlike that one
+    s = 0
+    for at in metas:
+        while at >= bounds[s + 1]:
+            s += 1
+        if at >= readable[s]:
+            continue
+        if s not in first_meta:
+            first_meta[s] = at
+        elif s not in twins and payloads[at] != payloads[first_meta[s]]:
+            twins[s] = at
+    # Per set: the first packet that is not of its message, then the first
     # metadata packet unlike the first one, then the short payload.
-    stranger = int(strange.argmax()) if np.count_nonzero(strange) else len(payloads)
-    twin = next((at for at in metas if payloads[at] != meta_payload), len(payloads))
-    if stranger < len(payloads) and stranger <= twin:
-        raise _stranger(first, payloads[stranger], cuts)
-    if twin < len(payloads):
-        raise ValueError("two different metadata packets in one message")
-    if short is not None:
-        raise _short(short)
-    metadata = None
-    if meta_payload is not None:
-        metadata = GradientMetadata.from_bytes(meta_payload[GRADIENT_HEADER_BYTES:])
+    metadata: List[Optional[GradientMetadata]] = []
+    for s in range(live):
+        end, stranger = readable[s], strangers[s]
+        twin = twins.get(s, end)
+        try:
+            if stranger < end and stranger <= twin:
+                raise _stranger(payloads[bounds[s]], payloads[stranger], cuts_of[s])
+            if twin < end:
+                raise ValueError("two different metadata packets in one message")
+            if end < bounds[s + 1]:
+                raise _short(payloads[end])
+            meta_payload = payloads[first_meta[s]] if s in first_meta else None
+            metadata.append(
+                None
+                if meta_payload is None
+                else GradientMetadata.from_bytes(meta_payload[GRADIENT_HEADER_BYTES:])
+            )
+        except ValueError as error:
+            live, failure = s, error
+            break
+    if failure is not None and not live:
+        raise failure
+    rows = bounds[live]
+    records, sizes = records[:rows], sizes[:rows]
 
-    # Data packets in groups of one (coord_count, arrived depth, whether
-    # the packet starts where its chunk index puts it on the grid of its
-    # own coord_count — every packet but a message's final chunk does),
-    # the groups in the order their first packet arrived and each's
+    # Data packets in groups of one set, coord_count, arrived depth and
+    # whether the packet starts where its chunk index puts it on the grid
+    # of its own coord_count (every packet but a message's final chunk
+    # does), the groups in the order their first packet arrived and each's
     # packets in arrival order: one stable sort of a key a packet, the
-    # metadata packets' lowest (and dropped).
+    # metadata packets' lowest in their set (and dropped).
     lo = records["coord_offset"].astype(np.int64)
     count = records["coord_count"].astype(np.int64)
     chunk = records["chunk_index"].astype(np.int64)
     end = lo + count
     # A cut packet arrived at its head bits, any other at the full depth
     # (FLAG_TRIMMED is bit 0, so the flag is the factor).
-    arrived = full - (full - records["head_bits"].astype(np.int64)) * (flags & FLAG_TRIMMED)
+    full = _per_row([cuts[-1] for cuts in cuts_of[:live]], counts[:live])
+    arrived = full - (full - records["head_bits"].astype(np.int64)) * (flags[:rows] & FLAG_TRIMMED)
     key = count << 18 | arrived << 1 | (end == chunk * count)
-    key[metas] = -1
-    order = key.argsort(kind="stable")
+    key[[at for at in metas if at < rows]] = -1
+    if live == 1:
+        order = key.argsort(kind="stable")
+    else:
+        order = np.lexsort((key, np.repeat(np.arange(live), counts[:live])))
     ranked = key[order]
-    starts = [0, *((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()]
+    edges = ranked[1:] != ranked[:-1]
+    edges[[at - 1 for at in bounds[1:live]]] = True
+    starts = [0, *(edges.nonzero()[0] + 1).tolist()]
     spans = sorted(
-        zip(order[starts].tolist(), ranked[starts].tolist(), starts, starts[1:] + [len(order)])
+        zip(order[starts].tolist(), ranked[starts].tolist(), starts, starts[1:] + [rows])
     )
-    # (coord_count, depth, in place, the group's slice of ``order``)
-    groups = [
-        (k >> 18, k >> 1 & 0x1FFFF, bool(k & 1), slice(start, stop))
-        for _, k, start, stop in spans
-        if k >= 0
-    ]
+    # (set, coord_count, depth, in place, the group's slice of ``order``)
+    groups: List[Tuple[int, int, int, bool, slice]] = []
+    s = 0
+    for first, k, start, stop in spans:
+        while first >= bounds[s + 1]:
+            s += 1
+        if k >= 0:
+            groups.append((s, k >> 18, k >> 1 & 0x1FFFF, bool(k & 1), slice(start, stop)))
     # What the groups' checks read, in that order: a group's is a slice.
     lo_by, end_by, sizes_by = lo[order], end[order], sizes[order]
-    if length is None:
-        length = metadata.encoded_length if metadata is not None else int(end.max())
 
     # A full packet's coord_count: the message's grid.  Its full packets
     # are in place; the rest must tile the message with them.
-    n = max((width for width, _, placed, _ in groups if placed), default=0)
-    if metadata is not None:
-        rest = [at for width, _, placed, at in groups if not (placed and width == n and n)]
-        if rest:
-            off = order[rest[0]] if len(rest) == 1 else np.concatenate([order[at] for at in rest])
-            check_grid(n, lo[off], chunk[off], count[off], length)
+    grid = [0] * live
+    for s, width, _, placed, _ in groups:
+        if placed and width > grid[s]:
+            grid[s] = width
+    length_of = [
+        given
+        if given is not None
+        else meta.encoded_length
+        if meta is not None
+        else int(end[bounds[s] : bounds[s + 1]].max())
+        for s, (given, meta) in enumerate(zip(lengths, metadata))
+    ]
+    rest = [
+        (s, at)
+        for s, width, _, placed, at in groups
+        if metadata[s] is not None and not (placed and width == grid[s] and grid[s])
+    ]
+    if rest:
+        off_grid = _grid_failure(rest, order, grid, lo, chunk, count, length_of)
+        if off_grid is not None:
+            live, failure = off_grid
 
-    # Each group checked against the message, then filed by store: a short
+    # Each group checked against its message, then filed by store: a short
     # packet that starts on the grid and ends the message (the final
     # chunk) is widened to a zero-padded full row and joins the full
-    # packets of its depth, so a clean message is one store; its padding
-    # lands past ``length``.
-    stores: Dict[Tuple[int, int, bool], Tuple[List[np.ndarray], List[Payload]]] = {}
-    for width, depth, placed, at in groups:
-        ends = _plane_ends(planes, cuts, width, depth)
-        if end_by[at].max() > length:
-            top = int(lo_by[at].max())
-            raise ValueError(f"packet covers coords [{top},{top + width}) beyond length {length}")
-        wrong = sizes_by[at] != ends[-1]
-        if np.count_nonzero(wrong):
-            raise ValueError(
-                f"need {ends[-1] - GRADIENT_HEADER_BYTES} payload bytes for {width} coords "
-                f"({'+'.join(map(str, planes[: len(ends) - 1]))} bits), "
-                f"got {max(int(sizes_by[at][wrong].min()) - GRADIENT_HEADER_BYTES, 0)}"
-            )
+    # packets of its depth, so a clean message is one store, and so are
+    # the clean messages of one code and geometry.  A set keeps the order
+    # of its stores of one depth (their ``rank``).
+    bases = list(accumulate([0] + [_segment(length_of[s], grid[s]) for s in range(live - 1)]))
+    stores: Dict[Tuple[Any, ...], Tuple[List[np.ndarray], List[Payload], List[int]]] = {}
+    ranks: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
+    for s, width, depth, placed, at in groups:
+        if s >= live:
+            break
+        planes, cuts, length = named[s][1], cuts_of[s], length_of[s]
+        try:
+            ends = _plane_ends(planes, cuts, width, depth)
+            if end_by[at].max() > length:
+                top = int(lo_by[at].max())
+                raise ValueError(
+                    f"packet covers coords [{top},{top + width}) beyond length {length}"
+                )
+            wrong = sizes_by[at] != ends[-1]
+            if np.count_nonzero(wrong):
+                raise ValueError(
+                    f"need {ends[-1] - GRADIENT_HEADER_BYTES} payload bytes for {width} coords "
+                    f"({'+'.join(map(str, planes[: len(ends) - 1]))} bits), "
+                    f"got {max(int(sizes_by[at][wrong].min()) - GRADIENT_HEADER_BYTES, 0)}"
+                )
+        except ValueError as error:
+            live, failure = s, error
+            break
+        n = grid[s]
         store = (width, depth, placed)
         kept: List[Payload] = list(map(payloads.__getitem__, order[at].tolist()))
         # With the metadata packet, check_grid has already seen to both.
@@ -389,33 +577,44 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
             not placed
             and 0 < width < n
             and (
-                metadata is not None
+                metadata[s] is not None
                 or not (lo_by[at] % n).any() and (end_by[at] == length).all()
             )
         ):
             store = (n, depth, True)
             wide = _plane_ends(planes, cuts, n, depth)
             kept = [_widen(payload, ends, wide) for payload in kept]
-        offsets, stored = stores.setdefault(store, ([], []))
-        offsets.append(lo_by[at])
+        rank = ranks.setdefault((s, depth), [])
+        if store not in rank:
+            rank.append(store)
+        filed = (planes, rank.index(store), *store)
+        offsets, stored, members = stores.setdefault(filed, ([], [], []))
+        offsets.append(lo_by[at] + bases[s] if bases[s] else lo_by[at])
         stored.extend(kept)
+        members.append(s)
+    if failure is not None:
+        raise failure
 
-    size = length + n  # room for a widened final row
-    heads, tails = codes = np.zeros((2, size), dtype=np.uint32)
+    # The sets' planes one after another, each set's segment ending on its
+    # grid (the last one's with room for a widened final row), so the rows
+    # of a store run on from one set into the next.
+    size = bases[-1] + length_of[-1] + grid[-1]
+    heads, tails = planes_of = np.zeros((2, size), dtype=np.uint32)
     trimmed, covered = masks = np.zeros((2, size), dtype=bool)
     # Only a code of more than two planes has depths the masks cannot say.
-    depth_plane = np.zeros(size, dtype=np.uint8) if layered else None
+    depth_plane = np.zeros(size, dtype=np.uint8) if any(layered[:live]) else None
 
     # Invert each store's packed planes, shallowest depth first, so that of
     # two copies of a coordinate the deepest is kept whatever their order.
     cut = False
-    for (width, depth, placed), (offsets, kept) in sorted(
-        stores.items(), key=lambda store: store[0][1]
+    for (planes, _, width, depth, placed), (offsets, kept, members) in sorted(
+        stores.items(), key=lambda store: (store[0][3], store[0][1])
     ):
         los = offsets[0] if len(offsets) == 1 else np.concatenate(offsets)
-        ends = _plane_ends(planes, cuts, width, depth)
+        ends = _plane_ends(planes, tuple(accumulate(planes)), width, depth)
         has_tails = len(ends) > 2
-        if placed and width:
+        in_rows = placed and width and all(bases[s] % width == 0 for s in members)
+        if in_rows:
             # Packets where their chunk index puts them on their own
             # coord_count grid: view the planes as rows of `width`
             # coordinates and store whole rows, in row order; of two copies
@@ -427,10 +626,10 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
                 last = np.append(index[1:] != index[:-1], True)
                 index = index[last]
                 kept = list(map(kept.__getitem__, pick[last].tolist()))
-            grid = size - size % width
-            head_rows, tail_rows = codes[:, :grid].reshape(2, -1, width)
-            trimmed_rows, covered_rows = masks[:, :grid].reshape(2, -1, width)
-            depth_rows = None if depth_plane is None else depth_plane[:grid].reshape(-1, width)
+            rows = size - size % width
+            head_rows, tail_rows = planes_of[:, :rows].reshape(2, -1, width)
+            trimmed_rows, covered_rows = masks[:, :rows].reshape(2, -1, width)
+            depth_rows = None if depth_plane is None else depth_plane[:rows].reshape(-1, width)
         else:
             # Hand-built packets: one index per coordinate.
             index = np.add.outer(los, np.arange(width))
@@ -438,7 +637,7 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
                 heads, tails, trimmed, covered, depth_plane
             )
         covered_rows[index] = True
-        if depth != full:
+        if depth != sum(planes):
             trimmed_rows[index] = cut = True
         elif cut:  # a full copy of a coordinate a shallower store marked trimmed
             trimmed_rows[index] = False
@@ -453,7 +652,7 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
             batch = kept[start : start + ROW_GROUP]
             matrix = np.frombuffer(b"".join(batch), dtype=np.uint8).reshape(len(batch), ends[-1])
             head_cols = matrix[:, ends[0] : ends[1]]
-            if placed and width and into[-1] - into[0] == len(into) - 1:
+            if in_rows and into[-1] - into[0] == len(into) - 1:
                 run = slice(int(into[0]), int(into[-1]) + 1)
                 unpack_batch(head_cols, width, planes[0], out=head_rows[run])
                 if has_tails:
@@ -463,22 +662,95 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
                 if has_tails:
                     tail_rows[into] = _unpack_tails(matrix, ends, width, planes)
 
-    heads, tails = codes[:, :length]
-    trimmed, covered = masks[:, :length]
-    if depth_plane is not None:
-        depth_plane = depth_plane[:length]
-    return GradientMessage(
-        heads=heads,
-        tails=tails,
-        trimmed=trimmed,
-        missing=~covered,
-        metadata=metadata,
-        codec_id=codec_id,
-        head_bits=planes[0],
-        tail_bits=full - planes[0],
-        length=length,
-        depth=depth_plane,
-    )
+    missing = ~covered[: bases[-1] + length_of[-1]]
+    messages = []
+    for (codec_id, planes), base, length, meta in zip(named, bases, length_of, metadata):
+        span = slice(base, base + length)
+        messages.append(
+            GradientMessage(
+                heads=heads[span],
+                tails=tails[span],
+                trimmed=trimmed[span],
+                missing=missing[span],
+                metadata=meta,
+                codec_id=codec_id,
+                head_bits=planes[0],
+                tail_bits=sum(planes) - planes[0],
+                length=length,
+                depth=None if depth_plane is None or len(planes) == 2 else depth_plane[span],
+            )
+        )
+    return messages
+
+
+def _named_code(payloads: List[Payload]) -> Tuple[int, Tuple[int, ...]]:
+    """A set's codec id and plane widths, as its first header names them."""
+    if not payloads:
+        raise ValueError("no gradient packets to depacketize")
+    first = payloads[0]
+    if len(first) < GRADIENT_HEADER_BYTES:
+        raise _short(first)
+    magic, _, _, codec_id, head_bits, tail_bits = HEADER_VIEW.unpack_from(first)[:6]
+    if magic != MAGIC:
+        GradientHeader.from_bytes(first)  # refuses it, naming the magic
+    return codec_id, code_planes(codec_id, head_bits, tail_bits)
+
+
+def _per_row(values: List[Any], counts: Sequence[int]) -> Any:
+    """``values``, one a set, as one a packet of sets of ``counts``
+    packets: the value itself when every set has the same."""
+    if all(value == values[0] for value in values):
+        return values[0]
+    return np.repeat(np.asarray(values), counts)
+
+
+def _firsts(mask: np.ndarray, bounds: List[int]) -> List[int]:
+    """The first row of each set (rows ``bounds[s]:bounds[s + 1]``) where
+    ``mask`` holds, or the set's end."""
+    if not np.count_nonzero(mask):
+        return bounds[1:]
+    hits = mask.nonzero()[0]
+    at = np.searchsorted(hits, bounds[:-1]).tolist()
+    return [
+        int(hits[i]) if i < hits.size and hits[i] < end else end for i, end in zip(at, bounds[1:])
+    ]
+
+
+def _segment(length: int, grid: int) -> int:
+    """A set's share of the shared planes: its ``length`` rounded up to its
+    ``grid`` (a widened final row ends there)."""
+    return -(-length // grid) * grid if grid else length
+
+
+def _grid_failure(
+    rest: List[Tuple[int, slice]],
+    order: np.ndarray,
+    grid: List[int],
+    lo: np.ndarray,
+    chunk: np.ndarray,
+    count: np.ndarray,
+    length_of: List[int],
+) -> Optional[Tuple[int, ValueError]]:
+    """The first set with a data packet off its message's grid, and the
+    error for it: :func:`check_grid` over each set's packets ``rest`` (in
+    group order, the groups' slices of ``order``), those of every set with
+    a known grid at once."""
+    by_set: Dict[int, List[slice]] = {}
+    for s, at in rest:
+        by_set.setdefault(s, []).append(at)
+    known = [s for s in by_set if grid[s]]
+    failures = []
+    for sets in ([known] if known else []) + [[s] for s in by_set if not grid[s]]:
+        runs = [order[at] for s in sets for at in by_set[s]]
+        off = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        sizes = [sum(at.stop - at.start for at in by_set[s]) for s in sets]
+        n = _per_row([grid[s] for s in sets], sizes)
+        length = _per_row([length_of[s] for s in sets], sizes)
+        error = check_grid(n, lo[off], chunk[off], count[off], length)
+        if error is not None:
+            at, message = error
+            failures.append((sets[bisect_right(list(accumulate(sizes)), at)], message))
+    return min(failures, key=lambda failure: failure[0]) if failures else None
 
 
 @lru_cache(maxsize=64)
@@ -557,9 +829,9 @@ Payload = Union[bytes, memoryview]
 
 
 def check_grid(
-    n: int, lo: np.ndarray, chunk: np.ndarray, count: np.ndarray, length: int
-) -> None:
-    """Raise ``ValueError`` unless the data packets tile one message's grid.
+    n: Any, lo: np.ndarray, chunk: np.ndarray, count: np.ndarray, length: Any
+) -> Optional[Tuple[int, ValueError]]:
+    """The first data packet off one message's grid, and the error for it.
 
     ``packetize`` gives chunk ``k`` the coordinates ``[(k - 1)·n,
     min(k·n, length))``, ``n`` being a full packet's: every packet but the
@@ -568,21 +840,29 @@ def check_grid(
     in flight breaks this even where its payload's length still fits it.
     ``lo``, ``chunk`` and ``count`` are the ``coord_offset``,
     ``chunk_index`` and ``coord_count`` of the data packets that are not
-    such full packets, and the first of them off the grid is named.  When
-    no packet is in place (``n`` is 0), only copies of the final chunk
-    arrived and the grid is unknown: the copies need only agree.
+    such full packets, and the position of the first of them off the grid
+    is returned (None when all are on it).  When no packet is in place
+    (``n`` is 0), only copies of the final chunk arrived and the grid is
+    unknown: the copies need only agree.  ``n`` and ``length`` may also
+    hold one value a packet, for the packets of several messages one after
+    another, none of them with an unknown grid.
     """
-    if n:
+    if isinstance(n, np.ndarray) or n:
         off = lo != (chunk - 1) * n
     else:
         off = (lo != lo[0]) | (chunk != chunk[0])
-    off = (off | (lo + count != length)).nonzero()[0]
-    if off.size:
-        at = off[0]
-        raise ValueError(
-            f"data packet {chunk[at]} covers coords [{lo[at]},{lo[at] + count[at]}), off the "
-            f"message's grid of {n or count[at]}-coordinate packets over {length}"
-        )
+    found = (off | (lo + count != length)).nonzero()[0]
+    if not found.size:
+        return None
+    at = int(found[0])
+    if isinstance(n, np.ndarray):
+        n = n[at]
+    if isinstance(length, np.ndarray):
+        length = length[at]
+    return at, ValueError(
+        f"data packet {chunk[at]} covers coords [{lo[at]},{lo[at] + count[at]}), off the "
+        f"message's grid of {n or count[at]}-coordinate packets over {length}"
+    )
 
 
 def _disagreement(first: Payload, other: Payload) -> ValueError:
@@ -628,7 +908,20 @@ def decode_packets(
     When ``codec`` is omitted it is instantiated from the wire codec id.
     """
     start = time.perf_counter()
-    message = depacketize(packets, length=length)
+    return decode_message(depacketize(packets, length=length), packets, codec, start)
+
+
+def decode_message(
+    message: GradientMessage,
+    packets: Sequence[Packet],
+    codec: Optional[GradientCodec] = None,
+    start: Optional[float] = None,
+) -> np.ndarray:
+    """Codec-decode ``message``, what :func:`depacketize_many` made of
+    ``packets``: the rest of :func:`decode_packets` for a set read with
+    others.  ``start`` is when the receive path began (now by default)."""
+    if start is None:
+        start = time.perf_counter()
     if codec is None:
         codec = codec_by_id(message.codec_id)
     enc = message.to_encoded()

@@ -23,7 +23,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..core import RHTCodec, decode_packets, nmse, packetize
+from ..core import RHTCodec, decode_message, depacketize_many, nmse, packetize_many
+from ..core.packetizer import Outgoing
 from ..net import Host, Network, dumbbell
 from ..packet.packet import Packet
 from ..transforms.prng import shared_generator
@@ -161,32 +162,29 @@ def run_scenario(
 
     codec = RHTCodec(root_seed=seed)
     originals: Dict[int, np.ndarray] = {}
-    transfers: Dict[int, Transfer] = {}
+    outgoing: List[Outgoing] = []
     for pair in range(scenario.pairs):
-        tx_name, rx_name = f"tx{pair}", f"rx{pair}"
         flow = FLOW_BASE + pair
-        sender = _SENDERS[transport](net.hosts[tx_name], flow)
-        if scenario.max_retries is not None:
-            sender.max_retries = scenario.max_retries
         grad = shared_generator(
             seed, epoch=0, message_id=flow, purpose="data"
         ).standard_normal(scenario.coords).astype(np.float32)
         originals[flow] = grad
-        packets = packetize(
-            codec.encode(grad, message_id=flow),
-            src=tx_name,
-            dst=rx_name,
-            flow_id=flow,
-        )
+        outgoing.append((codec.encode(grad, message_id=flow), f"tx{pair}", f"rx{pair}", flow))
+    transfers: Dict[int, Transfer] = {}
+    for (_, tx_name, _, flow), packets in zip(outgoing, packetize_many(outgoing)):
+        sender = _SENDERS[transport](net.hosts[tx_name], flow)
+        if scenario.max_retries is not None:
+            sender.max_retries = scenario.max_retries
         transfers[flow] = Transfer(net, sender, packets)
         transfers[flow].start()
 
     net.sim.run(until=scenario.duration_s, max_events=max_events)
 
+    delivered = [(flow, t.wire) for flow, t in transfers.items() if t.wire is not None]
+    received = depacketize_many([wire for _, wire in delivered])
     decode_err = {
-        flow: float(nmse(originals[flow], decode_packets(t.wire, codec=codec)))
-        for flow, t in transfers.items()
-        if t.wire is not None
+        flow: float(nmse(originals[flow], decode_message(message, wire, codec=codec)))
+        for (flow, wire), message in zip(delivered, received)
     }
 
     return ScenarioRun(

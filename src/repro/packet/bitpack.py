@@ -96,11 +96,12 @@ def _pack_rows(
     Fills (and returns) ``out``, a ``(rows, packed_size(count, bits))``
     uint8 matrix of any strides — a fresh one when omitted — ``ROW_GROUP``
     rows at a time; each row is byte-aligned independently (trailing pad
-    bits are zero).  ``short``, a pair ``(values, out)`` of 1-D arrays, is
-    one more row of fewer than ``count`` values packed into its own
-    ``packed_size(len(values), bits)`` bytes: it rides in the last row
-    group, zero-padded to ``count`` (whose packed bytes start with its
-    own), so a message's short final packet costs no call of its own.
+    bits are zero).  ``short``, a pair ``(values, out)`` of 2-D arrays, is
+    more rows of fewer than ``count`` values each, packed into their own
+    ``packed_size(values.shape[1], bits)`` bytes: they ride in the last
+    row group, zero-padded to ``count`` (whose packed bytes start with
+    their own), so the short final packets of a message, or of a wave's
+    messages, cost no call of their own.
     """
     rows, count = values.shape
     if out is None:
@@ -113,12 +114,12 @@ def _pack_rows(
         packed = out[start : start + ROW_GROUP]
         if short is not None and start == starts[-1]:
             short_values, short_out = short
-            staged = np.zeros((len(group) + 1, count), dtype=values.dtype)
-            staged[:-1] = group
-            staged[-1, : short_values.size] = short_values
+            staged = np.zeros((len(group) + len(short_values), count), dtype=values.dtype)
+            staged[: len(group)] = group
+            staged[len(group) :, : short_values.shape[1]] = short_values
             wide = _pack_group(staged, bits)
-            packed[...] = wide[:-1]
-            short_out[...] = wide[-1, : short_out.size]
+            packed[...] = wide[: len(group)]
+            short_out[...] = wide[len(group) :, : short_out.shape[1]]
         else:
             _pack_group(group, bits, packed)
     return out
@@ -383,6 +384,13 @@ def pack_segments(
     ``packetize`` passes the columns of its message buffer.  The returned
     ``buffer`` is then empty.  Nothing is written if a value is out of
     range or a destination has the wrong shape.
+
+    ``values`` may also be a ``(messages, length)`` matrix, one message's
+    plane a row, all cut into the same segments; ``out`` is then required:
+    ``full`` takes every message's full segments, the first message's
+    first, and ``last`` is a ``(messages, bytes)`` matrix of their final
+    segments (``packetize_many`` packs a wave's messages of one geometry
+    this way, one row-kernel call per row group for all of them).
     """
     _check_bits(bits)
     if segment_len <= 0:
@@ -392,22 +400,30 @@ def pack_segments(
     # where a negative value turns into one that fails the range check.
     if not (isinstance(values, np.ndarray) and values.dtype.kind == "u"):
         values = np.asarray(values, dtype=np.uint64)
-    values = values.reshape(-1)
-    _check_range(values, bits)
-    total = values.size
+    stacked = values.ndim == 2
+    if stacked and out is None:
+        raise ValueError("a (messages, length) matrix of planes needs out=")
+    planes = values if stacked else values.reshape(1, -1)
+    _check_range(planes, bits)
+    messages, total = planes.shape
     packed = None
     if total:
         full_segments = (total - 1) // segment_len  # the final segment may be short
         split = full_segments * segment_len
         seg_bytes = packed_size(segment_len, bits)
-        shapes = ((full_segments, seg_bytes), (packed_size(total - split, bits),))
+        last_bytes = packed_size(total - split, bits)
+        shapes = (
+            (messages * full_segments, seg_bytes),
+            (messages, last_bytes) if stacked else (last_bytes,),
+        )
         if out is None:
             packed = np.zeros((full_segments + 1, seg_bytes), dtype=np.uint8)
-            out = packed[:-1], packed[-1, : shapes[1][0]]
+            out = packed[:-1], packed[-1, :last_bytes]
         full, last = out
         if (full.shape, last.shape) != shapes:
             raise ValueError(f"out must have shapes {shapes}, got {(full.shape, last.shape)}")
-        _pack_rows(values[:split].reshape(-1, segment_len), bits, full, (values[split:], last))
+        short = planes[:, split:], last if stacked else last[np.newaxis]
+        _pack_rows(planes[:, :split].reshape(-1, segment_len), bits, full, short)
     buffer = b"" if packed is None else packed.tobytes()
     return PackedSegments(buffer=buffer, bits=bits, segment_len=segment_len, total=total)
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "CODE_PLANES",
     "GradientHeader",
     "code_planes",
+    "pack_runs",
 ]
 
 ETHERNET_HEADER_BYTES = 14
@@ -211,24 +212,6 @@ class GradientHeader:
             self.seed,
         )
 
-    def pack_run(self, out: np.ndarray, coord_step: int) -> None:
-        """Serialize a run of consecutive headers into the rows of ``out``.
-
-        ``out`` is a writable ``(n, 32)`` uint8 view (any row stride); row
-        ``i`` receives this header with ``chunk_index + i`` and
-        ``coord_offset + i * coord_step``: one template store and two
-        big-endian column stores instead of ``n`` ``pack_into`` calls.  The
-        caller has asked :meth:`check_fits` of the last header of the run.
-        """
-        n = len(out)
-        chunks = np.arange(self.chunk_index, self.chunk_index + n, dtype=">u2")
-        offsets = np.arange(
-            self.coord_offset, self.coord_offset + n * coord_step, coord_step, dtype=">u4"
-        )
-        out[:] = np.frombuffer(self.to_bytes(), dtype=np.uint8)
-        out[:, _CHUNK_INDEX_AT : _CHUNK_INDEX_AT + 2] = chunks.view(np.uint8).reshape(n, 2)
-        out[:, _COORD_OFFSET_AT : _COORD_OFFSET_AT + 4] = offsets.view(np.uint8).reshape(n, 4)
-
     @classmethod
     def from_bytes(cls, data: "bytes | bytearray | memoryview") -> "GradientHeader":
         """Parse a header; raises ``ValueError`` on bad magic or short input."""
@@ -241,6 +224,31 @@ class GradientHeader:
         if magic != MAGIC:
             raise ValueError(f"bad magic 0x{magic:04x}; not a gradient packet")
         return cls(*rest, version, flags)
+
+
+def pack_runs(headers: Sequence[GradientHeader], out: np.ndarray, coord_step: int) -> None:
+    """Serialize a run of consecutive headers per header into the rows of ``out``.
+
+    ``out`` is a writable ``(len(headers) * n, 32)`` uint8 view (any row
+    stride), one run of ``n`` rows per header, in order; row ``i`` of a
+    run receives its header with ``chunk_index + i`` and ``coord_offset +
+    i * coord_step``.  The headers share ``chunk_index`` and
+    ``coord_offset`` (the packetizer's messages of one geometry), so this
+    is one template store and two big-endian column stores for all of
+    them instead of a ``pack_into`` call a row.  The caller has asked
+    :meth:`GradientHeader.check_fits` of the last header of each run.
+    """
+    first = headers[0]
+    n = len(out) // len(headers)
+    chunks = np.arange(first.chunk_index, first.chunk_index + n, dtype=">u2")
+    offsets = np.arange(
+        first.coord_offset, first.coord_offset + n * coord_step, coord_step, dtype=">u4"
+    )
+    runs = out.reshape(len(headers), n, GRADIENT_HEADER_BYTES)
+    templates = np.frombuffer(b"".join([header.to_bytes() for header in headers]), dtype=np.uint8)
+    runs[:] = templates.reshape(len(headers), 1, GRADIENT_HEADER_BYTES)
+    runs[:, :, _CHUNK_INDEX_AT : _CHUNK_INDEX_AT + 2] = chunks.view(np.uint8).reshape(n, 2)
+    runs[:, :, _COORD_OFFSET_AT : _COORD_OFFSET_AT + 4] = offsets.view(np.uint8).reshape(n, 4)
 
 
 #: ``(field name, largest value its wire width holds)``, in field order.

@@ -21,10 +21,11 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..collectives.channel import ChannelStats, GradientChannel
-from ..core.codec import EncodedGradient, GradientCodec, nmse
-from ..core.packetizer import decode_packets, packetize
+from ..core.codec import GradientCodec, nmse
+from ..core.packetizer import GradientMessage, decode_message, decode_packets, packetize
 from ..net.topology import Network
 from ..obs.trace import get_tracer
+from ..packet.packet import Packet
 from ..transport.congestion import FixedWindow
 from ..transport.transfer import Transfer
 from ..transport.trimming import TrimmingSender
@@ -33,37 +34,40 @@ __all__ = ["NetworkChannel"]
 
 
 class _GradientTransfer(Transfer):
-    """A :class:`~repro.transport.transfer.Transfer` of one encoded gradient.
+    """A :class:`~repro.transport.transfer.Transfer` of one packetized gradient.
 
     Both gradient carriers — :class:`NetworkChannel` (a private network,
     run to its deadline) and the cluster wave (one shared network, every
     job launched at the same instant) — build one of these per message,
     :meth:`start` it, run the event loop themselves, and :meth:`finish`
-    it, which decodes what arrived and counts it in their ``stats``.
+    it, which decodes what arrived and counts it in their ``stats``.  The
+    channel packetizes its one message itself; the wave packetizes all of
+    its messages together, and depacketizes what they delivered together
+    into :attr:`received` before any of them finishes.
     """
 
     def __init__(
         self,
         net: Network,
         codec: GradientCodec,
-        enc: EncodedGradient,
+        packets: List[Packet],
         *,
-        src: str,
-        dst: str,
-        flow_id: int,
-        mtu: int,
+        coords: int,
         max_retries: Optional[int] = None,
     ) -> None:
-        packets = packetize(enc, src=src, dst=dst, mtu=mtu, flow_id=flow_id)
+        head = packets[0]
         sender = TrimmingSender(
-            net.hosts[src], flow_id=flow_id, cc=FixedWindow(initial_window=128)
+            net.hosts[head.src], flow_id=head.flow_id, cc=FixedWindow(initial_window=128)
         )
         if max_retries is not None:
             sender.max_retries = max_retries
         super().__init__(net, sender, packets)
         self.codec = codec
-        self.coords = enc.metadata.original_length
+        self.coords = coords
         self.trim_fraction = 0.0
+        #: The delivered wire, depacketized by a carrier that read it
+        #: together with others (None: :meth:`finish` depacketizes it).
+        self.received: Optional[GradientMessage] = None
 
     def finish(self, stats: ChannelStats) -> Optional[np.ndarray]:
         """Close the flow and account for it in ``stats``.
@@ -78,7 +82,9 @@ class _GradientTransfer(Transfer):
         if self.wire is None:
             return None
         self.trim_fraction = trimmed / max(1, data)
-        return decode_packets(self.wire, self.codec)
+        if self.received is None:
+            return decode_packets(self.wire, self.codec)
+        return decode_message(self.received, self.wire, self.codec)
 
 
 class NetworkChannel(GradientChannel):
@@ -161,11 +167,8 @@ class NetworkChannel(GradientChannel):
         message = _GradientTransfer(
             net,
             self.codec,
-            enc,
-            src=self.src,
-            dst=self.dst,
-            flow_id=77_000 + worker,
-            mtu=self.mtu,
+            packetize(enc, src=self.src, dst=self.dst, mtu=self.mtu, flow_id=77_000 + worker),
+            coords=enc.metadata.original_length,
             max_retries=self.max_retries,
         )
         start = net.sim.now

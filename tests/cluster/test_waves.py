@@ -153,8 +153,9 @@ class TestTheDeadlineStillBinds:
 
         driver.net.switches[edge].set_port_down(host, True)
         hook.launch(grads, epoch=1)
-        stragglers = [transfer.sender._on_complete for transfer in hook._in_flight]
         driver._run_wave([hook])
+        stragglers = [transfer.sender._on_complete for transfer in hook._in_flight]
+        assert len(stragglers) == 2
         assert sim.now == 1e-3
         hook.complete()
         assert hook.stats.rounds_surrendered == 2

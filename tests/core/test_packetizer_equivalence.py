@@ -16,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EncodedGradient, available_codecs, codec_by_name, depacketize, packetize
+from repro.core import (
+    EncodedGradient,
+    available_codecs,
+    codec_by_name,
+    depacketize,
+    depacketize_many,
+    packetize,
+    packetize_many,
+)
 from repro.core.layout import coords_per_packet
 from repro.core.metadata import GradientMetadata
 from repro.core.packetizer import GradientMessage
@@ -712,6 +720,12 @@ def assert_same_outcome(packets: List[Packet], length: Optional[int] = None):
     if isinstance(new, str) or isinstance(old, str):
         assert new == old
         return None
+    assert_same_message(new, old)
+    return new
+
+
+def assert_same_message(new: GradientMessage, old: GradientMessage) -> None:
+    """Plane for plane, field for field, the same message."""
     for plane in ("heads", "tails", "trimmed", "missing", "depth"):
         got, want = getattr(new, plane), getattr(old, plane)
         if want is None:
@@ -723,7 +737,6 @@ def assert_same_outcome(packets: List[Packet], length: Optional[int] = None):
     assert (new.metadata is None) == (old.metadata is None)
     if new.metadata is not None:
         assert new.metadata.to_bytes() == old.metadata.to_bytes()
-    return new
 
 
 ROTATING = ("rht", "eden", "multilevel")
@@ -838,3 +851,157 @@ class TestArrayPassMatchesTheHeaderLoop:
             first[:2] + [other[0]] + first[2:],
         ):
             assert_same_outcome(packets)
+
+
+# -- many sets and many messages at once ---------------------------------------
+
+
+@st.composite
+def several_sets(draw):
+    """Two to five ``received_sets``, with INT on for all or for none."""
+    with_int = draw(st.booleans())
+    if with_int:
+        enable_int(capacity=4)
+    try:
+        return [draw(received_sets()) for _ in range(draw(st.integers(2, 5)))]
+    finally:
+        if with_int:
+            disable_int()
+
+
+def assert_each_set_reads_as_alone(sets):
+    """``depacketize_many`` against the header loop run on each set alone:
+    every message the same, or, when a set fails alone, the error of the
+    first such set in the given order, word for word."""
+    alone = [_outcome(loop_depacketize, packets, length) for packets, length in sets]
+    together = _outcome(
+        lambda many, length: depacketize_many(many, length),
+        [packets for packets, _ in sets],
+        [length for _, length in sets],
+    )
+    failed = [outcome for outcome in alone if isinstance(outcome, str)]
+    if failed:
+        assert together == failed[0]
+        return
+    assert not isinstance(together, str), together
+    assert len(together) == len(alone)
+    for new, old in zip(together, alone):
+        assert_same_message(new, old)
+
+
+class TestManySetsMatchTheHeaderLoopAlone:
+    """``depacketize_many`` reads every set as the per-packet header loop
+    reads it alone: sets of all six codecs side by side, shuffled,
+    duplicated, cut and dropped, with INT on and off."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(several_sets())
+    def test_every_set_as_alone(self, sets):
+        assert_each_set_reads_as_alone(sets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(several_sets(), st.data())
+    def test_a_hostile_set_among_clean_ones(self, sets, data):
+        """One or two sets get ``test_hostile_bytes.py``'s mutations: the
+        error is the one the first of them raises alone."""
+        for at in data.draw(st.lists(st.integers(0, len(sets) - 1), min_size=1, max_size=2)):
+            packets, length = sets[at]
+            if not packets:
+                continue
+            packets = list(packets)
+            i = data.draw(st.integers(0, len(packets) - 1))
+            bits = 8 * min(GRADIENT_HEADER_BYTES, len(packets[i].payload))
+            if bits and data.draw(st.integers(0, 4)):
+                packets[i] = flip(packets[i], data.draw(st.integers(0, bits - 1)))
+            else:
+                cut = data.draw(st.integers(0, len(packets[i].payload)))
+                packets[i] = Packet(src="s", dst="d", payload=bytes(packets[i].payload[:cut]))
+            sets[at] = packets, length
+        assert_each_set_reads_as_alone(sets)
+
+    def test_the_first_bad_set_in_order_wins(self):
+        grad = np.random.default_rng(6).standard_normal(900)
+        clean = packetize(oracle_codec("rht").encode(grad, epoch=1, message_id=2), "s", "d")
+        short = [clean[0], Packet(src="s", dst="d", payload=bytes(clean[1].payload[:10]))]
+        stranger = clean[:2] + packetize(make_encoded(900, 1, 31, seed=4), "s", "d")[2:3]
+        for order in ((clean, short, stranger), (clean, stranger, short), ([], clean, short)):
+            assert_each_set_reads_as_alone([(packets, None) for packets in order])
+
+    def test_each_set_keeps_the_order_of_its_stores(self):
+        """Two sets file the same two overlapping stores of one depth in
+        opposite orders: each keeps its own last writer."""
+        rng = np.random.default_rng(14)
+        off_grid, on_grid = hand_packet(3, 8, rng), hand_packet(0, 16, rng)
+        assert_each_set_reads_as_alone([([off_grid, on_grid], None), ([on_grid, off_grid], None)])
+
+    def test_clean_sets_of_one_geometry_are_one_kernel_call_a_plane(self, monkeypatch):
+        calls = []
+        original = unpack_batch
+
+        def spy(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+
+        import repro.core.packetizer as packetizer_module
+
+        monkeypatch.setattr(packetizer_module, "unpack_batch", spy)
+        codec = oracle_codec("rht")
+        grads = np.random.default_rng(9).standard_normal((8, 3224))
+        wires = [packetize(codec.encode(g, epoch=0, message_id=i), "s", "d") for i, g in enumerate(grads)]
+        messages = depacketize_many(wires)
+        assert len(calls) == 2  # heads and tails, for all eight messages
+        for message, wire in zip(messages, wires):
+            assert_same_message(message, loop_depacketize(wire))
+
+    def test_no_sets(self):
+        assert depacketize_many([]) == []
+
+
+@st.composite
+def outgoing_messages(draw):
+    """One to six messages of any codec, lengths from a short list so that
+    messages of one geometry meet."""
+    messages = []
+    for flow in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from(available_codecs()))
+        length = draw(st.sampled_from([1, 37, 356, 900, 3224]))
+        grad = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(length)
+        encoded = oracle_codec(name).encode(grad, epoch=3, message_id=flow)
+        messages.append((encoded, f"h{flow}", "agg", 500 + flow))
+    return messages
+
+
+class TestManyMessagesMatchSequentialCalls:
+    @settings(max_examples=80, deadline=None)
+    @given(outgoing_messages(), st.sampled_from([200, 512, 1500]), st.booleans())
+    def test_field_by_field_and_ids_in_the_same_order(self, messages, mtu, with_int):
+        if with_int:
+            enable_int(capacity=4)
+        try:
+            wave = packetize_many(messages, mtu=mtu)
+            one_by_one = [packetize(*message[:3], mtu=mtu, flow_id=message[3]) for message in messages]
+        finally:
+            if with_int:
+                disable_int()
+        assert len(wave) == len(one_by_one)
+        for new, old in zip(wave, one_by_one):
+            assert_same_packets(new, old)
+        # Ids run on from packet to packet, message after message, in both.
+        for packets in (wave, one_by_one):
+            ids = [pkt.packet_id for wire in packets for pkt in wire]
+            assert ids == list(range(ids[0], ids[0] + len(ids)))
+
+    def test_a_message_too_big_fails_before_anything_is_packed(self, monkeypatch):
+        import repro.core.packetizer as packetizer_module
+
+        def boom(*args, **kwargs):
+            raise AssertionError("pack_segments ran before the header check")
+
+        monkeypatch.setattr(packetizer_module, "pack_segments", boom)
+        fits, too_big = make_encoded(50, 1, 31), make_encoded(50, 1, 31)
+        too_big.metadata.epoch = 70_000
+        with pytest.raises(ValueError, match="epoch=70000"):
+            packetize_many([(fits, "a", "b", 1), (too_big, "a", "b", 2)])
+
+    def test_no_messages(self):
+        assert packetize_many([]) == []

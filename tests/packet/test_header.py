@@ -15,6 +15,7 @@ from repro.packet import (
     WIRE_HEADER_BYTES,
     GradientHeader,
 )
+from repro.packet.header import pack_runs
 
 
 def make_header(**overrides):
@@ -203,15 +204,26 @@ class TestPackRun:
     def test_equals_one_pack_into_per_row(self, rows, stride):
         first = make_header(chunk_index=1, coord_offset=0, coord_count=356, flags=FLAG_METADATA)
         block = np.full((rows, stride), 0xAA, dtype=np.uint8)
-        first.pack_run(block[:, :GRADIENT_HEADER_BYTES], coord_step=356)
+        pack_runs([first], block[:, :GRADIENT_HEADER_BYTES], coord_step=356)
         for i in range(rows):
             expected = dataclasses.replace(first, chunk_index=1 + i, coord_offset=356 * i)
             assert block[i, :GRADIENT_HEADER_BYTES].tobytes() == expected.to_bytes()
         assert (block[:, GRADIENT_HEADER_BYTES:] == 0xAA).all()
 
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_several_runs_one_after_another(self, rows):
+        headers = [make_header(chunk_index=1, coord_offset=0, message_id=m) for m in (5, 6, 7)]
+        block = np.full((3 * rows, 1490), 0xAA, dtype=np.uint8)
+        pack_runs(headers, block[:, :GRADIENT_HEADER_BYTES], coord_step=356)
+        for run, first in enumerate(headers):
+            for i in range(rows):
+                expected = dataclasses.replace(first, chunk_index=1 + i, coord_offset=356 * i)
+                assert block[run * rows + i, :GRADIENT_HEADER_BYTES].tobytes() == expected.to_bytes()
+        assert (block[:, GRADIENT_HEADER_BYTES:] == 0xAA).all()
+
     def test_widest_values_that_fit(self):
         first = make_header(chunk_index=0xFFFF - 2, coord_offset=0xFFFFFFFF - 2 * 9000)
         block = np.zeros((3, GRADIENT_HEADER_BYTES), dtype=np.uint8)
-        first.pack_run(block, coord_step=9000)
+        pack_runs([first], block, coord_step=9000)
         last = GradientHeader.from_bytes(block[2].tobytes())
         assert (last.chunk_index, last.coord_offset) == (0xFFFF, 0xFFFFFFFF)
