@@ -85,11 +85,11 @@ class GradientChannel:
         self._publish_metrics = registry.publish_tally(self, self.stats, {
             "rounds_surrendered": registry.counter(
                 "repro_channel_rounds_surrendered_total", ("channel",)
-            ).bind(channel=label),
+            ),
             "packets_dropped": registry.counter(
                 "repro_channel_packets_dropped_total", ("channel",)
-            ).bind(channel=label),
-        })
+            ),
+        }, channel=label)
 
     def count_surrender(self) -> None:
         """Record one surrendered round."""

@@ -131,6 +131,10 @@ class IncastBurst:
         seed: int = 0,
         flow_id_base: Optional[int] = None,
     ) -> None:
+        if packet_bytes <= 42:
+            raise ValueError(
+                f"packet_bytes must exceed the 42-byte wire header, got {packet_bytes}"
+            )
         self.sim = sim
         self.senders = senders
         self.dst = dst
@@ -150,13 +154,14 @@ class IncastBurst:
             self.sim.schedule(at + jitter, lambda s=sender, r=rank: self._blast(s, r))
 
     def _blast(self, sender: Host, rank: int) -> None:
-        remaining = self.burst_bytes
-        full = b"\x00" * (self.packet_bytes - 42)
-        flow_id = self.flow_id_base + rank
-        src = sender.name
-        while remaining > 0:
-            size = min(self.packet_bytes, remaining + 42)
-            payload = full if size == self.packet_bytes else b"\x00" * max(0, size - 42)
-            sender.send(Packet(src, self.dst, payload, 0, flow_id))
-            self.packets_emitted += 1
-            remaining -= size - 42
+        # Full packets sharing one payload object, then the remainder.
+        chunk = self.packet_bytes - 42
+        count, rest = divmod(max(self.burst_bytes, 0), chunk)
+        full = b"\x00" * chunk
+        src, dst, flow_id = sender.name, self.dst, self.flow_id_base + rank
+        send = sender.send
+        for _ in range(count):
+            send(Packet(src, dst, full, 0, flow_id))
+        if rest:
+            send(Packet(src, dst, b"\x00" * rest, 0, flow_id))
+        self.packets_emitted += count + (rest > 0)

@@ -98,12 +98,16 @@ def make_dataset(
         # run over one class at a time.  Not over the whole split: its
         # megabytes of fresh temporaries cost more in page faults than
         # the batching saves, while a class batch stays cache-sized.
+        # A sample's two shifts are two scalar draws: the same values from
+        # the same stream as one draw of two, at about half the cost.
         raw = np.empty((per_class, *shape))
         shifts = np.empty((per_class, 2), dtype=np.int64)
+        normal = split_rng.standard_normal
+        integers = split_rng.integers
         for cls in range(num_classes):
             for k in range(per_class):
-                split_rng.standard_normal(out=raw[k])
-                shifts[k] = split_rng.integers(-1, 2, size=2)
+                normal(out=raw[k])
+                shifts[k] = integers(-1, 2), integers(-1, 2)
             batch = images[cls * per_class : (cls + 1) * per_class]
             batch[:] = prototypes[cls] + noise * _smooth(raw)
             _roll_each(batch, shifts)

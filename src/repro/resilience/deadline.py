@@ -49,10 +49,8 @@ class RoundDeadline:
         self.last_stragglers: Tuple[int, ...] = ()
         registry = get_registry()
         registry.publish_tally(self, self._tally, {
-            "total_stragglers": registry.counter(
-                "repro_resilience_stragglers_total", ("run",)
-            ).bind(run=label),
-        })
+            "total_stragglers": registry.counter("repro_resilience_stragglers_total", ("run",)),
+        }, run=label)
 
     total_stragglers = property(attrgetter("_tally.total_stragglers"))
 

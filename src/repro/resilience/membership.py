@@ -89,13 +89,9 @@ class Membership:
         }
         registry = get_registry()
         registry.publish_tally(self, self._tally, {
-            "evictions": registry.counter(
-                "repro_resilience_evictions_total", ("run",)
-            ).bind(run=label),
-            "rejoins": registry.counter(
-                "repro_resilience_rejoins_total", ("run",)
-            ).bind(run=label),
-        })
+            "evictions": registry.counter("repro_resilience_evictions_total", ("run",)),
+            "rejoins": registry.counter("repro_resilience_rejoins_total", ("run",)),
+        }, run=label)
 
     evictions = property(attrgetter("_tally.evictions"))
     rejoins = property(attrgetter("_tally.rejoins"))

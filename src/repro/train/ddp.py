@@ -300,8 +300,8 @@ class DDPTrainer:
                 self.hook.channel = EFChannel(self.hook.channel, label=self.label)
         registry = get_registry()
         registry.publish_tally(self, self._rounds, {
-            "run": registry.counter("repro_train_rounds_total", ("run",)).bind(run=self.label),
-        })
+            "run": registry.counter("repro_train_rounds_total", ("run",)),
+        }, run=self.label)
 
     _rounds_run = property(attrgetter("_rounds.run"))
 

@@ -127,14 +127,14 @@ class GoBackNReceiver:
         registry.publish_tally(self, self._tally, {
             "trimmed_rejected": registry.counter(
                 "repro_transport_trimmed_rejected_total", ("transport",)
-            ).bind(transport=transport),
+            ),
             "corrupt_rejected": registry.counter(
                 "repro_transport_corrupt_rejected_total", ("transport",)
-            ).bind(transport=transport),
+            ),
             "out_of_order_discarded": registry.counter(
                 "repro_transport_out_of_order_discarded_total", ("transport",)
-            ).bind(transport=transport),
-        })
+            ),
+        }, transport=transport)
         host.register_flow(flow_id, self._on_packet)
 
     trimmed_rejected = property(attrgetter("_tally.trimmed_rejected"))

@@ -4,13 +4,15 @@ drop-tail control.
 ``trim-4job`` is ``incast-4job`` with 256-wide hidden layers (51,464
 coordinates a gradient), big enough that the jobs' own fan-in and the
 incast tenant overflow the switch buffers.  Its control is the same
-scenario with ``trim=False``.  One seed-7 run of each is pinned by the
-sha256 of its report as ``repro-cluster run --out`` writes it, and the
-same two runs must show what trimming buys: every job finishes its
-transfers sooner, reaches the target accuracy sooner, and loses packets
-as trims where drop-tail loses them as drops.
+scenario with ``trim=False``.  The seed-7 run of each is pinned by the
+sha256 of its report as ``repro-cluster run --out`` writes it.  On
+seeds 7, 8 and 9 the two runs must show what trimming buys: every job
+finishes its transfers sooner, reaches the target accuracy sooner, and
+loses packets as trims where drop-tail loses them as drops, while its
+final top-1 stays within ``TOP1_MARGIN`` of drop-tail's.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import replace
@@ -20,6 +22,13 @@ import pytest
 from repro.cluster import ClusterDriver, JobSpec, cluster_scenario_by_name
 
 SEED = 7
+#: Seeds whose trim / drop-tail pair must show the headline.
+SEEDS = (7, 8, 9)
+#: Largest gap allowed between a job's final top-1 with and without
+#: trimming: 8 of its 64 test images.  Measured on the three seeds the
+#: largest gap is 7 of 64 (0.109, seed 9, job3, trimming lower); the
+#: others are at most 3 of 64.
+TOP1_MARGIN = 8 / 64
 
 #: sha256 of the seed-7 report bytes of each run.
 DIGESTS = {
@@ -28,12 +37,12 @@ DIGESTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def reports():
+@functools.lru_cache(maxsize=None)
+def _reports(seed):
     preset = cluster_scenario_by_name("trim-4job")
     return {
-        "trim": ClusterDriver(preset, seed=SEED).run(),
-        "drop-tail": ClusterDriver(replace(preset, trim=False), seed=SEED).run(),
+        "trim": ClusterDriver(preset, seed=seed).run(),
+        "drop-tail": ClusterDriver(replace(preset, trim=False), seed=seed).run(),
     }
 
 
@@ -51,20 +60,33 @@ def test_a_job_needs_a_hidden_layer():
 
 
 @pytest.mark.parametrize("run", sorted(DIGESTS))
-def test_report_bytes_are_pinned(reports, run):
-    text = json.dumps(reports[run], indent=2, sort_keys=True) + "\n"
+def test_report_bytes_are_pinned(run):
+    text = json.dumps(_reports(SEED)[run], indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[run]
 
 
-def test_trimming_finishes_every_job_sooner(reports):
-    trim, drop = reports["trim"]["jobs"], reports["drop-tail"]["jobs"]
-    assert trim.keys() == drop.keys()
-    for name in trim:
-        assert trim[name]["mean_fct_s"] < drop[name]["mean_fct_s"], name
-        assert trim[name]["time_to_accuracy_s"] < drop[name]["time_to_accuracy_s"], name
+def test_trimming_finishes_every_job_sooner():
+    for seed in SEEDS:
+        trim, drop = (_reports(seed)[run]["jobs"] for run in ("trim", "drop-tail"))
+        assert trim.keys() == drop.keys()
+        for name in trim:
+            assert trim[name]["mean_fct_s"] < drop[name]["mean_fct_s"], (seed, name)
+            assert trim[name]["time_to_accuracy_s"] < drop[name]["time_to_accuracy_s"], (
+                seed,
+                name,
+            )
 
 
-def test_each_fabric_loses_packets_its_own_way(reports):
-    trim, drop = reports["trim"]["fabric"], reports["drop-tail"]["fabric"]
-    assert trim["trimmed"] > 0 and trim["dropped"] <= 0.01 * trim["trimmed"]
-    assert drop["trimmed"] == 0 and drop["dropped"] > 0
+def test_each_fabric_loses_packets_its_own_way():
+    for seed in SEEDS:
+        trim, drop = (_reports(seed)[run]["fabric"] for run in ("trim", "drop-tail"))
+        assert trim["trimmed"] > 0 and trim["dropped"] <= 0.01 * trim["trimmed"], seed
+        assert drop["trimmed"] == 0 and drop["dropped"] > 0, seed
+
+
+def test_trimming_keeps_every_job_near_drop_tail_accuracy():
+    for seed in SEEDS:
+        trim, drop = (_reports(seed)[run]["jobs"] for run in ("trim", "drop-tail"))
+        for name in trim:
+            gap = abs(trim[name]["final_top1"] - drop[name]["final_top1"])
+            assert gap <= TOP1_MARGIN, (seed, name, gap)

@@ -10,14 +10,23 @@ overflows and on when a sender's retransmission timer fires:
   every host's delivery log (time, flow, seq, trimmed, ecn, wire size),
   every ``SwitchStats``, every egress band's counters, the event count
   and the flow completion time;
+* the same transfer with its bottleneck cable losing 10 % of the data
+  packets (``Network.set_impairment``), so the sender's timer fires and
+  gradient packets are sent up to four times;
+* both transfers run under one enabled tracer: its event JSONL with
+  the host clock readings (``wall_time``, and ``duration_s`` on
+  wall-clock stages) taken out, and its span JSONL, which carries
+  modeled time only.  The untraced and the traced turnaround of a
+  transport are separate paths, so each has its own pin;
 * two ``repro-faults run`` logs at seed 7: ``flaky-link`` (a corrupting,
   duplicating bottleneck; its timers are armed on every ACK and never
   fire) and ``ack-storm-loss --transport pull``, where lost ACKs make
   RTO timers fire for real, 35 times.
 
-The digests were taken before overflow moved into ``Switch.receive``'s
-inline path and before sender timers were postponed instead of
-re-posted; both changes promised the same bytes.
+The untraced digests were taken before overflow moved into
+``Switch.receive``'s inline path and before sender timers were postponed
+instead of re-posted; both changes promised the same bytes.  The traced
+digests were taken before the transports' one-pass ACK turnaround.
 """
 
 import dataclasses
@@ -32,11 +41,21 @@ from repro.faults.cli import main as faults_main
 from repro.net.crosstraffic import IncastBurst
 from repro.net.topology import dumbbell
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
+from repro.obs.trace import Tracer, set_tracer
 from repro.packet import SingleLevelTrim
 from repro.train.network_channel import NetworkChannel
 
 #: sha256 of the canonical JSON of :func:`_dumbbell_transfer`'s record.
 DUMBBELL_DIGEST = "441b509c1376015343def8edb89766e832d49952921fd5955abb5100d2f5090e"
+#: The same for ``_dumbbell_transfer(drop_prob=LOSSY_DROP_PROB)``.
+LOSSY_DROP_PROB = 0.1
+LOSSY_DIGEST = "e415e82914ea87a46dd1bbee3c4afc85a34591aae9bc9877c06afff502f50980"
+#: sha256 of the traced transfers' event JSONL (host clocks taken out)
+#: and of its span JSONL, and how many lines each holds.
+TRACED_DIGESTS = {
+    "events": ("3782c892e5cd13f658b858e44f086abd98cb68238204adb3e315d0c743bab825", 4736),
+    "spans": ("3697c47a64419ce86f17cc3d42d0ea5d61cccee6f4814fbc19fcd7aece4a0797", 686),
+}
 #: (preset, transport) -> (sha256 of the JSONL ``repro-faults run PRESET
 #: --seed 7 --transport TRANSPORT`` writes, RTO expiries in that run).
 FAULT_RUNS = {
@@ -71,8 +90,12 @@ def _logged(host, log):
     host.receive = logging_receive
 
 
-def _dumbbell_transfer():
-    """One gradient transfer through the ``ddp-dumbbell`` fabric."""
+def _dumbbell_transfer(drop_prob=0.0):
+    """One gradient transfer through the ``ddp-dumbbell`` fabric.
+
+    ``drop_prob`` impairs the bottleneck cable (``Network.set_impairment``)
+    so that gradient packets are lost and retransmitted.
+    """
     built = []
 
     def network():
@@ -90,6 +113,8 @@ def _dumbbell_transfer():
             burst_bytes=400_000,
             seed=7,
         ).fire(0.0)
+        if drop_prob:
+            net.set_impairment("s0", "s1", drop_prob=drop_prob)
         built.append(net)
         return net
 
@@ -129,6 +154,16 @@ def _dumbbell_transfer():
     }
 
 
+def _without_host_clock(raw: bytes) -> bytes:
+    lines = []
+    for line in raw.decode("utf-8").splitlines():
+        record = json.loads(line)
+        record.pop("wall_time", None)
+        record.pop("duration_s", None)
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
 def _digest(record) -> str:
     text = json.dumps(record, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -151,6 +186,57 @@ def test_the_transfer_is_congested(transfer):
 
 def test_dumbbell_transfer_matches_the_digest(transfer):
     assert _digest(transfer) == DUMBBELL_DIGEST
+
+
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """The clean and the lossy transfer under one enabled tracer:
+    ``{"events": ..., "spans": ...}`` JSONL bytes, the events without
+    host clocks."""
+    out = tmp_path_factory.mktemp("traced-transfer")
+    tracer = Tracer(
+        enabled=True,
+        jsonl_path=str(out / "events.jsonl"),
+        spans_path=str(out / "spans.jsonl"),
+    )
+    previous = set_tracer(tracer)
+    try:
+        _dumbbell_transfer()
+        _dumbbell_transfer(drop_prob=LOSSY_DROP_PROB)
+    finally:
+        set_tracer(previous)
+        tracer.close()
+    return {
+        "events": _without_host_clock((out / "events.jsonl").read_bytes()),
+        "spans": (out / "spans.jsonl").read_bytes(),
+    }
+
+
+def test_the_lossy_transfer_matches_the_digest():
+    record = _dumbbell_transfer(drop_prob=LOSSY_DROP_PROB)
+    assert _digest(record) == LOSSY_DIGEST
+
+
+def test_the_traced_transfers_reach_the_traced_turnaround(traced):
+    # Packet spans acked and superseded, and retransmissions past the
+    # first attempt: the branches the untraced digests do not see.
+    spans = [json.loads(line) for line in traced["spans"].splitlines()]
+    packets = [s["attrs"] for s in spans if s["name"] == "transport.packet"]
+    assert sum(a["acked"] for a in packets) > 600
+    assert sum(a.get("superseded", False) for a in packets) > 10
+    events = [json.loads(line) for line in traced["events"].splitlines()]
+    names = {e["name"] for e in events}
+    assert {"switch.trim", "switch.drop", "link.drop", "transport.deliver"} <= names
+    attempts = {e["fields"]["attempt"] for e in events if e["name"] == "transport.retransmit"}
+    assert attempts >= {1, 2, 3}
+
+
+@pytest.mark.parametrize("stream", sorted(TRACED_DIGESTS))
+def test_traced_transfer_matches_the_digest(traced, stream):
+    digest, lines = TRACED_DIGESTS[stream]
+    raw = traced[stream]
+    assert len(raw.splitlines()) == lines
+    assert hashlib.sha256(raw).hexdigest() == digest, stream
 
 
 @pytest.mark.parametrize("preset,transport", sorted(FAULT_RUNS))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import IncastBurst, OnOffFlow, dumbbell
+from repro.net import IncastBurst, OnOffFlow, Simulator, dumbbell
 
 
 class TestOnOffFlow:
@@ -72,3 +72,40 @@ class TestIncastBurst:
         net.sim.run()
         assert net.switches["s1"].stats.dropped > 0 or net.switches["s0"].stats.dropped > 0
 
+
+    @staticmethod
+    def reference_payloads(burst_bytes, packet_bytes):
+        """Payload sizes of the per-packet loop ``_blast`` replaced."""
+        sizes, remaining = [], burst_bytes
+        while remaining > 0:
+            size = min(packet_bytes, remaining + 42)
+            sizes.append(max(0, size - 42))
+            remaining -= size - 42
+        return sizes
+
+    @pytest.mark.parametrize("packet_bytes", [43, 100, 1458])
+    @pytest.mark.parametrize("burst_bytes", [-5, 0, 1, 57, 58, 1416, 1417, 2832, 20_000])
+    def test_blast_sends_what_the_per_packet_loop_sent(self, burst_bytes, packet_bytes):
+        class Host:
+            def __init__(self, name):
+                self.name, self.sent = name, []
+
+            def send(self, packet):
+                self.sent.append(packet)
+
+        senders = [Host("tx0"), Host("tx1")]
+        burst = IncastBurst(
+            Simulator(), senders, "rx0", burst_bytes=burst_bytes, packet_bytes=packet_bytes
+        )
+        burst.fire()
+        burst.sim.run()
+        want = self.reference_payloads(burst_bytes, packet_bytes)
+        for rank, host in enumerate(senders):
+            assert [len(p.payload) for p in host.sent] == want
+            assert all(p.flow_id == burst.flow_id_base + rank for p in host.sent)
+        assert burst.packets_emitted == 2 * len(want)
+
+    @pytest.mark.parametrize("packet_bytes", [0, 42])
+    def test_a_packet_must_carry_a_payload(self, packet_bytes):
+        with pytest.raises(ValueError, match="exceed the 42-byte wire header"):
+            IncastBurst(Simulator(), [], "rx0", packet_bytes=packet_bytes)

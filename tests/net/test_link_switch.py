@@ -83,6 +83,31 @@ class TestLink:
         assert 130 < len(sink.inbox) < 270
         assert link.packets_dropped == 400 - len(sink.inbox)
 
+    def test_impairment_stream_is_made_on_its_first_draw(self):
+        """A link impaired after it was built (``Network.set_impairment``)
+        draws what a generator of its seed made at construction draws."""
+        from repro.net.topology import dumbbell
+
+        def arrivals(eager):
+            net = dumbbell(pairs=1)
+            forward, back = net.link_between("s0", "s1"), net.link_between("s1", "s0")
+            assert forward._rng is None and back._rng is None
+            if eager:
+                forward._rng = np.random.default_rng(0)  # connect()'s seed for s0->s1
+            net.set_impairment("s0", "s1", drop_prob=0.2, trim_prob=0.5)
+            inbox = []
+            net.hosts["rx0"].set_default_handler(inbox.append)
+            for packet in gradient_packets(n=40_000, src="tx0", dst="rx0"):
+                net.hosts["tx0"].send(packet)
+            net.sim.run()
+            # Only the impaired direction drew, and only once it carried data.
+            assert forward._rng is not None and back._rng is None
+            return [(p.seq, p.is_trimmed) for p in inbox], forward.packets_dropped
+
+        lazy, eager = arrivals(eager=False), arrivals(eager=True)
+        assert lazy == eager
+        assert lazy[1] > 0 and any(trimmed for _, trimmed in lazy[0])
+
     def test_trim_probability_only_hits_trimmable(self):
         sim = Simulator()
         sink = Sink("rx", sim)

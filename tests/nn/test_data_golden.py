@@ -5,7 +5,9 @@ smoothed a class at a time and ``DataLoader._augment`` rolled a shift
 group at a time, so they pin the per-sample implementations' output:
 every image byte, label, dtype and shape, and every batch a seeded
 loader yields.  The per-sample loops themselves live on here as the
-slow, obvious references the batched code is compared against.
+slow, obvious references the batched code is compared against.  The
+``cluster-job`` row was added, at its parent commit, before each
+sample's shift became two scalar draws instead of one draw of two.
 """
 
 import hashlib
@@ -17,6 +19,10 @@ from repro.nn.data import DataLoader, SyntheticImages, _roll_each, make_dataset
 
 DDP_DUMBBELL = dict(
     num_classes=100, train_per_class=13, test_per_class=4, image_size=16, seed=7
+)
+#: One job of a ``repro-cluster`` preset (``ClusterDriver._build_job``).
+CLUSTER_JOB = dict(
+    num_classes=8, train_per_class=16, test_per_class=8, image_size=8, noise=1.0, seed=7
 )
 ONE_CHANNEL_ODD = dict(
     num_classes=10, train_per_class=3, test_per_class=2, image_size=5,
@@ -122,6 +128,13 @@ class TestMakeDatasetGolden:
                 ),
             ),
             (
+                CLUSTER_JOB,
+                (
+                    "f81dfead8fe472659e98afb52f7557c88edb53b0c6fdbab08a7b56349ac997c6",
+                    "8fa61f41b27900894e7e9fa90cdbcd63aeb981f721ac835531e1ef1ce08b70b8",
+                ),
+            ),
+            (
                 ONE_CHANNEL_ODD,
                 (
                     "ac928bdb4a0f0a9e2e2238c1616024498817f13e111c69d789fe799bff804b62",
@@ -129,7 +142,7 @@ class TestMakeDatasetGolden:
                 ),
             ),
         ],
-        ids=["defaults", "ddp-dumbbell", "one-channel-odd"],
+        ids=["defaults", "ddp-dumbbell", "cluster-job", "one-channel-odd"],
     )
     def test_bytes_dtype_shape(self, kwargs, expected):
         assert _split_digests(*make_dataset(**kwargs)) == expected
