@@ -36,6 +36,15 @@ def _derived_flow_id(src: str, dst: str) -> int:
     return CROSS_TRAFFIC_FLOW_BASE + zlib.crc32(f"{src}->{dst}".encode()) % 100_000
 
 
+def _payload_bytes(packet_bytes: int) -> int:
+    """Payload of a ``packet_bytes`` filler packet; it must carry one."""
+    if packet_bytes <= 42:
+        raise ValueError(
+            f"packet_bytes must exceed the 42-byte wire header, got {packet_bytes}"
+        )
+    return packet_bytes - 42
+
+
 class OnOffFlow:
     """Exponential on/off constant-bit-rate background flow.
 
@@ -72,7 +81,7 @@ class OnOffFlow:
         # Hot-path state: one shared payload object for every filler
         # packet (the bytes are never mutated in flight) and the end of
         # the burst in progress, so the pacing callback needs no closure.
-        self._payload = b"\x00" * (packet_bytes - 42)
+        self._payload = b"\x00" * _payload_bytes(packet_bytes)
         self._burst_until = 0.0
 
     def start(self, delay: float = 0.0) -> None:
@@ -131,10 +140,7 @@ class IncastBurst:
         seed: int = 0,
         flow_id_base: Optional[int] = None,
     ) -> None:
-        if packet_bytes <= 42:
-            raise ValueError(
-                f"packet_bytes must exceed the 42-byte wire header, got {packet_bytes}"
-            )
+        self._chunk = _payload_bytes(packet_bytes)
         self.sim = sim
         self.senders = senders
         self.dst = dst
@@ -155,7 +161,7 @@ class IncastBurst:
 
     def _blast(self, sender: Host, rank: int) -> None:
         # Full packets sharing one payload object, then the remainder.
-        chunk = self.packet_bytes - 42
+        chunk = self._chunk
         count, rest = divmod(max(self.burst_bytes, 0), chunk)
         full = b"\x00" * chunk
         src, dst, flow_id = sender.name, self.dst, self.flow_id_base + rank

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..obs.int_telemetry import DECISION_TRIM, REASON_LINK_IMPAIRMENT, hop_id
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..packet.packet import Packet
-from .queues import ByteQueue, PriorityQueue
+from .queues import PriorityQueue
 from .simulator import Simulator
 
 __all__ = ["Device", "Link", "DeliveryHook"]
@@ -79,9 +79,6 @@ class Link:
             always per-packet.
     """
 
-    #: Batch size Network.connect applies to host uplinks.
-    HOST_BURST = 8
-
     def __init__(
         self,
         sim: Simulator,
@@ -89,7 +86,7 @@ class Link:
         dst: Device,
         rate_bps: float,
         delay_s: float,
-        queue: Union[ByteQueue, PriorityQueue],
+        queue: PriorityQueue,
         drop_prob: float = 0.0,
         trim_prob: float = 0.0,
         seed: int = 0,
@@ -166,15 +163,30 @@ class Link:
         return self._busy
 
     def enqueue(self, packet: Packet) -> bool:
-        """Push into the egress queue and kick the serializer.
+        """Admit into the egress queue and kick the serializer.
 
+        A per-packet link hands a packet that finds the serializer idle
+        straight to it (``PriorityQueue.admit`` passes it through); a
+        burst link stores it and lets :meth:`_try_transmit` batch it.
         Returns False when the queue rejected the packet (caller decides
         whether to trim or drop).
         """
-        accepted = self.queue.push(packet)
-        if accepted and not self._busy:
+        idle = not self._busy
+        hand_off = idle and self.burst == 1
+        if not self.queue.admit(packet, hand_off):
+            return False
+        if hand_off:
+            self._start(packet)
+        elif idle:
             self._try_transmit()
-        return accepted
+        return True
+
+    def _start(self, packet: Packet) -> None:
+        """Hand ``packet`` to the idle serializer: the one hand-off."""
+        self._busy = True
+        self._sched_call(
+            packet.wire_size * 8.0 / self.rate_bps, self._finish_cb, packet
+        )
 
     def _try_transmit(self) -> None:
         if self._busy:
@@ -189,12 +201,8 @@ class Link:
             self._try_transmit_burst()
             return
         packet = self.queue.pop()
-        if packet is None:
-            return
-        self._busy = True
-        self._sched_call(
-            packet.wire_size * 8.0 / self.rate_bps, self._finish_cb, packet
-        )
+        if packet is not None:
+            self._start(packet)
 
     def _try_transmit_burst(self) -> None:
         """Serialize up to ``burst`` queued packets as one event batch.
@@ -254,15 +262,12 @@ class Link:
             sched(self.delay_s, self.dst.receive, packet)
             if self.burst == 1:
                 # Refill here instead of round-tripping through
-                # _try_transmit; _busy stays True across the pop (nothing
-                # reentrant runs inside it).
+                # _try_transmit (nothing reentrant runs inside the pop).
                 nxt = self.queue.pop()
                 if nxt is None:
                     self._busy = False
                 else:
-                    sched(
-                        nxt.wire_size * 8.0 / self.rate_bps, self._finish_cb, nxt
-                    )
+                    self._start(nxt)
                 return
             self._busy = False
             self._try_transmit()

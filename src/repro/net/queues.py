@@ -1,12 +1,17 @@
 """Byte-bounded queues for switch and NIC egress ports.
 
-Two flavours:
-
-* :class:`ByteQueue` — a FIFO bounded in bytes, with an optional ECN
-  marking threshold (mark-on-enqueue above the threshold, DCTCP-style).
+* :class:`ByteQueue` — one band: a FIFO bounded in bytes, with an
+  optional ECN marking threshold (mark-on-enqueue above the threshold,
+  DCTCP-style) and its counters.
 * :class:`PriorityQueue` — strict-priority bands built from ByteQueues.
   Trimmed headers travel in the high band, bypassing payload packets,
   exactly the express-lane treatment NDP/EODS give them.
+
+:meth:`PriorityQueue.admit` is the one admission rule (band, capacity,
+ECN, counters, and the pass-through to an idle serializer) and
+:meth:`PriorityQueue.pop` the one service rule; switches and hosts both
+go through them, and nothing outside this module touches a band's
+packets or counters.
 """
 
 from __future__ import annotations
@@ -20,7 +25,9 @@ __all__ = ["ByteQueue", "PriorityQueue"]
 
 
 class ByteQueue:
-    """FIFO bounded by total bytes, with optional ECN marking.
+    """One band: a FIFO bounded by total bytes, with optional ECN marking.
+
+    Filled and drained by its :class:`PriorityQueue` alone.
 
     Attributes:
         capacity_bytes: maximum total wire bytes held (the *shallow
@@ -58,32 +65,6 @@ class ByteQueue:
         """Occupancy as a fraction of capacity, in [0, 1]."""
         return self._bytes / self.capacity_bytes
 
-    def push(self, packet: Packet) -> bool:
-        """Enqueue; returns False (and counts a rejection) on overflow."""
-        new_bytes = self._bytes + packet.wire_size
-        if new_bytes > self.capacity_bytes:
-            self.rejected += 1
-            return False
-        threshold = self.ecn_threshold_bytes
-        if threshold is not None and new_bytes > threshold:
-            packet.ecn = True
-            self.ecn_marked += 1
-        self._items.append(packet)
-        self._bytes = new_bytes
-        self.enqueued += 1
-        if new_bytes > self.peak_bytes:
-            self.peak_bytes = new_bytes
-        return True
-
-    def pop(self) -> Optional[Packet]:
-        """Dequeue the head packet, or None when empty."""
-        if not self._items:
-            return None
-        packet = self._items.popleft()
-        self._bytes -= packet.wire_size
-        self.dequeued += 1
-        return packet
-
 
 class PriorityQueue:
     """Strict-priority scheduler over per-band ByteQueues.
@@ -119,17 +100,40 @@ class PriorityQueue:
         clamped = min(packet.priority, last)
         return last - clamped
 
-    def push(self, packet: Packet) -> bool:
-        """Enqueue into the packet's band; False on that band's overflow."""
+    def admit(self, packet: Packet, idle: bool) -> bool:
+        """Admit ``packet`` to its band: the one admission rule.
+
+        Picks the band, checks its capacity (an overflow counts a
+        rejection and returns False, leaving the verdict to the caller),
+        marks ECN above the band's threshold and counts the enqueue and
+        the peak.  With ``idle`` the caller hands the packet to an idle
+        serializer, whose queue is empty: it is counted as dequeued at
+        once and never stored.  Otherwise it joins the band's tail.
+        """
         last = self._last_band
         priority = packet.priority
-        return self.bands[last - (priority if priority < last else last)].push(packet)
+        band = self.bands[last - (priority if priority < last else last)]
+        new_bytes = band._bytes + packet.wire_size
+        if new_bytes > band.capacity_bytes:
+            band.rejected += 1
+            return False
+        threshold = band.ecn_threshold_bytes
+        if threshold is not None and new_bytes > threshold:
+            packet.ecn = True
+            band.ecn_marked += 1
+        band.enqueued += 1
+        if new_bytes > band.peak_bytes:
+            band.peak_bytes = new_bytes
+        if idle:
+            band.dequeued += 1
+        else:
+            band._items.append(packet)
+            band._bytes = new_bytes
+        return True
 
     def pop(self) -> Optional[Packet]:
         """Dequeue from the highest-priority non-empty band."""
         for band in self.bands:
-            # Inlined ByteQueue.pop: this runs once per serialized
-            # packet and the empty-band probe is the common case.
             items = band._items
             if items:
                 packet = items.popleft()

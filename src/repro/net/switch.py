@@ -446,50 +446,24 @@ class Switch(Device):
             self._path_changed.discard(key)
             if packet.int_ext is not None:
                 ecmp_aux = ecmp_aux | AUX_PATH_CHANGED
-        # One pass from here: ByteQueue.push and Link._try_transmit are
-        # spelled out, counters and ECN exactly theirs, and an overflow is
-        # settled on the spot — forwarded, trimmed or dropped.
+        # One pass from here: the queue's one admission rule, the link's
+        # one hand-off, and an overflow settled on the spot — forwarded,
+        # trimmed or dropped.
         queue = link.queue
-        bands = queue.bands
-        last = queue._last_band
-        data = bands[last]
-        priority = packet.priority
-        band = bands[last - (priority if priority < last else last)]
-        wire = packet.wire_size
-        new_bytes = band._bytes + wire
-        if new_bytes > band.capacity_bytes:
-            band.rejected += 1
-            if band is data:
+        int_ext = packet.int_ext
+        if int_ext is not None:
+            fill_permille = int(queue.data_band().fill * 1000)
+        idle = not link._busy
+        if not queue.admit(packet, idle):
+            data = queue.data_band()
+            if queue.bands[queue.band_for(packet)] is data:
                 self._trim_or_drop(packet, link, data)
             else:
                 # The express band holds tiny packets already: no trim.
                 self._drop(packet, "header-band-overflow")
             return
-        int_ext = packet.int_ext
-        if int_ext is not None:
-            fill_permille = int(data._bytes / data.capacity_bytes * 1000)
-        threshold = band.ecn_threshold_bytes
-        if threshold is not None and new_bytes > threshold:
-            packet.ecn = True
-            band.ecn_marked += 1
-        if not link._busy:
-            # An idle serializer has an empty queue (whatever idled it
-            # found the queue empty), so the push/pop pair is a
-            # pass-through: hand the packet straight to the serializer.
-            # Counters still see the enqueue and the immediate dequeue;
-            # occupancy is untouched.
-            band.enqueued += 1
-            band.dequeued += 1
-            if new_bytes > band.peak_bytes:
-                band.peak_bytes = new_bytes
-            link._busy = True
-            link._sched_call(wire * 8.0 / link.rate_bps, link._finish_cb, packet)
-        else:
-            band._items.append(packet)
-            band._bytes = new_bytes
-            band.enqueued += 1
-            if new_bytes > band.peak_bytes:
-                band.peak_bytes = new_bytes
+        if idle:
+            link._start(packet)
         if int_ext is not None:
             int_ext.stamp(
                 self._int_hop,
@@ -510,45 +484,33 @@ class Switch(Device):
                 dst=packet.dst,
                 flow_id=packet.flow_id,
                 seq=packet.seq,
-                bytes=wire,
+                bytes=packet.wire_size,
                 queue_bytes=queue.bytes_queued,
             )
 
     def _trim_or_drop(self, packet: Packet, link: Link, data: ByteQueue) -> None:
-        """Settle a data-band overflow: enqueue the trim policy's remnant
-        in its own band, or drop.
+        """Settle a data-band overflow: admit the trim policy's remnant
+        to its own band, or drop.
 
         ``data`` is the full data band; the rejection is counted already.
-        The remnant's push is ``ByteQueue.push`` spelled out, and a full
-        express band drops the packet as ``header-band-overflow``.
+        The remnant goes through the same admission and hand-off as any
+        packet, and a full express band drops the packet as
+        ``header-band-overflow``.
         """
-        fill = data._bytes / data.capacity_bytes
+        fill = data.fill
         trimmed = self.trim_policy.trim(packet, fill)
         if trimmed is None:
             self._drop(packet, "buffer-overflow")
             return
         remnant, level = trimmed
         queue = link.queue
-        last = queue._last_band
-        priority = remnant.priority
-        band = queue.bands[last - (priority if priority < last else last)]
-        wire = remnant.wire_size
-        new_bytes = band._bytes + wire
-        if new_bytes > band.capacity_bytes:
-            band.rejected += 1
+        idle = not link._busy
+        if not queue.admit(remnant, idle):
             self._drop(packet, "header-band-overflow")
             return
-        threshold = band.ecn_threshold_bytes
-        if threshold is not None and new_bytes > threshold:
-            remnant.ecn = True
-            band.ecn_marked += 1
-        band._items.append(remnant)
-        band._bytes = new_bytes
-        band.enqueued += 1
-        if new_bytes > band.peak_bytes:
-            band.peak_bytes = new_bytes
-        if not link._busy:
-            link._try_transmit()
+        if idle:
+            link._start(remnant)
+        wire = remnant.wire_size
         saved = packet.wire_size - wire
         if remnant.int_ext is not None:
             remnant.int_ext.stamp(

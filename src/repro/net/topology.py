@@ -44,7 +44,7 @@ class Network:
         # 1 by default: burst batching preserves delivery *times* but not
         # event ordering at tied instants, so enabling it can flip
         # drop decisions at a saturated shared queue.  The cluster fabric
-        # opts in (Link.HOST_BURST) where no legacy baselines exist.
+        # opts in (a scenario's host_burst) where no legacy baselines exist.
         if host_burst < 1:
             raise ValueError(f"host_burst must be >= 1, got {host_burst}")
         self.host_burst = host_burst

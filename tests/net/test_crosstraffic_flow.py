@@ -105,7 +105,10 @@ class TestIncastBurst:
             assert all(p.flow_id == burst.flow_id_base + rank for p in host.sent)
         assert burst.packets_emitted == 2 * len(want)
 
-    @pytest.mark.parametrize("packet_bytes", [0, 42])
+    @pytest.mark.parametrize("packet_bytes", [0, 30, 42])
     def test_a_packet_must_carry_a_payload(self, packet_bytes):
         with pytest.raises(ValueError, match="exceed the 42-byte wire header"):
             IncastBurst(Simulator(), [], "rx0", packet_bytes=packet_bytes)
+        net = dumbbell(pairs=1)
+        with pytest.raises(ValueError, match="exceed the 42-byte wire header"):
+            OnOffFlow(net.sim, net.hosts["tx0"], "rx0", rate_bps=1e9, packet_bytes=packet_bytes)

@@ -1,10 +1,13 @@
 """Oracle for the one-pass forwarding path in ``Switch.receive``.
 
-``Switch.receive`` settles every packet in one pass: the push (and, on
-an idle serializer, the pop as well) is spelled out inline, and an
-overflow is trimmed or dropped on the spot with one trim-policy call.
-``SlowSwitch`` below is the path it replaced, kept here as reference
-code: every packet goes through ``forward`` — ``Link.enqueue``, a second
+``Switch.receive`` settles every packet in one pass: one
+``PriorityQueue.admit`` (which passes a packet for an idle serializer
+straight through), one ``Link._start`` hand-off, and an overflow trimmed
+or dropped on the spot with one trim-policy call.  ``SlowSwitch`` below
+is the path it replaced, kept here as reference code that shares
+nothing with the rule under test: hosts inject through
+``push_then_kick`` (tests/net/queue_oracle.py), and every packet goes
+through ``forward`` — ``push_then_kick`` again, a second
 push on overflow, and a ``decide`` / ``apply`` pair of policy calls that
 allocate a :class:`TrimDecision`.  The same seeded traffic through both
 must leave every counter, every delivery, every INT record and the
@@ -12,6 +15,7 @@ event count identical.
 """
 
 import dataclasses
+import functools
 from typing import Optional
 
 import numpy as np
@@ -32,6 +36,7 @@ from repro.obs.int_telemetry import (
     enable_int,
 )
 from repro.packet import MultiLevelTrim, NeverTrim, SingleLevelTrim
+from tests.net.queue_oracle import push_then_kick
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +96,7 @@ class SlowSwitch(Switch):
         """Enqueue on ``link``, trimming or dropping on overflow."""
         queue = link.queue
         fill_before = queue.data_band().fill
-        if link.enqueue(packet):
+        if push_then_kick(link, packet):
             if packet.int_ext is not None:
                 packet.int_ext.stamp(
                     self._int_hop,
@@ -112,7 +117,7 @@ class SlowSwitch(Switch):
         if remnant is None or remnant.wire_size >= packet.wire_size:
             self._drop(packet, "buffer-overflow")
             return
-        if link.enqueue(remnant):
+        if push_then_kick(link, remnant):
             if remnant.int_ext is not None:
                 remnant.int_ext.stamp(
                     self._int_hop,
@@ -249,6 +254,8 @@ def _observe(build, slow):
     if slow:
         for switch in net.switches.values():
             switch.__class__ = SlowSwitch
+        for host in net.hosts.values():
+            host.uplink.enqueue = functools.partial(push_then_kick, host.uplink)
     deliveries = {name: [] for name in net.hosts}
     for name, host in net.hosts.items():
         host.set_default_handler(
