@@ -30,9 +30,11 @@ message of a cluster wave at once (see docs/performance.md):
   the buffer are the only header: a packet is one object.
   ``packetize`` is its one-message call.
 * ``depacketize_many`` joins the headers of every set once and reads
-  them as one array (:data:`~repro.packet.header.SET_VIEW`), checks with
-  column ops that each set is one message, groups every set's arrived
-  packets by geometry with one sort, and inverts the groups of one code
+  them as one array (:data:`~repro.packet.header.SET_VIEW`), decides
+  whether every set is one message with one reduction over its columns
+  a check (when one is not, ``_refuse`` reads the sets a packet at a
+  time and says why), groups every set's arrived packets by geometry
+  with one sort, and inverts the groups of one code
   and geometry across all sets with batched
   :func:`~repro.packet.bitpack.unpack_batch` calls over the joined
   payloads of a row group of packets, storing a group that lies on its
@@ -47,11 +49,12 @@ message of a cluster wave at once (see docs/performance.md):
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
+)
 
 import numpy as np
 
@@ -64,7 +67,6 @@ from ..packet.header import (
     FLAG_TRIMMED,
     GRADIENT_HEADER_BYTES,
     HEAD_BITS_AT,
-    HEADER_VIEW,
     MAGIC,
     SET_VIEW,
     SPLIT_VIEW,
@@ -344,14 +346,14 @@ def depacketize(packets: Iterable[Packet], length: Optional[int] = None) -> Grad
     short for a header or has a bad magic; when two headers disagree on
     version, codec id, code width (head + tail bits), message id, epoch
     or seed; when a header's head bits are not a plane boundary of the
-    code; when two metadata packets differ; with the metadata packet in
-    the set, when a data packet is off the message's grid
-    (:func:`check_grid`); when a packet runs beyond ``length``; and when
-    a payload is not exactly as long as its header's ``coord_count`` and
-    arrived depth make it.  Of the first five, the first offending
-    packet in arrival order is named; of the rest, the first in the order
-    the packets' geometries first arrived.  A one-set
-    :func:`depacketize_many`.
+    code; when two metadata packets differ; when the metadata packet's
+    payload is too short or truncated; with the metadata packet in the
+    set, when a data packet is off the message's grid; when a packet runs
+    beyond ``length``; and when a payload is not exactly as long as its
+    header's ``coord_count`` and arrived depth make it.  Of the first
+    four, the first offending packet in arrival order is named; of the
+    last three, the first in the order the packets' geometries first
+    arrived (see :func:`_refuse`).  A one-set :func:`depacketize_many`.
     """
     return depacketize_many([packets], [length])[0]
 
@@ -361,15 +363,17 @@ def depacketize_many(
 ) -> List[GradientMessage]:
     """Reassemble several received sets at once, one message each.
 
-    Each set is read as :func:`depacketize` reads it alone (``lengths[i]``
-    is its ``length``); when a set is one that :func:`depacketize`
-    refuses, this raises the ``ValueError`` it raises alone, for the first
-    such set in order.  The sets' headers are joined once and read as one
-    array, each packet's identity checked against the packet before it in
-    its set; one stable sort groups every set's packets by geometry; and
-    the groups of one code and geometry across all sets fill one store,
-    unpacked a row group at a time into per-set views of shared planes:
-    the clean messages of a cluster wave are one
+    Each set is read as :func:`depacketize` reads it alone (``lengths``
+    has one entry a set: its ``length``); when a set is one that
+    :func:`depacketize` refuses, this raises the ``ValueError`` it raises
+    alone, for the first such set in order.  The sets' headers are joined
+    once and read as one array, and each check is one reduction over its
+    columns that says whether every set is one message; when one fails,
+    :func:`_refuse` reads the sets a packet at a time and says why.  One
+    stable sort groups every set's packets by geometry; and the groups of
+    one code and geometry across all sets fill one store, unpacked a row
+    group at a time into per-set views of shared planes: the clean
+    messages of a cluster wave are one
     :func:`~repro.packet.bitpack.unpack_batch` call per plane.
     """
     payload_sets = [[pkt.payload for pkt in packets] for packets in sets]
@@ -377,56 +381,42 @@ def depacketize_many(
         return []
     if lengths is None:
         lengths = [None] * len(payload_sets)
-    # Each set's code, as its first header names it.  ``live`` sets are
-    # read on: those before the first one found to fail (``failure``).
-    named: List[Tuple[int, Tuple[int, ...]]] = []
-    failure: Optional[ValueError] = None
-    for payloads in payload_sets:
-        try:
-            named.append(_named_code(payloads))
-        except ValueError as error:
-            failure = error
-            break
-    live = len(named)
-    if failure is not None and not live:
-        raise failure
-    payloads = payload_sets[0] if live == 1 else [p for ps in payload_sets[:live] for p in ps]
-    bounds = list(accumulate([0] + [len(ps) for ps in payload_sets[:live]]))
-    counts = [len(ps) for ps in payload_sets[:live]]
-    cuts_of = [tuple(accumulate(planes)) for _, planes in named]
+    elif len(lengths) != len(payload_sets):
+        raise ValueError(f"{len(payload_sets)} packet sets but {len(lengths)} lengths")
+    counts = [len(ps) for ps in payload_sets]
+    bounds = list(accumulate([0] + counts))
+    payloads = payload_sets[0] if len(counts) == 1 else list(chain.from_iterable(payload_sets))
 
     # The headers joined once are one record array, and the same bytes are
-    # four 64-bit words a header: every check below is a column op.  A
-    # payload too short for a header reads as zeros and ends what is read
-    # of its set (``readable``): that set fails.
+    # four 64-bit words a header.  An empty set or a payload too short for
+    # a header is refused before they are read.
     joined = b"".join([payload[:GRADIENT_HEADER_BYTES] for payload in payloads])
-    sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
-    readable = bounds[1:]
-    if len(joined) < GRADIENT_HEADER_BYTES * len(payloads):
-        for at in (sizes < GRADIENT_HEADER_BYTES).nonzero()[0].tolist():
-            s = bisect_right(bounds, at) - 1
-            readable[s] = min(readable[s], at)
-        joined = b"".join(
-            [bytes(payload[:GRADIENT_HEADER_BYTES]).ljust(GRADIENT_HEADER_BYTES, b"\0")
-             for payload in payloads]
-        )
+    if not all(counts) or len(joined) != GRADIENT_HEADER_BYTES * len(payloads):
+        _refuse(payload_sets, lengths)
     records = np.frombuffer(joined, dtype=SET_VIEW)
     words = np.frombuffer(joined, dtype="<u8").reshape(-1, 4)
+    sizes = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    # Each set's code, as its first header names it.
+    firsts = records[bounds[:-1]]
+    if np.count_nonzero(firsts["magic"] != MAGIC):
+        _refuse(payload_sets, lengths)
+    codes = firsts[["codec_id", "head_bits", "tail_bits"]].tolist()
+    named = [(codec_id, code_planes(codec_id, *split)) for codec_id, *split in codes]
+    cuts_of = [tuple(accumulate(planes)) for _, planes in named]
     # A packet of a set's message has its first packet's identity bytes,
     # and its head / tail split is at a plane boundary of the code: for a
     # code of two planes, the first packet's split, which then counts as
     # identity.  One word column at a time (the third holds no identity).
     layered = [len(planes) > 2 for _, planes in named]
-    # Each set's first header, one a packet (its word columns: ``firsts.T``).
-    firsts = words[bounds[:live]]
-    firsts = firsts[0] if live == 1 else np.repeat(firsts, counts, axis=0)
-    strange = np.zeros(len(payloads), dtype=bool)
+    leads = words[bounds[:-1]]
+    leads = leads[0] if len(counts) == 1 else np.repeat(leads, counts, axis=0)
     for word, bits in enumerate(_IDENTITY_AND_SPLIT_BITS):
-        if not bits:
-            continue
         if word == 0:
             bits = _per_row([_IDENTITY_BITS[0] if lay else bits for lay in layered], counts)
-        strange |= (words[:, word] ^ firsts.T[word]) & bits != 0
+        elif not bits:
+            continue
+        if np.count_nonzero((words[:, word] ^ leads.T[word]) & bits):
+            _refuse(payload_sets, lengths)
     if any(layered):
         split = words[:, 0] >> np.uint64(8 * HEAD_BITS_AT)
         for cuts in dict.fromkeys(cuts for cuts in cuts_of if len(cuts) > 2):
@@ -434,48 +424,30 @@ def depacketize_many(
             for cut in cuts[1:-1]:
                 off_boundary &= split != _split_bits(cut, cuts[-1] - cut)
             members = _per_row([code == cuts for code in cuts_of], counts)
-            strange |= off_boundary if members is True else off_boundary & members
-    strangers = _firsts(strange, bounds)
+            if np.count_nonzero(off_boundary & members):
+                _refuse(payload_sets, lengths)
+    # A set's metadata packets are byte-equal copies of its first one,
+    # which parses.
     flags = records["flags"]
     metas = (flags & FLAG_METADATA).nonzero()[0].tolist()
-    first_meta: Dict[int, int] = {}  # set -> its first metadata packet
-    twins: Dict[int, int] = {}  # set -> its first metadata packet unlike that one
+    meta_of: Dict[int, Payload] = {}
     s = 0
     for at in metas:
         while at >= bounds[s + 1]:
             s += 1
-        if at >= readable[s]:
-            continue
-        if s not in first_meta:
-            first_meta[s] = at
-        elif s not in twins and payloads[at] != payloads[first_meta[s]]:
-            twins[s] = at
-    # Per set: the first packet that is not of its message, then the first
-    # metadata packet unlike the first one, then the short payload.
-    metadata: List[Optional[GradientMetadata]] = []
-    for s in range(live):
-        end, stranger = readable[s], strangers[s]
-        twin = twins.get(s, end)
-        try:
-            if stranger < end and stranger <= twin:
-                raise _stranger(payloads[bounds[s]], payloads[stranger], cuts_of[s])
-            if twin < end:
-                raise ValueError("two different metadata packets in one message")
-            if end < bounds[s + 1]:
-                raise _short(payloads[end])
-            meta_payload = payloads[first_meta[s]] if s in first_meta else None
-            metadata.append(
-                None
-                if meta_payload is None
-                else GradientMetadata.from_bytes(meta_payload[GRADIENT_HEADER_BYTES:])
-            )
-        except ValueError as error:
-            live, failure = s, error
-            break
-    if failure is not None and not live:
-        raise failure
-    rows = bounds[live]
-    records, sizes = records[:rows], sizes[:rows]
+        if meta_of.setdefault(s, payloads[at]) != payloads[at]:
+            _refuse(payload_sets, lengths)
+    try:
+        metadata = [
+            GradientMetadata.from_bytes(meta_of[s][GRADIENT_HEADER_BYTES:])
+            if s in meta_of
+            else None
+            for s in range(len(counts))
+        ]
+    except ValueError:
+        metadata = []
+    if len(metadata) != len(counts):
+        _refuse(payload_sets, lengths)
 
     # Data packets in groups of one set, coord_count, arrived depth and
     # whether the packet starts where its chunk index puts it on the grid
@@ -489,20 +461,20 @@ def depacketize_many(
     end = lo + count
     # A cut packet arrived at its head bits, any other at the full depth
     # (FLAG_TRIMMED is bit 0, so the flag is the factor).
-    full = _per_row([cuts[-1] for cuts in cuts_of[:live]], counts[:live])
-    arrived = full - (full - records["head_bits"].astype(np.int64)) * (flags[:rows] & FLAG_TRIMMED)
+    full = _per_row([cuts[-1] for cuts in cuts_of], counts)
+    arrived = full - (full - records["head_bits"].astype(np.int64)) * (flags & FLAG_TRIMMED)
     key = count << 18 | arrived << 1 | (end == chunk * count)
-    key[[at for at in metas if at < rows]] = -1
-    if live == 1:
+    key[metas] = -1
+    if len(counts) == 1:
         order = key.argsort(kind="stable")
     else:
-        order = np.lexsort((key, np.repeat(np.arange(live), counts[:live])))
+        order = np.lexsort((key, np.repeat(np.arange(len(counts)), counts)))
     ranked = key[order]
     edges = ranked[1:] != ranked[:-1]
-    edges[[at - 1 for at in bounds[1:live]]] = True
+    edges[[at - 1 for at in bounds[1:-1]]] = True
     starts = [0, *(edges.nonzero()[0] + 1).tolist()]
     spans = sorted(
-        zip(order[starts].tolist(), ranked[starts].tolist(), starts, starts[1:] + [rows])
+        zip(order[starts].tolist(), ranked[starts].tolist(), starts, starts[1:] + [len(payloads)])
     )
     # (set, coord_count, depth, in place, the group's slice of ``order``)
     groups: List[Tuple[int, int, int, bool, slice]] = []
@@ -517,7 +489,7 @@ def depacketize_many(
 
     # A full packet's coord_count: the message's grid.  Its full packets
     # are in place; the rest must tile the message with them.
-    grid = [0] * live
+    grid = [0] * len(counts)
     for s, width, _, placed, _ in groups:
         if placed and width > grid[s]:
             grid[s] = width
@@ -529,15 +501,23 @@ def depacketize_many(
         else int(end[bounds[s] : bounds[s + 1]].max())
         for s, (given, meta) in enumerate(zip(lengths, metadata))
     ]
-    rest = [
-        (s, at)
-        for s, width, _, placed, at in groups
-        if metadata[s] is not None and not (placed and width == grid[s] and grid[s])
-    ]
-    if rest:
-        off_grid = _grid_failure(rest, order, grid, lo, chunk, count, length_of)
-        if off_grid is not None:
-            live, failure = off_grid
+    # With the metadata packet, every data packet is on the grid (chunk k
+    # covers [(k - 1)·n, min(k·n, length))), and each but the full ones
+    # ends the message; with no full packet in place the grid is unknown,
+    # only copies of the final chunk arrived, and they agree.
+    grids = _per_row(grid, counts)
+    off = (lo != (chunk - 1) * grids) | ((count != grids) & (end != _per_row(length_of, counts)))
+    checked = (key >= 0) & (grids > 0) & _per_row([meta is not None for meta in metadata], counts)
+    if np.count_nonzero(off & checked):
+        _refuse(payload_sets, lengths)
+    for s, meta in enumerate(metadata):
+        if meta is None or grid[s]:
+            continue
+        copies = bounds[s] + (key[bounds[s] : bounds[s + 1]] >= 0).nonzero()[0]
+        if copies.size and (
+            np.ptp(lo[copies]) or np.ptp(chunk[copies]) or np.any(end[copies] != length_of[s])
+        ):
+            _refuse(payload_sets, lengths)
 
     # Each group checked against its message, then filed by store: a short
     # packet that starts on the grid and ends the message (the final
@@ -545,41 +525,22 @@ def depacketize_many(
     # packets of its depth, so a clean message is one store, and so are
     # the clean messages of one code and geometry.  A set keeps the order
     # of its stores of one depth (their ``rank``).
-    bases = list(accumulate([0] + [_segment(length_of[s], grid[s]) for s in range(live - 1)]))
+    bases = list(accumulate([0] + [_segment(*sized) for sized in zip(length_of[:-1], grid)]))
     stores: Dict[Tuple[Any, ...], Tuple[List[np.ndarray], List[Payload], List[int]]] = {}
     ranks: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
     for s, width, depth, placed, at in groups:
-        if s >= live:
-            break
-        planes, cuts, length = named[s][1], cuts_of[s], length_of[s]
-        try:
-            ends = _plane_ends(planes, cuts, width, depth)
-            if end_by[at].max() > length:
-                top = int(lo_by[at].max())
-                raise ValueError(
-                    f"packet covers coords [{top},{top + width}) beyond length {length}"
-                )
-            wrong = sizes_by[at] != ends[-1]
-            if np.count_nonzero(wrong):
-                raise ValueError(
-                    f"need {ends[-1] - GRADIENT_HEADER_BYTES} payload bytes for {width} coords "
-                    f"({'+'.join(map(str, planes[: len(ends) - 1]))} bits), "
-                    f"got {max(int(sizes_by[at][wrong].min()) - GRADIENT_HEADER_BYTES, 0)}"
-                )
-        except ValueError as error:
-            live, failure = s, error
-            break
-        n = grid[s]
+        planes, cuts, length, n = named[s][1], cuts_of[s], length_of[s], grid[s]
+        ends = _plane_ends(planes, cuts, width, depth)
+        lo_at, end_at = lo_by[at], end_by[at]
+        if end_at.max() > length or np.count_nonzero(sizes_by[at] != ends[-1]):
+            _refuse(payload_sets, lengths)
         store = (width, depth, placed)
         kept: List[Payload] = list(map(payloads.__getitem__, order[at].tolist()))
-        # With the metadata packet, check_grid has already seen to both.
+        # With the metadata packet, the grid check above has seen to both.
         if (
             not placed
             and 0 < width < n
-            and (
-                metadata[s] is not None
-                or not (lo_by[at] % n).any() and (end_by[at] == length).all()
-            )
+            and (metadata[s] is not None or not (lo_at % n).any() and (end_at == length).all())
         ):
             store = (n, depth, True)
             wide = _plane_ends(planes, cuts, n, depth)
@@ -589,11 +550,9 @@ def depacketize_many(
             rank.append(store)
         filed = (planes, rank.index(store), *store)
         offsets, stored, members = stores.setdefault(filed, ([], [], []))
-        offsets.append(lo_by[at] + bases[s] if bases[s] else lo_by[at])
+        offsets.append(lo_at + bases[s] if bases[s] else lo_at)
         stored.extend(kept)
         members.append(s)
-    if failure is not None:
-        raise failure
 
     # The sets' planes one after another, each set's segment ending on its
     # grid (the last one's with room for a widened final row), so the rows
@@ -602,7 +561,7 @@ def depacketize_many(
     heads, tails = planes_of = np.zeros((2, size), dtype=np.uint32)
     trimmed, covered = masks = np.zeros((2, size), dtype=bool)
     # Only a code of more than two planes has depths the masks cannot say.
-    depth_plane = np.zeros(size, dtype=np.uint8) if any(layered[:live]) else None
+    depth_plane = np.zeros(size, dtype=np.uint8) if any(layered) else None
 
     # Invert each store's packed planes, shallowest depth first, so that of
     # two copies of a coordinate the deepest is kept whatever their order.
@@ -683,19 +642,6 @@ def depacketize_many(
     return messages
 
 
-def _named_code(payloads: List[Payload]) -> Tuple[int, Tuple[int, ...]]:
-    """A set's codec id and plane widths, as its first header names them."""
-    if not payloads:
-        raise ValueError("no gradient packets to depacketize")
-    first = payloads[0]
-    if len(first) < GRADIENT_HEADER_BYTES:
-        raise _short(first)
-    magic, _, _, codec_id, head_bits, tail_bits = HEADER_VIEW.unpack_from(first)[:6]
-    if magic != MAGIC:
-        GradientHeader.from_bytes(first)  # refuses it, naming the magic
-    return codec_id, code_planes(codec_id, head_bits, tail_bits)
-
-
 def _per_row(values: List[Any], counts: Sequence[int]) -> Any:
     """``values``, one a set, as one a packet of sets of ``counts``
     packets: the value itself when every set has the same."""
@@ -704,53 +650,89 @@ def _per_row(values: List[Any], counts: Sequence[int]) -> Any:
     return np.repeat(np.asarray(values), counts)
 
 
-def _firsts(mask: np.ndarray, bounds: List[int]) -> List[int]:
-    """The first row of each set (rows ``bounds[s]:bounds[s + 1]``) where
-    ``mask`` holds, or the set's end."""
-    if not np.count_nonzero(mask):
-        return bounds[1:]
-    hits = mask.nonzero()[0]
-    at = np.searchsorted(hits, bounds[:-1]).tolist()
-    return [
-        int(hits[i]) if i < hits.size and hits[i] < end else end for i, end in zip(at, bounds[1:])
-    ]
+def _refuse(payload_sets: List[List[Payload]], lengths: Sequence[Optional[int]]) -> NoReturn:
+    """Raise the ``ValueError`` :func:`depacketize` raises for the first
+    of ``payload_sets`` it refuses (``lengths``: one ``length`` a set).
+
+    Each set is read a packet at a time, in arrival order: every header
+    must parse and name the first one's message, with its head / tail
+    split on a plane boundary, and every metadata packet must be a copy
+    of the first.  Then the metadata parses, and each geometry's packets
+    (in the order the geometries first arrived) must, with the metadata
+    packet, lie on the message's grid (chunk ``k`` covers ``[(k - 1)·n,
+    min(k·n, length))``, ``n`` a full packet's; with no full packet in
+    place, only copies of the final chunk arrived and they need only
+    agree), and must lie within ``length`` and be as long as their
+    headers make them.  :func:`depacketize_many` calls this when one of
+    its array checks fails, and none of them is stricter than these.
+    """
+    for payloads, length in zip(payload_sets, lengths):
+        if not payloads:
+            raise ValueError("no gradient packets to depacketize")
+        first = GradientHeader.from_bytes(payloads[0])
+        planes = code_planes(first.codec_id, first.head_bits, first.tail_bits)
+        cuts = tuple(accumulate(planes))
+        meta: Optional[Payload] = None
+        groups: Dict[Tuple[int, int, bool], List[Tuple[int, int, int]]] = {}
+        for payload in payloads:
+            header = GradientHeader.from_bytes(payload)
+            head, lo, count, chunk = (
+                header.head_bits, header.coord_offset, header.coord_count, header.chunk_index
+            )
+            if head + header.tail_bits != cuts[-1] or any(
+                getattr(header, name) != getattr(first, name) for name in _SHARED
+            ):
+                raise _disagreement(payloads[0], payload)
+            if head not in cuts[:-1]:
+                raise ValueError(
+                    f"head_bits {head} is not a plane boundary of codec {first.codec_id}'s "
+                    f"code {cuts}"
+                )
+            if not header.flags & FLAG_METADATA:
+                depth = head if header.flags & FLAG_TRIMMED else cuts[-1]
+                placed = lo == (chunk - 1) * count
+                groups.setdefault((count, depth, placed), []).append((lo, chunk, len(payload)))
+            elif meta is None:
+                meta = payload
+            elif payload != meta:
+                raise ValueError("two different metadata packets in one message")
+        if meta is not None:
+            encoded = GradientMetadata.from_bytes(meta[GRADIENT_HEADER_BYTES:]).encoded_length
+            length = encoded if length is None else length
+        elif length is None:
+            reach = [lo + count for (count, _, _), data in groups.items() for lo, _, _ in data]
+            length = max(reach, default=0)
+        n = max((count for count, _, placed in groups if placed and count), default=0)
+        final: Optional[Tuple[int, int]] = None
+        for (count, _, placed), members in groups.items() if meta is not None else ():
+            for lo, chunk, _ in [] if placed and count == n and n else members:
+                final = final or (lo, chunk)
+                if (lo != (chunk - 1) * n if n else (lo, chunk) != final) or lo + count != length:
+                    raise ValueError(
+                        f"data packet {chunk} covers coords [{lo},{lo + count}), off the "
+                        f"message's grid of {n or count}-coordinate packets over {length}"
+                    )
+        for (count, depth, _), members in groups.items():
+            ends = _plane_ends(planes, cuts, count, depth)
+            top = max(lo for lo, _, _ in members)
+            if top + count > length:
+                raise ValueError(
+                    f"packet covers coords [{top},{top + count}) beyond length {length}"
+                )
+            wrong = {size for _, _, size in members} - {ends[-1]}
+            if wrong:
+                raise ValueError(
+                    f"need {ends[-1] - GRADIENT_HEADER_BYTES} payload bytes for {count} coords "
+                    f"({'+'.join(map(str, planes[: len(ends) - 1]))} bits), "
+                    f"got {max(min(wrong) - GRADIENT_HEADER_BYTES, 0)}"
+                )
+    raise AssertionError("depacketize_many's array checks refused sets depacketize reads")
 
 
 def _segment(length: int, grid: int) -> int:
     """A set's share of the shared planes: its ``length`` rounded up to its
     ``grid`` (a widened final row ends there)."""
     return -(-length // grid) * grid if grid else length
-
-
-def _grid_failure(
-    rest: List[Tuple[int, slice]],
-    order: np.ndarray,
-    grid: List[int],
-    lo: np.ndarray,
-    chunk: np.ndarray,
-    count: np.ndarray,
-    length_of: List[int],
-) -> Optional[Tuple[int, ValueError]]:
-    """The first set with a data packet off its message's grid, and the
-    error for it: :func:`check_grid` over each set's packets ``rest`` (in
-    group order, the groups' slices of ``order``), those of every set with
-    a known grid at once."""
-    by_set: Dict[int, List[slice]] = {}
-    for s, at in rest:
-        by_set.setdefault(s, []).append(at)
-    known = [s for s in by_set if grid[s]]
-    failures = []
-    for sets in ([known] if known else []) + [[s] for s in by_set if not grid[s]]:
-        runs = [order[at] for s in sets for at in by_set[s]]
-        off = runs[0] if len(runs) == 1 else np.concatenate(runs)
-        sizes = [sum(at.stop - at.start for at in by_set[s]) for s in sets]
-        n = _per_row([grid[s] for s in sets], sizes)
-        length = _per_row([length_of[s] for s in sets], sizes)
-        error = check_grid(n, lo[off], chunk[off], count[off], length)
-        if error is not None:
-            at, message = error
-            failures.append((sets[bisect_right(list(accumulate(sizes)), at)], message))
-    return min(failures, key=lambda failure: failure[0]) if failures else None
 
 
 @lru_cache(maxsize=64)
@@ -764,29 +746,10 @@ def _plane_ends(
     return tuple(accumulate([GRADIENT_HEADER_BYTES] + [packed_size(count, b) for b in kept]))
 
 
-def _short(payload: Payload) -> ValueError:
-    """The error for a payload too short to hold a gradient header."""
-    return ValueError(f"gradient header needs {GRADIENT_HEADER_BYTES} bytes, got {len(payload)}")
-
-
 def _split_bits(head_bits: int, tail_bits: int) -> int:
     """A header's head / tail split as its bytes read in a little-endian
     word from :data:`~repro.packet.header.HEAD_BITS_AT` up."""
     return int.from_bytes(SPLIT_VIEW.pack(head_bits, tail_bits), "little")
-
-
-def _stranger(first: Payload, other: Payload, cuts: Tuple[int, ...]) -> ValueError:
-    """The error for a packet that is not of ``first``'s message (whose
-    code's plane boundaries are ``cuts``): a bad magic, a disagreement
-    with the first header, or a head / tail split off the boundaries."""
-    a, b = GradientHeader.from_bytes(first), GradientHeader.from_bytes(other)
-    if b.head_bits + b.tail_bits != cuts[-1] or any(
-        getattr(a, name) != getattr(b, name) for name in _SHARED
-    ):
-        return _disagreement(first, other)
-    return ValueError(
-        f"head_bits {b.head_bits} is not a plane boundary of codec {b.codec_id}'s code {cuts}"
-    )
 
 
 def _unpack_tails(
@@ -826,43 +789,6 @@ def _widen(payload: Payload, ends: Sequence[int], wide: Sequence[int]) -> bytes:
 
 #: A received payload: owned bytes or a view into a message buffer.
 Payload = Union[bytes, memoryview]
-
-
-def check_grid(
-    n: Any, lo: np.ndarray, chunk: np.ndarray, count: np.ndarray, length: Any
-) -> Optional[Tuple[int, ValueError]]:
-    """The first data packet off one message's grid, and the error for it.
-
-    ``packetize`` gives chunk ``k`` the coordinates ``[(k - 1)·n,
-    min(k·n, length))``, ``n`` being a full packet's: every packet but the
-    final chunk is in place with ``n`` coordinates, and the final chunk
-    ends the message.  A header whose offset, count or chunk index changed
-    in flight breaks this even where its payload's length still fits it.
-    ``lo``, ``chunk`` and ``count`` are the ``coord_offset``,
-    ``chunk_index`` and ``coord_count`` of the data packets that are not
-    such full packets, and the position of the first of them off the grid
-    is returned (None when all are on it).  When no packet is in place
-    (``n`` is 0), only copies of the final chunk arrived and the grid is
-    unknown: the copies need only agree.  ``n`` and ``length`` may also
-    hold one value a packet, for the packets of several messages one after
-    another, none of them with an unknown grid.
-    """
-    if isinstance(n, np.ndarray) or n:
-        off = lo != (chunk - 1) * n
-    else:
-        off = (lo != lo[0]) | (chunk != chunk[0])
-    found = (off | (lo + count != length)).nonzero()[0]
-    if not found.size:
-        return None
-    at = int(found[0])
-    if isinstance(n, np.ndarray):
-        n = n[at]
-    if isinstance(length, np.ndarray):
-        length = length[at]
-    return at, ValueError(
-        f"data packet {chunk[at]} covers coords [{lo[at]},{lo[at] + count[at]}), off the "
-        f"message's grid of {n or count[at]}-coordinate packets over {length}"
-    )
 
 
 def _disagreement(first: Payload, other: Payload) -> ValueError:

@@ -849,6 +849,7 @@ class TestArrayPassMatchesTheHeaderLoop:
             first + [forged],
             [forged] + first[1:4] + [first[0], other[5]],
             first[:2] + [other[0]] + first[2:],
+            [flip(first[1], 0)],  # a bad magic in every header of the set
         ):
             assert_same_outcome(packets)
 
@@ -926,6 +927,29 @@ class TestManySetsMatchTheHeaderLoopAlone:
         stranger = clean[:2] + packetize(make_encoded(900, 1, 31, seed=4), "s", "d")[2:3]
         for order in ((clean, short, stranger), (clean, stranger, short), ([], clean, short)):
             assert_each_set_reads_as_alone([(packets, None) for packets in order])
+        # A set that fails only a late check (after the whole set is read),
+        # alone and before one that fails an early one (at its offending
+        # packet).
+        longer = Packet(src="s", dst="d", payload=bytes(clean[2].payload) + b"\0")
+        second = clean[2].grad_header.coord_offset
+        moved = dataclasses.replace(clean[1].grad_header, coord_offset=second)
+        shifted = Packet(src="s", dst="d", payload=moved.to_bytes() + bytes(clean[1].payload[32:]))
+        truncated = Packet(src="s", dst="d", payload=bytes(clean[0].payload[:-4]))
+        final = clean[-1].grad_header
+        renumbered = dataclasses.replace(final, chunk_index=final.chunk_index + 1).to_bytes()
+        other_final = Packet(src="s", dst="d", payload=renumbered + bytes(clean[-1].payload[32:]))
+        late = [
+            ("payload bytes", [*clean[:2], longer, *clean[3:]], None),
+            ("off the message's grid", [clean[0], shifted, *clean[2:]], None),
+            ("off the message's grid", [clean[0], clean[-1], other_final], None),  # no full packet
+            ("beyond length 100", clean[1:], 100),
+            ("metadata payload truncated", [truncated, *clean[1:]], None),
+        ]
+        for words, packets, length in late:
+            with pytest.raises(ValueError, match=words):
+                loop_depacketize(packets, length)
+            for early in ([], [(short, None)], [(stranger, None)]):
+                assert_each_set_reads_as_alone([(clean, None), (packets, length), *early])
 
     def test_each_set_keeps_the_order_of_its_stores(self):
         """Two sets file the same two overlapping stores of one depth in
@@ -955,6 +979,12 @@ class TestManySetsMatchTheHeaderLoopAlone:
 
     def test_no_sets(self):
         assert depacketize_many([]) == []
+
+    @pytest.mark.parametrize("given", [1, 4])
+    def test_one_length_a_set(self, given):
+        wire = packetize(make_encoded(900, 1, 31), "s", "d")
+        with pytest.raises(ValueError, match=f"^3 packet sets but {given} lengths$"):
+            depacketize_many([wire] * 3, [None] * given)
 
 
 @st.composite
