@@ -445,8 +445,6 @@ def depacketize_many(
             for s in range(len(counts))
         ]
     except ValueError:
-        metadata = []
-    if len(metadata) != len(counts):
         _refuse(payload_sets, lengths)
 
     # Data packets in groups of one set, coord_count, arrived depth and
@@ -485,7 +483,7 @@ def depacketize_many(
         if k >= 0:
             groups.append((s, k >> 18, k >> 1 & 0x1FFFF, bool(k & 1), slice(start, stop)))
     # What the groups' checks read, in that order: a group's is a slice.
-    lo_by, end_by, sizes_by = lo[order], end[order], sizes[order]
+    lo_by, end_by, size_by = lo[order], end[order], sizes[order]
 
     # A full packet's coord_count: the message's grid.  Its full packets
     # are in place; the rest must tile the message with them.
@@ -501,14 +499,15 @@ def depacketize_many(
         else int(end[bounds[s] : bounds[s + 1]].max())
         for s, (given, meta) in enumerate(zip(lengths, metadata))
     ]
-    # With the metadata packet, every data packet is on the grid (chunk k
-    # covers [(k - 1)·n, min(k·n, length))), and each but the full ones
-    # ends the message; with no full packet in place the grid is unknown,
-    # only copies of the final chunk arrived, and they agree.
-    grids = _per_row(grid, counts)
-    off = (lo != (chunk - 1) * grids) | ((count != grids) & (end != _per_row(length_of, counts)))
-    checked = (key >= 0) & (grids > 0) & _per_row([meta is not None for meta in metadata], counts)
-    if np.count_nonzero(off & checked):
+    # Every data packet ends inside its message.  With the metadata packet,
+    # every data packet is on the grid (chunk k covers
+    # [(k - 1)·n, min(k·n, length))), and each but the full ones ends the
+    # message; with no full packet in place the grid is unknown, only
+    # copies of the final chunk arrived, and they agree.
+    grids, limit, data = _per_row(grid, counts), _per_row(length_of, counts), key >= 0
+    off = (lo != (chunk - 1) * grids) | ((count != grids) & (end != limit))
+    checked = data & (grids > 0) & _per_row([meta is not None for meta in metadata], counts)
+    if np.count_nonzero(off & checked | (end > limit) & data):
         _refuse(payload_sets, lengths)
     for s, meta in enumerate(metadata):
         if meta is None or grid[s]:
@@ -519,21 +518,26 @@ def depacketize_many(
         ):
             _refuse(payload_sets, lengths)
 
-    # Each group checked against its message, then filed by store: a short
-    # packet that starts on the grid and ends the message (the final
-    # chunk) is widened to a zero-padded full row and joins the full
-    # packets of its depth, so a clean message is one store, and so are
-    # the clean messages of one code and geometry.  A set keeps the order
-    # of its stores of one depth (their ``rank``).
+    # Every data packet's payload is the size its group's geometry gives:
+    # one comparison against per-row sizes in ``order`` (a metadata row's
+    # is its own).
+    ends_of = [_plane_ends(named[s][1], cuts_of[s], w, depth) for s, w, depth, _, _ in groups]
+    for group, ends in zip(groups, ends_of):
+        size_by[group[4]] = ends[-1]
+    if np.count_nonzero(size_by != sizes[order]):
+        _refuse(payload_sets, lengths)
+
+    # Each group filed by store: a short packet that starts on the grid and
+    # ends the message (the final chunk) is widened to a zero-padded full
+    # row and joins the full packets of its depth, so a clean message is
+    # one store, and so are the clean messages of one code and geometry.
+    # A set keeps the order of its stores of one depth (their ``rank``).
     bases = list(accumulate([0] + [_segment(*sized) for sized in zip(length_of[:-1], grid)]))
     stores: Dict[Tuple[Any, ...], Tuple[List[np.ndarray], List[Payload], List[int]]] = {}
     ranks: Dict[Tuple[int, int], List[Tuple[int, int, bool]]] = {}
-    for s, width, depth, placed, at in groups:
+    for (s, width, depth, placed, at), ends in zip(groups, ends_of):
         planes, cuts, length, n = named[s][1], cuts_of[s], length_of[s], grid[s]
-        ends = _plane_ends(planes, cuts, width, depth)
         lo_at, end_at = lo_by[at], end_by[at]
-        if end_at.max() > length or np.count_nonzero(sizes_by[at] != ends[-1]):
-            _refuse(payload_sets, lengths)
         store = (width, depth, placed)
         kept: List[Payload] = list(map(payloads.__getitem__, order[at].tolist()))
         # With the metadata packet, the grid check above has seen to both.

@@ -38,7 +38,11 @@ from .link import Device, Link
 from .queues import ByteQueue, PriorityQueue
 from .simulator import Simulator
 
-__all__ = ["Switch", "SwitchStats"]
+__all__ = ["Switch", "SwitchStats", "HEADER_BAND_BYTES"]
+
+#: Express-band capacity per egress port, for trimmed headers, ACKs and
+#: metadata (small packets, so a modest reserve beside the data band).
+HEADER_BAND_BYTES = 30_000
 
 #: Drop kinds → INT reason codes stamped into the telemetry band.
 _DROP_REASONS = {
@@ -104,8 +108,6 @@ class Switch(Device):
         buffer_bytes: data-band capacity per egress port (the shallow
             buffer; the paper's switches trim precisely because this is
             small).
-        header_band_bytes: express-band capacity for trimmed headers,
-            ACKs and metadata (small packets, so a modest reserve).
         ecn_threshold_bytes: DCTCP-style marking threshold on the data
             band (None disables ECN).
         trim_policy: what to do on overflow; defaults to drop-tail.
@@ -121,14 +123,12 @@ class Switch(Device):
         name: str,
         sim: Simulator,
         buffer_bytes: int = 60_000,
-        header_band_bytes: int = 30_000,
         ecn_threshold_bytes: Optional[int] = None,
         trim_policy: Optional[TrimPolicy] = None,
         reroute_delay_s: float = 50e-6,
     ) -> None:
         super().__init__(name, sim)
         self.buffer_bytes = buffer_bytes
-        self.header_band_bytes = header_band_bytes
         self.ecn_threshold_bytes = ecn_threshold_bytes
         self.trim_policy = trim_policy or NeverTrim()
         self.ports: Dict[str, Link] = {}
@@ -206,7 +206,7 @@ class Switch(Device):
     def make_queue(self) -> PriorityQueue:
         """Egress queue template: express band over a shallow data band."""
         return PriorityQueue(
-            band_capacities=[self.header_band_bytes, self.buffer_bytes],
+            band_capacities=[HEADER_BAND_BYTES, self.buffer_bytes],
             ecn_threshold_bytes=self.ecn_threshold_bytes,
         )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Tuple
 
-from ..obs.int_telemetry import is_reserved_hop_name
+from ..obs.int_telemetry import is_reserved_hop_name, restart_hop_ids
 from ..packet.trim import TrimPolicy
 from ..transforms.prng import derive_seed
 from .host import Host
@@ -37,6 +37,8 @@ class Network:
     """
 
     def __init__(self, sim: Optional[Simulator] = None, host_burst: int = 1) -> None:
+        # INT hop ids count from 0 in this network's construction order.
+        restart_hop_ids()
         self.sim = sim or Simulator()
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}

@@ -68,6 +68,7 @@ __all__ = [
     "int_capacity",
     "hop_id",
     "hop_name",
+    "restart_hop_ids",
     "is_reserved_hop_name",
     "get_int_collector",
     "set_int_collector",
@@ -145,11 +146,19 @@ def reason_name(reason: int) -> str:
 # -- hop registry -------------------------------------------------------------
 #
 # INT records carry a 16-bit hop id, not a name.  Devices intern their
-# name once at construction; because topologies are built in a fixed
-# order, a given (scenario, seed) always yields the same ids.
+# name once at construction, and every Network starts the numbering
+# afresh (restart_hop_ids): because topologies are built in a fixed order,
+# a given (scenario, seed) yields the same ids whatever the process built
+# before it.  Records resolve against the most recently built network.
 
 _HOP_IDS: Dict[str, int] = {}
 _HOP_NAMES: List[str] = []
+
+
+def restart_hop_ids() -> None:
+    """Forget every interned name: the next :func:`hop_id` returns 0."""
+    _HOP_IDS.clear()
+    _HOP_NAMES.clear()
 
 
 def hop_id(name: str) -> int:

@@ -18,7 +18,9 @@ from ..obs.trace import get_tracer
 from ..packet.packet import DEFAULT_MTU_BYTES, Packet
 from .congestion import CongestionControl, FixedWindow
 
-__all__ = ["segment_bytes", "RttEstimator", "MessageSenderBase", "TransportSurrender"]
+__all__ = [
+    "segment_bytes", "control_packet", "RttEstimator", "MessageSenderBase", "TransportSurrender",
+]
 
 
 class TransportSurrender(RuntimeError):
@@ -62,6 +64,17 @@ def segment_bytes(
         pkt.seq = i
         pkt.seq_total = len(packets)
     return packets
+
+
+def control_packet(
+    src: str, dst: str, flow_id: int, seq: int,
+    nack: bool, pull: bool, trimmed_echo: bool, ecn: bool,
+) -> Packet:
+    """The ACK or NACK a receiver answers a data packet with (express band,
+    no payload); every receiver builds its control packets here."""
+    # By position (src, dst, payload, priority, flow_id, seq, seq_total,
+    # is_ack, nack, pull, trimmed_echo, ecn): one per data packet.
+    return Packet(src, dst, b"", 2, flow_id, seq, 0, True, nack, pull, trimmed_echo, ecn)
 
 
 class RttEstimator:

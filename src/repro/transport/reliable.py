@@ -23,19 +23,20 @@ from ..net.host import Host
 from ..obs.int_telemetry import get_int_collector
 from ..obs.metrics import get_registry
 from ..packet.packet import Packet
-from .base import MessageSenderBase
+from .base import MessageSenderBase, control_packet
 
 __all__ = ["GoBackNSender", "GoBackNReceiver"]
 
 _ACK_NONE = -1  # cumulative ACK value before anything arrived
+#: Duplicate cumulative ACKs that trigger a fast rewind (TCP's classic 3).
+DUPACK_THRESHOLD = 3
 
 
 class GoBackNSender(MessageSenderBase):
     """Window-paced sender with cumulative ACKs and window rewind."""
 
-    def __init__(self, *args: Any, dupack_threshold: int = 3, **kwargs: Any) -> None:
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.dupack_threshold = dupack_threshold
         self._base = 0
         self._next = 0
         self._dupacks = 0
@@ -78,7 +79,7 @@ class GoBackNSender(MessageSenderBase):
             # out-of-order packets beyond a gap.  At most one rewind per
             # recovery episode; the RTO backstops a lost rewind.
             self._dupacks += 1
-            if self._dupacks >= self.dupack_threshold and not self._recovering:
+            if self._dupacks >= DUPACK_THRESHOLD and not self._recovering:
                 self._dupacks = 0
                 self._recovering = True
                 self.cc.on_loss()
@@ -117,7 +118,7 @@ class GoBackNReceiver:
         self._expected = 0
         self._delivered: List[Packet] = []
         self._total: Optional[int] = None
-        self._peer: Optional[str] = None
+        self._peer = ""  # the sender, once a data packet has named it
         # What the receiver counted; outlives it until the registry has it.
         self._tally = SimpleNamespace(
             trimmed_rejected=0, out_of_order_discarded=0, corrupt_rejected=0
@@ -177,25 +178,11 @@ class GoBackNReceiver:
             callback(list(self._delivered))
 
     def _send_cumulative_ack(self, ecn: bool) -> None:
-        if self._peer is None:
-            return
-        # By position (src, dst, payload, priority, flow_id, seq, seq_total,
-        # is_ack, nack, pull, trimmed_echo, ecn): one ACK per data packet.
-        ack = Packet(
-            self.host.name,
-            self._peer,
-            b"",
-            2,
-            self.flow_id,
-            self._expected - 1 if self._expected else _ACK_NONE,
-            0,
-            True,
-            False,
-            False,
-            False,
-            ecn,
+        cumulative = self._expected - 1 if self._expected else _ACK_NONE
+        self.host.send(
+            control_packet(self.host.name, self._peer, self.flow_id, cumulative, False, False,
+                           False, ecn)
         )
-        self.host.send(ack)
 
 
 GoBackNSender.receiver_class = GoBackNReceiver

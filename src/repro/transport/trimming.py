@@ -9,14 +9,20 @@ NDP-style selective transport that understands trimmable gradients:
   completion times with no stragglers.
 * A trimmed **non-gradient** packet (the transport also carries opaque
   payloads) acts as an NDP NACK: the header's arrival proves the loss
-  and triggers an immediate retransmission, no timeout needed.
+  and triggers an immediate retransmission, no timeout needed.  With
+  ``accept_trimmed=False`` a trimmed gradient packet is NACKed the same
+  way: NDP's use of trimming, a fast loss signal and a resend.  Accept
+  or resend is that one flag in one rule.
 * Fully dropped packets (rare: trimmed headers travel in the express
   band) are recovered by the retransmission timer.
 
-The turnaround is one pass at each end, because under incast it runs for
-every data packet.  :meth:`TrimmingReceiver._on_packet` checks the
-checksum, classifies the packet (corrupt, trimmed, full), files it and
-answers it in one handler; ``_send_control`` builds every ACK and NACK.
+:class:`TrimmingReceiver` holds the only copy of that receive rule; the
+pull transport's receiver (:mod:`repro.transport.pull`) subclasses it and
+changes only how an answer leaves (``_send_control``).  The turnaround is
+one pass at each end, because under incast it runs for every data packet.
+:meth:`TrimmingReceiver._on_packet` checks the checksum, classifies the
+packet (corrupt, trimmed, full), files it and answers it in one handler;
+every ACK and NACK is built by :func:`~repro.transport.base.control_packet`.
 :meth:`TrimmingSender._handle_control` settles an ACK in one handler:
 the ack set, the RTT sample, the packet span's end when a tracer is on,
 the congestion signal, then the timer and the next window.  The
@@ -36,7 +42,7 @@ from ..obs import trace as _obs_trace
 from ..obs.int_telemetry import get_int_collector
 from ..obs.metrics import get_registry
 from ..packet.packet import Packet
-from .base import MessageSenderBase
+from .base import MessageSenderBase, control_packet
 
 __all__ = ["TrimmingSender", "TrimmingReceiver"]
 
@@ -134,8 +140,9 @@ class TrimmingReceiver:
         on_message: called with the (seq-ordered) packet list — trimmed
             packets included as-is, ready for
             :func:`repro.core.packetizer.decode_packets`.
-        accept_trimmed: when False this degenerates into a selective but
-            trim-oblivious transport (useful as an ablation).
+        accept_trimmed: when False a trimmed gradient packet is NACKed and
+            resent like any other trimmed packet (NDP's fast loss signal,
+            without the paper's no-retransmission rule).
     """
 
     def __init__(
@@ -152,7 +159,7 @@ class TrimmingReceiver:
         self.accept_trimmed = accept_trimmed
         self._received: Dict[int, Packet] = {}
         self._total: Optional[int] = None
-        self._peer: Optional[str] = None
+        self._peer = ""  # the sender, once a data packet has named it
         # What the receiver counted; outlives it until the registry has it.
         self._tally = SimpleNamespace(trimmed_accepted=0, nacks_sent=0, corrupt_rejected=0)
         registry = get_registry()
@@ -181,7 +188,7 @@ class TrimmingReceiver:
         return [self._received[seq] for seq in sorted(self._received)]
 
     def _on_packet(self, packet: Packet) -> None:
-        # One pass: checksum, classification, storage and the ACK, with
+        # One pass: checksum, classification, storage and the answer, with
         # Packet.verify / is_trimmed and complete spelled out.
         if packet.is_ack:
             return
@@ -225,25 +232,10 @@ class TrimmingReceiver:
     def _send_control(
         self, seq: int, nack: bool = False, trimmed_echo: bool = False, ecn: bool = False
     ) -> None:
-        if self._peer is None:
-            return
-        # By position (src, dst, payload, priority, flow_id, seq, seq_total,
-        # is_ack, nack, pull, trimmed_echo, ecn): one per data packet.
+        """Answer a data packet: how an ACK or NACK leaves this receiver."""
         self.host.send(
-            Packet(
-                self.host.name,
-                self._peer,
-                b"",
-                2,
-                self.flow_id,
-                seq,
-                0,
-                True,
-                nack,
-                False,
-                trimmed_echo,
-                ecn,
-            )
+            control_packet(self.host.name, self._peer, self.flow_id, seq, nack, False,
+                           trimmed_echo, ecn)
         )
 
 

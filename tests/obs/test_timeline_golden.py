@@ -14,6 +14,10 @@ keys removed: one sorted-keys JSON line per event, 1,468 events.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +65,34 @@ def test_artifact_matches_the_digest(recorded, artifact):
     if artifact == "trace.jsonl":
         raw = _strip_host_clock(raw)
     assert hashlib.sha256(raw).hexdigest() == GOLDEN[artifact], artifact
+
+
+FAT_TREE_FIRST = """
+import hashlib, sys
+from pathlib import Path
+sys.path.insert(0, {src!r})
+from repro.net.topology import fat_tree
+from repro.obs.timeline import main
+
+fat_tree(k=4)
+out = Path(sys.argv[1])
+assert main(["record", "incast-plus-corruption", "--seed", "7", "--out-dir", str(out)]) == 0
+for artifact in ("int.jsonl", "int_summary.json"):
+    print(artifact, hashlib.sha256((out / artifact).read_bytes()).hexdigest())
+"""
+
+
+def test_int_artifacts_ignore_fabrics_built_before_the_run(tmp_path):
+    # A fresh interpreter, so that the fat tree's switches and links are the
+    # first names the process ever interns.  Hop ids count from 0 in each
+    # network's construction order, so the recorded run's bytes stay the
+    # pinned ones.
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", FAT_TREE_FIRST.format(src=src), str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "REPRO_LOG_LEVEL": "WARNING"},
+    )
+    assert done.returncode == 0, done.stderr
+    digests = dict(line.split() for line in done.stdout.splitlines())
+    assert digests == {name: GOLDEN[name] for name in ("int.jsonl", "int_summary.json")}

@@ -54,6 +54,7 @@ from repro.collectives import ChannelStats, CommHook, GradientChannel
 from repro.core import GradientCodec, MultiLevelCodec, codec_by_name
 from repro.faults import FaultInjector, run_scenario
 from repro.faults.campaign import CampaignConfig
+from repro.net.switch import HEADER_BAND_BYTES, Switch
 from repro.obs.int_telemetry import INTCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, trace_to
@@ -61,7 +62,16 @@ from repro.packet import MultiLevelTrim
 from repro.resilience import EFChannel
 from repro.train import RoundTimeModel, TrainConfig
 from repro.train.network_channel import NetworkChannel
-from repro.transport import GoBackNSender, MessageSenderBase, PullSender, TrimmingSender
+from repro.transport import (
+    GoBackNSender,
+    MessageSenderBase,
+    PullReceiver,
+    PullSender,
+    TrimmingReceiver,
+    TrimmingSender,
+)
+from repro.transport.pull import PACE_S
+from repro.transport.reliable import DUPACK_THRESHOLD
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
@@ -216,8 +226,19 @@ def test_sender_constructors_take_no_flow_log():
         ]
         for cls in (GoBackNSender, PullSender, TrimmingSender)
     }
-    assert own == {GoBackNSender: ["dupack_threshold"], PullSender: ["initial_window"],
-                   TrimmingSender: []}
+    assert own == {GoBackNSender: [], PullSender: ["initial_window"], TrimmingSender: []}
+
+
+def test_fixed_transport_and_switch_values_are_constants():
+    # The express band, the dup-ACK rewind and the pull pacer's spacing are
+    # module constants: no caller ever set them.
+    assert "header_band_bytes" not in inspect.signature(Switch.__init__).parameters
+    # PullReceiver takes TrimmingReceiver's arguments and passes them on.
+    assert list(inspect.signature(TrimmingReceiver.__init__).parameters) == [
+        "self", "host", "flow_id", "on_message", "accept_trimmed",
+    ]
+    assert "pace_s" not in inspect.signature(PullReceiver.__init__).parameters
+    assert (HEADER_BAND_BYTES, DUPACK_THRESHOLD, PACE_S) == (30_000, 3, 120e-9)
 
 
 def test_the_registry_holds_only_counters():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import RHTCodec, decode_packets, nmse, packetize
+from repro.faults import PRESETS, run_scenario
 from repro.net import dumbbell
 from repro.packet import SingleLevelTrim
 from repro.transport import PullReceiver, PullSender, segment_bytes
@@ -121,3 +122,25 @@ class TestImpairedPath:
         assert sender.tally.retransmissions == 0
         assert net.total_switch_stats()["trimmed"] > 0
         assert nmse(x, decode_packets(messages[0], codec)) < 0.6
+
+
+class TestWhatPacingBuys:
+    """Pull's receiver is the trimming receiver plus a credit pacer, so the
+    pacer is all it adds.  On the incast-shaped fault presets it keeps the
+    bottleneck from overflowing: fewer switch drops, fewer resends."""
+
+    @staticmethod
+    def damage(preset, transport, seed):
+        run = run_scenario(PRESETS[preset], transport=transport, seed=seed)
+        assert run.completed_flows == run.flows
+        drops = sum(switch.stats.dropped for switch in run.network.switches.values())
+        resent = sum(sender.tally.retransmissions for sender in run.senders.values())
+        return drops, resent
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    @pytest.mark.parametrize("preset", ["incast-plus-corruption", "straggler-storm"])
+    def test_pull_drops_and_resends_less_than_trimming(self, preset, seed):
+        pull_drops, pull_resent = self.damage(preset, "pull", seed)
+        trim_drops, trim_resent = self.damage(preset, "trimming", seed)
+        assert pull_drops < trim_drops
+        assert pull_resent < trim_resent

@@ -1,6 +1,8 @@
 """Integration tests: transports over the simulated dumbbell network."""
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,6 +218,31 @@ class TestTrimmingTransport:
         assert sender.done
         assert sender.tally.retransmissions > 0
         assert nmse(x, decode_packets(messages[0], codec)) < 1e-12
+
+
+class TestOneReceiveRule:
+    """The trimming receiver's per-packet rule is the only copy."""
+
+    def test_pull_receiver_changes_only_how_an_answer_leaves(self):
+        assert issubclass(PullReceiver, TrimmingReceiver)
+        assert "_on_packet" not in vars(PullReceiver)
+
+    def test_one_positional_control_packet_constructor(self):
+        # Data packets are built by keyword (segment_bytes); every ACK and
+        # NACK a receiver sends is built by position in one function.
+        import repro.transport
+
+        sites = []
+        for path in sorted(Path(repro.transport.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "Packet"
+                    and node.args
+                ):
+                    sites.append(path.name)
+        assert sites == ["base.py"]
 
 
 class TestLateTrimmedCopy:
